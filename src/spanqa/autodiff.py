@@ -42,6 +42,7 @@ __all__ = [
     "masked_softmax",
     "cross_entropy",
     "dropout",
+    "lstm",
     "grad_check",
 ]
 
@@ -115,8 +116,10 @@ class Graph:
     def backward(self, root: "Tensor") -> dict[int, np.ndarray]:
         """Reverse-accumulate gradients of a scalar root.
 
-        Returns {node_id: gradient}; every requires_grad leaf appears in the
-        map, with zeros if no path connects it to the root.
+        Returns {node_id: gradient} holding exactly the requires_grad leaves,
+        with zeros for a leaf that no path connects to the root. The gradient
+        of an intermediate node is dropped as soon as its own backward has
+        run, so at most one frontier of them is alive at a time.
         """
         if root.graph is not self:
             raise ValueError("root tensor does not belong to this graph")
@@ -126,11 +129,11 @@ class Graph:
             )
         grads: dict[int, np.ndarray] = {root.node_id: np.array(1.0)}
         for nid in range(root.node_id, -1, -1):
-            g = grads.get(nid)
-            if g is None:
-                continue
             node = self._nodes[nid]
             if node.backward is None:
+                continue
+            g = grads.pop(nid, None)
+            if g is None:
                 continue
             for pid, pg in zip(node.parents, node.backward(g)):
                 if pg is None or not self._nodes[pid].requires_grad:
@@ -139,10 +142,9 @@ class Graph:
                     grads[pid] = grads[pid] + pg
                 else:
                     grads[pid] = pg
-        for nid, node in enumerate(self._nodes):
-            if node.op == "leaf" and node.requires_grad and nid not in grads:
-                grads[nid] = np.zeros_like(node.out)
-        return grads
+        return {nid: grads[nid] if nid in grads else np.zeros_like(node.out)
+                for nid, node in enumerate(self._nodes)
+                if node.op == "leaf" and node.requires_grad}
 
 
 class Tensor:
@@ -278,13 +280,19 @@ def _reduce_to(g, shape):
     return g
 
 
+# Backward closures capture arrays and shapes, never Tensors: a Tensor points
+# at its Graph, so capturing one would make every tape a reference cycle that
+# only the cyclic garbage collector can free.
+
+
 def add(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     _binary_shapes("add", a, b)
     out = a.data + b.data
+    a_shape, b_shape = a.shape, b.shape
 
     def backward(g):
-        return _reduce_to(g, a.shape), _reduce_to(g, b.shape)
+        return _reduce_to(g, a_shape), _reduce_to(g, b_shape)
 
     return _apply("add", (a, b), out, backward)
 
@@ -293,9 +301,10 @@ def sub(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     _binary_shapes("sub", a, b)
     out = a.data - b.data
+    a_shape, b_shape = a.shape, b.shape
 
     def backward(g):
-        return _reduce_to(g, a.shape), _reduce_to(-g, b.shape)
+        return _reduce_to(g, a_shape), _reduce_to(-g, b_shape)
 
     return _apply("sub", (a, b), out, backward)
 
@@ -307,7 +316,7 @@ def mul(a, b) -> Tensor:
     ad, bd = a.data, b.data
 
     def backward(g):
-        return _reduce_to(g * bd, a.shape), _reduce_to(g * ad, b.shape)
+        return _reduce_to(g * bd, ad.shape), _reduce_to(g * ad, bd.shape)
 
     return _apply("mul", (a, b), out, backward)
 
@@ -606,6 +615,122 @@ def dropout(x, rate: float, training: bool, seed: int) -> Tensor:
         return (g * scale,)
 
     return _apply("dropout", (x,), out, backward)
+
+
+def _sigmoid_(z) -> None:
+    """In-place logistic function, 0.5 * (1 + tanh(z / 2)); stable for any z."""
+    z *= 0.5
+    np.tanh(z, out=z)
+    z += 1.0
+    z *= 0.5
+
+
+def lstm(x, W, b, mask, reverse: bool = False) -> Tensor:
+    """One LSTM direction over a whole sequence: (B, L, n) -> (B, L, h).
+
+    W (4h, n+h) and b (4h,) give the gates in i|f|o|g order from
+    [x_t ; h_prev] @ W^T + b. Where mask (B, L) is 0 a step keeps its state
+    and emits zeros. `reverse` runs from the last step to the first.
+
+    The input projection of every step is one GEMM up front, so only
+    h_prev @ W_h^T runs inside the time loop, and the whole direction is a
+    single tape node. Its backward is one BPTT sweep that computes only the
+    gate gradients dz and dz @ W_h per step; dX, dW and db are then each one
+    GEMM (or sum) over all B*L rows. The per-step buffers backward needs are
+    kept only when some input requires a gradient.
+    """
+    x, W, b = _lift(x), _lift(W), _lift(b)
+    if x.ndim != 3 or W.ndim != 2 or W.shape[0] % 4:
+        raise DimensionError(f"lstm: incompatible shapes {x.shape} and {W.shape}")
+    batch, length, n = x.shape
+    four_h = W.shape[0]
+    h = four_h // 4
+    if W.shape[1] != n + h or b.shape != (four_h,):
+        raise DimensionError(
+            f"lstm: input {x.shape} needs W (4h, {n}+h) and b (4h,), "
+            f"got W {W.shape} and b {b.shape}")
+    m = _mask_array(mask, (batch, length))
+    full = m.all(axis=0)
+    live = np.ascontiguousarray(m.T[:, :, None])       # (L, B, 1)
+    dead = 1.0 - live
+    order = range(length - 1, -1, -1) if reverse else range(length)
+    taped = _common_graph((x, W, b)) is not None and (
+        x.requires_grad or W.requires_grad or b.requires_grad)
+
+    # Step-major (L, B, .) buffers keep each step's slice contiguous, and the
+    # recurrent weight is copied contiguous: strided operands make the small
+    # per-step ops several times slower.
+    xd = x.data.reshape(batch * length, n)
+    w_x = W.data[:, :n]
+    w_h = np.ascontiguousarray(W.data[:, n:])
+    w_h_t = np.ascontiguousarray(w_h.T)
+    # Pre-activations of every step from one GEMM; the loop turns each step's
+    # slice into its gate activations in place.
+    gates = np.empty((length, batch, four_h))
+    np.add((xd @ w_x.T).reshape(batch, length, four_h).transpose(1, 0, 2), b.data,
+           out=gates)
+    out = np.empty((batch, length, h))
+    if taped:
+        h_prev, c_prev, tanh_c = (np.empty((length, batch, h)) for _ in range(3))
+    h_t, c_t = np.zeros((batch, h)), np.zeros((batch, h))
+    for t in order:
+        z = gates[t]
+        z += h_t @ w_h_t
+        _sigmoid_(z[:, :3 * h])
+        np.tanh(z[:, 3 * h:], out=z[:, 3 * h:])
+        c_new = z[:, h:2 * h] * c_t + z[:, :h] * z[:, 3 * h:]
+        if taped:
+            h_prev[t], c_prev[t] = h_t, c_t
+            tc = np.tanh(c_new, out=tanh_c[t])
+        else:
+            tc = np.tanh(c_new)
+        h_new = z[:, 2 * h:3 * h] * tc
+        if full[t]:
+            h_t, c_t = h_new, c_new
+        else:
+            h_new *= live[t]
+            h_t = h_new + h_t * dead[t]
+            c_t = c_new * live[t] + c_t * dead[t]
+        out[:, t] = h_new
+    if not taped:
+        return _apply("lstm", (x, W, b), out, None)
+    x_needs_grad = x.requires_grad
+
+    def backward(g):
+        i, f = gates[..., :h], gates[..., h:2 * h]
+        o, cand = gates[..., 2 * h:3 * h], gates[..., 3 * h:]
+        # Gate derivatives of every step; the loop scales step t's slice by
+        # [dc, dc, dh, dc] to get dz, the gradient of the pre-activations.
+        dz = np.empty_like(gates)
+        dz[..., :h] = cand * i * (1.0 - i)
+        dz[..., h:2 * h] = c_prev * f * (1.0 - f)
+        dz[..., 2 * h:3 * h] = tanh_c * o * (1.0 - o)
+        dz[..., 3 * h:] = i * (1.0 - cand * cand)
+        dc_dh = o * (1.0 - tanh_c * tanh_c)
+        dh_next, dc_next = np.zeros((batch, h)), np.zeros((batch, h))
+        for t in reversed(order):
+            dh = g[:, t] + dh_next
+            if full[t]:
+                dc = dc_next + dh * dc_dh[t]
+            else:
+                dh *= live[t]
+                dc = dc_next * live[t] + dh * dc_dh[t]
+                kept_h, kept_c = dh_next * dead[t], dc_next * dead[t]
+            dz_t = dz[t]
+            dz_t *= np.concatenate((dc, dc, dh, dc), axis=1)
+            dh_next = dz_t @ w_h
+            dc_next = dc * f[t]
+            if not full[t]:
+                dh_next += kept_h
+                dc_next += kept_c
+        db = dz.sum(axis=(0, 1))
+        dw_h = dz.reshape(length * batch, four_h).T @ h_prev.reshape(length * batch, h)
+        rows = dz.transpose(1, 0, 2).reshape(batch * length, four_h)   # batch-major
+        dW = np.concatenate((rows.T @ xd, dw_h), axis=1)
+        dx = (rows @ w_x).reshape(batch, length, n) if x_needs_grad else None
+        return dx, dW, db
+
+    return _apply("lstm", (x, W, b), out, backward)
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,23 @@ def op_gradcheck_cases(seed: int = 0):
     gold = np.array([1, 0, 1])
     weights = np.arange(18.0).reshape(3, 6)
     bias_weights = rng.normal(size=(3, 5))
+    lstm_rng = np.random.default_rng(seed + 1)   # leaves the probes above as they were
+    lstm_x = lstm_rng.normal(size=(3, 5, 3))
+    lstm_w = lstm_rng.normal(size=(8, 5)) * 0.5       # h = 2
+    lstm_b = lstm_rng.normal(size=(8,)) * 0.5
+    lstm_mask = np.ones((3, 5))
+    lstm_mask[1, 3:] = 0.0
+    lstm_mask[2, 1:] = 0.0
+    lstm_weights = lstm_rng.normal(size=(3, 5, 4))
 
     def total(x):
         return ad.reduce_sum(x)
+
+    def lstm_both(x, w, b):
+        """Both directions over a ragged batch, weighted so every output counts."""
+        both = ad.concat([ad.lstm(x, w, b, lstm_mask, reverse=False),
+                          ad.lstm(x, w, b, lstm_mask, reverse=True)], axis=2)
+        return total(ad.mul(both, lstm_weights))
 
     return [
         ("matmul", lambda t: total(ad.matmul(t, right)), rng.normal(size=(3, 4))),
@@ -65,6 +79,9 @@ def op_gradcheck_cases(seed: int = 0):
          rng.random((3, 6)) * 0.8 + 0.1),
         ("dropout", lambda t: total(ad.dropout(t, 0.4, training=True, seed=99)),
          rng.normal(size=(5, 5))),
+        ("lstm_x", lambda t: lstm_both(t, lstm_w, lstm_b), lstm_x),
+        ("lstm_W", lambda t: lstm_both(lstm_x, t, lstm_b), lstm_w),
+        ("lstm_b", lambda t: lstm_both(lstm_x, lstm_w, t), lstm_b),
     ]
 
 

@@ -4,6 +4,11 @@ decoder, an end decoder that consumes the start decoder's hidden states (so
 the end distribution is conditioned on start evidence), and per-position FC
 heads feeding masked softmaxes.
 
+Each LSTM direction is a single fused ``autodiff.lstm`` tape node (input
+projection hoisted into one GEMM, hand-written BPTT backward), and each head
+is a 2-D matmul over all B*L positions, so a taped forward records about a
+hundred nodes whatever the sequence length.
+
 Parameters live in a plain name -> ndarray dict. ``forward`` accepts either
 ndarrays (inference; no tape is recorded) or graph-leaf Tensors (training),
 which is how the training loop gets named gradients back.
@@ -147,75 +152,34 @@ def _as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def _time_steps(x: Tensor, length: int) -> list[Tensor]:
-    """Split (B, L, n) into L detached-or-graph (B, n) tensors."""
-    batch, _, width = x.shape
-    if x.graph is None:
-        return [Tensor(x.data[:, t, :]) for t in range(length)]
-    return [ad.reshape(ad.slice_axis(x, 1, t, t + 1), (batch, width))
-            for t in range(length)]
-
-
-def _lstm_direction(steps, weight, bias, mask, hidden_size, reverse: bool):
-    """One LSTM pass; masked steps keep state and emit zeros.
-
-    steps: list of (B, in) tensors. weight (4h, in+h), bias (4h,); gates are
-    sliced in i|f|o|g order from [x_t ; h_prev] @ W^T + b.
-    """
-    h = hidden_size
-    batch, length = mask.shape
-    w_t = ad.transpose(weight)
-    full_rows = mask.all(axis=0)
-    h_prev = np.zeros((batch, h))
-    c_prev = np.zeros((batch, h))
-    outputs: list[Tensor | None] = [None] * length
-    order = range(length - 1, -1, -1) if reverse else range(length)
-    for t in order:
-        z = ad.add_bias(ad.matmul(ad.concat([steps[t], h_prev], axis=1), w_t), bias)
-        i_gate = ad.sigmoid(ad.slice_axis(z, 1, 0, h))
-        f_gate = ad.sigmoid(ad.slice_axis(z, 1, h, 2 * h))
-        o_gate = ad.sigmoid(ad.slice_axis(z, 1, 2 * h, 3 * h))
-        g_gate = ad.tanh(ad.slice_axis(z, 1, 3 * h, 4 * h))
-        c_new = ad.add(ad.mul(f_gate, c_prev), ad.mul(i_gate, g_gate))
-        h_new = ad.mul(o_gate, ad.tanh(c_new))
-        if full_rows[t]:
-            outputs[t] = h_new
-            h_prev, c_prev = h_new, c_new
-        else:
-            live = np.repeat(mask[:, t:t + 1], h, axis=1)
-            dead = 1.0 - live
-            h_live = ad.mul(h_new, live)
-            outputs[t] = h_live
-            h_prev = ad.add(h_live, ad.mul(h_prev, dead))
-            c_prev = ad.add(ad.mul(c_new, live), ad.mul(c_prev, dead))
-    return outputs
-
-
 def bilstm(inputs: Tensor, layer_params, mask: np.ndarray, *, hidden_size: int,
            dropout_rate: float = 0.0, training: bool = False,
            seeds: _SeedStream | None = None) -> Tensor:
     """Stacked bidirectional LSTM: (B, L, in) -> (B, L, 2h).
 
     layer_params is a list (one entry per layer) of dicts mapping "fwd"/"bwd"
-    to (W, b). Layer k+1 consumes layer k's output; dropout is applied to
-    each layer's input steps while training.
+    to (W, b). Each direction is one fused `ad.lstm` op, whose masked steps
+    keep their state and emit zeros. Layer k+1 consumes the concatenation of
+    layer k's two directions; while training, dropout is applied once to
+    each layer's whole input.
     """
     mask = np.asarray(mask, dtype=np.float64)
     batch, length, _ = inputs.shape
     if mask.shape != (batch, length):
         raise ad.DimensionError(
             f"bilstm: mask shape {mask.shape} does not match input {inputs.shape}")
-    steps = _time_steps(inputs, length)
+    out = inputs
     for layer in layer_params:
+        for weight, _ in layer.values():
+            if weight.shape[0] != 4 * hidden_size:
+                raise ad.DimensionError(
+                    f"bilstm: weight shape {weight.shape} does not match "
+                    f"hidden_size {hidden_size}")
         if dropout_rate > 0.0 and training:
-            steps = [ad.dropout(x, dropout_rate, training, seeds()) for x in steps]
-        fwd = _lstm_direction(steps, _as_tensor(layer["fwd"][0]),
-                              _as_tensor(layer["fwd"][1]), mask, hidden_size, False)
-        bwd = _lstm_direction(steps, _as_tensor(layer["bwd"][0]),
-                              _as_tensor(layer["bwd"][1]), mask, hidden_size, True)
-        steps = [ad.concat([f, b], axis=1) for f, b in zip(fwd, bwd)]
-    stacked = [ad.reshape(s, (batch, 1, 2 * hidden_size)) for s in steps]
-    return ad.concat(stacked, axis=1)
+            out = ad.dropout(out, dropout_rate, training, seeds())
+        out = ad.concat([ad.lstm(out, *layer["fwd"], mask, reverse=False),
+                         ad.lstm(out, *layer["bwd"], mask, reverse=True)], axis=2)
+    return out
 
 
 def bidaf_attention(context: Tensor, question: Tensor, w_sim,
@@ -269,10 +233,9 @@ def _head_logits(attention_out, decoder_out, head, *, dropout_rate, training,
     if dropout_rate > 0.0 and training:
         features = ad.dropout(features, dropout_rate, training, seeds())
     w1, b1, w2, b2 = (_as_tensor(head[k]) for k in ("W1", "b1", "W2", "b2"))
-    hidden = ad.relu(ad.add_bias(
-        ad.bmm(features, ad.expand_batch(ad.transpose(w1), batch)), b1))
-    logits = ad.add_bias(
-        ad.bmm(hidden, ad.expand_batch(ad.transpose(w2), batch)), b2)
+    rows = ad.reshape(features, (batch * length, features.shape[2]))
+    hidden = ad.relu(ad.add_bias(ad.matmul(rows, ad.transpose(w1)), b1))
+    logits = ad.add_bias(ad.matmul(hidden, ad.transpose(w2)), b2)
     return ad.reshape(logits, (batch, length))
 
 

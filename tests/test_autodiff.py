@@ -213,6 +213,16 @@ class TestBackward:
                             np.array([1.0, -2.0, 0.5]))
         assert err < 1e-8
 
+    def test_returns_exactly_the_requires_grad_leaves(self):
+        g = ad.Graph()
+        x = g.leaf([1.0, 2.0], requires_grad=True)
+        unused = g.leaf(np.ones(3), requires_grad=True)
+        frozen = g.leaf([3.0, 4.0])
+        hidden = ad.tanh(ad.mul(x, frozen))
+        root = ad.reduce_sum(ad.add(hidden, x))
+        grads = g.backward(root)
+        assert set(grads) == {x.node_id, unused.node_id}
+
     def test_detached_tensors_stay_detached(self):
         out = ad.add(ad.Tensor([1.0]), ad.Tensor([2.0]))
         assert out.graph is None and out.node_id is None

@@ -1,0 +1,182 @@
+"""The fused LSTM op against the unrolled oracle in lstm_oracle.py."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from lstm_oracle import unrolled_bilstm, unrolled_lstm
+from spanqa import autodiff as ad
+from spanqa.autodiff import Graph
+from spanqa.diagnostics import (OP_THRESHOLD, make_tiny_problem,
+                                op_gradcheck_cases)
+from spanqa.model import bilstm, forward
+
+FORWARD_TOL = 1e-12
+GRAD_TOL = 1e-10
+
+
+def ragged_mask(batch, length):
+    """Row 0 full, the others cut at decreasing lengths (the last keeps one step)."""
+    mask = np.ones((batch, length))
+    for row in range(1, batch):
+        mask[row, max(1, length - 2 * row):] = 0.0
+    mask[batch - 1, 1:] = 0.0
+    return mask
+
+
+def direction_params(rng, in_dim, hidden):
+    return (rng.normal(size=(4 * hidden, in_dim + hidden)) * 0.5,
+            rng.normal(size=(4 * hidden,)) * 0.5)
+
+
+def run_direction(fn, x, weight, bias, mask, reverse, probe):
+    """Output and (dX, dW, db) of sum(fn(...) * probe)."""
+    graph = Graph()
+    leaves = [graph.leaf(v, requires_grad=True) for v in (x, weight, bias)]
+    out = fn(*leaves, mask, reverse)
+    grads = graph.backward(ad.reduce_sum(ad.mul(out, probe)))
+    return out.data, [grads[leaf.node_id] for leaf in leaves]
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("batch,length,in_dim,hidden", [(1, 1, 3, 2), (3, 6, 4, 3),
+                                                        (4, 9, 5, 2)])
+def test_fused_direction_matches_oracle(reverse, batch, length, in_dim, hidden):
+    rng = np.random.default_rng(batch * 100 + length)
+    x = rng.normal(size=(batch, length, in_dim))
+    weight, bias = direction_params(rng, in_dim, hidden)
+    mask = ragged_mask(batch, length)
+    probe = rng.normal(size=(batch, length, hidden))
+    fused, fused_grads = run_direction(ad.lstm, x, weight, bias, mask, reverse, probe)
+    ref, ref_grads = run_direction(unrolled_lstm, x, weight, bias, mask, reverse,
+                                   probe)
+    assert np.abs(fused - ref).max() < FORWARD_TOL
+    for name, got, want in zip(("dX", "dW", "db"), fused_grads, ref_grads):
+        assert got.shape == want.shape, name
+        assert np.abs(got - want).max() < GRAD_TOL, name
+
+
+def test_masked_steps_get_no_gradient_and_emit_zeros():
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(3, 5, 2))
+    weight, bias = direction_params(rng, 2, 3)
+    mask = ragged_mask(3, 5)
+    for reverse in (False, True):
+        out, (dx, _, _) = run_direction(ad.lstm, x, weight, bias, mask, reverse,
+                                        np.ones((3, 5, 3)))
+        assert np.all(out[mask == 0] == 0.0)
+        assert np.all(dx[mask == 0] == 0.0)
+
+
+def test_stacked_bilstm_matches_oracle():
+    rng = np.random.default_rng(5)
+    batch, length, in_dim, hidden = 3, 7, 4, 3
+    layers = [{d: direction_params(rng, width, hidden) for d in ("fwd", "bwd")}
+              for width in (in_dim, 2 * hidden)]
+    x = rng.normal(size=(batch, length, in_dim))
+    mask = ragged_mask(batch, length)
+    probe = rng.normal(size=(batch, length, 2 * hidden))
+
+    def run(fn):
+        graph = Graph()
+        xt = graph.leaf(x, requires_grad=True)
+        taped = [{d: tuple(graph.leaf(v, requires_grad=True) for v in pair)
+                  for d, pair in layer.items()} for layer in layers]
+        out = fn(xt, taped, mask, hidden)
+        grads = graph.backward(ad.reduce_sum(ad.mul(out, probe)))
+        flat = [xt] + [t for layer in taped for pair in layer.values() for t in pair]
+        return out.data, [grads[t.node_id] for t in flat]
+
+    fused, fused_grads = run(lambda xt, p, m, h: bilstm(xt, p, m, hidden_size=h))
+    ref, ref_grads = run(unrolled_bilstm)
+    assert np.abs(fused - ref).max() < FORWARD_TOL
+    for got, want in zip(fused_grads, ref_grads):
+        assert np.abs(got - want).max() < GRAD_TOL
+
+
+def test_untaped_call_matches_taped_and_stays_detached():
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(2, 4, 3))
+    weight, bias = direction_params(rng, 3, 2)
+    mask = ragged_mask(2, 4)
+    detached = ad.lstm(x, weight, bias, mask, reverse=True)
+    taped, _ = run_direction(ad.lstm, x, weight, bias, mask, True,
+                             np.ones((2, 4, 2)))
+    assert detached.graph is None
+    assert np.array_equal(detached.data, taped)
+
+
+def test_untaped_call_keeps_no_bptt_buffers():
+    # backward needs the (L, B, 4h) gates and three (L, B, h) state buffers;
+    # a call that no gradient will reach must keep none of them alive
+    rng = np.random.default_rng(7)
+    batch, length, in_dim, hidden = 8, 60, 16, 32
+    x = rng.normal(size=(batch, length, in_dim))
+    weight, bias = direction_params(rng, in_dim, hidden)
+    mask = np.ones((batch, length))
+    buffers = 7 * batch * length * hidden * 8
+
+    def retained(inputs):
+        tracemalloc.start()
+        try:
+            out = ad.lstm(*inputs, mask)
+            return tracemalloc.get_traced_memory()[0], out
+        finally:
+            tracemalloc.stop()
+
+    untaped, _ = retained((x, weight, bias))
+    graph = Graph()
+    frozen, _ = retained(tuple(graph.leaf(v) for v in (x, weight, bias)))
+    trainable = Graph()
+    taped, _ = retained(tuple(trainable.leaf(v, requires_grad=True)
+                              for v in (x, weight, bias)))
+    assert taped - untaped > 0.9 * buffers
+    assert frozen - untaped < 0.1 * buffers
+
+
+def test_shape_errors():
+    x = np.zeros((2, 3, 4))
+    with pytest.raises(ad.DimensionError):
+        ad.lstm(x, np.zeros((8, 5)), np.zeros(8), np.ones((2, 3)))   # needs 4+2
+    with pytest.raises(ad.DimensionError):
+        ad.lstm(x, np.zeros((8, 6)), np.zeros(4), np.ones((2, 3)))
+    with pytest.raises(ad.DimensionError):
+        ad.lstm(x, np.zeros((8, 6)), np.zeros(8), np.ones((3, 2)))
+    with pytest.raises(ad.DimensionError):
+        ad.lstm(np.zeros((2, 3)), np.zeros((8, 5)), np.zeros(8), np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("name,f,x", [c for c in op_gradcheck_cases(0)
+                                      if c[0].startswith("lstm")],
+                         ids=lambda c: c if isinstance(c, str) else "")
+def test_registered_gradcheck_cases(name, f, x):
+    assert ad.grad_check(f, x, eps=1e-5) < OP_THRESHOLD
+
+
+def test_taped_forward_tape_budget():
+    # one node per LSTM direction: the tiny model's whole taped forward
+    # records about a hundred nodes, not tens per time step
+    config, params, table, batch = make_tiny_problem()
+    graph = Graph()
+    leaves = {name: graph.leaf(value, requires_grad=True)
+              for name, value in params.items()}
+    forward(batch, leaves, table, config, training=True)
+    assert len(graph) < 150
+
+
+def test_dropout_is_one_call_per_layer_input(monkeypatch):
+    calls = []
+    original = ad.dropout
+
+    def counting(x, *args, **kwargs):
+        calls.append(x.shape)
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(ad, "dropout", counting)
+    config, params, table, batch = make_tiny_problem(dropout=0.2)
+    forward(batch, params, table, config, training=True)
+    # each call covers a whole (B, L, width) layer input, never one time step:
+    # two encoder layers for context and question, two decoders, two heads
+    assert len(calls) == 2 * config.encoder_layers + 2 + 2
+    assert all(len(shape) == 3 for shape in calls)

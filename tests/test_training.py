@@ -1,5 +1,7 @@
+import gc
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from spanqa.checkpoint import (CheckpointMagicError, CheckpointTruncatedError,
 from spanqa.data import load_glove, load_squad
 from spanqa.diagnostics import make_tiny_problem
 from spanqa.model import ModelConfig
+from spanqa import training
 from spanqa.training import (TrainingDivergedError, clip_global_norm,
                              init_optimizer, train, train_step)
 
@@ -50,6 +53,29 @@ class TestTrainStep:
             runs.append([train_step(params, batch, table, state, config)
                          for _ in range(5)])
         assert runs[0] == runs[1]
+
+    def test_tape_freed_without_cyclic_gc(self, monkeypatch):
+        # the step's Graph must die by reference counting alone: a tape that
+        # only the cyclic collector can free lets dead tapes pile up
+        graphs = []
+
+        class RecordedGraph(training.Graph):
+            def __init__(self):
+                super().__init__()
+                graphs.append(weakref.ref(self))
+
+        monkeypatch.setattr(training, "Graph", RecordedGraph)
+        config, params, table, batch = make_tiny_problem(seed=25, dropout=0.2)
+        state = init_optimizer(params)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            train_step(params, batch, table, state, config)
+            assert len(graphs) == 1
+            assert graphs[0]() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_nonfinite_loss_aborts_with_diagnostic(self):
         config, params, table, batch = make_tiny_problem(seed=24)
