@@ -1,10 +1,16 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float tensors with reverse-mode automatic differentiation.
 
 A ``Graph`` is an append-only tape: every op pushes one node holding its
 parents and a backward closure, so reverse iteration over node ids is already
 a topological order. Tensors detached from any graph are plain immutable
 values; ops on them compute forward results only, which keeps inference and
 finite-difference probes cheap.
+
+Tensors hold float32 or float64 data; anything else is converted to float64.
+Every op computes in its inputs' dtype, and every buffer it allocates (state,
+masks, zero gradients) follows that dtype, so a graph built from float32
+leaves stays float32 end to end, forward and backward. Training and
+prediction use that for speed; gradient checks stay in float64.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ __all__ = [
     "tanh",
     "sigmoid",
     "relu",
-    "elementwise",
     "concat",
     "slice_axis",
     "reshape",
@@ -127,7 +132,7 @@ class Graph:
             raise DimensionError(
                 f"backward root must be scalar, got shape {root.data.shape}"
             )
-        grads: dict[int, np.ndarray] = {root.node_id: np.array(1.0)}
+        grads: dict[int, np.ndarray] = {root.node_id: np.ones((), root.data.dtype)}
         for nid in range(root.node_id, -1, -1):
             node = self._nodes[nid]
             if node.backward is None:
@@ -148,7 +153,7 @@ class Graph:
 
 
 class Tensor:
-    """A float64 ndarray, optionally bound to a node of a Graph."""
+    """A float32 or float64 ndarray, optionally bound to a node of a Graph."""
 
     __slots__ = ("data", "graph", "node_id", "requires_grad")
 
@@ -191,14 +196,13 @@ class Tensor:
 
 
 def _as_array(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
-    return arr
+    """float32 data stays float32; anything else becomes float64."""
+    arr = np.asarray(data)
+    return arr if arr.dtype == np.float32 else arr.astype(np.float64, copy=False)
 
 
 def _lift(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=np.float64))
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _common_graph(tensors) -> Graph | None:
@@ -355,23 +359,6 @@ def relu(x) -> Tensor:
     return _apply("relu", (x,), out, backward)
 
 
-_ELEMENTWISE = {"add": add, "mul": mul, "sub": sub}
-_UNARY = {"tanh": tanh, "sigmoid": sigmoid, "relu": relu}
-
-
-def elementwise(op_tag: str, *args) -> Tensor:
-    """Dispatch a pointwise op by tag: add/mul/sub (binary), tanh/sigmoid/relu (unary)."""
-    if op_tag in _ELEMENTWISE:
-        if len(args) != 2:
-            raise TypeError(f"{op_tag} takes 2 arguments, got {len(args)}")
-        return _ELEMENTWISE[op_tag](*args)
-    if op_tag in _UNARY:
-        if len(args) != 1:
-            raise TypeError(f"{op_tag} takes 1 argument, got {len(args)}")
-        return _UNARY[op_tag](*args)
-    raise ValueError(f"unknown elementwise op tag: {op_tag!r}")
-
-
 def concat(tensors, axis: int) -> Tensor:
     """Concatenate along an axis; backward slices the gradient back apart."""
     tensors = [_lift(t) for t in tensors]
@@ -402,10 +389,10 @@ def slice_axis(x, axis: int, start: int, stop: int) -> Tensor:
     index = tuple(slice(None) if i != axis else slice(start, stop)
                   for i in range(x.ndim))
     out = x.data[index].copy()
-    full_shape = x.shape
+    full_shape, dtype = x.shape, x.data.dtype
 
     def backward(g):
-        gx = np.zeros(full_shape)
+        gx = np.zeros(full_shape, dtype)
         gx[index] = g
         return (gx,)
 
@@ -443,10 +430,10 @@ def reduce_sum(x) -> Tensor:
     """Sum of all elements -> scalar."""
     x = _lift(x)
     out = np.array(x.data.sum())
-    shape = x.shape
+    shape, dtype = x.shape, x.data.dtype
 
     def backward(g):
-        return (np.full(shape, float(g)),)
+        return (np.full(shape, g, dtype),)
 
     return _apply("sum", (x,), out, backward)
 
@@ -456,10 +443,10 @@ def reduce_max(x, axis: int) -> Tensor:
     x = _lift(x)
     out = x.data.max(axis=axis)
     idx = np.expand_dims(x.data.argmax(axis=axis), axis)
-    shape = x.shape
+    shape, dtype = x.shape, x.data.dtype
 
     def backward(g):
-        gx = np.zeros(shape)
+        gx = np.zeros(shape, dtype)
         np.put_along_axis(gx, idx, np.expand_dims(g, axis), axis)
         return (gx,)
 
@@ -587,9 +574,10 @@ def cross_entropy(probs, gold, mask) -> Tensor:
     clamped = np.maximum(p, LOG_CLAMP)
     out = np.array(-np.log(clamped).mean())
     live = p >= LOG_CLAMP
+    dtype = probs.data.dtype
 
     def backward(g):
-        gp = np.zeros((batch, length))
+        gp = np.zeros((batch, length), dtype)
         gp[rows, gold] = -float(g) / (batch * clamped) * live
         return (gp,)
 
@@ -608,7 +596,7 @@ def dropout(x, rate: float, training: bool, seed: int) -> Tensor:
     if not training or rate == 0.0:
         return x
     rng = np.random.default_rng(seed)
-    scale = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    scale = (rng.random(x.shape) >= rate).astype(x.data.dtype) / (1.0 - rate)
     out = x.data * scale
 
     def backward(g):
@@ -651,7 +639,8 @@ def lstm(x, W, b, mask, reverse: bool = False) -> Tensor:
             f"got W {W.shape} and b {b.shape}")
     m = _mask_array(mask, (batch, length))
     full = m.all(axis=0)
-    live = np.ascontiguousarray(m.T[:, :, None])       # (L, B, 1)
+    dtype = x.data.dtype
+    live = np.ascontiguousarray(m.T[:, :, None], dtype=dtype)    # (L, B, 1)
     dead = 1.0 - live
     order = range(length - 1, -1, -1) if reverse else range(length)
     taped = _common_graph((x, W, b)) is not None and (
@@ -666,13 +655,14 @@ def lstm(x, W, b, mask, reverse: bool = False) -> Tensor:
     w_h_t = np.ascontiguousarray(w_h.T)
     # Pre-activations of every step from one GEMM; the loop turns each step's
     # slice into its gate activations in place.
-    gates = np.empty((length, batch, four_h))
+    gates = np.empty((length, batch, four_h), dtype)
     np.add((xd @ w_x.T).reshape(batch, length, four_h).transpose(1, 0, 2), b.data,
            out=gates)
-    out = np.empty((batch, length, h))
+    out = np.empty((batch, length, h), dtype)
     if taped:
-        h_prev, c_prev, tanh_c = (np.empty((length, batch, h)) for _ in range(3))
-    h_t, c_t = np.zeros((batch, h)), np.zeros((batch, h))
+        h_prev, c_prev, tanh_c = (np.empty((length, batch, h), dtype)
+                                  for _ in range(3))
+    h_t, c_t = np.zeros((batch, h), dtype), np.zeros((batch, h), dtype)
     for t in order:
         z = gates[t]
         z += h_t @ w_h_t
@@ -707,7 +697,7 @@ def lstm(x, W, b, mask, reverse: bool = False) -> Tensor:
         dz[..., 2 * h:3 * h] = tanh_c * o * (1.0 - o)
         dz[..., 3 * h:] = i * (1.0 - cand * cand)
         dc_dh = o * (1.0 - tanh_c * tanh_c)
-        dh_next, dc_next = np.zeros((batch, h)), np.zeros((batch, h))
+        dh_next, dc_next = np.zeros((batch, h), dtype), np.zeros((batch, h), dtype)
         for t in reversed(order):
             dh = g[:, t] + dh_next
             if full[t]:

@@ -16,6 +16,16 @@ from .model import ModelConfig
 EXIT_MISSING_FILE = 2
 EXIT_UNWRITABLE = 3
 
+# `qa train` flags that set a ModelConfig field. They default to None, so a
+# value given explicitly can be told apart from one left out.
+CONFIG_FLAGS = {"--hidden": "hidden_size", "--dropout": "dropout_rate",
+                "--embed-dim": "embedding_dim", "--context-cap": "context_cap",
+                "--seed": "seed"}
+
+
+class ResumeConflictError(ValueError):
+    """A `qa train --resume` flag contradicts the checkpoint's model config."""
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -34,12 +44,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSONL training log (default: <out>.log)")
     train.add_argument("--iters", type=int, default=50_000)
     train.add_argument("--batch-size", type=int, default=40)
-    train.add_argument("--hidden", type=int, default=150)
-    train.add_argument("--dropout", type=float, default=0.2)
-    train.add_argument("--embed-dim", type=int, default=100)
-    train.add_argument("--context-cap", type=int, default=300)
+    for flag, field in CONFIG_FLAGS.items():
+        default = getattr(ModelConfig, field)
+        train.add_argument(flag, dest=field, type=type(default),
+                           help=f"default {default}")
     train.add_argument("--max-answer-len", type=int, default=20)
-    train.add_argument("--seed", type=int, default=0)
     train.add_argument("--eval-every", type=int, default=500)
     train.add_argument("--lr", type=float, default=1e-3)
     train.add_argument("--resume", default=None,
@@ -91,18 +100,32 @@ def cmd_stats(args) -> int:
     return 0
 
 
+def _given_config(args) -> dict:
+    """ModelConfig fields of the model flags given on the command line."""
+    return {field: getattr(args, field) for field in CONFIG_FLAGS.values()
+            if getattr(args, field) is not None}
+
+
+def _check_resume_flags(args, config: ModelConfig) -> None:
+    """Reject a model flag whose value differs from the resumed checkpoint's."""
+    for flag, field in CONFIG_FLAGS.items():
+        value, saved = getattr(args, field), getattr(config, field)
+        if value is not None and value != saved:
+            raise ResumeConflictError(f"{flag} {value} conflicts with {field}={saved} "
+                                      f"in the checkpoint {args.resume}")
+
+
 def cmd_train(args) -> int:
-    examples = load_squad(args.data)
-    dev_examples = load_squad(args.dev) if args.dev else None
-    table = load_glove(args.glove, dim=args.embed_dim)
     if args.resume:
         loaded = ckpt.load_checkpoint(args.resume)
+        _check_resume_flags(args, loaded.config)
         config, params, state = loaded.config, loaded.params, loaded.state
     else:
-        config = ModelConfig(hidden_size=args.hidden, dropout_rate=args.dropout,
-                             embedding_dim=args.embed_dim,
-                             context_cap=args.context_cap, seed=args.seed)
+        config = ModelConfig(**_given_config(args))
         params = state = None
+    examples = load_squad(args.data)
+    dev_examples = load_squad(args.dev) if args.dev else None
+    table = load_glove(args.glove, dim=config.embedding_dim)
     log_path = args.log or f"{args.out}.log"
 
     def save_improved(result):

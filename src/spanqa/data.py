@@ -92,7 +92,8 @@ class EmbeddingTable:
 @dataclass
 class Batch:
     context_ids: np.ndarray     # (B, Lc) int64
-    context_mask: np.ndarray    # (B, Lc) float64, 1 for real tokens
+    context_mask: np.ndarray    # (B, Lc) float64, 1 for real tokens; ops cast
+                                # it to the dtype of the data it masks
     question_ids: np.ndarray    # (B, Lq)
     question_mask: np.ndarray
     gold_starts: np.ndarray     # (B,) int64

@@ -11,7 +11,9 @@ hundred nodes whatever the sequence length.
 
 Parameters live in a plain name -> ndarray dict. ``forward`` accepts either
 ndarrays (inference; no tape is recorded) or graph-leaf Tensors (training),
-which is how the training loop gets named gradients back.
+which is how the training loop gets named gradients back. It computes in the
+params' float dtype: the embeddings and masks it builds are made in that
+dtype, so float32 params give a float32 forward and backward.
 """
 
 from __future__ import annotations
@@ -121,8 +123,8 @@ def param_count(params: dict[str, np.ndarray]) -> int:
     return sum(int(np.prod(v.shape)) for v in params.values())
 
 
-def embed(ids: np.ndarray, table: EmbeddingTable) -> Tensor:
-    """Frozen lookup: (B, L) int ids -> detached (B, L, d) tensor.
+def embed(ids: np.ndarray, table: EmbeddingTable, dtype=np.float64) -> Tensor:
+    """Frozen lookup: (B, L) int ids -> detached (B, L, d) tensor of `dtype`.
 
     The result never joins a gradient path, so no gradient can reach the
     table.
@@ -131,7 +133,7 @@ def embed(ids: np.ndarray, table: EmbeddingTable) -> Tensor:
     if ids.size and (ids.min() < 0 or ids.max() >= table.vocab_size):
         raise IndexError(
             f"embedding id out of range [0, {table.vocab_size}) in lookup")
-    return Tensor(table.matrix[ids])
+    return Tensor(table.matrix[ids].astype(dtype, copy=False))
 
 
 class _SeedStream:
@@ -215,7 +217,8 @@ def bidaf_attention(context: Tensor, question: Tensor, w_sim,
     c2q = ad.masked_softmax(sim, q_mask3)
     u_tilde = ad.bmm(c2q, question)                                  # (B,Lc,2h)
 
-    blocked = ad.add(sim, (q_mask3 - 1.0) * 1e30)
+    block = ((q_mask3 - 1.0) * 1e30).astype(sim.data.dtype, copy=False)
+    blocked = ad.add(sim, block)
     row_best = ad.reduce_max(blocked, axis=2)                        # (B,Lc)
     q2c = ad.masked_softmax(row_best, context_mask)
     h_tilde = ad.repeat_axis(ad.bmm(ad.reshape(q2c, (batch, 1, lc)), context),
@@ -277,19 +280,23 @@ def forward(batch: Batch, params, table: EmbeddingTable, config: ModelConfig,
     """Embed -> encode -> attend -> decode start -> decode end -> softmax.
 
     params values may be ndarrays (detached run) or Tensors on one graph
-    (differentiable run). `step` varies the dropout masks between training
-    iterations while keeping them reproducible.
+    (differentiable run), all of one float dtype, which the whole pass runs
+    in. `step` varies the dropout masks between training iterations while
+    keeping them reproducible.
     """
     pt = {name: _as_tensor(value) for name, value in params.items()}
+    dtype = pt["attention.w_sim"].data.dtype
     seeds = _SeedStream(config.seed, step)
     h = config.hidden_size
     rate = config.dropout_rate if training else 0.0
 
     encoder = [_layer_group(pt, f"encoder.l{k}") for k in range(config.encoder_layers)]
-    context = bilstm(embed(batch.context_ids, table), encoder, batch.context_mask,
-                     hidden_size=h, dropout_rate=rate, training=training, seeds=seeds)
-    question = bilstm(embed(batch.question_ids, table), encoder, batch.question_mask,
-                      hidden_size=h, dropout_rate=rate, training=training, seeds=seeds)
+    context = bilstm(embed(batch.context_ids, table, dtype), encoder,
+                     batch.context_mask, hidden_size=h, dropout_rate=rate,
+                     training=training, seeds=seeds)
+    question = bilstm(embed(batch.question_ids, table, dtype), encoder,
+                      batch.question_mask, hidden_size=h, dropout_rate=rate,
+                      training=training, seeds=seeds)
 
     attention_out = bidaf_attention(context, question, pt["attention.w_sim"],
                                     batch.context_mask, batch.question_mask)

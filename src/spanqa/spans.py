@@ -62,21 +62,29 @@ def _finish(pred: SpanPrediction, tokens, text):
     return pred
 
 
+def _argmax_pair(ps, pe, keep, max_len, penalty=None):
+    """(start, end) maximizing p_start * p_end, divided by penalty(span length)
+    when given, over unmasked pairs with start <= end < start + max_len; ties
+    go to the smaller start, then end."""
+    length = len(ps)
+    span_len = np.arange(length)[None, :] - np.arange(length)[:, None] + 1
+    valid = (span_len >= 1) & (span_len <= max_len) & np.outer(keep, keep)
+    if not valid.any():
+        raise DegenerateMaskError("no unmasked start/end pair available")
+    scores = np.outer(np.where(keep, ps, 0.0), np.where(keep, pe, 0.0))
+    if penalty is not None:
+        scores /= penalty(np.clip(span_len, 1, None))
+    flat = int(np.where(valid, scores, -1.0).argmax())  # row-major: the tie rule
+    return divmod(flat, length)
+
+
 def best_span(p_start, p_end, mask, max_len: int = 20, log_base: float = math.e,
               tokens=None, text=None) -> SpanPrediction:
     """Argmax of the smart-span score over unmasked pairs with
     start <= end < start + max_len; ties go to the smaller start, then end."""
     ps, pe, keep = _prepare(p_start, p_end, mask)
-    length = len(ps)
-    prod = np.outer(np.where(keep, ps, 0.0), np.where(keep, pe, 0.0))
-    span_len = np.arange(length)[None, :] - np.arange(length)[:, None] + 1
-    valid = (span_len >= 1) & (span_len <= max_len) & np.outer(keep, keep)
-    if not valid.any():
-        raise DegenerateMaskError("no unmasked start/end pair available")
-    penalty = np.log(np.clip(span_len, 1, None)) / math.log(log_base) + 1.0
-    scores = np.where(valid, prod / penalty, -1.0)
-    flat = int(scores.argmax())  # row-major argmax = earliest start, then end
-    s, e = divmod(flat, length)
+    s, e = _argmax_pair(ps, pe, keep, max_len,
+                        lambda n: np.log(n) / math.log(log_base) + 1.0)
     return _finish(SpanPrediction(s, e, smart_span_score(ps[s], pe[e], s, e,
                                                          log_base)), tokens, text)
 
@@ -104,13 +112,5 @@ def raw_product_span(p_start, p_end, mask, max_len: int = 20,
                      tokens=None, text=None) -> SpanPrediction:
     """Argmax of the plain p_start * p_end product (the un-penalized baseline)."""
     ps, pe, keep = _prepare(p_start, p_end, mask)
-    length = len(ps)
-    prod = np.outer(np.where(keep, ps, 0.0), np.where(keep, pe, 0.0))
-    span_len = np.arange(length)[None, :] - np.arange(length)[:, None] + 1
-    valid = (span_len >= 1) & (span_len <= max_len) & np.outer(keep, keep)
-    if not valid.any():
-        raise DegenerateMaskError("no unmasked start/end pair available")
-    scores = np.where(valid, prod, -1.0)
-    flat = int(scores.argmax())
-    s, e = divmod(flat, length)
+    s, e = _argmax_pair(ps, pe, keep, max_len)
     return _finish(SpanPrediction(s, e, float(ps[s] * pe[e])), tokens, text)

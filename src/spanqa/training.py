@@ -4,11 +4,18 @@ deterministic train step, and the epoch/iteration driver used by the CLI.
 All randomness is derived from counters: batch order comes from a per-epoch
 seed sequence and dropout masks from (seed, iteration, call index), so a run
 can be resumed from a checkpoint and retrace the identical trajectory.
+
+Params, Adam moments and checkpoints are float64 master weights. A train step
+or a prediction call casts them to COMPUTE_DTYPE once and runs the model in
+that dtype (mixed-precision training after Micikevicius et al., arXiv
+1710.03740); the gradients come back in it and are widened to float64 before
+clipping and the Adam update.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import time
 from dataclasses import dataclass, field
 
@@ -26,6 +33,9 @@ __all__ = ["AdamState", "TrainLogRecord", "TrainingDivergedError",
 
 MAX_GRAD_NORM = 5.0
 SHUFFLE_STREAM = 1  # spawn-key namespace separating batch order from dropout
+COMPUTE_DTYPE = np.float32
+
+log = logging.getLogger(__name__)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -78,9 +88,13 @@ def clip_global_norm(grads: dict[str, np.ndarray],
 def train_step(params: dict[str, np.ndarray], batch: Batch,
                table: EmbeddingTable, state: AdamState,
                config: qa_model.ModelConfig, lr: float = 1e-3) -> float:
-    """Forward, backward, clip, Adam update. Mutates params and state."""
+    """Forward, backward, clip, Adam update. Mutates params and state.
+
+    Forward and backward run in COMPUTE_DTYPE on copies of the float64
+    params; the update applies to the float64 params themselves.
+    """
     graph = Graph()
-    leaves = {name: graph.leaf(value, requires_grad=True)
+    leaves = {name: graph.leaf(value.astype(COMPUTE_DTYPE), requires_grad=True)
               for name, value in params.items()}
     out = qa_model.forward(batch, leaves, table, config, training=True,
                            step=state.step)
@@ -93,7 +107,8 @@ def train_step(params: dict[str, np.ndarray], batch: Batch,
         raise TrainingDivergedError(
             f"non-finite loss at optimizer step {state.step}; first bad tensor: {where}")
     grad_map = graph.backward(loss)
-    grads = {name: grad_map[leaf.node_id] for name, leaf in leaves.items()}
+    grads = {name: grad_map[leaf.node_id].astype(np.float64)
+             for name, leaf in leaves.items()}
     clip_global_norm(grads)
     state.step += 1
     t = state.step
@@ -123,13 +138,24 @@ def _epoch_batches(examples, table, config, batch_size, epoch):
 
 def predict_answers(examples, params, table, config: qa_model.ModelConfig,
                     batch_size: int = 40, max_answer_len: int = 20) -> dict[str, str]:
-    """Decode best spans for every example; returns {qid: answer text}."""
-    by_qid = {ex.qid: ex for ex in examples}
-    predictions: dict[str, str] = {}
-    batches = build_batches(examples, table, batch_size,
+    """Decode best spans for every example; returns {qid: answer text}.
+
+    An example with an empty question or context has nothing to attend over
+    and gets the answer ""; the others are batched and decoded as usual.
+    """
+    predictions = {ex.qid: "" for ex in examples
+                   if not ex.question_tokens or not ex.context_tokens}
+    if predictions:
+        log.warning("predicting '' for %d examples with an empty question or "
+                    "context", len(predictions))
+    answerable = [ex for ex in examples if ex.qid not in predictions]
+    by_qid = {ex.qid: ex for ex in answerable}
+    compute_params = {name: value.astype(COMPUTE_DTYPE)
+                      for name, value in params.items()}
+    batches = build_batches(answerable, table, batch_size,
                             context_cap=config.context_cap, training=False)
     for batch in batches:
-        out = qa_model.forward(batch, params, table, config, training=False)
+        out = qa_model.forward(batch, compute_params, table, config, training=False)
         p_start, p_end = out.p_start.data, out.p_end.data
         for row, qid in enumerate(batch.qids):
             ex = by_qid[qid]

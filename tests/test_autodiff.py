@@ -46,13 +46,6 @@ class TestElementwise:
         out = ad.mul(ad.Tensor([1.0, 2.0, 3.0]), 2.0)
         assert np.array_equal(out.data, [2.0, 4.0, 6.0])
 
-    def test_dispatcher_matches_direct(self):
-        a, b = np.array([1.0, -2.0]), np.array([3.0, 4.0])
-        assert np.array_equal(ad.elementwise("add", a, b).data, a + b)
-        assert np.array_equal(ad.elementwise("relu", a).data, [1.0, 0.0])
-        with pytest.raises(ValueError):
-            ad.elementwise("pow", a, b)
-
 
 class TestConcat:
     def test_vectors(self):

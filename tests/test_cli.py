@@ -97,6 +97,41 @@ class TestTrain:
         assert [r["iteration"] for r in records if "dev_f1" in r] == [2, 4]
 
 
+class TestResumeFlags:
+    def _resume(self, checkpoint, fixtures_dir, out, *flags):
+        return main([
+            "train", "--data", str(fixtures_dir / "tiny_squad.json"),
+            "--glove", str(fixtures_dir / "tiny_glove.txt"),
+            "--out", str(out), "--iters", "14", "--batch-size", "8",
+            "--resume", str(checkpoint), *flags,
+        ])
+
+    @pytest.mark.parametrize("flags,name", [
+        (("--hidden", "16"), "--hidden"),
+        (("--embed-dim", "50"), "--embed-dim"),
+        (("--dropout", "0.3"), "--dropout"),
+        (("--context-cap", "100"), "--context-cap"),
+        (("--seed", "2"), "--seed"),
+    ])
+    def test_conflicting_flag_rejected(self, trained_checkpoint, fixtures_dir,
+                                       tmp_path, capsys, flags, name):
+        out = tmp_path / "resumed.ckpt"
+        code = self._resume(trained_checkpoint, fixtures_dir, out, *flags)
+        assert code == 1
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_matching_or_omitted_flags_accepted(self, trained_checkpoint,
+                                                fixtures_dir, tmp_path):
+        out = tmp_path / "resumed.ckpt"
+        code = self._resume(trained_checkpoint, fixtures_dir, out,
+                            "--hidden", "8", "--dropout", "0.0", "--seed", "1")
+        assert code == 0
+        records = [json.loads(line)
+                   for line in (tmp_path / "resumed.ckpt.log").read_text().splitlines()]
+        assert [r["iteration"] for r in records] == [13, 14]
+
+
 class TestPredictAndEval:
     def test_predictions_file(self, trained_checkpoint, fixtures_dir, tmp_path,
                               capsys):
@@ -215,9 +250,17 @@ class TestGradcheckCommand:
 
 
 def test_module_entrypoint_runs():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
+
+    import spanqa
+    # the child imports the same spanqa as this process, installed or not
+    source_root = str(Path(spanqa.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-m", "spanqa.cli", "gradcheck"],
-                            capture_output=True, text=True, timeout=600)
+                            capture_output=True, text=True, timeout=600,
+                            env={**os.environ, "PYTHONPATH": path})
     assert result.returncode == 0
     assert "all passed" in result.stdout

@@ -1,0 +1,93 @@
+"""The float32 compute path: dtype discipline, accuracy against the float64
+oracle, and the float64 master weights and gradient checks."""
+
+import numpy as np
+
+from lstm_oracle import unrolled_lstm
+from spanqa import autodiff as ad
+from spanqa import diagnostics
+from spanqa.autodiff import Graph
+from spanqa.diagnostics import make_tiny_problem
+from spanqa.model import forward, loss
+from spanqa.training import init_optimizer, train_step
+
+# float32 carries 24 significand bits (eps ~1.2e-7); a recurrence of a few
+# dozen steps and sums over a few hundred rows keep the relative error well
+# inside three orders of magnitude above that.
+FLOAT32_REL_TOL = 1e-4
+
+
+def test_float32_taped_step_stays_float32():
+    # dropout on, so the dropout op and its scale are on the tape too
+    config, params, table, batch = make_tiny_problem(dropout=0.3)
+    graph = Graph()
+    leaves = {name: graph.leaf(value.astype(np.float32), requires_grad=True)
+              for name, value in params.items()}
+    out = forward(batch, leaves, table, config, training=True, step=3)
+    root = loss(out, batch.gold_starts, batch.gold_ends, batch.context_mask)
+    grads = graph.backward(root)
+    upcast = [(i, node.op, node.out.dtype) for i, node in enumerate(graph._nodes)
+              if node.out.dtype != np.float32]
+    assert upcast == []
+    assert len(grads) == len(params)
+    assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
+
+
+def _direction(x, weight, bias, mask, reverse, probe, fn):
+    graph = Graph()
+    leaves = [graph.leaf(v, requires_grad=True) for v in (x, weight, bias)]
+    out = fn(*leaves, mask, reverse)
+    grads = graph.backward(ad.reduce_sum(ad.mul(out, probe)))
+    return [out.data] + [grads[leaf.node_id] for leaf in leaves]
+
+
+def test_float32_lstm_matches_float64_oracle():
+    rng = np.random.default_rng(41)
+    batch, length, in_dim, hidden = 5, 40, 24, 16
+    x = rng.normal(size=(batch, length, in_dim))
+    weight = rng.normal(size=(4 * hidden, in_dim + hidden)) * 0.3
+    bias = rng.normal(size=(4 * hidden,)) * 0.3
+    mask = np.ones((batch, length))
+    for row in range(1, batch):
+        mask[row, length - 7 * row:] = 0.0
+    probe = rng.normal(size=(batch, length, hidden))
+    names = ("out", "dX", "dW", "db")
+    for reverse in (False, True):
+        ref = _direction(x, weight, bias, mask, reverse, probe, unrolled_lstm)
+        got = _direction(*(v.astype(np.float32) for v in (x, weight, bias)), mask,
+                         reverse, probe.astype(np.float32), ad.lstm)
+        for name, g, r in zip(names, got, ref):
+            assert g.dtype == np.float32, name
+            rel = np.abs(g - r).max() / np.abs(r).max()
+            assert rel < FLOAT32_REL_TOL, (name, reverse, rel)
+
+
+def test_train_step_keeps_float64_master_weights():
+    config, params, table, batch = make_tiny_problem(seed=42, dropout=0.2)
+    state = init_optimizer(params)
+    before = {name: value.copy() for name, value in params.items()}
+    train_step(params, batch, table, state, config)
+    for name, value in params.items():
+        assert value.dtype == np.float64, name
+        assert state.m[name].dtype == state.v[name].dtype == np.float64, name
+    assert any(not np.array_equal(params[k], before[k]) for k in params)
+
+
+def test_gradchecks_run_in_float64(monkeypatch):
+    roots = []
+    original = Graph.backward
+
+    def spy(self, root):
+        grads = original(self, root)
+        roots.append({root.data.dtype} | {g.dtype for g in grads.values()})
+        return grads
+
+    monkeypatch.setattr(Graph, "backward", spy)
+    rows, all_ok = diagnostics.run_gradcheck_suite(seed=0)
+    assert all_ok
+    assert diagnostics.OP_THRESHOLD == 1e-4
+    assert diagnostics.END_TO_END_THRESHOLD == 1e-3
+    # one backward per op case, one per parameter in the end-to-end check
+    assert len(roots) == len(rows) - 1 + len(make_tiny_problem()[1])
+    assert all(dtypes == {np.dtype(np.float64)} for dtypes in roots)
+

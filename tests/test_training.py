@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import os
@@ -11,10 +12,10 @@ from spanqa.checkpoint import (CheckpointMagicError, CheckpointTruncatedError,
                                save_checkpoint)
 from spanqa.data import load_glove, load_squad
 from spanqa.diagnostics import make_tiny_problem
-from spanqa.model import ModelConfig
+from spanqa.model import ModelConfig, init_params
 from spanqa import training
 from spanqa.training import (TrainingDivergedError, clip_global_norm,
-                             init_optimizer, train, train_step)
+                             init_optimizer, predict_answers, train, train_step)
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +149,24 @@ class TestTrainLoop:
                        batch_size=8)
         # 32 examples / batch 8 = 4 batches per epoch; 9 iters spans 3 epochs
         assert [r.iteration for r in result.records] == list(range(1, 10))
+
+
+class TestPredict:
+    @pytest.mark.parametrize("field", ["question_tokens", "context_tokens"])
+    def test_empty_input_predicts_empty_and_keeps_the_batch(self, tiny_dataset,
+                                                            field):
+        examples, table = tiny_dataset
+        examples = examples[:8]
+        config = small_config(seed=12)
+        params = init_params(config)
+        empty = dataclasses.replace(examples[3], **{field: []})
+        others = examples[:3] + examples[4:]
+        predictions = predict_answers(examples[:3] + [empty] + examples[4:],
+                                      params, table, config, batch_size=8)
+        assert predictions[empty.qid] == ""
+        without = predict_answers(others, params, table, config, batch_size=8)
+        assert {qid: predictions[qid] for qid in without} == without
+        assert len(predictions) == len(examples)
 
 
 class TestCheckpoint:
