@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 LOG_CLAMP = 1e-30
+_DROPOUT_LEVELS = 1 << 16   # dropout draws uint16 bits
 
 
 class DimensionError(ValueError):
@@ -585,47 +586,79 @@ def cross_entropy(probs, gold, mask) -> Tensor:
 
 
 def dropout(x, rate: float, training: bool, seed: int) -> Tensor:
-    """Inverted dropout: zero with probability `rate`, scale survivors by 1/(1-rate).
+    """Inverted dropout: zero each element with probability ~`rate`, scale survivors.
 
-    Identity when not training or rate == 0; the mask is drawn from a
-    generator seeded with `seed`, so a fixed seed fixes the mask.
+    The mask compares uniform 16-bit integers with the threshold
+    t = round(rate * 65536), so `rate` acts at a resolution of 1/65536: an
+    element is dropped with probability t / 65536, and survivors are scaled
+    by 65536 / (65536 - t), which keeps the expected output equal to x for
+    that probability. Identity when not training or rate == 0; the mask is
+    drawn from a generator seeded with `seed`, so a fixed seed fixes the mask.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     x = _lift(x)
     if not training or rate == 0.0:
         return x
-    rng = np.random.default_rng(seed)
-    scale = (rng.random(x.shape) >= rate).astype(x.data.dtype) / (1.0 - rate)
-    out = x.data * scale
+    threshold = min(round(rate * _DROPOUT_LEVELS), _DROPOUT_LEVELS - 1)
+    keep = np.random.default_rng(seed).integers(
+        0, _DROPOUT_LEVELS, size=x.shape, dtype=np.uint16) >= threshold
+    scale = x.data.dtype.type(_DROPOUT_LEVELS / (_DROPOUT_LEVELS - threshold))
+    out = x.data * keep
+    out *= scale
 
     def backward(g):
-        return (g * scale,)
+        gx = g * keep
+        gx *= scale
+        return (gx,)
 
     return _apply("dropout", (x,), out, backward)
 
 
-def _sigmoid_(z) -> None:
-    """In-place logistic function, 0.5 * (1 + tanh(z / 2)); stable for any z."""
-    z *= 0.5
-    np.tanh(z, out=z)
-    z += 1.0
-    z *= 0.5
+def _packing(m, reverse: bool):
+    """Step-major layout of the live positions of a (B, L) prefix mask.
+
+    The rows are sorted by length, longest first (stable), so the sequences
+    still running at step s are a prefix [:k_s] of them in either direction.
+    Returns `live`, the (row, position) index of each packed row; `counts`,
+    the k_s of every step that has a live row; and `prev`, the packed index
+    of the same sequence's previous step for every packed row after the first
+    step's k_0.
+    """
+    length = m.shape[1]
+    lengths = np.count_nonzero(m, axis=1)
+    if not np.array_equal(m, np.arange(length) < lengths[:, None]):
+        raise DimensionError(
+            "lstm: every mask row must be a run of 1s followed by 0s")
+    order = np.argsort(-lengths, kind="stable")
+    step, rank = np.nonzero(m[order].T)
+    counts = np.bincount(step, minlength=length)
+    start = np.cumsum(counts) - counts
+    later = step > 0
+    prev = start[step[later] - 1] + rank[later]
+    position = lengths[order][rank] - 1 - step if reverse else step
+    return (order[rank], position), counts[counts > 0].tolist(), prev
 
 
 def lstm(x, W, b, mask, reverse: bool = False) -> Tensor:
     """One LSTM direction over a whole sequence: (B, L, n) -> (B, L, h).
 
     W (4h, n+h) and b (4h,) give the gates in i|f|o|g order from
-    [x_t ; h_prev] @ W^T + b. Where mask (B, L) is 0 a step keeps its state
-    and emits zeros. `reverse` runs from the last step to the first.
+    [x_t ; h_prev] @ W^T + b. Every row of mask (B, L) must be a run of 1s
+    followed by 0s (DimensionError otherwise). A row of length l runs from
+    the zero state over positions 0..l-1, or with `reverse` from l-1 back to
+    0; its padded positions emit zeros and get zero gradient.
 
-    The input projection of every step is one GEMM up front, so only
-    h_prev @ W_h^T runs inside the time loop, and the whole direction is a
-    single tape node. Its backward is one BPTT sweep that computes only the
-    gate gradients dz and dz @ W_h per step; dX, dW and db are then each one
-    GEMM (or sum) over all B*L rows. The per-step buffers backward needs are
-    kept only when some input requires a gradient.
+    Only live positions are computed. Sorted longest first, the rows still
+    running at step s are a prefix [:k_s], so the N = sum(lengths) live
+    positions pack step-major into one (N, .) block, the packed-sequence
+    layout of cuDNN RNNs. The input projection of every live position is one
+    GEMM up front, so only h_prev[:k_s] @ W_h^T runs inside the time loop,
+    and the whole direction is a single tape node. Its backward is one BPTT
+    sweep over the same block that computes only the gate gradients dz and
+    dz @ W_h per step; dX, dW and db are then each one GEMM (or sum) over the
+    N live rows. The per-step buffers backward needs are kept only when some
+    input requires a gradient.
     """
     x, W, b = _lift(x), _lift(W), _lift(b)
     if x.ndim != 3 or W.ndim != 2 or W.shape[0] % 4:
@@ -637,87 +670,86 @@ def lstm(x, W, b, mask, reverse: bool = False) -> Tensor:
         raise DimensionError(
             f"lstm: input {x.shape} needs W (4h, {n}+h) and b (4h,), "
             f"got W {W.shape} and b {b.shape}")
-    m = _mask_array(mask, (batch, length))
-    full = m.all(axis=0)
+    live, counts, prev = _packing(_mask_array(mask, (batch, length)), reverse)
+    rows = len(live[0])
+    first = rows - len(prev)
     dtype = x.data.dtype
-    live = np.ascontiguousarray(m.T[:, :, None], dtype=dtype)    # (L, B, 1)
-    dead = 1.0 - live
-    order = range(length - 1, -1, -1) if reverse else range(length)
     taped = _common_graph((x, W, b)) is not None and (
         x.requires_grad or W.requires_grad or b.requires_grad)
 
-    # Step-major (L, B, .) buffers keep each step's slice contiguous, and the
-    # recurrent weight is copied contiguous: strided operands make the small
-    # per-step ops several times slower.
-    xd = x.data.reshape(batch * length, n)
+    # Packed (N, .) buffers keep each step's rows one contiguous block, and
+    # the recurrent weight is copied contiguous: strided operands make the
+    # small per-step ops several times slower.
+    xd = x.data
     w_x = W.data[:, :n]
     w_h = np.ascontiguousarray(W.data[:, n:])
-    w_h_t = np.ascontiguousarray(w_h.T)
-    # Pre-activations of every step from one GEMM; the loop turns each step's
-    # slice into its gate activations in place.
-    gates = np.empty((length, batch, four_h), dtype)
-    np.add((xd @ w_x.T).reshape(batch, length, four_h).transpose(1, 0, 2), b.data,
-           out=gates)
-    out = np.empty((batch, length, h), dtype)
-    if taped:
-        h_prev, c_prev, tanh_c = (np.empty((length, batch, h), dtype)
-                                  for _ in range(3))
-    h_t, c_t = np.zeros((batch, h), dtype), np.zeros((batch, h), dtype)
-    for t in order:
-        z = gates[t]
-        z += h_t @ w_h_t
-        _sigmoid_(z[:, :3 * h])
-        np.tanh(z[:, 3 * h:], out=z[:, 3 * h:])
-        c_new = z[:, h:2 * h] * c_t + z[:, :h] * z[:, 3 * h:]
-        if taped:
-            h_prev[t], c_prev[t] = h_t, c_t
-            tc = np.tanh(c_new, out=tanh_c[t])
-        else:
-            tc = np.tanh(c_new)
-        h_new = z[:, 2 * h:3 * h] * tc
-        if full[t]:
-            h_t, c_t = h_new, c_new
-        else:
-            h_new *= live[t]
-            h_t = h_new + h_t * dead[t]
-            c_t = c_new * live[t] + c_t * dead[t]
-        out[:, t] = h_new
+    # sigmoid(z) = (1 + tanh(z / 2)) / 2, stable for any z. Halving the i|f|o
+    # rows of the forward weights and bias is exact, so one tanh over a whole
+    # block gives tanh(z / 2) for i, f, o and tanh(z) for g.
+    half = np.where(np.arange(four_h) < 3 * h, 0.5, 1.0).astype(dtype)
+    w_h_t = np.ascontiguousarray(w_h.T * half)
+    # Pre-activations of every live position from one GEMM; the loop turns
+    # each step's block into its gate activations in place.
+    gates = xd[live] @ (w_x.T * half)
+    gates += b.data * half
+    hs, cs, tanh_c = (np.empty((rows, h), dtype) for _ in range(3))
+    lo = before = 0
+    for k in counts:
+        hi = lo + k
+        z = gates[lo:hi]
+        if lo:
+            z += hs[before:before + k] @ w_h_t
+        np.tanh(z, out=z)
+        sig = z[:, :3 * h]
+        sig += 1.0
+        sig *= 0.5
+        c = np.multiply(z[:, :h], z[:, 3 * h:], out=cs[lo:hi])
+        if lo:
+            c += z[:, h:2 * h] * cs[before:before + k]
+        np.multiply(z[:, 2 * h:3 * h], np.tanh(c, out=tanh_c[lo:hi]), out=hs[lo:hi])
+        before, lo = lo, hi
+    out = np.zeros((batch, length, h), dtype)
+    out[live] = hs
     if not taped:
         return _apply("lstm", (x, W, b), out, None)
     x_needs_grad = x.requires_grad
 
     def backward(g):
-        i, f = gates[..., :h], gates[..., h:2 * h]
-        o, cand = gates[..., 2 * h:3 * h], gates[..., 3 * h:]
-        # Gate derivatives of every step; the loop scales step t's slice by
-        # [dc, dc, dh, dc] to get dz, the gradient of the pre-activations.
+        i, f = gates[:, :h], gates[:, h:2 * h]
+        o, cand = gates[:, 2 * h:3 * h], gates[:, 3 * h:]
+        c_prev = np.zeros_like(cs)
+        c_prev[first:] = cs[prev]
+        # Gate derivatives of every live position; the loop scales step s's
+        # block by [dc, dc, dh, dc] to get dz, the gradient of the
+        # pre-activations.
         dz = np.empty_like(gates)
-        dz[..., :h] = cand * i * (1.0 - i)
-        dz[..., h:2 * h] = c_prev * f * (1.0 - f)
-        dz[..., 2 * h:3 * h] = tanh_c * o * (1.0 - o)
-        dz[..., 3 * h:] = i * (1.0 - cand * cand)
+        dz[:, :h] = cand * i * (1.0 - i)
+        dz[:, h:2 * h] = c_prev * f * (1.0 - f)
+        dz[:, 2 * h:3 * h] = tanh_c * o * (1.0 - o)
+        dz[:, 3 * h:] = i * (1.0 - cand * cand)
         dc_dh = o * (1.0 - tanh_c * tanh_c)
-        dh_next, dc_next = np.zeros((batch, h), dtype), np.zeros((batch, h), dtype)
-        for t in reversed(order):
-            dh = g[:, t] + dh_next
-            if full[t]:
-                dc = dc_next + dh * dc_dh[t]
-            else:
-                dh *= live[t]
-                dc = dc_next * live[t] + dh * dc_dh[t]
-                kept_h, kept_c = dh_next * dead[t], dc_next * dead[t]
-            dz_t = dz[t]
+        dhs = g[live]
+        # The k_{s+1} sequences of the later step pass dh and dc back to the
+        # first k_{s+1} rows of step s; the others end at step s.
+        dh_next = dc_next = np.zeros((0, h), dtype)
+        hi = rows
+        for k in reversed(counts):
+            lo = hi - k
+            dh = dhs[lo:hi]
+            dh[:len(dh_next)] += dh_next
+            dc = dh * dc_dh[lo:hi]
+            dc[:len(dc_next)] += dc_next
+            dz_t = dz[lo:hi]
             dz_t *= np.concatenate((dc, dc, dh, dc), axis=1)
             dh_next = dz_t @ w_h
-            dc_next = dc * f[t]
-            if not full[t]:
-                dh_next += kept_h
-                dc_next += kept_c
-        db = dz.sum(axis=(0, 1))
-        dw_h = dz.reshape(length * batch, four_h).T @ h_prev.reshape(length * batch, h)
-        rows = dz.transpose(1, 0, 2).reshape(batch * length, four_h)   # batch-major
-        dW = np.concatenate((rows.T @ xd, dw_h), axis=1)
-        dx = (rows @ w_x).reshape(batch, length, n) if x_needs_grad else None
+            dc_next = dc * f[lo:hi]
+            hi = lo
+        db = dz.sum(axis=0)
+        dW = np.concatenate((dz.T @ xd[live], dz[first:].T @ hs[prev]), axis=1)
+        dx = None
+        if x_needs_grad:
+            dx = np.zeros((batch, length, n), dtype)
+            dx[live] = dz @ w_x
         return dx, dW, db
 
     return _apply("lstm", (x, W, b), out, backward)

@@ -35,15 +35,20 @@ def op_gradcheck_cases(seed: int = 0):
     lstm_mask[1, 3:] = 0.0
     lstm_mask[2, 1:] = 0.0
     lstm_weights = lstm_rng.normal(size=(3, 5, 4))
+    # rows out of length order, with a tie: packing must sort them and undo it
+    unsorted_lengths = np.array([2, 5, 1, 5])
+    unsorted_mask = (np.arange(5) < unsorted_lengths[:, None]).astype(np.float64)
+    unsorted_x = lstm_rng.normal(size=(4, 5, 3))
+    unsorted_weights = lstm_rng.normal(size=(4, 5, 4))
 
     def total(x):
         return ad.reduce_sum(x)
 
-    def lstm_both(x, w, b):
+    def lstm_both(x, w, b, mask=lstm_mask, weights=lstm_weights):
         """Both directions over a ragged batch, weighted so every output counts."""
-        both = ad.concat([ad.lstm(x, w, b, lstm_mask, reverse=False),
-                          ad.lstm(x, w, b, lstm_mask, reverse=True)], axis=2)
-        return total(ad.mul(both, lstm_weights))
+        both = ad.concat([ad.lstm(x, w, b, mask, reverse=False),
+                          ad.lstm(x, w, b, mask, reverse=True)], axis=2)
+        return total(ad.mul(both, weights))
 
     return [
         ("matmul", lambda t: total(ad.matmul(t, right)), rng.normal(size=(3, 4))),
@@ -82,6 +87,9 @@ def op_gradcheck_cases(seed: int = 0):
         ("lstm_x", lambda t: lstm_both(t, lstm_w, lstm_b), lstm_x),
         ("lstm_W", lambda t: lstm_both(lstm_x, t, lstm_b), lstm_w),
         ("lstm_b", lambda t: lstm_both(lstm_x, lstm_w, t), lstm_b),
+        ("lstm_unsorted_x",
+         lambda t: lstm_both(t, lstm_w, lstm_b, unsorted_mask, unsorted_weights),
+         unsorted_x),
     ]
 
 

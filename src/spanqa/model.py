@@ -5,9 +5,13 @@ the end distribution is conditioned on start evidence), and per-position FC
 heads feeding masked softmaxes.
 
 Each LSTM direction is a single fused ``autodiff.lstm`` tape node (input
-projection hoisted into one GEMM, hand-written BPTT backward), and each head
-is a 2-D matmul over all B*L positions, so a taped forward records about a
-hundred nodes whatever the sequence length.
+projection hoisted into one GEMM, hand-written BPTT backward) that packs the
+live positions of its rows and computes nothing at padding, so its cost
+follows the batch's total token count, not B times the longest row. Masks
+are therefore prefixes: each row a run of 1s followed by 0s, as
+``data.build_batches`` makes them. Each head is a 2-D matmul over all B*L
+positions, so a taped forward records about a hundred nodes whatever the
+sequence length.
 
 Parameters live in a plain name -> ndarray dict. ``forward`` accepts either
 ndarrays (inference; no tape is recorded) or graph-leaf Tensors (training),
@@ -160,10 +164,12 @@ def bilstm(inputs: Tensor, layer_params, mask: np.ndarray, *, hidden_size: int,
     """Stacked bidirectional LSTM: (B, L, in) -> (B, L, 2h).
 
     layer_params is a list (one entry per layer) of dicts mapping "fwd"/"bwd"
-    to (W, b). Each direction is one fused `ad.lstm` op, whose masked steps
-    keep their state and emit zeros. Layer k+1 consumes the concatenation of
-    layer k's two directions; while training, dropout is applied once to
-    each layer's whole input.
+    to (W, b). Each mask row must be a run of 1s followed by 0s. Each
+    direction is one fused `ad.lstm` op that computes only a row's live
+    positions and emits zeros at its padding; the backward direction starts
+    from the zero state at each row's last token. Layer k+1 consumes the
+    concatenation of layer k's two directions; while training, dropout is
+    applied once to each layer's whole input.
     """
     mask = np.asarray(mask, dtype=np.float64)
     batch, length, _ = inputs.shape

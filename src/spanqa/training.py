@@ -129,11 +129,12 @@ def epoch_order(seed: int, epoch: int, count: int) -> np.ndarray:
     return rng.permutation(count)
 
 
-def _epoch_batches(examples, table, config, batch_size, epoch):
-    order = epoch_order(config.seed, epoch, len(examples))
-    shuffled = [examples[i] for i in order]
+def _epoch_batches(usable, table, config, batch_size, epoch):
+    """One epoch's batches of examples that prepare_for_training already kept."""
+    order = epoch_order(config.seed, epoch, len(usable))
+    shuffled = [usable[i] for i in order]
     return build_batches(shuffled, table, batch_size,
-                         context_cap=config.context_cap, training=True)
+                         context_cap=config.context_cap, training=False)
 
 
 def predict_answers(examples, params, table, config: qa_model.ModelConfig,
@@ -192,6 +193,9 @@ def train(train_examples, table: EmbeddingTable, config: qa_model.ModelConfig,
     usable, dropped = prepare_for_training(train_examples, config.context_cap)
     if not usable:
         raise ValueError("no trainable examples after truncation filtering")
+    if dropped:
+        log.info("dropped %d examples with no gold span under cap %d",
+                 dropped, config.context_cap)
     if params is None:
         params = qa_model.init_params(config)
     if state is None:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,6 +167,33 @@ class TestDropout:
     def test_bad_rate(self):
         with pytest.raises(ad.ConfigError):
             ad.dropout(ad.Tensor([1.0]), 1.0, training=True, seed=0)
+
+    def test_survivors_scaled_for_the_threshold_used(self):
+        # rate acts at a resolution of 1/65536: 0.3 drops 19661/65536 of the
+        # draws, so survivors are scaled by 65536/45875, not 1/0.7
+        out = ad.dropout(ad.Tensor(np.ones(1000)), 0.3, training=True, seed=1).data
+        assert 0 < np.count_nonzero(out) < 1000
+        assert np.all(out[out != 0] == 65536 / (65536 - 19661))
+        tiny = ad.dropout(ad.Tensor(np.ones(1000)), 1e-6, training=True, seed=1)
+        assert np.all(tiny.data == 1.0)
+        near_one = ad.dropout(ad.Tensor(np.ones(1000)), 1 - 1e-9, training=True,
+                              seed=1)
+        assert np.all(np.isin(near_one.data, [0.0, 65536.0]))
+
+    def test_taped_mask_is_compact(self):
+        # backward keeps a boolean keep-mask, not a float scale array per element
+        x = np.random.default_rng(2).normal(size=(200, 500))
+        graph = ad.Graph()
+        leaf = graph.leaf(x, requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = ad.dropout(leaf, 0.2, training=True, seed=3)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 1.25 * x.nbytes
+        grad = graph.backward(ad.reduce_sum(out))[leaf.node_id]
+        assert np.array_equal(grad != 0, out.data != 0)
 
 
 class TestBackward:

@@ -1,0 +1,185 @@
+"""Damaged checkpoint files: each one loads bit-exactly or raises CheckpointError.
+
+Truncations, single-bit flips and manifest edits are drawn by hypothesis over
+one small trained checkpoint. No damage may surface as any other exception.
+"""
+
+import copy
+import json
+import zlib
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spanqa.checkpoint import (MAGIC, CheckpointError, CheckpointManifestError,
+                               CheckpointMetadataError, CheckpointMissingTensorError,
+                               load_checkpoint, save_checkpoint)
+from spanqa.diagnostics import make_tiny_problem
+from spanqa.training import init_optimizer, train_step
+
+FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+HEADER = len(MAGIC) + 8
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("ckpt")
+
+
+@pytest.fixture(scope="module")
+def original(workdir):
+    """The bytes of a checkpoint after one train step (non-zero Adam moments)."""
+    config, params, table, batch = make_tiny_problem(seed=41)
+    state = init_optimizer(params)
+    train_step(params, batch, table, state, config)
+    path = workdir / "original.ckpt"
+    save_checkpoint(path, params, config, state)
+    return path.read_bytes()
+
+
+def split(raw):
+    meta_len = int.from_bytes(raw[len(MAGIC):HEADER], "little")
+    return json.loads(raw[HEADER:HEADER + meta_len]), raw[HEADER + meta_len:]
+
+
+def join(metadata, payload):
+    """A file whose metadata checksum is recomputed for the (edited) metadata."""
+    def encode(meta):
+        return json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+    metadata = {key: value for key, value in metadata.items()
+                if key != "metadata_crc32"}
+    metadata["metadata_crc32"] = zlib.crc32(encode(metadata))
+    block = encode(metadata)
+    return MAGIC + len(block).to_bytes(8, "little") + block + payload
+
+
+def load_bytes(workdir, raw):
+    path = workdir / "damaged.ckpt"
+    path.write_bytes(raw)
+    return load_checkpoint(path)
+
+
+def resaved(workdir, loaded):
+    """The bytes save_checkpoint writes for what was loaded."""
+    path = workdir / "resaved.ckpt"
+    save_checkpoint(path, loaded.params, loaded.config, loaded.state,
+                    iteration=loaded.iteration)
+    return path.read_bytes()
+
+
+def flip(raw, bit):
+    damaged = bytearray(raw)
+    damaged[bit // 8] ^= 1 << (bit % 8)
+    return bytes(damaged)
+
+
+def test_join_reproduces_a_saved_file(original):
+    assert join(*split(original)) == original
+
+
+@FUZZ
+@given(data=st.data())
+def test_every_truncation_is_rejected(workdir, original, data):
+    cut = data.draw(st.integers(0, len(original) - 1))
+    with pytest.raises(CheckpointError):
+        load_bytes(workdir, original[:cut])
+
+
+@FUZZ
+@given(data=st.data())
+def test_bit_flip_before_payload_is_rejected_or_harmless(workdir, original, data):
+    payload_start = len(original) - len(split(original)[1])
+    damaged = flip(original, data.draw(st.integers(0, 8 * payload_start - 1)))
+    try:
+        loaded = load_bytes(workdir, damaged)
+    except CheckpointError:
+        return
+    # only a flip that hides the checksum key itself can load, and then
+    # everything it guarded is intact
+    assert resaved(workdir, loaded) == original
+
+
+@FUZZ
+@given(data=st.data())
+def test_bit_flip_in_payload_loads_the_flipped_value(workdir, original, data):
+    payload_start = len(original) - len(split(original)[1])
+    bit = data.draw(st.integers(8 * payload_start, 8 * len(original) - 1))
+    damaged = flip(original, bit)
+    assert resaved(workdir, load_bytes(workdir, damaged)) == damaged
+
+
+def manifest_edits(names, payload_bytes):
+    value = {
+        "offset": st.integers(-64, payload_bytes + 64),
+        "shape": st.lists(st.integers(0, 40), max_size=3),
+        "name": st.sampled_from(names) | st.text(max_size=12),
+    }
+    return st.one_of(
+        st.sampled_from(["offset", "shape", "name"]).flatmap(
+            lambda key: st.tuples(st.just("set"), st.just(key), value[key])),
+        st.tuples(st.just("set"), st.sampled_from(["offset", "shape"]),
+                  st.sampled_from([None, "8", 1.5, True, [1, "x"]])),
+        st.tuples(st.sampled_from(["drop", "duplicate"]), st.none(), st.none()),
+        st.tuples(st.just("delete"), st.sampled_from(["name", "shape", "offset"]),
+                  st.none()))
+
+
+@FUZZ
+@given(data=st.data())
+def test_manifest_edit_is_rejected_or_harmless(workdir, original, data):
+    metadata, payload = split(original)
+    manifest = metadata["tensors"]
+    index = data.draw(st.integers(0, len(manifest) - 1))
+    action, key, value = data.draw(manifest_edits(
+        [entry["name"] for entry in manifest], len(payload)))
+    edited = copy.deepcopy(metadata)
+    entries = edited["tensors"]
+    if action == "set":
+        entries[index][key] = value
+    elif action == "delete":
+        del entries[index][key]
+    elif action == "drop":
+        del entries[index]
+    else:
+        entries.append(copy.deepcopy(entries[index]))
+    try:
+        loaded = load_bytes(workdir, join(edited, payload))
+    except CheckpointError:
+        return
+    assert resaved(workdir, loaded) == original
+
+
+def test_missing_adam_tensor_is_named(workdir, original):
+    metadata, payload = split(original)
+    metadata["tensors"] = [entry for entry in metadata["tensors"]
+                           if entry["name"] != "adam.v/start_head.b2"]
+    with pytest.raises(CheckpointMissingTensorError, match="adam.v/start_head.b2"):
+        load_bytes(workdir, join(metadata, payload))
+
+
+@pytest.mark.parametrize("key", ["adam", "config", "iteration", "tensors"])
+def test_missing_metadata_key_is_named(workdir, original, key):
+    metadata, payload = split(original)
+    del metadata[key]
+    with pytest.raises(CheckpointMetadataError, match=key):
+        load_bytes(workdir, join(metadata, payload))
+
+
+def test_overlapping_offsets_rejected(workdir, original):
+    metadata, payload = split(original)
+    first, second = metadata["tensors"][:2]
+    second["offset"] = first["offset"]
+    with pytest.raises(CheckpointManifestError, match="overlaps"):
+        load_bytes(workdir, join(metadata, payload))
+
+
+def test_metadata_checksum_guards_values(workdir, original):
+    # a digit of the iteration changed in place keeps the JSON valid
+    metadata, payload = split(original)
+    block = original[HEADER:len(original) - len(payload)]
+    assert b'"iteration":1,' in block
+    damaged = original.replace(b'"iteration":1,', b'"iteration":7,', 1)
+    with pytest.raises(CheckpointMetadataError, match="checksum"):
+        load_bytes(workdir, damaged)

@@ -69,6 +69,47 @@ def test_masked_steps_get_no_gradient_and_emit_zeros():
         assert np.all(dx[mask == 0] == 0.0)
 
 
+def prefix_mask(lengths, length):
+    return (np.arange(length) < np.asarray(lengths)[:, None]).astype(np.float64)
+
+
+# ragged_mask is already sorted longest first, so it cannot catch a packing
+# that forgets to sort the rows or to put them back in place
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("lengths", [[3, 7, 1, 5], [4, 6, 4, 6, 2], [0, 5, 3],
+                                     [0, 0, 0]],
+                         ids=["unsorted", "tied", "zero_length_row", "all_zero"])
+def test_packed_direction_matches_oracle_in_any_row_order(reverse, lengths):
+    rng = np.random.default_rng(len(lengths) * 10 + sum(lengths))
+    batch, length, in_dim, hidden = len(lengths), 7, 4, 3
+    x = rng.normal(size=(batch, length, in_dim))
+    weight, bias = direction_params(rng, in_dim, hidden)
+    mask = prefix_mask(lengths, length)
+    probe = rng.normal(size=(batch, length, hidden))
+    fused, fused_grads = run_direction(ad.lstm, x, weight, bias, mask, reverse, probe)
+    ref, ref_grads = run_direction(unrolled_lstm, x, weight, bias, mask, reverse,
+                                   probe)
+    assert np.abs(fused - ref).max() < FORWARD_TOL
+    assert np.all(fused[mask == 0] == 0.0)
+    for name, got, want in zip(("dX", "dW", "db"), fused_grads, ref_grads):
+        assert got.shape == want.shape, name
+        assert np.abs(got - want).max() < GRAD_TOL, name
+    assert np.all(fused_grads[0][mask == 0] == 0.0)
+
+
+@pytest.mark.parametrize("mask", [[[1.0, 0.0, 1.0]], [[0.0, 1.0, 1.0]],
+                                  [[1.0, 0.5, 0.0]], [[1.0, 1.0, 1.0], [1.0, 0.0, 1.0]]],
+                         ids=["gap", "leading_pad", "fractional", "second_row"])
+def test_non_prefix_mask_rejected(mask):
+    mask = np.array(mask)
+    rng = np.random.default_rng(8)
+    weight, bias = direction_params(rng, 2, 2)
+    x = rng.normal(size=mask.shape + (2,))
+    for reverse in (False, True):
+        with pytest.raises(ad.DimensionError, match="run of 1s"):
+            ad.lstm(x, weight, bias, mask, reverse=reverse)
+
+
 def test_stacked_bilstm_matches_oracle():
     rng = np.random.default_rng(5)
     batch, length, in_dim, hidden = 3, 7, 4, 3
@@ -108,8 +149,9 @@ def test_untaped_call_matches_taped_and_stays_detached():
 
 
 def test_untaped_call_keeps_no_bptt_buffers():
-    # backward needs the (L, B, 4h) gates and three (L, B, h) state buffers;
-    # a call that no gradient will reach must keep none of them alive
+    # backward needs the (N, 4h) gates and three (N, h) state buffers, N the
+    # live positions (all B*L here); a call that no gradient will reach must
+    # keep none of them alive
     rng = np.random.default_rng(7)
     batch, length, in_dim, hidden = 8, 60, 16, 32
     x = rng.normal(size=(batch, length, in_dim))
@@ -133,6 +175,34 @@ def test_untaped_call_keeps_no_bptt_buffers():
                               for v in (x, weight, bias)))
     assert taped - untaped > 0.9 * buffers
     assert frozen - untaped < 0.1 * buffers
+
+
+def test_taped_buffers_scale_with_live_positions():
+    # a ragged batch keeps buffers for its live positions only: the same
+    # seven (., h) blocks as a full batch, but over sum(lengths) rows, not B*L
+    rng = np.random.default_rng(9)
+    batch, length, in_dim, hidden = 8, 60, 16, 32
+    lengths = [60, 10, 35, 20, 50, 5, 30, 15]      # 225 of 480 positions
+    x = rng.normal(size=(batch, length, in_dim))
+    weight, bias = direction_params(rng, in_dim, hidden)
+    mask = prefix_mask(lengths, length)
+    live_buffers = 7 * sum(lengths) * hidden * 8
+
+    def retained(inputs):
+        tracemalloc.start()
+        try:
+            out = ad.lstm(*inputs, mask, reverse=True)
+            return tracemalloc.get_traced_memory()[0], out
+        finally:
+            tracemalloc.stop()
+
+    untaped, _ = retained((x, weight, bias))
+    trainable = Graph()
+    taped, _ = retained(tuple(trainable.leaf(v, requires_grad=True)
+                              for v in (x, weight, bias)))
+    # the margin covers the packing index and the contiguous recurrent weight;
+    # buffers over all B*L positions would be 480 / 225 = 2.1 times as large
+    assert 0.9 * live_buffers < taped - untaped < 1.2 * live_buffers
 
 
 def test_shape_errors():

@@ -10,7 +10,9 @@ import pytest
 from spanqa.checkpoint import (CheckpointMagicError, CheckpointTruncatedError,
                                CheckpointVersionError, load_checkpoint,
                                save_checkpoint)
-from spanqa.data import load_glove, load_squad
+from spanqa import data
+from spanqa.data import (build_batches, load_glove, load_squad,
+                         prepare_for_training)
 from spanqa.diagnostics import make_tiny_problem
 from spanqa.model import ModelConfig, init_params
 from spanqa import training
@@ -149,6 +151,41 @@ class TestTrainLoop:
                        batch_size=8)
         # 32 examples / batch 8 = 4 batches per epoch; 9 iters spans 3 epochs
         assert [r.iteration for r in result.records] == list(range(1, 10))
+
+    def test_filters_once_with_unchanged_batches(self, tiny_dataset, monkeypatch):
+        # a cap of 20 drops the 10 examples whose answer ends at token 26
+        examples, table = tiny_dataset
+        config = ModelConfig(hidden_size=4, dropout_rate=0.0, embedding_dim=32,
+                             context_cap=20, seed=4)
+        usable, dropped = prepare_for_training(examples, config.context_cap)
+        assert dropped == 10
+        # each epoch's batches as filtering inside build_batches gives them
+        expected = [batch for epoch in (0, 1) for batch in build_batches(
+            [usable[i] for i in training.epoch_order(config.seed, epoch, len(usable))],
+            table, 8, context_cap=config.context_cap, training=True)]
+
+        filters, seen = [], []
+
+        def counting(*args):
+            filters.append(args)
+            return prepare_for_training(*args)
+
+        def recording(params, batch, table, state, config, lr):
+            seen.append(batch)
+            state.step += 1
+            return 0.0
+
+        monkeypatch.setattr(data, "prepare_for_training", counting)
+        monkeypatch.setattr(training, "prepare_for_training", counting)
+        monkeypatch.setattr(training, "train_step", recording)
+        result = train(examples, table, config, iters=len(expected), batch_size=8)
+        assert len(filters) == 1
+        assert result.dropped_examples == dropped
+        assert len(seen) == len(expected) == 6      # 22 usable / 8: 3 per epoch
+        for got, want in zip(seen, expected):
+            for field in dataclasses.fields(want):
+                assert np.array_equal(getattr(got, field.name),
+                                      getattr(want, field.name)), field.name
 
 
 class TestPredict:
