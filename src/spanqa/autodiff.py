@@ -44,6 +44,7 @@ __all__ = [
     "swap_last2",
     "expand_batch",
     "repeat_axis",
+    "take_rows",
     "masked_softmax",
     "cross_entropy",
     "dropout",
@@ -519,6 +520,32 @@ def repeat_axis(x, axis: int, count: int) -> Tensor:
         return (g.sum(axis=axis, keepdims=True),)
 
     return _apply("repeat_axis", (x,), out, backward)
+
+
+def take_rows(x, index) -> Tensor:
+    """Gather rows along the leading axis: x[index]; an index may repeat.
+
+    Backward scatter-adds each row's gradient into zeros of x's shape, so a
+    row taken several times receives the sum of its copies' gradients.
+    """
+    x = _lift(x)
+    index = np.asarray(index)
+    if x.ndim == 0 or index.ndim != 1 or not np.issubdtype(index.dtype, np.integer):
+        raise DimensionError(
+            f"take_rows: need a 1-D integer index into rows of x, got "
+            f"{index.dtype} index of shape {index.shape} for x of shape {x.shape}")
+    if index.size and (index.min() < 0 or index.max() >= x.shape[0]):
+        raise DimensionError(
+            f"take_rows: index out of range [0, {x.shape[0]}) for shape {x.shape}")
+    out = x.data[index]
+    shape, dtype = x.shape, x.data.dtype
+
+    def backward(g):
+        gx = np.zeros(shape, dtype)
+        np.add.at(gx, index, g)
+        return (gx,)
+
+    return _apply("take_rows", (x,), out, backward)
 
 
 def _mask_array(mask, shape) -> np.ndarray:

@@ -39,7 +39,9 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--data", required=True)
     train.add_argument("--dev", default=None)
     train.add_argument("--glove", required=True)
-    train.add_argument("--out", required=True, help="checkpoint output path")
+    train.add_argument("--out", required=True,
+                       help="checkpoint output path; with --dev, the best-dev "
+                            "checkpoint, and the final one goes to <out>.last")
     train.add_argument("--log", default=None,
                        help="JSONL training log (default: <out>.log)")
     train.add_argument("--iters", type=int, default=50_000)
@@ -137,10 +139,16 @@ def cmd_train(args) -> int:
             lr=args.lr, dev_examples=dev_examples, eval_every=args.eval_every,
             max_answer_len=args.max_answer_len, params=params, state=state,
             log_handle=log_handle, on_improve=save_improved)
-    ckpt.save_checkpoint(args.out, result.params, config, result.state)
+    # with --dev, --out holds the best-dev model and the final one goes beside it
+    last_path = f"{args.out}.last" if args.dev else args.out
+    ckpt.save_checkpoint(last_path, result.params, config, result.state)
     if result.dropped_examples:
         print(f"dropped {result.dropped_examples} examples with no usable gold span")
-    print(f"trained {result.state.step} iterations; checkpoint at {args.out}")
+    print(f"trained {result.state.step} iterations; checkpoint at {last_path}")
+    if args.dev:
+        print(f"best dev F1 {result.best_dev_f1:.2f}; checkpoint at {args.out}"
+              if result.best_dev_f1 is not None else
+              f"no dev evaluation ran; {args.out} not written")
     return 0
 
 

@@ -223,22 +223,30 @@ def load_squad(path) -> list[QAExample]:
 
 
 def load_glove(path, dim: int) -> EmbeddingTable:
-    """Read `word f1 ... fdim` lines; prepend PAD (zeros) and UNK (mean)."""
+    """Read `word f1 ... fdim` lines; prepend PAD (zeros) and UNK (mean).
+
+    One pass over the file: each line's field count is checked and its word
+    kept as the line streams into a single `np.loadtxt` call, which parses
+    the floats in C (no Python object per value) straight into the table,
+    behind two zero rows for PAD and UNK.
+    """
     words: list[str] = []
-    rows: list[np.ndarray] = []
-    with open(path, encoding="utf-8") as handle:
+
+    def lines(handle):
+        yield from ["_" + " 0" * dim] * 2     # the PAD and UNK rows
         for lineno, line in enumerate(handle, start=1):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) != dim + 1:
+            line = line.rstrip("\n")
+            if line.count(" ") != dim:
                 raise GloveFormatError(
-                    f"{path}:{lineno}: expected {dim} floats, got {len(parts) - 1}")
-            words.append(parts[0])
-            rows.append(np.array(parts[1:], dtype=np.float64))
-    matrix = np.zeros((len(rows) + 2, dim))
-    if rows:
-        stacked = np.stack(rows)
-        matrix[2:] = stacked
-        matrix[UNK_ID] = stacked.mean(axis=0)
+                    f"{path}:{lineno}: expected {dim} floats, got {line.count(' ')}")
+            words.append(line.partition(" ")[0])
+            yield line
+
+    with open(path, encoding="utf-8") as handle:
+        matrix = np.loadtxt(lines(handle), dtype=np.float64, delimiter=" ",
+                            comments=None, usecols=range(1, dim + 1), ndmin=2)
+    if words:
+        matrix[UNK_ID] = matrix[2:].mean(axis=0)
     word_to_id = {w: i + 2 for i, w in enumerate(words)}
     return EmbeddingTable(dim=dim, word_to_id=word_to_id, matrix=matrix)
 

@@ -40,6 +40,9 @@ def op_gradcheck_cases(seed: int = 0):
     unsorted_mask = (np.arange(5) < unsorted_lengths[:, None]).astype(np.float64)
     unsorted_x = lstm_rng.normal(size=(4, 5, 3))
     unsorted_weights = lstm_rng.normal(size=(4, 5, 4))
+    take_rng = np.random.default_rng(seed + 2)
+    take_index = np.array([2, 0, 2, 1, 2])            # repeats and reorders rows
+    take_weights = take_rng.normal(size=(5, 2, 3))
 
     def total(x):
         return ad.reduce_sum(x)
@@ -90,13 +93,20 @@ def op_gradcheck_cases(seed: int = 0):
         ("lstm_unsorted_x",
          lambda t: lstm_both(t, lstm_w, lstm_b, unsorted_mask, unsorted_weights),
          unsorted_x),
+        ("take_rows", lambda t: total(ad.mul(ad.take_rows(t, take_index), take_weights)),
+         take_rng.normal(size=(3, 2, 3))),
     ]
 
 
 def make_tiny_problem(seed: int = 0, hidden: int = 4, embed_dim: int = 6,
                       context_len: int = 7, question_len: int = 5,
-                      batch_size: int = 2, dropout: float = 0.0):
-    """A deterministic miniature model, embedding table, and batch."""
+                      batch_size: int = 2, dropout: float = 0.0,
+                      shared_context: bool = False):
+    """A deterministic miniature model, embedding table, and batch.
+
+    With `shared_context`, the last row asks its own question about the
+    first row's context, as SQuAD's questions share paragraphs.
+    """
     config = qa_model.ModelConfig(hidden_size=hidden, dropout_rate=dropout,
                                   embedding_dim=embed_dim, context_cap=context_len,
                                   seed=seed)
@@ -118,6 +128,8 @@ def make_tiny_problem(seed: int = 0, hidden: int = 4, embed_dim: int = 6,
     question_ids = rng.integers(2, vocab, size=(batch_size, question_len))
     context_ids[context_mask == 0] = 0
     question_ids[question_mask == 0] = 0
+    if shared_context:
+        context_ids[-1], context_mask[-1] = context_ids[0], context_mask[0]
     lengths = context_mask.sum(axis=1).astype(np.int64)
     gold_starts = rng.integers(0, lengths // 2 + 1)
     gold_ends = gold_starts + rng.integers(0, 2, size=batch_size)
@@ -131,14 +143,17 @@ def make_tiny_problem(seed: int = 0, hidden: int = 4, embed_dim: int = 6,
 
 
 def end_to_end_gradcheck(seed: int = 0, coords_per_tensor: int | None = 4,
-                         eps: float = 1e-5):
+                         eps: float = 1e-5, shared_context: bool = False):
     """Worst relative gradcheck error of the full loss over each parameter.
 
     `coords_per_tensor` limits the finite-difference probes per tensor
     (None checks every coordinate). Dropout stays off: the probe must be
-    deterministic.
+    deterministic. `shared_context` asks both rows about one context, so
+    the pass encodes it once and the gradient flows back through
+    `take_rows`.
     """
-    config, params, table, batch = make_tiny_problem(seed=seed)
+    config, params, table, batch = make_tiny_problem(
+        seed=seed, shared_context=shared_context)
     results = []
     for name in params:
         def run(t, _name=name):
@@ -156,7 +171,8 @@ def end_to_end_gradcheck(seed: int = 0, coords_per_tensor: int | None = 4,
 
 def run_gradcheck_suite(seed: int = 0, extra_cases=None,
                         coords_per_tensor: int | None = 4):
-    """All per-op checks plus the end-to-end check.
+    """All per-op checks plus the end-to-end check, whose row is the worst
+    error over a batch of distinct contexts and one that repeats a context.
 
     Returns (rows, all_ok) where each row is (name, worst_error, threshold).
     """
@@ -166,8 +182,8 @@ def run_gradcheck_suite(seed: int = 0, extra_cases=None,
         cases = cases + list(extra_cases)
     for name, func, probe in cases:
         rows.append((name, ad.grad_check(func, probe, eps=1e-5), OP_THRESHOLD))
-    worst = max(err for _, err in
-                end_to_end_gradcheck(seed, coords_per_tensor=coords_per_tensor))
+    worst = max(err for shared in (False, True) for _, err in end_to_end_gradcheck(
+        seed, coords_per_tensor=coords_per_tensor, shared_context=shared))
     rows.append(("end_to_end", worst, END_TO_END_THRESHOLD))
     all_ok = all(err < threshold for _, err, threshold in rows)
     return rows, all_ok

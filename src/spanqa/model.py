@@ -281,6 +281,18 @@ def _head_group(params, prefix):
     return {k: params[f"{prefix}.{k}"] for k in ("W1", "b1", "W2", "b2")}
 
 
+def _distinct_contexts(batch: Batch):
+    """(first, inverse) over the batch's distinct (context ids, mask) rows:
+    row b equals row first[inverse[b]]. None when every row is distinct."""
+    ids = np.asarray(batch.context_ids, dtype=np.int64)
+    mask_bits = np.asarray(batch.context_mask, dtype=np.float64).view(np.int64)
+    _, first, inverse = np.unique(np.concatenate([ids, mask_bits], axis=1),
+                                  axis=0, return_index=True, return_inverse=True)
+    if len(first) == len(ids):
+        return None
+    return first, inverse.reshape(-1)
+
+
 def forward(batch: Batch, params, table: EmbeddingTable, config: ModelConfig,
             training: bool = False, step: int = 0) -> ForwardOutput:
     """Embed -> encode -> attend -> decode start -> decode end -> softmax.
@@ -289,6 +301,12 @@ def forward(batch: Batch, params, table: EmbeddingTable, config: ModelConfig,
     (differentiable run), all of one float dtype, which the whole pass runs
     in. `step` varies the dropout masks between training iterations while
     keeping them reproducible.
+
+    The context encoder does not see the question, so a pass without dropout
+    embeds and encodes each distinct (context ids, context mask) row once
+    and gathers the encodings back to the batch's rows with `ad.take_rows`
+    (SQuAD asks several questions per paragraph). With dropout, each row
+    draws its own masks and is encoded on its own.
     """
     pt = {name: _as_tensor(value) for name, value in params.items()}
     dtype = pt["attention.w_sim"].data.dtype
@@ -297,9 +315,16 @@ def forward(batch: Batch, params, table: EmbeddingTable, config: ModelConfig,
     rate = config.dropout_rate if training else 0.0
 
     encoder = [_layer_group(pt, f"encoder.l{k}") for k in range(config.encoder_layers)]
-    context = bilstm(embed(batch.context_ids, table, dtype), encoder,
-                     batch.context_mask, hidden_size=h, dropout_rate=rate,
-                     training=training, seeds=seeds)
+    context_ids, context_mask = batch.context_ids, batch.context_mask
+    shared = _distinct_contexts(batch) if rate == 0.0 else None
+    if shared is not None:
+        first, inverse = shared
+        context_ids, context_mask = context_ids[first], context_mask[first]
+    context = bilstm(embed(context_ids, table, dtype), encoder, context_mask,
+                     hidden_size=h, dropout_rate=rate, training=training,
+                     seeds=seeds)
+    if shared is not None:
+        context = ad.take_rows(context, inverse)
     question = bilstm(embed(batch.question_ids, table, dtype), encoder,
                       batch.question_mask, hidden_size=h, dropout_rate=rate,
                       training=training, seeds=seeds)

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import DegenerateMaskError
 
@@ -65,17 +66,29 @@ def _finish(pred: SpanPrediction, tokens, text):
 def _argmax_pair(ps, pe, keep, max_len, penalty=None):
     """(start, end) maximizing p_start * p_end, divided by penalty(span length)
     when given, over unmasked pairs with start <= end < start + max_len; ties
-    go to the smaller start, then end."""
+    go to the smaller start, then end.
+
+    Scores only the (L, min(max_len, L)) band of (start, offset) pairs, with
+    end = start + offset, so the work is O(L * max_len), not O(L^2).
+    """
     length = len(ps)
-    span_len = np.arange(length)[None, :] - np.arange(length)[:, None] + 1
-    valid = (span_len >= 1) & (span_len <= max_len) & np.outer(keep, keep)
+    width = min(max_len, length)
+    if width < 1:
+        raise DegenerateMaskError("no unmasked start/end pair available")
+    tail = width - 1     # ends past the last position: padded, never valid
+    end_p = sliding_window_view(
+        np.concatenate([np.where(keep, pe, 0.0), np.zeros(tail)]), width)
+    end_keep = sliding_window_view(
+        np.concatenate([keep, np.zeros(tail, dtype=bool)]), width)
+    valid = keep[:, None] & end_keep
     if not valid.any():
         raise DegenerateMaskError("no unmasked start/end pair available")
-    scores = np.outer(np.where(keep, ps, 0.0), np.where(keep, pe, 0.0))
+    scores = np.where(keep, ps, 0.0)[:, None] * end_p
     if penalty is not None:
-        scores /= penalty(np.clip(span_len, 1, None))
-    flat = int(np.where(valid, scores, -1.0).argmax())  # row-major: the tie rule
-    return divmod(flat, length)
+        scores /= penalty(np.arange(1, width + 1))
+    # row-major over (start, offset) is row-major over (start, end): the tie rule
+    start, offset = divmod(int(np.where(valid, scores, -np.inf).argmax()), width)
+    return start, start + offset
 
 
 def best_span(p_start, p_end, mask, max_len: int = 20, log_base: float = math.e,

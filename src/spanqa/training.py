@@ -28,8 +28,8 @@ from .metrics import evaluate
 from .spans import best_span
 
 __all__ = ["AdamState", "TrainLogRecord", "TrainingDivergedError",
-           "init_optimizer", "clip_global_norm", "train_step", "train",
-           "predict_answers", "SHUFFLE_STREAM"]
+           "init_optimizer", "clip_global_norm", "adam_update", "train_step",
+           "train", "predict_answers", "SHUFFLE_STREAM"]
 
 MAX_GRAD_NORM = 5.0
 SHUFFLE_STREAM = 1  # spawn-key namespace separating batch order from dropout
@@ -110,16 +110,45 @@ def train_step(params: dict[str, np.ndarray], batch: Batch,
     grads = {name: grad_map[leaf.node_id].astype(np.float64)
              for name, leaf in leaves.items()}
     clip_global_norm(grads)
+    adam_update(params, grads, state, lr)
+    return loss_value
+
+
+def adam_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
+                state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam step: params change in place, the moments are
+    replaced, and the gradients are overwritten as scratch.
+
+    Computes, in this order and so bit for bit,
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g), m_hat = m/(1-b1^t),
+    v_hat = v/(1-b2^t) and p -= (lr*m_hat) / (sqrt(v_hat) + eps), allocating
+    per parameter only the new m and v and one scratch array.
+
+    The moments are new arrays each step, not updated in place: with glibc,
+    moments that never move let the allocator return the step's freed heap
+    to the system, and the next step's forward and backward fault it back in
+    (at h=150, B=20: ~16k page faults and ~6% more time per step).
+    """
     state.step += 1
     t = state.step
-    for name in params:
+    b1, b2 = state.beta1, state.beta2
+    for name, p in params.items():
         g = grads[name]
-        state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * (g * g)
-        m_hat = state.m[name] / (1 - state.beta1 ** t)
-        v_hat = state.v[name] / (1 - state.beta2 ** t)
-        params[name] -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return loss_value
+        m = np.multiply(state.m[name], b1)
+        scratch = np.multiply(g, 1 - b1)
+        m += scratch
+        v = np.multiply(state.v[name], b2)
+        np.multiply(g, g, out=scratch)
+        scratch *= 1 - b2
+        v += scratch
+        state.m[name], state.v[name] = m, v
+        np.divide(v, 1 - b2 ** t, out=scratch)     # v_hat
+        np.sqrt(scratch, out=scratch)
+        scratch += state.eps
+        np.divide(m, 1 - b1 ** t, out=g)           # m_hat
+        g *= lr
+        g /= scratch
+        p -= g
 
 
 def epoch_order(seed: int, epoch: int, count: int) -> np.ndarray:

@@ -48,6 +48,32 @@ class TestElementwise:
         assert np.array_equal(out.data, [2.0, 4.0, 6.0])
 
 
+class TestTakeRows:
+    def test_forward_gathers_and_backward_sums_repeats(self):
+        x = np.arange(12.0).reshape(3, 4)
+        index = np.array([2, 0, 2, 2])
+        graph = ad.Graph()
+        leaf = graph.leaf(x, requires_grad=True)
+        out = ad.take_rows(leaf, index)
+        assert np.array_equal(out.data, x[index])
+        weights = np.arange(16.0).reshape(4, 4)
+        grads = graph.backward(ad.reduce_sum(ad.mul(out, weights)))
+        expected = np.zeros_like(x)
+        for row, source in enumerate(index):
+            expected[source] += weights[row]
+        assert np.array_equal(grads[leaf.node_id], expected)   # row 1 untaken: zeros
+
+    def test_keeps_float32(self):
+        x = np.ones((2, 3), dtype=np.float32)
+        assert ad.take_rows(x, np.array([1, 1, 0])).data.dtype == np.float32
+
+    @pytest.mark.parametrize("index", [np.array([0, 3]), np.array([-1]),
+                                       np.array([0.0, 1.0]), np.array([[0, 1]])])
+    def test_bad_index(self, index):
+        with pytest.raises(ad.DimensionError):
+            ad.take_rows(np.ones((3, 2)), index)
+
+
 class TestConcat:
     def test_vectors(self):
         out = ad.concat([ad.Tensor([1.0, 2.0]), ad.Tensor([3.0])], axis=0)

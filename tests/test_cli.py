@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -6,6 +7,8 @@ import pytest
 
 from conftest import write_squad
 from spanqa import autodiff as ad
+from spanqa import training
+from spanqa.checkpoint import load_checkpoint
 from spanqa.cli import main
 from spanqa.metrics import evaluate
 from spanqa.data import load_squad
@@ -95,6 +98,39 @@ class TestTrain:
         records = [json.loads(line)
                    for line in (tmp_path / "dev.ckpt.log").read_text().splitlines()]
         assert [r["iteration"] for r in records if "dev_f1" in r] == [2, 4]
+
+
+    def test_dev_run_keeps_best_checkpoint_and_writes_last(self, fixtures_dir,
+                                                           tmp_path, monkeypatch,
+                                                           capsys):
+        # dev F1 peaks at iteration 4 of 6: --out must keep that model
+        scores = iter([40.0, 70.0, 55.0])
+        real_evaluate = training.evaluate
+
+        def scripted(predictions, examples):
+            return dataclasses.replace(real_evaluate(predictions, examples),
+                                       f1=next(scores))
+
+        monkeypatch.setattr(training, "evaluate", scripted)
+        out = tmp_path / "best.ckpt"
+        code = main([
+            "train", "--data", str(fixtures_dir / "tiny_squad.json"),
+            "--dev", str(fixtures_dir / "tiny_squad.json"),
+            "--glove", str(fixtures_dir / "tiny_glove.txt"),
+            "--out", str(out), "--iters", "6", "--batch-size", "8",
+            "--hidden", "8", "--dropout", "0.0", "--embed-dim", "32",
+            "--eval-every", "2", "--seed", "2",
+        ])
+        assert code == 0
+        assert load_checkpoint(out).state.step == 4
+        assert load_checkpoint(f"{out}.last").state.step == 6
+        printed = capsys.readouterr().out
+        assert f"checkpoint at {out}.last" in printed
+        assert f"best dev F1 70.00; checkpoint at {out}" in printed
+
+    def test_run_without_dev_writes_only_out(self, trained_checkpoint):
+        assert load_checkpoint(trained_checkpoint).state.step == 12
+        assert not trained_checkpoint.with_suffix(".ckpt.last").exists()
 
 
 class TestResumeFlags:

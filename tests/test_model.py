@@ -396,3 +396,97 @@ class TestEndToEndGradients:
         results = end_to_end_gradcheck(seed=0, coords_per_tensor=3)
         worst = max(err for _, err in results)
         assert worst < 1e-3, results
+
+    def test_shared_context_gradcheck(self, monkeypatch):
+        counts = _lstm_row_counts(monkeypatch)
+        # the probes of `qa gradcheck`; with 3 probes, one end_head.W1
+        # coordinate has a ~1e-8 gradient that central differences at eps=1e-5
+        # resolve only to ~2e-3 relative, with or without the shared encoding
+        results = end_to_end_gradcheck(seed=0, coords_per_tensor=4,
+                                       shared_context=True)
+        assert counts[:4] == [1] * 4     # both rows' context encoded once
+        worst = max(err for _, err in results)
+        assert worst < 1e-3, results
+
+
+def _shared_context_batch(context_len=9, question_len=5):
+    """5 rows over 2 distinct contexts (rows 0, 2, 3 and rows 1, 4), each
+    row with its own question, plus the tiny model that reads it."""
+    config, params, table, _ = make_tiny_problem(
+        context_len=context_len, question_len=question_len)
+    rng = np.random.default_rng(7)
+    which = np.array([0, 1, 0, 0, 1])
+    lengths = np.array([context_len, context_len - 3])
+    contexts = rng.integers(2, table.vocab_size, size=(2, context_len))
+    context_mask = (np.arange(context_len) < lengths[which, None]).astype(np.float64)
+    context_ids = np.where(context_mask > 0, contexts[which], 0)
+    q_lengths = np.array([5, 3, 4, 2, 5])
+    question_mask = (np.arange(question_len) < q_lengths[:, None]).astype(np.float64)
+    question_ids = np.where(question_mask > 0,
+                            rng.integers(2, table.vocab_size, size=(5, question_len)), 0)
+    zeros = np.zeros(5, dtype=np.int64)
+    batch = Batch(context_ids, context_mask, question_ids, question_mask, zeros,
+                  zeros, [f"q{i}" for i in range(5)])
+    return config, params, table, batch
+
+
+def _row(batch, r):
+    return Batch(batch.context_ids[r:r + 1], batch.context_mask[r:r + 1],
+                 batch.question_ids[r:r + 1], batch.question_mask[r:r + 1],
+                 batch.gold_starts[r:r + 1], batch.gold_ends[r:r + 1],
+                 batch.qids[r:r + 1])
+
+
+def _lstm_row_counts(monkeypatch):
+    """Record the batch size of every ad.lstm call the model makes."""
+    counts = []
+    original = ad.lstm
+
+    def recording(x, *args, **kwargs):
+        counts.append(x.shape[0])
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(ad, "lstm", recording)
+    return counts
+
+
+class TestSharedContextEncoding:
+    def test_shared_rows_equal_rows_run_alone(self):
+        config, params, table, batch = _shared_context_batch()
+        out = forward(batch, params, table, config)
+        for r in range(5):
+            alone = forward(_row(batch, r), params, table, config)
+            assert np.max(np.abs(out.p_start.data[r] - alone.p_start.data[0])) < 1e-12
+            assert np.max(np.abs(out.p_end.data[r] - alone.p_end.data[0])) < 1e-12
+
+    def test_encoder_sees_distinct_contexts_decoders_see_all_rows(self, monkeypatch):
+        config, params, table, batch = _shared_context_batch()
+        counts = _lstm_row_counts(monkeypatch)
+        forward(batch, params, table, config)
+        # 2 encoder layers x 2 directions over context, then over question,
+        # then 2 directions each for the start and end decoders
+        assert counts == [2] * 4 + [5] * 4 + [5] * 4
+
+    def test_dropout_pass_encodes_every_row(self, monkeypatch):
+        config, params, table, batch = _shared_context_batch()
+        config.dropout_rate = 0.3
+        counts = _lstm_row_counts(monkeypatch)
+        forward(batch, params, table, config, training=True, step=1)
+        assert counts == [5] * 12
+        counts.clear()
+        forward(batch, params, table, config)   # inference ignores the rate
+        assert counts[:4] == [2] * 4
+
+    def test_equal_ids_with_different_masks_not_merged(self, monkeypatch):
+        config, params, table, batch = _shared_context_batch()
+        rows = [0, 0, 1]
+        mask = batch.context_mask[rows].copy()
+        mask[1, 6:] = 0.0    # row 1: row 0's ids under a shorter mask
+        merged = Batch(batch.context_ids[rows], mask, batch.question_ids[rows],
+                       batch.question_mask[rows], batch.gold_starts[rows],
+                       batch.gold_ends[rows], ["a", "b", "c"])
+        counts = _lstm_row_counts(monkeypatch)
+        out = forward(merged, params, table, config)
+        assert counts[:4] == [3] * 4
+        alone = forward(_row(merged, 1), params, table, config)
+        assert np.max(np.abs(out.p_start.data[1] - alone.p_start.data[0])) < 1e-12

@@ -87,7 +87,8 @@ def test_gradchecks_run_in_float64(monkeypatch):
     assert all_ok
     assert diagnostics.OP_THRESHOLD == 1e-4
     assert diagnostics.END_TO_END_THRESHOLD == 1e-3
-    # one backward per op case, one per parameter in the end-to-end check
-    assert len(roots) == len(rows) - 1 + len(make_tiny_problem()[1])
+    # one backward per op case, one per parameter in each of the two
+    # end-to-end checks (distinct contexts, then a shared context)
+    assert len(roots) == len(rows) - 1 + 2 * len(make_tiny_problem()[1])
     assert all(dtypes == {np.dtype(np.float64)} for dtypes in roots)
 

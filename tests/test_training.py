@@ -16,7 +16,7 @@ from spanqa.data import (build_batches, load_glove, load_squad,
 from spanqa.diagnostics import make_tiny_problem
 from spanqa.model import ModelConfig, init_params
 from spanqa import training
-from spanqa.training import (TrainingDivergedError, clip_global_norm,
+from spanqa.training import (TrainingDivergedError, adam_update, clip_global_norm,
                              init_optimizer, predict_answers, train, train_step)
 
 
@@ -87,6 +87,61 @@ class TestTrainStep:
         with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError,
                                                       match="op "):
             train_step(params, batch, table, state, config)
+
+
+def reference_adam_update(params, grads, state, lr):
+    """The bias-corrected Adam step written as whole-array expressions."""
+    state.step += 1
+    t = state.step
+    for name in params:
+        g = grads[name]
+        state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
+        state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * (g * g)
+        m_hat = state.m[name] / (1 - state.beta1 ** t)
+        v_hat = state.v[name] / (1 - state.beta2 ** t)
+        params[name] -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+
+
+def _copy_state(state):
+    return dataclasses.replace(state, m={k: v.copy() for k, v in state.m.items()},
+                               v={k: v.copy() for k, v in state.v.items()})
+
+
+class TestAdamUpdate:
+    def test_in_place_update_is_bit_identical_to_reference(self):
+        rng = np.random.default_rng(27)
+        shapes = {"W": (6, 5), "b": (5,), "b2": (1,)}
+        params = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+        state = init_optimizer(params)
+        ref_params = {k: v.copy() for k, v in params.items()}
+        ref_state = _copy_state(state)
+        for step in range(3):
+            scale = 10.0 ** rng.integers(-8, 3, size=1)[0]
+            grads = {k: rng.normal(size=shape) * scale for k, shape in shapes.items()}
+            grads["W"][0] = 0.0    # zero gradients: the eps path
+            ref_grads = {k: g.copy() for k, g in grads.items()}
+            adam_update(params, grads, state, lr=1e-3)
+            reference_adam_update(ref_params, ref_grads, ref_state, lr=1e-3)
+            assert state.step == ref_state.step == step + 1
+            for name in shapes:
+                assert np.array_equal(params[name], ref_params[name]), name
+                assert np.array_equal(state.m[name], ref_state.m[name]), name
+                assert np.array_equal(state.v[name], ref_state.v[name]), name
+
+    def test_train_steps_match_reference_update(self, monkeypatch):
+        config, params, table, batch = make_tiny_problem(seed=28, dropout=0.2)
+        state = init_optimizer(params)
+        ref_params = {k: v.copy() for k, v in params.items()}
+        ref_state = _copy_state(state)
+        for _ in range(3):
+            train_step(params, batch, table, state, config)
+        monkeypatch.setattr(training, "adam_update", reference_adam_update)
+        for _ in range(3):
+            train_step(ref_params, batch, table, ref_state, config)
+        for name in params:
+            assert np.array_equal(params[name], ref_params[name]), name
+            assert np.array_equal(state.m[name], ref_state.m[name]), name
+            assert np.array_equal(state.v[name], ref_state.v[name]), name
 
 
 class TestGradientClipping:
