@@ -35,7 +35,7 @@ print(f"{stats.example_count} examples; "
       f"answers<20 tokens {100 * stats.answer_under_20_fraction:.0f}%, "
       f"contexts<300 tokens {100 * stats.context_under_300_fraction:.0f}%")
 
-batches = build_batches(examples, table, batch_size=8, shuffle_seed=0)
+batches = build_batches(examples, table, batch_size=8)
 first = batches[0]
 print(f"{len(batches)} batches; first has context ids {first.context_ids.shape}, "
       f"mask row sums {first.context_mask.sum(axis=1).astype(int).tolist()}")

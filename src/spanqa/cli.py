@@ -164,26 +164,25 @@ def _report_lines(report):
     return lines
 
 
-def cmd_eval(args) -> int:
+def _load_and_predict(args):
+    """Examples of --data and their predicted answers from --ckpt."""
     loaded = ckpt.load_checkpoint(args.ckpt)
     table = load_glove(args.glove, dim=loaded.config.embedding_dim)
     examples = load_squad(args.data)
-    predictions = training.predict_answers(
+    return examples, training.predict_answers(
         examples, loaded.params, table, loaded.config,
         batch_size=args.batch_size, max_answer_len=args.max_answer_len)
-    report = evaluate(predictions, examples)
-    for line in _report_lines(report):
+
+
+def cmd_eval(args) -> int:
+    examples, predictions = _load_and_predict(args)
+    for line in _report_lines(evaluate(predictions, examples)):
         print(line)
     return 0
 
 
 def cmd_predict(args) -> int:
-    loaded = ckpt.load_checkpoint(args.ckpt)
-    table = load_glove(args.glove, dim=loaded.config.embedding_dim)
-    examples = load_squad(args.data)
-    predictions = training.predict_answers(
-        examples, loaded.params, table, loaded.config,
-        batch_size=args.batch_size, max_answer_len=args.max_answer_len)
+    _, predictions = _load_and_predict(args)
     try:
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(predictions, handle, ensure_ascii=False, sort_keys=True,

@@ -46,7 +46,7 @@ class AlignmentError(ValueError):
 
 
 class GloveFormatError(ValueError):
-    """An embedding file line has the wrong number of fields."""
+    """An embedding file line has the wrong number of fields or a non-number."""
 
 
 class EmptyDatasetError(ValueError):
@@ -228,11 +228,14 @@ def load_glove(path, dim: int) -> EmbeddingTable:
     One pass over the file: each line's field count is checked and its word
     kept as the line streams into a single `np.loadtxt` call, which parses
     the floats in C (no Python object per value) straight into the table,
-    behind two zero rows for PAD and UNK.
+    behind two zero rows for PAD and UNK. loadtxt converts each line as it
+    reads it, so a field that is not a number is on the last line read.
     """
     words: list[str] = []
+    lineno = 0
 
     def lines(handle):
+        nonlocal lineno
         yield from ["_" + " 0" * dim] * 2     # the PAD and UNK rows
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
@@ -243,8 +246,14 @@ def load_glove(path, dim: int) -> EmbeddingTable:
             yield line
 
     with open(path, encoding="utf-8") as handle:
-        matrix = np.loadtxt(lines(handle), dtype=np.float64, delimiter=" ",
-                            comments=None, usecols=range(1, dim + 1), ndmin=2)
+        try:
+            matrix = np.loadtxt(lines(handle), dtype=np.float64, delimiter=" ",
+                                comments=None, usecols=range(1, dim + 1), ndmin=2)
+        except GloveFormatError:
+            raise
+        except ValueError:
+            raise GloveFormatError(
+                f"{path}:{lineno}: expected {dim} floats, got a non-number") from None
     if words:
         matrix[UNK_ID] = matrix[2:].mean(axis=0)
     word_to_id = {w: i + 2 for i, w in enumerate(words)}
@@ -268,13 +277,12 @@ def prepare_for_training(examples, context_cap: int) -> tuple[list[QAExample], i
 
 
 def build_batches(examples, table: EmbeddingTable, batch_size: int,
-                  context_cap: int = 300, shuffle_seed: int | None = None,
-                  training: bool = True) -> list[Batch]:
-    """Pad/mask examples into batches; deterministic order given the seed.
+                  context_cap: int = 300, training: bool = True) -> list[Batch]:
+    """Pad/mask examples into batches of consecutive examples, in order.
 
     In training mode, examples without a usable gold span under the cap are
     dropped first (see prepare_for_training). Padding goes to each batch's
-    own max context/question length.
+    own max context/question length. Training shuffles by `epoch_order`.
     """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
@@ -284,9 +292,6 @@ def build_batches(examples, table: EmbeddingTable, batch_size: int,
         if dropped:
             log.info("dropped %d examples with no gold span under cap %d",
                      dropped, context_cap)
-    if shuffle_seed is not None:
-        order = np.random.default_rng(shuffle_seed).permutation(len(examples))
-        examples = [examples[i] for i in order]
     batches = []
     for lo in range(0, len(examples), batch_size):
         chunk = examples[lo:lo + batch_size]

@@ -43,6 +43,12 @@ def op_gradcheck_cases(seed: int = 0):
     take_rng = np.random.default_rng(seed + 2)
     take_index = np.array([2, 0, 2, 1, 2])            # repeats and reorders rows
     take_weights = take_rng.normal(size=(5, 2, 3))
+    # the broadcast patterns of the attention and the heads: (B, Lc, 1),
+    # (B, 1, Lq) and (B, Lc, Lq) operands, and a bias over (B, L, n) rows
+    bcast_rng = np.random.default_rng(seed + 3)
+    column, row, full, full_weights, rows3 = (
+        bcast_rng.normal(size=shape)
+        for shape in [(2, 4, 1), (2, 1, 3), (2, 4, 3), (2, 4, 3), (3, 2, 5)])
 
     def total(x):
         return ad.reduce_sum(x)
@@ -69,14 +75,18 @@ def op_gradcheck_cases(seed: int = 0):
          rng.normal(size=(3, 4))),
         ("transpose", lambda t: total(ad.mul(ad.transpose(t), np.arange(12.0).reshape(4, 3))),
          rng.normal(size=(3, 4))),
+        ("transpose_3d", lambda t: total(ad.mul(ad.transpose(t), full_weights)),
+         bcast_rng.normal(size=(2, 3, 4))),
+        ("add_bias_bcast", lambda t: total(ad.mul(ad.add(rows3, t), rows3)),
+         bcast_rng.normal(size=(5,))),
+        ("add_outer", lambda t: total(ad.mul(ad.add(t, row), full_weights)), column),
+        ("sub_outer", lambda t: total(ad.mul(ad.sub(column, t), full_weights)), row),
+        ("mul_bcast_a", lambda t: total(ad.mul(ad.mul(t, full), full_weights)), row),
+        ("mul_bcast_b", lambda t: total(ad.mul(ad.mul(row, t), full_weights)), full),
         ("sum", lambda t: ad.reduce_sum(t), rng.normal(size=(3, 3))),
         ("max", lambda t: total(ad.reduce_max(t, axis=1)), rng.normal(size=(4, 6))),
         ("add_bias", lambda t: total(ad.mul(ad.add_bias(t, np.arange(5.0)), bias_weights)),
          rng.normal(size=(3, 5))),
-        ("mul_bias", lambda t: total(ad.mul_bias(t, np.arange(1.0, 6.0))),
-         rng.normal(size=(3, 2, 5))),
-        ("swap_last2", lambda t: total(ad.mul(ad.swap_last2(t), np.arange(24.0).reshape(2, 4, 3))),
-         rng.normal(size=(2, 3, 4))),
         ("expand_batch", lambda t: total(ad.mul(ad.expand_batch(t, 3), np.arange(24.0).reshape(3, 2, 4))),
          rng.normal(size=(2, 4))),
         ("repeat_axis", lambda t: total(ad.mul(ad.repeat_axis(t, 1, 4), np.arange(24.0).reshape(2, 4, 3))),

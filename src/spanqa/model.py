@@ -194,41 +194,36 @@ def bidaf_attention(context: Tensor, question: Tensor, w_sim,
                     context_mask: np.ndarray, question_mask: np.ndarray) -> Tensor:
     """Bidirectional attention: (B,Lc,2h) x (B,Lq,2h) -> (B,Lc,8h).
 
-    Similarity S[i,j] = w_sim . [c_i ; q_j ; c_i*q_j], decomposed into three
-    terms so no (Lc*Lq x 6h) tensor is ever built. Context-to-question rows
-    attend over unmasked question positions; question-to-context takes the
-    per-row max similarity, attends over unmasked context positions, and
-    broadcasts the summary to every position. Output rows are
-    [c ; u~ ; c*u~ ; c*h~].
+    Similarity S[b,i,j] = w_sim . [c_i ; q_j ; c_i*q_j]. With w_sim split
+    into [w_c ; w_q ; w_m], S = w_c.c_i + (c_i*w_m + w_q).q_j: a (B,Lc,1)
+    column broadcast over a (B,Lc,Lq) bmm, so no (Lc*Lq x 6h) tensor is
+    built. Context-to-question: u~_i = sum_j softmax_j(S[i,j]) q_j over the
+    unmasked question positions. Question-to-context: the row maxima of S
+    over those positions, softmaxed over the unmasked context positions,
+    weight one summary h~ of the context per example, broadcast to every
+    position. Output rows are [c ; u~ ; c*u~ ; c*h~].
     """
     w_sim = _as_tensor(w_sim)
     batch, lc, two_h = context.shape
-    lq = question.shape[1]
     if w_sim.shape != (3 * two_h,):
         raise ad.DimensionError(
             f"bidaf: w_sim shape {w_sim.shape} does not match 3*{two_h}")
     w_c = ad.reshape(ad.slice_axis(w_sim, 0, 0, two_h), (two_h, 1))
-    w_q = ad.reshape(ad.slice_axis(w_sim, 0, two_h, 2 * two_h), (two_h, 1))
+    w_q = ad.slice_axis(w_sim, 0, two_h, 2 * two_h)
     w_m = ad.slice_axis(w_sim, 0, 2 * two_h, 3 * two_h)
 
-    s_context = ad.bmm(context, ad.expand_batch(w_c, batch))        # (B,Lc,1)
-    s_question = ad.reshape(ad.bmm(question, ad.expand_batch(w_q, batch)),
-                            (batch, 1, lq))
-    s_cross = ad.bmm(ad.mul_bias(context, w_m), ad.swap_last2(question))
-    sim = ad.add(ad.add(ad.repeat_axis(s_context, 2, lq),
-                        ad.repeat_axis(s_question, 1, lc)), s_cross)  # (B,Lc,Lq)
+    s_context = ad.reshape(ad.matmul(ad.reshape(context, (batch * lc, two_h)), w_c),
+                           (batch, lc, 1))
+    s_cross = ad.bmm(ad.add(ad.mul(context, w_m), w_q), ad.transpose(question))
+    sim = ad.add(s_context, s_cross)                                  # (B,Lc,Lq)
 
-    q_mask3 = np.broadcast_to(np.asarray(question_mask)[:, None, :],
-                              (batch, lc, lq)).copy()
-    c2q = ad.masked_softmax(sim, q_mask3)
-    u_tilde = ad.bmm(c2q, question)                                  # (B,Lc,2h)
+    q_mask = np.asarray(question_mask)[:, None, :]                   # (B,1,Lq)
+    u_tilde = ad.bmm(ad.masked_softmax(sim, q_mask), question)       # (B,Lc,2h)
 
-    block = ((q_mask3 - 1.0) * 1e30).astype(sim.data.dtype, copy=False)
-    blocked = ad.add(sim, block)
-    row_best = ad.reduce_max(blocked, axis=2)                        # (B,Lc)
+    block = ((q_mask - 1.0) * 1e30).astype(sim.data.dtype, copy=False)
+    row_best = ad.reduce_max(ad.add(sim, block), axis=2)             # (B,Lc)
     q2c = ad.masked_softmax(row_best, context_mask)
-    h_tilde = ad.repeat_axis(ad.bmm(ad.reshape(q2c, (batch, 1, lc)), context),
-                             1, lc)                                  # (B,Lc,2h)
+    h_tilde = ad.bmm(ad.reshape(q2c, (batch, 1, lc)), context)       # (B,1,2h)
 
     return ad.concat([context, u_tilde, ad.mul(context, u_tilde),
                       ad.mul(context, h_tilde)], axis=2)
@@ -243,8 +238,8 @@ def _head_logits(attention_out, decoder_out, head, *, dropout_rate, training,
         features = ad.dropout(features, dropout_rate, training, seeds())
     w1, b1, w2, b2 = (_as_tensor(head[k]) for k in ("W1", "b1", "W2", "b2"))
     rows = ad.reshape(features, (batch * length, features.shape[2]))
-    hidden = ad.relu(ad.add_bias(ad.matmul(rows, ad.transpose(w1)), b1))
-    logits = ad.add_bias(ad.matmul(hidden, ad.transpose(w2)), b2)
+    hidden = ad.relu(ad.add(ad.matmul(rows, ad.transpose(w1)), b1))
+    logits = ad.add(ad.matmul(hidden, ad.transpose(w2)), b2)
     return ad.reshape(logits, (batch, length))
 
 

@@ -1,0 +1,41 @@
+"""Plain float64 BiDAF attention, kept as the oracle for ``model.bidaf_attention``.
+
+It writes the equations of Seo et al. (arXiv 1611.01603) literally: the
+similarity S[b, i, j] = w . [c_i ; q_j ; c_i * q_j] is a dot product with the
+full (B, Lc, Lq, 6h) feature tensor, and each softmax runs over the unmasked
+positions of one row only. The model computes the same thing from a
+broadcast sum of three smaller terms and masked softmaxes over padded rows.
+"""
+
+import numpy as np
+
+
+def _softmax(x):
+    e = np.exp(x - x.max())
+    return e / e.sum()
+
+
+def bidaf_reference(context, question, w_sim, context_mask, question_mask):
+    """(B, Lc, 2h) x (B, Lq, 2h) -> (B, Lc, 8h) rows [c ; u~ ; c*u~ ; c*h~]."""
+    c = np.asarray(context, dtype=np.float64)
+    q = np.asarray(question, dtype=np.float64)
+    batch, lc, two_h = c.shape
+    lq = q.shape[1]
+    cc = np.broadcast_to(c[:, :, None, :], (batch, lc, lq, two_h))
+    qq = np.broadcast_to(q[:, None, :, :], (batch, lc, lq, two_h))
+    features = np.concatenate([cc, qq, cc * qq], axis=3)     # (B, Lc, Lq, 6h)
+    sim = features @ np.asarray(w_sim, dtype=np.float64)      # (B, Lc, Lq)
+
+    out = np.empty((batch, lc, 4 * two_h))
+    for b in range(batch):
+        q_live = np.asarray(question_mask[b]) > 0
+        c_live = np.asarray(context_mask[b]) > 0
+        # context-to-question: each context position attends over the question
+        u_tilde = np.stack([_softmax(sim[b, i, q_live]) @ q[b, q_live]
+                            for i in range(lc)])
+        # question-to-context: one summary of the context per example
+        row_best = np.array([sim[b, i, q_live].max() for i in range(lc)])
+        h_tilde = _softmax(row_best[c_live]) @ c[b, c_live]
+        out[b] = np.concatenate([c[b], u_tilde, c[b] * u_tilde, c[b] * h_tilde],
+                                axis=1)
+    return out

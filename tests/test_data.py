@@ -199,7 +199,7 @@ class TestBuildBatches:
     def test_batch_sizing(self):
         table = make_table(WORDS)
         examples = _toy_examples(100, WORDS)
-        batches = build_batches(examples, table, batch_size=40, shuffle_seed=1)
+        batches = build_batches(examples, table, batch_size=40)
         assert [b.size for b in batches] == [40, 40, 20]
 
     def test_gold_beyond_cap_dropped(self):
@@ -231,15 +231,6 @@ class TestBuildBatches:
         with pytest.raises(ConfigError):
             build_batches([], make_table(WORDS), batch_size=0)
 
-    def test_shuffle_determinism(self):
-        table = make_table(WORDS)
-        examples = _toy_examples(30, WORDS)
-        a = build_batches(examples, table, batch_size=7, shuffle_seed=42)
-        b = build_batches(examples, table, batch_size=7, shuffle_seed=42)
-        assert [x.qids for x in a] == [y.qids for y in b]
-        c = build_batches(examples, table, batch_size=7, shuffle_seed=43)
-        assert [x.qids for x in a] != [y.qids for y in c]
-
     def test_invariants_on_random_subsets(self):
         table = make_table(WORDS)
         rng = np.random.default_rng(9)
@@ -247,8 +238,7 @@ class TestBuildBatches:
         for trial in range(25):
             size = int(rng.integers(1, len(pool)))
             subset = [pool[i] for i in rng.choice(len(pool), size, replace=False)]
-            for batch in build_batches(subset, table, batch_size=8,
-                                       shuffle_seed=trial):
+            for batch in build_batches(subset, table, batch_size=8):
                 assert np.all((batch.context_mask == 0) | (batch.context_mask == 1))
                 assert np.all(batch.context_ids[batch.context_mask == 0] == PAD_ID)
                 rows = np.arange(batch.size)

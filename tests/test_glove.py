@@ -16,7 +16,10 @@ def line_by_line_glove(path, dim):
                 raise GloveFormatError(
                     f"{path}:{lineno}: expected {dim} floats, got {len(parts) - 1}")
             words.append(parts[0])
-            rows.append(np.array(parts[1:], dtype=np.float64))
+            try:
+                rows.append(np.array(parts[1:], dtype=np.float64))
+            except ValueError:
+                raise GloveFormatError(f"{path}:{lineno}: not a number") from None
     matrix = np.zeros((len(rows) + 2, dim))
     if rows:
         stacked = np.stack(rows)
@@ -83,6 +86,9 @@ def test_empty_file_gives_pad_and_unk_only(tmp_path):
     ("a 1 2 3\n\nb 1 2 3\n", 2),      # blank line
     ("a 1 2 3 \n", 1),                # trailing space adds a field
     ("a 1 2 3\nb 1 2 3\nc", 3),       # unterminated word-only last line
+    ("a 1 x 2\n", 1),                 # a field that is not a number
+    ("a 1 2 3\nb 1 2 y\nc 1 2 3\n", 2),   # ... before more good lines
+    ("a 1 2 3\nb  2 3\n", 2),         # an empty field between two spaces
 ])
 def test_wrong_field_count_names_path_and_line(tmp_path, text, lineno):
     path = tmp_path / "bad.txt"
