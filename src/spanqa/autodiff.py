@@ -47,6 +47,10 @@ __all__ = [
     "expand_batch",
     "repeat_axis",
     "take_rows",
+    "Packing",
+    "pack",
+    "unpack",
+    "linear",
     "masked_softmax",
     "cross_entropy",
     "dropout",
@@ -493,8 +497,10 @@ def repeat_axis(x, axis: int, count: int) -> Tensor:
 def take_rows(x, index) -> Tensor:
     """Gather rows along the leading axis: x[index]; an index may repeat.
 
-    Backward scatter-adds each row's gradient into zeros of x's shape, so a
-    row taken several times receives the sum of its copies' gradients.
+    Backward gives a row taken several times the sum of its copies'
+    gradients, in index order, and an untaken row zeros. It sorts the copies
+    by row and sums each run with one `reduceat`: `np.add.at` is ten times
+    slower on (N, 300) rows.
     """
     x = _lift(x)
     index = np.asarray(index)
@@ -510,7 +516,10 @@ def take_rows(x, index) -> Tensor:
 
     def backward(g):
         gx = np.zeros(shape, dtype)
-        np.add.at(gx, index, g)
+        if index.size:
+            order = np.argsort(index, kind="stable")
+            taken, starts = np.unique(index[order], return_index=True)
+            gx[taken] = np.add.reduceat(g[order], starts, axis=0)
         return (gx,)
 
     return _apply("take_rows", (x,), out, backward)
@@ -587,12 +596,13 @@ def cross_entropy(probs, gold, mask) -> Tensor:
 def dropout(x, rate: float, training: bool, seed: int) -> Tensor:
     """Inverted dropout: zero each element with probability ~`rate`, scale survivors.
 
-    The mask compares uniform 16-bit integers with the threshold
+    The mask compares uniform 16-bit integers, the raw 64-bit words of a
+    PCG64 stream seeded with `seed` cut in four, with the threshold
     t = round(rate * 65536), so `rate` acts at a resolution of 1/65536: an
     element is dropped with probability t / 65536, and survivors are scaled
     by 65536 / (65536 - t), which keeps the expected output equal to x for
-    that probability. Identity when not training or rate == 0; the mask is
-    drawn from a generator seeded with `seed`, so a fixed seed fixes the mask.
+    that probability. Identity when not training or rate == 0; a fixed seed
+    fixes the mask.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
@@ -600,8 +610,8 @@ def dropout(x, rate: float, training: bool, seed: int) -> Tensor:
     if not training or rate == 0.0:
         return x
     threshold = min(round(rate * _DROPOUT_LEVELS), _DROPOUT_LEVELS - 1)
-    keep = np.random.default_rng(seed).integers(
-        0, _DROPOUT_LEVELS, size=x.shape, dtype=np.uint16) >= threshold
+    words = np.random.PCG64(seed).random_raw(-(-x.data.size // 4))
+    keep = words.view(np.uint16)[:x.data.size].reshape(x.shape) >= threshold
     scale = x.data.dtype.type(_DROPOUT_LEVELS / (_DROPOUT_LEVELS - threshold))
     out = x.data * keep
     out *= scale
@@ -614,144 +624,236 @@ def dropout(x, rate: float, training: bool, seed: int) -> Tensor:
     return _apply("dropout", (x,), out, backward)
 
 
-def _packing(m, reverse: bool):
-    """Step-major layout of the live positions of a (B, L) prefix mask.
+class Packing:
+    """Step-major layout of the live positions of a (B, L) prefix mask, the
+    packed-sequence layout of cuDNN RNNs, built once per mask and shared by
+    every op over its rows.
 
-    The rows are sorted by length, longest first (stable), so the sequences
-    still running at step s are a prefix [:k_s] of them in either direction.
-    Returns `live`, the (row, position) index of each packed row; `counts`,
-    the k_s of every step that has a live row; and `prev`, the packed index
-    of the same sequence's previous step for every packed row after the first
-    step's k_0.
+    Every mask row must be a run of 1s followed by 0s. Sorted by length,
+    longest first (stable), the sequences still running at step s are a
+    prefix [:k_s] of the rows in either direction, so the N = sum(lengths)
+    live positions pack step by step into one (N, .) block. `index` is the
+    (row, position) of each packed row; `counts` the k_s of every step with
+    a live row; `prev` the packed index of the same sequence's previous step
+    for every packed row after the first k_0. A reverse pass visits the same
+    (step, rank) slots at position l-1-s, which are the packed rows
+    `reverse`, so it shares `counts` and `prev`.
     """
-    length = m.shape[1]
-    lengths = np.count_nonzero(m, axis=1)
-    if not np.array_equal(m, np.arange(length) < lengths[:, None]):
-        raise DimensionError(
-            "lstm: every mask row must be a run of 1s followed by 0s")
-    order = np.argsort(-lengths, kind="stable")
-    step, rank = np.nonzero(m[order].T)
-    counts = np.bincount(step, minlength=length)
-    start = np.cumsum(counts) - counts
-    later = step > 0
-    prev = start[step[later] - 1] + rank[later]
-    position = lengths[order][rank] - 1 - step if reverse else step
-    return (order[rank], position), counts[counts > 0].tolist(), prev
+
+    def __init__(self, mask):
+        m = np.asarray(mask, dtype=np.float64)
+        if m.ndim != 2:
+            raise DimensionError(f"packing: mask must be (B, L), got shape {m.shape}")
+        length = m.shape[1]
+        lengths = np.count_nonzero(m, axis=1)
+        if not np.array_equal(m, np.arange(length) < lengths[:, None]):
+            raise DimensionError(
+                "packing: every mask row must be a run of 1s followed by 0s")
+        order = np.argsort(-lengths, kind="stable")
+        step, rank = np.nonzero(m[order].T)
+        counts = np.bincount(step, minlength=length)
+        start = np.cumsum(counts) - counts
+        later = step > 0
+        self.mask, self.shape, self.size = m, m.shape, len(step)
+        self.index = (order[rank], step)
+        self.counts = counts[counts > 0].tolist()
+        self.prev = start[step[later] - 1] + rank[later]
+        self.reverse = start[lengths[order][rank] - 1 - step] + rank
 
 
-def lstm(x, W, b, mask, reverse: bool = False) -> Tensor:
-    """One LSTM direction over a whole sequence: (B, L, n) -> (B, L, h).
+def pack(x, packing: Packing) -> Tensor:
+    """The live rows of a (B, L, ...) tensor in the packing's order: (N, ...)."""
+    x = _lift(x)
+    if x.shape[:2] != packing.shape:
+        raise DimensionError(f"pack: shape {x.shape} does not match mask {packing.shape}")
+    index, shape, dtype = packing.index, x.shape, x.data.dtype
 
-    W (4h, n+h) and b (4h,) give the gates in i|f|o|g order from
-    [x_t ; h_prev] @ W^T + b. Every row of mask (B, L) must be a run of 1s
-    followed by 0s (DimensionError otherwise). A row of length l runs from
-    the zero state over positions 0..l-1, or with `reverse` from l-1 back to
-    0; its padded positions emit zeros and get zero gradient.
+    def backward(g):
+        gx = np.zeros(shape, dtype)
+        gx[index] = g
+        return (gx,)
 
-    Only live positions are computed. Sorted longest first, the rows still
-    running at step s are a prefix [:k_s], so the N = sum(lengths) live
-    positions pack step-major into one (N, .) block, the packed-sequence
-    layout of cuDNN RNNs. The input projection of every live position is one
-    GEMM up front, so only h_prev[:k_s] @ W_h^T runs inside the time loop,
-    and the whole direction is a single tape node. Its backward is one BPTT
-    sweep over the same block that computes only the gate gradients dz and
-    dz @ W_h per step; dX, dW and db are then each one GEMM (or sum) over the
-    N live rows. The per-step buffers backward needs are kept only when some
-    input requires a gradient.
+    return _apply("pack", (x,), x.data[index], backward)
+
+
+def unpack(x, packing: Packing) -> Tensor:
+    """Packed rows (N, ...) back to (B, L, ...), with zeros at padding."""
+    x = _lift(x)
+    if x.ndim == 0 or x.shape[0] != packing.size:
+        raise DimensionError(f"unpack: shape {x.shape} does not match {packing.size} rows")
+    index = packing.index
+    out = np.zeros(packing.shape + x.shape[1:], x.data.dtype)
+    out[index] = x.data
+
+    def backward(g):
+        return (g[index],)
+
+    return _apply("unpack", (x,), out, backward)
+
+
+def _row_blocks(xs, width: int, op: str):
+    """Tensors of row blocks (N, n_i) and the column bounds of each block in
+    a weight of `width` columns, which must equal sum(n_i)."""
+    xs = [_lift(x) for x in xs]
+    bounds = np.cumsum([0] + [x.shape[-1] for x in xs]).tolist()
+    if not xs or bounds[-1] != width or any(
+            x.ndim != 2 or x.shape[0] != xs[0].shape[0] for x in xs):
+        raise DimensionError(f"{op}: row blocks {[x.shape for x in xs]} do not "
+                             f"make {width} input columns")
+    return xs, list(zip(bounds, bounds[1:]))
+
+
+def _blocks_times(xs, w_t, spans):
+    """[x_1 | x_2 | ...] @ w_t, summed block by block so the concatenation
+    is never built."""
+    out = xs[0] @ w_t[:spans[0][1]]
+    for x, (lo, hi) in zip(xs[1:], spans[1:]):
+        out += x @ w_t[lo:hi]
+    return out
+
+
+def linear(xs, W, b) -> Tensor:
+    """[x_1 | x_2 | ...] @ W^T + b over row blocks (N, n_i) whose widths sum
+    to W's columns: each block meets its own column slice of W."""
+    W, b = _lift(W), _lift(b)
+    if W.ndim != 2 or b.shape != W.shape[:1]:
+        raise DimensionError(f"linear: incompatible W {W.shape} and b {b.shape}")
+    xs, spans = _row_blocks(xs, W.shape[1], "linear")
+    wd, datas = W.data, [x.data for x in xs]
+    out = _blocks_times(datas, wd.T, spans)
+    out += b.data
+
+    def backward(g):
+        return (*(g @ wd[:, lo:hi] for lo, hi in spans),
+                np.concatenate([g.T @ x for x in datas], axis=1), g.sum(axis=0))
+
+    return _apply("linear", (*xs, W, b), out, backward)
+
+
+def lstm(xs, packing: Packing, fwd=None, bwd=None) -> Tensor:
+    """A bidirectional LSTM layer over packed rows: (N, n) -> (N, 2h).
+
+    `xs` lists the layer input [x_1 | x_2 | ...] as row blocks in the layout
+    of `packing`; each block meets its own column slice of W inside the op,
+    so no concatenation is built. `fwd` and `bwd` are (W (4h, n+h), b (4h,))
+    pairs giving the gates in i|f|o|g order from [x_t ; h_prev] @ W^T + b;
+    either may be None. The result holds the forward direction's h, then the
+    backward direction's. Each sequence runs from the zero state over its own
+    positions, forward, or back from its last token.
+
+    The input projection of every live position is one GEMM per block up
+    front, so only h_prev[:k_s] @ W_h^T runs inside the time loop, and the
+    whole layer is a single tape node. Its backward is one BPTT sweep per
+    direction that computes only the gate gradients dz and dz @ W_h per
+    step; dX, dW and db are then GEMMs (or sums) over the N rows. The
+    per-step buffers backward needs are kept only when some input requires a
+    gradient.
     """
-    x, W, b = _lift(x), _lift(W), _lift(b)
-    if x.ndim != 3 or W.ndim != 2 or W.shape[0] % 4:
-        raise DimensionError(f"lstm: incompatible shapes {x.shape} and {W.shape}")
-    batch, length, n = x.shape
-    four_h = W.shape[0]
-    h = four_h // 4
-    if W.shape[1] != n + h or b.shape != (four_h,):
+    runs = [(reverse, _lift(pair[0]), _lift(pair[1]))
+            for reverse, pair in ((False, fwd), (True, bwd)) if pair is not None]
+    if not runs:
+        raise DimensionError("lstm: need a forward or a backward direction")
+    h = runs[0][1].shape[0] // 4
+    n = runs[0][1].shape[-1] - h
+    xs, spans = _row_blocks(xs, n, "lstm")
+    for _, W, b in runs:
+        if h < 1 or W.shape != (4 * h, n + h) or b.shape != (4 * h,):
+            raise DimensionError(
+                f"lstm: input width {n} needs W (4h, {n}+h) and b (4h,), "
+                f"got W {W.shape} and b {b.shape}")
+    if xs[0].shape[0] != packing.size:
         raise DimensionError(
-            f"lstm: input {x.shape} needs W (4h, {n}+h) and b (4h,), "
-            f"got W {W.shape} and b {b.shape}")
-    live, counts, prev = _packing(_mask_array(mask, (batch, length)), reverse)
-    rows = len(live[0])
+            f"lstm: {xs[0].shape[0]} input rows for {packing.size} live positions")
+    inputs = (*xs, *(t for _, W, b in runs for t in (W, b)))
+    taped = _common_graph(inputs) is not None and any(t.requires_grad for t in inputs)
+    rows, counts, prev = packing.size, packing.counts, packing.prev
     first = rows - len(prev)
-    dtype = x.data.dtype
-    taped = _common_graph((x, W, b)) is not None and (
-        x.requires_grad or W.requires_grad or b.requires_grad)
-
-    # Packed (N, .) buffers keep each step's rows one contiguous block, and
-    # the recurrent weight is copied contiguous: strided operands make the
-    # small per-step ops several times slower.
-    xd = x.data
-    w_x = W.data[:, :n]
-    w_h = np.ascontiguousarray(W.data[:, n:])
+    datas, dtype = [x.data for x in xs], xs[0].data.dtype
     # sigmoid(z) = (1 + tanh(z / 2)) / 2, stable for any z. Halving the i|f|o
     # rows of the forward weights and bias is exact, so one tanh over a whole
     # block gives tanh(z / 2) for i, f, o and tanh(z) for g.
-    half = np.where(np.arange(four_h) < 3 * h, 0.5, 1.0).astype(dtype)
-    w_h_t = np.ascontiguousarray(w_h.T * half)
-    # Pre-activations of every live position from one GEMM; the loop turns
-    # each step's block into its gate activations in place.
-    gates = xd[live] @ (w_x.T * half)
-    gates += b.data * half
-    hs, cs, tanh_c = (np.empty((rows, h), dtype) for _ in range(3))
-    lo = before = 0
-    for k in counts:
-        hi = lo + k
-        z = gates[lo:hi]
-        if lo:
-            z += hs[before:before + k] @ w_h_t
-        np.tanh(z, out=z)
-        sig = z[:, :3 * h]
-        sig += 1.0
-        sig *= 0.5
-        c = np.multiply(z[:, :h], z[:, 3 * h:], out=cs[lo:hi])
-        if lo:
-            c += z[:, h:2 * h] * cs[before:before + k]
-        np.multiply(z[:, 2 * h:3 * h], np.tanh(c, out=tanh_c[lo:hi]), out=hs[lo:hi])
-        before, lo = lo, hi
-    out = np.zeros((batch, length, h), dtype)
-    out[live] = hs
+    half = np.where(np.arange(4 * h) < 3 * h, 0.5, 1.0).astype(dtype)
+    out = np.empty((rows, len(runs) * h), dtype)
+    saved = []
+    for col, (reverse, W, b) in enumerate(runs):
+        # Pre-activations of every live position, reordered into the
+        # direction's steps; the loop turns each step's contiguous block
+        # into its gate activations in place. The recurrent weight is copied
+        # contiguous: strided operands make the small per-step ops slower.
+        gates = _blocks_times(datas, W.data[:, :n].T * half, spans)
+        gates += b.data * half
+        if reverse:
+            gates = gates[packing.reverse]
+        w_h_t = np.ascontiguousarray(W.data[:, n:].T * half)
+        hs, cs, tanh_c = (np.empty((rows, h), dtype) for _ in range(3))
+        lo = before = 0
+        for k in counts:
+            hi = lo + k
+            z = gates[lo:hi]
+            if lo:
+                z += hs[before:before + k] @ w_h_t
+            np.tanh(z, out=z)
+            sig = z[:, :3 * h]
+            sig += 1.0
+            sig *= 0.5
+            c = np.multiply(z[:, :h], z[:, 3 * h:], out=cs[lo:hi])
+            if lo:
+                c += z[:, h:2 * h] * cs[before:before + k]
+            np.multiply(z[:, 2 * h:3 * h], np.tanh(c, out=tanh_c[lo:hi]), out=hs[lo:hi])
+            before, lo = lo, hi
+        out[packing.reverse if reverse else slice(None), col * h:(col + 1) * h] = hs
+        if taped:
+            saved.append((reverse, W.data, gates, hs, cs, tanh_c))
     if not taped:
-        return _apply("lstm", (x, W, b), out, None)
-    x_needs_grad = x.requires_grad
+        return _apply("lstm", inputs, out, None)
+    needs = [x.requires_grad for x in xs]
 
     def backward(g):
-        i, f = gates[:, :h], gates[:, h:2 * h]
-        o, cand = gates[:, 2 * h:3 * h], gates[:, 3 * h:]
-        c_prev = np.zeros_like(cs)
-        c_prev[first:] = cs[prev]
-        # Gate derivatives of every live position; the loop scales step s's
-        # block by [dc, dc, dh, dc] to get dz, the gradient of the
-        # pre-activations.
-        dz = np.empty_like(gates)
-        dz[:, :h] = cand * i * (1.0 - i)
-        dz[:, h:2 * h] = c_prev * f * (1.0 - f)
-        dz[:, 2 * h:3 * h] = tanh_c * o * (1.0 - o)
-        dz[:, 3 * h:] = i * (1.0 - cand * cand)
-        dc_dh = o * (1.0 - tanh_c * tanh_c)
-        dhs = g[live]
-        # The k_{s+1} sequences of the later step pass dh and dc back to the
-        # first k_{s+1} rows of step s; the others end at step s.
-        dh_next = dc_next = np.zeros((0, h), dtype)
-        hi = rows
-        for k in reversed(counts):
-            lo = hi - k
-            dh = dhs[lo:hi]
-            dh[:len(dh_next)] += dh_next
-            dc = dh * dc_dh[lo:hi]
-            dc[:len(dc_next)] += dc_next
-            dz_t = dz[lo:hi]
-            dz_t *= np.concatenate((dc, dc, dh, dc), axis=1)
-            dh_next = dz_t @ w_h
-            dc_next = dc * f[lo:hi]
-            hi = lo
-        db = dz.sum(axis=0)
-        dW = np.concatenate((dz.T @ xd[live], dz[first:].T @ hs[prev]), axis=1)
-        dx = None
-        if x_needs_grad:
-            dx = np.zeros((batch, length, n), dtype)
-            dx[live] = dz @ w_x
-        return dx, dW, db
+        dxs, dweights = [None] * len(spans), []
+        for col, (reverse, w, gates, hs, cs, tanh_c) in enumerate(saved):
+            i, f = gates[:, :h], gates[:, h:2 * h]
+            o, cand = gates[:, 2 * h:3 * h], gates[:, 3 * h:]
+            c_prev = np.zeros_like(cs)
+            c_prev[first:] = cs[prev]
+            # Gate derivatives of every live position; the loop scales step
+            # s's block by [dc, dc, dh, dc] to get dz, the gradient of the
+            # pre-activations.
+            dz = np.empty_like(gates)
+            dz[:, :h] = cand * i * (1.0 - i)
+            dz[:, h:2 * h] = c_prev * f * (1.0 - f)
+            dz[:, 2 * h:3 * h] = tanh_c * o * (1.0 - o)
+            dz[:, 3 * h:] = i * (1.0 - cand * cand)
+            dc_dh = o * (1.0 - tanh_c * tanh_c)
+            dhs = g[:, col * h:(col + 1) * h]
+            dhs = dhs[packing.reverse] if reverse else dhs.copy()
+            # The k_{s+1} sequences of the later step pass dh and dc back to
+            # the first k_{s+1} rows of step s; the others end at step s.
+            w_h = w[:, n:]
+            dh_next = dc_next = np.zeros((0, h), dtype)
+            hi = rows
+            for k in reversed(counts):
+                lo = hi - k
+                dh = dhs[lo:hi]
+                dh[:len(dh_next)] += dh_next
+                dc = dh * dc_dh[lo:hi]
+                dc[:len(dc_next)] += dc_next
+                dz_t = dz[lo:hi]
+                dz_t *= np.concatenate((dc, dc, dh, dc), axis=1)
+                dh_next = dz_t @ w_h
+                dc_next = dc * f[lo:hi]
+                hi = lo
+            db, dw_h = dz.sum(axis=0), dz[first:].T @ hs[prev]
+            if reverse:
+                dz, dz_steps = np.empty_like(dz), dz
+                dz[packing.reverse] = dz_steps
+            dweights += [np.concatenate([dz.T @ x for x in datas] + [dw_h], axis=1), db]
+            for j, (lo, hi) in enumerate(spans):
+                if needs[j]:
+                    dx = dz @ w[:, lo:hi]
+                    dxs[j] = dx if dxs[j] is None else dxs[j] + dx
+        return (*dxs, *dweights)
 
-    return _apply("lstm", (x, W, b), out, backward)
+    return _apply("lstm", inputs, out, backward)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 
 from . import checkpoint as ckpt
@@ -214,6 +215,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    # Library modules log through `logging` (dropped examples, empty
+    # questions); the command line shows their INFO lines on stderr. A host
+    # that configured logging already keeps its own setup.
+    logging.basicConfig(level=logging.INFO, stream=sys.stderr,
+                        format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

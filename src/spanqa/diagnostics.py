@@ -40,6 +40,11 @@ def op_gradcheck_cases(seed: int = 0):
     unsorted_mask = (np.arange(5) < unsorted_lengths[:, None]).astype(np.float64)
     unsorted_x = lstm_rng.normal(size=(4, 5, 3))
     unsorted_weights = lstm_rng.normal(size=(4, 5, 4))
+    lstm_w_bwd = lstm_rng.normal(size=(8, 5)) * 0.5  # a backward direction of its own
+    lstm_b_bwd = lstm_rng.normal(size=(8,)) * 0.5
+    packed, unsorted = ad.Packing(lstm_mask), ad.Packing(unsorted_mask)
+    # the unsorted input as two row blocks [x_1 | x_2] of widths 2 and 1
+    block_1, block_2 = (unsorted_x[unsorted.index][:, cols] for cols in (slice(2), slice(2, 3)))
     take_rng = np.random.default_rng(seed + 2)
     take_index = np.array([2, 0, 2, 1, 2])            # repeats and reorders rows
     take_weights = take_rng.normal(size=(5, 2, 3))
@@ -49,15 +54,21 @@ def op_gradcheck_cases(seed: int = 0):
     column, row, full, full_weights, rows3 = (
         bcast_rng.normal(size=shape)
         for shape in [(2, 4, 1), (2, 1, 3), (2, 4, 3), (2, 4, 3), (3, 2, 5)])
+    rows_rng = np.random.default_rng(seed + 4)
+    lin_1, lin_w, lin_b, lin_weights, pack_weights, unpack_weights = (
+        rows_rng.normal(size=shape)
+        for shape in [(4, 2), (3, 5), (3,), (4, 3), (packed.size, 2), (3, 5, 2)])
 
     def total(x):
         return ad.reduce_sum(x)
 
-    def lstm_both(x, w, b, mask=lstm_mask, weights=lstm_weights):
-        """Both directions over a ragged batch, weighted so every output counts."""
-        both = ad.concat([ad.lstm(x, w, b, mask, reverse=False),
-                          ad.lstm(x, w, b, mask, reverse=True)], axis=2)
-        return total(ad.mul(both, weights))
+    def lstm_both(blocks, w, b, packing=packed, weights=lstm_weights,
+                  bwd=None):
+        """Both directions over a ragged batch's packed rows, weighted so
+        every output counts; the backward direction reuses (w, b) unless
+        given its own."""
+        both = ad.lstm(blocks, packing, fwd=(w, b), bwd=bwd or (w, b))
+        return total(ad.mul(both, ad.pack(weights, packing)))
 
     return [
         ("matmul", lambda t: total(ad.matmul(t, right)), rng.normal(size=(3, 4))),
@@ -87,6 +98,8 @@ def op_gradcheck_cases(seed: int = 0):
         ("max", lambda t: total(ad.reduce_max(t, axis=1)), rng.normal(size=(4, 6))),
         ("add_bias", lambda t: total(ad.mul(ad.add_bias(t, np.arange(5.0)), bias_weights)),
          rng.normal(size=(3, 5))),
+        ("add_bias_b", lambda t: total(ad.mul(ad.add_bias(rows3, t), rows3)),
+         rows_rng.normal(size=(5,))),
         ("expand_batch", lambda t: total(ad.mul(ad.expand_batch(t, 3), np.arange(24.0).reshape(3, 2, 4))),
          rng.normal(size=(2, 4))),
         ("repeat_axis", lambda t: total(ad.mul(ad.repeat_axis(t, 1, 4), np.arange(24.0).reshape(2, 4, 3))),
@@ -97,12 +110,29 @@ def op_gradcheck_cases(seed: int = 0):
          rng.random((3, 6)) * 0.8 + 0.1),
         ("dropout", lambda t: total(ad.dropout(t, 0.4, training=True, seed=99)),
          rng.normal(size=(5, 5))),
-        ("lstm_x", lambda t: lstm_both(t, lstm_w, lstm_b), lstm_x),
-        ("lstm_W", lambda t: lstm_both(lstm_x, t, lstm_b), lstm_w),
-        ("lstm_b", lambda t: lstm_both(lstm_x, lstm_w, t), lstm_b),
+        ("lstm_x", lambda t: lstm_both([t], lstm_w, lstm_b), lstm_x[packed.index]),
+        ("lstm_W", lambda t: lstm_both([lstm_x[packed.index]], t, lstm_b), lstm_w),
+        ("lstm_b", lambda t: lstm_both([lstm_x[packed.index]], lstm_w, t), lstm_b),
         ("lstm_unsorted_x",
-         lambda t: lstm_both(t, lstm_w, lstm_b, unsorted_mask, unsorted_weights),
-         unsorted_x),
+         lambda t: lstm_both([t], lstm_w, lstm_b, unsorted, unsorted_weights),
+         unsorted_x[unsorted.index]),
+        ("lstm_blocks_x",
+         lambda t: lstm_both([block_1, t], lstm_w, lstm_b, unsorted, unsorted_weights,
+                             (lstm_w_bwd, lstm_b_bwd)), block_2),
+        ("lstm_blocks_W_bwd",
+         lambda t: lstm_both([block_1, block_2], lstm_w, lstm_b, unsorted,
+                             unsorted_weights, (t, lstm_b_bwd)), lstm_w_bwd),
+        ("linear_x", lambda t: total(ad.mul(ad.linear([lin_1, t], lin_w, lin_b),
+                                            lin_weights)), rows_rng.normal(size=(4, 3))),
+        ("linear_W", lambda t: total(ad.mul(ad.linear([lin_1, lin_1[:, :1] * 2.0, lin_1],
+                                                      t, lin_b), lin_weights)),
+         rows_rng.normal(size=(3, 5))),
+        ("linear_b", lambda t: total(ad.mul(ad.linear([lin_1, lin_1, lin_1[:, :1]],
+                                                      lin_w, t), lin_weights)), lin_b),
+        ("pack", lambda t: total(ad.mul(ad.pack(t, packed), pack_weights)),
+         rows_rng.normal(size=(3, 5, 2))),
+        ("unpack", lambda t: total(ad.mul(ad.unpack(t, packed), unpack_weights)),
+         rows_rng.normal(size=(packed.size, 2))),
         ("take_rows", lambda t: total(ad.mul(ad.take_rows(t, take_index), take_weights)),
          take_rng.normal(size=(3, 2, 3))),
     ]

@@ -69,7 +69,6 @@ class ModelConfig:
 class ForwardOutput:
     p_start: Tensor    # (B, Lc) masked distribution per row
     p_end: Tensor
-    attention: Tensor  # (B, Lc, 8h), kept for decoding diagnostics
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -158,53 +157,49 @@ def _as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def bilstm(inputs: Tensor, layer_params, mask: np.ndarray, *, hidden_size: int,
-           dropout_rate: float = 0.0, training: bool = False,
-           seeds: _SeedStream | None = None) -> Tensor:
-    """Stacked bidirectional LSTM: (B, L, in) -> (B, L, 2h).
+def _dropout(blocks, rate: float, seeds):
+    """Each block through its own dropout mask; the blocks as they are at rate 0."""
+    if rate == 0.0:
+        return list(blocks)
+    return [ad.dropout(x, rate, True, seeds()) for x in blocks]
 
-    layer_params is a list (one entry per layer) of dicts mapping "fwd"/"bwd"
-    to (W, b). Each mask row must be a run of 1s followed by 0s. Each
-    direction is one fused `ad.lstm` op that computes only a row's live
-    positions and emits zeros at its padding; the backward direction starts
-    from the zero state at each row's last token. Layer k+1 consumes the
-    concatenation of layer k's two directions; while training, dropout is
-    applied once to each layer's whole input.
+
+def bilstm(blocks, layer_params, packing: ad.Packing, *, dropout_rate: float = 0.0,
+           seeds: _SeedStream | None = None) -> Tensor:
+    """Stacked bidirectional LSTM over packed rows: blocks (N, n_i) -> (N, 2h).
+
+    `blocks` is the first layer's input [x_1 | x_2 | ...] as row blocks in
+    the layout of `packing`; layer_params is a list (one entry per layer) of
+    dicts mapping "fwd"/"bwd" to (W, b). Each layer is one `ad.lstm` op that
+    computes only live positions and writes both directions into one
+    (N, 2h) result, which the next layer reads whole. The backward direction
+    starts from the zero state at each sequence's last token. With dropout,
+    each block of each layer's input draws its own mask.
     """
-    mask = np.asarray(mask, dtype=np.float64)
-    batch, length, _ = inputs.shape
-    if mask.shape != (batch, length):
-        raise ad.DimensionError(
-            f"bilstm: mask shape {mask.shape} does not match input {inputs.shape}")
-    out = inputs
+    out = list(blocks)
     for layer in layer_params:
-        for weight, _ in layer.values():
-            if weight.shape[0] != 4 * hidden_size:
-                raise ad.DimensionError(
-                    f"bilstm: weight shape {weight.shape} does not match "
-                    f"hidden_size {hidden_size}")
-        if dropout_rate > 0.0 and training:
-            out = ad.dropout(out, dropout_rate, training, seeds())
-        out = ad.concat([ad.lstm(out, *layer["fwd"], mask, reverse=False),
-                         ad.lstm(out, *layer["bwd"], mask, reverse=True)], axis=2)
-    return out
+        out = [ad.lstm(_dropout(out, dropout_rate, seeds), packing,
+                       fwd=layer["fwd"], bwd=layer["bwd"])]
+    return out[0]
 
 
 def bidaf_attention(context: Tensor, question: Tensor, w_sim,
-                    context_mask: np.ndarray, question_mask: np.ndarray) -> Tensor:
-    """Bidirectional attention: (B,Lc,2h) x (B,Lq,2h) -> (B,Lc,8h).
+                    context_packing: ad.Packing, question_packing: ad.Packing) -> Tensor:
+    """Bidirectional attention over packed rows: (N,2h) x (Nq,2h) -> G (N,8h).
 
     Similarity S[b,i,j] = w_sim . [c_i ; q_j ; c_i*q_j]. With w_sim split
     into [w_c ; w_q ; w_m], S = w_c.c_i + (c_i*w_m + w_q).q_j: a (B,Lc,1)
-    column broadcast over a (B,Lc,Lq) bmm, so no (Lc*Lq x 6h) tensor is
-    built. Context-to-question: u~_i = sum_j softmax_j(S[i,j]) q_j over the
-    unmasked question positions. Question-to-context: the row maxima of S
-    over those positions, softmaxed over the unmasked context positions,
-    weight one summary h~ of the context per example, broadcast to every
-    position. Output rows are [c ; u~ ; c*u~ ; c*h~].
+    column broadcast over a (B,Lc,Lq) bmm of the unpacked (zero-padded)
+    encodings, so no (Lc*Lq x 6h) tensor is built. Context-to-question:
+    u~_i = sum_j softmax_j(S[i,j]) q_j over the unmasked question positions.
+    Question-to-context: the row maxima of S over those positions, softmaxed
+    over the unmasked context positions, weight one summary h~ of the
+    context per example. G's rows [c ; u~ ; c*u~ ; c*h~] are built for the
+    live context positions only, in the context packing's order.
     """
     w_sim = _as_tensor(w_sim)
-    batch, lc, two_h = context.shape
+    two_h = context.shape[1]
+    batch, lc = context_packing.shape
     if w_sim.shape != (3 * two_h,):
         raise ad.DimensionError(
             f"bidaf: w_sim shape {w_sim.shape} does not match 3*{two_h}")
@@ -212,58 +207,55 @@ def bidaf_attention(context: Tensor, question: Tensor, w_sim,
     w_q = ad.slice_axis(w_sim, 0, two_h, 2 * two_h)
     w_m = ad.slice_axis(w_sim, 0, 2 * two_h, 3 * two_h)
 
-    s_context = ad.reshape(ad.matmul(ad.reshape(context, (batch * lc, two_h)), w_c),
+    padded = ad.unpack(context, context_packing)                     # (B,Lc,2h)
+    q_padded = ad.unpack(question, question_packing)
+    s_context = ad.reshape(ad.matmul(ad.reshape(padded, (batch * lc, two_h)), w_c),
                            (batch, lc, 1))
-    s_cross = ad.bmm(ad.add(ad.mul(context, w_m), w_q), ad.transpose(question))
+    s_cross = ad.bmm(ad.add(ad.mul(padded, w_m), w_q), ad.transpose(q_padded))
     sim = ad.add(s_context, s_cross)                                  # (B,Lc,Lq)
 
-    q_mask = np.asarray(question_mask)[:, None, :]                   # (B,1,Lq)
-    u_tilde = ad.bmm(ad.masked_softmax(sim, q_mask), question)       # (B,Lc,2h)
+    q_mask = question_packing.mask[:, None, :]                       # (B,1,Lq)
+    u_tilde = ad.bmm(ad.masked_softmax(sim, q_mask), q_padded)       # (B,Lc,2h)
+    u_tilde = ad.pack(u_tilde, context_packing)                      # (N,2h)
 
     block = ((q_mask - 1.0) * 1e30).astype(sim.data.dtype, copy=False)
     row_best = ad.reduce_max(ad.add(sim, block), axis=2)             # (B,Lc)
-    q2c = ad.masked_softmax(row_best, context_mask)
-    h_tilde = ad.bmm(ad.reshape(q2c, (batch, 1, lc)), context)       # (B,1,2h)
+    q2c = ad.masked_softmax(row_best, context_packing.mask)
+    h_tilde = ad.reshape(ad.bmm(ad.reshape(q2c, (batch, 1, lc)), padded),
+                         (batch, two_h))
+    h_tilde = ad.take_rows(h_tilde, context_packing.index[0])        # (N,2h)
 
     return ad.concat([context, u_tilde, ad.mul(context, u_tilde),
-                      ad.mul(context, h_tilde)], axis=2)
+                      ad.mul(context, h_tilde)], axis=1)
 
 
-def _head_logits(attention_out, decoder_out, head, *, dropout_rate, training,
-                 seeds):
-    """Per-position logit: FC2(relu(FC1([G_i ; M_i]))), dropout on FC1 input."""
-    batch, length, _ = attention_out.shape
-    features = ad.concat([attention_out, decoder_out], axis=2)   # (B,L,10h)
-    if dropout_rate > 0.0 and training:
-        features = ad.dropout(features, dropout_rate, training, seeds())
-    w1, b1, w2, b2 = (_as_tensor(head[k]) for k in ("W1", "b1", "W2", "b2"))
-    rows = ad.reshape(features, (batch * length, features.shape[2]))
-    hidden = ad.relu(ad.add(ad.matmul(rows, ad.transpose(w1)), b1))
-    logits = ad.add(ad.matmul(hidden, ad.transpose(w2)), b2)
-    return ad.reshape(logits, (batch, length))
+def _head_logits(blocks, head, packing, *, dropout_rate, seeds):
+    """Per-position logit FC2(relu(FC1([G_i ; M_i]))) over the packed rows,
+    with dropout on each FC1 input block, scattered to (B, L)."""
+    hidden = ad.relu(ad.linear(_dropout(blocks, dropout_rate, seeds),
+                               head["W1"], head["b1"]))
+    logits = ad.linear([hidden], head["W2"], head["b2"])             # (N,1)
+    return ad.unpack(ad.reshape(logits, (packing.size,)), packing)
 
 
 def start_decoder(attention_out: Tensor, decoder_params, head_params,
-                  mask: np.ndarray, *, hidden_size: int, dropout_rate: float = 0.0,
-                  training: bool = False, seeds=None):
+                  packing: ad.Packing, *, dropout_rate: float = 0.0, seeds=None):
     """1-layer BiLSTM over G plus the start head -> (M_start, start_logits)."""
-    m_start = bilstm(attention_out, [decoder_params], mask,
-                     hidden_size=hidden_size, dropout_rate=dropout_rate,
-                     training=training, seeds=seeds)
-    logits = _head_logits(attention_out, m_start, head_params,
-                          dropout_rate=dropout_rate, training=training, seeds=seeds)
+    m_start = bilstm([attention_out], [decoder_params], packing,
+                     dropout_rate=dropout_rate, seeds=seeds)
+    logits = _head_logits([attention_out, m_start], head_params, packing,
+                          dropout_rate=dropout_rate, seeds=seeds)
     return m_start, logits
 
 
 def end_decoder(attention_out: Tensor, m_start: Tensor, decoder_params,
-                head_params, mask: np.ndarray, *, hidden_size: int,
-                dropout_rate: float = 0.0, training: bool = False, seeds=None):
+                head_params, packing: ad.Packing, *, dropout_rate: float = 0.0,
+                seeds=None):
     """Conditioning decoder: BiLSTM over [G ; M_start] plus the end head."""
-    conditioned = ad.concat([attention_out, m_start], axis=2)    # (B,Lc,10h)
-    m_end = bilstm(conditioned, [decoder_params], mask, hidden_size=hidden_size,
-                   dropout_rate=dropout_rate, training=training, seeds=seeds)
-    logits = _head_logits(attention_out, m_end, head_params,
-                          dropout_rate=dropout_rate, training=training, seeds=seeds)
+    m_end = bilstm([attention_out, m_start], [decoder_params], packing,
+                   dropout_rate=dropout_rate, seeds=seeds)
+    logits = _head_logits([attention_out, m_end], head_params, packing,
+                          dropout_rate=dropout_rate, seeds=seeds)
     return m_end, logits
 
 
@@ -288,6 +280,12 @@ def _distinct_contexts(batch: Batch):
     return first, inverse.reshape(-1)
 
 
+def _encode(ids, packing, encoder, table, dtype, *, dropout_rate, seeds):
+    """Embed the live ids of `packing` and run the encoder: (N, 2h) rows."""
+    return bilstm([embed(np.asarray(ids)[packing.index], table, dtype)], encoder,
+                  packing, dropout_rate=dropout_rate, seeds=seeds)
+
+
 def forward(batch: Batch, params, table: EmbeddingTable, config: ModelConfig,
             training: bool = False, step: int = 0) -> ForwardOutput:
     """Embed -> encode -> attend -> decode start -> decode end -> softmax.
@@ -297,7 +295,10 @@ def forward(batch: Batch, params, table: EmbeddingTable, config: ModelConfig,
     in. `step` varies the dropout masks between training iterations while
     keeping them reproducible.
 
-    The context encoder does not see the question, so a pass without dropout
+    Each mask is packed once (`ad.Packing`), and every layer from the
+    embeddings to the heads runs on the packed live rows; only the
+    attention's similarity and the final softmaxes see (B, L) tensors. The
+    context encoder does not see the question, so a pass without dropout
     embeds and encodes each distinct (context ids, context mask) row once
     and gathers the encodings back to the batch's rows with `ad.take_rows`
     (SQuAD asks several questions per paragraph). With dropout, each row
@@ -306,41 +307,38 @@ def forward(batch: Batch, params, table: EmbeddingTable, config: ModelConfig,
     pt = {name: _as_tensor(value) for name, value in params.items()}
     dtype = pt["attention.w_sim"].data.dtype
     seeds = _SeedStream(config.seed, step)
-    h = config.hidden_size
     rate = config.dropout_rate if training else 0.0
+    encode = dict(encoder=[_layer_group(pt, f"encoder.l{k}")
+                           for k in range(config.encoder_layers)],
+                  table=table, dtype=dtype, dropout_rate=rate, seeds=seeds)
 
-    encoder = [_layer_group(pt, f"encoder.l{k}") for k in range(config.encoder_layers)]
-    context_ids, context_mask = batch.context_ids, batch.context_mask
+    contexts = ad.Packing(batch.context_mask)
     shared = _distinct_contexts(batch) if rate == 0.0 else None
-    if shared is not None:
+    if shared is None:
+        context = _encode(batch.context_ids, contexts, **encode)
+    else:
         first, inverse = shared
-        context_ids, context_mask = context_ids[first], context_mask[first]
-    context = bilstm(embed(context_ids, table, dtype), encoder, context_mask,
-                     hidden_size=h, dropout_rate=rate, training=training,
-                     seeds=seeds)
-    if shared is not None:
-        context = ad.take_rows(context, inverse)
-    question = bilstm(embed(batch.question_ids, table, dtype), encoder,
-                      batch.question_mask, hidden_size=h, dropout_rate=rate,
-                      training=training, seeds=seeds)
+        distinct = ad.Packing(np.asarray(batch.context_mask)[first])
+        context = _encode(np.asarray(batch.context_ids)[first], distinct, **encode)
+        # the packed row of each live batch position within its distinct context
+        where = np.zeros(distinct.shape, np.int64)
+        where[distinct.index] = np.arange(distinct.size)
+        rows, positions = contexts.index
+        context = ad.take_rows(context, where[inverse[rows], positions])
+    questions = ad.Packing(batch.question_mask)
+    question = _encode(batch.question_ids, questions, **encode)
 
     attention_out = bidaf_attention(context, question, pt["attention.w_sim"],
-                                    batch.context_mask, batch.question_mask)
-
+                                    contexts, questions)
     m_start, start_logits = start_decoder(
         attention_out, _layer_group(pt, "start_decoder"), _head_group(pt, "start_head"),
-        batch.context_mask, hidden_size=h, dropout_rate=rate, training=training,
-        seeds=seeds)
+        contexts, dropout_rate=rate, seeds=seeds)
     _, end_logits = end_decoder(
         attention_out, m_start, _layer_group(pt, "end_decoder"),
-        _head_group(pt, "end_head"), batch.context_mask, hidden_size=h,
-        dropout_rate=rate, training=training, seeds=seeds)
+        _head_group(pt, "end_head"), contexts, dropout_rate=rate, seeds=seeds)
 
-    return ForwardOutput(
-        p_start=ad.masked_softmax(start_logits, batch.context_mask),
-        p_end=ad.masked_softmax(end_logits, batch.context_mask),
-        attention=attention_out,
-    )
+    return ForwardOutput(p_start=ad.masked_softmax(start_logits, contexts.mask),
+                         p_end=ad.masked_softmax(end_logits, contexts.mask))
 
 
 def loss(out: ForwardOutput, gold_starts, gold_ends, mask) -> Tensor:

@@ -9,6 +9,9 @@ broadcast sum of three smaller terms and masked softmaxes over padded rows.
 
 import numpy as np
 
+from spanqa import autodiff as ad
+from spanqa.model import bidaf_attention
+
 
 def _softmax(x):
     e = np.exp(x - x.max())
@@ -39,3 +42,13 @@ def bidaf_reference(context, question, w_sim, context_mask, question_mask):
         out[b] = np.concatenate([c[b], u_tilde, c[b] * u_tilde, c[b] * h_tilde],
                                 axis=1)
     return out
+
+
+def packed_attention(context, question, w_sim, context_mask, question_mask):
+    """``model.bidaf_attention`` under the reference's padded contract: the
+    encodings are packed by their masks, and G is unpacked to (B, Lc, 8h)
+    with zeros at the padded context positions."""
+    contexts, questions = ad.Packing(context_mask), ad.Packing(question_mask)
+    out = bidaf_attention(ad.pack(context, contexts), ad.pack(question, questions),
+                          w_sim, contexts, questions)
+    return ad.unpack(out, contexts)

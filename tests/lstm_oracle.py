@@ -1,4 +1,4 @@
-"""Unrolled reference LSTM, kept as the oracle for the fused ``autodiff.lstm``.
+"""Unrolled reference LSTM, kept as the oracle for the packed ``autodiff.lstm``.
 
 Each direction is built step by step from generic tape ops (slice, concat,
 matmul, sigmoid, tanh, mul, add), exactly as the model computed it before the
@@ -66,8 +66,17 @@ def _stack(steps, hidden) -> Tensor:
     return ad.concat([ad.reshape(s, (batch, 1, hidden)) for s in steps], axis=1)
 
 
+def packed_lstm(x, weight, bias, mask, reverse: bool = False) -> Tensor:
+    """One direction of ``autodiff.lstm`` under the oracle's padded contract:
+    x (B, L, n) is packed by its mask, run, and unpacked to (B, L, h) with
+    zeros at padding, so both take and return the same arrays."""
+    packing = ad.Packing(mask)
+    direction = {"bwd" if reverse else "fwd": (weight, bias)}
+    return ad.unpack(ad.lstm([ad.pack(x, packing)], packing, **direction), packing)
+
+
 def unrolled_lstm(x, weight, bias, mask, reverse: bool = False) -> Tensor:
-    """Same contract as ``autodiff.lstm``: (B, L, n) -> (B, L, h)."""
+    """One LSTM direction: (B, L, n) -> (B, L, h), zeros at padding."""
     x, weight = _as_tensor(x), _as_tensor(weight)
     mask = np.asarray(mask, dtype=np.float64)
     hidden = weight.shape[0] // 4
@@ -77,7 +86,7 @@ def unrolled_lstm(x, weight, bias, mask, reverse: bool = False) -> Tensor:
 
 
 def unrolled_bilstm(inputs, layer_params, mask, hidden_size: int) -> Tensor:
-    """Same contract as ``model.bilstm`` without dropout: (B, L, in) -> (B, L, 2h)."""
+    """``model.bilstm`` without dropout, on padded rows: (B, L, in) -> (B, L, 2h)."""
     mask = np.asarray(mask, dtype=np.float64)
     steps = _time_steps(_as_tensor(inputs), mask.shape[1])
     for layer in layer_params:

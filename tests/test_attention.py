@@ -1,11 +1,14 @@
-"""model.bidaf_attention against the plain reference in bidaf_oracle.py."""
+"""model.bidaf_attention against the plain reference in bidaf_oracle.py.
+
+The model attends over packed live rows; `packed_attention` packs the padded
+inputs by their masks and unpacks G, so both sides read and return the same
+padded arrays."""
 
 import numpy as np
 import pytest
 
-from bidaf_oracle import bidaf_reference
+from bidaf_oracle import bidaf_reference, packed_attention
 from spanqa import autodiff as ad
-from spanqa.model import bidaf_attention
 
 
 def ragged_inputs(seed, hidden, batch=5, lc=9, lq=6):
@@ -26,21 +29,23 @@ def ragged_inputs(seed, hidden, batch=5, lc=9, lq=6):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_matches_reference(seed, hidden):
     inputs = ragged_inputs(seed, hidden)
-    got = bidaf_attention(*(ad.Tensor(x) for x in inputs[:2]), *inputs[2:])
+    got = packed_attention(*(ad.Tensor(x) for x in inputs[:2]), *inputs[2:])
     want = bidaf_reference(*inputs)
     assert got.shape == want.shape == (5, 9, 8 * hidden)
-    assert np.abs(got.data - want).max() < 1e-12
+    live = inputs[3] > 0
+    assert np.abs(got.data[live] - want[live]).max() < 1e-12
+    assert np.all(got.data[~live] == 0.0)
 
 
 def test_live_rows_do_not_see_padding():
     """Each row's live positions equal that example attended on its own,
     unpadded, so nothing leaks in from the padding or from the other rows."""
     context, question, w_sim, context_mask, question_mask = ragged_inputs(3, 4)
-    batched = bidaf_attention(ad.Tensor(context), ad.Tensor(question), w_sim,
+    batched = packed_attention(ad.Tensor(context), ad.Tensor(question), w_sim,
                               context_mask, question_mask).data
     for b in range(len(context)):
         lc, lq = int(context_mask[b].sum()), int(question_mask[b].sum())
-        alone = bidaf_attention(ad.Tensor(context[b:b + 1, :lc]),
+        alone = packed_attention(ad.Tensor(context[b:b + 1, :lc]),
                                 ad.Tensor(question[b:b + 1, :lq]), w_sim,
                                 np.ones((1, lc)), np.ones((1, lq))).data
         assert np.abs(batched[b, :lc] - alone[0]).max() < 1e-12
@@ -56,7 +61,7 @@ def test_gradients(probe):
     def loss(t):
         args = {name: ad.Tensor(value) for name, value in values.items()}
         args[probe] = t
-        out = bidaf_attention(args["context"], args["question"], args["w_sim"],
+        out = packed_attention(args["context"], args["question"], args["w_sim"],
                               context_mask, question_mask)
         return ad.reduce_sum(ad.mul(out, weights))
 

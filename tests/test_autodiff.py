@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spanqa import autodiff as ad
+from spanqa.diagnostics import OP_THRESHOLD, op_gradcheck_cases
 
 
 def scalar_loss(f):
@@ -367,54 +368,10 @@ class TestGradCheck:
         assert ad.grad_check(self._tiny_gradient_loss(True), x) > 0.4
 
 
-def _gradcheck_cases():
-    """One scalar-valued probe per registered differentiable op."""
-    rng = np.random.default_rng(2024)
-    b = rng.normal(size=(4, 5))
-    m3 = rng.normal(size=(2, 3, 4))
-    mask = np.ones((3, 6))
-    mask[0, 4:] = 0.0
-    mask[2, 2:] = 0.0
-    gold = np.array([1, 0, 1])
-    return [
-        ("matmul", lambda t: ad.reduce_sum(ad.matmul(t, b)), rng.normal(size=(3, 4))),
-        ("bmm", lambda t: ad.reduce_sum(ad.bmm(t, m3)), rng.normal(size=(2, 4, 3))),
-        ("add", lambda t: ad.reduce_sum(ad.add(t, b)), rng.normal(size=(4, 5))),
-        ("sub", lambda t: ad.reduce_sum(ad.sub(b, t)), rng.normal(size=(4, 5))),
-        ("mul", lambda t: ad.reduce_sum(ad.mul(t, b)), rng.normal(size=(4, 5))),
-        ("tanh", scalar_loss(ad.tanh), rng.normal(size=(4, 4))),
-        ("sigmoid", scalar_loss(ad.sigmoid), rng.normal(size=(4, 4))),
-        ("relu", scalar_loss(ad.relu), rng.normal(size=(4, 4))),
-        ("concat", lambda t: ad.reduce_sum(ad.concat([t, ad.Tensor(b)], axis=0)),
-         rng.normal(size=(2, 5))),
-        ("slice", lambda t: ad.reduce_sum(ad.slice_axis(t, 1, 1, 3)),
-         rng.normal(size=(3, 5))),
-        ("reshape", lambda t: ad.reduce_sum(ad.reshape(t, (6, 2))),
-         rng.normal(size=(3, 4))),
-        ("transpose", scalar_loss(ad.transpose), rng.normal(size=(3, 4))),
-        ("sum", ad.reduce_sum, rng.normal(size=(3, 3))),
-        ("max", lambda t: ad.reduce_sum(ad.reduce_max(t, axis=1)),
-         rng.normal(size=(4, 6))),
-        ("add_bias", lambda t: ad.reduce_sum(ad.add_bias(t, np.arange(5.0))),
-         rng.normal(size=(3, 2, 5))),
-        ("add_bias_b", lambda t: ad.reduce_sum(ad.mul(ad.add_bias(b, t), b)),
-         rng.normal(size=(5,))),
-        ("expand_batch", lambda t: ad.reduce_sum(ad.mul(ad.expand_batch(t, 3), np.arange(24.0).reshape(3, 2, 4))),
-         rng.normal(size=(2, 4))),
-        ("repeat_axis", lambda t: ad.reduce_sum(ad.mul(ad.repeat_axis(t, 1, 4), np.arange(24.0).reshape(2, 4, 3))),
-         rng.normal(size=(2, 1, 3))),
-        ("masked_softmax", lambda t: ad.reduce_sum(ad.mul(ad.masked_softmax(t, mask), np.arange(18.0).reshape(3, 6))),
-         rng.normal(size=(3, 6))),
-        ("cross_entropy", lambda t: ad.cross_entropy(t, gold, mask),
-         rng.random((3, 6)) * 0.8 + 0.1),
-        ("dropout", lambda t: ad.reduce_sum(ad.dropout(t, 0.4, training=True, seed=99)),
-         rng.normal(size=(5, 5))),
-    ]
-
-
-@pytest.mark.parametrize("name,f,x", _gradcheck_cases(), ids=lambda c: c if isinstance(c, str) else "")
+@pytest.mark.parametrize("name,f,x", op_gradcheck_cases(),
+                         ids=lambda c: c if isinstance(c, str) else "")
 def test_every_op_passes_gradcheck(name, f, x):
-    assert ad.grad_check(f, x, eps=1e-5) < 1e-4
+    assert ad.grad_check(f, x, eps=1e-5) < OP_THRESHOLD
 
 
 def test_debug_mode_flags_nonfinite():

@@ -285,18 +285,35 @@ class TestGradcheckCommand:
         assert not all_ok
 
 
-def test_module_entrypoint_runs():
+def _run_module(*args):
+    """`python -m spanqa.cli ARGS` in a child process that imports the same
+    spanqa as this one, installed or not."""
     import os
     import subprocess
     import sys
     from pathlib import Path
 
     import spanqa
-    # the child imports the same spanqa as this process, installed or not
     source_root = str(Path(spanqa.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-m", "spanqa.cli", "gradcheck"],
-                            capture_output=True, text=True, timeout=600,
-                            env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, "-m", "spanqa.cli", *args],
+                          capture_output=True, text=True, timeout=600,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def test_module_entrypoint_runs():
+    result = _run_module("gradcheck")
     assert result.returncode == 0
     assert "all passed" in result.stdout
+
+
+def test_info_log_lines_reach_stderr(fixtures_dir, tmp_path):
+    # a 20-token cap leaves some gold spans outside the context, so training
+    # drops those examples and says so at INFO level
+    result = _run_module(
+        "train", "--data", str(fixtures_dir / "tiny_squad.json"),
+        "--glove", str(fixtures_dir / "tiny_glove.txt"),
+        "--out", str(tmp_path / "m.ckpt"), "--iters", "1", "--batch-size", "4",
+        "--hidden", "4", "--embed-dim", "32", "--context-cap", "20")
+    assert result.returncode == 0, result.stderr
+    assert "INFO spanqa.training: dropped" in result.stderr

@@ -1,11 +1,15 @@
-"""The fused LSTM op against the unrolled oracle in lstm_oracle.py."""
+"""The packed LSTM op against the unrolled oracle in lstm_oracle.py.
+
+Most checks run one direction through `packed_lstm`, which packs a padded
+batch, runs `ad.lstm` and unpacks the result, so the op and the oracle see
+and return the same padded arrays, gradients included."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from lstm_oracle import unrolled_bilstm, unrolled_lstm
+from lstm_oracle import packed_lstm, unrolled_bilstm, unrolled_lstm
 from spanqa import autodiff as ad
 from spanqa.autodiff import Graph
 from spanqa.diagnostics import (OP_THRESHOLD, make_tiny_problem,
@@ -48,7 +52,7 @@ def test_fused_direction_matches_oracle(reverse, batch, length, in_dim, hidden):
     weight, bias = direction_params(rng, in_dim, hidden)
     mask = ragged_mask(batch, length)
     probe = rng.normal(size=(batch, length, hidden))
-    fused, fused_grads = run_direction(ad.lstm, x, weight, bias, mask, reverse, probe)
+    fused, fused_grads = run_direction(packed_lstm, x, weight, bias, mask, reverse, probe)
     ref, ref_grads = run_direction(unrolled_lstm, x, weight, bias, mask, reverse,
                                    probe)
     assert np.abs(fused - ref).max() < FORWARD_TOL
@@ -63,7 +67,7 @@ def test_masked_steps_get_no_gradient_and_emit_zeros():
     weight, bias = direction_params(rng, 2, 3)
     mask = ragged_mask(3, 5)
     for reverse in (False, True):
-        out, (dx, _, _) = run_direction(ad.lstm, x, weight, bias, mask, reverse,
+        out, (dx, _, _) = run_direction(packed_lstm, x, weight, bias, mask, reverse,
                                         np.ones((3, 5, 3)))
         assert np.all(out[mask == 0] == 0.0)
         assert np.all(dx[mask == 0] == 0.0)
@@ -86,7 +90,7 @@ def test_packed_direction_matches_oracle_in_any_row_order(reverse, lengths):
     weight, bias = direction_params(rng, in_dim, hidden)
     mask = prefix_mask(lengths, length)
     probe = rng.normal(size=(batch, length, hidden))
-    fused, fused_grads = run_direction(ad.lstm, x, weight, bias, mask, reverse, probe)
+    fused, fused_grads = run_direction(packed_lstm, x, weight, bias, mask, reverse, probe)
     ref, ref_grads = run_direction(unrolled_lstm, x, weight, bias, mask, reverse,
                                    probe)
     assert np.abs(fused - ref).max() < FORWARD_TOL
@@ -105,9 +109,11 @@ def test_non_prefix_mask_rejected(mask):
     rng = np.random.default_rng(8)
     weight, bias = direction_params(rng, 2, 2)
     x = rng.normal(size=mask.shape + (2,))
+    with pytest.raises(ad.DimensionError, match="run of 1s"):
+        ad.Packing(mask)
     for reverse in (False, True):
         with pytest.raises(ad.DimensionError, match="run of 1s"):
-            ad.lstm(x, weight, bias, mask, reverse=reverse)
+            packed_lstm(x, weight, bias, mask, reverse=reverse)
 
 
 def test_stacked_bilstm_matches_oracle():
@@ -129,7 +135,11 @@ def test_stacked_bilstm_matches_oracle():
         flat = [xt] + [t for layer in taped for pair in layer.values() for t in pair]
         return out.data, [grads[t.node_id] for t in flat]
 
-    fused, fused_grads = run(lambda xt, p, m, h: bilstm(xt, p, m, hidden_size=h))
+    def packed(xt, p, m, h):
+        packing = ad.Packing(m)
+        return ad.unpack(bilstm([ad.pack(xt, packing)], p, packing), packing)
+
+    fused, fused_grads = run(packed)
     ref, ref_grads = run(unrolled_bilstm)
     assert np.abs(fused - ref).max() < FORWARD_TOL
     for got, want in zip(fused_grads, ref_grads):
@@ -141,8 +151,8 @@ def test_untaped_call_matches_taped_and_stays_detached():
     x = rng.normal(size=(2, 4, 3))
     weight, bias = direction_params(rng, 3, 2)
     mask = ragged_mask(2, 4)
-    detached = ad.lstm(x, weight, bias, mask, reverse=True)
-    taped, _ = run_direction(ad.lstm, x, weight, bias, mask, True,
+    detached = packed_lstm(x, weight, bias, mask, reverse=True)
+    taped, _ = run_direction(packed_lstm, x, weight, bias, mask, True,
                              np.ones((2, 4, 2)))
     assert detached.graph is None
     assert np.array_equal(detached.data, taped)
@@ -154,15 +164,15 @@ def test_untaped_call_keeps_no_bptt_buffers():
     # keep none of them alive
     rng = np.random.default_rng(7)
     batch, length, in_dim, hidden = 8, 60, 16, 32
-    x = rng.normal(size=(batch, length, in_dim))
+    packing = ad.Packing(np.ones((batch, length)))
+    x = rng.normal(size=(packing.size, in_dim))
     weight, bias = direction_params(rng, in_dim, hidden)
-    mask = np.ones((batch, length))
     buffers = 7 * batch * length * hidden * 8
 
     def retained(inputs):
         tracemalloc.start()
         try:
-            out = ad.lstm(*inputs, mask)
+            out = ad.lstm([inputs[0]], packing, fwd=inputs[1:])
             return tracemalloc.get_traced_memory()[0], out
         finally:
             tracemalloc.stop()
@@ -183,15 +193,15 @@ def test_taped_buffers_scale_with_live_positions():
     rng = np.random.default_rng(9)
     batch, length, in_dim, hidden = 8, 60, 16, 32
     lengths = [60, 10, 35, 20, 50, 5, 30, 15]      # 225 of 480 positions
-    x = rng.normal(size=(batch, length, in_dim))
+    packing = ad.Packing(prefix_mask(lengths, length))
+    x = rng.normal(size=(packing.size, in_dim))
     weight, bias = direction_params(rng, in_dim, hidden)
-    mask = prefix_mask(lengths, length)
     live_buffers = 7 * sum(lengths) * hidden * 8
 
     def retained(inputs):
         tracemalloc.start()
         try:
-            out = ad.lstm(*inputs, mask, reverse=True)
+            out = ad.lstm([inputs[0]], packing, bwd=inputs[1:])
             return tracemalloc.get_traced_memory()[0], out
         finally:
             tracemalloc.stop()
@@ -200,21 +210,29 @@ def test_taped_buffers_scale_with_live_positions():
     trainable = Graph()
     taped, _ = retained(tuple(trainable.leaf(v, requires_grad=True)
                               for v in (x, weight, bias)))
-    # the margin covers the packing index and the contiguous recurrent weight;
-    # buffers over all B*L positions would be 480 / 225 = 2.1 times as large
+    # the margin covers the reordered gradient and the recurrent weight
+    # copy; buffers over all B*L positions would be 2.1 times as large
     assert 0.9 * live_buffers < taped - untaped < 1.2 * live_buffers
 
 
 def test_shape_errors():
-    x = np.zeros((2, 3, 4))
+    packing = ad.Packing(np.ones((2, 3)))
+    x = np.zeros((6, 4))
     with pytest.raises(ad.DimensionError):
-        ad.lstm(x, np.zeros((8, 5)), np.zeros(8), np.ones((2, 3)))   # needs 4+2
+        ad.lstm([x], packing, fwd=(np.zeros((8, 5)), np.zeros(8)))     # needs 4+2
     with pytest.raises(ad.DimensionError):
-        ad.lstm(x, np.zeros((8, 6)), np.zeros(4), np.ones((2, 3)))
+        ad.lstm([x], packing, fwd=(np.zeros((8, 6)), np.zeros(4)))
     with pytest.raises(ad.DimensionError):
-        ad.lstm(x, np.zeros((8, 6)), np.zeros(8), np.ones((3, 2)))
+        ad.lstm([np.zeros((5, 4))], packing, fwd=(np.zeros((8, 6)), np.zeros(8)))
     with pytest.raises(ad.DimensionError):
-        ad.lstm(np.zeros((2, 3)), np.zeros((8, 5)), np.zeros(8), np.ones((2, 3)))
+        ad.lstm([np.zeros((6, 2)), np.zeros((5, 2))], packing,
+                fwd=(np.zeros((8, 6)), np.zeros(8)))
+    with pytest.raises(ad.DimensionError):
+        ad.lstm([np.zeros((2, 3, 4))], packing, fwd=(np.zeros((8, 6)), np.zeros(8)))
+    with pytest.raises(ad.DimensionError):
+        ad.lstm([x], packing)
+    with pytest.raises(ad.DimensionError):
+        ad.Packing(np.ones(3))
 
 
 @pytest.mark.parametrize("name,f,x", [c for c in op_gradcheck_cases(0)
@@ -246,7 +264,11 @@ def test_dropout_is_one_call_per_layer_input(monkeypatch):
     monkeypatch.setattr(ad, "dropout", counting)
     config, params, table, batch = make_tiny_problem(dropout=0.2)
     forward(batch, params, table, config, training=True)
-    # each call covers a whole (B, L, width) layer input, never one time step:
-    # two encoder layers for context and question, two decoders, two heads
-    assert len(calls) == 2 * config.encoder_layers + 2 + 2
-    assert all(len(shape) == 3 for shape in calls)
+    # each call covers one input block of a layer or head over all its packed
+    # live rows, never one time step: two encoder layers for context and
+    # question, G into the start decoder, then [G | M] into the start head,
+    # the end decoder and the end head
+    assert len(calls) == 2 * config.encoder_layers + 1 + 3 * 2
+    live = int(batch.context_mask.sum())
+    assert [n for n, _ in calls[2 * config.encoder_layers:]] == [live] * 7
+    assert all(len(shape) == 2 for shape in calls)

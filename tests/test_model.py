@@ -3,13 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from bidaf_oracle import packed_attention
+
 from spanqa import autodiff as ad
 from spanqa.autodiff import ConfigError, Graph, Tensor
 from spanqa.data import Batch, EmbeddingTable
 from spanqa.diagnostics import end_to_end_gradcheck, make_tiny_problem
-from spanqa.model import (ModelConfig, bidaf_attention, bilstm, embed,
+from spanqa.model import (ModelConfig, bilstm, embed,
                           end_decoder, forward, init_params, loss, param_count,
                           param_shapes, start_decoder)
+
+
+def padded_bilstm(x, layers, mask):
+    """model.bilstm on a padded batch: pack by the mask, run, unpack."""
+    packing = ad.Packing(mask)
+    return ad.unpack(bilstm([ad.pack(x, packing)], layers, packing), packing)
 
 
 def sigmoid(x):
@@ -140,16 +148,14 @@ class TestBiLSTM:
     def test_output_shape(self):
         rng = np.random.default_rng(4)
         layers = [self._params(rng, 3, 5), self._params(rng, 3, 6)]
-        out = bilstm(Tensor(rng.normal(size=(2, 7, 5))), layers, np.ones((2, 7)),
-                     hidden_size=3)
+        out = padded_bilstm(Tensor(rng.normal(size=(2, 7, 5))), layers, np.ones((2, 7)))
         assert out.shape == (2, 7, 6)
 
     def test_zero_weights_zero_inputs(self):
         hidden, in_dim = 3, 4
         layer = {"fwd": (np.zeros((12, 7)), np.zeros(12)),
                  "bwd": (np.zeros((12, 7)), np.zeros(12))}
-        out = bilstm(Tensor(np.zeros((1, 5, in_dim))), [layer], np.ones((1, 5)),
-                     hidden_size=hidden)
+        out = padded_bilstm(Tensor(np.zeros((1, 5, in_dim))), [layer], np.ones((1, 5)))
         assert np.array_equal(out.data, np.zeros((1, 5, 6)))
 
     def test_single_step_matches_cell_equations(self):
@@ -157,7 +163,7 @@ class TestBiLSTM:
         hidden, in_dim = 2, 3
         layer = self._params(rng, hidden, in_dim)
         x = rng.normal(size=(1, 1, in_dim))
-        out = bilstm(Tensor(x), [layer], np.ones((1, 1)), hidden_size=hidden)
+        out = padded_bilstm(Tensor(x), [layer], np.ones((1, 1)))
         zeros = np.zeros((1, hidden))
         h_fwd, _ = lstm_cell_reference(x[:, 0], zeros, zeros, *layer["fwd"], hidden)
         h_bwd, _ = lstm_cell_reference(x[:, 0], zeros, zeros, *layer["bwd"], hidden)
@@ -169,7 +175,7 @@ class TestBiLSTM:
         hidden, in_dim, length = 2, 3, 4
         layer = self._params(rng, hidden, in_dim)
         x = rng.normal(size=(1, length, in_dim))
-        out = bilstm(Tensor(x), [layer], np.ones((1, length)), hidden_size=hidden)
+        out = padded_bilstm(Tensor(x), [layer], np.ones((1, length)))
         h = c = np.zeros((1, hidden))
         fwd = []
         for t in range(length):
@@ -190,9 +196,9 @@ class TestBiLSTM:
         layer = self._params(rng, hidden, in_dim)
         x = rng.normal(size=(1, 5, in_dim))
         mask = np.array([[1.0, 1.0, 1.0, 0.0, 0.0]])
-        out = bilstm(Tensor(x), [layer], mask, hidden_size=hidden)
+        out = padded_bilstm(Tensor(x), [layer], mask)
         assert np.array_equal(out.data[0, 3:], np.zeros((2, 2 * hidden)))
-        short = bilstm(Tensor(x[:, :3]), [layer], np.ones((1, 3)), hidden_size=hidden)
+        short = padded_bilstm(Tensor(x[:, :3]), [layer], np.ones((1, 3)))
         assert np.allclose(out.data[0, :3], short.data[0], atol=1e-12)
 
 
@@ -200,7 +206,7 @@ class TestBidafAttention:
     def test_shape(self):
         rng = np.random.default_rng(8)
         h2 = 4
-        out = bidaf_attention(Tensor(rng.normal(size=(2, 5, h2))),
+        out = packed_attention(Tensor(rng.normal(size=(2, 5, h2))),
                               Tensor(rng.normal(size=(2, 3, h2))),
                               rng.normal(size=3 * h2),
                               np.ones((2, 5)), np.ones((2, 3)))
@@ -211,7 +217,7 @@ class TestBidafAttention:
         h2, lq = 4, 3
         question = rng.normal(size=(1, lq, h2))
         q_mask = np.array([[1.0, 1.0, 0.0]])
-        out = bidaf_attention(Tensor(rng.normal(size=(1, 2, h2))), Tensor(question),
+        out = packed_attention(Tensor(rng.normal(size=(1, 2, h2))), Tensor(question),
                               np.zeros(3 * h2), np.ones((1, 2)), q_mask)
         u_tilde = out.data[:, :, h2:2 * h2]
         mean_q = question[0, :2].mean(axis=0)
@@ -238,15 +244,19 @@ class TestBidafAttention:
         expected = np.concatenate(
             [c[0], u_tilde, c[0] * u_tilde, c[0] * h_tilde[None, :].repeat(2, 0)],
             axis=1)
-        out = bidaf_attention(Tensor(c), Tensor(q), w, np.ones((1, 2)),
+        out = packed_attention(Tensor(c), Tensor(q), w, np.ones((1, 2)),
                               np.ones((1, 2)))
         assert np.allclose(out.data[0], expected, atol=1e-12)
 
 
 def _decoder_fixture(seed=0):
+    """The tiny model and batch, the batch's context packing, and a G of
+    random (N, 8h) rows for the decoders to read."""
     config, params, table, batch = make_tiny_problem(seed=seed)
-    out_attn = forward(batch, params, table, config).attention
-    return config, params, batch, out_attn
+    packing = ad.Packing(batch.context_mask)
+    attn = Tensor(np.random.default_rng(seed).normal(
+        size=(packing.size, 8 * config.hidden_size)))
+    return config, params, batch, packing, attn
 
 
 def _group(params, prefix):
@@ -260,21 +270,20 @@ def _head(params, prefix):
 
 class TestDecoders:
     def test_logit_shape_and_masked_probability(self):
-        config, params, batch, attn = _decoder_fixture()
+        config, params, batch, packing, attn = _decoder_fixture()
         m_start, logits = start_decoder(attn, _group(params, "start_decoder"),
-                                        _head(params, "start_head"),
-                                        batch.context_mask,
-                                        hidden_size=config.hidden_size)
+                                        _head(params, "start_head"), packing)
+        assert m_start.shape == (packing.size, 2 * config.hidden_size)
         assert logits.shape == batch.context_mask.shape
+        assert np.all(logits.data[batch.context_mask == 0] == 0.0)
         p = ad.masked_softmax(logits, batch.context_mask).data
         assert np.all(p[batch.context_mask == 0] == 0.0)
 
     def test_zero_params_give_uniform(self):
-        config, params, batch, attn = _decoder_fixture()
+        config, params, batch, packing, attn = _decoder_fixture()
         zero = {name: np.zeros_like(value) for name, value in params.items()}
         _, logits = start_decoder(attn, _group(zero, "start_decoder"),
-                                  _head(zero, "start_head"), batch.context_mask,
-                                  hidden_size=config.hidden_size)
+                                  _head(zero, "start_head"), packing)
         p = ad.masked_softmax(logits, batch.context_mask).data
         lengths = batch.context_mask.sum(axis=1)
         for row in range(p.shape[0]):
@@ -282,23 +291,21 @@ class TestDecoders:
             assert np.allclose(p[row, live], 1.0 / lengths[row], atol=1e-12)
 
     def test_end_decoder_input_width(self):
-        config, params, batch, attn = _decoder_fixture()
+        config, params, batch, packing, attn = _decoder_fixture()
         h = config.hidden_size
-        assert attn.shape[2] == 8 * h
+        assert attn.shape[1] == 8 * h
         assert params["end_decoder.fwd.W"].shape[1] == 10 * h + h
         m_start, _ = start_decoder(attn, _group(params, "start_decoder"),
-                                   _head(params, "start_head"), batch.context_mask,
-                                   hidden_size=h)
-        assert ad.concat([attn, m_start], axis=2).shape[2] == 10 * h
+                                   _head(params, "start_head"), packing)
+        assert attn.shape[1] + m_start.shape[1] == 10 * h
         m_end, end_logits = end_decoder(attn, m_start,
                                         _group(params, "end_decoder"),
-                                        _head(params, "end_head"),
-                                        batch.context_mask, hidden_size=h)
+                                        _head(params, "end_head"), packing)
         assert m_end.shape == m_start.shape
         assert end_logits.shape == batch.context_mask.shape
 
     def test_heads_are_distinct_tensors(self):
-        config, params, _, _ = _decoder_fixture()
+        _, params, _, _, _ = _decoder_fixture()
         for key in ("W1", "b1", "W2", "b2"):
             assert params[f"start_head.{key}"] is not params[f"end_head.{key}"]
         assert params["start_decoder.fwd.W"] is not params["end_decoder.fwd.W"]
@@ -386,7 +393,7 @@ class TestLoss:
         probs[0, 1] = 1.0
         probs[1, 2] = 1.0
         from spanqa.model import ForwardOutput
-        out = ForwardOutput(Tensor(probs), Tensor(probs.copy()), Tensor(np.zeros(1)))
+        out = ForwardOutput(Tensor(probs), Tensor(probs.copy()))
         value = loss(out, np.array([1, 2]), np.array([1, 2]), np.ones((2, 4)))
         assert value.item() == 0.0
 
@@ -404,7 +411,7 @@ class TestEndToEndGradients:
         # resolve only to ~2e-3 relative, with or without the shared encoding
         results = end_to_end_gradcheck(seed=0, coords_per_tensor=4,
                                        shared_context=True)
-        assert counts[:4] == [1] * 4     # both rows' context encoded once
+        assert counts[:2] == [1] * 2     # both rows' context encoded once
         worst = max(err for _, err in results)
         assert worst < 1e-3, results
 
@@ -438,13 +445,13 @@ def _row(batch, r):
 
 
 def _lstm_row_counts(monkeypatch):
-    """Record the batch size of every ad.lstm call the model makes."""
+    """Record the batch size of every ad.lstm call (one per BiLSTM layer)."""
     counts = []
     original = ad.lstm
 
-    def recording(x, *args, **kwargs):
-        counts.append(x.shape[0])
-        return original(x, *args, **kwargs)
+    def recording(xs, packing, *args, **kwargs):
+        counts.append(packing.shape[0])
+        return original(xs, packing, *args, **kwargs)
 
     monkeypatch.setattr(ad, "lstm", recording)
     return counts
@@ -463,19 +470,19 @@ class TestSharedContextEncoding:
         config, params, table, batch = _shared_context_batch()
         counts = _lstm_row_counts(monkeypatch)
         forward(batch, params, table, config)
-        # 2 encoder layers x 2 directions over context, then over question,
-        # then 2 directions each for the start and end decoders
-        assert counts == [2] * 4 + [5] * 4 + [5] * 4
+        # 2 encoder layers over context, then over question, then the start
+        # and end decoders
+        assert counts == [2] * 2 + [5] * 2 + [5] * 2
 
     def test_dropout_pass_encodes_every_row(self, monkeypatch):
         config, params, table, batch = _shared_context_batch()
         config.dropout_rate = 0.3
         counts = _lstm_row_counts(monkeypatch)
         forward(batch, params, table, config, training=True, step=1)
-        assert counts == [5] * 12
+        assert counts == [5] * 6
         counts.clear()
         forward(batch, params, table, config)   # inference ignores the rate
-        assert counts[:4] == [2] * 4
+        assert counts[:2] == [2] * 2
 
     def test_equal_ids_with_different_masks_not_merged(self, monkeypatch):
         config, params, table, batch = _shared_context_batch()
@@ -487,6 +494,6 @@ class TestSharedContextEncoding:
                        batch.gold_ends[rows], ["a", "b", "c"])
         counts = _lstm_row_counts(monkeypatch)
         out = forward(merged, params, table, config)
-        assert counts[:4] == [3] * 4
+        assert counts[:2] == [3] * 2
         alone = forward(_row(merged, 1), params, table, config)
         assert np.max(np.abs(out.p_start.data[1] - alone.p_start.data[0])) < 1e-12

@@ -3,7 +3,7 @@ oracle, and the float64 master weights and gradient checks."""
 
 import numpy as np
 
-from lstm_oracle import unrolled_lstm
+from lstm_oracle import packed_lstm, unrolled_lstm
 from spanqa import autodiff as ad
 from spanqa import diagnostics
 from spanqa.autodiff import Graph
@@ -55,7 +55,7 @@ def test_float32_lstm_matches_float64_oracle():
     for reverse in (False, True):
         ref = _direction(x, weight, bias, mask, reverse, probe, unrolled_lstm)
         got = _direction(*(v.astype(np.float32) for v in (x, weight, bias)), mask,
-                         reverse, probe.astype(np.float32), ad.lstm)
+                         reverse, probe.astype(np.float32), packed_lstm)
         for name, g, r in zip(names, got, ref):
             assert g.dtype == np.float32, name
             rel = np.abs(g - r).max() / np.abs(r).max()
