@@ -44,7 +44,8 @@ def op_gradcheck_cases(seed: int = 0):
     lstm_b_bwd = lstm_rng.normal(size=(8,)) * 0.5
     packed, unsorted = ad.Packing(lstm_mask), ad.Packing(unsorted_mask)
     # the unsorted input as two row blocks [x_1 | x_2] of widths 2 and 1
-    block_1, block_2 = (unsorted_x[unsorted.index][:, cols] for cols in (slice(2), slice(2, 3)))
+    block_1, block_2 = (unsorted_x[unsorted.index][:, cols]
+                        for cols in (slice(2), slice(2, 3)))
     take_rng = np.random.default_rng(seed + 2)
     take_index = np.array([2, 0, 2, 1, 2])            # repeats and reorders rows
     take_weights = take_rng.normal(size=(5, 2, 3))

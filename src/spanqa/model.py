@@ -4,14 +4,18 @@ decoder, an end decoder that consumes the start decoder's hidden states (so
 the end distribution is conditioned on start evidence), and per-position FC
 heads feeding masked softmaxes.
 
-Each LSTM direction is a single fused ``autodiff.lstm`` tape node (input
-projection hoisted into one GEMM, hand-written BPTT backward) that packs the
-live positions of its rows and computes nothing at padding, so its cost
-follows the batch's total token count, not B times the longest row. Masks
-are therefore prefixes: each row a run of 1s followed by 0s, as
-``data.build_batches`` makes them. Each head is a 2-D matmul over all B*L
-positions, so a taped forward records about a hundred nodes whatever the
-sequence length.
+Every layer runs on packed rows: ``forward`` packs each mask once into an
+``autodiff.Packing`` (masks are prefixes, each row a run of 1s followed by
+0s, as ``data.build_batches`` makes them), embeds only the live tokens, and
+carries the N live positions of the batch as (N, .) row blocks through the
+encoder, the attention output G, both decoders and both heads. Each BiLSTM
+layer is one ``autodiff.lstm`` tape node that writes both directions into one
+(N, 2h) result. Inputs like [G ; M] are never concatenated: the end decoder
+and the heads take them as blocks [G | M], each multiplied by its column
+slice of the weight. Only the attention's similarity matrix and the final
+softmaxes see (B, L) tensors, so the cost follows the batch's token count,
+not B times the longest row, and a taped forward records under a hundred
+nodes whatever the sequence length.
 
 Parameters live in a plain name -> ndarray dict. ``forward`` accepts either
 ndarrays (inference; no tape is recorded) or graph-leaf Tensors (training),
@@ -22,6 +26,7 @@ dtype, so float32 params give a float32 forward and backward.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, asdict
 
@@ -46,16 +51,12 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.hidden_size < 1:
-            raise ConfigError(f"hidden_size must be >= 1, got {self.hidden_size}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.embedding_dim < 1:
-            raise ConfigError(f"embedding_dim must be >= 1, got {self.embedding_dim}")
-        if self.encoder_layers < 1:
-            raise ConfigError(f"encoder_layers must be >= 1, got {self.encoder_layers}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        for name, least in (("hidden_size", 1), ("embedding_dim", 1),
+                            ("encoder_layers", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -96,14 +97,6 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def _xavier_limit(shape) -> float:
-    if len(shape) == 1:
-        fan_in, fan_out = shape[0], 1
-    else:
-        fan_out, fan_in = shape
-    return math.sqrt(6.0 / (fan_in + fan_out))
-
-
 def init_params(config: ModelConfig) -> dict[str, np.ndarray]:
     """Xavier-uniform matrices, zero biases except LSTM forget gates at 1.0."""
     rng = np.random.default_rng(config.seed)
@@ -115,7 +108,8 @@ def init_params(config: ModelConfig) -> dict[str, np.ndarray]:
             if name.endswith(".b"):
                 value[h:2 * h] = 1.0  # forget gate, gate order i|f|o|g
         else:
-            limit = _xavier_limit(shape)
+            fan_out, fan_in = shape if len(shape) == 2 else (1, shape[0])
+            limit = math.sqrt(6.0 / (fan_in + fan_out))
             value = rng.uniform(-limit, limit, size=shape)
         params[name] = value
     return params
@@ -127,7 +121,7 @@ def param_count(params: dict[str, np.ndarray]) -> int:
 
 
 def embed(ids: np.ndarray, table: EmbeddingTable, dtype=np.float64) -> Tensor:
-    """Frozen lookup: (B, L) int ids -> detached (B, L, d) tensor of `dtype`.
+    """Frozen lookup: int ids of any shape S -> detached S + (d,) tensor of `dtype`.
 
     The result never joins a gradient path, so no gradient can reach the
     table.
@@ -139,22 +133,11 @@ def embed(ids: np.ndarray, table: EmbeddingTable, dtype=np.float64) -> Tensor:
     return Tensor(table.matrix[ids].astype(dtype, copy=False))
 
 
-class _SeedStream:
-    """Deterministic per-call dropout seeds derived from (seed, step, index)."""
-
-    def __init__(self, seed: int, step: int):
-        self._seed = seed
-        self._step = step
-        self._index = 0
-
-    def __call__(self) -> int:
-        ss = np.random.SeedSequence(self._seed, spawn_key=(self._step, self._index))
-        self._index += 1
-        return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-def _as_tensor(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
+def _seed_stream(seed: int, step: int):
+    """A callable giving deterministic per-call dropout seeds from (seed, step, index)."""
+    index = itertools.count()
+    return lambda: int(np.random.SeedSequence(seed, spawn_key=(step, next(index)))
+                       .generate_state(1, dtype=np.uint64)[0])
 
 
 def _dropout(blocks, rate: float, seeds):
@@ -165,7 +148,7 @@ def _dropout(blocks, rate: float, seeds):
 
 
 def bilstm(blocks, layer_params, packing: ad.Packing, *, dropout_rate: float = 0.0,
-           seeds: _SeedStream | None = None) -> Tensor:
+           seeds=None) -> Tensor:
     """Stacked bidirectional LSTM over packed rows: blocks (N, n_i) -> (N, 2h).
 
     `blocks` is the first layer's input [x_1 | x_2 | ...] as row blocks in
@@ -189,15 +172,14 @@ def bidaf_attention(context: Tensor, question: Tensor, w_sim,
 
     Similarity S[b,i,j] = w_sim . [c_i ; q_j ; c_i*q_j]. With w_sim split
     into [w_c ; w_q ; w_m], S = w_c.c_i + (c_i*w_m + w_q).q_j: a (B,Lc,1)
-    column broadcast over a (B,Lc,Lq) bmm of the unpacked (zero-padded)
-    encodings, so no (Lc*Lq x 6h) tensor is built. Context-to-question:
-    u~_i = sum_j softmax_j(S[i,j]) q_j over the unmasked question positions.
+    column broadcast over a (B,Lc,Lq) bmm of the zero-padded encodings, so
+    no (Lc*Lq x 6h) tensor is built. Context-to-question: u~_i = sum_j
+    softmax_j(S[i,j]) q_j over the unmasked question positions.
     Question-to-context: the row maxima of S over those positions, softmaxed
     over the unmasked context positions, weight one summary h~ of the
-    context per example. G's rows [c ; u~ ; c*u~ ; c*h~] are built for the
-    live context positions only, in the context packing's order.
+    context per example. G holds [c ; u~ ; c*u~ ; c*h~] for the live context
+    positions only, in the context packing's row order.
     """
-    w_sim = _as_tensor(w_sim)
     two_h = context.shape[1]
     batch, lc = context_packing.shape
     if w_sim.shape != (3 * two_h,):
@@ -229,34 +211,31 @@ def bidaf_attention(context: Tensor, question: Tensor, w_sim,
                       ad.mul(context, h_tilde)], axis=1)
 
 
-def _head_logits(blocks, head, packing, *, dropout_rate, seeds):
-    """Per-position logit FC2(relu(FC1([G_i ; M_i]))) over the packed rows,
-    with dropout on each FC1 input block, scattered to (B, L)."""
-    hidden = ad.relu(ad.linear(_dropout(blocks, dropout_rate, seeds),
+def _decode(blocks, decoder_params, head, packing, dropout_rate, seeds):
+    """A 1-layer BiLSTM over the row blocks, then the per-position head
+    FC2(relu(FC1([G_i ; M_i]))) over the packed rows, with dropout on each
+    FC1 input block; returns M and the logits scattered to (B, L)."""
+    m = bilstm(blocks, [decoder_params], packing, dropout_rate=dropout_rate,
+               seeds=seeds)
+    hidden = ad.relu(ad.linear(_dropout([blocks[0], m], dropout_rate, seeds),
                                head["W1"], head["b1"]))
     logits = ad.linear([hidden], head["W2"], head["b2"])             # (N,1)
-    return ad.unpack(ad.reshape(logits, (packing.size,)), packing)
+    return m, ad.unpack(ad.reshape(logits, (packing.size,)), packing)
 
 
 def start_decoder(attention_out: Tensor, decoder_params, head_params,
                   packing: ad.Packing, *, dropout_rate: float = 0.0, seeds=None):
     """1-layer BiLSTM over G plus the start head -> (M_start, start_logits)."""
-    m_start = bilstm([attention_out], [decoder_params], packing,
-                     dropout_rate=dropout_rate, seeds=seeds)
-    logits = _head_logits([attention_out, m_start], head_params, packing,
-                          dropout_rate=dropout_rate, seeds=seeds)
-    return m_start, logits
+    return _decode([attention_out], decoder_params, head_params, packing,
+                   dropout_rate, seeds)
 
 
 def end_decoder(attention_out: Tensor, m_start: Tensor, decoder_params,
                 head_params, packing: ad.Packing, *, dropout_rate: float = 0.0,
                 seeds=None):
-    """Conditioning decoder: BiLSTM over [G ; M_start] plus the end head."""
-    m_end = bilstm([attention_out, m_start], [decoder_params], packing,
-                   dropout_rate=dropout_rate, seeds=seeds)
-    logits = _head_logits([attention_out, m_end], head_params, packing,
-                          dropout_rate=dropout_rate, seeds=seeds)
-    return m_end, logits
+    """Conditioning decoder: BiLSTM over [G | M_start] plus the end head."""
+    return _decode([attention_out, m_start], decoder_params, head_params,
+                   packing, dropout_rate, seeds)
 
 
 def _layer_group(params, prefix):
@@ -295,18 +274,16 @@ def forward(batch: Batch, params, table: EmbeddingTable, config: ModelConfig,
     in. `step` varies the dropout masks between training iterations while
     keeping them reproducible.
 
-    Each mask is packed once (`ad.Packing`), and every layer from the
-    embeddings to the heads runs on the packed live rows; only the
-    attention's similarity and the final softmaxes see (B, L) tensors. The
-    context encoder does not see the question, so a pass without dropout
-    embeds and encodes each distinct (context ids, context mask) row once
-    and gathers the encodings back to the batch's rows with `ad.take_rows`
-    (SQuAD asks several questions per paragraph). With dropout, each row
-    draws its own masks and is encoded on its own.
+    The context encoder does not see the question, so a pass without
+    dropout embeds and encodes each distinct (context ids, context mask) row
+    once and gathers the encoded rows back to the batch's packed rows with
+    `ad.take_rows` (SQuAD asks several questions per paragraph). With
+    dropout, each row draws its own masks and is encoded on its own.
     """
-    pt = {name: _as_tensor(value) for name, value in params.items()}
+    pt = {name: value if isinstance(value, Tensor) else Tensor(value)
+          for name, value in params.items()}
     dtype = pt["attention.w_sim"].data.dtype
-    seeds = _SeedStream(config.seed, step)
+    seeds = _seed_stream(config.seed, step)
     rate = config.dropout_rate if training else 0.0
     encode = dict(encoder=[_layer_group(pt, f"encoder.l{k}")
                            for k in range(config.encoder_layers)],
