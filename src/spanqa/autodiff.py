@@ -26,7 +26,7 @@ __all__ = [
     "ConfigError", "set_debug", "matmul", "bmm", "add", "sub", "mul", "tanh",
     "sigmoid", "relu", "concat", "slice_axis", "reshape", "transpose",
     "reduce_sum", "reduce_max", "add_bias", "expand_batch", "repeat_axis",
-    "take_rows", "Packing", "pack", "unpack", "linear", "masked_softmax",
+    "take_rows", "Packing", "unpack", "linear", "masked_softmax",
     "cross_entropy", "dropout", "lstm", "grad_check",
 ]
 
@@ -560,10 +560,12 @@ class Packing:
     longest first (stable), the sequences still running at step s are a
     prefix [:k_s] of the rows, so the N = sum(lengths) live positions pack
     step-major into one (N, .) block. `index` is the (row, position) of each
-    packed row, `counts` the k_s of every step with a live row, and `prev`
-    the packed index of the same sequence's previous step for each row after
-    the first k_0. A reverse pass fills the same (step, rank) slots from
-    position l-1-s, the packed rows `reverse`, and shares `counts` and `prev`.
+    packed row and `flat` its row * L + position, so `take_rows` of a
+    (B*L, .) view packs a padded tensor; `counts` is the k_s of every step
+    with a live row, and `prev` the packed index of the same sequence's
+    previous step for each row after the first k_0. A reverse pass fills the
+    same (step, rank) slots from position l-1-s, the packed rows `reverse`,
+    and shares `counts` and `prev`.
     """
 
     def __init__(self, mask):
@@ -582,24 +584,10 @@ class Packing:
         later = step > 0
         self.mask, self.shape, self.size = m, m.shape, len(step)
         self.index = (order[rank], step)
+        self.flat = order[rank] * length + step
         self.counts = counts[counts > 0].tolist()
         self.prev = start[step[later] - 1] + rank[later]
         self.reverse = start[lengths[order][rank] - 1 - step] + rank
-
-
-def pack(x, packing: Packing) -> Tensor:
-    """The live rows of a (B, L, ...) tensor in the packing's order: (N, ...)."""
-    x = _lift(x)
-    if x.shape[:2] != packing.shape:
-        raise DimensionError(f"pack: shape {x.shape} does not match mask {packing.shape}")
-    index, shape, dtype = packing.index, x.shape, x.data.dtype
-
-    def backward(g):
-        gx = np.zeros(shape, dtype)
-        gx[index] = g
-        return (gx,)
-
-    return _apply("pack", (x,), x.data[index], backward)
 
 
 def unpack(x, packing: Packing) -> Tensor:

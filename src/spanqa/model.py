@@ -26,7 +26,6 @@ dtype, so float32 params give a float32 forward and backward.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, asdict
 
@@ -51,12 +50,16 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.hidden_size < 1:
+            raise ConfigError(f"hidden_size must be >= 1, got {self.hidden_size}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        for name, least in (("hidden_size", 1), ("embedding_dim", 1),
-                            ("encoder_layers", 1), ("seed", 0)):
-            if getattr(self, name) < least:
-                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if self.embedding_dim < 1:
+            raise ConfigError(f"embedding_dim must be >= 1, got {self.embedding_dim}")
+        if self.encoder_layers < 1:
+            raise ConfigError(f"encoder_layers must be >= 1, got {self.encoder_layers}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -97,6 +100,14 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+def _xavier_limit(shape) -> float:
+    if len(shape) == 1:
+        fan_in, fan_out = shape[0], 1
+    else:
+        fan_out, fan_in = shape
+    return math.sqrt(6.0 / (fan_in + fan_out))
+
+
 def init_params(config: ModelConfig) -> dict[str, np.ndarray]:
     """Xavier-uniform matrices, zero biases except LSTM forget gates at 1.0."""
     rng = np.random.default_rng(config.seed)
@@ -108,8 +119,7 @@ def init_params(config: ModelConfig) -> dict[str, np.ndarray]:
             if name.endswith(".b"):
                 value[h:2 * h] = 1.0  # forget gate, gate order i|f|o|g
         else:
-            fan_out, fan_in = shape if len(shape) == 2 else (1, shape[0])
-            limit = math.sqrt(6.0 / (fan_in + fan_out))
+            limit = _xavier_limit(shape)
             value = rng.uniform(-limit, limit, size=shape)
         params[name] = value
     return params
@@ -133,22 +143,27 @@ def embed(ids: np.ndarray, table: EmbeddingTable, dtype=np.float64) -> Tensor:
     return Tensor(table.matrix[ids].astype(dtype, copy=False))
 
 
-def _seed_stream(seed: int, step: int):
-    """A callable giving deterministic per-call dropout seeds from (seed, step, index)."""
-    index = itertools.count()
-    return lambda: int(np.random.SeedSequence(seed, spawn_key=(step, next(index)))
-                       .generate_state(1, dtype=np.uint64)[0])
+class _SeedStream:
+    """Deterministic per-call dropout seeds derived from (seed, step, index)."""
+
+    def __init__(self, seed: int, step: int):
+        self._seed = seed
+        self._step = step
+        self._index = 0
+
+    def __call__(self) -> int:
+        ss = np.random.SeedSequence(self._seed, spawn_key=(self._step, self._index))
+        self._index += 1
+        return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def _dropout(blocks, rate: float, seeds):
     """Each block through its own dropout mask; the blocks as they are at rate 0."""
-    if rate == 0.0:
-        return list(blocks)
-    return [ad.dropout(x, rate, True, seeds()) for x in blocks]
+    return [ad.dropout(x, rate, True, seeds()) if rate > 0.0 else x for x in blocks]
 
 
 def bilstm(blocks, layer_params, packing: ad.Packing, *, dropout_rate: float = 0.0,
-           seeds=None) -> Tensor:
+           seeds: _SeedStream | None = None) -> Tensor:
     """Stacked bidirectional LSTM over packed rows: blocks (N, n_i) -> (N, 2h).
 
     `blocks` is the first layer's input [x_1 | x_2 | ...] as row blocks in
@@ -191,14 +206,14 @@ def bidaf_attention(context: Tensor, question: Tensor, w_sim,
 
     padded = ad.unpack(context, context_packing)                     # (B,Lc,2h)
     q_padded = ad.unpack(question, question_packing)
-    s_context = ad.reshape(ad.matmul(ad.reshape(padded, (batch * lc, two_h)), w_c),
-                           (batch, lc, 1))
+    s_context = ad.unpack(ad.matmul(context, w_c), context_packing)  # (B,Lc,1)
     s_cross = ad.bmm(ad.add(ad.mul(padded, w_m), w_q), ad.transpose(q_padded))
     sim = ad.add(s_context, s_cross)                                  # (B,Lc,Lq)
 
     q_mask = question_packing.mask[:, None, :]                       # (B,1,Lq)
     u_tilde = ad.bmm(ad.masked_softmax(sim, q_mask), q_padded)       # (B,Lc,2h)
-    u_tilde = ad.pack(u_tilde, context_packing)                      # (N,2h)
+    u_tilde = ad.take_rows(ad.reshape(u_tilde, (batch * lc, two_h)),
+                           context_packing.flat)                     # (N,2h)
 
     block = ((q_mask - 1.0) * 1e30).astype(sim.data.dtype, copy=False)
     row_best = ad.reduce_max(ad.add(sim, block), axis=2)             # (B,Lc)
@@ -259,12 +274,6 @@ def _distinct_contexts(batch: Batch):
     return first, inverse.reshape(-1)
 
 
-def _encode(ids, packing, encoder, table, dtype, *, dropout_rate, seeds):
-    """Embed the live ids of `packing` and run the encoder: (N, 2h) rows."""
-    return bilstm([embed(np.asarray(ids)[packing.index], table, dtype)], encoder,
-                  packing, dropout_rate=dropout_rate, seeds=seeds)
-
-
 def forward(batch: Batch, params, table: EmbeddingTable, config: ModelConfig,
             training: bool = False, step: int = 0) -> ForwardOutput:
     """Embed -> encode -> attend -> decode start -> decode end -> softmax.
@@ -283,27 +292,30 @@ def forward(batch: Batch, params, table: EmbeddingTable, config: ModelConfig,
     pt = {name: value if isinstance(value, Tensor) else Tensor(value)
           for name, value in params.items()}
     dtype = pt["attention.w_sim"].data.dtype
-    seeds = _seed_stream(config.seed, step)
+    seeds = _SeedStream(config.seed, step)
     rate = config.dropout_rate if training else 0.0
-    encode = dict(encoder=[_layer_group(pt, f"encoder.l{k}")
-                           for k in range(config.encoder_layers)],
-                  table=table, dtype=dtype, dropout_rate=rate, seeds=seeds)
+    encoder = [_layer_group(pt, f"encoder.l{k}") for k in range(config.encoder_layers)]
+
+    def encode(ids, packing):
+        """Embed the live ids of `packing` and run the encoder: (N, 2h) rows."""
+        return bilstm([embed(np.asarray(ids)[packing.index], table, dtype)],
+                      encoder, packing, dropout_rate=rate, seeds=seeds)
 
     contexts = ad.Packing(batch.context_mask)
     shared = _distinct_contexts(batch) if rate == 0.0 else None
     if shared is None:
-        context = _encode(batch.context_ids, contexts, **encode)
+        context = encode(batch.context_ids, contexts)
     else:
         first, inverse = shared
         distinct = ad.Packing(np.asarray(batch.context_mask)[first])
-        context = _encode(np.asarray(batch.context_ids)[first], distinct, **encode)
+        context = encode(np.asarray(batch.context_ids)[first], distinct)
         # the packed row of each live batch position within its distinct context
         where = np.zeros(distinct.shape, np.int64)
         where[distinct.index] = np.arange(distinct.size)
         rows, positions = contexts.index
         context = ad.take_rows(context, where[inverse[rows], positions])
     questions = ad.Packing(batch.question_mask)
-    question = _encode(batch.question_ids, questions, **encode)
+    question = encode(batch.question_ids, questions)
 
     attention_out = bidaf_attention(context, question, pt["attention.w_sim"],
                                     contexts, questions)

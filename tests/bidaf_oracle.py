@@ -9,6 +9,7 @@ broadcast sum of three smaller terms and masked softmaxes over padded rows.
 
 import numpy as np
 
+from lstm_oracle import pack_rows
 from spanqa import autodiff as ad
 from spanqa.model import bidaf_attention
 
@@ -49,6 +50,6 @@ def packed_attention(context, question, w_sim, context_mask, question_mask):
     encodings are packed by their masks, and G is unpacked to (B, Lc, 8h)
     with zeros at the padded context positions."""
     contexts, questions = ad.Packing(context_mask), ad.Packing(question_mask)
-    out = bidaf_attention(ad.pack(context, contexts), ad.pack(question, questions),
+    out = bidaf_attention(pack_rows(context, contexts), pack_rows(question, questions),
                           w_sim, contexts, questions)
     return ad.unpack(out, contexts)

@@ -66,13 +66,20 @@ def _stack(steps, hidden) -> Tensor:
     return ad.concat([ad.reshape(s, (batch, 1, hidden)) for s in steps], axis=1)
 
 
+def pack_rows(x, packing) -> Tensor:
+    """The live rows of a padded (B, L, n) tensor in the packing's order: (N, n)."""
+    x = _as_tensor(x)
+    batch, length, width = x.shape
+    return ad.take_rows(ad.reshape(x, (batch * length, width)), packing.flat)
+
+
 def packed_lstm(x, weight, bias, mask, reverse: bool = False) -> Tensor:
     """One direction of ``autodiff.lstm`` under the oracle's padded contract:
     x (B, L, n) is packed by its mask, run, and unpacked to (B, L, h) with
     zeros at padding, so both take and return the same arrays."""
     packing = ad.Packing(mask)
     direction = {"bwd" if reverse else "fwd": (weight, bias)}
-    return ad.unpack(ad.lstm([ad.pack(x, packing)], packing, **direction), packing)
+    return ad.unpack(ad.lstm([pack_rows(x, packing)], packing, **direction), packing)
 
 
 def unrolled_lstm(x, weight, bias, mask, reverse: bool = False) -> Tensor:
