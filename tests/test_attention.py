@@ -42,12 +42,12 @@ def test_live_rows_do_not_see_padding():
     unpadded, so nothing leaks in from the padding or from the other rows."""
     context, question, w_sim, context_mask, question_mask = ragged_inputs(3, 4)
     batched = packed_attention(ad.Tensor(context), ad.Tensor(question), w_sim,
-                              context_mask, question_mask).data
+                               context_mask, question_mask).data
     for b in range(len(context)):
         lc, lq = int(context_mask[b].sum()), int(question_mask[b].sum())
         alone = packed_attention(ad.Tensor(context[b:b + 1, :lc]),
-                                ad.Tensor(question[b:b + 1, :lq]), w_sim,
-                                np.ones((1, lc)), np.ones((1, lq))).data
+                                 ad.Tensor(question[b:b + 1, :lq]), w_sim,
+                                 np.ones((1, lc)), np.ones((1, lq))).data
         assert np.abs(batched[b, :lc] - alone[0]).max() < 1e-12
 
 
@@ -62,7 +62,7 @@ def test_gradients(probe):
         args = {name: ad.Tensor(value) for name, value in values.items()}
         args[probe] = t
         out = packed_attention(args["context"], args["question"], args["w_sim"],
-                              context_mask, question_mask)
+                               context_mask, question_mask)
         return ad.reduce_sum(ad.mul(out, weights))
 
     assert ad.grad_check(loss, values[probe]) < 1e-6

@@ -208,9 +208,9 @@ class TestBidafAttention:
         rng = np.random.default_rng(8)
         h2 = 4
         out = packed_attention(Tensor(rng.normal(size=(2, 5, h2))),
-                              Tensor(rng.normal(size=(2, 3, h2))),
-                              rng.normal(size=3 * h2),
-                              np.ones((2, 5)), np.ones((2, 3)))
+                               Tensor(rng.normal(size=(2, 3, h2))),
+                               rng.normal(size=3 * h2),
+                               np.ones((2, 5)), np.ones((2, 3)))
         assert out.shape == (2, 5, 4 * h2)
 
     def test_zero_similarity_weight_gives_mean_attention(self):
@@ -219,7 +219,7 @@ class TestBidafAttention:
         question = rng.normal(size=(1, lq, h2))
         q_mask = np.array([[1.0, 1.0, 0.0]])
         out = packed_attention(Tensor(rng.normal(size=(1, 2, h2))), Tensor(question),
-                              np.zeros(3 * h2), np.ones((1, 2)), q_mask)
+                               np.zeros(3 * h2), np.ones((1, 2)), q_mask)
         u_tilde = out.data[:, :, h2:2 * h2]
         mean_q = question[0, :2].mean(axis=0)
         assert np.allclose(u_tilde[0, 0], mean_q, atol=1e-12)
@@ -246,7 +246,7 @@ class TestBidafAttention:
             [c[0], u_tilde, c[0] * u_tilde, c[0] * h_tilde[None, :].repeat(2, 0)],
             axis=1)
         out = packed_attention(Tensor(c), Tensor(q), w, np.ones((1, 2)),
-                              np.ones((1, 2)))
+                               np.ones((1, 2)))
         assert np.allclose(out.data[0], expected, atol=1e-12)
 
 
