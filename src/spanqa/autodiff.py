@@ -22,12 +22,39 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "Graph", "Tensor", "DimensionError", "DegenerateMaskError", "LabelError",
-    "ConfigError", "set_debug", "matmul", "bmm", "add", "sub", "mul", "tanh",
-    "sigmoid", "relu", "concat", "slice_axis", "reshape", "transpose",
-    "reduce_sum", "reduce_max", "add_bias", "expand_batch", "repeat_axis",
-    "take_rows", "Packing", "unpack", "linear", "masked_softmax",
-    "cross_entropy", "dropout", "lstm", "grad_check",
+    "Graph",
+    "Tensor",
+    "DimensionError",
+    "DegenerateMaskError",
+    "LabelError",
+    "ConfigError",
+    "set_debug",
+    "matmul",
+    "bmm",
+    "add",
+    "sub",
+    "mul",
+    "tanh",
+    "sigmoid",
+    "relu",
+    "concat",
+    "slice_axis",
+    "reshape",
+    "transpose",
+    "reduce_sum",
+    "reduce_max",
+    "add_bias",
+    "expand_batch",
+    "repeat_axis",
+    "take_rows",
+    "Packing",
+    "unpack",
+    "linear",
+    "masked_softmax",
+    "cross_entropy",
+    "dropout",
+    "lstm",
+    "grad_check",
 ]
 
 LOG_CLAMP = 1e-30
@@ -110,7 +137,8 @@ class Graph:
             raise ValueError("root tensor does not belong to this graph")
         if root.data.shape != ():
             raise DimensionError(
-                f"backward root must be scalar, got shape {root.data.shape}")
+                f"backward root must be scalar, got shape {root.data.shape}"
+            )
         grads: dict[int, np.ndarray] = {root.node_id: np.ones((), root.data.dtype)}
         for nid in range(root.node_id, -1, -1):
             node = self._nodes[nid]
@@ -157,6 +185,21 @@ class Tensor:
     def __repr__(self):
         tag = "" if self.graph is None else f", node_id={self.node_id}"
         return f"Tensor(shape={self.shape}{tag})"
+
+    def __add__(self, other):
+        return add(self, other)
+
+    def __radd__(self, other):
+        return add(self, other)
+
+    def __sub__(self, other):
+        return sub(self, other)
+
+    def __mul__(self, other):
+        return mul(self, other)
+
+    def __rmul__(self, other):
+        return mul(self, other)
 
 
 def _as_array(data) -> np.ndarray:
@@ -206,28 +249,33 @@ def _apply(op, inputs, out, backward):
 # ---------------------------------------------------------------------------
 
 
-def _product(op, a, b, ndim) -> Tensor:
-    """a @ b over the last two axes of two `ndim`-D tensors with equal leading axes."""
+def matmul(a, b) -> Tensor:
+    """Matrix product of 2-D tensors: (m,k) @ (k,n) -> (m,n)."""
     a, b = _lift(a), _lift(b)
-    if (a.ndim != ndim or b.ndim != ndim or a.shape[:-2] != b.shape[:-2]
-            or a.shape[-1] != b.shape[-2]):
-        raise DimensionError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise DimensionError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
+    out = a.data @ b.data
     ad, bd = a.data, b.data
 
     def backward(g):
-        return g @ np.swapaxes(bd, -1, -2), np.swapaxes(ad, -1, -2) @ g
+        return g @ bd.T, ad.T @ g
 
-    return _apply(op, (a, b), ad @ bd, backward)
-
-
-def matmul(a, b) -> Tensor:
-    """Matrix product of 2-D tensors: (m,k) @ (k,n) -> (m,n)."""
-    return _product("matmul", a, b, 2)
+    return _apply("matmul", (a, b), out, backward)
 
 
 def bmm(a, b) -> Tensor:
     """Batched matrix product: (B,m,k) @ (B,k,n) -> (B,m,n)."""
-    return _product("bmm", a, b, 3)
+    a, b = _lift(a), _lift(b)
+    if (a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0]
+            or a.shape[2] != b.shape[1]):
+        raise DimensionError(f"bmm: incompatible shapes {a.shape} and {b.shape}")
+    out = a.data @ b.data
+    ad, bd = a.data, b.data
+
+    def backward(g):
+        return g @ bd.transpose(0, 2, 1), ad.transpose(0, 2, 1) @ g
+
+    return _apply("bmm", (a, b), out, backward)
 
 
 def _reduce_to(g, shape):
@@ -287,9 +335,10 @@ def tanh(x) -> Tensor:
 
 
 def sigmoid(x) -> Tensor:
-    """1 / (1 + exp(-x)), as (1 + tanh(x / 2)) / 2, which is stable for any x."""
     x = _lift(x)
-    out = 0.5 + 0.5 * np.tanh(0.5 * x.data)
+    xd = x.data
+    out = np.where(xd >= 0, 1.0 / (1.0 + np.exp(-np.abs(xd))),
+                   np.exp(-np.abs(xd)) / (1.0 + np.exp(-np.abs(xd))))
 
     def backward(g):
         return (g * out * (1.0 - out),)
@@ -312,11 +361,15 @@ def relu(x) -> Tensor:
 def concat(tensors, axis: int) -> Tensor:
     """Concatenate along an axis; backward slices the gradient back apart."""
     tensors = [_lift(t) for t in tensors]
-    try:
-        out = np.concatenate([t.data for t in tensors], axis=axis)
-    except ValueError:
-        raise DimensionError(f"concat: incompatible shapes "
-                             f"{[t.shape for t in tensors]} on axis {axis}") from None
+    if not tensors:
+        raise DimensionError("concat: need at least one tensor")
+    ref = tensors[0].shape
+    for t in tensors[1:]:
+        if t.ndim != len(ref) or any(
+                t.shape[i] != ref[i] for i in range(t.ndim) if i != axis):
+            raise DimensionError(
+                f"concat: incompatible shapes {[t.shape for t in tensors]} on axis {axis}")
+    out = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     bounds = np.cumsum(sizes)[:-1]
 
@@ -400,20 +453,30 @@ def reduce_max(x, axis: int) -> Tensor:
 
 
 # No model code calls add_bias, expand_batch or repeat_axis; perfbench reports
-# all three by name, and tests/lstm_oracle.py builds on add_bias. Each is a
-# broadcasting `add` behind its own shape contract.
+# all three by name, and tests/lstm_oracle.py builds on add_bias.
 def add_bias(x, b) -> Tensor:
     """x (..., n) + b (n,), broadcasting b over all leading axes."""
     x, b = _lift(x), _lift(b)
     if b.ndim != 1 or x.shape[-1] != b.shape[0]:
         raise DimensionError(f"add_bias: incompatible shapes {x.shape} and {b.shape}")
-    return add(x, b)
+    out = x.data + b.data
+    lead = tuple(range(x.ndim - 1))
+
+    def backward(g):
+        return g, g.sum(axis=lead)
+
+    return _apply("add_bias", (x, b), out, backward)
 
 
 def expand_batch(x, batch: int) -> Tensor:
     """Tile x to a leading batch axis: shape S -> (batch,) + S."""
     x = _lift(x)
-    return add(x, np.zeros((batch,) + x.shape, x.data.dtype))
+    out = np.broadcast_to(x.data, (batch,) + x.shape).copy()
+
+    def backward(g):
+        return (g.sum(axis=0),)
+
+    return _apply("expand_batch", (x,), out, backward)
 
 
 def repeat_axis(x, axis: int, count: int) -> Tensor:
@@ -422,23 +485,31 @@ def repeat_axis(x, axis: int, count: int) -> Tensor:
     if x.shape[axis] != 1:
         raise DimensionError(
             f"repeat_axis: axis {axis} of shape {x.shape} must have size 1")
-    shape = x.shape[:axis] + (count,) + x.shape[axis + 1:]
-    return add(x, np.zeros(shape, x.data.dtype))
+    out = np.repeat(x.data, count, axis=axis)
+
+    def backward(g):
+        return (g.sum(axis=axis, keepdims=True),)
+
+    return _apply("repeat_axis", (x,), out, backward)
 
 
 def take_rows(x, index) -> Tensor:
     """Gather rows along the leading axis: x[index]; an index may repeat.
 
-    Backward sums the gradients of a row's copies in index order (sorted by
-    row, then one `reduceat`: `np.add.at` is six times slower); an untaken
-    row gets zeros."""
+    Backward sums the gradients of each row's copies into zeros of x's
+    shape: one stable sort by row, then one `np.add.reduceat` (`np.add.at`
+    is several times slower), so a row taken several times receives the
+    sum of its copies' gradients and an untaken row gets zeros.
+    """
     x = _lift(x)
     index = np.asarray(index)
-    if (x.ndim == 0 or index.ndim != 1 or not np.issubdtype(index.dtype, np.integer)
-            or index.size and (index.min() < 0 or index.max() >= x.shape[0])):
+    if x.ndim == 0 or index.ndim != 1 or not np.issubdtype(index.dtype, np.integer):
         raise DimensionError(
-            f"take_rows: need a 1-D integer index in [0, rows) into x of shape "
-            f"{x.shape}, got a {index.dtype} index of shape {index.shape}")
+            f"take_rows: need a 1-D integer index into rows of x, got "
+            f"{index.dtype} index of shape {index.shape} for x of shape {x.shape}")
+    if index.size and (index.min() < 0 or index.max() >= x.shape[0]):
+        raise DimensionError(
+            f"take_rows: index out of range [0, {x.shape[0]}) for shape {x.shape}")
     out = x.data[index]
     shape, dtype = x.shape, x.data.dtype
 
@@ -446,10 +517,7 @@ def take_rows(x, index) -> Tensor:
         gx = np.zeros(shape, dtype)
         order = np.argsort(index, kind="stable")
         taken, starts = np.unique(index[order], return_index=True)
-        if len(taken) == len(index):            # no row taken twice: a scatter
-            gx[index] = g
-        else:
-            gx[taken] = np.add.reduceat(g[order], starts, axis=0)
+        gx[taken] = np.add.reduceat(g[order], starts, axis=0)
         return (gx,)
 
     return _apply("take_rows", (x,), out, backward)
@@ -645,26 +713,23 @@ def linear(xs, W, b) -> Tensor:
     return _apply("linear", (*xs, W, b), out, backward)
 
 
-def lstm(xs, packing: Packing, fwd=None, bwd=None) -> Tensor:
+def lstm(xs, packing: Packing, fwd, bwd) -> Tensor:
     """A bidirectional LSTM layer over packed rows: (N, n) -> (N, 2h).
 
     `xs` holds the input [x_1 | x_2 | ...] as row blocks in the layout of
     `packing`; each block meets its own column slice of W, so no
     concatenation is built. `fwd` and `bwd` are (W (4h, n+h), b (4h,)) pairs
-    giving the gates in i|f|o|g order from [x_t ; h_prev] @ W^T + b; either
-    may be None. The result holds the forward direction's h, then the
-    backward one's; a sequence runs from the zero state over its own
-    positions, or back from its last token. The input projection is one GEMM
-    per block up front, so only h_prev[:k_s] @ W_h^T runs in the time loop,
-    and the layer is one tape node. Its backward is one BPTT sweep per
-    direction computing only dz and dz @ W_h per step; dX, dW and db are then
-    GEMMs or sums over the N rows. The buffers backward needs are kept only
-    when some input requires a gradient.
+    giving the gates in i|f|o|g order from [x_t ; h_prev] @ W^T + b. Columns
+    [:h] of the result hold the forward direction's h and [h:] the backward
+    one's; a sequence runs from the zero state over its own positions, or
+    back from its last token. The input projection is one GEMM per block up
+    front, so only h_prev[:k_s] @ W_h^T runs in the time loop, and the layer
+    is one tape node. Its backward is one BPTT sweep per direction computing
+    only dz and dz @ W_h per step; dX, dW and db are then GEMMs or sums over
+    the N rows. The buffers backward needs are kept only when some input
+    requires a gradient.
     """
-    runs = [(reverse, _lift(pair[0]), _lift(pair[1]))
-            for reverse, pair in ((False, fwd), (True, bwd)) if pair is not None]
-    if not runs:
-        raise DimensionError("lstm: need a forward or a backward direction")
+    runs = [(reverse, _lift(W), _lift(b)) for reverse, (W, b) in ((False, fwd), (True, bwd))]
     h = runs[0][1].shape[0] // 4
     n = runs[0][1].shape[-1] - h
     xs, spans = _row_blocks(xs, n, "lstm")
@@ -684,7 +749,7 @@ def lstm(xs, packing: Packing, fwd=None, bwd=None) -> Tensor:
     # rows of the forward weights and bias is exact, so one tanh over a whole
     # block gives tanh(z / 2) for i, f, o and tanh(z) for g.
     half = np.where(np.arange(4 * h) < 3 * h, 0.5, 1.0).astype(dtype)
-    out = np.empty((rows, len(runs) * h), dtype)
+    out = np.empty((rows, 2 * h), dtype)
     saved = []
     for col, (reverse, W, b) in enumerate(runs):
         # Pre-activations of every live position, reordered into the

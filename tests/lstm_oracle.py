@@ -74,12 +74,18 @@ def pack_rows(x, packing) -> Tensor:
 
 
 def packed_lstm(x, weight, bias, mask, reverse: bool = False) -> Tensor:
-    """One direction of ``autodiff.lstm`` under the oracle's padded contract:
-    x (B, L, n) is packed by its mask, run, and unpacked to (B, L, h) with
-    zeros at padding, so both take and return the same arrays."""
+    """One direction of ``autodiff.lstm`` under the oracle's padded contract.
+
+    x (B, L, n) is packed by its mask and run through both directions with
+    the same (W, b); the chosen direction's columns, [:h] forward or [h:]
+    backward, are unpacked to (B, L, h) with zeros at padding, so both take
+    and return the same arrays. The other direction's output is dropped, so
+    its share of every gradient is exactly zero."""
     packing = ad.Packing(mask)
-    direction = {"bwd" if reverse else "fwd": (weight, bias)}
-    return ad.unpack(ad.lstm([pack_rows(x, packing)], packing, **direction), packing)
+    h = weight.shape[0] // 4
+    both = ad.lstm([pack_rows(x, packing)], packing, (weight, bias), (weight, bias))
+    lo = h if reverse else 0
+    return ad.unpack(ad.slice_axis(both, 1, lo, lo + h), packing)
 
 
 def unrolled_lstm(x, weight, bias, mask, reverse: bool = False) -> Tensor:

@@ -1,8 +1,9 @@
 """The packed LSTM op against the unrolled oracle in lstm_oracle.py.
 
 Most checks run one direction through `packed_lstm`, which packs a padded
-batch, runs `ad.lstm` and unpacks the result, so the op and the oracle see
-and return the same padded arrays, gradients included."""
+batch, runs `ad.lstm` and unpacks that direction's half of the result, so
+the op and the oracle see and return the same padded arrays, gradients
+included."""
 
 import tracemalloc
 
@@ -159,20 +160,20 @@ def test_untaped_call_matches_taped_and_stays_detached():
 
 
 def test_untaped_call_keeps_no_bptt_buffers():
-    # backward needs the (N, 4h) gates and three (N, h) state buffers, N the
-    # live positions (all B*L here); a call that no gradient will reach must
-    # keep none of them alive
+    # backward needs, per direction, the (N, 4h) gates and three (N, h) state
+    # buffers, N the live positions (all B*L here); a call that no gradient
+    # will reach must keep none of them alive
     rng = np.random.default_rng(7)
     batch, length, in_dim, hidden = 8, 60, 16, 32
     packing = ad.Packing(np.ones((batch, length)))
     x = rng.normal(size=(packing.size, in_dim))
     weight, bias = direction_params(rng, in_dim, hidden)
-    buffers = 7 * batch * length * hidden * 8
+    buffers = 2 * 7 * batch * length * hidden * 8
 
     def retained(inputs):
         tracemalloc.start()
         try:
-            out = ad.lstm([inputs[0]], packing, fwd=inputs[1:])
+            out = ad.lstm([inputs[0]], packing, inputs[1:], inputs[1:])
             return tracemalloc.get_traced_memory()[0], out
         finally:
             tracemalloc.stop()
@@ -189,19 +190,20 @@ def test_untaped_call_keeps_no_bptt_buffers():
 
 def test_taped_buffers_scale_with_live_positions():
     # a ragged batch keeps buffers for its live positions only: the same
-    # seven (., h) blocks as a full batch, but over sum(lengths) rows, not B*L
+    # seven (., h) blocks per direction as a full batch, but over
+    # sum(lengths) rows, not B*L
     rng = np.random.default_rng(9)
     batch, length, in_dim, hidden = 8, 60, 16, 32
     lengths = [60, 10, 35, 20, 50, 5, 30, 15]      # 225 of 480 positions
     packing = ad.Packing(prefix_mask(lengths, length))
     x = rng.normal(size=(packing.size, in_dim))
     weight, bias = direction_params(rng, in_dim, hidden)
-    live_buffers = 7 * sum(lengths) * hidden * 8
+    live_buffers = 2 * 7 * sum(lengths) * hidden * 8
 
     def retained(inputs):
         tracemalloc.start()
         try:
-            out = ad.lstm([inputs[0]], packing, bwd=inputs[1:])
+            out = ad.lstm([inputs[0]], packing, inputs[1:], inputs[1:])
             return tracemalloc.get_traced_memory()[0], out
         finally:
             tracemalloc.stop()
@@ -217,19 +219,18 @@ def test_taped_buffers_scale_with_live_positions():
 def test_shape_errors():
     packing = ad.Packing(np.ones((2, 3)))
     x = np.zeros((6, 4))
+    good = (np.zeros((8, 6)), np.zeros(8))
+    for bad in [(np.zeros((8, 5)), np.zeros(8)),      # needs 4+2 columns
+                (np.zeros((8, 6)), np.zeros(4))]:
+        for fwd, bwd in [(bad, good), (good, bad)]:
+            with pytest.raises(ad.DimensionError):
+                ad.lstm([x], packing, fwd, bwd)
     with pytest.raises(ad.DimensionError):
-        ad.lstm([x], packing, fwd=(np.zeros((8, 5)), np.zeros(8)))     # needs 4+2
+        ad.lstm([np.zeros((5, 4))], packing, good, good)
     with pytest.raises(ad.DimensionError):
-        ad.lstm([x], packing, fwd=(np.zeros((8, 6)), np.zeros(4)))
+        ad.lstm([np.zeros((6, 2)), np.zeros((5, 2))], packing, good, good)
     with pytest.raises(ad.DimensionError):
-        ad.lstm([np.zeros((5, 4))], packing, fwd=(np.zeros((8, 6)), np.zeros(8)))
-    with pytest.raises(ad.DimensionError):
-        ad.lstm([np.zeros((6, 2)), np.zeros((5, 2))], packing,
-                fwd=(np.zeros((8, 6)), np.zeros(8)))
-    with pytest.raises(ad.DimensionError):
-        ad.lstm([np.zeros((2, 3, 4))], packing, fwd=(np.zeros((8, 6)), np.zeros(8)))
-    with pytest.raises(ad.DimensionError):
-        ad.lstm([x], packing)
+        ad.lstm([np.zeros((2, 3, 4))], packing, good, good)
     with pytest.raises(ad.DimensionError):
         ad.Packing(np.ones(3))
 
@@ -242,7 +243,7 @@ def test_registered_gradcheck_cases(name, f, x):
 
 
 def test_taped_forward_tape_budget():
-    # one node per LSTM direction: the tiny model's whole taped forward
+    # one node per BiLSTM layer: the tiny model's whole taped forward
     # records about a hundred nodes, not tens per time step
     config, params, table, batch = make_tiny_problem()
     graph = Graph()
