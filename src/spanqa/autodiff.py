@@ -28,7 +28,6 @@ __all__ = [
     "DegenerateMaskError",
     "LabelError",
     "ConfigError",
-    "set_debug",
     "matmul",
     "bmm",
     "add",
@@ -77,15 +76,6 @@ class ConfigError(ValueError):
     """An op was configured with an invalid hyperparameter."""
 
 
-_debug = False
-
-
-def set_debug(flag: bool) -> None:
-    """Enable per-op finite-value assertions (slow; for tests)."""
-    global _debug
-    _debug = bool(flag)
-
-
 class _Node:
     __slots__ = ("op", "parents", "out", "backward", "requires_grad")
 
@@ -113,8 +103,6 @@ class Graph:
         return Tensor(arr, graph=self, node_id=node_id, requires_grad=requires_grad)
 
     def _push(self, op, parents, out, backward, requires_grad) -> int:
-        if _debug and not np.all(np.isfinite(out)):
-            raise FloatingPointError(f"non-finite values in output of op '{op}'")
         self._nodes.append(_Node(op, parents, out, backward, requires_grad))
         return len(self._nodes) - 1
 
@@ -186,21 +174,6 @@ class Tensor:
         tag = "" if self.graph is None else f", node_id={self.node_id}"
         return f"Tensor(shape={self.shape}{tag})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
 
 def _as_array(data) -> np.ndarray:
     """float32 data stays float32; anything else becomes float64."""
@@ -228,8 +201,6 @@ def _apply(op, inputs, out, backward):
     """Record one op on the inputs' shared graph; detached inputs stay detached."""
     graph = _common_graph(inputs)
     if graph is None:
-        if _debug and not np.all(np.isfinite(out)):
-            raise FloatingPointError(f"non-finite values in output of op '{op}'")
         return Tensor(out)
     parent_ids = []
     requires_grad = False
@@ -249,33 +220,28 @@ def _apply(op, inputs, out, backward):
 # ---------------------------------------------------------------------------
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product of 2-D tensors: (m,k) @ (k,n) -> (m,n)."""
+def _product(op, a, b, ndim: int) -> Tensor:
+    """a @ b over operands of `ndim` axes whose leading axes match."""
     a, b = _lift(a), _lift(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    out = a.data @ b.data
+    if (a.ndim != ndim or b.ndim != ndim or a.shape[:-2] != b.shape[:-2]
+            or a.shape[-1] != b.shape[-2]):
+        raise DimensionError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
     ad, bd = a.data, b.data
 
     def backward(g):
-        return g @ bd.T, ad.T @ g
+        return g @ np.swapaxes(bd, -1, -2), np.swapaxes(ad, -1, -2) @ g
 
-    return _apply("matmul", (a, b), out, backward)
+    return _apply(op, (a, b), ad @ bd, backward)
+
+
+def matmul(a, b) -> Tensor:
+    """Matrix product of 2-D tensors: (m,k) @ (k,n) -> (m,n)."""
+    return _product("matmul", a, b, 2)
 
 
 def bmm(a, b) -> Tensor:
     """Batched matrix product: (B,m,k) @ (B,k,n) -> (B,m,n)."""
-    a, b = _lift(a), _lift(b)
-    if (a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0]
-            or a.shape[2] != b.shape[1]):
-        raise DimensionError(f"bmm: incompatible shapes {a.shape} and {b.shape}")
-    out = a.data @ b.data
-    ad, bd = a.data, b.data
-
-    def backward(g):
-        return g @ bd.transpose(0, 2, 1), ad.transpose(0, 2, 1) @ g
-
-    return _apply("bmm", (a, b), out, backward)
+    return _product("bmm", a, b, 3)
 
 
 def _reduce_to(g, shape):
@@ -323,53 +289,48 @@ def mul(a, b) -> Tensor:
     return _broadcasting("mul", a, b, np.multiply, lambda g, x, y: (g * y, g * x))
 
 
-# No model code calls tanh or sigmoid; tests/lstm_oracle.py and perfbench do.
-def tanh(x) -> Tensor:
+def _elementwise(op, x, forward, local_grad) -> Tensor:
+    """A unary elementwise op. `local_grad(g, x, out)` gives the input's
+    gradient from the result's gradient g."""
     x = _lift(x)
-    out = np.tanh(x.data)
+    xd = x.data
+    out = forward(xd)
 
     def backward(g):
-        return (g * (1.0 - out * out),)
+        return (local_grad(g, xd, out),)
 
-    return _apply("tanh", (x,), out, backward)
+    return _apply(op, (x,), out, backward)
+
+
+# No model code calls tanh or sigmoid: tests/lstm_oracle.py builds on them,
+# and perfbench reports both by name.
+def tanh(x) -> Tensor:
+    return _elementwise("tanh", x, np.tanh, lambda g, x, y: g * (1.0 - y * y))
 
 
 def sigmoid(x) -> Tensor:
-    x = _lift(x)
-    xd = x.data
-    out = np.where(xd >= 0, 1.0 / (1.0 + np.exp(-np.abs(xd))),
-                   np.exp(-np.abs(xd)) / (1.0 + np.exp(-np.abs(xd))))
+    """1 / (1 + exp(-x)), from exp(-|x|) so that no exp overflows."""
+    def forward(x):
+        e = np.exp(-np.abs(x))
+        return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
-    def backward(g):
-        return (g * out * (1.0 - out),)
-
-    return _apply("sigmoid", (x,), out, backward)
+    return _elementwise("sigmoid", x, forward, lambda g, x, y: g * y * (1.0 - y))
 
 
 def relu(x) -> Tensor:
     """max(x, 0); the subgradient at exactly 0 is 0."""
-    x = _lift(x)
-    out = np.maximum(x.data, 0.0)
-    xd = x.data
-
-    def backward(g):
-        return (g * (xd > 0),)
-
-    return _apply("relu", (x,), out, backward)
+    return _elementwise("relu", x, lambda x: np.maximum(x, 0.0),
+                        lambda g, x, y: g * (x > 0))
 
 
 def concat(tensors, axis: int) -> Tensor:
     """Concatenate along an axis; backward slices the gradient back apart."""
     tensors = [_lift(t) for t in tensors]
-    if not tensors:
-        raise DimensionError("concat: need at least one tensor")
-    ref = tensors[0].shape
-    for t in tensors[1:]:
-        if t.ndim != len(ref) or any(
-                t.shape[i] != ref[i] for i in range(t.ndim) if i != axis):
-            raise DimensionError(
-                f"concat: incompatible shapes {[t.shape for t in tensors]} on axis {axis}")
-    out = np.concatenate([t.data for t in tensors], axis=axis)
+    try:
+        out = np.concatenate([t.data for t in tensors], axis=axis)
+    except ValueError:
+        raise DimensionError(
+            f"concat: incompatible shapes {[t.shape for t in tensors]} on axis {axis}") from None
     sizes = [t.shape[axis] for t in tensors]
     bounds = np.cumsum(sizes)[:-1]
 
@@ -459,24 +420,24 @@ def add_bias(x, b) -> Tensor:
     x, b = _lift(x), _lift(b)
     if b.ndim != 1 or x.shape[-1] != b.shape[0]:
         raise DimensionError(f"add_bias: incompatible shapes {x.shape} and {b.shape}")
-    out = x.data + b.data
-    lead = tuple(range(x.ndim - 1))
+    return _broadcasting("add_bias", x, b, np.add, lambda g, x, y: (g, g))
+
+
+def _broadcast_to(op, x, shape) -> Tensor:
+    """x copied out to a shape it broadcasts to; backward sums it back."""
+    out = np.broadcast_to(x.data, shape).copy()
+    old = x.shape
 
     def backward(g):
-        return g, g.sum(axis=lead)
+        return (_reduce_to(g, old),)
 
-    return _apply("add_bias", (x, b), out, backward)
+    return _apply(op, (x,), out, backward)
 
 
 def expand_batch(x, batch: int) -> Tensor:
     """Tile x to a leading batch axis: shape S -> (batch,) + S."""
     x = _lift(x)
-    out = np.broadcast_to(x.data, (batch,) + x.shape).copy()
-
-    def backward(g):
-        return (g.sum(axis=0),)
-
-    return _apply("expand_batch", (x,), out, backward)
+    return _broadcast_to("expand_batch", x, (batch,) + x.shape)
 
 
 def repeat_axis(x, axis: int, count: int) -> Tensor:
@@ -485,12 +446,9 @@ def repeat_axis(x, axis: int, count: int) -> Tensor:
     if x.shape[axis] != 1:
         raise DimensionError(
             f"repeat_axis: axis {axis} of shape {x.shape} must have size 1")
-    out = np.repeat(x.data, count, axis=axis)
-
-    def backward(g):
-        return (g.sum(axis=axis, keepdims=True),)
-
-    return _apply("repeat_axis", (x,), out, backward)
+    shape = list(x.shape)
+    shape[axis] = count
+    return _broadcast_to("repeat_axis", x, tuple(shape))
 
 
 def take_rows(x, index) -> Tensor:
@@ -591,7 +549,7 @@ def cross_entropy(probs, gold, mask) -> Tensor:
     return _apply("cross_entropy", (probs,), out, backward)
 
 
-def dropout(x, rate: float, training: bool, seed: int) -> Tensor:
+def dropout(x, rate: float, seed: int) -> Tensor:
     """Inverted dropout: zero each element with probability ~`rate`, scale survivors.
 
     The mask compares uniform 16-bit integers, the raw 64-bit words of a
@@ -599,13 +557,13 @@ def dropout(x, rate: float, training: bool, seed: int) -> Tensor:
     t = round(rate * 65536), so `rate` acts at a resolution of 1/65536: an
     element is dropped with probability t / 65536, and survivors are scaled
     by 65536 / (65536 - t), which keeps the expected output equal to x for
-    that probability. Identity when not training or rate == 0; a fixed seed
-    fixes the mask.
+    that probability. Identity at rate == 0, which is how inference turns
+    dropout off; a fixed seed fixes the mask.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     x = _lift(x)
-    if not training or rate == 0.0:
+    if rate == 0.0:
         return x
     threshold = min(round(rate * _DROPOUT_LEVELS), _DROPOUT_LEVELS - 1)
     words = np.random.PCG64(seed).random_raw(-(-x.data.size // 4))

@@ -159,7 +159,7 @@ class _SeedStream:
 
 def _dropout(blocks, rate: float, seeds):
     """Each block through its own dropout mask; the blocks as they are at rate 0."""
-    return [ad.dropout(x, rate, True, seeds()) if rate > 0.0 else x for x in blocks]
+    return [ad.dropout(x, rate, seeds()) if rate > 0.0 else x for x in blocks]
 
 
 def bilstm(blocks, layer_params, packing: ad.Packing, *, dropout_rate: float = 0.0,

@@ -32,12 +32,11 @@ class SpanPrediction:
     answer_text: str = ""
 
 
-def smart_span_score(p_s: float, p_e: float, start: int, end: int,
-                     log_base: float = math.e) -> float:
-    """p_s * p_e / (log(end - start + 1) + 1); natural log by default."""
+def smart_span_score(p_s: float, p_e: float, start: int, end: int) -> float:
+    """p_s * p_e / (ln(end - start + 1) + 1)."""
     if start > end:
         raise SpanOrderingError(f"span start {start} > end {end}")
-    return p_s * p_e / (math.log(end - start + 1, log_base) + 1.0)
+    return p_s * p_e / (math.log(end - start + 1) + 1.0)
 
 
 def span_text(tokens, text: str, start: int, end: int) -> str:
@@ -91,18 +90,17 @@ def _argmax_pair(ps, pe, keep, max_len, penalty=None):
     return start, start + offset
 
 
-def best_span(p_start, p_end, mask, max_len: int = 20, log_base: float = math.e,
+def best_span(p_start, p_end, mask, max_len: int = 20,
               tokens=None, text=None) -> SpanPrediction:
     """Argmax of the smart-span score over unmasked pairs with
     start <= end < start + max_len; ties go to the smaller start, then end."""
     ps, pe, keep = _prepare(p_start, p_end, mask)
-    s, e = _argmax_pair(ps, pe, keep, max_len,
-                        lambda n: np.log(n) / math.log(log_base) + 1.0)
-    return _finish(SpanPrediction(s, e, smart_span_score(ps[s], pe[e], s, e,
-                                                         log_base)), tokens, text)
+    s, e = _argmax_pair(ps, pe, keep, max_len, lambda n: np.log(n) + 1.0)
+    return _finish(SpanPrediction(s, e, smart_span_score(ps[s], pe[e], s, e)),
+                   tokens, text)
 
 
-def oracle_best_span(p_start, p_end, mask, log_base: float = math.e,
+def oracle_best_span(p_start, p_end, mask,
                      tokens=None, text=None) -> SpanPrediction:
     """Exhaustive scan over every ordered pair, no length cap; same tie-break."""
     ps, pe, keep = _prepare(p_start, p_end, mask)
@@ -113,7 +111,7 @@ def oracle_best_span(p_start, p_end, mask, log_base: float = math.e,
         for e in range(s, len(ps)):
             if not keep[e]:
                 continue
-            score = smart_span_score(ps[s], pe[e], s, e, log_base)
+            score = smart_span_score(ps[s], pe[e], s, e)
             if best is None or score > best.score:
                 best = SpanPrediction(s, e, score)
     if best is None:

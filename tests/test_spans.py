@@ -52,12 +52,6 @@ class TestSmartSpanScore:
         with pytest.raises(SpanOrderingError):
             smart_span_score(0.5, 0.5, 2, 1)
 
-    def test_log_base_knob(self):
-        natural = smart_span_score(0.5, 0.4, 0, 1)
-        base2 = smart_span_score(0.5, 0.4, 0, 1, log_base=2.0)
-        assert base2 == pytest.approx(0.1, abs=1e-15)  # log2(2) + 1 = 2
-        assert natural != base2
-
 
 class TestBestSpan:
     def test_worked_example_prefers_short(self):
