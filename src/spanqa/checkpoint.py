@@ -1,20 +1,25 @@
 """Self-describing binary checkpoints.
 
 Layout: ASCII magic ``QACKPT1\\n``, an 8-byte little-endian length, a JSON
-metadata block (format version, model config, iteration, counter-based RNG
-root, a tensor manifest of name/shape/byte-offset, and a CRC-32 of the rest of
-the metadata), then the raw little-endian float64 tensor payloads in manifest
-order. Adam moments are stored alongside parameters under ``adam.m/`` and
-``adam.v/`` names. Writes go to a temp file and are renamed into place, so an
-interrupted save never corrupts an existing checkpoint.
+metadata block, then the raw little-endian float64 tensors. The metadata
+holds exactly the format version, the model config, the Adam step, the best
+dev F1 so far (null before any dev evaluation), the tensor manifest of
+name/shape/byte-offset, and a CRC-32 of the rest of the metadata. Writes go
+to a temp file and are renamed into place, so an interrupted save never
+corrupts an existing checkpoint.
 
-Loading checks the file in O(#tensors) and raises a ``CheckpointError``
-subclass for any file it cannot take at its word: wrong magic or version,
-truncation, metadata that is not JSON, lacks a key or fails its checksum, or a
-manifest whose tensors leave the payload, overlap, or do not match the
-config's parameters. The payload carries no checksum, so a flipped payload bit
-loads as the value the file now holds. Files written before the checksum
-existed carry none and load unchecked.
+The config fixes the tensor layout: its parameters and their Adam moments
+(under ``adam.m/`` and ``adam.v/`` names), sorted by name and laid end to
+end, so the payload is three contiguous blocks [m | v | params]. The file
+keeps the manifest to document its payload, and loading requires it to be
+exactly that layout.
+
+Loading raises a ``CheckpointError`` subclass for any file it cannot take at
+its word: wrong magic, a format version other than 2 (version 1 files are
+rejected, not converted), truncation, metadata that is not JSON, lacks or
+mistypes a key, or lacks or fails its checksum, and a manifest other than
+the config's layout. The payload carries no checksum, so a flipped payload
+bit loads as the value the file now holds.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ __all__ = ["MAGIC", "FORMAT_VERSION", "CheckpointError", "CheckpointMagicError",
            "load_checkpoint"]
 
 MAGIC = b"QACKPT1\n"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _CHECKSUM_KEY = "metadata_crc32"
 
 
@@ -58,12 +63,12 @@ class CheckpointTruncatedError(CheckpointError):
 
 
 class CheckpointMetadataError(CheckpointError):
-    """The metadata is not JSON, lacks or mistypes a key, or fails its checksum."""
+    """The metadata is not JSON, lacks or mistypes a key, or lacks or fails
+    its checksum."""
 
 
 class CheckpointManifestError(CheckpointError):
-    """A manifest entry is malformed, lies outside the payload, overlaps
-    another, or does not match the config's parameters."""
+    """A manifest entry differs from the config's tensor layout."""
 
 
 class CheckpointMissingTensorError(CheckpointError):
@@ -75,17 +80,21 @@ class CheckpointData:
     config: ModelConfig
     params: dict[str, np.ndarray]
     state: AdamState
-    iteration: int
+    best_dev_f1: float | None
 
 
-def _collect_tensors(params: dict[str, np.ndarray],
-                     state: AdamState) -> dict[str, np.ndarray]:
-    tensors = dict(params)
-    for name, value in state.m.items():
-        tensors[f"adam.m/{name}"] = value
-    for name, value in state.v.items():
-        tensors[f"adam.v/{name}"] = value
-    return tensors
+def _layout(config: ModelConfig) -> list[dict]:
+    """The manifest of a config's checkpoint: each parameter and its two Adam
+    moments, sorted by name and laid end to end."""
+    shapes = param_shapes(config)
+    named = dict(shapes)
+    for prefix in ("adam.m/", "adam.v/"):
+        named.update({prefix + name: shape for name, shape in shapes.items()})
+    layout, offset = [], 0
+    for name in sorted(named):
+        layout.append({"name": name, "shape": list(named[name]), "offset": offset})
+        offset += 8 * math.prod(named[name])
+    return layout
 
 
 def _encode(metadata: dict) -> bytes:
@@ -93,28 +102,19 @@ def _encode(metadata: dict) -> bytes:
 
 
 def save_checkpoint(path, params: dict[str, np.ndarray], config: ModelConfig,
-                    state: AdamState, iteration: int | None = None) -> None:
+                    state: AdamState, best_dev_f1: float | None = None) -> None:
     """Atomically write params + optimizer state; bit-exact round trip."""
-    if iteration is None:
-        iteration = state.step
-    tensors = _collect_tensors(params, state)
-    manifest = []
-    offset = 0
-    blobs = []
-    for name in sorted(tensors):
-        arr = np.ascontiguousarray(tensors[name], dtype="<f8")
-        manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        blob = arr.tobytes()
-        blobs.append(blob)
-        offset += len(blob)
+    tensors = dict(params)
+    for name in params:
+        tensors[f"adam.m/{name}"] = state.m[name]
+        tensors[f"adam.v/{name}"] = state.v[name]
+    layout = _layout(config)
     metadata = {
         "version": FORMAT_VERSION,
         "config": config.to_dict(),
-        "iteration": iteration,
-        "adam": {"step": state.step, "beta1": state.beta1, "beta2": state.beta2,
-                 "eps": state.eps},
-        "rng_state": {"scheme": "counter-v1", "seed": config.seed},
-        "tensors": manifest,
+        "step": state.step,
+        "best_dev_f1": best_dev_f1,
+        "tensors": layout,
     }
     metadata[_CHECKSUM_KEY] = zlib.crc32(_encode(metadata))
     meta_bytes = _encode(metadata)
@@ -123,17 +123,17 @@ def save_checkpoint(path, params: dict[str, np.ndarray], config: ModelConfig,
         handle.write(MAGIC)
         handle.write(len(meta_bytes).to_bytes(8, "little"))
         handle.write(meta_bytes)
-        for blob in blobs:
-            handle.write(blob)
+        for entry in layout:
+            handle.write(np.ascontiguousarray(tensors[entry["name"]], dtype="<f8"))
     os.replace(tmp_path, path)
 
 
-def _field(path, mapping, key, kinds, where="metadata"):
-    """mapping[key], an instance of one of `kinds`; a bool is never a number."""
-    value = mapping.get(key) if isinstance(mapping, dict) else None
-    if not isinstance(value, kinds) or isinstance(value, bool):
+def _field(path, metadata: dict, key, kinds):
+    """metadata[key], an instance of one of `kinds`; a bool is never a number."""
+    value = metadata.get(key)
+    if key not in metadata or not isinstance(value, kinds) or isinstance(value, bool):
         raise CheckpointMetadataError(
-            f"{path}: {where} key {key!r} is missing or not "
+            f"{path}: metadata key {key!r} is missing or not "
             f"{' or '.join(kind.__name__ for kind in kinds)}")
     return value
 
@@ -150,9 +150,8 @@ def _read_metadata(path, block: bytes) -> dict:
         raise CheckpointVersionError(
             f"{path}: format version {metadata.get('version')!r}, "
             f"expected {FORMAT_VERSION}")
-    checksum = metadata.pop(_CHECKSUM_KEY, None)
-    if checksum is not None and checksum != zlib.crc32(_encode(metadata)):
-        raise CheckpointMetadataError(f"{path}: metadata fails its checksum")
+    if metadata.pop(_CHECKSUM_KEY, None) != zlib.crc32(_encode(metadata)):
+        raise CheckpointMetadataError(f"{path}: metadata lacks or fails its checksum")
     return metadata
 
 
@@ -170,48 +169,19 @@ def _read_config(path, payload: dict) -> ModelConfig:
     return config
 
 
-def _tensor_spans(path, manifest, config: ModelConfig,
-                  payload_bytes: int) -> dict[str, tuple[int, tuple[int, ...]]]:
-    """{name: (offset, shape)} of a manifest that tiles the payload exactly
-    with the config's parameters and their two Adam moments."""
-    shapes = param_shapes(config)
-    wanted = dict(shapes)
-    for prefix in ("adam.m/", "adam.v/"):
-        wanted.update({prefix + name: shape for name, shape in shapes.items()})
-    spans: dict[str, tuple[int, tuple[int, ...]]] = {}
+def _check_manifest(path, manifest: list, layout: list[dict]) -> None:
+    """Raise unless `manifest` is `layout`, entry by entry."""
+    present = [entry.get("name") for entry in manifest if isinstance(entry, dict)]
+    for wanted in layout:
+        if wanted["name"] not in present:
+            raise CheckpointMissingTensorError(f"{path}: no tensor {wanted['name']!r}")
+    # every name is present, so the manifest is no shorter than the layout
     for index, entry in enumerate(manifest):
-        where = f"manifest entry {index}"
-        name = _field(path, entry, "name", (str,), where)
-        shape = tuple(_field(path, entry, "shape", (list,), where))
-        offset = _field(path, entry, "offset", (int,), where)
-        if name in spans:
-            raise CheckpointManifestError(f"{path}: tensor {name!r} listed twice")
-        if name not in wanted:
+        wanted = layout[index] if index < len(layout) else None
+        if entry != wanted:
             raise CheckpointManifestError(
-                f"{path}: tensor {name!r} is no parameter of the config")
-        if shape != wanted[name]:
-            raise CheckpointManifestError(
-                f"{path}: tensor {name!r} has shape {list(shape)}, the config "
-                f"needs {list(wanted[name])}")
-        spans[name] = (offset, wanted[name])
-    missing = [name for name in wanted if name not in spans]
-    if missing:
-        raise CheckpointMissingTensorError(
-            f"{path}: no tensor {missing[0]!r} ({len(missing)} missing)")
-    expected = sum(8 * math.prod(shape) for _, shape in spans.values())
-    if payload_bytes != expected:
-        raise CheckpointTruncatedError(
-            f"{path}: payload is {payload_bytes} bytes, manifest expects {expected}")
-    # the spans sum to the payload; in range and disjoint, they tile it exactly
-    previous_end, previous = 0, "the payload start"
-    for start, end, name in sorted((offset, offset + 8 * math.prod(shape), name)
-                                   for name, (offset, shape) in spans.items()):
-        if start < previous_end or end > payload_bytes:
-            raise CheckpointManifestError(
-                f"{path}: tensor {name!r} at bytes [{start}, {end}) overlaps "
-                f"{previous} or leaves the {payload_bytes}-byte payload")
-        previous_end, previous = end, repr(name)
-    return spans
+                f"{path}: manifest entry {index} is {entry!r}, the config "
+                f"needs {wanted!r}")
 
 
 def load_checkpoint(path) -> CheckpointData:
@@ -228,19 +198,21 @@ def load_checkpoint(path) -> CheckpointData:
     metadata = _read_metadata(path, raw[cursor:cursor + meta_len])
     cursor += meta_len
     config = _read_config(path, _field(path, metadata, "config", (dict,)))
-    iteration = _field(path, metadata, "iteration", (int,))
-    adam = _field(path, metadata, "adam", (dict,))
-    step = _field(path, adam, "step", (int,), "adam")
-    beta1, beta2, eps = (_field(path, adam, key, (int, float), "adam")
-                         for key in ("beta1", "beta2", "eps"))
-    spans = _tensor_spans(path, _field(path, metadata, "tensors", (list,)), config,
-                          len(raw) - cursor)
-    tensors = {name: np.frombuffer(raw, dtype="<f8", count=math.prod(shape),
-                                   offset=cursor + offset).reshape(shape).copy()
-               for name, (offset, shape) in spans.items()}
+    step = _field(path, metadata, "step", (int,))
+    best_dev_f1 = _field(path, metadata, "best_dev_f1", (int, float, type(None)))
+    layout = _layout(config)
+    _check_manifest(path, _field(path, metadata, "tensors", (list,)), layout)
+    expected = sum(8 * math.prod(entry["shape"]) for entry in layout)
+    if len(raw) - cursor != expected:
+        raise CheckpointTruncatedError(
+            f"{path}: payload is {len(raw) - cursor} bytes, manifest expects {expected}")
+    tensors = {entry["name"]: np.frombuffer(raw, dtype="<f8",
+                                            count=math.prod(entry["shape"]),
+                                            offset=cursor + entry["offset"])
+               .reshape(entry["shape"]).copy() for entry in layout}
     params = {name: tensors[name] for name in param_shapes(config)}
     state = AdamState(m={name: tensors[f"adam.m/{name}"] for name in params},
                       v={name: tensors[f"adam.v/{name}"] for name in params},
-                      step=step, beta1=beta1, beta2=beta2, eps=eps)
+                      step=step)
     return CheckpointData(config=config, params=params, state=state,
-                          iteration=iteration)
+                          best_dev_f1=best_dev_f1)

@@ -123,26 +123,30 @@ def cmd_train(args) -> int:
         loaded = ckpt.load_checkpoint(args.resume)
         _check_resume_flags(args, loaded.config)
         config, params, state = loaded.config, loaded.params, loaded.state
+        best_dev_f1 = loaded.best_dev_f1
     else:
         config = ModelConfig(**_given_config(args))
-        params = state = None
+        params = state = best_dev_f1 = None
     examples = load_squad(args.data)
     dev_examples = load_squad(args.dev) if args.dev else None
     table = load_glove(args.glove, dim=config.embedding_dim)
     log_path = args.log or f"{args.out}.log"
 
     def save_improved(result):
-        ckpt.save_checkpoint(args.out, result.params, config, result.state)
+        ckpt.save_checkpoint(args.out, result.params, config, result.state,
+                             result.best_dev_f1)
 
     with open(log_path, "a" if args.resume else "w", encoding="utf-8") as log_handle:
         result = training.train(
             examples, table, config, iters=args.iters, batch_size=args.batch_size,
             lr=args.lr, dev_examples=dev_examples, eval_every=args.eval_every,
             max_answer_len=args.max_answer_len, params=params, state=state,
-            log_handle=log_handle, on_improve=save_improved)
+            best_dev_f1=best_dev_f1, log_handle=log_handle,
+            on_improve=save_improved)
     # with --dev, --out holds the best-dev model and the final one goes beside it
     last_path = f"{args.out}.last" if args.dev else args.out
-    ckpt.save_checkpoint(last_path, result.params, config, result.state)
+    ckpt.save_checkpoint(last_path, result.params, config, result.state,
+                         result.best_dev_f1)
     if result.dropped_examples:
         print(f"dropped {result.dropped_examples} examples with no usable gold span")
     print(f"trained {result.state.step} iterations; checkpoint at {last_path}")

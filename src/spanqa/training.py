@@ -29,9 +29,11 @@ from .spans import best_span
 
 __all__ = ["AdamState", "TrainLogRecord", "TrainingDivergedError",
            "init_optimizer", "clip_global_norm", "adam_update", "train_step",
-           "train", "predict_answers", "SHUFFLE_STREAM"]
+           "train", "predict_answers", "SHUFFLE_STREAM", "BETA1", "BETA2",
+           "ADAM_EPS"]
 
 MAX_GRAD_NORM = 5.0
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8   # Adam's decay rates and epsilon
 SHUFFLE_STREAM = 1  # spawn-key namespace separating batch order from dropout
 COMPUTE_DTYPE = np.float32
 
@@ -47,9 +49,6 @@ class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 @dataclass
@@ -131,7 +130,7 @@ def adam_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     """
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = BETA1, BETA2
     for name, p in params.items():
         g = grads[name]
         m = np.multiply(state.m[name], b1)
@@ -144,7 +143,7 @@ def adam_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         state.m[name], state.v[name] = m, v
         np.divide(v, 1 - b2 ** t, out=scratch)     # v_hat
         np.sqrt(scratch, out=scratch)
-        scratch += state.eps
+        scratch += ADAM_EPS
         np.divide(m, 1 - b1 ** t, out=g)           # m_hat
         g *= lr
         g /= scratch
@@ -210,13 +209,14 @@ def train(train_examples, table: EmbeddingTable, config: qa_model.ModelConfig,
           *, iters: int, batch_size: int = 40, lr: float = 1e-3,
           dev_examples=None, eval_every: int = 500, max_answer_len: int = 20,
           params: dict[str, np.ndarray] | None = None,
-          state: AdamState | None = None, log_handle=None,
-          on_improve=None) -> TrainResult:
+          state: AdamState | None = None, best_dev_f1: float | None = None,
+          log_handle=None, on_improve=None) -> TrainResult:
     """Run `iters` optimizer steps over shuffled batches.
 
     Resumable: passing params/state from a checkpoint continues the exact
     trajectory because batch order and dropout depend only on (seed, step).
-    `on_improve(result)` fires when dev F1 improves; dev decoding happens
+    `on_improve(result)` fires when dev F1 improves on `best_dev_f1` (the
+    best so far, from the checkpoint when resuming); dev decoding happens
     every `eval_every` iterations when dev_examples is given.
     """
     usable, dropped = prepare_for_training(train_examples, config.context_cap)
@@ -229,7 +229,8 @@ def train(train_examples, table: EmbeddingTable, config: qa_model.ModelConfig,
         params = qa_model.init_params(config)
     if state is None:
         state = init_optimizer(params)
-    result = TrainResult(params=params, state=state, dropped_examples=dropped)
+    result = TrainResult(params=params, state=state, dropped_examples=dropped,
+                         best_dev_f1=best_dev_f1)
 
     batches: list[Batch] = []
     per_epoch = max(1, (len(usable) + batch_size - 1) // batch_size)

@@ -51,7 +51,7 @@ def test_criterion_1_dataset_statistics():
 
 def test_criterion_2_gradient_suite():
     started = time.perf_counter()
-    rows, _ = run_gradcheck_suite(seed=0, coords_per_tensor=4)
+    rows, _ = run_gradcheck_suite(seed=0)
     elapsed = time.perf_counter() - started
     op_rows = [r for r in rows if r[0] != "end_to_end"]
     worst_op = max(err for _, err, _ in op_rows)
@@ -196,7 +196,7 @@ def test_criterion_8_determinism_and_persistence(tiny_files, tmp_path):
     save_checkpoint(first_path, run.params, config, run.state)
     loaded = load_checkpoint(first_path)
     save_checkpoint(second_path, loaded.params, loaded.config, loaded.state,
-                    iteration=loaded.iteration)
+                    best_dev_f1=loaded.best_dev_f1)
     roundtrip_identical = first_path.read_bytes() == second_path.read_bytes()
 
     resumed = train(examples, table, loaded.config, iters=8, batch_size=8,

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import write_squad
 from spanqa import autodiff as ad
-from spanqa import training
+from spanqa import diagnostics, training
 from spanqa.checkpoint import load_checkpoint
 from spanqa.cli import main
 from spanqa.metrics import evaluate
@@ -127,6 +127,33 @@ class TestTrain:
         printed = capsys.readouterr().out
         assert f"checkpoint at {out}.last" in printed
         assert f"best dev F1 70.00; checkpoint at {out}" in printed
+
+    def test_resumed_dev_run_keeps_best_checkpoint(self, fixtures_dir, tmp_path,
+                                                   monkeypatch, capsys):
+        # dev F1 peaks at the first eval: a resumed run must not overwrite
+        # --out with a worse model at its first eval
+        scores = iter([70.0, 40.0, 10.0])
+        real_evaluate = training.evaluate
+
+        def scripted(predictions, examples):
+            return dataclasses.replace(real_evaluate(predictions, examples),
+                                       f1=next(scores))
+
+        monkeypatch.setattr(training, "evaluate", scripted)
+        out = tmp_path / "best.ckpt"
+        common = ["--data", str(fixtures_dir / "tiny_squad.json"),
+                  "--dev", str(fixtures_dir / "tiny_squad.json"),
+                  "--glove", str(fixtures_dir / "tiny_glove.txt"),
+                  "--out", str(out), "--batch-size", "8", "--eval-every", "2"]
+        assert main(["train", *common, "--iters", "4", "--hidden", "8",
+                     "--dropout", "0.0", "--embed-dim", "32", "--seed", "2"]) == 0
+        capsys.readouterr()
+        assert main(["train", *common, "--iters", "6",
+                     "--resume", f"{out}.last"]) == 0
+        assert load_checkpoint(out).state.step == 2
+        last = load_checkpoint(f"{out}.last")
+        assert (last.state.step, last.best_dev_f1) == (6, 70.0)
+        assert f"best dev F1 70.00; checkpoint at {out}" in capsys.readouterr().out
 
     def test_run_without_dev_writes_only_out(self, trained_checkpoint):
         assert load_checkpoint(trained_checkpoint).state.step == 12
@@ -249,7 +276,7 @@ class TestPredictAndEval:
     def test_corrupt_checkpoint_version(self, trained_checkpoint, tmp_path,
                                         fixtures_dir, capsys):
         mutated = tmp_path / "bad.ckpt"
-        raw = trained_checkpoint.read_bytes().replace(b'"version":1', b'"version":7', 1)
+        raw = trained_checkpoint.read_bytes().replace(b'"version":2', b'"version":7', 1)
         mutated.write_bytes(raw)
         code = main(["eval", "--ckpt", str(mutated),
                      "--data", str(fixtures_dir / "tiny_squad.json"),
@@ -267,22 +294,24 @@ class TestGradcheckCommand:
             assert op in out
         assert "all passed" in out
 
-    def test_corrupted_backward_rule_fails(self, capsys):
+    def test_corrupted_backward_rule_fails(self, monkeypatch, capsys):
         # an op whose forward is sigmoid but whose gradient path doubles it:
         # the analytic/numeric mismatch must be reported as a failure
-        from spanqa.diagnostics import run_gradcheck_suite
-
         def forged(t):
             frozen = ad.Tensor(t.data.copy())  # same values, no grad path
             doubled = ad.add(ad.sigmoid(t), ad.sigmoid(t))
             return ad.reduce_sum(ad.sub(doubled, ad.sigmoid(frozen)))
 
-        rows, all_ok = run_gradcheck_suite(
-            seed=0, extra_cases=[("forged", forged,
-                                  np.random.default_rng(0).normal(size=(3, 3)))])
-        forged_row = [r for r in rows if r[0] == "forged"][0]
-        assert forged_row[1] > forged_row[2]
-        assert not all_ok
+        real_cases = diagnostics.op_gradcheck_cases
+        monkeypatch.setattr(
+            diagnostics, "op_gradcheck_cases",
+            lambda seed: real_cases(seed) + [
+                ("forged", forged, np.random.default_rng(0).normal(size=(3, 3)))])
+        code = main(["gradcheck"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert re.search(r"^forged .* FAIL$", out, re.MULTILINE)
+        assert "gradcheck: FAILURES above" in out
 
 
 def _run_module(*args):

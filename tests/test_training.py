@@ -16,8 +16,9 @@ from spanqa.data import (build_batches, load_glove, load_squad,
 from spanqa.diagnostics import make_tiny_problem
 from spanqa.model import ModelConfig, init_params
 from spanqa import training
-from spanqa.training import (TrainingDivergedError, adam_update, clip_global_norm,
-                             init_optimizer, predict_answers, train, train_step)
+from spanqa.training import (ADAM_EPS, BETA1, BETA2, TrainingDivergedError,
+                             adam_update, clip_global_norm, init_optimizer,
+                             predict_answers, train, train_step)
 
 
 @pytest.fixture(scope="module")
@@ -95,11 +96,11 @@ def reference_adam_update(params, grads, state, lr):
     t = state.step
     for name in params:
         g = grads[name]
-        state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * (g * g)
-        m_hat = state.m[name] / (1 - state.beta1 ** t)
-        v_hat = state.v[name] / (1 - state.beta2 ** t)
-        params[name] -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        state.m[name] = BETA1 * state.m[name] + (1 - BETA1) * g
+        state.v[name] = BETA2 * state.v[name] + (1 - BETA2) * (g * g)
+        m_hat = state.m[name] / (1 - BETA1 ** t)
+        v_hat = state.v[name] / (1 - BETA2 ** t)
+        params[name] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def _copy_state(state):
@@ -269,7 +270,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params, config, state)
         loaded = load_checkpoint(path)
-        assert loaded.iteration == 1
+        assert loaded.state.step == 1
         assert loaded.config == config
         assert set(loaded.params) == set(params)
         for name in params:
@@ -286,7 +287,7 @@ class TestCheckpoint:
         save_checkpoint(first, params, config, state)
         loaded = load_checkpoint(first)
         save_checkpoint(second, loaded.params, loaded.config, loaded.state,
-                        iteration=loaded.iteration)
+                        best_dev_f1=loaded.best_dev_f1)
         assert first.read_bytes() == second.read_bytes()
 
     def test_bad_magic(self, tmp_path):
@@ -300,11 +301,12 @@ class TestCheckpoint:
         state = init_optimizer(params)
         path = tmp_path / "v.ckpt"
         save_checkpoint(path, params, config, state)
-        raw = bytearray(path.read_bytes())
-        raw = raw.replace(b'"version":1', b'"version":9', 1)
-        path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointVersionError):
-            load_checkpoint(path)
+        saved = path.read_bytes()
+        for version in (b"9", b"1"):
+            path.write_bytes(saved.replace(b'"version":2', b'"version":' + version, 1))
+            with pytest.raises(CheckpointVersionError,
+                               match=f"format version {version.decode()}, expected 2"):
+                load_checkpoint(path)
 
     def test_truncated_payload(self, tmp_path):
         config, params, _, _ = make_tiny_problem(seed=34)
