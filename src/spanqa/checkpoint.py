@@ -28,7 +28,7 @@ import json
 import math
 import os
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -111,7 +111,7 @@ def save_checkpoint(path, params: dict[str, np.ndarray], config: ModelConfig,
     layout = _layout(config)
     metadata = {
         "version": FORMAT_VERSION,
-        "config": config.to_dict(),
+        "config": asdict(config),
         "step": state.step,
         "best_dev_f1": best_dev_f1,
         "tensors": layout,
@@ -133,8 +133,8 @@ def _field(path, metadata: dict, key, kinds):
     value = metadata.get(key)
     if key not in metadata or not isinstance(value, kinds) or isinstance(value, bool):
         raise CheckpointMetadataError(
-            f"{path}: metadata key {key!r} is missing or not "
-            f"{' or '.join(kind.__name__ for kind in kinds)}")
+            f"{path}: key {key!r} is missing or not "
+            f"{' or '.join(dict.fromkeys(kind.__name__ for kind in kinds))}")
     return value
 
 
@@ -156,17 +156,13 @@ def _read_metadata(path, block: bytes) -> dict:
 
 
 def _read_config(path, payload: dict) -> ModelConfig:
+    for field in fields(ModelConfig):
+        # an int field takes only ints, a float field ints or floats
+        _field(path, payload, field.name, (int, type(field.default)))
     try:
-        config = ModelConfig.from_dict(payload)
+        return ModelConfig(**payload)
     except (TypeError, ValueError) as exc:
         raise CheckpointMetadataError(f"{path}: invalid model config: {exc}") from exc
-    for field in fields(config):
-        # an int field takes only ints, a float field ints or floats
-        value = getattr(config, field.name)
-        if isinstance(value, bool) or not isinstance(value, (int, type(field.default))):
-            raise CheckpointMetadataError(
-                f"{path}: config {field.name}={value!r} has the wrong type")
-    return config
 
 
 def _check_manifest(path, manifest: list, layout: list[dict]) -> None:

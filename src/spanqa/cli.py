@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import logging
+import os
 import sys
 
 from . import checkpoint as ckpt
@@ -119,6 +121,10 @@ def _check_resume_flags(args, config: ModelConfig) -> None:
 
 
 def cmd_train(args) -> int:
+    out_dir = os.path.dirname(args.out) or "."
+    if not os.path.isdir(out_dir):
+        # fail now, not after training when the first checkpoint is written
+        raise FileNotFoundError(errno.ENOENT, "no such directory", out_dir)
     if args.resume:
         loaded = ckpt.load_checkpoint(args.resume)
         _check_resume_flags(args, loaded.config)
@@ -147,8 +153,6 @@ def cmd_train(args) -> int:
     last_path = f"{args.out}.last" if args.dev else args.out
     ckpt.save_checkpoint(last_path, result.params, config, result.state,
                          result.best_dev_f1)
-    if result.dropped_examples:
-        print(f"dropped {result.dropped_examples} examples with no usable gold span")
     print(f"trained {result.state.step} iterations; checkpoint at {last_path}")
     if args.dev:
         print(f"best dev F1 {result.best_dev_f1:.2f}; checkpoint at {args.out}"
@@ -230,7 +234,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"file not found: {exc.filename}", file=sys.stderr)
         return EXIT_MISSING_FILE
-    except (ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

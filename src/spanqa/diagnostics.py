@@ -182,7 +182,7 @@ def make_tiny_problem(seed: int = 0, hidden: int = 4, embed_dim: int = 6,
 
 
 def end_to_end_gradcheck(seed: int = 0, coords_per_tensor: int | None = 4,
-                         eps: float = 1e-5, shared_context: bool = False):
+                         shared_context: bool = False):
     """Worst relative gradcheck error of the full loss over each parameter.
 
     `coords_per_tensor` limits the finite-difference probes per tensor
@@ -202,8 +202,7 @@ def end_to_end_gradcheck(seed: int = 0, coords_per_tensor: int | None = 4,
             return qa_model.loss(out, batch.gold_starts, batch.gold_ends,
                                  batch.context_mask)
 
-        err = ad.grad_check(run, params[name], eps=eps, coords=coords_per_tensor,
-                            seed=seed)
+        err = ad.grad_check(run, params[name], coords=coords_per_tensor, seed=seed)
         results.append((name, err))
     return results
 
@@ -216,7 +215,7 @@ def run_gradcheck_suite(seed: int):
     """
     rows = []
     for name, func, probe in op_gradcheck_cases(seed):
-        rows.append((name, ad.grad_check(func, probe, eps=1e-5), OP_THRESHOLD))
+        rows.append((name, ad.grad_check(func, probe), OP_THRESHOLD))
     worst = max(err for shared in (False, True)
                 for _, err in end_to_end_gradcheck(seed, shared_context=shared))
     rows.append(("end_to_end", worst, END_TO_END_THRESHOLD))

@@ -13,8 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 __all__ = ["MatchStats", "EvalReport", "CATEGORIES", "normalize_answer",
-           "f1_score", "em_score", "categorize_question", "evaluate",
-           "DuplicatePredictionError"]
+           "f1_score", "em_score", "categorize_question", "evaluate"]
 
 log = logging.getLogger(__name__)
 
@@ -25,10 +24,6 @@ _ARTICLES = {"a", "an", "the"}
 _KEYWORD_PATTERNS = [
     (cat, re.compile(rf"\b{cat.lower()}\b")) for cat in CATEGORIES[:-1]
 ]
-
-
-class DuplicatePredictionError(ValueError):
-    """A qid appeared more than once in a predictions input."""
 
 
 @dataclass
@@ -85,30 +80,17 @@ def categorize_question(question: str) -> str:
     return "Other"
 
 
-def _as_prediction_map(predictions) -> dict[str, str]:
-    if isinstance(predictions, dict):
-        return predictions
-    out: dict[str, str] = {}
-    for qid, answer in predictions:
-        if qid in out:
-            raise DuplicatePredictionError(f"duplicate prediction for qid {qid!r}")
-        out[qid] = answer
-    return out
-
-
-def evaluate(predictions, examples) -> EvalReport:
+def evaluate(predictions: dict[str, str], examples) -> EvalReport:
     """Score each question as the max F1/EM over its ground-truth answers.
 
-    `predictions` maps qid -> answer string (a dict, or (qid, answer) pairs
-    which are checked for duplicates). Questions without a prediction score
-    0 and are counted in the report.
+    `predictions` is a dict mapping qid -> answer string. Questions without
+    a prediction score 0 and are counted in the report as missing.
     """
-    preds = _as_prediction_map(predictions)
     totals = {cat: [0.0, 0.0, 0] for cat in CATEGORIES}
     f1_sum = em_sum = 0.0
     missing = 0
     for ex in sorted(examples, key=lambda e: e.qid):
-        answer = preds.get(ex.qid)
+        answer = predictions.get(ex.qid)
         if answer is None:
             missing += 1
             best_f1 = best_em = 0.0

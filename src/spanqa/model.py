@@ -26,8 +26,9 @@ dtype, so float32 params give a float32 forward and backward.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,13 +61,6 @@ class ModelConfig:
             raise ConfigError(f"encoder_layers must be >= 1, got {self.encoder_layers}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ModelConfig":
-        return cls(**payload)
 
 
 @dataclass
@@ -143,27 +137,20 @@ def embed(ids: np.ndarray, table: EmbeddingTable, dtype=np.float64) -> Tensor:
     return Tensor(table.matrix[ids].astype(dtype, copy=False))
 
 
-class _SeedStream:
+def _seed_stream(seed: int, step: int):
     """Deterministic per-call dropout seeds derived from (seed, step, index)."""
-
-    def __init__(self, seed: int, step: int):
-        self._seed = seed
-        self._step = step
-        self._index = 0
-
-    def __call__(self) -> int:
-        ss = np.random.SeedSequence(self._seed, spawn_key=(self._step, self._index))
-        self._index += 1
-        return int(ss.generate_state(1, dtype=np.uint64)[0])
+    for index in itertools.count():
+        ss = np.random.SeedSequence(seed, spawn_key=(step, index))
+        yield int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def _dropout(blocks, rate: float, seeds):
     """Each block through its own dropout mask; the blocks as they are at rate 0."""
-    return [ad.dropout(x, rate, seeds()) if rate > 0.0 else x for x in blocks]
+    return [ad.dropout(x, rate, next(seeds)) if rate > 0.0 else x for x in blocks]
 
 
 def bilstm(blocks, layer_params, packing: ad.Packing, *, dropout_rate: float = 0.0,
-           seeds: _SeedStream | None = None) -> Tensor:
+           seeds=None) -> Tensor:
     """Stacked bidirectional LSTM over packed rows: blocks (N, n_i) -> (N, 2h).
 
     `blocks` is the first layer's input [x_1 | x_2 | ...] as row blocks in
@@ -292,7 +279,7 @@ def forward(batch: Batch, params, table: EmbeddingTable, config: ModelConfig,
     pt = {name: value if isinstance(value, Tensor) else Tensor(value)
           for name, value in params.items()}
     dtype = pt["attention.w_sim"].data.dtype
-    seeds = _SeedStream(config.seed, step)
+    seeds = _seed_stream(config.seed, step)
     rate = config.dropout_rate if training else 0.0
     encoder = [_layer_group(pt, f"encoder.l{k}") for k in range(config.encoder_layers)]
 

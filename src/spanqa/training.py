@@ -17,12 +17,12 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import model as qa_model
-from .autodiff import Graph
+from .autodiff import ConfigError, Graph
 from .data import Batch, EmbeddingTable, build_batches, prepare_for_training
 from .metrics import evaluate
 from .spans import best_span
@@ -60,12 +60,9 @@ class TrainLogRecord:
     dev_em: float | None = None
 
     def to_json(self) -> str:
-        payload = {"iteration": self.iteration, "train_loss": self.train_loss,
-                   "seconds": self.seconds}
-        if self.dev_f1 is not None:
-            payload["dev_f1"] = self.dev_f1
-            payload["dev_em"] = self.dev_em
-        return json.dumps(payload, sort_keys=True)
+        """One JSONL line; the dev fields appear only after a dev evaluation."""
+        return json.dumps({key: value for key, value in asdict(self).items()
+                           if value is not None}, sort_keys=True)
 
 
 def init_optimizer(params: dict[str, np.ndarray]) -> AdamState:
@@ -73,12 +70,12 @@ def init_optimizer(params: dict[str, np.ndarray]) -> AdamState:
                      v={k: np.zeros_like(v) for k, v in params.items()})
 
 
-def clip_global_norm(grads: dict[str, np.ndarray],
-                     max_norm: float = MAX_GRAD_NORM) -> float:
-    """Scale all gradients in place so the global L2 norm is <= max_norm."""
+def clip_global_norm(grads: dict[str, np.ndarray]) -> float:
+    """Scale all gradients in place so the global L2 norm is <= MAX_GRAD_NORM;
+    returns the norm before clipping."""
     total = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
-    if total > max_norm:
-        scale = max_norm / total
+    if total > MAX_GRAD_NORM:
+        scale = MAX_GRAD_NORM / total
         for g in grads.values():
             g *= scale
     return total
@@ -201,7 +198,6 @@ class TrainResult:
     params: dict[str, np.ndarray]
     state: AdamState
     records: list[TrainLogRecord] = field(default_factory=list)
-    dropped_examples: int = 0
     best_dev_f1: float | None = None
 
 
@@ -219,6 +215,10 @@ def train(train_examples, table: EmbeddingTable, config: qa_model.ModelConfig,
     best so far, from the checkpoint when resuming); dev decoding happens
     every `eval_every` iterations when dev_examples is given.
     """
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    if eval_every < 1:
+        raise ConfigError(f"eval_every must be >= 1, got {eval_every}")
     usable, dropped = prepare_for_training(train_examples, config.context_cap)
     if not usable:
         raise ValueError("no trainable examples after truncation filtering")
@@ -229,8 +229,7 @@ def train(train_examples, table: EmbeddingTable, config: qa_model.ModelConfig,
         params = qa_model.init_params(config)
     if state is None:
         state = init_optimizer(params)
-    result = TrainResult(params=params, state=state, dropped_examples=dropped,
-                         best_dev_f1=best_dev_f1)
+    result = TrainResult(params=params, state=state, best_dev_f1=best_dev_f1)
 
     batches: list[Batch] = []
     per_epoch = max(1, (len(usable) + batch_size - 1) // batch_size)

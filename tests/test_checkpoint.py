@@ -194,3 +194,19 @@ def test_mistyped_best_dev_f1_is_rejected(workdir, original, value):
     metadata["best_dev_f1"] = value
     with pytest.raises(CheckpointMetadataError, match="best_dev_f1"):
         load_bytes(workdir, join(metadata, payload))
+
+
+@pytest.mark.parametrize("key,value", [("hidden_size", True), ("hidden_size", 4.0),
+                                       ("dropout_rate", "0.1"), ("seed", None),
+                                       ("encoder_layers", False)])
+def test_mistyped_config_field_is_rejected(workdir, original, key, value):
+    metadata, payload = split(original)
+    metadata["config"][key] = value
+    with pytest.raises(CheckpointMetadataError, match=key):
+        load_bytes(workdir, join(metadata, payload))
+
+
+def test_int_in_float_config_field_loads(workdir, original):
+    metadata, payload = split(original)
+    metadata["config"]["dropout_rate"] = 0
+    assert load_bytes(workdir, join(metadata, payload)).config.dropout_rate == 0

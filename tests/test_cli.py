@@ -159,6 +159,40 @@ class TestTrain:
         assert load_checkpoint(trained_checkpoint).state.step == 12
         assert not trained_checkpoint.with_suffix(".ckpt.last").exists()
 
+    @pytest.mark.parametrize("flag,value", [("--batch-size", "0"),
+                                            ("--eval-every", "0"),
+                                            ("--eval-every", "-1")])
+    def test_nonpositive_count_is_an_error(self, fixtures_dir, tmp_path, capsys,
+                                           monkeypatch, flag, value):
+        # rejected before the examples are filtered, let alone trained on
+        monkeypatch.setattr(training, "prepare_for_training",
+                            lambda *args: pytest.fail("examples were filtered"))
+        fixture = str(fixtures_dir / "tiny_squad.json")
+        out = tmp_path / "m.ckpt"
+        code = main(["train", "--data", fixture, "--dev", fixture,
+                     "--glove", str(fixtures_dir / "tiny_glove.txt"),
+                     "--out", str(out), "--iters", "2", "--hidden", "4",
+                     "--embed-dim", "32", flag, value])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ")
+        assert flag[2:].replace("-", "_") in err
+        assert not out.exists()
+
+    def test_missing_out_directory_fails_before_training(self, fixtures_dir,
+                                                         tmp_path, capsys,
+                                                         monkeypatch):
+        calls = []
+        monkeypatch.setattr(training, "train", lambda *args, **kw: calls.append(args))
+        missing = tmp_path / "absent"
+        code = main(["train", "--data", str(fixtures_dir / "tiny_squad.json"),
+                     "--glove", str(fixtures_dir / "tiny_glove.txt"),
+                     "--out", str(missing / "m.ckpt"),
+                     "--log", str(tmp_path / "m.log"), "--iters", "2"])
+        assert code == 2
+        assert str(missing) in capsys.readouterr().err
+        assert calls == []
+
 
 class TestResumeFlags:
     def _resume(self, checkpoint, fixtures_dir, out, *flags):
@@ -272,6 +306,15 @@ class TestPredictAndEval:
         report = evaluate(gold, examples)
         assert report.f1 == 100.0
         assert report.em == 100.0
+
+    def test_directory_as_checkpoint(self, fixtures_dir, tmp_path, capsys):
+        code = main(["eval", "--ckpt", str(tmp_path),
+                     "--data", str(fixtures_dir / "tiny_squad.json"),
+                     "--glove", str(fixtures_dir / "tiny_glove.txt")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and str(tmp_path) in err
+        assert len(err.splitlines()) == 1
 
     def test_corrupt_checkpoint_version(self, trained_checkpoint, tmp_path,
                                         fixtures_dir, capsys):

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from spanqa.data import QAExample, tokenize
-from spanqa.metrics import (CATEGORIES, DuplicatePredictionError, categorize_question,
-                            em_score, evaluate, f1_score, normalize_answer)
+from spanqa.metrics import (CATEGORIES, categorize_question, em_score, evaluate,
+                            f1_score, normalize_answer)
 
 
 def expected_f1(overlap, pred_len, truth_len):
@@ -146,10 +146,6 @@ class TestEvaluate:
         report = evaluate({"q1": "yes"}, examples)
         assert report.missing == 1
         assert report.em == 50.0
-
-    def test_duplicate_qid_rejected(self):
-        with pytest.raises(DuplicatePredictionError):
-            evaluate([("q1", "a"), ("q1", "b")], [_example("q1", "Who?", ["a"])])
 
     def test_category_counts_partition_total(self):
         examples = [
