@@ -20,6 +20,11 @@ rejected, not converted), truncation, metadata that is not JSON, lacks or
 mistypes a key, or lacks or fails its checksum, and a manifest other than
 the config's layout. The payload carries no checksum, so a flipped payload
 bit loads as the value the file now holds.
+
+Loading checks the file's size against the layout before it allocates any
+tensor, then reads each tensor from the file straight into its own array:
+the payload is held once, and each loaded tensor owns its memory, so Adam
+moments loaded to resume are freed once the first update replaces them.
 """
 
 from __future__ import annotations
@@ -181,31 +186,37 @@ def _check_manifest(path, manifest: list, layout: list[dict]) -> None:
 
 
 def load_checkpoint(path) -> CheckpointData:
-    """Read a checkpoint; any damaged or inconsistent file raises CheckpointError."""
+    """Read a checkpoint; any damaged or inconsistent file raises CheckpointError.
+
+    Nothing is allocated for the payload until the file's size matches the
+    layout; then each tensor is read straight into its own new array.
+    """
     with open(path, "rb") as handle:
-        raw = handle.read()
-    if raw[:len(MAGIC)] != MAGIC:
-        raise CheckpointMagicError(f"{path}: bad magic, not a checkpoint file")
-    cursor = len(MAGIC)
-    meta_len = int.from_bytes(raw[cursor:cursor + 8], "little")
-    cursor += 8
-    if len(raw) < cursor + meta_len:
-        raise CheckpointTruncatedError(f"{path}: metadata block truncated")
-    metadata = _read_metadata(path, raw[cursor:cursor + meta_len])
-    cursor += meta_len
-    config = _read_config(path, _field(path, metadata, "config", (dict,)))
-    step = _field(path, metadata, "step", (int,))
-    best_dev_f1 = _field(path, metadata, "best_dev_f1", (int, float, type(None)))
-    layout = _layout(config)
-    _check_manifest(path, _field(path, metadata, "tensors", (list,)), layout)
-    expected = sum(8 * math.prod(entry["shape"]) for entry in layout)
-    if len(raw) - cursor != expected:
-        raise CheckpointTruncatedError(
-            f"{path}: payload is {len(raw) - cursor} bytes, manifest expects {expected}")
-    tensors = {entry["name"]: np.frombuffer(raw, dtype="<f8",
-                                            count=math.prod(entry["shape"]),
-                                            offset=cursor + entry["offset"])
-               .reshape(entry["shape"]).copy() for entry in layout}
+        size = os.fstat(handle.fileno()).st_size
+        if handle.read(len(MAGIC)) != MAGIC:
+            raise CheckpointMagicError(f"{path}: bad magic, not a checkpoint file")
+        meta_len = int.from_bytes(handle.read(8), "little")
+        cursor = len(MAGIC) + 8 + meta_len
+        # the length field is bounded by the file before it sizes a read
+        if size < cursor:
+            raise CheckpointTruncatedError(f"{path}: metadata block truncated")
+        metadata = _read_metadata(path, handle.read(meta_len))
+        config = _read_config(path, _field(path, metadata, "config", (dict,)))
+        step = _field(path, metadata, "step", (int,))
+        best_dev_f1 = _field(path, metadata, "best_dev_f1", (int, float, type(None)))
+        layout = _layout(config)
+        _check_manifest(path, _field(path, metadata, "tensors", (list,)), layout)
+        expected = sum(8 * math.prod(entry["shape"]) for entry in layout)
+        if size - cursor != expected:
+            raise CheckpointTruncatedError(
+                f"{path}: payload is {size - cursor} bytes, manifest expects {expected}")
+        tensors = {}
+        for entry in layout:    # in offset order, end to end
+            tensor = np.empty(entry["shape"], dtype="<f8")
+            if handle.readinto(tensor) != tensor.nbytes:
+                raise CheckpointTruncatedError(f"{path}: payload ends inside "
+                                               f"{entry['name']!r}")
+            tensors[entry["name"]] = tensor
     params = {name: tensors[name] for name in param_shapes(config)}
     state = AdamState(m={name: tensors[f"adam.m/{name}"] for name in params},
                       v={name: tensors[f"adam.v/{name}"] for name in params},

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .autodiff import DegenerateMaskError
+from .autodiff import ConfigError, DegenerateMaskError
 
 __all__ = ["SpanPrediction", "SpanOrderingError", "smart_span_score",
            "best_span", "oracle_best_span", "raw_product_span", "span_text"]
@@ -70,10 +70,10 @@ def _argmax_pair(ps, pe, keep, max_len, penalty=None):
     Scores only the (L, min(max_len, L)) band of (start, offset) pairs, with
     end = start + offset, so the work is O(L * max_len), not O(L^2).
     """
+    if max_len < 1:
+        raise ConfigError(f"max_len must be >= 1, got {max_len}")
     length = len(ps)
     width = min(max_len, length)
-    if width < 1:
-        raise DegenerateMaskError("no unmasked start/end pair available")
     tail = width - 1     # ends past the last position: padded, never valid
     end_p = sliding_window_view(
         np.concatenate([np.where(keep, pe, 0.0), np.zeros(tail)]), width)

@@ -8,8 +8,8 @@ can be resumed from a checkpoint and retrace the identical trajectory.
 Params, Adam moments and checkpoints are float64 master weights. A train step
 or a prediction call casts them to COMPUTE_DTYPE once and runs the model in
 that dtype (mixed-precision training after Micikevicius et al., arXiv
-1710.03740); the gradients come back in it and are widened to float64 before
-clipping and the Adam update.
+1710.03740); the gradients come back in it. Clipping sums their norm in
+float64, and the Adam update widens them to float64 block by block.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ MAX_GRAD_NORM = 5.0
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8   # Adam's decay rates and epsilon
 SHUFFLE_STREAM = 1  # spawn-key namespace separating batch order from dropout
 COMPUTE_DTYPE = np.float32
+UPDATE_BLOCK = 32768   # elements per block of adam_update: 256 KiB of float64
 
 log = logging.getLogger(__name__)
 
@@ -71,14 +72,16 @@ def init_optimizer(params: dict[str, np.ndarray]) -> AdamState:
 
 
 def clip_global_norm(grads: dict[str, np.ndarray]) -> float:
-    """Scale all gradients in place so the global L2 norm is <= MAX_GRAD_NORM;
-    returns the norm before clipping."""
-    total = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
-    if total > MAX_GRAD_NORM:
-        scale = MAX_GRAD_NORM / total
-        for g in grads.values():
-            g *= scale
-    return total
+    """The factor that brings the global L2 norm of `grads` down to
+    MAX_GRAD_NORM, or 1.0 when the norm is within it. The gradients are not
+    changed: adam_update applies the factor as it widens them.
+
+    The norm is summed in float64 whatever the gradients' dtype, as if they
+    were widened first, and bit for bit the same.
+    """
+    total = float(np.sqrt(sum(float(np.square(g, dtype=np.float64).sum())
+                              for g in grads.values())))
+    return MAX_GRAD_NORM / total if total > MAX_GRAD_NORM else 1.0
 
 
 def train_step(params: dict[str, np.ndarray], batch: Batch,
@@ -103,22 +106,25 @@ def train_step(params: dict[str, np.ndarray], batch: Batch,
         raise TrainingDivergedError(
             f"non-finite loss at optimizer step {state.step}; first bad tensor: {where}")
     grad_map = graph.backward(loss)
-    grads = {name: grad_map[leaf.node_id].astype(np.float64)
-             for name, leaf in leaves.items()}
-    clip_global_norm(grads)
-    adam_update(params, grads, state, lr)
+    grads = {name: grad_map[leaf.node_id] for name, leaf in leaves.items()}
+    adam_update(params, grads, state, lr, scale=clip_global_norm(grads))
     return loss_value
 
 
 def adam_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-                state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam step: params change in place, the moments are
-    replaced, and the gradients are overwritten as scratch.
+                state: AdamState, lr: float, scale: float = 1.0) -> None:
+    """One bias-corrected Adam step on the gradients times `scale`: params
+    change in place and the moments are replaced; the gradients, of any
+    float dtype, are only read.
 
-    Computes, in this order and so bit for bit,
+    Each parameter is updated in blocks of UPDATE_BLOCK elements, so the
+    whole step stays in cache: the block's gradients are widened to float64
+    into a reused scratch buffer and multiplied by `scale` (when it is not
+    1.0), then Adam computes, in this order and so bit for bit,
     m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g), m_hat = m/(1-b1^t),
-    v_hat = v/(1-b2^t) and p -= (lr*m_hat) / (sqrt(v_hat) + eps), allocating
-    per parameter only the new m and v and one scratch array.
+    v_hat = v/(1-b2^t) and p -= (lr*m_hat) / (sqrt(v_hat) + eps). Params and
+    moments are C-contiguous, as init_params, init_optimizer and
+    load_checkpoint make them.
 
     The moments are new arrays each step, not updated in place: with glibc,
     moments that never move let the allocator return the step's freed heap
@@ -128,23 +134,37 @@ def adam_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     state.step += 1
     t = state.step
     b1, b2 = BETA1, BETA2
+    g_block = np.empty(UPDATE_BLOCK)
+    s_block = np.empty(UPDATE_BLOCK)
     for name, p in params.items():
-        g = grads[name]
-        m = np.multiply(state.m[name], b1)
-        scratch = np.multiply(g, 1 - b1)
-        m += scratch
-        v = np.multiply(state.v[name], b2)
-        np.multiply(g, g, out=scratch)
-        scratch *= 1 - b2
-        v += scratch
+        if not p.flags.c_contiguous:    # reshape would update a copy
+            raise ValueError(f"param {name!r} is not C-contiguous")
+        m, v = np.empty_like(p), np.empty_like(p)
+        flat_p, flat_m, flat_v = p.reshape(-1), m.reshape(-1), v.reshape(-1)
+        old_m, old_v = state.m[name].reshape(-1), state.v[name].reshape(-1)
+        flat_g = grads[name].reshape(-1)
+        for lo in range(0, flat_p.size, UPDATE_BLOCK):
+            hi = min(lo + UPDATE_BLOCK, flat_p.size)
+            g, scratch = g_block[:hi - lo], s_block[:hi - lo]
+            mb, vb = flat_m[lo:hi], flat_v[lo:hi]
+            g[...] = flat_g[lo:hi]
+            if scale != 1.0:
+                g *= scale
+            np.multiply(old_m[lo:hi], b1, out=mb)
+            np.multiply(g, 1 - b1, out=scratch)
+            mb += scratch
+            np.multiply(old_v[lo:hi], b2, out=vb)
+            np.multiply(g, g, out=scratch)
+            scratch *= 1 - b2
+            vb += scratch
+            np.divide(vb, 1 - b2 ** t, out=scratch)     # v_hat
+            np.sqrt(scratch, out=scratch)
+            scratch += ADAM_EPS
+            np.divide(mb, 1 - b1 ** t, out=g)           # m_hat
+            g *= lr
+            g /= scratch
+            flat_p[lo:hi] -= g
         state.m[name], state.v[name] = m, v
-        np.divide(v, 1 - b2 ** t, out=scratch)     # v_hat
-        np.sqrt(scratch, out=scratch)
-        scratch += ADAM_EPS
-        np.divide(m, 1 - b1 ** t, out=g)           # m_hat
-        g *= lr
-        g /= scratch
-        p -= g
 
 
 def epoch_order(seed: int, epoch: int, count: int) -> np.ndarray:
@@ -162,6 +182,11 @@ def _epoch_batches(usable, table, config, batch_size, epoch):
                          context_cap=config.context_cap, training=False)
 
 
+def _check_max_answer_len(max_answer_len: int) -> None:
+    if max_answer_len < 1:
+        raise ConfigError(f"max_answer_len must be >= 1, got {max_answer_len}")
+
+
 def predict_answers(examples, params, table, config: qa_model.ModelConfig,
                     batch_size: int = 40, max_answer_len: int = 20) -> dict[str, str]:
     """Decode best spans for every example; returns {qid: answer text}.
@@ -169,6 +194,7 @@ def predict_answers(examples, params, table, config: qa_model.ModelConfig,
     An example with an empty question or context has nothing to attend over
     and gets the answer ""; the others are batched and decoded as usual.
     """
+    _check_max_answer_len(max_answer_len)
     predictions = {ex.qid: "" for ex in examples
                    if not ex.question_tokens or not ex.context_tokens}
     if predictions:
@@ -219,6 +245,7 @@ def train(train_examples, table: EmbeddingTable, config: qa_model.ModelConfig,
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if eval_every < 1:
         raise ConfigError(f"eval_every must be >= 1, got {eval_every}")
+    _check_max_answer_len(max_answer_len)
     usable, dropped = prepare_for_training(train_examples, config.context_cap)
     if not usable:
         raise ValueError("no trainable examples after truncation filtering")

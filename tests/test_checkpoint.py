@@ -5,16 +5,19 @@ one small trained checkpoint. No damage may surface as any other exception.
 """
 
 import copy
+import itertools
 import json
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spanqa.checkpoint import (MAGIC, CheckpointError, CheckpointManifestError,
                                CheckpointMetadataError, CheckpointMissingTensorError,
-                               load_checkpoint, save_checkpoint)
+                               CheckpointTruncatedError, load_checkpoint,
+                               save_checkpoint)
 from spanqa.diagnostics import make_tiny_problem
 from spanqa.training import init_optimizer, train_step
 
@@ -210,3 +213,28 @@ def test_int_in_float_config_field_loads(workdir, original):
     metadata, payload = split(original)
     metadata["config"]["dropout_rate"] = 0
     assert load_bytes(workdir, join(metadata, payload)).config.dropout_rate == 0
+
+
+def test_metadata_length_high_bit_is_truncation(workdir, original):
+    # the length field is checked against the file before it sizes a read
+    with pytest.raises(CheckpointTruncatedError, match="metadata block truncated"):
+        load_bytes(workdir, flip(original, 8 * HEADER - 1))
+
+
+@pytest.mark.parametrize("raw", [lambda raw: raw[:-1], lambda raw: raw + b"\0"],
+                         ids=["short", "long"])
+def test_payload_one_byte_off_is_truncation(workdir, original, raw):
+    with pytest.raises(CheckpointTruncatedError, match="manifest expects"):
+        load_bytes(workdir, raw(original))
+
+
+def test_loaded_tensors_own_their_memory(workdir, original):
+    loaded = load_bytes(workdir, original)
+    tensors = [*loaded.params.values(), *loaded.state.m.values(),
+               *loaded.state.v.values()]
+    for tensor in tensors:
+        assert tensor.dtype == np.dtype("<f8")
+        assert tensor.flags.c_contiguous and tensor.flags.writeable
+        assert tensor.flags.owndata
+    assert not any(np.shares_memory(a, b)
+                   for a, b in itertools.combinations(tensors, 2))

@@ -161,12 +161,15 @@ class TestTrain:
 
     @pytest.mark.parametrize("flag,value", [("--batch-size", "0"),
                                             ("--eval-every", "0"),
-                                            ("--eval-every", "-1")])
+                                            ("--eval-every", "-1"),
+                                            ("--max-answer-len", "0")])
     def test_nonpositive_count_is_an_error(self, fixtures_dir, tmp_path, capsys,
                                            monkeypatch, flag, value):
         # rejected before the examples are filtered, let alone trained on
         monkeypatch.setattr(training, "prepare_for_training",
                             lambda *args: pytest.fail("examples were filtered"))
+        monkeypatch.setattr(training, "train_step",
+                            lambda *args: pytest.fail("a train step ran"))
         fixture = str(fixtures_dir / "tiny_squad.json")
         out = tmp_path / "m.ckpt"
         code = main(["train", "--data", fixture, "--dev", fixture,
@@ -315,6 +318,21 @@ class TestPredictAndEval:
         assert code == 1
         assert err.startswith("error: ") and str(tmp_path) in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_nonpositive_max_answer_len_is_named(self, trained_checkpoint,
+                                                 fixtures_dir, tmp_path, capsys,
+                                                 command):
+        out = tmp_path / "preds.json"
+        code = main([command, "--ckpt", str(trained_checkpoint),
+                     "--data", str(fixtures_dir / "tiny_squad.json"),
+                     "--glove", str(fixtures_dir / "tiny_glove.txt"),
+                     "--max-answer-len", "0"]
+                    + (["--out", str(out)] if command == "predict" else []))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: max_answer_len must be >= 1, got 0\n"
+        assert not out.exists()
 
     def test_corrupt_checkpoint_version(self, trained_checkpoint, tmp_path,
                                         fixtures_dir, capsys):

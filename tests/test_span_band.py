@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spanqa.autodiff import DegenerateMaskError
+from spanqa.autodiff import ConfigError, DegenerateMaskError
 from spanqa.spans import _argmax_pair, best_span, raw_product_span
 
 
@@ -70,8 +70,9 @@ def test_band_matches_square_form_at_decode_shape():
 
 
 def test_no_valid_pair_raises():
+    # a length cap below 1 leaves no pair, and the error names the cap
     ps = pe = np.full(4, 0.25)
-    with pytest.raises(DegenerateMaskError):
+    with pytest.raises(ConfigError, match="max_len must be >= 1, got 0"):
         best_span(ps, pe, np.ones(4), max_len=0)
-    with pytest.raises(DegenerateMaskError):
+    with pytest.raises(ConfigError, match="max_len must be >= 1, got -3"):
         raw_product_span(ps, pe, np.ones(4), max_len=-3)

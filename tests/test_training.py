@@ -15,7 +15,7 @@ from spanqa.data import (build_batches, load_glove, load_squad,
                          prepare_for_training)
 from spanqa.diagnostics import make_tiny_problem
 from spanqa.model import ModelConfig, init_params
-from spanqa import training
+from spanqa import model, training
 from spanqa.training import (ADAM_EPS, BETA1, BETA2, TrainingDivergedError,
                              adam_update, clip_global_norm, init_optimizer,
                              predict_answers, train, train_step)
@@ -103,9 +103,45 @@ def reference_adam_update(params, grads, state, lr):
         params[name] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
+def reference_clip(grads):
+    """Float64 copies of `grads`, scaled as a whole to a global norm of at
+    most training.MAX_GRAD_NORM; also returns the norm before clipping."""
+    wide = {name: g.astype(np.float64) for name, g in grads.items()}
+    norm = math.sqrt(sum(float((g * g).sum()) for g in wide.values()))
+    if norm > training.MAX_GRAD_NORM:
+        for g in wide.values():
+            g *= training.MAX_GRAD_NORM / norm
+    return wide, norm
+
+
+def reference_train_step(params, batch, table, state, config, lr=1e-3):
+    """train_step as whole-array steps: float32 forward and backward, the
+    gradients widened and clipped, then reference_adam_update. Returns the
+    loss and the pre-clip norm."""
+    graph = training.Graph()
+    leaves = {name: graph.leaf(value.astype(np.float32), requires_grad=True)
+              for name, value in params.items()}
+    out = model.forward(batch, leaves, table, config, training=True,
+                        step=state.step)
+    loss = model.loss(out, batch.gold_starts, batch.gold_ends, batch.context_mask)
+    grad_map = graph.backward(loss)
+    grads, norm = reference_clip({name: grad_map[leaf.node_id]
+                                  for name, leaf in leaves.items()})
+    reference_adam_update(params, grads, state, lr)
+    return loss.item(), norm
+
+
 def _copy_state(state):
     return dataclasses.replace(state, m={k: v.copy() for k, v in state.m.items()},
                                v={k: v.copy() for k, v in state.v.items()})
+
+
+def assert_same_model(params, state, ref_params, ref_state):
+    assert state.step == ref_state.step
+    for name in params:
+        assert np.array_equal(params[name], ref_params[name]), name
+        assert np.array_equal(state.m[name], ref_state.m[name]), name
+        assert np.array_equal(state.v[name], ref_state.v[name]), name
 
 
 class TestAdamUpdate:
@@ -124,63 +160,104 @@ class TestAdamUpdate:
             adam_update(params, grads, state, lr=1e-3)
             reference_adam_update(ref_params, ref_grads, ref_state, lr=1e-3)
             assert state.step == ref_state.step == step + 1
-            for name in shapes:
-                assert np.array_equal(params[name], ref_params[name]), name
-                assert np.array_equal(state.m[name], ref_state.m[name]), name
-                assert np.array_equal(state.v[name], ref_state.v[name]), name
+            assert_same_model(params, state, ref_params, ref_state)
+            # the gradients are read, not used as scratch
+            assert all(np.array_equal(grads[k], ref_grads[k]) for k in shapes)
 
-    def test_train_steps_match_reference_update(self, monkeypatch):
+    @pytest.mark.parametrize("magnitude,clips", [(1.0, True), (1e-3, False)])
+    def test_blocked_update_matches_clipped_reference(self, magnitude, clips):
+        # "W" spans two whole blocks and a ragged third; "z" stays zero
+        rng = np.random.default_rng(29)
+        shapes = {"W": (3, training.UPDATE_BLOCK - 4000), "b": (5,), "z": (7,)}
+        assert 2 * training.UPDATE_BLOCK < math.prod(shapes["W"]) \
+            < 3 * training.UPDATE_BLOCK
+        params = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+        state = init_optimizer(params)
+        ref_params = {k: v.copy() for k, v in params.items()}
+        ref_state = _copy_state(state)
+        for _ in range(3):
+            grads = {k: (rng.normal(size=shape) * magnitude).astype(np.float32)
+                     for k, shape in shapes.items()}
+            grads["W"][1, :100] = 0.0       # zero gradients: the eps path
+            grads["z"][:] = 0.0
+            scale = clip_global_norm(grads)
+            wide, norm = reference_clip(grads)
+            assert (norm > training.MAX_GRAD_NORM) == clips == (scale < 1.0)
+            adam_update(params, grads, state, 1e-3, scale=scale)
+            reference_adam_update(ref_params, wide, ref_state, 1e-3)
+            assert_same_model(params, state, ref_params, ref_state)
+
+    @staticmethod
+    def _match_reference_steps(clips):
         config, params, table, batch = make_tiny_problem(seed=28, dropout=0.2)
         state = init_optimizer(params)
         ref_params = {k: v.copy() for k, v in params.items()}
         ref_state = _copy_state(state)
         for _ in range(3):
-            train_step(params, batch, table, state, config)
-        monkeypatch.setattr(training, "adam_update", reference_adam_update)
-        for _ in range(3):
-            train_step(ref_params, batch, table, ref_state, config)
-        for name in params:
-            assert np.array_equal(params[name], ref_params[name]), name
-            assert np.array_equal(state.m[name], ref_state.m[name]), name
-            assert np.array_equal(state.v[name], ref_state.v[name]), name
+            loss = train_step(params, batch, table, state, config)
+            ref_loss, norm = reference_train_step(ref_params, batch, table,
+                                                  ref_state, config)
+            assert loss == ref_loss
+            assert (norm > training.MAX_GRAD_NORM) == clips
+            assert_same_model(params, state, ref_params, ref_state)
+
+    def test_train_steps_match_reference_update(self):
+        self._match_reference_steps(clips=False)
+
+    def test_clipped_train_steps_match_reference_update(self, monkeypatch):
+        # this problem's gradients stay under the default bound; 1e-3 clips
+        monkeypatch.setattr(training, "MAX_GRAD_NORM", 1e-3)
+        self._match_reference_steps(clips=True)
+
+    def test_non_contiguous_param_is_rejected(self):
+        params = {"W": np.zeros((4, 3)).T}
+        state = init_optimizer(params)
+        with pytest.raises(ValueError, match="'W' is not C-contiguous"):
+            adam_update(params, {"W": np.ones((3, 4))}, state, lr=1e-3)
+
+
+def global_norm(grads):
+    return math.sqrt(sum(float(np.square(g, dtype=np.float64).sum())
+                         for g in grads.values()))
 
 
 class TestGradientClipping:
     def test_clip_bounds_global_norm(self):
         rng = np.random.default_rng(25)
         grads = {"a": rng.normal(size=(40, 40)) * 10, "b": rng.normal(size=100) * 10}
-        pre = clip_global_norm(grads)
-        post = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-        assert pre > 5.0
-        assert post <= 5.0 + 1e-9
+        before = {k: g.copy() for k, g in grads.items()}
+        scale = clip_global_norm(grads)
+        assert global_norm(grads) > 5.0
+        assert global_norm(grads) * scale <= 5.0 + 1e-9
+        assert all(np.array_equal(grads[k], before[k]) for k in grads)
 
     def test_small_gradients_untouched(self):
         grads = {"a": np.full(4, 0.01)}
         before = grads["a"].copy()
-        clip_global_norm(grads)
+        assert clip_global_norm(grads) == 1.0
         assert np.array_equal(grads["a"], before)
 
-    def test_post_clip_norm_during_training(self):
-        # observed via a wrapper: every step's clipped gradients are in bound
-        import spanqa.training as tr
+    def test_post_clip_norm_during_training(self, monkeypatch):
+        # observed via a wrapper: clip_global_norm runs once per step, and its
+        # factor brings every step's gradients within the bound; at 0.05 the
+        # bound clips every step of this problem
+        monkeypatch.setattr(training, "MAX_GRAD_NORM", 0.05)
         config, params, table, batch = make_tiny_problem(seed=26)
         state = init_optimizer(params)
         seen = []
-        original = tr.clip_global_norm
+        original = training.clip_global_norm
 
         def spy(grads):
-            result = original(grads)
-            seen.append(math.sqrt(sum(float((g * g).sum())
-                                      for g in grads.values())))
-            return result
+            scale = original(grads)
+            seen.append((global_norm(grads), scale))
+            return scale
 
-        tr.clip_global_norm = spy
-        try:
-            for _ in range(3):
-                train_step(params, batch, table, state, config)
-        finally:
-            tr.clip_global_norm = original
-        assert seen and all(norm <= 5.0 + 1e-9 for norm in seen)
+        monkeypatch.setattr(training, "clip_global_norm", spy)
+        for _ in range(3):
+            train_step(params, batch, table, state, config)
+        assert len(seen) == 3
+        assert all(norm > 0.05 and norm * scale <= 0.05 * (1 + 1e-12)
+                   for norm, scale in seen)
 
 
 class TestTrainLoop:
