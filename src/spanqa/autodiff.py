@@ -671,6 +671,47 @@ def linear(xs, W, b) -> Tensor:
     return _apply("linear", (*xs, W, b), out, backward)
 
 
+def _lstm_direction(datas, spans, W, b, packing: Packing, reverse: bool, out,
+                    taped: bool):
+    """One direction of `lstm` over the packed rows: writes its h into the
+    (N, h) view `out` and returns what backward needs, or None when untaped,
+    so the direction's gate and state buffers are freed before the next
+    direction allocates its own."""
+    rows, h = packing.size, out.shape[1]
+    n, dtype = W.shape[1] - h, out.dtype
+    # sigmoid(z) = (1 + tanh(z / 2)) / 2, stable for any z. Halving the i|f|o
+    # rows of the forward weights and bias is exact, so one tanh over a whole
+    # block gives tanh(z / 2) for i, f, o and tanh(z) for g.
+    half = np.where(np.arange(4 * h) < 3 * h, 0.5, 1.0).astype(dtype)
+    # Pre-activations of every live position, reordered into the
+    # direction's steps; the loop turns each step's contiguous block
+    # into its gate activations in place. The recurrent weight is copied
+    # contiguous: strided operands make the small per-step ops slower.
+    gates = _blocks_times(datas, W.data[:, :n].T * half, spans)
+    gates += b.data * half
+    if reverse:
+        gates = gates[packing.reverse]
+    w_h_t = np.ascontiguousarray(W.data[:, n:].T * half)
+    hs, cs, tanh_c = (np.empty((rows, h), dtype) for _ in range(3))
+    lo = before = 0
+    for k in packing.counts:
+        hi = lo + k
+        z = gates[lo:hi]
+        if lo:
+            z += hs[before:before + k] @ w_h_t
+        np.tanh(z, out=z)
+        sig = z[:, :3 * h]
+        sig += 1.0
+        sig *= 0.5
+        c = np.multiply(z[:, :h], z[:, 3 * h:], out=cs[lo:hi])
+        if lo:
+            c += z[:, h:2 * h] * cs[before:before + k]
+        np.multiply(z[:, 2 * h:3 * h], np.tanh(c, out=tanh_c[lo:hi]), out=hs[lo:hi])
+        before, lo = lo, hi
+    out[packing.reverse if reverse else slice(None)] = hs
+    return (reverse, W.data, gates, hs, cs, tanh_c) if taped else None
+
+
 def lstm(xs, packing: Packing, fwd, bwd) -> Tensor:
     """A bidirectional LSTM layer over packed rows: (N, n) -> (N, 2h).
 
@@ -685,7 +726,8 @@ def lstm(xs, packing: Packing, fwd, bwd) -> Tensor:
     is one tape node. Its backward is one BPTT sweep per direction computing
     only dz and dz @ W_h per step; dX, dW and db are then GEMMs or sums over
     the N rows. The buffers backward needs are kept only when some input
-    requires a gradient.
+    requires a gradient; otherwise each direction's buffers are freed before
+    the next direction allocates its own.
     """
     runs = [(reverse, _lift(W), _lift(b)) for reverse, (W, b) in ((False, fwd), (True, bwd))]
     h = runs[0][1].shape[0] // 4
@@ -703,41 +745,10 @@ def lstm(xs, packing: Packing, fwd, bwd) -> Tensor:
     rows, counts, prev = packing.size, packing.counts, packing.prev
     first = rows - len(prev)
     datas, dtype = [x.data for x in xs], xs[0].data.dtype
-    # sigmoid(z) = (1 + tanh(z / 2)) / 2, stable for any z. Halving the i|f|o
-    # rows of the forward weights and bias is exact, so one tanh over a whole
-    # block gives tanh(z / 2) for i, f, o and tanh(z) for g.
-    half = np.where(np.arange(4 * h) < 3 * h, 0.5, 1.0).astype(dtype)
     out = np.empty((rows, 2 * h), dtype)
-    saved = []
-    for col, (reverse, W, b) in enumerate(runs):
-        # Pre-activations of every live position, reordered into the
-        # direction's steps; the loop turns each step's contiguous block
-        # into its gate activations in place. The recurrent weight is copied
-        # contiguous: strided operands make the small per-step ops slower.
-        gates = _blocks_times(datas, W.data[:, :n].T * half, spans)
-        gates += b.data * half
-        if reverse:
-            gates = gates[packing.reverse]
-        w_h_t = np.ascontiguousarray(W.data[:, n:].T * half)
-        hs, cs, tanh_c = (np.empty((rows, h), dtype) for _ in range(3))
-        lo = before = 0
-        for k in counts:
-            hi = lo + k
-            z = gates[lo:hi]
-            if lo:
-                z += hs[before:before + k] @ w_h_t
-            np.tanh(z, out=z)
-            sig = z[:, :3 * h]
-            sig += 1.0
-            sig *= 0.5
-            c = np.multiply(z[:, :h], z[:, 3 * h:], out=cs[lo:hi])
-            if lo:
-                c += z[:, h:2 * h] * cs[before:before + k]
-            np.multiply(z[:, 2 * h:3 * h], np.tanh(c, out=tanh_c[lo:hi]), out=hs[lo:hi])
-            before, lo = lo, hi
-        out[packing.reverse if reverse else slice(None), col * h:(col + 1) * h] = hs
-        if taped:
-            saved.append((reverse, W.data, gates, hs, cs, tanh_c))
+    saved = [_lstm_direction(datas, spans, W, b, packing, reverse,
+                             out[:, col * h:(col + 1) * h], taped)
+             for col, (reverse, W, b) in enumerate(runs)]
     if not taped:
         return _apply("lstm", inputs, out, None)
     needs = [x.requires_grad for x in xs]

@@ -22,9 +22,14 @@ the config's layout. The payload carries no checksum, so a flipped payload
 bit loads as the value the file now holds.
 
 Loading checks the file's size against the layout before it allocates any
-tensor, then reads each tensor from the file straight into its own array:
-the payload is held once, and each loaded tensor owns its memory, so Adam
-moments loaded to resume are freed once the first update replaces them.
+tensor, then reads only the parameters, each straight into its own array.
+The Adam moments are read the same way on the first access to
+``CheckpointData.state``, so prediction never holds them; a resumed run
+reads them before it saves. If the file was replaced or rewritten in between
+(a different device, inode, size or modification time), that access raises
+``CheckpointChangedError`` rather than pair the loaded parameters with
+another file's moments. Each loaded tensor owns its memory, so moments
+loaded to resume are freed once the first update replaces them.
 """
 
 from __future__ import annotations
@@ -33,7 +38,9 @@ import json
 import math
 import os
 import zlib
-from dataclasses import asdict, dataclass, fields
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -43,8 +50,8 @@ from .training import AdamState
 __all__ = ["MAGIC", "FORMAT_VERSION", "CheckpointError", "CheckpointMagicError",
            "CheckpointVersionError", "CheckpointTruncatedError",
            "CheckpointMetadataError", "CheckpointManifestError",
-           "CheckpointMissingTensorError", "CheckpointData", "save_checkpoint",
-           "load_checkpoint"]
+           "CheckpointMissingTensorError", "CheckpointChangedError",
+           "CheckpointData", "save_checkpoint", "load_checkpoint"]
 
 MAGIC = b"QACKPT1\n"
 FORMAT_VERSION = 2
@@ -80,12 +87,23 @@ class CheckpointMissingTensorError(CheckpointError):
     """A parameter or one of its Adam moments has no tensor in the file."""
 
 
+class CheckpointChangedError(CheckpointError):
+    """The file changed between loading its parameters and reading its Adam
+    moments."""
+
+
 @dataclass
 class CheckpointData:
     config: ModelConfig
     params: dict[str, np.ndarray]
-    state: AdamState
     best_dev_f1: float | None
+    _read_state: Callable[[], AdamState] = field(repr=False, compare=False)
+
+    @cached_property
+    def state(self) -> AdamState:
+        """The Adam state, read from the file on first access; raises
+        CheckpointChangedError if the file changed since loading."""
+        return self._read_state()
 
 
 def _layout(config: ModelConfig) -> list[dict]:
@@ -185,14 +203,36 @@ def _check_manifest(path, manifest: list, layout: list[dict]) -> None:
                 f"needs {wanted!r}")
 
 
+def _identity(stat) -> tuple:
+    return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
+
+
+def _read_tensors(path, handle, start: int, entries: list[dict]) -> dict[str, np.ndarray]:
+    """Each manifest entry's tensor, read from the payload at byte `start`
+    straight into its own new array."""
+    tensors = {}
+    for entry in entries:
+        tensor = np.empty(entry["shape"], dtype="<f8")
+        handle.seek(start + entry["offset"])
+        if handle.readinto(tensor) != tensor.nbytes:
+            raise CheckpointTruncatedError(f"{path}: payload ends inside "
+                                           f"{entry['name']!r}")
+        tensors[entry["name"]] = tensor
+    return tensors
+
+
 def load_checkpoint(path) -> CheckpointData:
     """Read a checkpoint; any damaged or inconsistent file raises CheckpointError.
 
-    Nothing is allocated for the payload until the file's size matches the
-    layout; then each tensor is read straight into its own new array.
+    Every check runs now, and nothing is allocated for the payload until the
+    file's size matches the layout; then only the parameters are read, each
+    straight into its own new array. The Adam moments are read on the first
+    access to `.state`, which raises CheckpointChangedError if the file's
+    (device, inode, size, mtime) differs from what was loaded.
     """
     with open(path, "rb") as handle:
-        size = os.fstat(handle.fileno()).st_size
+        stat = os.fstat(handle.fileno())
+        size = stat.st_size
         if handle.read(len(MAGIC)) != MAGIC:
             raise CheckpointMagicError(f"{path}: bad magic, not a checkpoint file")
         meta_len = int.from_bytes(handle.read(8), "little")
@@ -210,16 +250,28 @@ def load_checkpoint(path) -> CheckpointData:
         if size - cursor != expected:
             raise CheckpointTruncatedError(
                 f"{path}: payload is {size - cursor} bytes, manifest expects {expected}")
-        tensors = {}
-        for entry in layout:    # in offset order, end to end
-            tensor = np.empty(entry["shape"], dtype="<f8")
-            if handle.readinto(tensor) != tensor.nbytes:
-                raise CheckpointTruncatedError(f"{path}: payload ends inside "
-                                               f"{entry['name']!r}")
-            tensors[entry["name"]] = tensor
-    params = {name: tensors[name] for name in param_shapes(config)}
-    state = AdamState(m={name: tensors[f"adam.m/{name}"] for name in params},
-                      v={name: tensors[f"adam.v/{name}"] for name in params},
-                      step=step)
-    return CheckpointData(config=config, params=params, state=state,
-                          best_dev_f1=best_dev_f1)
+        shapes = param_shapes(config)
+        tensors = _read_tensors(path, handle, cursor,
+                                [entry for entry in layout if entry["name"] in shapes])
+    params = {name: tensors[name] for name in shapes}
+    moments = [entry for entry in layout if entry["name"] not in shapes]
+    source = os.path.abspath(path)
+
+    def read_state() -> AdamState:
+        try:
+            handle = open(source, "rb")
+        except FileNotFoundError as exc:
+            raise CheckpointChangedError(
+                f"{path}: removed before its Adam moments were read") from exc
+        with handle:
+            if _identity(os.fstat(handle.fileno())) != _identity(stat):
+                raise CheckpointChangedError(
+                    f"{path}: changed after its parameters were loaded; its Adam "
+                    f"moments would not match them")
+            tensors = _read_tensors(path, handle, cursor, moments)
+        return AdamState(m={name: tensors[f"adam.m/{name}"] for name in params},
+                         v={name: tensors[f"adam.v/{name}"] for name in params},
+                         step=step)
+
+    return CheckpointData(config=config, params=params, best_dev_f1=best_dev_f1,
+                          _read_state=read_state)

@@ -2,11 +2,16 @@
 
 Truncations, single-bit flips and manifest edits are drawn by hypothesis over
 one small trained checkpoint. No damage may surface as any other exception.
+The Adam moments are read only when `.state` is first accessed, and never
+from a file other than the one the parameters came from.
 """
 
 import copy
+import dataclasses
 import itertools
 import json
+import os
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -14,11 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spanqa.checkpoint import (MAGIC, CheckpointError, CheckpointManifestError,
-                               CheckpointMetadataError, CheckpointMissingTensorError,
-                               CheckpointTruncatedError, load_checkpoint,
-                               save_checkpoint)
+from spanqa.checkpoint import (MAGIC, CheckpointChangedError, CheckpointError,
+                               CheckpointManifestError, CheckpointMetadataError,
+                               CheckpointMissingTensorError, CheckpointTruncatedError,
+                               load_checkpoint, save_checkpoint)
 from spanqa.diagnostics import make_tiny_problem
+from spanqa.model import ModelConfig, init_params
 from spanqa.training import init_optimizer, train_step
 
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -238,3 +244,60 @@ def test_loaded_tensors_own_their_memory(workdir, original):
         assert tensor.flags.owndata
     assert not any(np.shares_memory(a, b)
                    for a, b in itertools.combinations(tensors, 2))
+
+
+def test_moments_are_read_on_first_state_access(tmp_path):
+    # until .state is read, loading holds the parameters and a small fixed
+    # overhead (metadata, manifest, dicts), not the moments' twice as many bytes
+    config = ModelConfig(hidden_size=32, embedding_dim=20)
+    params = init_params(config)
+    rng = np.random.default_rng(5)
+    state = init_optimizer(params)
+    for moments in (state.m, state.v):
+        for name in moments:
+            moments[name] = rng.normal(size=params[name].shape)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, config, state)
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sum(p.nbytes for p in params.values()) + 128 * 1024
+    first = loaded.state
+    assert loaded.state is first
+    for name in params:
+        assert np.array_equal(first.m[name], state.m[name])
+        assert np.array_equal(first.v[name], state.v[name])
+
+
+def other_state(state):
+    """`state` with every moment changed."""
+    return dataclasses.replace(
+        state, m={name: m + 1.0 for name, m in state.m.items()},
+        v={name: v + 2.0 for name, v in state.v.items()})
+
+
+@pytest.mark.parametrize("change", ["replaced", "removed"])
+def test_changed_file_never_lends_its_moments(tmp_path, original, change):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(original)
+    loaded = load_checkpoint(path)
+    if change == "replaced":
+        # save_checkpoint renames a new file into place: same name and size
+        first = load_checkpoint(path)
+        save_checkpoint(path, first.params, first.config, other_state(first.state))
+    else:
+        os.remove(path)
+    with pytest.raises(CheckpointChangedError, match=str(path)):
+        loaded.state
+
+
+def test_state_read_before_a_change_is_kept(tmp_path, original):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(original)
+    loaded = load_checkpoint(path)
+    state = loaded.state
+    save_checkpoint(path, loaded.params, loaded.config, other_state(state))
+    assert loaded.state is state

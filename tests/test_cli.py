@@ -231,6 +231,18 @@ class TestResumeFlags:
                    for line in (tmp_path / "resumed.ckpt.log").read_text().splitlines()]
         assert [r["iteration"] for r in records] == [13, 14]
 
+    def test_resume_may_overwrite_its_own_checkpoint(self, trained_checkpoint,
+                                                      fixtures_dir, tmp_path):
+        # the Adam moments are read from --resume before --out is first
+        # written, so both flags may name one file
+        other = tmp_path / "other.ckpt"
+        same = tmp_path / "same.ckpt"
+        same.write_bytes(trained_checkpoint.read_bytes())
+        assert self._resume(trained_checkpoint, fixtures_dir, other) == 0
+        assert self._resume(same, fixtures_dir, same) == 0
+        assert load_checkpoint(same).state.step == 14
+        assert same.read_bytes() == other.read_bytes()
+
 
 class TestPredictAndEval:
     def test_predictions_file(self, trained_checkpoint, fixtures_dir, tmp_path,

@@ -216,6 +216,26 @@ def test_taped_buffers_scale_with_live_positions():
     assert 0.9 * live_buffers < taped - untaped < 1.2 * live_buffers
 
 
+def test_untaped_peak_holds_one_direction_at_a_time():
+    # an untaped call frees each direction's buffers before the next one
+    # allocates its own: at its peak it holds the (N, 2h) result, one
+    # direction's (N, 4h) gates twice (the reverse direction gathers them
+    # into its step order) and that direction's three (N, h) state buffers
+    rng = np.random.default_rng(13)
+    length, in_dim, hidden = 60, 16, 32
+    packing = ad.Packing(prefix_mask([60, 10, 35, 20, 50, 5, 30, 15], length))
+    x = rng.normal(size=(packing.size, in_dim))
+    fwd, bwd = (direction_params(rng, in_dim, hidden) for _ in range(2))
+    bound = packing.size * 8 * (2 * hidden + 2 * 4 * hidden + 3 * hidden)
+    tracemalloc.start()
+    try:
+        ad.lstm([x], packing, fwd, bwd)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
 def test_shape_errors():
     packing = ad.Packing(np.ones((2, 3)))
     x = np.zeros((6, 4))
