@@ -19,6 +19,8 @@ gradient over every axis along which broadcasting repeated it.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 __all__ = [
@@ -28,6 +30,7 @@ __all__ = [
     "DegenerateMaskError",
     "LabelError",
     "ConfigError",
+    "GraphSpentError",
     "matmul",
     "bmm",
     "add",
@@ -52,6 +55,7 @@ __all__ = [
     "masked_softmax",
     "cross_entropy",
     "dropout",
+    "Dropped",
     "lstm",
     "grad_check",
 ]
@@ -76,6 +80,10 @@ class ConfigError(ValueError):
     """An op was configured with an invalid hyperparameter."""
 
 
+class GraphSpentError(RuntimeError):
+    """backward ran twice on one Graph; the first run freed what it saved."""
+
+
 class _Node:
     __slots__ = ("op", "parents", "out", "backward", "requires_grad")
 
@@ -92,6 +100,7 @@ class Graph:
 
     def __init__(self):
         self._nodes: list[_Node] = []
+        self._spent = False
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -119,23 +128,28 @@ class Graph:
         Returns {node_id: gradient} holding exactly the requires_grad leaves,
         with zeros for a leaf that no path connects to the root. The gradient
         of an intermediate node is dropped as soon as its own backward has
-        run, so at most one frontier of them is alive at a time.
+        run, so at most one frontier of them is alive at a time; so is its
+        backward closure, so a second call raises GraphSpentError.
         """
+        if self._spent:
+            raise GraphSpentError("backward already ran on this graph")
         if root.graph is not self:
             raise ValueError("root tensor does not belong to this graph")
         if root.data.shape != ():
             raise DimensionError(
                 f"backward root must be scalar, got shape {root.data.shape}"
             )
+        self._spent = True
         grads: dict[int, np.ndarray] = {root.node_id: np.ones((), root.data.dtype)}
         for nid in range(root.node_id, -1, -1):
             node = self._nodes[nid]
-            if node.backward is None:
+            backward, node.backward = node.backward, None
+            if backward is None:
                 continue
             g = grads.pop(nid, None)
             if g is None:
                 continue
-            for pid, pg in zip(node.parents, node.backward(g)):
+            for pid, pg in zip(node.parents, backward(g)):
                 if pg is None or not self._nodes[pid].requires_grad:
                     continue
                 if pid in grads:
@@ -549,6 +563,27 @@ def cross_entropy(probs, gold, mask) -> Tensor:
     return _apply("cross_entropy", (probs,), out, backward)
 
 
+def _dropout_mask(data, rate: float, seed: int):
+    """(keep, scale) of dropout(x, rate, seed) for x's data, or None at rate 0."""
+    if not 0.0 <= rate < 1.0:
+        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
+    if rate == 0.0:
+        return None
+    threshold = min(round(rate * _DROPOUT_LEVELS), _DROPOUT_LEVELS - 1)
+    words = np.random.PCG64(seed).random_raw(-(-data.size // 4))
+    keep = words.view(np.uint16)[:data.size].reshape(data.shape) >= threshold
+    return keep, data.dtype.type(_DROPOUT_LEVELS / (_DROPOUT_LEVELS - threshold))
+
+
+def _drop(a, mask, in_place=False):
+    """a * keep * scale for a (keep, scale) mask; a itself when mask is None."""
+    if mask is None:
+        return a
+    out = np.multiply(a, mask[0], out=a if in_place else None)
+    out *= mask[1]
+    return out
+
+
 def dropout(x, rate: float, seed: int) -> Tensor:
     """Inverted dropout: zero each element with probability ~`rate`, scale survivors.
 
@@ -560,24 +595,23 @@ def dropout(x, rate: float, seed: int) -> Tensor:
     that probability. Identity at rate == 0, which is how inference turns
     dropout off; a fixed seed fixes the mask.
     """
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     x = _lift(x)
-    if rate == 0.0:
+    mask = _dropout_mask(x.data, rate, seed)
+    if mask is None:
         return x
-    threshold = min(round(rate * _DROPOUT_LEVELS), _DROPOUT_LEVELS - 1)
-    words = np.random.PCG64(seed).random_raw(-(-x.data.size // 4))
-    keep = words.view(np.uint16)[:x.data.size].reshape(x.shape) >= threshold
-    scale = x.data.dtype.type(_DROPOUT_LEVELS / (_DROPOUT_LEVELS - threshold))
-    out = x.data * keep
-    out *= scale
 
     def backward(g):
-        gx = g * keep
-        gx *= scale
-        return (gx,)
+        return (_drop(g, mask),)
 
-    return _apply("dropout", (x,), out, backward)
+    return _apply("dropout", (x,), _drop(x.data, mask), backward)
+
+
+class Dropped(NamedTuple):
+    """A row block that enters `linear` or `lstm` as dropout(x, rate, seed)
+    would give it, bit for bit, with only the boolean mask on the tape."""
+    x: object
+    rate: float
+    seed: int
 
 
 class Packing:
@@ -634,14 +668,17 @@ def unpack(x, packing: Packing) -> Tensor:
 
 
 def _row_blocks(xs, width: int, op: str):
-    """Row blocks (N, n_i) as Tensors, and each block's column span in a
-    weight of `width` = sum(n_i) columns."""
-    xs = [_lift(x) for x in xs]
+    """Row blocks (N, n_i) as Tensors, each block's dropout mask (None but
+    for a `Dropped` block), and its column span in a weight of `width` =
+    sum(n_i) columns."""
+    blocks = [x if isinstance(x, Dropped) else Dropped(x, 0.0, 0) for x in xs]
+    xs = [_lift(x) for x, _, _ in blocks]
     bounds = np.cumsum([0] + [x.shape[-1] for x in xs]).tolist()
     if not xs or bounds[-1] != width or {x.shape[:-1] for x in xs} != {xs[0].shape[:1]}:
         raise DimensionError(f"{op}: row blocks {[x.shape for x in xs]} do not "
                              f"make {width} input columns")
-    return xs, list(zip(bounds, bounds[1:]))
+    masks = [_dropout_mask(x.data, rate, seed) for x, (_, rate, seed) in zip(xs, blocks)]
+    return xs, masks, list(zip(bounds, bounds[1:]))
 
 
 def _blocks_times(xs, w_t, spans):
@@ -655,18 +692,21 @@ def _blocks_times(xs, w_t, spans):
 
 def linear(xs, W, b) -> Tensor:
     """[x_1 | x_2 | ...] @ W^T + b over row blocks (N, n_i) whose widths sum
-    to W's columns: each block meets its own column slice of W."""
+    to W's columns: each block meets its own column slice of W. A block may
+    come `Dropped`."""
     W, b = _lift(W), _lift(b)
     if W.ndim != 2 or b.shape != W.shape[:1]:
         raise DimensionError(f"linear: incompatible W {W.shape} and b {b.shape}")
-    xs, spans = _row_blocks(xs, W.shape[1], "linear")
+    xs, masks, spans = _row_blocks(xs, W.shape[1], "linear")
     wd, datas = W.data, [x.data for x in xs]
-    out = _blocks_times(datas, wd.T, spans)
+    out = _blocks_times([_drop(x, m) for x, m in zip(datas, masks)], wd.T, spans)
     out += b.data
 
     def backward(g):
-        return (*(g @ wd[:, lo:hi] for lo, hi in spans),
-                np.concatenate([g.T @ x for x in datas], axis=1), g.sum(axis=0))
+        dxs = [_drop(g @ wd[:, lo:hi], m, in_place=True)
+               for (lo, hi), m in zip(spans, masks)]
+        return (*dxs, np.concatenate([g.T @ _drop(x, m) for x, m in zip(datas, masks)],
+                                     axis=1), g.sum(axis=0))
 
     return _apply("linear", (*xs, W, b), out, backward)
 
@@ -674,9 +714,9 @@ def linear(xs, W, b) -> Tensor:
 def _lstm_direction(datas, spans, W, b, packing: Packing, reverse: bool, out,
                     taped: bool):
     """One direction of `lstm` over the packed rows: writes its h into the
-    (N, h) view `out` and returns what backward needs, or None when untaped,
-    so the direction's gate and state buffers are freed before the next
-    direction allocates its own."""
+    (N, h) view `out` and returns what backward needs besides that h, or
+    None when untaped, so the direction's gate and state buffers are freed
+    before the next direction allocates its own."""
     rows, h = packing.size, out.shape[1]
     n, dtype = W.shape[1] - h, out.dtype
     # sigmoid(z) = (1 + tanh(z / 2)) / 2, stable for any z. Halving the i|f|o
@@ -709,30 +749,30 @@ def _lstm_direction(datas, spans, W, b, packing: Packing, reverse: bool, out,
         np.multiply(z[:, 2 * h:3 * h], np.tanh(c, out=tanh_c[lo:hi]), out=hs[lo:hi])
         before, lo = lo, hi
     out[packing.reverse if reverse else slice(None)] = hs
-    return (reverse, W.data, gates, hs, cs, tanh_c) if taped else None
+    return (reverse, W.data, gates, cs, tanh_c) if taped else None
 
 
 def lstm(xs, packing: Packing, fwd, bwd) -> Tensor:
     """A bidirectional LSTM layer over packed rows: (N, n) -> (N, 2h).
 
     `xs` holds the input [x_1 | x_2 | ...] as row blocks in the layout of
-    `packing`; each block meets its own column slice of W, so no
-    concatenation is built. `fwd` and `bwd` are (W (4h, n+h), b (4h,)) pairs
-    giving the gates in i|f|o|g order from [x_t ; h_prev] @ W^T + b. Columns
-    [:h] of the result hold the forward direction's h and [h:] the backward
-    one's; a sequence runs from the zero state over its own positions, or
-    back from its last token. The input projection is one GEMM per block up
-    front, so only h_prev[:k_s] @ W_h^T runs in the time loop, and the layer
-    is one tape node. Its backward is one BPTT sweep per direction computing
-    only dz and dz @ W_h per step; dX, dW and db are then GEMMs or sums over
-    the N rows. The buffers backward needs are kept only when some input
-    requires a gradient; otherwise each direction's buffers are freed before
-    the next direction allocates its own.
+    `packing`, any of them `Dropped`; each block meets its own column slice
+    of W, so no concatenation is built. `fwd` and `bwd` are (W (4h, n+h),
+    b (4h,)) pairs giving the gates in i|f|o|g order from [x_t ; h_prev] @
+    W^T + b. Columns [:h] of the result hold the forward direction's h and
+    [h:] the backward one's; a sequence runs from the zero state over its
+    own positions, or back from its last token. The input projection is one
+    GEMM per block up front, so only h_prev[:k_s] @ W_h^T runs in the time
+    loop, and the layer is one tape node. Its backward is one BPTT sweep per
+    direction computing only dz and dz @ W_h per step; dX, dW and db are
+    then GEMMs or sums over the N rows, reading h_prev from the result. Each
+    direction's gates, c and tanh c are kept only when some input requires
+    a gradient; otherwise they are freed before the next direction starts.
     """
     runs = [(reverse, _lift(W), _lift(b)) for reverse, (W, b) in ((False, fwd), (True, bwd))]
     h = runs[0][1].shape[0] // 4
     n = runs[0][1].shape[-1] - h
-    xs, spans = _row_blocks(xs, n, "lstm")
+    xs, masks, spans = _row_blocks(xs, n, "lstm")
     for _, W, b in runs:
         if h < 1 or W.shape != (4 * h, n + h) or b.shape != (4 * h,):
             raise DimensionError(
@@ -746,16 +786,19 @@ def lstm(xs, packing: Packing, fwd, bwd) -> Tensor:
     first = rows - len(prev)
     datas, dtype = [x.data for x in xs], xs[0].data.dtype
     out = np.empty((rows, 2 * h), dtype)
-    saved = [_lstm_direction(datas, spans, W, b, packing, reverse,
+    dropped = [_drop(x, m) for x, m in zip(datas, masks)]
+    saved = [_lstm_direction(dropped, spans, W, b, packing, reverse,
                              out[:, col * h:(col + 1) * h], taped)
              for col, (reverse, W, b) in enumerate(runs)]
+    del dropped
     if not taped:
         return _apply("lstm", inputs, out, None)
     needs = [x.requires_grad for x in xs]
 
     def backward(g):
         dxs, dweights = [None] * len(spans), []
-        for col, (reverse, w, gates, hs, cs, tanh_c) in enumerate(saved):
+        dropped = [_drop(x, m) for x, m in zip(datas, masks)]
+        for col, (reverse, w, gates, cs, tanh_c) in enumerate(saved):
             i, f = gates[:, :h], gates[:, h:2 * h]
             o, cand = gates[:, 2 * h:3 * h], gates[:, 3 * h:]
             c_prev = np.zeros_like(cs)
@@ -787,16 +830,18 @@ def lstm(xs, packing: Packing, fwd, bwd) -> Tensor:
                 dh_next = dz_t @ w_h
                 dc_next = dc * f[lo:hi]
                 hi = lo
-            db, dw_h = dz.sum(axis=0), dz[first:].T @ hs[prev]
+            h_prev = out[packing.reverse[prev] if reverse else prev, col * h:(col + 1) * h]
+            db, dw_h = dz.sum(axis=0), dz[first:].T @ h_prev
             if reverse:
                 dz, dz_steps = np.empty_like(dz), dz
                 dz[packing.reverse] = dz_steps
-            dweights += [np.concatenate([dz.T @ x for x in datas] + [dw_h], axis=1), db]
+            dweights += [np.concatenate([dz.T @ x for x in dropped] + [dw_h], axis=1), db]
             for j, (lo, hi) in enumerate(spans):
                 if needs[j]:
                     dx = dz @ w[:, lo:hi]
-                    dxs[j] = dx if dxs[j] is None else dxs[j] + dx
-        return (*dxs, *dweights)
+                    dxs[j] = dx if dxs[j] is None else np.add(dxs[j], dx, out=dxs[j])
+        return (*(dx if dx is None else _drop(dx, m, in_place=True)
+                  for dx, m in zip(dxs, masks)), *dweights)
 
     return _apply("lstm", inputs, out, backward)
 

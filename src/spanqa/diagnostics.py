@@ -60,6 +60,10 @@ def op_gradcheck_cases(seed: int = 0):
         rows_rng.normal(size=shape)
         for shape in [(4, 2), (3, 5), (3,), (4, 3), (3, 5, 2)])
 
+    # dropout applied inside lstm and linear: some blocks dropped at 0.4
+    def dropped(x, mask_seed):
+        return ad.Dropped(x, 0.4, mask_seed)
+
     def total(x):
         return ad.reduce_sum(x)
 
@@ -123,6 +127,13 @@ def op_gradcheck_cases(seed: int = 0):
         ("lstm_blocks_W_bwd",
          lambda t: lstm_both([block_1, block_2], lstm_w, lstm_b, unsorted,
                              unsorted_weights, (t, lstm_b_bwd)), lstm_w_bwd),
+        ("lstm_dropped_x",
+         lambda t: lstm_both([dropped(block_1, 98), dropped(t, 99)], lstm_w, lstm_b,
+                             unsorted, unsorted_weights, (lstm_w_bwd, lstm_b_bwd)),
+         block_2),
+        ("lstm_dropped_W",
+         lambda t: lstm_both([block_1, dropped(block_2, 99)], t, lstm_b, unsorted,
+                             unsorted_weights), lstm_w),
         ("linear_x", lambda t: total(ad.mul(ad.linear([lin_1, t], lin_w, lin_b),
                                             lin_weights)), rows_rng.normal(size=(4, 3))),
         ("linear_W", lambda t: total(ad.mul(ad.linear([lin_1, lin_1[:, :1] * 2.0, lin_1],
@@ -130,6 +141,12 @@ def op_gradcheck_cases(seed: int = 0):
          rows_rng.normal(size=(3, 5))),
         ("linear_b", lambda t: total(ad.mul(ad.linear([lin_1, lin_1, lin_1[:, :1]],
                                                       lin_w, t), lin_weights)), lin_b),
+        ("linear_dropped_x", lambda t: total(ad.mul(
+            ad.linear([dropped(t, 98), dropped(lin_1, 99), lin_1[:, :1]], lin_w, lin_b),
+            lin_weights)), lin_1),
+        ("linear_dropped_W", lambda t: total(ad.mul(
+            ad.linear([dropped(lin_1, 98), lin_1[:, :1], dropped(lin_1, 99)], t, lin_b),
+            lin_weights)), lin_w),
         ("unpack", lambda t: total(ad.mul(ad.unpack(t, packed), unpack_weights)),
          rows_rng.normal(size=(packed.size, 2))),
         ("take_rows", lambda t: total(ad.mul(ad.take_rows(t, take_index), take_weights)),

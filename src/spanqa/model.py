@@ -145,8 +145,9 @@ def _seed_stream(seed: int, step: int):
 
 
 def _dropout(blocks, rate: float, seeds):
-    """Each block through its own dropout mask; the blocks as they are at rate 0."""
-    return [ad.dropout(x, rate, next(seeds)) if rate > 0.0 else x for x in blocks]
+    """Each block marked for dropout under its own seed, which the consuming
+    `ad.lstm` or `ad.linear` applies; the blocks as they are at rate 0."""
+    return [ad.Dropped(x, rate, next(seeds)) if rate > 0.0 else x for x in blocks]
 
 
 def bilstm(blocks, layer_params, packing: ad.Packing, *, dropout_rate: float = 0.0,

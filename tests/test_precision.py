@@ -18,17 +18,33 @@ FLOAT32_REL_TOL = 1e-4
 
 
 def test_float32_taped_step_stays_float32():
-    # dropout on, so the dropout op and its scale are on the tape too
+    # dropout on, so every lstm and linear input block comes Dropped and its
+    # mask's scale meets the block in forward and its gradient in backward
     config, params, table, batch = make_tiny_problem(dropout=0.3)
     graph = Graph()
     leaves = {name: graph.leaf(value.astype(np.float32), requires_grad=True)
               for name, value in params.items()}
     out = forward(batch, leaves, table, config, training=True, step=3)
     root = loss(out, batch.gold_starts, batch.gold_ends, batch.context_mask)
-    grads = graph.backward(root)
     upcast = [(i, node.op, node.out.dtype) for i, node in enumerate(graph._nodes)
               if node.out.dtype != np.float32]
     assert upcast == []
+    # every gradient a node passes back, a dropped block's dX included
+    passed = []
+
+    def recording(op, backward):
+        def wrapped(g):
+            parent_grads = backward(g)
+            passed.extend((op, pg.dtype) for pg in parent_grads if pg is not None)
+            return parent_grads
+        return wrapped
+
+    for node in graph._nodes:
+        if node.backward is not None:
+            node.backward = recording(node.op, node.backward)
+    grads = graph.backward(root)
+    assert {op for op, _ in passed} >= {"lstm", "linear"}
+    assert {dtype for _, dtype in passed} == {np.dtype(np.float32)}
     assert len(grads) == len(params)
     assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
 
