@@ -2,9 +2,12 @@
 
 A ``Graph`` is an append-only tape: every op pushes one node holding its
 parents and a backward closure, so reverse iteration over node ids is already
-a topological order. Tensors detached from any graph are plain immutable
-values; ops on them compute forward results only, which keeps inference and
-finite-difference probes cheap.
+a topological order. The tape records only gradient paths: trainable leaves
+and ops with at least one input on it. A Tensor detached from any graph is a
+constant that no op mutates or binds to a graph: ops on constants alone
+compute forward results only, which keeps inference and finite-difference
+probes cheap, and an op mixing constants with graph tensors records each of
+them as parent None. So one constant may feed any number of graphs.
 
 Tensors hold float32 or float64 data; anything else is converted to float64.
 Every op computes in its inputs' dtype, and every buffer it allocates (state,
@@ -85,14 +88,13 @@ class GraphSpentError(RuntimeError):
 
 
 class _Node:
-    __slots__ = ("op", "parents", "out", "backward", "requires_grad")
+    __slots__ = ("op", "parents", "out", "backward")
 
-    def __init__(self, op, parents, out, backward, requires_grad):
+    def __init__(self, op, parents, out, backward):
         self.op = op
         self.parents = parents
         self.out = out
         self.backward = backward
-        self.requires_grad = requires_grad
 
 
 class Graph:
@@ -106,13 +108,15 @@ class Graph:
         return len(self._nodes)
 
     def leaf(self, data, requires_grad: bool = False) -> "Tensor":
-        """Register an input tensor as a graph leaf and return its handle."""
+        """A trainable leaf on this graph with requires_grad; otherwise a
+        detached constant, which never joins the tape."""
         arr = _as_array(data)
-        node_id = self._push("leaf", (), arr, None, requires_grad)
-        return Tensor(arr, graph=self, node_id=node_id, requires_grad=requires_grad)
+        if not requires_grad:
+            return Tensor(arr)
+        return Tensor(arr, graph=self, node_id=self._push("leaf", (), arr, None))
 
-    def _push(self, op, parents, out, backward, requires_grad) -> int:
-        self._nodes.append(_Node(op, parents, out, backward, requires_grad))
+    def _push(self, op, parents, out, backward) -> int:
+        self._nodes.append(_Node(op, parents, out, backward))
         return len(self._nodes) - 1
 
     def first_nonfinite(self):
@@ -125,11 +129,11 @@ class Graph:
     def backward(self, root: "Tensor") -> dict[int, np.ndarray]:
         """Reverse-accumulate gradients of a scalar root.
 
-        Returns {node_id: gradient} holding exactly the requires_grad leaves,
-        with zeros for a leaf that no path connects to the root. The gradient
-        of an intermediate node is dropped as soon as its own backward has
-        run, so at most one frontier of them is alive at a time; so is its
-        backward closure, so a second call raises GraphSpentError.
+        Returns {node_id: gradient} holding every leaf, with zeros for a leaf
+        that no path connects to the root. The gradient of an intermediate
+        node is dropped as soon as its own backward has run, so at most one
+        frontier of them is alive at a time; so is its backward closure, so a
+        second call raises GraphSpentError.
         """
         if self._spent:
             raise GraphSpentError("backward already ran on this graph")
@@ -150,7 +154,7 @@ class Graph:
             if g is None:
                 continue
             for pid, pg in zip(node.parents, backward(g)):
-                if pg is None or not self._nodes[pid].requires_grad:
+                if pid is None:
                     continue
                 if pid in grads:
                     grads[pid] = grads[pid] + pg
@@ -158,20 +162,23 @@ class Graph:
                     grads[pid] = pg
         return {nid: grads[nid] if nid in grads else np.zeros_like(node.out)
                 for nid, node in enumerate(self._nodes)
-                if node.op == "leaf" and node.requires_grad}
+                if node.op == "leaf"}
 
 
 class Tensor:
     """A float32 or float64 ndarray, optionally bound to a node of a Graph."""
 
-    __slots__ = ("data", "graph", "node_id", "requires_grad")
+    __slots__ = ("data", "graph", "node_id")
 
-    def __init__(self, data, graph: Graph | None = None, node_id: int | None = None,
-                 requires_grad: bool = False):
+    def __init__(self, data, graph: Graph | None = None, node_id: int | None = None):
         self.data = _as_array(data)
         self.graph = graph
         self.node_id = node_id
-        self.requires_grad = requires_grad
+
+    @property
+    def requires_grad(self) -> bool:
+        """Whether a gradient path runs through this tensor: it is on a graph."""
+        return self.graph is not None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -212,21 +219,12 @@ def _common_graph(tensors) -> Graph | None:
 
 
 def _apply(op, inputs, out, backward):
-    """Record one op on the inputs' shared graph; detached inputs stay detached."""
+    """Record one op on the inputs' graph; a constant input is parent None."""
     graph = _common_graph(inputs)
     if graph is None:
         return Tensor(out)
-    parent_ids = []
-    requires_grad = False
-    for t in inputs:
-        if t.graph is None:
-            t.graph = graph
-            t.node_id = graph._push("leaf", (), t.data, None, t.requires_grad)
-        parent_ids.append(t.node_id)
-        requires_grad = requires_grad or graph._nodes[t.node_id].requires_grad
-    node_id = graph._push(op, tuple(parent_ids), out,
-                          backward if requires_grad else None, requires_grad)
-    return Tensor(out, graph=graph, node_id=node_id, requires_grad=requires_grad)
+    node_id = graph._push(op, tuple(t.node_id for t in inputs), out, backward)
+    return Tensor(out, graph=graph, node_id=node_id)
 
 
 # ---------------------------------------------------------------------------
@@ -766,8 +764,8 @@ def lstm(xs, packing: Packing, fwd, bwd) -> Tensor:
     loop, and the layer is one tape node. Its backward is one BPTT sweep per
     direction computing only dz and dz @ W_h per step; dX, dW and db are
     then GEMMs or sums over the N rows, reading h_prev from the result. Each
-    direction's gates, c and tanh c are kept only when some input requires
-    a gradient; otherwise they are freed before the next direction starts.
+    direction's gates, c and tanh c are kept only when some input is on a
+    graph; otherwise they are freed before the next direction starts.
     """
     runs = [(reverse, _lift(W), _lift(b)) for reverse, (W, b) in ((False, fwd), (True, bwd))]
     h = runs[0][1].shape[0] // 4
@@ -781,7 +779,7 @@ def lstm(xs, packing: Packing, fwd, bwd) -> Tensor:
     if xs[0].shape[0] != packing.size:
         raise DimensionError(f"lstm: {xs[0].shape[0]} rows for a {packing.size}-row packing")
     inputs = (*xs, *(t for _, W, b in runs for t in (W, b)))
-    taped = _common_graph(inputs) is not None and any(t.requires_grad for t in inputs)
+    taped = _common_graph(inputs) is not None
     rows, counts, prev = packing.size, packing.counts, packing.prev
     first = rows - len(prev)
     datas, dtype = [x.data for x in xs], xs[0].data.dtype
@@ -792,8 +790,8 @@ def lstm(xs, packing: Packing, fwd, bwd) -> Tensor:
              for col, (reverse, W, b) in enumerate(runs)]
     del dropped
     if not taped:
-        return _apply("lstm", inputs, out, None)
-    needs = [x.requires_grad for x in xs]
+        return Tensor(out)
+    needs = [x.graph is not None for x in xs]
 
     def backward(g):
         dxs, dweights = [None] * len(spans), []

@@ -127,8 +127,8 @@ def param_count(params: dict[str, np.ndarray]) -> int:
 def embed(ids: np.ndarray, table: EmbeddingTable, dtype=np.float64) -> Tensor:
     """Frozen lookup: int ids of any shape S -> detached S + (d,) tensor of `dtype`.
 
-    The result never joins a gradient path, so no gradient can reach the
-    table.
+    The result is a detached constant: it never joins the tape, so no
+    gradient can reach the table.
     """
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= table.vocab_size):

@@ -102,7 +102,9 @@ def train_step(params: dict[str, np.ndarray], batch: Batch,
     loss_value = loss.item()
     if not np.isfinite(loss_value):
         culprit = graph.first_nonfinite()
-        where = f"op '{culprit[1]}' (node {culprit[0]})" if culprit else "loss"
+        names = {leaf.node_id: f"parameter {name!r}" for name, leaf in leaves.items()}
+        where = (names.get(culprit[0], f"op '{culprit[1]}' (node {culprit[0]})")
+                 if culprit else "loss")
         raise TrainingDivergedError(
             f"non-finite loss at optimizer step {state.step}; first bad tensor: {where}")
     grad_map = graph.backward(loss)
@@ -211,9 +213,8 @@ def predict_answers(examples, params, table, config: qa_model.ModelConfig,
         p_start, p_end = out.p_start.data, out.p_end.data
         for row, qid in enumerate(batch.qids):
             ex = by_qid[qid]
-            tokens = ex.context_tokens[:config.context_cap]
             pred = best_span(p_start[row], p_end[row], batch.context_mask[row],
-                             max_len=max_answer_len, tokens=tokens,
+                             max_len=max_answer_len, tokens=ex.context_tokens,
                              text=ex.context_text)
             predictions[qid] = pred.answer_text
     return predictions

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from spanqa import autodiff as ad
-from spanqa.diagnostics import OP_THRESHOLD, op_gradcheck_cases
+from spanqa.diagnostics import OP_THRESHOLD, make_tiny_problem, op_gradcheck_cases
+from spanqa.model import forward, loss
 
 
 def scalar_loss(f):
@@ -337,6 +338,47 @@ class TestBackward:
     def test_detached_tensors_stay_detached(self):
         out = ad.add(ad.Tensor([1.0]), ad.Tensor([2.0]))
         assert out.graph is None and out.node_id is None
+
+    def test_constant_shared_by_two_graphs(self):
+        c = ad.Tensor([2.0, -1.0])
+        for weight in ([3.0, 4.0], [0.5, 0.25]):
+            g = ad.Graph()
+            w = g.leaf(weight, requires_grad=True)
+            grads = g.backward(ad.reduce_sum(ad.mul(w, c)))
+            assert set(grads) == {w.node_id}
+            assert np.array_equal(grads[w.node_id], c.data)
+            assert len(g) == 3      # leaf, mul, sum: the constant is no node
+
+    def test_constant_stays_detached_after_backward(self):
+        c = ad.Tensor([0.5, 1.5])
+        g = ad.Graph()
+        w = g.leaf([1.0, 2.0], requires_grad=True)
+        g.backward(ad.reduce_sum(ad.mul(w, c)))
+        before = len(g)
+        out = ad.tanh(c)
+        assert len(g) == before
+        assert c.graph is None and c.node_id is None and not c.requires_grad
+        assert out.graph is None and np.array_equal(out.data, np.tanh(c.data))
+
+    def test_leaf_without_requires_grad_is_a_constant(self):
+        g = ad.Graph()
+        frozen = g.leaf([1.0, 2.0])
+        assert frozen.graph is None and frozen.node_id is None and len(g) == 0
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])   # shared-context path at 0
+    def test_model_tape_holds_only_gradient_paths(self, dropout):
+        # the embeddings, masks and attention constants join no tape: the
+        # only leaves are the parameters, and every other node has a backward
+        config, params, table, batch = make_tiny_problem(seed=3, hidden=5, batch_size=3,
+                                                         dropout=dropout, shared_context=True)
+        g = ad.Graph()
+        leaves = {name: g.leaf(value, requires_grad=True) for name, value in params.items()}
+        out = forward(batch, leaves, table, config, training=True, step=1)
+        loss(out, batch.gold_starts, batch.gold_ends, batch.context_mask)
+        nodes = g._nodes
+        assert [n.op for n in nodes].count("leaf") == len(params)
+        assert all(n.backward is not None for n in nodes if n.op != "leaf")
+        assert all(pid is None or pid < i for i, n in enumerate(nodes) for pid in n.parents)
 
 
 class TestGradCheck:

@@ -56,7 +56,8 @@ def run_graph(drop, dtype):
 def test_fused_graph_matches_composed_bit_for_bit(dtype):
     outs, grads, ops = run_graph(fused, dtype)
     ref_outs, ref_grads, ref_ops = run_graph(composed, dtype)
-    assert "dropout" not in ops and ref_ops.count("dropout") == 4
+    # the frozen input E is a constant: its reference dropout joins no tape
+    assert "dropout" not in ops and ref_ops.count("dropout") == 3
     assert len(grads) == len(ref_grads) == 7
     for got, want in zip(outs + grads, ref_outs + ref_grads):
         assert got.dtype == dtype

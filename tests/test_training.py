@@ -85,8 +85,8 @@ class TestTrainStep:
         config, params, table, batch = make_tiny_problem(seed=24)
         params["start_head.W2"][:] = np.inf
         state = init_optimizer(params)
-        with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError,
-                                                      match="op "):
+        with np.errstate(all="ignore"), pytest.raises(
+                TrainingDivergedError, match="first bad tensor: parameter 'start_head.W2'$"):
             train_step(params, batch, table, state, config)
 
 
