@@ -120,7 +120,10 @@ class Graph:
         return len(self._nodes) - 1
 
     def first_nonfinite(self):
-        """(node_id, op) of the first node with a NaN/Inf output, or None."""
+        """(node_id, op) of the first node with a NaN/Inf output, or None.
+        Raises GraphSpentError after backward, which drops the outputs."""
+        if self._spent:
+            raise GraphSpentError("backward dropped this graph's node outputs")
         for i, node in enumerate(self._nodes):
             if not np.all(np.isfinite(node.out)):
                 return i, node.op
@@ -130,10 +133,12 @@ class Graph:
         """Reverse-accumulate gradients of a scalar root.
 
         Returns {node_id: gradient} holding every leaf, with zeros for a leaf
-        that no path connects to the root. The gradient of an intermediate
-        node is dropped as soon as its own backward has run, so at most one
-        frontier of them is alive at a time; so is its backward closure, so a
-        second call raises GraphSpentError.
+        that no path connects to the root. As soon as an op node's backward
+        has run, its gradient, its backward closure (with the buffers it
+        saved) and its output are dropped, so at most one frontier of
+        gradients is alive at a time and the tape shrinks as backward runs.
+        Leaves keep their output, which shapes their zero gradients. A second
+        call raises GraphSpentError.
         """
         if self._spent:
             raise GraphSpentError("backward already ran on this graph")
@@ -150,6 +155,7 @@ class Graph:
             backward, node.backward = node.backward, None
             if backward is None:
                 continue
+            node.out = None
             g = grads.pop(nid, None)
             if g is None:
                 continue
@@ -701,10 +707,11 @@ def linear(xs, W, b) -> Tensor:
     out += b.data
 
     def backward(g):
+        # dW first, so that no rebuilt dropped block is alive beside dX
+        dw = _weight_grad(g.T, datas, masks, spans, np.empty(wd.shape, g.dtype))
         dxs = [_drop(g @ wd[:, lo:hi], m, in_place=True)
                for (lo, hi), m in zip(spans, masks)]
-        return (*dxs, np.concatenate([g.T @ _drop(x, m) for x, m in zip(datas, masks)],
-                                     axis=1), g.sum(axis=0))
+        return (*dxs, dw, g.sum(axis=0))
 
     return _apply("linear", (*xs, W, b), out, backward)
 
@@ -747,7 +754,51 @@ def _lstm_direction(datas, spans, W, b, packing: Packing, reverse: bool, out,
         np.multiply(z[:, 2 * h:3 * h], np.tanh(c, out=tanh_c[lo:hi]), out=hs[lo:hi])
         before, lo = lo, hi
     out[packing.reverse if reverse else slice(None)] = hs
-    return (reverse, W.data, gates, cs, tanh_c) if taped else None
+    return [gates, cs] if taped else None
+
+
+def _lstm_dz(dz, g_h, w_h, gates, cs, packing: Packing, reverse: bool):
+    """BPTT over one direction: writes dz, the gradient of the
+    pre-activations, into the (N, 4h) buffer `dz` in the direction's step
+    order, from g_h, the (N, h) gradient of its h in packing order, the
+    recurrent weight W_h and the saved gates and c; tanh c is recomputed."""
+    rows, h = cs.shape
+    first = rows - len(packing.prev)
+    i, f, o, cand = (gates[:, k * h:(k + 1) * h] for k in range(4))
+    c_prev = np.zeros_like(cs)
+    np.take(cs, packing.prev, axis=0, out=c_prev[first:])
+    tanh_c = np.tanh(cs)
+    # the gate derivatives; the loop scales step s's block by [dc, dc, dh, dc]
+    dz[:, :h] = cand * i * (1.0 - i)
+    dz[:, h:2 * h] = c_prev * f * (1.0 - f)
+    dz[:, 2 * h:3 * h] = tanh_c * o * (1.0 - o)
+    dz[:, 3 * h:] = i * (1.0 - cand * cand)
+    dc_dh = o * (1.0 - tanh_c * tanh_c)
+    del c_prev, tanh_c
+    dhs = g_h[packing.reverse] if reverse else g_h.copy()
+    # The k_{s+1} sequences of the later step pass dh and dc back to the
+    # first k_{s+1} rows of step s; the others end at step s.
+    dh_next = dc_next = np.zeros((0, h), cs.dtype)
+    hi = rows
+    for k in reversed(packing.counts):
+        lo = hi - k
+        dh = dhs[lo:hi]
+        dh[:len(dh_next)] += dh_next
+        dc = dh * dc_dh[lo:hi]
+        dc[:len(dc_next)] += dc_next
+        dz_t = dz[lo:hi]
+        dz_t *= np.concatenate((dc, dc, dh, dc), axis=1)
+        dh_next = dz_t @ w_h
+        dc_next = dc * f[lo:hi]
+        hi = lo
+
+
+def _weight_grad(g_t, datas, masks, spans, dw):
+    """g_t @ [x_1 | x_2 | ...] written into the column blocks of dw, each
+    dropped block rebuilt only for its own GEMM."""
+    for x, m, (lo, hi) in zip(datas, masks, spans):
+        np.matmul(g_t, _drop(x, m), out=dw[:, lo:hi])
+    return dw
 
 
 def lstm(xs, packing: Packing, fwd, bwd) -> Tensor:
@@ -761,11 +812,18 @@ def lstm(xs, packing: Packing, fwd, bwd) -> Tensor:
     [h:] the backward one's; a sequence runs from the zero state over its
     own positions, or back from its last token. The input projection is one
     GEMM per block up front, so only h_prev[:k_s] @ W_h^T runs in the time
-    loop, and the layer is one tape node. Its backward is one BPTT sweep per
-    direction computing only dz and dz @ W_h per step; dX, dW and db are
-    then GEMMs or sums over the N rows, reading h_prev from the result. Each
-    direction's gates, c and tanh c are kept only when some input is on a
-    graph; otherwise they are freed before the next direction starts.
+    loop, and the layer is one tape node.
+
+    When some input is on a graph, the tape keeps each direction's gates and
+    c, five (N, h) blocks; otherwise they are freed before the next
+    direction starts. Backward is one BPTT sweep per direction, computing
+    only dz and dz @ W_h per step. A direction's gates and c are freed as
+    soon as its dz is done; db and dW_h follow (h_prev is read from the
+    result), and its dz moves into one (N, 8h) buffer [dz_fwd | dz_bwd] in
+    packing order.
+    Then dW of each input block is one GEMM over both directions, with the
+    block's dropout rebuilt for it alone, and dX = dz_fwd @ W_fwd^T +
+    dz_bwd @ W_bwd^T for each block on a graph.
     """
     runs = [(reverse, _lift(W), _lift(b)) for reverse, (W, b) in ((False, fwd), (True, bwd))]
     h = runs[0][1].shape[0] // 4
@@ -780,7 +838,7 @@ def lstm(xs, packing: Packing, fwd, bwd) -> Tensor:
         raise DimensionError(f"lstm: {xs[0].shape[0]} rows for a {packing.size}-row packing")
     inputs = (*xs, *(t for _, W, b in runs for t in (W, b)))
     taped = _common_graph(inputs) is not None
-    rows, counts, prev = packing.size, packing.counts, packing.prev
+    rows, prev = packing.size, packing.prev
     first = rows - len(prev)
     datas, dtype = [x.data for x in xs], xs[0].data.dtype
     out = np.empty((rows, 2 * h), dtype)
@@ -792,54 +850,35 @@ def lstm(xs, packing: Packing, fwd, bwd) -> Tensor:
     if not taped:
         return Tensor(out)
     needs = [x.graph is not None for x in xs]
+    weights = [W.data for _, W, _ in runs]
 
     def backward(g):
-        dxs, dweights = [None] * len(spans), []
-        dropped = [_drop(x, m) for x, m in zip(datas, masks)]
-        for col, (reverse, w, gates, cs, tanh_c) in enumerate(saved):
-            i, f = gates[:, :h], gates[:, h:2 * h]
-            o, cand = gates[:, 2 * h:3 * h], gates[:, 3 * h:]
-            c_prev = np.zeros_like(cs)
-            c_prev[first:] = cs[prev]
-            # Gate derivatives of every live position; the loop scales step
-            # s's block by [dc, dc, dh, dc] to get dz, the gradient of the
-            # pre-activations.
-            dz = np.empty_like(gates)
-            dz[:, :h] = cand * i * (1.0 - i)
-            dz[:, h:2 * h] = c_prev * f * (1.0 - f)
-            dz[:, 2 * h:3 * h] = tanh_c * o * (1.0 - o)
-            dz[:, 3 * h:] = i * (1.0 - cand * cand)
-            dc_dh = o * (1.0 - tanh_c * tanh_c)
-            dhs = g[:, col * h:(col + 1) * h]
-            dhs = dhs[packing.reverse] if reverse else dhs.copy()
-            # The k_{s+1} sequences of the later step pass dh and dc back to
-            # the first k_{s+1} rows of step s; the others end at step s.
-            w_h = w[:, n:]
-            dh_next = dc_next = np.zeros((0, h), dtype)
-            hi = rows
-            for k in reversed(counts):
-                lo = hi - k
-                dh = dhs[lo:hi]
-                dh[:len(dh_next)] += dh_next
-                dc = dh * dc_dh[lo:hi]
-                dc[:len(dc_next)] += dc_next
-                dz_t = dz[lo:hi]
-                dz_t *= np.concatenate((dc, dc, dh, dc), axis=1)
-                dh_next = dz_t @ w_h
-                dc_next = dc * f[lo:hi]
-                hi = lo
+        dz_both = dw = None
+        dbs = []
+        for col, reverse in enumerate((False, True)):
+            dz = np.empty_like(saved[col][0])
+            _lstm_dz(dz, g[:, col * h:(col + 1) * h], weights[col][:, n:], *saved[col],
+                     packing, reverse)
+            saved[col] = None
+            if dz_both is None:     # once the first direction's gates and c are gone
+                dz_both = np.empty((rows, 8 * h), dz.dtype)
+                dw = np.empty((8 * h, n + h), dz.dtype)
             h_prev = out[packing.reverse[prev] if reverse else prev, col * h:(col + 1) * h]
-            db, dw_h = dz.sum(axis=0), dz[first:].T @ h_prev
-            if reverse:
-                dz, dz_steps = np.empty_like(dz), dz
-                dz[packing.reverse] = dz_steps
-            dweights += [np.concatenate([dz.T @ x for x in dropped] + [dw_h], axis=1), db]
-            for j, (lo, hi) in enumerate(spans):
-                if needs[j]:
-                    dx = dz @ w[:, lo:hi]
-                    dxs[j] = dx if dxs[j] is None else np.add(dxs[j], dx, out=dxs[j])
-        return (*(dx if dx is None else _drop(dx, m, in_place=True)
-                  for dx, m in zip(dxs, masks)), *dweights)
+            dbs.append(dz.sum(axis=0))
+            block = slice(col * 4 * h, (col + 1) * 4 * h)
+            np.matmul(dz[first:].T, h_prev, out=dw[block, n:])
+            dz_both[packing.reverse if reverse else slice(None), block] = dz
+            del dz, h_prev
+        _weight_grad(dz_both.T, datas, masks, spans, dw)
+        dxs = []
+        for (lo, hi), m, need in zip(spans, masks, needs):
+            dx = None
+            if need:
+                dx = dz_both[:, :4 * h] @ weights[0][:, lo:hi]
+                dx += dz_both[:, 4 * h:] @ weights[1][:, lo:hi]
+                _drop(dx, m, in_place=True)
+            dxs.append(dx)
+        return (*dxs, dw[:4 * h], dbs[0], dw[4 * h:], dbs[1])
 
     return _apply("lstm", inputs, out, backward)
 

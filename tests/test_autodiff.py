@@ -1,10 +1,10 @@
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from memtrace import traced
 from spanqa import autodiff as ad
 from spanqa.diagnostics import OP_THRESHOLD, make_tiny_problem, op_gradcheck_cases
 from spanqa.model import forward, loss
@@ -276,12 +276,7 @@ class TestDropout:
         x = np.random.default_rng(2).normal(size=(200, 500))
         graph = ad.Graph()
         leaf = graph.leaf(x, requires_grad=True)
-        tracemalloc.start()
-        try:
-            out = ad.dropout(leaf, 0.2, seed=3)
-            retained = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
+        out, retained, _ = traced(ad.dropout, leaf, 0.2, seed=3)
         assert retained < 1.25 * x.nbytes
         grad = graph.backward(ad.reduce_sum(out))[leaf.node_id]
         assert np.array_equal(grad != 0, out.data != 0)

@@ -11,7 +11,6 @@ import dataclasses
 import itertools
 import json
 import os
-import tracemalloc
 import zlib
 
 import numpy as np
@@ -19,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memtrace import traced
 from spanqa.checkpoint import (MAGIC, CheckpointChangedError, CheckpointError,
                                CheckpointManifestError, CheckpointMetadataError,
                                CheckpointMissingTensorError, CheckpointTruncatedError,
@@ -258,12 +258,7 @@ def test_moments_are_read_on_first_state_access(tmp_path):
             moments[name] = rng.normal(size=params[name].shape)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, params, config, state)
-    tracemalloc.start()
-    try:
-        loaded = load_checkpoint(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    loaded, _, peak = traced(load_checkpoint, path)
     assert peak < sum(p.nbytes for p in params.values()) + 128 * 1024
     first = loaded.state
     assert loaded.state is first

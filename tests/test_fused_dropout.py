@@ -3,12 +3,12 @@ against the composed reference `ad.dropout` -> op, and the training tape it
 leaves: the boolean masks instead of dropped float copies, and buffers that
 `Graph.backward` frees as it runs."""
 
-import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
+from memtrace import traced
 from spanqa import autodiff as ad
 from spanqa import model
 from spanqa.autodiff import Graph
@@ -90,12 +90,8 @@ def taped_forward(dropout):
     graph = Graph()
     leaves = {name: graph.leaf(value.astype(np.float32), requires_grad=True)
               for name, value in params.items()}
-    tracemalloc.start()
-    try:
-        out = forward(batch, leaves, table, config, training=True, step=1)
-        return tracemalloc.get_traced_memory()[0], graph, out
-    finally:
-        tracemalloc.stop()
+    out, retained, _ = traced(forward, batch, leaves, table, config, training=True, step=1)
+    return retained, graph, out
 
 
 def test_dropout_adds_only_its_masks_to_the_tape(monkeypatch):
@@ -138,13 +134,23 @@ def test_backward_frees_lstm_gate_buffers():
     lstm_nodes = [node for node in graph._nodes if node.op == "lstm"]
     gates = [weakref.ref(a) for node in lstm_nodes
              for a in closure_arrays(node.backward) if a.ndim == 2 and a.shape[1] == width]
+    # (a 0-d result of a binary op on 0-d operands is a numpy scalar, not an array)
+    outputs = [weakref.ref(node.out) for node in graph._nodes
+               if node.op != "leaf" and isinstance(node.out, np.ndarray)]
     # the (N, 4h) gates of both directions of every layer
     assert len(lstm_nodes) == 2 * config.encoder_layers + 2
     assert len(gates) == 2 * len(lstm_nodes)
     assert all(ref() is not None for ref in gates)
-    graph.backward(root)
+    grads = graph.backward(root)
     assert all(ref() is None for ref in gates)
     assert all(node.backward is None for node in graph._nodes)
+    # once the caller lets go of the forward results, no op output is left
+    del out, root
+    assert len(outputs) > len(lstm_nodes)
+    assert all(ref() is None for ref in outputs)
+    assert sorted(grads) == sorted(leaf.node_id for leaf in leaves.values())
+    for name, leaf in leaves.items():
+        assert grads[leaf.node_id].shape == params[name].shape, name
 
 
 def test_second_backward_raises():
@@ -154,3 +160,6 @@ def test_second_backward_raises():
     assert np.array_equal(graph.backward(root)[x.node_id], 2.0 * np.arange(3.0))
     with pytest.raises(ad.GraphSpentError):
         graph.backward(root)
+    # backward dropped the outputs that first_nonfinite would read
+    with pytest.raises(ad.GraphSpentError):
+        graph.first_nonfinite()

@@ -5,12 +5,11 @@ batch, runs `ad.lstm` and unpacks that direction's half of the result, so
 the op and the oracle see and return the same padded arrays, gradients
 included."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from lstm_oracle import pack_rows, packed_lstm, unrolled_bilstm, unrolled_lstm
+from memtrace import traced
 from spanqa import autodiff as ad
 from spanqa.autodiff import Graph
 from spanqa.diagnostics import (OP_THRESHOLD, make_tiny_problem,
@@ -159,9 +158,15 @@ def test_untaped_call_matches_taped_and_stays_detached():
     assert np.array_equal(detached.data, taped)
 
 
+def retained_by_call(packing, inputs):
+    """Bytes one `ad.lstm` call leaves allocated, its result included; the
+    same (W, b) serves both directions."""
+    return traced(ad.lstm, [inputs[0]], packing, inputs[1:], inputs[1:])[1]
+
+
 def test_untaped_call_keeps_no_bptt_buffers():
-    # backward needs, per direction, the (N, 4h) gates and the (N, h) c and
-    # tanh c buffers, N the live positions (all B*L here), and reads h back
+    # backward needs, per direction, the (N, 4h) gates and the (N, h) c, N
+    # the live positions (all B*L here), recomputes tanh c and reads h back
     # from the result; a call that no gradient will reach must keep none of
     # them alive
     rng = np.random.default_rng(7)
@@ -169,30 +174,21 @@ def test_untaped_call_keeps_no_bptt_buffers():
     packing = ad.Packing(np.ones((batch, length)))
     x = rng.normal(size=(packing.size, in_dim))
     weight, bias = direction_params(rng, in_dim, hidden)
-    buffers = 2 * 6 * batch * length * hidden * 8
-
-    def retained(inputs):
-        tracemalloc.start()
-        try:
-            out = ad.lstm([inputs[0]], packing, inputs[1:], inputs[1:])
-            return tracemalloc.get_traced_memory()[0], out
-        finally:
-            tracemalloc.stop()
-
-    untaped, _ = retained((x, weight, bias))
+    buffers = 2 * 5 * batch * length * hidden * 8
+    untaped = retained_by_call(packing, (x, weight, bias))
     graph = Graph()
-    frozen, _ = retained(tuple(graph.leaf(v) for v in (x, weight, bias)))
+    frozen = retained_by_call(packing, tuple(graph.leaf(v) for v in (x, weight, bias)))
     trainable = Graph()
-    taped, _ = retained(tuple(trainable.leaf(v, requires_grad=True)
-                              for v in (x, weight, bias)))
-    # a seventh block per direction, a copy of h, would exceed the bound
+    taped = retained_by_call(packing, tuple(trainable.leaf(v, requires_grad=True)
+                                            for v in (x, weight, bias)))
+    # a sixth block per direction, tanh c or a copy of h, would exceed the bound
     assert 0.9 * buffers < taped - untaped < 1.1 * buffers
     assert frozen - untaped < 0.1 * buffers
 
 
 def test_taped_buffers_scale_with_live_positions():
     # a ragged batch keeps buffers for its live positions only: the same
-    # six (., h) blocks per direction as a full batch, but over
+    # five (., h) blocks per direction as a full batch, but over
     # sum(lengths) rows, not B*L
     rng = np.random.default_rng(9)
     batch, length, in_dim, hidden = 8, 60, 16, 32
@@ -200,22 +196,13 @@ def test_taped_buffers_scale_with_live_positions():
     packing = ad.Packing(prefix_mask(lengths, length))
     x = rng.normal(size=(packing.size, in_dim))
     weight, bias = direction_params(rng, in_dim, hidden)
-    live_buffers = 2 * 6 * sum(lengths) * hidden * 8
-
-    def retained(inputs):
-        tracemalloc.start()
-        try:
-            out = ad.lstm([inputs[0]], packing, inputs[1:], inputs[1:])
-            return tracemalloc.get_traced_memory()[0], out
-        finally:
-            tracemalloc.stop()
-
-    untaped, _ = retained((x, weight, bias))
+    live_buffers = 2 * 5 * sum(lengths) * hidden * 8
+    untaped = retained_by_call(packing, (x, weight, bias))
     trainable = Graph()
-    taped, _ = retained(tuple(trainable.leaf(v, requires_grad=True)
-                              for v in (x, weight, bias)))
+    taped = retained_by_call(packing, tuple(trainable.leaf(v, requires_grad=True)
+                                            for v in (x, weight, bias)))
     # buffers over all B*L positions would be 480 / 225 = 2.1 times as large,
-    # and a seventh block per direction 7 / 6 times
+    # and a sixth block per direction 6 / 5 times
     assert 0.9 * live_buffers < taped - untaped < 1.1 * live_buffers
 
 
@@ -230,13 +217,33 @@ def test_untaped_peak_holds_one_direction_at_a_time():
     x = rng.normal(size=(packing.size, in_dim))
     fwd, bwd = (direction_params(rng, in_dim, hidden) for _ in range(2))
     bound = packing.size * 8 * (2 * hidden + 2 * 4 * hidden + 3 * hidden)
-    tracemalloc.start()
-    try:
-        ad.lstm([x], packing, fwd, bwd)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, _, peak = traced(ad.lstm, [x], packing, fwd, bwd)
     assert peak < bound
+
+
+def test_taped_backward_peak_holds_one_dz_and_one_rebuilt_block():
+    # the end decoder's shape: a wide dropped block and a narrow one. Above
+    # the tape and the (N, 2h) gradient of the result, backward holds at
+    # most one (N, 8h) dz for both directions, the dX and dW it returns and
+    # one dropped input block rebuilt for its dW GEMM (or the second
+    # direction's product for dX of that width); a second dz, a dX temporary
+    # beside the sum, or every dropped block rebuilt at once each exceed that
+    rng = np.random.default_rng(21)
+    length, hidden, widths = 60, 16, (8 * 16, 2 * 16)
+    packing = ad.Packing(prefix_mask([60, 10, 35, 20, 50, 5, 30, 15], length))
+    rows, n = packing.size, sum(widths)
+    graph = Graph()
+    blocks = [graph.leaf(rng.normal(size=(rows, w)), requires_grad=True) for w in widths]
+    params = [tuple(graph.leaf(v, requires_grad=True) for v in direction_params(rng, n, hidden))
+              for _ in range(2)]
+    out = ad.lstm([ad.Dropped(x, 0.2, seed) for seed, x in enumerate(blocks)],
+                  packing, *params)
+    root = ad.reduce_sum(out)
+    grads, _, peak = traced(graph.backward, root)
+    dw = sum(grads[t.node_id].nbytes for pair in params for t in pair)
+    bound = rows * 8 * (2 * hidden + 8 * hidden + n + max(widths)) + dw
+    assert peak < bound
+    assert len(grads) == 6
 
 
 def test_shape_errors():
