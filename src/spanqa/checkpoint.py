@@ -1,7 +1,7 @@
 """Self-describing binary checkpoints.
 
 Layout: ASCII magic ``QACKPT1\\n``, an 8-byte little-endian length, a JSON
-metadata block, then the raw little-endian float64 tensors. The metadata
+metadata block, then the raw little-endian float32 tensors. The metadata
 holds exactly the format version, the model config, the Adam step, the best
 dev F1 so far (null before any dev evaluation), the tensor manifest of
 name/shape/byte-offset, and a CRC-32 of the rest of the metadata. Writes go
@@ -12,11 +12,17 @@ The config fixes the tensor layout: its parameters and their Adam moments
 (under ``adam.m/`` and ``adam.v/`` names), sorted by name and laid end to
 end, so the payload is three contiguous blocks [m | v | params]. The file
 keeps the manifest to document its payload, and loading requires it to be
-exactly that layout.
+exactly that layout. A saved parameter costs 12 bytes: itself and its two
+moments, 4 bytes each.
+
+Format version 3 is the one written. A version 2 file, whose payload is the
+same layout in float64 (8 bytes per element), still loads: each tensor is
+read at its 8-byte offset and narrowed to float32, so resuming from it and
+saving writes version 3.
 
 Loading raises a ``CheckpointError`` subclass for any file it cannot take at
-its word: wrong magic, a format version other than 2 (version 1 files are
-rejected, not converted), truncation, metadata that is not JSON, lacks or
+its word: wrong magic, a format version other than 3 or 2 (version 1 files
+are rejected, not converted), truncation, metadata that is not JSON, lacks or
 mistypes a key, or lacks or fails its checksum, and a manifest other than
 the config's layout. The payload carries no checksum, so a flipped payload
 bit loads as the value the file now holds.
@@ -54,7 +60,9 @@ __all__ = ["MAGIC", "FORMAT_VERSION", "CheckpointError", "CheckpointMagicError",
            "CheckpointData", "save_checkpoint", "load_checkpoint"]
 
 MAGIC = b"QACKPT1\n"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+# payload dtype of each format version that loads; only FORMAT_VERSION is written
+_PAYLOAD_DTYPES = {3: np.dtype("<f4"), 2: np.dtype("<f8")}
 _CHECKSUM_KEY = "metadata_crc32"
 
 
@@ -106,9 +114,10 @@ class CheckpointData:
         return self._read_state()
 
 
-def _layout(config: ModelConfig) -> list[dict]:
+def _layout(config: ModelConfig, itemsize: int) -> list[dict]:
     """The manifest of a config's checkpoint: each parameter and its two Adam
-    moments, sorted by name and laid end to end."""
+    moments, sorted by name and laid end to end, `itemsize` bytes per
+    element."""
     shapes = param_shapes(config)
     named = dict(shapes)
     for prefix in ("adam.m/", "adam.v/"):
@@ -116,7 +125,7 @@ def _layout(config: ModelConfig) -> list[dict]:
     layout, offset = [], 0
     for name in sorted(named):
         layout.append({"name": name, "shape": list(named[name]), "offset": offset})
-        offset += 8 * math.prod(named[name])
+        offset += itemsize * math.prod(named[name])
     return layout
 
 
@@ -126,12 +135,14 @@ def _encode(metadata: dict) -> bytes:
 
 def save_checkpoint(path, params: dict[str, np.ndarray], config: ModelConfig,
                     state: AdamState, best_dev_f1: float | None = None) -> None:
-    """Atomically write params + optimizer state; bit-exact round trip."""
+    """Atomically write params + optimizer state as float32, the current
+    format version; bit-exact round trip for float32 tensors."""
     tensors = dict(params)
     for name in params:
         tensors[f"adam.m/{name}"] = state.m[name]
         tensors[f"adam.v/{name}"] = state.v[name]
-    layout = _layout(config)
+    dtype = _PAYLOAD_DTYPES[FORMAT_VERSION]
+    layout = _layout(config, dtype.itemsize)
     metadata = {
         "version": FORMAT_VERSION,
         "config": asdict(config),
@@ -147,7 +158,7 @@ def save_checkpoint(path, params: dict[str, np.ndarray], config: ModelConfig,
         handle.write(len(meta_bytes).to_bytes(8, "little"))
         handle.write(meta_bytes)
         for entry in layout:
-            handle.write(np.ascontiguousarray(tensors[entry["name"]], dtype="<f8"))
+            handle.write(np.ascontiguousarray(tensors[entry["name"]], dtype=dtype))
     os.replace(tmp_path, path)
 
 
@@ -169,10 +180,11 @@ def _read_metadata(path, block: bytes) -> dict:
     if not isinstance(metadata, dict):
         raise CheckpointMetadataError(f"{path}: metadata is not a JSON object")
     # the version comes first: another version's checksum rules are unknown
-    if metadata.get("version") != FORMAT_VERSION:
+    version = metadata.get("version")
+    if type(version) is not int or version not in _PAYLOAD_DTYPES:
         raise CheckpointVersionError(
-            f"{path}: format version {metadata.get('version')!r}, "
-            f"expected {FORMAT_VERSION}")
+            f"{path}: format version {version!r}, expected {FORMAT_VERSION} "
+            f"(or 2, narrowed on load)")
     if metadata.pop(_CHECKSUM_KEY, None) != zlib.crc32(_encode(metadata)):
         raise CheckpointMetadataError(f"{path}: metadata lacks or fails its checksum")
     return metadata
@@ -207,17 +219,19 @@ def _identity(stat) -> tuple:
     return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
 
 
-def _read_tensors(path, handle, start: int, entries: list[dict]) -> dict[str, np.ndarray]:
-    """Each manifest entry's tensor, read from the payload at byte `start`
-    straight into its own new array."""
+def _read_tensors(path, handle, start: int, entries: list[dict],
+                  dtype: np.dtype) -> dict[str, np.ndarray]:
+    """Each manifest entry's float32 tensor, read from the payload of `dtype`
+    at byte `start` straight into its own new array; a float64 tensor is
+    read whole and narrowed into a new one."""
     tensors = {}
     for entry in entries:
-        tensor = np.empty(entry["shape"], dtype="<f8")
+        tensor = np.empty(entry["shape"], dtype=dtype)
         handle.seek(start + entry["offset"])
         if handle.readinto(tensor) != tensor.nbytes:
             raise CheckpointTruncatedError(f"{path}: payload ends inside "
                                            f"{entry['name']!r}")
-        tensors[entry["name"]] = tensor
+        tensors[entry["name"]] = tensor.astype(np.float32, copy=False)
     return tensors
 
 
@@ -226,9 +240,9 @@ def load_checkpoint(path) -> CheckpointData:
 
     Every check runs now, and nothing is allocated for the payload until the
     file's size matches the layout; then only the parameters are read, each
-    straight into its own new array. The Adam moments are read on the first
-    access to `.state`, which raises CheckpointChangedError if the file's
-    (device, inode, size, mtime) differs from what was loaded.
+    straight into its own new float32 array. The Adam moments are read on the
+    first access to `.state`, which raises CheckpointChangedError if the
+    file's (device, inode, size, mtime) differs from what was loaded.
     """
     with open(path, "rb") as handle:
         stat = os.fstat(handle.fileno())
@@ -244,15 +258,17 @@ def load_checkpoint(path) -> CheckpointData:
         config = _read_config(path, _field(path, metadata, "config", (dict,)))
         step = _field(path, metadata, "step", (int,))
         best_dev_f1 = _field(path, metadata, "best_dev_f1", (int, float, type(None)))
-        layout = _layout(config)
+        dtype = _PAYLOAD_DTYPES[metadata["version"]]
+        layout = _layout(config, dtype.itemsize)
         _check_manifest(path, _field(path, metadata, "tensors", (list,)), layout)
-        expected = sum(8 * math.prod(entry["shape"]) for entry in layout)
+        expected = sum(dtype.itemsize * math.prod(entry["shape"]) for entry in layout)
         if size - cursor != expected:
             raise CheckpointTruncatedError(
                 f"{path}: payload is {size - cursor} bytes, manifest expects {expected}")
         shapes = param_shapes(config)
         tensors = _read_tensors(path, handle, cursor,
-                                [entry for entry in layout if entry["name"] in shapes])
+                                [entry for entry in layout if entry["name"] in shapes],
+                                dtype)
     params = {name: tensors[name] for name in shapes}
     moments = [entry for entry in layout if entry["name"] not in shapes]
     source = os.path.abspath(path)
@@ -268,7 +284,7 @@ def load_checkpoint(path) -> CheckpointData:
                 raise CheckpointChangedError(
                     f"{path}: changed after its parameters were loaded; its Adam "
                     f"moments would not match them")
-            tensors = _read_tensors(path, handle, cursor, moments)
+            tensors = _read_tensors(path, handle, cursor, moments, dtype)
         return AdamState(m={name: tensors[f"adam.m/{name}"] for name in params},
                          v={name: tensors[f"adam.v/{name}"] for name in params},
                          step=step)

@@ -224,12 +224,15 @@ def load_squad(path) -> list[QAExample]:
 
 def load_glove(path, dim: int) -> EmbeddingTable:
     """Read `word f1 ... fdim` lines; prepend PAD (zeros) and UNK (mean).
+    The table is float32, the dtype the model computes in.
 
     One pass over the file: each line's field count is checked and its word
     kept as the line streams into a single `np.loadtxt` call, which parses
     the floats in C (no Python object per value) straight into the table,
     behind two zero rows for PAD and UNK. loadtxt converts each line as it
     reads it, so a field that is not a number is on the last line read.
+    The values are parsed as float64 and the UNK row is their float64 mean;
+    the table is narrowed to float32 once it is complete.
     """
     words: list[str] = []
     lineno = 0
@@ -257,7 +260,8 @@ def load_glove(path, dim: int) -> EmbeddingTable:
     if words:
         matrix[UNK_ID] = matrix[2:].mean(axis=0)
     word_to_id = {w: i + 2 for i, w in enumerate(words)}
-    return EmbeddingTable(dim=dim, word_to_id=word_to_id, matrix=matrix)
+    return EmbeddingTable(dim=dim, word_to_id=word_to_id,
+                          matrix=matrix.astype(np.float32))
 
 
 def prepare_for_training(examples, context_cap: int) -> tuple[list[QAExample], int]:

@@ -202,6 +202,7 @@ def end_to_end_gradcheck(seed: int = 0, coords_per_tensor: int | None = 4,
                          shared_context: bool = False):
     """Worst relative gradcheck error of the full loss over each parameter.
 
+    The check runs in float64, on the tiny model's float32 params widened.
     `coords_per_tensor` limits the finite-difference probes per tensor
     (None checks every coordinate). Dropout stays off: the probe must be
     deterministic. `shared_context` asks both rows about one context, so
@@ -210,6 +211,7 @@ def end_to_end_gradcheck(seed: int = 0, coords_per_tensor: int | None = 4,
     """
     config, params, table, batch = make_tiny_problem(
         seed=seed, shared_context=shared_context)
+    params = {name: value.astype(np.float64) for name, value in params.items()}
     results = []
     for name in params:
         def run(t, _name=name):

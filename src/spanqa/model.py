@@ -103,18 +103,20 @@ def _xavier_limit(shape) -> float:
 
 
 def init_params(config: ModelConfig) -> dict[str, np.ndarray]:
-    """Xavier-uniform matrices, zero biases except LSTM forget gates at 1.0."""
+    """Xavier-uniform matrices, zero biases except LSTM forget gates at 1.0,
+    as float32. The matrices are drawn in float64 and then narrowed, so the
+    seed's random stream is the one a float64 draw reads."""
     rng = np.random.default_rng(config.seed)
     h = config.hidden_size
     params: dict[str, np.ndarray] = {}
     for name, shape in param_shapes(config).items():
         if name.endswith(".b") or name.endswith(".b1") or name.endswith(".b2"):
-            value = np.zeros(shape)
+            value = np.zeros(shape, dtype=np.float32)
             if name.endswith(".b"):
                 value[h:2 * h] = 1.0  # forget gate, gate order i|f|o|g
         else:
             limit = _xavier_limit(shape)
-            value = rng.uniform(-limit, limit, size=shape)
+            value = rng.uniform(-limit, limit, size=shape).astype(np.float32)
         params[name] = value
     return params
 

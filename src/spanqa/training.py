@@ -5,11 +5,13 @@ All randomness is derived from counters: batch order comes from a per-epoch
 seed sequence and dropout masks from (seed, iteration, call index), so a run
 can be resumed from a checkpoint and retrace the identical trajectory.
 
-Params, Adam moments and checkpoints are float64 master weights. A train step
-or a prediction call casts them to COMPUTE_DTYPE once and runs the model in
-that dtype (mixed-precision training after Micikevicius et al., arXiv
-1710.03740); the gradients come back in it. Clipping sums their norm in
-float64, and the Adam update widens them to float64 block by block.
+Params, Adam moments and checkpoints are float32, the dtype the model
+computes in: a train step uses the params themselves as its graph leaves and
+a prediction call runs on them, so neither makes a copy. The gradients come
+back in float32. Clipping sums their norm in float64, and the Adam update
+widens gradients, params and moments to float64 block by block and narrows
+the results back on store (mixed-precision training after Micikevicius et
+al., arXiv 1710.03740, without the float64 master copy of the weights).
 """
 
 from __future__ import annotations
@@ -35,8 +37,7 @@ __all__ = ["AdamState", "TrainLogRecord", "TrainingDivergedError",
 MAX_GRAD_NORM = 5.0
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8   # Adam's decay rates and epsilon
 SHUFFLE_STREAM = 1  # spawn-key namespace separating batch order from dropout
-COMPUTE_DTYPE = np.float32
-UPDATE_BLOCK = 32768   # elements per block of adam_update: 256 KiB of float64
+UPDATE_BLOCK = 32768   # elements per adam_update block: 256 KiB per float64 scratch
 
 log = logging.getLogger(__name__)
 
@@ -89,11 +90,12 @@ def train_step(params: dict[str, np.ndarray], batch: Batch,
                config: qa_model.ModelConfig, lr: float = 1e-3) -> float:
     """Forward, backward, clip, Adam update. Mutates params and state.
 
-    Forward and backward run in COMPUTE_DTYPE on copies of the float64
-    params; the update applies to the float64 params themselves.
+    The params are the graph's leaves, so forward and backward run in their
+    dtype and share their memory; the update changes them in place once the
+    backward pass is done with them.
     """
     graph = Graph()
-    leaves = {name: graph.leaf(value.astype(COMPUTE_DTYPE), requires_grad=True)
+    leaves = {name: graph.leaf(value, requires_grad=True)
               for name, value in params.items()}
     out = qa_model.forward(batch, leaves, table, config, training=True,
                            step=state.step)
@@ -119,14 +121,18 @@ def adam_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     change in place and the moments are replaced; the gradients, of any
     float dtype, are only read.
 
-    Each parameter is updated in blocks of UPDATE_BLOCK elements, so the
-    whole step stays in cache: the block's gradients are widened to float64
-    into a reused scratch buffer and multiplied by `scale` (when it is not
-    1.0), then Adam computes, in this order and so bit for bit,
-    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g), m_hat = m/(1-b1^t),
-    v_hat = v/(1-b2^t) and p -= (lr*m_hat) / (sqrt(v_hat) + eps). Params and
-    moments are C-contiguous, as init_params, init_optimizer and
-    load_checkpoint make them.
+    The step is exactly "widen, whole-array float64 Adam, narrow": each
+    parameter is updated in blocks of UPDATE_BLOCK elements, so the whole
+    step stays in cache. The block's gradients and moments are widened to
+    float64 into reused scratch buffers and the gradients multiplied by
+    `scale` (when it is not 1.0), then Adam computes, in this order and so
+    bit for bit, m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
+    m_hat = m/(1-b1^t), v_hat = v/(1-b2^t) and
+    p -= (lr*m_hat) / (sqrt(v_hat) + eps), the last in float64 on the
+    widened param. m, v and p are narrowed to the param's dtype as they are
+    stored; m_hat and v_hat are taken before that. Params and moments are
+    C-contiguous, as init_params, init_optimizer and load_checkpoint make
+    them.
 
     The moments are new arrays each step, not updated in place: with glibc,
     moments that never move let the allocator return the step's freed heap
@@ -136,8 +142,7 @@ def adam_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     state.step += 1
     t = state.step
     b1, b2 = BETA1, BETA2
-    g_block = np.empty(UPDATE_BLOCK)
-    s_block = np.empty(UPDATE_BLOCK)
+    g_block, s_block, m_block, v_block = np.empty((4, UPDATE_BLOCK))
     for name, p in params.items():
         if not p.flags.c_contiguous:    # reshape would update a copy
             raise ValueError(f"param {name!r} is not C-contiguous")
@@ -148,24 +153,29 @@ def adam_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         for lo in range(0, flat_p.size, UPDATE_BLOCK):
             hi = min(lo + UPDATE_BLOCK, flat_p.size)
             g, scratch = g_block[:hi - lo], s_block[:hi - lo]
-            mb, vb = flat_m[lo:hi], flat_v[lo:hi]
+            mb, vb = m_block[:hi - lo], v_block[:hi - lo]
             g[...] = flat_g[lo:hi]
             if scale != 1.0:
                 g *= scale
-            np.multiply(old_m[lo:hi], b1, out=mb)
+            # widened before the multiply: a float32 operand times a Python
+            # float would run the product in float32
+            mb[...] = old_m[lo:hi]
+            mb *= b1
             np.multiply(g, 1 - b1, out=scratch)
             mb += scratch
-            np.multiply(old_v[lo:hi], b2, out=vb)
+            vb[...] = old_v[lo:hi]
+            vb *= b2
             np.multiply(g, g, out=scratch)
             scratch *= 1 - b2
             vb += scratch
+            flat_m[lo:hi], flat_v[lo:hi] = mb, vb
             np.divide(vb, 1 - b2 ** t, out=scratch)     # v_hat
             np.sqrt(scratch, out=scratch)
             scratch += ADAM_EPS
             np.divide(mb, 1 - b1 ** t, out=g)           # m_hat
             g *= lr
             g /= scratch
-            flat_p[lo:hi] -= g
+            flat_p[lo:hi] -= g      # float64 subtraction, narrowed on store
         state.m[name], state.v[name] = m, v
 
 
@@ -204,12 +214,10 @@ def predict_answers(examples, params, table, config: qa_model.ModelConfig,
                     "context", len(predictions))
     answerable = [ex for ex in examples if ex.qid not in predictions]
     by_qid = {ex.qid: ex for ex in answerable}
-    compute_params = {name: value.astype(COMPUTE_DTYPE)
-                      for name, value in params.items()}
     batches = build_batches(answerable, table, batch_size,
                             context_cap=config.context_cap, training=False)
     for batch in batches:
-        out = qa_model.forward(batch, compute_params, table, config, training=False)
+        out = qa_model.forward(batch, params, table, config, training=False)
         p_start, p_end = out.p_start.data, out.p_end.data
         for row, qid in enumerate(batch.qids):
             ex = by_qid[qid]

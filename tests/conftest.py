@@ -1,8 +1,13 @@
+import dataclasses
 import json
 import os
+import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from spanqa.checkpoint import MAGIC
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -57,3 +62,45 @@ def write_squad(tmp_path, paragraphs, name="squad.json"):
     path = tmp_path / name
     path.write_text(json.dumps(make_squad_dict(paragraphs)), encoding="utf-8")
     return path
+
+
+_HEADER = len(MAGIC) + 8
+
+
+def split(raw):
+    """(metadata, payload) of a checkpoint file's bytes."""
+    meta_len = int.from_bytes(raw[len(MAGIC):_HEADER], "little")
+    return json.loads(raw[_HEADER:_HEADER + meta_len]), raw[_HEADER + meta_len:]
+
+
+def join(metadata, payload):
+    """A file whose metadata checksum is recomputed for the (edited) metadata."""
+    def encode(meta):
+        return json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+    metadata = {key: value for key, value in metadata.items()
+                if key != "metadata_crc32"}
+    metadata["metadata_crc32"] = zlib.crc32(encode(metadata))
+    block = encode(metadata)
+    return MAGIC + len(block).to_bytes(8, "little") + block + payload
+
+
+def write_v2_checkpoint(path, params, config, state, best_dev_f1=None):
+    """A format version 2 checkpoint: the metadata of today's format, with
+    the tensors as a little-endian float64 payload at 8-byte offsets."""
+    tensors = dict(params)
+    for name in params:
+        tensors[f"adam.m/{name}"] = state.m[name]
+        tensors[f"adam.v/{name}"] = state.v[name]
+    names = sorted(tensors)
+    manifest, offset = [], 0
+    for name in names:
+        manifest.append({"name": name, "shape": list(tensors[name].shape),
+                         "offset": offset})
+        offset += 8 * tensors[name].size
+    metadata = {"version": 2, "config": dataclasses.asdict(config),
+                "step": state.step, "best_dev_f1": best_dev_f1,
+                "tensors": manifest}
+    payload = b"".join(np.ascontiguousarray(tensors[name], dtype="<f8").tobytes()
+                       for name in names)
+    path.write_bytes(join(metadata, payload))

@@ -11,21 +11,22 @@ import dataclasses
 import itertools
 import json
 import os
-import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import join, split, write_v2_checkpoint
 from memtrace import traced
-from spanqa.checkpoint import (MAGIC, CheckpointChangedError, CheckpointError,
+from spanqa.checkpoint import (MAGIC, FORMAT_VERSION, CheckpointChangedError,
+                               CheckpointError, CheckpointVersionError,
                                CheckpointManifestError, CheckpointMetadataError,
                                CheckpointMissingTensorError, CheckpointTruncatedError,
                                load_checkpoint, save_checkpoint)
 from spanqa.diagnostics import make_tiny_problem
-from spanqa.model import ModelConfig, init_params
-from spanqa.training import init_optimizer, train_step
+from spanqa.model import ModelConfig, init_params, param_count, param_shapes
+from spanqa.training import AdamState, init_optimizer, train_step
 
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 HEADER = len(MAGIC) + 8
@@ -45,23 +46,6 @@ def original(workdir):
     path = workdir / "original.ckpt"
     save_checkpoint(path, params, config, state)
     return path.read_bytes()
-
-
-def split(raw):
-    meta_len = int.from_bytes(raw[len(MAGIC):HEADER], "little")
-    return json.loads(raw[HEADER:HEADER + meta_len]), raw[HEADER + meta_len:]
-
-
-def join(metadata, payload):
-    """A file whose metadata checksum is recomputed for the (edited) metadata."""
-    def encode(meta):
-        return json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-    metadata = {key: value for key, value in metadata.items()
-                if key != "metadata_crc32"}
-    metadata["metadata_crc32"] = zlib.crc32(encode(metadata))
-    block = encode(metadata)
-    return MAGIC + len(block).to_bytes(8, "little") + block + payload
 
 
 def load_bytes(workdir, raw):
@@ -239,7 +223,7 @@ def test_loaded_tensors_own_their_memory(workdir, original):
     tensors = [*loaded.params.values(), *loaded.state.m.values(),
                *loaded.state.v.values()]
     for tensor in tensors:
-        assert tensor.dtype == np.dtype("<f8")
+        assert tensor.dtype == np.dtype("<f4")
         assert tensor.flags.c_contiguous and tensor.flags.writeable
         assert tensor.flags.owndata
     assert not any(np.shares_memory(a, b)
@@ -255,7 +239,7 @@ def test_moments_are_read_on_first_state_access(tmp_path):
     state = init_optimizer(params)
     for moments in (state.m, state.v):
         for name in moments:
-            moments[name] = rng.normal(size=params[name].shape)
+            moments[name] = rng.normal(size=params[name].shape).astype(np.float32)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, params, config, state)
     loaded, _, peak = traced(load_checkpoint, path)
@@ -296,3 +280,62 @@ def test_state_read_before_a_change_is_kept(tmp_path, original):
     state = loaded.state
     save_checkpoint(path, loaded.params, loaded.config, other_state(state))
     assert loaded.state is state
+
+
+def test_payload_is_twelve_bytes_per_parameter(workdir, original):
+    # each parameter and its two Adam moments, float32 each
+    config = load_bytes(workdir, original).config
+    payload = split(original)[1]
+    assert len(payload) == 12 * param_count(init_params(config))
+
+
+def float64_model(config, seed):
+    """Params and moments with bits a float32 cannot hold."""
+    rng = np.random.default_rng(seed)
+    shapes = param_shapes(config)
+    params, m, v = ({name: rng.normal(size=shape) * 0.1 for name, shape in shapes.items()}
+                    for _ in range(3))
+    return params, AdamState(m=m, v={name: np.abs(x) for name, x in v.items()}, step=5)
+
+
+def test_version_2_file_loads_narrowed_and_saves_as_version_3(tmp_path):
+    config = ModelConfig(hidden_size=4, embedding_dim=6, seed=3)
+    params, state = float64_model(config, seed=8)
+    old = tmp_path / "v2.ckpt"
+    write_v2_checkpoint(old, params, config, state, best_dev_f1=12.5)
+    loaded = load_checkpoint(old)
+    assert (loaded.config, loaded.best_dev_f1) == (config, 12.5)
+    assert loaded.state.step == 5
+    for name in params:
+        for got, wrote in [(loaded.params[name], params[name]),
+                           (loaded.state.m[name], state.m[name]),
+                           (loaded.state.v[name], state.v[name])]:
+            assert got.dtype == np.float32, name
+            assert got.flags.owndata and got.flags.c_contiguous, name
+            assert np.array_equal(got, wrote.astype(np.float32)), name
+    new = tmp_path / "v3.ckpt"
+    save_checkpoint(new, loaded.params, loaded.config, loaded.state,
+                    best_dev_f1=loaded.best_dev_f1)
+    assert split(old.read_bytes())[0]["version"] == 2
+    assert split(new.read_bytes())[0]["version"] == FORMAT_VERSION == 3
+    again = load_checkpoint(new)
+    for name in params:
+        assert np.array_equal(again.params[name], loaded.params[name]), name
+        assert np.array_equal(again.state.v[name], loaded.state.v[name]), name
+
+
+def test_version_is_checked_against_the_payload_width(workdir, original):
+    # a version 3 payload declared as version 2 has 4-byte offsets where
+    # version 2 needs 8-byte ones
+    metadata, payload = split(original)
+    metadata["version"] = 2
+    with pytest.raises(CheckpointManifestError):
+        load_bytes(workdir, join(metadata, payload))
+
+
+@pytest.mark.parametrize("version", ["3", 3.0, True, None, [3]])
+def test_other_versions_are_rejected(workdir, original, version):
+    metadata, payload = split(original)
+    metadata["version"] = version
+    with pytest.raises(CheckpointVersionError, match="format version"):
+        load_bytes(workdir, join(metadata, payload))

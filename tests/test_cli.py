@@ -5,10 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from conftest import write_squad
+from conftest import split, write_squad, write_v2_checkpoint
 from spanqa import autodiff as ad
 from spanqa import diagnostics, training
-from spanqa.checkpoint import load_checkpoint
+from spanqa.checkpoint import FORMAT_VERSION, load_checkpoint
 from spanqa.cli import main
 from spanqa.metrics import evaluate
 from spanqa.data import load_squad
@@ -243,6 +243,21 @@ class TestResumeFlags:
         assert load_checkpoint(same).state.step == 14
         assert same.read_bytes() == other.read_bytes()
 
+    def test_resume_from_version_2_saves_version_3(self, trained_checkpoint,
+                                                  fixtures_dir, tmp_path):
+        # a version 2 copy holds the same float32 values widened, so resuming
+        # from it retraces the run and writes the same version 3 file
+        loaded = load_checkpoint(trained_checkpoint)
+        old = tmp_path / "v2.ckpt"
+        write_v2_checkpoint(old, loaded.params, loaded.config, loaded.state,
+                            loaded.best_dev_f1)
+        from_old, from_new = tmp_path / "from_v2.ckpt", tmp_path / "from_v3.ckpt"
+        assert self._resume(old, fixtures_dir, from_old) == 0
+        assert self._resume(trained_checkpoint, fixtures_dir, from_new) == 0
+        assert split(from_old.read_bytes())[0]["version"] == FORMAT_VERSION == 3
+        assert load_checkpoint(from_old).state.step == 14
+        assert from_old.read_bytes() == from_new.read_bytes()
+
 
 class TestPredictAndEval:
     def test_predictions_file(self, trained_checkpoint, fixtures_dir, tmp_path,
@@ -349,8 +364,10 @@ class TestPredictAndEval:
     def test_corrupt_checkpoint_version(self, trained_checkpoint, tmp_path,
                                         fixtures_dir, capsys):
         mutated = tmp_path / "bad.ckpt"
-        raw = trained_checkpoint.read_bytes().replace(b'"version":2', b'"version":7', 1)
-        mutated.write_bytes(raw)
+        current = b'"version":%d' % FORMAT_VERSION
+        raw = trained_checkpoint.read_bytes()
+        assert current in raw
+        mutated.write_bytes(raw.replace(current, b'"version":7', 1))
         code = main(["eval", "--ckpt", str(mutated),
                      "--data", str(fixtures_dir / "tiny_squad.json"),
                      "--glove", str(fixtures_dir / "tiny_glove.txt")])

@@ -345,7 +345,8 @@ class TestConditioningPath:
 class TestForward:
     def test_rows_are_masked_distributions(self):
         config, params, table, batch = make_tiny_problem(seed=12)
-        out = forward(batch, params, table, config)
+        wide = {name: value.astype(np.float64) for name, value in params.items()}
+        out = forward(batch, wide, table, config)
         for p in (out.p_start.data, out.p_end.data):
             assert np.all(p[batch.context_mask == 0] == 0.0)
             assert np.all(np.abs(p.sum(axis=1) - 1.0) < 1e-9)
@@ -382,7 +383,7 @@ class TestLoss:
     def test_uniform_loss_is_two_log_length(self):
         config, params, table, batch = make_tiny_problem(
             seed=16, context_len=200, batch_size=1)
-        zero = {name: np.zeros_like(value) for name, value in params.items()}
+        zero = {name: np.zeros(value.shape) for name, value in params.items()}
         out = forward(batch, zero, table, config)
         value = loss(out, batch.gold_starts, batch.gold_ends,
                      batch.context_mask).item()

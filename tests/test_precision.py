@@ -1,5 +1,5 @@
 """The float32 compute path: dtype discipline, accuracy against the float64
-oracle, and the float64 master weights and gradient checks."""
+oracle, float32 params used without copies, and float64 gradient checks."""
 
 import numpy as np
 
@@ -78,14 +78,28 @@ def test_float32_lstm_matches_float64_oracle():
             assert rel < FLOAT32_REL_TOL, (name, reverse, rel)
 
 
-def test_train_step_keeps_float64_master_weights():
+def test_train_step_keeps_float32_params_without_copies(monkeypatch):
+    leaves = []
+    original = Graph.leaf
+
+    def spy(self, data, requires_grad=False):
+        leaf = original(self, data, requires_grad)
+        if requires_grad:
+            leaves.append(leaf)
+        return leaf
+
+    monkeypatch.setattr(Graph, "leaf", spy)
     config, params, table, batch = make_tiny_problem(seed=42, dropout=0.2)
     state = init_optimizer(params)
     before = {name: value.copy() for name, value in params.items()}
     train_step(params, batch, table, state, config)
+    # each trainable leaf is its parameter's own memory, not a cast copy
+    assert len(leaves) == len(params)
+    for leaf, (name, value) in zip(leaves, params.items()):
+        assert np.shares_memory(leaf.data, value), name
     for name, value in params.items():
-        assert value.dtype == np.float64, name
-        assert state.m[name].dtype == state.v[name].dtype == np.float64, name
+        assert value.dtype == np.float32, name
+        assert state.m[name].dtype == state.v[name].dtype == np.float32, name
     assert any(not np.array_equal(params[k], before[k]) for k in params)
 
 

@@ -7,9 +7,10 @@ import weakref
 import numpy as np
 import pytest
 
-from spanqa.checkpoint import (CheckpointMagicError, CheckpointTruncatedError,
-                               CheckpointVersionError, load_checkpoint,
-                               save_checkpoint)
+from memtrace import traced
+from spanqa.checkpoint import (FORMAT_VERSION, CheckpointMagicError,
+                               CheckpointTruncatedError, CheckpointVersionError,
+                               load_checkpoint, save_checkpoint)
 from spanqa import data
 from spanqa.data import (build_batches, load_glove, load_squad,
                          prepare_for_training)
@@ -91,16 +92,20 @@ class TestTrainStep:
 
 
 def reference_adam_update(params, grads, state, lr):
-    """The bias-corrected Adam step written as whole-array expressions."""
+    """The bias-corrected Adam step written as whole-array expressions:
+    gradients, moments and params widened to float64, then the results
+    narrowed back to each param's dtype."""
     state.step += 1
     t = state.step
-    for name in params:
-        g = grads[name]
-        state.m[name] = BETA1 * state.m[name] + (1 - BETA1) * g
-        state.v[name] = BETA2 * state.v[name] + (1 - BETA2) * (g * g)
-        m_hat = state.m[name] / (1 - BETA1 ** t)
-        v_hat = state.v[name] / (1 - BETA2 ** t)
-        params[name] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    for name, p in params.items():
+        g = grads[name].astype(np.float64)
+        m = BETA1 * state.m[name].astype(np.float64) + (1 - BETA1) * g
+        v = BETA2 * state.v[name].astype(np.float64) + (1 - BETA2) * (g * g)
+        m_hat = m / (1 - BETA1 ** t)
+        v_hat = v / (1 - BETA2 ** t)
+        wide = p.astype(np.float64) - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        p[...] = wide.astype(p.dtype)
+        state.m[name], state.v[name] = m.astype(p.dtype), v.astype(p.dtype)
 
 
 def reference_clip(grads):
@@ -115,9 +120,9 @@ def reference_clip(grads):
 
 
 def reference_train_step(params, batch, table, state, config, lr=1e-3):
-    """train_step as whole-array steps: float32 forward and backward, the
-    gradients widened and clipped, then reference_adam_update. Returns the
-    loss and the pre-clip norm."""
+    """train_step as whole-array steps: float32 forward and backward on a copy
+    of the float32 params, the gradients widened and clipped, then
+    reference_adam_update. Returns the loss and the pre-clip norm."""
     graph = training.Graph()
     leaves = {name: graph.leaf(value.astype(np.float32), requires_grad=True)
               for name, value in params.items()}
@@ -148,13 +153,15 @@ class TestAdamUpdate:
     def test_in_place_update_is_bit_identical_to_reference(self):
         rng = np.random.default_rng(27)
         shapes = {"W": (6, 5), "b": (5,), "b2": (1,)}
-        params = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+        params = {k: rng.normal(size=shape).astype(np.float32)
+                  for k, shape in shapes.items()}
         state = init_optimizer(params)
         ref_params = {k: v.copy() for k, v in params.items()}
         ref_state = _copy_state(state)
         for step in range(3):
             scale = 10.0 ** rng.integers(-8, 3, size=1)[0]
-            grads = {k: rng.normal(size=shape) * scale for k, shape in shapes.items()}
+            grads = {k: (rng.normal(size=shape) * scale).astype(np.float32)
+                     for k, shape in shapes.items()}
             grads["W"][0] = 0.0    # zero gradients: the eps path
             ref_grads = {k: g.copy() for k, g in grads.items()}
             adam_update(params, grads, state, lr=1e-3)
@@ -171,7 +178,8 @@ class TestAdamUpdate:
         shapes = {"W": (3, training.UPDATE_BLOCK - 4000), "b": (5,), "z": (7,)}
         assert 2 * training.UPDATE_BLOCK < math.prod(shapes["W"]) \
             < 3 * training.UPDATE_BLOCK
-        params = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+        params = {k: rng.normal(size=shape).astype(np.float32)
+                  for k, shape in shapes.items()}
         state = init_optimizer(params)
         ref_params = {k: v.copy() for k, v in params.items()}
         ref_state = _copy_state(state)
@@ -337,6 +345,17 @@ class TestPredict:
         assert {qid: predictions[qid] for qid in without} == without
         assert len(predictions) == len(examples)
 
+    def test_runs_on_the_params_without_a_copy(self, tiny_dataset):
+        # one short example's activations at h=64 take a small share of the
+        # params' bytes; a copy of the params, even at half their width,
+        # would take at least half
+        examples, table = tiny_dataset
+        short = min(examples, key=lambda ex: len(ex.context_tokens))
+        config = ModelConfig(hidden_size=64, embedding_dim=32)
+        params = init_params(config)
+        _, _, peak = traced(predict_answers, [short], params, table, config)
+        assert peak < sum(p.nbytes for p in params.values()) / 2
+
 
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
@@ -378,10 +397,13 @@ class TestCheckpoint:
         path = tmp_path / "v.ckpt"
         save_checkpoint(path, params, config, state)
         saved = path.read_bytes()
+        current = b'"version":%d' % FORMAT_VERSION
+        assert current in saved
         for version in (b"9", b"1"):
-            path.write_bytes(saved.replace(b'"version":2', b'"version":' + version, 1))
+            path.write_bytes(saved.replace(current, b'"version":' + version, 1))
             with pytest.raises(CheckpointVersionError,
-                               match=f"format version {version.decode()}, expected 2"):
+                               match=f"format version {version.decode()}, "
+                                     f"expected {FORMAT_VERSION}"):
                 load_checkpoint(path)
 
     def test_truncated_payload(self, tmp_path):
