@@ -5,8 +5,8 @@ metadata block, then the raw little-endian float32 tensors. The metadata
 holds exactly the format version, the model config, the Adam step, the best
 dev F1 so far (null before any dev evaluation), the tensor manifest of
 name/shape/byte-offset, and a CRC-32 of the rest of the metadata. Writes go
-to a temp file and are renamed into place, so an interrupted save never
-corrupts an existing checkpoint.
+to a temp file that is flushed to disk and then renamed into place, so an
+interrupted save or a power loss never corrupts an existing checkpoint.
 
 The config fixes the tensor layout: its parameters and their Adam moments
 (under ``adam.m/`` and ``adam.v/`` names), sorted by name and laid end to
@@ -135,8 +135,8 @@ def _encode(metadata: dict) -> bytes:
 
 def save_checkpoint(path, params: dict[str, np.ndarray], config: ModelConfig,
                     state: AdamState, best_dev_f1: float | None = None) -> None:
-    """Atomically write params + optimizer state as float32, the current
-    format version; bit-exact round trip for float32 tensors."""
+    """Atomically and durably write params + optimizer state as float32, the
+    current format version; bit-exact round trip for float32 tensors."""
     tensors = dict(params)
     for name in params:
         tensors[f"adam.m/{name}"] = state.m[name]
@@ -159,6 +159,10 @@ def save_checkpoint(path, params: dict[str, np.ndarray], config: ModelConfig,
         handle.write(meta_bytes)
         for entry in layout:
             handle.write(np.ascontiguousarray(tensors[entry["name"]], dtype=dtype))
+        # on disk before the rename: a rename that lands first would let a
+        # power loss put a torn file in place of the old checkpoint
+        handle.flush()
+        os.fsync(handle.fileno())
     os.replace(tmp_path, path)
 
 

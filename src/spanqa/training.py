@@ -8,10 +8,9 @@ can be resumed from a checkpoint and retrace the identical trajectory.
 Params, Adam moments and checkpoints are float32, the dtype the model
 computes in: a train step uses the params themselves as its graph leaves and
 a prediction call runs on them, so neither makes a copy. The gradients come
-back in float32. Clipping sums their norm in float64, and the Adam update
-widens gradients, params and moments to float64 block by block and narrows
-the results back on store (mixed-precision training after Micikevicius et
-al., arXiv 1710.03740, without the float64 master copy of the weights).
+back in float32. Clipping sums their norm in float64, and Adam runs
+whole-array in float32 on the float32 weights, as in the mixed-precision
+recipe of Micikevicius et al. (arXiv 1710.03740) minus its float16 copy.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ __all__ = ["AdamState", "TrainLogRecord", "TrainingDivergedError",
 MAX_GRAD_NORM = 5.0
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8   # Adam's decay rates and epsilon
 SHUFFLE_STREAM = 1  # spawn-key namespace separating batch order from dropout
-UPDATE_BLOCK = 32768   # elements per adam_update block: 256 KiB per float64 scratch
 
 log = logging.getLogger(__name__)
 
@@ -75,7 +73,7 @@ def init_optimizer(params: dict[str, np.ndarray]) -> AdamState:
 def clip_global_norm(grads: dict[str, np.ndarray]) -> float:
     """The factor that brings the global L2 norm of `grads` down to
     MAX_GRAD_NORM, or 1.0 when the norm is within it. The gradients are not
-    changed: adam_update applies the factor as it widens them.
+    changed: adam_update applies the factor as it reads them.
 
     The norm is summed in float64 whatever the gradients' dtype, as if they
     were widened first, and bit for bit the same.
@@ -117,22 +115,14 @@ def train_step(params: dict[str, np.ndarray], batch: Batch,
 
 def adam_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
                 state: AdamState, lr: float, scale: float = 1.0) -> None:
-    """One bias-corrected Adam step on the gradients times `scale`: params
-    change in place and the moments are replaced; the gradients, of any
-    float dtype, are only read.
+    """One bias-corrected Adam step (Kingma & Ba, arXiv 1412.6980) on the
+    gradients times `scale`: params change in place and the moments are
+    replaced; the gradients are only read.
 
-    The step is exactly "widen, whole-array float64 Adam, narrow": each
-    parameter is updated in blocks of UPDATE_BLOCK elements, so the whole
-    step stays in cache. The block's gradients and moments are widened to
-    float64 into reused scratch buffers and the gradients multiplied by
-    `scale` (when it is not 1.0), then Adam computes, in this order and so
-    bit for bit, m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
-    m_hat = m/(1-b1^t), v_hat = v/(1-b2^t) and
-    p -= (lr*m_hat) / (sqrt(v_hat) + eps), the last in float64 on the
-    widened param. m, v and p are narrowed to the param's dtype as they are
-    stored; m_hat and v_hat are taken before that. Params and moments are
-    C-contiguous, as init_params, init_optimizer and load_checkpoint make
-    them.
+    Each parameter is updated as whole arrays in its own dtype, in this
+    order: g = grad*scale (when the scale is not 1.0), m = b1*m + (1-b1)*g,
+    v = b2*v + (1-b2)*(g*g), then p -= (lr*m_hat) / (sqrt(v_hat) + eps) with
+    m_hat = m/(1-b1^t) and v_hat = v/(1-b2^t).
 
     The moments are new arrays each step, not updated in place: with glibc,
     moments that never move let the allocator return the step's freed heap
@@ -142,41 +132,14 @@ def adam_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     state.step += 1
     t = state.step
     b1, b2 = BETA1, BETA2
-    g_block, s_block, m_block, v_block = np.empty((4, UPDATE_BLOCK))
     for name, p in params.items():
-        if not p.flags.c_contiguous:    # reshape would update a copy
-            raise ValueError(f"param {name!r} is not C-contiguous")
-        m, v = np.empty_like(p), np.empty_like(p)
-        flat_p, flat_m, flat_v = p.reshape(-1), m.reshape(-1), v.reshape(-1)
-        old_m, old_v = state.m[name].reshape(-1), state.v[name].reshape(-1)
-        flat_g = grads[name].reshape(-1)
-        for lo in range(0, flat_p.size, UPDATE_BLOCK):
-            hi = min(lo + UPDATE_BLOCK, flat_p.size)
-            g, scratch = g_block[:hi - lo], s_block[:hi - lo]
-            mb, vb = m_block[:hi - lo], v_block[:hi - lo]
-            g[...] = flat_g[lo:hi]
-            if scale != 1.0:
-                g *= scale
-            # widened before the multiply: a float32 operand times a Python
-            # float would run the product in float32
-            mb[...] = old_m[lo:hi]
-            mb *= b1
-            np.multiply(g, 1 - b1, out=scratch)
-            mb += scratch
-            vb[...] = old_v[lo:hi]
-            vb *= b2
-            np.multiply(g, g, out=scratch)
-            scratch *= 1 - b2
-            vb += scratch
-            flat_m[lo:hi], flat_v[lo:hi] = mb, vb
-            np.divide(vb, 1 - b2 ** t, out=scratch)     # v_hat
-            np.sqrt(scratch, out=scratch)
-            scratch += ADAM_EPS
-            np.divide(mb, 1 - b1 ** t, out=g)           # m_hat
-            g *= lr
-            g /= scratch
-            flat_p[lo:hi] -= g      # float64 subtraction, narrowed on store
+        g = grads[name] * scale if scale != 1.0 else grads[name]
+        m = state.m[name] * b1
+        m += (1 - b1) * g
+        v = state.v[name] * b2
+        v += (1 - b2) * (g * g)
         state.m[name], state.v[name] = m, v
+        p -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + ADAM_EPS)
 
 
 def epoch_order(seed: int, epoch: int, count: int) -> np.ndarray:

@@ -91,7 +91,27 @@ class TestTrainStep:
             train_step(params, batch, table, state, config)
 
 
-def reference_adam_update(params, grads, state, lr):
+def reference_adam_update(params, grads, state, lr, scale=1.0):
+    """The bias-corrected Adam step as whole-array float32 expressions, in
+    adam_update's documented order, with every constant narrowed first."""
+    state.step += 1
+    t = state.step
+    b1, b2 = np.float32(BETA1), np.float32(BETA2)
+    for name, p in params.items():
+        g = grads[name]
+        if scale != 1.0:
+            g = g * np.float32(scale)
+        m = b1 * state.m[name] + np.float32(1 - BETA1) * g
+        v = b2 * state.v[name] + np.float32(1 - BETA2) * (g * g)
+        m_hat = m / np.float32(1 - BETA1 ** t)
+        v_hat = v / np.float32(1 - BETA2 ** t)
+        eps = np.float32(ADAM_EPS)
+        p[...] = p - (np.float32(lr) * m_hat) / (np.sqrt(v_hat) + eps)
+        assert p.dtype == m.dtype == v.dtype == np.float32
+        state.m[name], state.v[name] = m, v
+
+
+def widened_adam_update(params, grads, state, lr):
     """The bias-corrected Adam step written as whole-array expressions:
     gradients, moments and params widened to float64, then the results
     narrowed back to each param's dtype."""
@@ -109,20 +129,18 @@ def reference_adam_update(params, grads, state, lr):
 
 
 def reference_clip(grads):
-    """Float64 copies of `grads`, scaled as a whole to a global norm of at
-    most training.MAX_GRAD_NORM; also returns the norm before clipping."""
-    wide = {name: g.astype(np.float64) for name, g in grads.items()}
-    norm = math.sqrt(sum(float((g * g).sum()) for g in wide.values()))
-    if norm > training.MAX_GRAD_NORM:
-        for g in wide.values():
-            g *= training.MAX_GRAD_NORM / norm
-    return wide, norm
+    """The factor that scales `grads`, summed in float64, to a global norm of
+    at most training.MAX_GRAD_NORM, and the norm before clipping."""
+    norm = math.sqrt(sum(float((g.astype(np.float64) ** 2).sum())
+                         for g in grads.values()))
+    scale = training.MAX_GRAD_NORM / norm if norm > training.MAX_GRAD_NORM else 1.0
+    return scale, norm
 
 
 def reference_train_step(params, batch, table, state, config, lr=1e-3):
     """train_step as whole-array steps: float32 forward and backward on a copy
-    of the float32 params, the gradients widened and clipped, then
-    reference_adam_update. Returns the loss and the pre-clip norm."""
+    of the float32 params, the clip factor, then reference_adam_update.
+    Returns the loss and the pre-clip norm."""
     graph = training.Graph()
     leaves = {name: graph.leaf(value.astype(np.float32), requires_grad=True)
               for name, value in params.items()}
@@ -130,15 +148,19 @@ def reference_train_step(params, batch, table, state, config, lr=1e-3):
                         step=state.step)
     loss = model.loss(out, batch.gold_starts, batch.gold_ends, batch.context_mask)
     grad_map = graph.backward(loss)
-    grads, norm = reference_clip({name: grad_map[leaf.node_id]
-                                  for name, leaf in leaves.items()})
-    reference_adam_update(params, grads, state, lr)
+    grads = {name: grad_map[leaf.node_id] for name, leaf in leaves.items()}
+    scale, norm = reference_clip(grads)
+    reference_adam_update(params, grads, state, lr, scale)
     return loss.item(), norm
 
 
+def _copy_params(params):
+    return {k: v.copy() for k, v in params.items()}
+
+
 def _copy_state(state):
-    return dataclasses.replace(state, m={k: v.copy() for k, v in state.m.items()},
-                               v={k: v.copy() for k, v in state.v.items()})
+    return dataclasses.replace(state, m=_copy_params(state.m),
+                               v=_copy_params(state.v))
 
 
 def assert_same_model(params, state, ref_params, ref_state):
@@ -156,14 +178,14 @@ class TestAdamUpdate:
         params = {k: rng.normal(size=shape).astype(np.float32)
                   for k, shape in shapes.items()}
         state = init_optimizer(params)
-        ref_params = {k: v.copy() for k, v in params.items()}
+        ref_params = _copy_params(params)
         ref_state = _copy_state(state)
         for step in range(3):
             scale = 10.0 ** rng.integers(-8, 3, size=1)[0]
             grads = {k: (rng.normal(size=shape) * scale).astype(np.float32)
                      for k, shape in shapes.items()}
             grads["W"][0] = 0.0    # zero gradients: the eps path
-            ref_grads = {k: g.copy() for k, g in grads.items()}
+            ref_grads = _copy_params(grads)
             adam_update(params, grads, state, lr=1e-3)
             reference_adam_update(ref_params, ref_grads, ref_state, lr=1e-3)
             assert state.step == ref_state.step == step + 1
@@ -172,16 +194,14 @@ class TestAdamUpdate:
             assert all(np.array_equal(grads[k], ref_grads[k]) for k in shapes)
 
     @pytest.mark.parametrize("magnitude,clips", [(1.0, True), (1e-3, False)])
-    def test_blocked_update_matches_clipped_reference(self, magnitude, clips):
-        # "W" spans two whole blocks and a ragged third; "z" stays zero
+    def test_update_matches_clipped_reference(self, magnitude, clips):
+        # "z" stays zero
         rng = np.random.default_rng(29)
-        shapes = {"W": (3, training.UPDATE_BLOCK - 4000), "b": (5,), "z": (7,)}
-        assert 2 * training.UPDATE_BLOCK < math.prod(shapes["W"]) \
-            < 3 * training.UPDATE_BLOCK
+        shapes = {"W": (3, 700), "b": (5,), "z": (7,)}
         params = {k: rng.normal(size=shape).astype(np.float32)
                   for k, shape in shapes.items()}
         state = init_optimizer(params)
-        ref_params = {k: v.copy() for k, v in params.items()}
+        ref_params = _copy_params(params)
         ref_state = _copy_state(state)
         for _ in range(3):
             grads = {k: (rng.normal(size=shape) * magnitude).astype(np.float32)
@@ -189,17 +209,46 @@ class TestAdamUpdate:
             grads["W"][1, :100] = 0.0       # zero gradients: the eps path
             grads["z"][:] = 0.0
             scale = clip_global_norm(grads)
-            wide, norm = reference_clip(grads)
+            ref_scale, norm = reference_clip(grads)
+            assert scale == ref_scale
             assert (norm > training.MAX_GRAD_NORM) == clips == (scale < 1.0)
             adam_update(params, grads, state, 1e-3, scale=scale)
-            reference_adam_update(ref_params, wide, ref_state, 1e-3)
+            reference_adam_update(ref_params, grads, ref_state, 1e-3, ref_scale)
             assert_same_model(params, state, ref_params, ref_state)
+
+    def test_float32_update_stays_within_bound_of_widened_update(self):
+        # each step starts both sides from the float32 state, so the bound is
+        # per step, not accumulated; params at Xavier-init scale (|p| < 0.5),
+        # where one float32 ulp, a rounding both sides may take apart, is at
+        # most 3e-8 = 3e-5*lr
+        rng = np.random.default_rng(30)
+        lr = 1e-3
+        shapes = {"W": (40, 30), "b": (30,)}
+        params = {k: rng.uniform(-0.5, 0.5, size=shape).astype(np.float32)
+                  for k, shape in shapes.items()}
+        state = init_optimizer(params)
+        for step in range(50):
+            scale = (1.0, 0.37)[step % 2]
+            grads = {k: (rng.normal(size=shape)
+                         * 10.0 ** rng.uniform(-6, 2, size=shape)).astype(np.float32)
+                     for k, shape in shapes.items()}
+            grads["W"][step % 40] = 0.0     # zero gradients: the eps path
+            ref_params, ref_state = _copy_params(params), _copy_state(state)
+            adam_update(params, grads, state, lr, scale=scale)
+            widened_adam_update(ref_params, {k: g.astype(np.float64) * scale
+                                             for k, g in grads.items()},
+                                ref_state, lr)
+            for name in shapes:
+                assert np.abs(params[name] - ref_params[name]).max() <= 1e-4 * lr
+                for got, ref in ((state.m[name], ref_state.m[name]),
+                                 (state.v[name], ref_state.v[name])):
+                    assert np.abs(got - ref).max() <= 1e-5 * np.abs(ref).max()
 
     @staticmethod
     def _match_reference_steps(clips):
         config, params, table, batch = make_tiny_problem(seed=28, dropout=0.2)
         state = init_optimizer(params)
-        ref_params = {k: v.copy() for k, v in params.items()}
+        ref_params = _copy_params(params)
         ref_state = _copy_state(state)
         for _ in range(3):
             loss = train_step(params, batch, table, state, config)
@@ -217,11 +266,20 @@ class TestAdamUpdate:
         monkeypatch.setattr(training, "MAX_GRAD_NORM", 1e-3)
         self._match_reference_steps(clips=True)
 
-    def test_non_contiguous_param_is_rejected(self):
-        params = {"W": np.zeros((4, 3)).T}
-        state = init_optimizer(params)
-        with pytest.raises(ValueError, match="'W' is not C-contiguous"):
-            adam_update(params, {"W": np.ones((3, 4))}, state, lr=1e-3)
+    def test_transposed_view_param_is_updated_in_place(self):
+        rng = np.random.default_rng(31)
+        base = rng.normal(size=(4, 3)).astype(np.float32)
+        before, view = base.copy(), base.T
+        params = {"W": view}
+        contiguous = {"W": np.ascontiguousarray(view)}
+        state, ref_state = init_optimizer(params), init_optimizer(contiguous)
+        for _ in range(2):
+            grads = {"W": rng.normal(size=(3, 4)).astype(np.float32)}
+            adam_update(params, grads, state, lr=1e-3)
+            adam_update(contiguous, grads, ref_state, lr=1e-3)
+        assert params["W"] is view and np.shares_memory(view, base)
+        assert not np.array_equal(base, before)
+        assert_same_model(params, state, contiguous, ref_state)
 
 
 def global_norm(grads):
@@ -433,6 +491,28 @@ class TestCheckpoint:
         monkeypatch.undo()
         assert path.read_bytes() == original
         load_checkpoint(path)
+
+    def test_save_syncs_temp_file_before_rename(self, tmp_path, monkeypatch):
+        config, params, _, _ = make_tiny_problem(seed=36)
+        state = init_optimizer(params)
+        path = tmp_path / "model.ckpt"
+        calls = []
+        fsync, replace = os.fsync, os.replace
+
+        def logged_fsync(fd):
+            calls.append(("fsync", os.fstat(fd).st_ino))
+            fsync(fd)
+
+        def logged_replace(src, dst):
+            calls.append(("replace", str(src), os.stat(src).st_ino))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", logged_fsync)
+        monkeypatch.setattr(os, "replace", logged_replace)
+        save_checkpoint(path, params, config, state)
+        inode = path.stat().st_ino      # the temp file's, renamed into place
+        replaced = calls.index(("replace", f"{path}.tmp", inode))
+        assert ("fsync", inode) in calls[:replaced]
 
 
 class TestResume:
