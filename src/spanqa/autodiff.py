@@ -60,6 +60,7 @@ __all__ = [
     "dropout",
     "Dropped",
     "lstm",
+    "bidaf",
     "grad_check",
 ]
 
@@ -509,6 +510,19 @@ def _mask_array(mask, shape) -> np.ndarray:
             f"mask shape {m.shape} does not broadcast to data shape {shape}") from None
 
 
+def _softmax(logits, keep):
+    """Softmax over the last axis restricted to the `keep` positions, which
+    come out exactly 0; stable via the row max over the kept entries."""
+    neg = np.where(keep, logits, -np.inf)
+    exps = np.exp(neg - neg.max(axis=-1, keepdims=True))
+    return exps / exps.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(p, g):
+    """The logits' gradient of a softmax p over the last axis from p's gradient g."""
+    return p * (g - (g * p).sum(axis=-1, keepdims=True))
+
+
 def masked_softmax(logits, mask) -> Tensor:
     """Row softmax over the last axis restricted to mask==1 positions.
 
@@ -517,18 +531,13 @@ def masked_softmax(logits, mask) -> Tensor:
     to 1. Stable via per-row max subtraction over the unmasked entries.
     """
     logits = _lift(logits)
-    m = _mask_array(mask, logits.shape)
-    keep = m > 0
+    keep = _mask_array(mask, logits.shape) > 0
     if not keep.any(axis=-1).all():
         raise DegenerateMaskError("masked_softmax: a row is fully masked")
-    neg = np.where(keep, logits.data, -np.inf)
-    rowmax = neg.max(axis=-1, keepdims=True)
-    exps = np.exp(neg - rowmax)
-    out = exps / exps.sum(axis=-1, keepdims=True)
+    out = _softmax(logits.data, keep)
 
     def backward(g):
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - inner),)
+        return (_softmax_grad(out, g),)
 
     return _apply("masked_softmax", (logits,), out, backward)
 
@@ -662,13 +671,51 @@ def unpack(x, packing: Packing) -> Tensor:
     if x.ndim == 0 or x.shape[0] != packing.size:
         raise DimensionError(f"unpack: shape {x.shape} does not match {packing.size} rows")
     index = packing.index
-    out = np.zeros(packing.shape + x.shape[1:], x.data.dtype)
-    out[index] = x.data
 
     def backward(g):
         return (g[index],)
 
-    return _apply("unpack", (x,), out, backward)
+    return _apply("unpack", (x,), _padded(x.data, packing), backward)
+
+
+def _padded(x, packing: Packing):
+    """Packed rows x (N, ...) as a (B, L, ...) array, zeros at padding."""
+    out = np.zeros(packing.shape + x.shape[1:], x.dtype)
+    out[packing.index] = x
+    return out
+
+
+# Rows per chunk of `_rows_times` and `_gather_rows`: their temporaries are
+# at most this many rows, however many rows the result has.
+_CHUNK_ROWS = 512
+
+
+def _rows_times(out, xs, w_ts, masks=None, to=None):
+    """out[to] = x_1 @ w_t_1 + x_2 @ w_t_2 + ..., summed in that order, and
+    out returned; `to` permutes the rows (None keeps their order). It runs
+    _CHUNK_ROWS rows at a time, so neither a concatenation, nor a dropped
+    whole block, nor a whole product is built: each chunk of each x_i is
+    dropped by its (keep, scale) mask when it has one, multiplied, and added
+    into that chunk's rows of `out`."""
+    masks = masks or [None] * len(xs)
+    for lo in range(0, len(out), _CHUNK_ROWS):
+        take = slice(lo, lo + _CHUNK_ROWS)
+        parts = (x[take] if m is None else _drop(x[take], (m[0][take], m[1]))
+                 for x, m in zip(xs, masks))
+        chunk = np.matmul(next(parts), w_ts[0], out=out[take] if to is None else None)
+        for part, w_t in zip(parts, w_ts[1:]):
+            chunk += part @ w_t
+        if to is not None:
+            out[to[take]] = chunk
+    return out
+
+
+def _gather_rows(out, x, rows):
+    """out[:] = x[rows], _CHUNK_ROWS rows at a time, into a view `out` that
+    may be strided: a single fancy-index copy, or `np.take` into a strided
+    view, would buffer the whole result first."""
+    for lo in range(0, len(out), _CHUNK_ROWS):
+        out[lo:lo + _CHUNK_ROWS] = x[rows[lo:lo + _CHUNK_ROWS]]
 
 
 def _row_blocks(xs, width: int, op: str):
@@ -685,25 +732,18 @@ def _row_blocks(xs, width: int, op: str):
     return xs, masks, list(zip(bounds, bounds[1:]))
 
 
-def _blocks_times(xs, w_t, spans):
-    """[x_1 | x_2 | ...] @ w_t, summed block by block so the concatenation
-    is never built."""
-    out = xs[0] @ w_t[:spans[0][1]]
-    for x, (lo, hi) in zip(xs[1:], spans[1:]):
-        out += x @ w_t[lo:hi]
-    return out
-
-
 def linear(xs, W, b) -> Tensor:
     """[x_1 | x_2 | ...] @ W^T + b over row blocks (N, n_i) whose widths sum
-    to W's columns: each block meets its own column slice of W. A block may
-    come `Dropped`."""
+    to W's columns: each block meets its own column slice of W, a chunk of
+    rows at a time. A block may come `Dropped`; only a chunk of it is ever
+    dropped at once."""
     W, b = _lift(W), _lift(b)
     if W.ndim != 2 or b.shape != W.shape[:1]:
         raise DimensionError(f"linear: incompatible W {W.shape} and b {b.shape}")
     xs, masks, spans = _row_blocks(xs, W.shape[1], "linear")
     wd, datas = W.data, [x.data for x in xs]
-    out = _blocks_times([_drop(x, m) for x, m in zip(datas, masks)], wd.T, spans)
+    out = np.empty((len(datas[0]), wd.shape[0]), np.result_type(wd, *datas))
+    _rows_times(out, datas, [wd[:, lo:hi].T for lo, hi in spans], masks)
     out += b.data
 
     def backward(g):
@@ -716,8 +756,8 @@ def linear(xs, W, b) -> Tensor:
     return _apply("linear", (*xs, W, b), out, backward)
 
 
-def _lstm_direction(datas, spans, W, b, packing: Packing, reverse: bool, out,
-                    taped: bool):
+def _lstm_direction(datas, masks, spans, W, b, packing: Packing, reverse: bool,
+                    out, taped: bool):
     """One direction of `lstm` over the packed rows: writes its h into the
     (N, h) view `out` and returns what backward needs besides that h, or
     None when untaped, so the direction's gate and state buffers are freed
@@ -728,16 +768,19 @@ def _lstm_direction(datas, spans, W, b, packing: Packing, reverse: bool, out,
     # rows of the forward weights and bias is exact, so one tanh over a whole
     # block gives tanh(z / 2) for i, f, o and tanh(z) for g.
     half = np.where(np.arange(4 * h) < 3 * h, 0.5, 1.0).astype(dtype)
-    # Pre-activations of every live position, reordered into the
-    # direction's steps; the loop turns each step's contiguous block
-    # into its gate activations in place. The recurrent weight is copied
-    # contiguous: strided operands make the small per-step ops slower.
-    gates = _blocks_times(datas, W.data[:, :n].T * half, spans)
+    # Pre-activations of every live position, built chunk by chunk in the
+    # direction's step order (a reverse direction scatters each chunk's rows
+    # by `packing.reverse`, its own inverse); the loop turns each step's
+    # contiguous block into its gate activations in place. The recurrent
+    # weight is copied contiguous: strided operands make the small per-step
+    # ops slower.
+    w_t = W.data[:, :n].T * half
+    gates = _rows_times(np.empty((rows, 4 * h), dtype), datas,
+                        [w_t[lo:hi] for lo, hi in spans], masks,
+                        packing.reverse if reverse else None)
     gates += b.data * half
-    if reverse:
-        gates = gates[packing.reverse]
     w_h_t = np.ascontiguousarray(W.data[:, n:].T * half)
-    hs, cs, tanh_c = (np.empty((rows, h), dtype) for _ in range(3))
+    hs, cs = np.empty((rows, h), dtype), np.empty((rows, h), dtype)
     lo = before = 0
     for k in packing.counts:
         hi = lo + k
@@ -751,7 +794,7 @@ def _lstm_direction(datas, spans, W, b, packing: Packing, reverse: bool, out,
         c = np.multiply(z[:, :h], z[:, 3 * h:], out=cs[lo:hi])
         if lo:
             c += z[:, h:2 * h] * cs[before:before + k]
-        np.multiply(z[:, 2 * h:3 * h], np.tanh(c, out=tanh_c[lo:hi]), out=hs[lo:hi])
+        np.multiply(z[:, 2 * h:3 * h], np.tanh(c), out=hs[lo:hi])
         before, lo = lo, hi
     out[packing.reverse if reverse else slice(None)] = hs
     return [gates, cs] if taped else None
@@ -810,9 +853,15 @@ def lstm(xs, packing: Packing, fwd, bwd) -> Tensor:
     b (4h,)) pairs giving the gates in i|f|o|g order from [x_t ; h_prev] @
     W^T + b. Columns [:h] of the result hold the forward direction's h and
     [h:] the backward one's; a sequence runs from the zero state over its
-    own positions, or back from its last token. The input projection is one
-    GEMM per block up front, so only h_prev[:k_s] @ W_h^T runs in the time
-    loop, and the layer is one tape node.
+    own positions, or back from its last token. The input projection runs
+    up front into one (N, 4h) pre-activation buffer per direction, in that
+    direction's step order, a chunk of rows at a time (`_rows_times`): each
+    chunk of each block is dropped and multiplied on its own, and the
+    backward direction scatters each chunk's sum to its step slots, so no
+    whole product, no reordered copy and no dropped copy of a block is
+    built. Only
+    h_prev[:k_s] @ W_h^T runs in the time loop, tanh c is a per-step
+    temporary, and the layer is one tape node.
 
     When some input is on a graph, the tape keeps each direction's gates and
     c, five (N, h) blocks; otherwise they are freed before the next
@@ -823,7 +872,8 @@ def lstm(xs, packing: Packing, fwd, bwd) -> Tensor:
     packing order.
     Then dW of each input block is one GEMM over both directions, with the
     block's dropout rebuilt for it alone, and dX = dz_fwd @ W_fwd^T +
-    dz_bwd @ W_bwd^T for each block on a graph.
+    dz_bwd @ W_bwd^T for each block on a graph, summed into dX by the same
+    chunked helper, so neither product exists whole beside dX.
     """
     runs = [(reverse, _lift(W), _lift(b)) for reverse, (W, b) in ((False, fwd), (True, bwd))]
     h = runs[0][1].shape[0] // 4
@@ -842,11 +892,9 @@ def lstm(xs, packing: Packing, fwd, bwd) -> Tensor:
     first = rows - len(prev)
     datas, dtype = [x.data for x in xs], xs[0].data.dtype
     out = np.empty((rows, 2 * h), dtype)
-    dropped = [_drop(x, m) for x, m in zip(datas, masks)]
-    saved = [_lstm_direction(dropped, spans, W, b, packing, reverse,
+    saved = [_lstm_direction(datas, masks, spans, W, b, packing, reverse,
                              out[:, col * h:(col + 1) * h], taped)
              for col, (reverse, W, b) in enumerate(runs)]
-    del dropped
     if not taped:
         return Tensor(out)
     needs = [x.graph is not None for x in xs]
@@ -874,13 +922,101 @@ def lstm(xs, packing: Packing, fwd, bwd) -> Tensor:
         for (lo, hi), m, need in zip(spans, masks, needs):
             dx = None
             if need:
-                dx = dz_both[:, :4 * h] @ weights[0][:, lo:hi]
-                dx += dz_both[:, 4 * h:] @ weights[1][:, lo:hi]
+                dx = _rows_times(np.empty((rows, hi - lo), dz_both.dtype),
+                                 [dz_both[:, :4 * h], dz_both[:, 4 * h:]],
+                                 [w[:, lo:hi] for w in weights])
                 _drop(dx, m, in_place=True)
             dxs.append(dx)
         return (*dxs, dw[:4 * h], dbs[0], dw[4 * h:], dbs[1])
 
     return _apply("lstm", inputs, out, backward)
+
+
+def bidaf(context, question, w_sim, context_packing: Packing,
+          question_packing: Packing) -> Tensor:
+    """Bidirectional attention (Seo et al., arXiv 1611.01603) over packed
+    rows: context c (N, 2h) and question q (Nq, 2h) -> G (N, 8h).
+
+    With w_sim = [w_c ; w_q ; w_m], the similarity of context position i and
+    question position j is S[i, j] = w_c.c_i + w_q.q_j + c_i.(w_m*q_j), one
+    (B, Lc, Lq) bmm of the zero-padded c and the small (q*w_m)^T, so no
+    (Lc*Lq x 6h) feature tensor and no (B, Lc, 2h) product is built.
+    Context-to-question: u~_i = softmax_j(S[i, j]) q_j over the live question
+    positions. Question-to-context: the row maxima of S over those positions,
+    softmaxed over the live context positions, weight one summary h~ of the
+    context per example. Each row of G is [c_i ; u~_i ; c_i*u~_i ; c_i*h~]
+    for the live context positions, in the context packing's row order,
+    written straight into G: beside it, at most one padded (B, Lc, 2h)
+    block is alive at a time (c, then u~ in the same buffer).
+
+    The op is one tape node. It saves the two softmaxes and the row-max
+    argmax, and its hand-written backward reads c and q from its inputs.
+    An empty context or question row raises DegenerateMaskError.
+    """
+    c, q, w = _lift(context), _lift(question), _lift(w_sim)
+    d = c.shape[1] if c.ndim == 2 else -1
+    if (c.ndim != 2 or q.ndim != 2 or q.shape[1] != d or w.shape != (3 * d,)
+            or c.shape[0] != context_packing.size or q.shape[0] != question_packing.size
+            or context_packing.shape[0] != question_packing.shape[0]):
+        raise DimensionError(
+            f"bidaf: context {c.shape}, question {q.shape} and w_sim {w.shape} do not "
+            f"match {context_packing.size} and {question_packing.size} packed rows "
+            f"of width 2h, and w_sim (3*2h,)")
+    c_live, q_live = context_packing.mask > 0, question_packing.mask[:, None, :] > 0
+    if not (c_live.any(axis=1).all() and q_live.any(axis=2).all()):
+        raise DegenerateMaskError("bidaf: a context or question row is empty")
+    cd, qd, wd = c.data, q.data, w.data
+    w_c, w_q, w_m = wd[:d], wd[d:2 * d], wd[2 * d:]
+    flat, rows = context_packing.flat, context_packing.index[0]
+    q_pad = _padded(qd, question_packing)                       # (B, Lq, 2h)
+    c_pad = _padded(cd, context_packing)                        # (B, Lc, 2h)
+    sim = c_pad @ np.swapaxes(q_pad * w_m, 1, 2)                # (B, Lc, Lq)
+    sim += (q_pad @ w_q)[:, None, :]
+    sim += _padded(cd @ w_c, context_packing)[:, :, None]
+    sim = np.where(q_live, sim, -np.inf)
+    best = sim.argmax(axis=2)                                   # (B, Lc)
+    q2c = _softmax(sim.max(axis=2), c_live)
+    h_tilde = (q2c[:, None, :] @ c_pad)[:, 0]                   # (B, 2h)
+    c2q = _softmax(sim, q_live)
+    del sim
+    u_pad = np.matmul(c2q, q_pad, out=c_pad)                    # c's buffer
+    out = np.empty((len(cd), 4 * d), np.result_type(cd, qd, wd))
+    out[:, :d] = cd
+    _gather_rows(out[:, d:2 * d], u_pad.reshape(-1, d), flat)
+    del u_pad, c_pad
+    np.multiply(cd, out[:, d:2 * d], out=out[:, 2 * d:3 * d])
+    _gather_rows(out[:, 3 * d:], h_tilde, rows)
+    out[:, 3 * d:] *= cd
+
+    def backward(g):
+        g_c, g_u, g_cu, g_ch = (g[:, k * d:(k + 1) * d] for k in range(4))
+        c_pad, q_pad = _padded(cd, context_packing), _padded(qd, question_packing)
+        h_tilde = (q2c[:, None, :] @ c_pad)[:, 0]
+        u = (c2q @ q_pad).reshape(-1, d)[flat]
+        # the direct gradient of c, and those of u~ (padded) and h~
+        dc = g_c + g_cu * u + g_ch * h_tilde[rows]
+        du = _padded(g_u + g_cu * cd, context_packing)
+        dh = _padded(g_ch * cd, context_packing).sum(axis=1)
+        # u~ = c2q @ q and h~ = q2c @ c, each through its softmax; the row
+        # maximum S[b, i, best] takes the question-to-context part
+        dq = np.swapaxes(c2q, 1, 2) @ du
+        dsim = _softmax_grad(c2q, du @ np.swapaxes(q_pad, 1, 2))
+        d_best = _softmax_grad(q2c, (c_pad @ dh[:, :, None])[:, :, 0])
+        batch, lc = best.shape
+        dsim[np.arange(batch)[:, None], np.arange(lc), best] += d_best
+        dc += q2c.reshape(-1)[flat, None] * dh[rows]
+        # S = w_c.c + w_q.q + c.(w_m*q)
+        ds_c = dsim.sum(axis=2).reshape(-1)[flat]
+        ds_q = dsim.sum(axis=1)[:, :, None]
+        d_qw = np.swapaxes(dsim, 1, 2) @ c_pad
+        dc += (dsim @ (q_pad * w_m)).reshape(-1, d)[flat]
+        dc += ds_c[:, None] * w_c
+        dq += d_qw * w_m + ds_q * w_q
+        dw = np.concatenate([ds_c @ cd, (ds_q * q_pad).sum(axis=(0, 1)),
+                             (d_qw * q_pad).sum(axis=(0, 1))])
+        return dc, dq.reshape(-1, d)[question_packing.flat], dw
+
+    return _apply("bidaf", (c, q, w), out, backward)
 
 
 # ---------------------------------------------------------------------------

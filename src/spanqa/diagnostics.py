@@ -59,6 +59,17 @@ def op_gradcheck_cases(seed: int = 0):
     lin_1, lin_w, lin_b, lin_weights, unpack_weights = (
         rows_rng.normal(size=shape)
         for shape in [(4, 2), (3, 5), (3,), (4, 3), (3, 5, 2)])
+    # the attention over ragged contexts and questions, rows out of length
+    # order: 2h = 4, context lengths 5, 2, 4 and question lengths 1, 3, 2
+    att_rng = np.random.default_rng(seed + 5)
+    att_c = ad.Packing(np.arange(5) < np.array([[5], [2], [4]]))
+    att_q = ad.Packing(np.arange(3) < np.array([[1], [3], [2]]))
+    att_context, att_question, att_w, att_weights = (
+        att_rng.normal(size=shape)
+        for shape in [(att_c.size, 4), (att_q.size, 4), (12,), (att_c.size, 16)])
+
+    def attend(context, question, w_sim):
+        return total(ad.mul(ad.bidaf(context, question, w_sim, att_c, att_q), att_weights))
 
     # dropout applied inside lstm and linear: some blocks dropped at 0.4
     def dropped(x, mask_seed):
@@ -151,6 +162,9 @@ def op_gradcheck_cases(seed: int = 0):
          rows_rng.normal(size=(packed.size, 2))),
         ("take_rows", lambda t: total(ad.mul(ad.take_rows(t, take_index), take_weights)),
          take_rng.normal(size=(3, 2, 3))),
+        ("bidaf_context", lambda t: attend(t, att_question, att_w), att_context),
+        ("bidaf_question", lambda t: attend(att_context, t, att_w), att_question),
+        ("bidaf_w_sim", lambda t: attend(att_context, att_question, t), att_w),
     ]
 
 

@@ -10,12 +10,14 @@ Every layer runs on packed rows: ``forward`` packs each mask once into an
 carries the N live positions of the batch as (N, .) row blocks through the
 encoder, the attention output G, both decoders and both heads. Each BiLSTM
 layer is one ``autodiff.lstm`` tape node that writes both directions into one
-(N, 2h) result. Inputs like [G ; M] are never concatenated: the end decoder
-and the heads take them as blocks [G | M], each multiplied by its column
-slice of the weight. Only the attention's similarity matrix and the final
-softmaxes see (B, L) tensors, so the cost follows the batch's token count,
-not B times the longest row, and a taped forward records under a hundred
-nodes whatever the sequence length.
+(N, 2h) result, and the attention is one ``autodiff.bidaf`` node that writes
+G straight into its (N, 8h) result. Inputs like [G ; M] are never
+concatenated: the end decoder and the heads take them as blocks [G | M],
+each multiplied by its column slice of the weight, a chunk of rows at a
+time. Only the attention's similarity matrix and the final softmaxes see
+(B, L) tensors, so the cost follows the batch's token count, not B times
+the longest row, and a taped training forward plus loss records 47 nodes
+whatever the sequence length.
 
 Parameters live in a plain name -> ndarray dict. ``forward`` accepts either
 ndarrays (inference; no tape is recorded) or graph-leaf Tensors (training),
@@ -175,45 +177,15 @@ def bidaf_attention(context: Tensor, question: Tensor, w_sim,
                     context_packing: ad.Packing, question_packing: ad.Packing) -> Tensor:
     """Bidirectional attention over packed rows: (N,2h) x (Nq,2h) -> G (N,8h).
 
-    Similarity S[b,i,j] = w_sim . [c_i ; q_j ; c_i*q_j]. With w_sim split
-    into [w_c ; w_q ; w_m], S = w_c.c_i + (c_i*w_m + w_q).q_j: a (B,Lc,1)
-    column broadcast over a (B,Lc,Lq) bmm of the zero-padded encodings, so
-    no (Lc*Lq x 6h) tensor is built. Context-to-question: u~_i = sum_j
-    softmax_j(S[i,j]) q_j over the unmasked question positions.
-    Question-to-context: the row maxima of S over those positions, softmaxed
-    over the unmasked context positions, weight one summary h~ of the
+    Similarity S[b,i,j] = w_sim . [c_i ; q_j ; c_i*q_j]; context-to-question
+    attention gives each live context position a summary u~_i of the
+    question, and question-to-context attention one summary h~ of the
     context per example. G holds [c ; u~ ; c*u~ ; c*h~] for the live context
-    positions only, in the context packing's row order.
+    positions only, in the context packing's row order. The layer is the
+    single `ad.bidaf` op, one tape node with a hand-written backward; see
+    its docstring for how S and G are computed.
     """
-    two_h = context.shape[1]
-    batch, lc = context_packing.shape
-    if w_sim.shape != (3 * two_h,):
-        raise ad.DimensionError(
-            f"bidaf: w_sim shape {w_sim.shape} does not match 3*{two_h}")
-    w_c = ad.reshape(ad.slice_axis(w_sim, 0, 0, two_h), (two_h, 1))
-    w_q = ad.slice_axis(w_sim, 0, two_h, 2 * two_h)
-    w_m = ad.slice_axis(w_sim, 0, 2 * two_h, 3 * two_h)
-
-    padded = ad.unpack(context, context_packing)                     # (B,Lc,2h)
-    q_padded = ad.unpack(question, question_packing)
-    s_context = ad.unpack(ad.matmul(context, w_c), context_packing)  # (B,Lc,1)
-    s_cross = ad.bmm(ad.add(ad.mul(padded, w_m), w_q), ad.transpose(q_padded))
-    sim = ad.add(s_context, s_cross)                                  # (B,Lc,Lq)
-
-    q_mask = question_packing.mask[:, None, :]                       # (B,1,Lq)
-    u_tilde = ad.bmm(ad.masked_softmax(sim, q_mask), q_padded)       # (B,Lc,2h)
-    u_tilde = ad.take_rows(ad.reshape(u_tilde, (batch * lc, two_h)),
-                           context_packing.flat)                     # (N,2h)
-
-    block = ((q_mask - 1.0) * 1e30).astype(sim.data.dtype, copy=False)
-    row_best = ad.reduce_max(ad.add(sim, block), axis=2)             # (B,Lc)
-    q2c = ad.masked_softmax(row_best, context_packing.mask)
-    h_tilde = ad.reshape(ad.bmm(ad.reshape(q2c, (batch, 1, lc)), padded),
-                         (batch, two_h))
-    h_tilde = ad.take_rows(h_tilde, context_packing.index[0])        # (N,2h)
-
-    return ad.concat([context, u_tilde, ad.mul(context, u_tilde),
-                      ad.mul(context, h_tilde)], axis=1)
+    return ad.bidaf(context, question, w_sim, context_packing, question_packing)
 
 
 def _decode(blocks, decoder_params, head, packing, dropout_rate, seeds):
@@ -309,6 +281,7 @@ def forward(batch: Batch, params, table: EmbeddingTable, config: ModelConfig,
 
     attention_out = bidaf_attention(context, question, pt["attention.w_sim"],
                                     contexts, questions)
+    del context, question           # G's first block holds c
     m_start, start_logits = start_decoder(
         attention_out, _layer_group(pt, "start_decoder"), _head_group(pt, "start_head"),
         contexts, dropout_rate=rate, seeds=seeds)

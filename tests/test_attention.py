@@ -1,14 +1,18 @@
-"""model.bidaf_attention against the plain reference in bidaf_oracle.py.
+"""model.bidaf_attention, the fused `ad.bidaf` op, against the two
+references in bidaf_oracle.py: the plain float64 equations and the composite
+of generic tape ops it replaced.
 
 The model attends over packed live rows; `packed_attention` packs the padded
-inputs by their masks and unpacks G, so both sides read and return the same
+inputs by their masks and unpacks G, so all sides read and return the same
 padded arrays."""
 
 import numpy as np
 import pytest
 
-from bidaf_oracle import bidaf_reference, packed_attention
+from bidaf_oracle import bidaf_reference, composite_attention, packed_attention
+from memtrace import traced
 from spanqa import autodiff as ad
+from spanqa.model import bidaf_attention
 
 
 def ragged_inputs(seed, hidden, batch=5, lc=9, lq=6):
@@ -66,3 +70,105 @@ def test_gradients(probe):
         return ad.reduce_sum(ad.mul(out, weights))
 
     assert ad.grad_check(loss, values[probe]) < 1e-6
+
+
+def taped_attention(inputs, attend, weights):
+    """G of `attend` on graph leaves for context, question and w_sim, and
+    the leaves' gradients of sum(G * weights)."""
+    graph = ad.Graph()
+    leaves = [graph.leaf(x, requires_grad=True) for x in inputs[:3]]
+    out = packed_attention(*leaves, *inputs[3:], attend=attend)
+    grads = graph.backward(ad.reduce_sum(ad.mul(out, weights)))
+    return out.data, [grads[t.node_id] for t in leaves]
+
+
+@pytest.mark.parametrize("hidden", [3, 16])
+@pytest.mark.parametrize("seed", [10, 11, 12])
+def test_op_matches_both_references_taped_and_untaped(seed, hidden):
+    inputs = ragged_inputs(seed, hidden, batch=6, lc=11, lq=7)
+    live = inputs[3] > 0
+    want = bidaf_reference(*inputs)
+    weights = np.random.default_rng(seed).normal(size=want.shape)
+    untaped = packed_attention(*inputs).data
+    composite = packed_attention(*inputs, attend=composite_attention).data
+    taped, grads = taped_attention(inputs, bidaf_attention, weights)
+    _, composite_grads = taped_attention(inputs, composite_attention, weights)
+    for got in (untaped, taped, composite):
+        assert np.abs(got[live] - want[live]).max() < 1e-12
+        assert np.all(got[~live] == 0.0)
+    assert np.abs(untaped - composite).max() < 1e-12
+    # the hand-written backward against the composite's chain of op backwards
+    for got, ref in zip(grads, composite_grads):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() < 1e-12 * max(1.0, np.abs(ref).max())
+
+
+def test_float32_stays_float32():
+    inputs = ragged_inputs(13, 4)
+    narrow = [x.astype(np.float32) for x in inputs[:3]]
+    got = packed_attention(*narrow, *inputs[3:])
+    want = bidaf_reference(*inputs)
+    live = inputs[3] > 0
+    assert got.data.dtype == np.float32
+    assert np.abs(got.data[live] - want[live]).max() < 1e-4
+    graph = ad.Graph()
+    leaves = [graph.leaf(x, requires_grad=True) for x in narrow]
+    out = packed_attention(*leaves, *inputs[3:])
+    grads = graph.backward(ad.reduce_sum(out))
+    assert all(grads[t.node_id].dtype == np.float32 for t in leaves)
+
+
+def test_empty_row_and_shape_errors():
+    context, question, w_sim, context_mask, question_mask = ragged_inputs(14, 2)
+    empty = question_mask.copy()
+    empty[1] = 0.0
+    with pytest.raises(ad.DegenerateMaskError):
+        packed_attention(context, question, w_sim, context_mask, empty)
+    with pytest.raises(ad.DimensionError):
+        packed_attention(context, question, w_sim[1:], context_mask, question_mask)
+    with pytest.raises(ad.DimensionError):
+        packed_attention(context, question[:, :, 1:], w_sim, context_mask, question_mask)
+
+
+def memory_inputs():
+    """Long ragged contexts and short questions, packed: c (N, 2h), q (Nq, 2h),
+    w_sim and both packings, with N large beside the (B, Lc, Lq) terms."""
+    rng = np.random.default_rng(15)
+    batch, lc, lq, hidden = 8, 200, 6, 16
+    context_mask = (np.arange(lc) < rng.integers(lc // 2, lc + 1, size=batch)[:, None])
+    question_mask = (np.arange(lq) < rng.integers(1, lq + 1, size=batch)[:, None])
+    context_mask[0] = question_mask[0] = True
+    contexts, questions = ad.Packing(context_mask), ad.Packing(question_mask)
+    return (rng.normal(size=(contexts.size, 2 * hidden)),
+            rng.normal(size=(questions.size, 2 * hidden)),
+            rng.normal(size=6 * hidden) / np.sqrt(hidden), contexts, questions)
+
+
+def test_untaped_peak_holds_g_and_one_padded_block():
+    # beside G (N, 8h), an untaped call holds one padded (B, Lc, 2h) block
+    # (c, then u~ in its buffer) and a few (B, Lc, Lq) similarity terms: no
+    # (N, 2h) copies of u~ or h~ and no second padded block
+    context, question, w_sim, contexts, questions = memory_inputs()
+    (batch, lc), lq = contexts.shape, questions.shape[1]
+    g_bytes = contexts.size * 4 * context.shape[1] * 8
+    padded = batch * lc * context.shape[1] * 8
+    sim_terms = 4 * batch * lc * lq * 8
+    out, _, peak = traced(bidaf_attention, ad.Tensor(context), ad.Tensor(question),
+                          w_sim, contexts, questions)
+    assert out.data.nbytes == g_bytes
+    assert peak < g_bytes + padded + sim_terms + 65536
+
+
+def test_taped_call_retains_g_two_softmaxes_and_the_argmax():
+    # what a taped call leaves alive for backward: G, the (B, Lc, Lq)
+    # context-to-question softmax, the (B, Lc) question-to-context softmax
+    # and the (B, Lc) row-max argmax; c and q are read back from the inputs
+    context, question, w_sim, contexts, questions = memory_inputs()
+    (batch, lc), lq = contexts.shape, questions.shape[1]
+    g_bytes = contexts.size * 4 * context.shape[1] * 8
+    saved = batch * lc * lq * 8 + 2 * batch * lc * 8
+    graph = ad.Graph()
+    leaves = [graph.leaf(x, requires_grad=True) for x in (context, question, w_sim)]
+    out, retained, _ = traced(bidaf_attention, *leaves, contexts, questions)
+    assert out.graph is graph
+    assert retained < g_bytes + saved + 16384

@@ -221,6 +221,53 @@ def test_untaped_peak_holds_one_direction_at_a_time():
     assert peak < bound
 
 
+def long_packing(rng):
+    """A ragged batch with many more live rows than one chunk of `ad._rows_times`."""
+    return ad.Packing(prefix_mask(rng.integers(150, 301, size=24), 300))
+
+
+def test_untaped_peak_over_two_blocks_holds_gates_state_and_one_chunk():
+    # the pre-activations are built in one (N, 4h) buffer, a chunk of rows
+    # at a time, in the direction's step order: above the (N, 2h) result, a
+    # call holds one direction's gates, its h and c (two (N, h) blocks), one
+    # chunk's sum and product, and one direction's weight copies; no whole
+    # product of the second block, no reordered copy of the gates and no
+    # (N, h) tanh c
+    rng = np.random.default_rng(17)
+    hidden, widths = 16, (24, 8)
+    packing = long_packing(rng)
+    rows = packing.size
+    blocks = [rng.normal(size=(rows, w)) for w in widths]
+    fwd, bwd = (direction_params(rng, sum(widths), hidden) for _ in range(2))
+    chunk = ad._CHUNK_ROWS * 8 * 2 * 4 * hidden
+    bound = rows * 8 * (2 * hidden + 4 * hidden + 2 * hidden) + chunk + fwd[0].nbytes
+    out, _, peak = traced(ad.lstm, blocks, packing, fwd, bwd)
+    assert out.shape == (rows, 2 * hidden)
+    assert peak < bound
+
+
+def test_taped_backward_dx_adds_both_directions_by_chunk():
+    # without dropout no input block is rebuilt, so above the (N, 2h)
+    # gradient of the result, backward holds the (N, 8h) dz of both
+    # directions, the dX and dW it returns and one chunk's product: the
+    # second direction's dz_bwd @ W_bwd[:, block] is never a whole product
+    rng = np.random.default_rng(19)
+    hidden, widths = 16, (8 * 16, 2 * 16)
+    packing = long_packing(rng)
+    rows, n = packing.size, sum(widths)
+    graph = Graph()
+    blocks = [graph.leaf(rng.normal(size=(rows, w)), requires_grad=True) for w in widths]
+    params = [tuple(graph.leaf(v, requires_grad=True) for v in direction_params(rng, n, hidden))
+              for _ in range(2)]
+    root = ad.reduce_sum(ad.lstm(blocks, packing, *params))
+    grads, _, peak = traced(graph.backward, root)
+    dw = sum(grads[t.node_id].nbytes for pair in params for t in pair)
+    chunk = ad._CHUNK_ROWS * 8 * max(widths)
+    bound = rows * 8 * (2 * hidden + 8 * hidden + n) + dw + chunk
+    assert peak < bound
+    assert all(grads[x.node_id].shape == x.shape for x in blocks)
+
+
 def test_taped_backward_peak_holds_one_dz_and_one_rebuilt_block():
     # the end decoder's shape: a wide dropped block and a narrow one. Above
     # the tape and the (N, 2h) gradient of the result, backward holds at

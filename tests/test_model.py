@@ -249,6 +249,31 @@ class TestBidafAttention:
                                np.ones((1, 2)))
         assert np.allclose(out.data[0], expected, atol=1e-12)
 
+    def test_training_tape_holds_the_attention_as_one_node(self, monkeypatch):
+        # a dropout training forward plus loss, the train step's graph: the
+        # attention is one `bidaf` node, and neither the model nor any op it
+        # runs calls the generic ops the attention used to be built from
+        calls = []
+        for name in ("matmul", "bmm", "mul", "slice_axis", "transpose",
+                     "reduce_max", "concat"):
+            def spy(*args, _name=name, _op=getattr(ad, name), **kwargs):
+                calls.append(_name)
+                return _op(*args, **kwargs)
+            monkeypatch.setattr(ad, name, spy)
+        config, params, table, batch = make_tiny_problem(seed=3, hidden=5, batch_size=3,
+                                                         dropout=0.2)
+        graph = Graph()
+        leaves = {name: graph.leaf(value, requires_grad=True)
+                  for name, value in params.items()}
+        out = forward(batch, leaves, table, config, training=True, step=1)
+        loss(out, batch.gold_starts, batch.gold_ends, batch.context_mask)
+        ops = [node.op for node in graph._nodes]
+        assert calls == []
+        assert ops.count("bidaf") == 1
+        # 25 parameter leaves and 22 ops (73 nodes when the attention was 27)
+        assert ops.count("leaf") == len(params) == 25
+        assert len(graph) == 47
+
 
 def _decoder_fixture(seed=0):
     """The tiny model and batch, the batch's context packing, and a G of
