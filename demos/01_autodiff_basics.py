@@ -16,11 +16,12 @@ print("matmul:\n", ad.matmul(a, b).data)
 print("relu(-1, 0, 2):", ad.relu([-1.0, 0.0, 2.0]).data)
 
 # %%
-# For gradients, register leaves on a Graph. The tape records every op in
-# topological order, so backward is a single reverse sweep.
+# For gradients, register leaves on a Graph: every leaf is trainable, and a
+# constant stays a plain array or detached Tensor. The tape records every op
+# in topological order, so backward is a single reverse sweep.
 
 graph = ad.Graph()
-x = graph.leaf([1.0, 2.0, 3.0], requires_grad=True)
+x = graph.leaf([1.0, 2.0, 3.0])
 loss = ad.reduce_sum(ad.mul(x, x))          # sum of squares
 grads = graph.backward(loss)
 print("d/dx sum(x^2) at [1,2,3]:", grads[x.node_id])  # 2x
@@ -34,7 +35,8 @@ probs = ad.masked_softmax(logits, mask)
 print("masked softmax:", probs.data, "row sum:", probs.data.sum())
 
 # %%
-# grad_check compares backprop against central finite differences.
+# grad_check compares backprop against central finite differences at a
+# fixed step, re-probing ten times narrower where a kink lies within it.
 
 err = ad.grad_check(lambda t: ad.reduce_sum(ad.tanh(t)),
                     np.random.default_rng(0).normal(size=(3, 3)))

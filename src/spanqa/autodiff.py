@@ -15,7 +15,7 @@ masks, zero gradients) follows that dtype, so a graph built from float32
 leaves stays float32 end to end, forward and backward. Training and
 prediction use that for speed; gradient checks stay in float64.
 
-``add``, ``sub`` and ``mul`` broadcast as numpy does, and shapes that do not
+``add`` and ``mul`` broadcast as numpy does, and shapes that do not
 broadcast raise ``DimensionError`` naming both. Backward sums an operand's
 gradient over every axis along which broadcasting repeated it.
 """
@@ -37,7 +37,6 @@ __all__ = [
     "matmul",
     "bmm",
     "add",
-    "sub",
     "mul",
     "tanh",
     "sigmoid",
@@ -65,6 +64,7 @@ __all__ = [
 ]
 
 LOG_CLAMP = 1e-30
+GRADCHECK_STEP = 1e-5       # grad_check's central-difference step
 _DROPOUT_LEVELS = 1 << 16   # dropout draws uint16 bits
 
 
@@ -108,12 +108,10 @@ class Graph:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def leaf(self, data, requires_grad: bool = False) -> "Tensor":
-        """A trainable leaf on this graph with requires_grad; otherwise a
-        detached constant, which never joins the tape."""
+    def leaf(self, data) -> "Tensor":
+        """A trainable leaf on this graph: backward returns its gradient. A
+        constant is a plain array or a detached ``Tensor``, never a leaf."""
         arr = _as_array(data)
-        if not requires_grad:
-            return Tensor(arr)
         return Tensor(arr, graph=self, node_id=self._push("leaf", (), arr, None))
 
     def _push(self, op, parents, out, backward) -> int:
@@ -181,11 +179,6 @@ class Tensor:
         self.data = _as_array(data)
         self.graph = graph
         self.node_id = node_id
-
-    @property
-    def requires_grad(self) -> bool:
-        """Whether a gradient path runs through this tensor: it is on a graph."""
-        return self.graph is not None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -298,10 +291,6 @@ def _broadcasting(op, a, b, forward, local_grads) -> Tensor:
 
 def add(a, b) -> Tensor:
     return _broadcasting("add", a, b, np.add, lambda g, x, y: (g, g))
-
-
-def sub(a, b) -> Tensor:
-    return _broadcasting("sub", a, b, np.subtract, lambda g, x, y: (g, -g))
 
 
 def mul(a, b) -> Tensor:
@@ -502,9 +491,9 @@ def take_rows(x, index) -> Tensor:
 
 def _mask_array(mask, shape) -> np.ndarray:
     """The mask as float64, broadcast to the data's shape as a read-only view."""
-    m = mask.data if isinstance(mask, Tensor) else np.asarray(mask, dtype=np.float64)
+    m = np.asarray(mask, dtype=np.float64)
     try:
-        return np.broadcast_to(m.astype(np.float64, copy=False), shape)
+        return np.broadcast_to(m, shape)
     except ValueError:
         raise DimensionError(
             f"mask shape {m.shape} does not broadcast to data shape {shape}") from None
@@ -1024,29 +1013,28 @@ def bidaf(context, question, w_sim, context_packing: Packing,
 # ---------------------------------------------------------------------------
 
 
-def grad_check(f, x, eps: float = 1e-5, coords: int | None = None,
-               seed: int = 0) -> float:
+def grad_check(f, x, coords: int | None = None, seed: int = 0) -> float:
     """Max relative error between backprop and central finite differences.
 
     `f` maps a Tensor to a scalar Tensor using ops from this module. Every
     coordinate of x is probed unless `coords` limits the check to a random
-    sample. Relative error per coordinate: |a - n| / max(|a|, |n|, 1e-8).
+    sample. Relative error per coordinate: |a - n| / max(|a|, |n|, 1e-8),
+    the smallest over the estimates n tried; a wrong backward disagrees
+    with every one.
 
-    Central differences lose about |f| * 2**-52 / eps to round-off: 2e-11
-    for a unit loss at eps = 1e-5, or 2e-3 of a 1e-8 gradient. Where
-    max(|a|, |n|) is under 1e4 times that, a Richardson estimate from steps
-    100 * eps and 200 * eps is tried too and the smaller error counts: the
-    narrow step still rules where a wider one crosses a kink (relu, max),
-    and a wrong backward disagrees with both.
+    Central differences at step GRADCHECK_STEP lose about |f| * 2**-52 /
+    step to round-off: 2e-11 for a unit loss, or 2e-3 of a 1e-8 gradient.
+    Where max(|a|, |n|) is under 1e4 times that, a Richardson estimate from
+    steps 100 and 200 times wider is tried too. Where the error still
+    exceeds 1e-6, a step ten times narrower is tried: a kink (relu, max)
+    within one step of the probe skews the first estimate.
     """
-    if eps <= 0:
-        raise ConfigError("grad_check eps must be positive")
     xd = _as_array(x).copy()
     graph = Graph()
-    xt = graph.leaf(xd, requires_grad=True)
+    xt = graph.leaf(xd)
     out = f(xt)
     analytic = graph.backward(out)[xt.node_id].ravel()
-    tiny = 1e4 * np.finfo(np.float64).eps * max(abs(out.item()), 1.0) / eps
+    tiny = 1e4 * np.finfo(np.float64).eps * max(abs(out.item()), 1.0) / GRADCHECK_STEP
 
     flat_ids = np.arange(xd.size)
     if coords is not None and coords < xd.size:
@@ -1063,13 +1051,17 @@ def grad_check(f, x, eps: float = 1e-5, coords: int | None = None,
         flat[i] = orig
         return (hi - lo) / (2.0 * step)
 
+    def error(a, estimates):
+        return min(abs(a - n) / max(abs(a), abs(n), 1e-8) for n in estimates)
+
     worst = 0.0
     for i in flat_ids:
         a = analytic[i]
-        estimates = [central(i, eps)]
+        estimates = [central(i, GRADCHECK_STEP)]
         if max(abs(a), abs(estimates[0])) < tiny:
-            estimates.append(
-                (4.0 * central(i, 100 * eps) - central(i, 200 * eps)) / 3.0)
-        worst = max(worst, min(abs(a - n) / max(abs(a), abs(n), 1e-8)
-                               for n in estimates))
+            estimates.append((4.0 * central(i, 100 * GRADCHECK_STEP)
+                              - central(i, 200 * GRADCHECK_STEP)) / 3.0)
+        if error(a, estimates) > 1e-6:
+            estimates.append(central(i, GRADCHECK_STEP / 10))
+        worst = max(worst, error(a, estimates))
     return worst

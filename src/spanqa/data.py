@@ -265,15 +265,17 @@ def load_glove(path, dim: int) -> EmbeddingTable:
 
 
 def prepare_for_training(examples, context_cap: int) -> tuple[list[QAExample], int]:
-    """Keep examples whose gold span survives context truncation.
+    """Keep examples with a question whose gold span survives truncation.
 
-    Returns (kept, dropped_count); dropped examples either lack a gold span
-    or have one clipped away by the cap (a clamped label would be wrong).
+    Returns (kept, dropped_count); dropped examples lack a gold span, have
+    one clipped away by the cap (a clamped label would be wrong), or have an
+    empty question, which leaves the attention nothing to attend over.
     """
     kept = []
     dropped = 0
     for ex in examples:
-        if ex.gold_span is None or ex.gold_span[1] >= context_cap:
+        if (not ex.question_tokens or ex.gold_span is None
+                or ex.gold_span[1] >= context_cap):
             dropped += 1
         else:
             kept.append(ex)
@@ -294,8 +296,8 @@ def build_batches(examples, table: EmbeddingTable, batch_size: int,
     if training:
         examples, dropped = prepare_for_training(examples, context_cap)
         if dropped:
-            log.info("dropped %d examples with no gold span under cap %d",
-                     dropped, context_cap)
+            log.info("dropped %d examples with an empty question or no gold "
+                     "span under cap %d", dropped, context_cap)
     batches = []
     for lo in range(0, len(examples), batch_size):
         chunk = examples[lo:lo + batch_size]

@@ -61,6 +61,8 @@ class ModelConfig:
             raise ConfigError(f"embedding_dim must be >= 1, got {self.embedding_dim}")
         if self.encoder_layers < 1:
             raise ConfigError(f"encoder_layers must be >= 1, got {self.encoder_layers}")
+        if self.context_cap < 1:
+            raise ConfigError(f"context_cap must be >= 1, got {self.context_cap}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 

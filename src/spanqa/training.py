@@ -93,8 +93,7 @@ def train_step(params: dict[str, np.ndarray], batch: Batch,
     backward pass is done with them.
     """
     graph = Graph()
-    leaves = {name: graph.leaf(value, requires_grad=True)
-              for name, value in params.items()}
+    leaves = {name: graph.leaf(value) for name, value in params.items()}
     out = qa_model.forward(batch, leaves, table, config, training=True,
                            step=state.step)
     loss = qa_model.loss(out, batch.gold_starts, batch.gold_ends,
@@ -217,13 +216,15 @@ def train(train_examples, table: EmbeddingTable, config: qa_model.ModelConfig,
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if eval_every < 1:
         raise ConfigError(f"eval_every must be >= 1, got {eval_every}")
+    if not 0.0 < lr < float("inf"):
+        raise ConfigError(f"lr must be finite and > 0, got {lr}")
     _check_max_answer_len(max_answer_len)
     usable, dropped = prepare_for_training(train_examples, config.context_cap)
     if not usable:
         raise ValueError("no trainable examples after truncation filtering")
     if dropped:
-        log.info("dropped %d examples with no gold span under cap %d",
-                 dropped, config.context_cap)
+        log.info("dropped %d examples with an empty question or no gold span "
+                 "under cap %d", dropped, config.context_cap)
     if params is None:
         params = qa_model.init_params(config)
     if state is None:

@@ -137,7 +137,7 @@ def test_criterion_6_conditioning_path():
 
     def named_grads(which):
         graph = Graph()
-        leaves = {k: graph.leaf(v, requires_grad=True) for k, v in params.items()}
+        leaves = {k: graph.leaf(v) for k, v in params.items()}
         out = forward(batch, leaves, table, config)
         if which == "end":
             root = ad.cross_entropy(out.p_end, batch.gold_ends, batch.context_mask)

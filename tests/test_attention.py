@@ -76,7 +76,7 @@ def taped_attention(inputs, attend, weights):
     """G of `attend` on graph leaves for context, question and w_sim, and
     the leaves' gradients of sum(G * weights)."""
     graph = ad.Graph()
-    leaves = [graph.leaf(x, requires_grad=True) for x in inputs[:3]]
+    leaves = [graph.leaf(x) for x in inputs[:3]]
     out = packed_attention(*leaves, *inputs[3:], attend=attend)
     grads = graph.backward(ad.reduce_sum(ad.mul(out, weights)))
     return out.data, [grads[t.node_id] for t in leaves]
@@ -112,7 +112,7 @@ def test_float32_stays_float32():
     assert got.data.dtype == np.float32
     assert np.abs(got.data[live] - want[live]).max() < 1e-4
     graph = ad.Graph()
-    leaves = [graph.leaf(x, requires_grad=True) for x in narrow]
+    leaves = [graph.leaf(x) for x in narrow]
     out = packed_attention(*leaves, *inputs[3:])
     grads = graph.backward(ad.reduce_sum(out))
     assert all(grads[t.node_id].dtype == np.float32 for t in leaves)
@@ -168,7 +168,7 @@ def test_taped_call_retains_g_two_softmaxes_and_the_argmax():
     g_bytes = contexts.size * 4 * context.shape[1] * 8
     saved = batch * lc * lq * 8 + 2 * batch * lc * 8
     graph = ad.Graph()
-    leaves = [graph.leaf(x, requires_grad=True) for x in (context, question, w_sim)]
+    leaves = [graph.leaf(x) for x in (context, question, w_sim)]
     out, retained, _ = traced(bidaf_attention, *leaves, contexts, questions)
     assert out.graph is graph
     assert retained < g_bytes + saved + 16384

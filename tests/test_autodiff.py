@@ -59,7 +59,7 @@ class TestElementwise:
         out = ad.mul(ad.Tensor([1.0, 2.0, 3.0]), 2.0)
         assert np.array_equal(out.data, [2.0, 4.0, 6.0])
 
-    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul])
+    @pytest.mark.parametrize("op", [ad.add, ad.mul])
     def test_broadcast_mismatch_names_both_shapes(self, op):
         with pytest.raises(ad.DimensionError, match=r"\(2, 3, 4\).*\(2, 4\)"):
             op(np.zeros((2, 3, 4)), np.zeros((2, 4)))
@@ -74,11 +74,10 @@ class TestElementwise:
         weights = rng.normal(size=out_shape)
         for op, forward, da, db in [
                 (ad.add, a + b, weights, weights),
-                (ad.sub, a - b, weights, -weights),
                 (ad.mul, a * b, weights * b, weights * a)]:
             graph = ad.Graph()
-            ta = graph.leaf(a, requires_grad=True)
-            tb = graph.leaf(b, requires_grad=True)
+            ta = graph.leaf(a)
+            tb = graph.leaf(b)
             out = op(ta, tb)
             assert out.shape == out_shape
             assert np.array_equal(out.data, forward)
@@ -120,7 +119,7 @@ class TestTakeRows:
         x = np.arange(12.0).reshape(3, 4)
         index = np.array([2, 0, 2, 2])
         graph = ad.Graph()
-        leaf = graph.leaf(x, requires_grad=True)
+        leaf = graph.leaf(x)
         out = ad.take_rows(leaf, index)
         assert np.array_equal(out.data, x[index])
         weights = np.arange(16.0).reshape(4, 4)
@@ -275,7 +274,7 @@ class TestDropout:
         # backward keeps a boolean keep-mask, not a float scale array per element
         x = np.random.default_rng(2).normal(size=(200, 500))
         graph = ad.Graph()
-        leaf = graph.leaf(x, requires_grad=True)
+        leaf = graph.leaf(x)
         out, retained, _ = traced(ad.dropout, leaf, 0.2, seed=3)
         assert retained < 1.25 * x.nbytes
         grad = graph.backward(ad.reduce_sum(out))[leaf.node_id]
@@ -285,34 +284,34 @@ class TestDropout:
 class TestBackward:
     def test_sum_gives_ones(self):
         g = ad.Graph()
-        x = g.leaf(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        x = g.leaf(np.arange(6.0).reshape(2, 3))
         grads = g.backward(ad.reduce_sum(x))
         assert np.array_equal(grads[x.node_id], np.ones((2, 3)))
 
     def test_square_sum(self):
         # d/dx sum(x*x) = 2x
         g = ad.Graph()
-        x = g.leaf([1.0, 2.0, 3.0], requires_grad=True)
+        x = g.leaf([1.0, 2.0, 3.0])
         grads = g.backward(ad.reduce_sum(ad.mul(x, x)))
         assert np.array_equal(grads[x.node_id], [2.0, 4.0, 6.0])
 
     def test_unused_parameter_gets_zeros(self):
         g = ad.Graph()
-        x = g.leaf([1.0, 2.0], requires_grad=True)
-        unused = g.leaf(np.ones((3, 3)), requires_grad=True)
+        x = g.leaf([1.0, 2.0])
+        unused = g.leaf(np.ones((3, 3)))
         grads = g.backward(ad.reduce_sum(x))
         assert np.array_equal(grads[unused.node_id], np.zeros((3, 3)))
 
     def test_non_scalar_root_rejected(self):
         g = ad.Graph()
-        x = g.leaf([1.0, 2.0], requires_grad=True)
+        x = g.leaf([1.0, 2.0])
         with pytest.raises(ad.DimensionError):
             g.backward(ad.mul(x, x))
 
     def test_fanout_accumulates(self):
         # y = sum(x*x + x): node x feeds two consumers; dy/dx = 2x + 1
         g = ad.Graph()
-        x = g.leaf([1.0, -2.0, 0.5], requires_grad=True)
+        x = g.leaf([1.0, -2.0, 0.5])
         root = ad.reduce_sum(ad.add(ad.mul(x, x), x))
         grads = g.backward(root)
         assert np.allclose(grads[x.node_id], [3.0, -3.0, 2.0], atol=1e-15)
@@ -322,9 +321,9 @@ class TestBackward:
 
     def test_returns_exactly_the_requires_grad_leaves(self):
         g = ad.Graph()
-        x = g.leaf([1.0, 2.0], requires_grad=True)
-        unused = g.leaf(np.ones(3), requires_grad=True)
-        frozen = g.leaf([3.0, 4.0])
+        x = g.leaf([1.0, 2.0])
+        unused = g.leaf(np.ones(3))
+        frozen = ad.Tensor([3.0, 4.0])
         hidden = ad.tanh(ad.mul(x, frozen))
         root = ad.reduce_sum(ad.add(hidden, x))
         grads = g.backward(root)
@@ -338,7 +337,7 @@ class TestBackward:
         c = ad.Tensor([2.0, -1.0])
         for weight in ([3.0, 4.0], [0.5, 0.25]):
             g = ad.Graph()
-            w = g.leaf(weight, requires_grad=True)
+            w = g.leaf(weight)
             grads = g.backward(ad.reduce_sum(ad.mul(w, c)))
             assert set(grads) == {w.node_id}
             assert np.array_equal(grads[w.node_id], c.data)
@@ -347,18 +346,13 @@ class TestBackward:
     def test_constant_stays_detached_after_backward(self):
         c = ad.Tensor([0.5, 1.5])
         g = ad.Graph()
-        w = g.leaf([1.0, 2.0], requires_grad=True)
+        w = g.leaf([1.0, 2.0])
         g.backward(ad.reduce_sum(ad.mul(w, c)))
         before = len(g)
         out = ad.tanh(c)
         assert len(g) == before
-        assert c.graph is None and c.node_id is None and not c.requires_grad
+        assert c.graph is None and c.node_id is None
         assert out.graph is None and np.array_equal(out.data, np.tanh(c.data))
-
-    def test_leaf_without_requires_grad_is_a_constant(self):
-        g = ad.Graph()
-        frozen = g.leaf([1.0, 2.0])
-        assert frozen.graph is None and frozen.node_id is None and len(g) == 0
 
     @pytest.mark.parametrize("dropout", [0.0, 0.2])   # shared-context path at 0
     def test_model_tape_holds_only_gradient_paths(self, dropout):
@@ -367,7 +361,7 @@ class TestBackward:
         config, params, table, batch = make_tiny_problem(seed=3, hidden=5, batch_size=3,
                                                          dropout=dropout, shared_context=True)
         g = ad.Graph()
-        leaves = {name: g.leaf(value, requires_grad=True) for name, value in params.items()}
+        leaves = {name: g.leaf(value) for name, value in params.items()}
         out = forward(batch, leaves, table, config, training=True, step=1)
         loss(out, batch.gold_starts, batch.gold_ends, batch.context_mask)
         nodes = g._nodes
@@ -390,7 +384,7 @@ class TestGradCheck:
     @staticmethod
     def _tiny_gradient_loss(doubled):
         """4 + 1e-8 * sum(w * tanh(x)): gradients near 1e-8 on an O(1) loss,
-        where central differences at eps = 1e-5 lose ~1e-3 to round-off.
+        where central differences at a 1e-5 step lose ~1e-3 to round-off.
         With `doubled`, the backward reports twice the true gradient."""
         w = np.random.default_rng(13).normal(size=(3, 4)) * 1e-8
 
@@ -398,30 +392,55 @@ class TestGradCheck:
             small = ad.reduce_sum(ad.mul(ad.tanh(t), w))
             if doubled:
                 frozen = ad.reduce_sum(ad.mul(ad.tanh(ad.Tensor(t.data.copy())), w))
-                small = ad.sub(ad.add(small, small), frozen)
+                small = ad.add(ad.add(small, small), ad.mul(frozen, -1.0))
             return ad.add(small, 4.0)
 
         return loss
 
     def test_tiny_gradients_are_resolved(self):
         x = np.random.default_rng(14).normal(size=(3, 4))
-        # within the per-op bound; central differences at eps alone give 2.5e-3
+        # within the per-op bound; central differences at the 1e-5 step alone give 2.5e-3
         assert ad.grad_check(self._tiny_gradient_loss(False), x) < 1e-4
 
     def test_wrong_tiny_gradient_fails(self):
         x = np.random.default_rng(14).normal(size=(3, 4))
         assert ad.grad_check(self._tiny_gradient_loss(True), x) > 0.4
 
+    @staticmethod
+    def _relu_loss(doubled):
+        """sum(w * relu(x)); with `doubled`, the backward reports twice the
+        true gradient."""
+        w = np.arange(1.0, 5.0)
+
+        def loss(t):
+            out = ad.reduce_sum(ad.mul(ad.relu(t), w))
+            if doubled:
+                frozen = ad.reduce_sum(ad.mul(ad.relu(ad.Tensor(t.data.copy())), w))
+                out = ad.add(ad.add(out, out), ad.mul(frozen, -1.0))
+            return out
+
+        return loss
+
+    # two probes within one 1e-5 step of relu's kink at 0, one on each side:
+    # the 1e-5 step crosses it and reads 0.75 and 0.35 of the slope there
+    KINK_PROBE = np.array([0.7, 5e-6, -0.4, -3e-6])
+
+    def test_probe_near_a_kink_is_resolved(self):
+        assert ad.grad_check(self._relu_loss(False), self.KINK_PROBE) < 1e-8
+
+    def test_wrong_gradient_near_a_kink_fails(self):
+        assert ad.grad_check(self._relu_loss(True), self.KINK_PROBE) > 0.4
+
 
 @pytest.mark.parametrize("name,f,x", op_gradcheck_cases(),
                          ids=lambda c: c if isinstance(c, str) else "")
 def test_every_op_passes_gradcheck(name, f, x):
-    assert ad.grad_check(f, x, eps=1e-5) < OP_THRESHOLD
+    assert ad.grad_check(f, x) < OP_THRESHOLD
 
 
 def test_first_nonfinite_reports_op():
     g = ad.Graph()
-    x = g.leaf([1e308], requires_grad=True)
+    x = g.leaf([1e308])
     with np.errstate(over="ignore"):
         y = ad.mul(x, x)
         ad.tanh(y)

@@ -199,6 +199,13 @@ def test_mistyped_config_field_is_rejected(workdir, original, key, value):
         load_bytes(workdir, join(metadata, payload))
 
 
+def test_out_of_range_config_field_is_rejected(workdir, original):
+    metadata, payload = split(original)
+    metadata["config"]["context_cap"] = 0
+    with pytest.raises(CheckpointMetadataError, match="context_cap"):
+        load_bytes(workdir, join(metadata, payload))
+
+
 def test_int_in_float_config_field_loads(workdir, original):
     metadata, payload = split(original)
     metadata["config"]["dropout_rate"] = 0

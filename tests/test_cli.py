@@ -162,7 +162,11 @@ class TestTrain:
     @pytest.mark.parametrize("flag,value", [("--batch-size", "0"),
                                             ("--eval-every", "0"),
                                             ("--eval-every", "-1"),
-                                            ("--max-answer-len", "0")])
+                                            ("--max-answer-len", "0"),
+                                            ("--context-cap", "0"),
+                                            ("--lr", "0"),
+                                            ("--lr", "-0.001"),
+                                            ("--lr", "nan")])
     def test_nonpositive_count_is_an_error(self, fixtures_dir, tmp_path, capsys,
                                            monkeypatch, flag, value):
         # rejected before the examples are filtered, let alone trained on
@@ -390,7 +394,7 @@ class TestGradcheckCommand:
         def forged(t):
             frozen = ad.Tensor(t.data.copy())  # same values, no grad path
             doubled = ad.add(ad.sigmoid(t), ad.sigmoid(t))
-            return ad.reduce_sum(ad.sub(doubled, ad.sigmoid(frozen)))
+            return ad.reduce_sum(ad.add(doubled, ad.mul(ad.sigmoid(frozen), -1.0)))
 
         real_cases = diagnostics.op_gradcheck_cases
         monkeypatch.setattr(

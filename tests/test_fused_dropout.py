@@ -45,7 +45,7 @@ def run_graph(drop, dtype):
                (4, 5 + 2 * h + 2), (4,), (n, 4)]]
     graph = Graph()
     g, e, w_f, b_f, w_b, b_b, w, b, probe = (
-        graph.leaf(v, requires_grad=i not in (1, 8)) for i, v in enumerate(values))
+        ad.Tensor(v) if i in (1, 8) else graph.leaf(v) for i, v in enumerate(values))
     m = ad.lstm([drop(g, 11), drop(e, 12)], packing, (w_f, b_f), (w_b, b_b))
     y = ad.linear([drop(g, 13), drop(m, 14), e], w, b)
     grads = graph.backward(ad.reduce_sum(ad.mul(y, probe)))
@@ -88,7 +88,7 @@ def taped_forward(dropout):
         seed=5, hidden=16, embed_dim=16, context_len=40, question_len=10,
         batch_size=6, dropout=dropout)
     graph = Graph()
-    leaves = {name: graph.leaf(value.astype(np.float32), requires_grad=True)
+    leaves = {name: graph.leaf(value.astype(np.float32))
               for name, value in params.items()}
     out, retained, _ = traced(forward, batch, leaves, table, config, training=True, step=1)
     return retained, graph, out
@@ -126,7 +126,7 @@ def closure_arrays(fn):
 def test_backward_frees_lstm_gate_buffers():
     config, params, table, batch = make_tiny_problem(seed=7, dropout=0.2)
     graph = Graph()
-    leaves = {name: graph.leaf(value.astype(np.float32), requires_grad=True)
+    leaves = {name: graph.leaf(value.astype(np.float32))
               for name, value in params.items()}
     out = forward(batch, leaves, table, config, training=True, step=2)
     root = loss(out, batch.gold_starts, batch.gold_ends, batch.context_mask)
@@ -155,7 +155,7 @@ def test_backward_frees_lstm_gate_buffers():
 
 def test_second_backward_raises():
     graph = Graph()
-    x = graph.leaf(np.arange(3.0), requires_grad=True)
+    x = graph.leaf(np.arange(3.0))
     root = ad.reduce_sum(ad.mul(x, x))
     assert np.array_equal(graph.backward(root)[x.node_id], 2.0 * np.arange(3.0))
     with pytest.raises(ad.GraphSpentError):

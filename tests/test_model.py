@@ -49,6 +49,8 @@ class TestConfig:
             ModelConfig(hidden_size=0)
         with pytest.raises(ConfigError):
             ModelConfig(dropout_rate=1.0)
+        with pytest.raises(ConfigError, match="context_cap"):
+            ModelConfig(context_cap=-5)
 
 
 class TestInitParams:
@@ -128,13 +130,13 @@ class TestEmbed:
         # embeddings enter the graph as constants: backward never sees them
         table = self.make_table()
         g = Graph()
-        weight = g.leaf(np.ones((3, 1)), requires_grad=True)
+        weight = g.leaf(np.ones((3, 1)))
         vectors = embed(np.array([[1, 2]]), table)
         flat = ad.reshape(vectors, (2, 3))
         root = ad.reduce_sum(ad.matmul(flat, weight))
         grads = g.backward(root)
         assert set(grads) <= set(range(len(g)))
-        assert vectors.requires_grad is False
+        assert vectors.graph is None
 
 
 class TestBiLSTM:
@@ -263,7 +265,7 @@ class TestBidafAttention:
         config, params, table, batch = make_tiny_problem(seed=3, hidden=5, batch_size=3,
                                                          dropout=0.2)
         graph = Graph()
-        leaves = {name: graph.leaf(value, requires_grad=True)
+        leaves = {name: graph.leaf(value)
                   for name, value in params.items()}
         out = forward(batch, leaves, table, config, training=True, step=1)
         loss(out, batch.gold_starts, batch.gold_ends, batch.context_mask)
@@ -339,7 +341,7 @@ class TestDecoders:
 
 def _named_grads(config, params, table, batch, which):
     graph = Graph()
-    leaves = {name: graph.leaf(value, requires_grad=True)
+    leaves = {name: graph.leaf(value)
               for name, value in params.items()}
     out = forward(batch, leaves, table, config, training=False)
     if which == "start":
@@ -434,7 +436,7 @@ class TestEndToEndGradients:
     def test_shared_context_gradcheck(self, monkeypatch):
         counts = _lstm_row_counts(monkeypatch)
         # the probes of `qa gradcheck`; with 3 probes, one end_head.W1
-        # coordinate has a ~1e-8 gradient that central differences at eps=1e-5
+        # coordinate has a ~1e-8 gradient that central differences at a 1e-5 step
         # resolve only to ~2e-3 relative, with or without the shared encoding
         results = end_to_end_gradcheck(seed=0, coords_per_tensor=4,
                                        shared_context=True)

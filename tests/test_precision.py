@@ -22,7 +22,7 @@ def test_float32_taped_step_stays_float32():
     # mask's scale meets the block in forward and its gradient in backward
     config, params, table, batch = make_tiny_problem(dropout=0.3)
     graph = Graph()
-    leaves = {name: graph.leaf(value.astype(np.float32), requires_grad=True)
+    leaves = {name: graph.leaf(value.astype(np.float32))
               for name, value in params.items()}
     out = forward(batch, leaves, table, config, training=True, step=3)
     root = loss(out, batch.gold_starts, batch.gold_ends, batch.context_mask)
@@ -51,7 +51,7 @@ def test_float32_taped_step_stays_float32():
 
 def _direction(x, weight, bias, mask, reverse, probe, fn):
     graph = Graph()
-    leaves = [graph.leaf(v, requires_grad=True) for v in (x, weight, bias)]
+    leaves = [graph.leaf(v) for v in (x, weight, bias)]
     out = fn(*leaves, mask, reverse)
     grads = graph.backward(ad.reduce_sum(ad.mul(out, probe)))
     return [out.data] + [grads[leaf.node_id] for leaf in leaves]
@@ -82,10 +82,9 @@ def test_train_step_keeps_float32_params_without_copies(monkeypatch):
     leaves = []
     original = Graph.leaf
 
-    def spy(self, data, requires_grad=False):
-        leaf = original(self, data, requires_grad)
-        if requires_grad:
-            leaves.append(leaf)
+    def spy(self, data):
+        leaf = original(self, data)
+        leaves.append(leaf)
         return leaf
 
     monkeypatch.setattr(Graph, "leaf", spy)

@@ -142,7 +142,7 @@ def reference_train_step(params, batch, table, state, config, lr=1e-3):
     of the float32 params, the clip factor, then reference_adam_update.
     Returns the loss and the pre-clip norm."""
     graph = training.Graph()
-    leaves = {name: graph.leaf(value.astype(np.float32), requires_grad=True)
+    leaves = {name: graph.leaf(value.astype(np.float32))
               for name, value in params.items()}
     out = model.forward(batch, leaves, table, config, training=True,
                         step=state.step)
@@ -384,6 +384,19 @@ class TestTrainLoop:
             for field in dataclasses.fields(want):
                 assert np.array_equal(getattr(got, field.name),
                                       getattr(want, field.name)), field.name
+
+    def test_empty_question_is_dropped(self, tiny_dataset):
+        # its answer still aligns, but its batch's attention would have a
+        # row with nothing to attend over
+        examples, table = tiny_dataset
+        config = small_config(seed=3)
+        empty = dataclasses.replace(examples[5], question_text="   ", question_tokens=[])
+        examples = examples[:5] + [empty] + examples[6:]
+        usable, dropped = prepare_for_training(examples, config.context_cap)
+        assert dropped == 1 and empty not in usable
+        # 31 usable examples / batch 8: the 4 iterations take every batch
+        result = train(examples, table, config, iters=4, batch_size=8)
+        assert [r.iteration for r in result.records] == [1, 2, 3, 4]
 
 
 class TestPredict:
