@@ -748,9 +748,9 @@ def linear(xs, W, b) -> Tensor:
 def _lstm_direction(datas, masks, spans, W, b, packing: Packing, reverse: bool,
                     out, taped: bool):
     """One direction of `lstm` over the packed rows: writes its h into the
-    (N, h) view `out` and returns what backward needs besides that h, or
-    None when untaped, so the direction's gate and state buffers are freed
-    before the next direction allocates its own."""
+    (N, h) view `out` (the forward direction step by step, in place) and
+    returns what backward needs besides that h, or None when untaped, so the
+    direction's gate and state buffers are freed before the next direction's."""
     rows, h = packing.size, out.shape[1]
     n, dtype = W.shape[1] - h, out.dtype
     # sigmoid(z) = (1 + tanh(z / 2)) / 2, stable for any z. Halving the i|f|o
@@ -769,7 +769,8 @@ def _lstm_direction(datas, masks, spans, W, b, packing: Packing, reverse: bool,
                         packing.reverse if reverse else None)
     gates += b.data * half
     w_h_t = np.ascontiguousarray(W.data[:, n:].T * half)
-    hs, cs = np.empty((rows, h), dtype), np.empty((rows, h), dtype)
+    hs = np.empty((rows, h), dtype) if reverse else out
+    cs = np.empty((rows, h), dtype)
     lo = before = 0
     for k in packing.counts:
         hi = lo + k
@@ -785,7 +786,8 @@ def _lstm_direction(datas, masks, spans, W, b, packing: Packing, reverse: bool,
             c += z[:, h:2 * h] * cs[before:before + k]
         np.multiply(z[:, 2 * h:3 * h], np.tanh(c), out=hs[lo:hi])
         before, lo = lo, hi
-    out[packing.reverse if reverse else slice(None)] = hs
+    if reverse:
+        out[packing.reverse] = hs
     return [gates, cs] if taped else None
 
 

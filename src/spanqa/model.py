@@ -1,23 +1,23 @@
 """The 6-layer span-prediction network: frozen embeddings, a shared 2-layer
-BiLSTM encoder over context and question, bidirectional attention, a start
-decoder, an end decoder that consumes the start decoder's hidden states (so
-the end distribution is conditioned on start evidence), and per-position FC
-heads feeding masked softmaxes.
+BiLSTM encoder run once over a batch's distinct contexts and its questions,
+bidirectional attention, a start decoder, an end decoder that consumes the
+start decoder's hidden states (so the end distribution is conditioned on
+start evidence), and per-position FC heads feeding masked softmaxes.
 
 Every layer runs on packed rows: ``forward`` packs each mask once into an
 ``autodiff.Packing`` (masks are prefixes, each row a run of 1s followed by
 0s, as ``data.build_batches`` makes them), embeds only the live tokens, and
 carries the N live positions of the batch as (N, .) row blocks through the
 encoder, the attention output G, both decoders and both heads. Each BiLSTM
-layer is one ``autodiff.lstm`` tape node that writes both directions into one
-(N, 2h) result, and the attention is one ``autodiff.bidaf`` node that writes
-G straight into its (N, 8h) result. Inputs like [G ; M] are never
-concatenated: the end decoder and the heads take them as blocks [G | M],
-each multiplied by its column slice of the weight, a chunk of rows at a
-time. Only the attention's similarity matrix and the final softmaxes see
-(B, L) tensors, so the cost follows the batch's token count, not B times
-the longest row, and a taped training forward plus loss records 47 nodes
-whatever the sequence length.
+layer is one ``autodiff.lstm`` tape node (4 per forward) that writes both
+directions into one (N, 2h) result, and the attention is one
+``autodiff.bidaf`` node that writes G straight into its (N, 8h) result.
+Inputs like [G ; M] are never concatenated: the end decoder and the heads
+take them as blocks [G | M], each multiplied by its column slice of the
+weight, a chunk of rows at a time. Only the attention's similarity matrix
+and the final softmaxes see (B, L) tensors, so the cost follows the batch's
+token count, not B times the longest row, and a taped training forward plus
+loss records 47 nodes whatever the sequence length.
 
 Parameters live in a plain name -> ndarray dict. ``forward`` accepts either
 ndarrays (inference; no tape is recorded) or graph-leaf Tensors (training),
@@ -226,16 +226,18 @@ def _head_group(params, prefix):
     return {k: params[f"{prefix}.{k}"] for k in ("W1", "b1", "W2", "b2")}
 
 
-def _distinct_contexts(batch: Batch):
+def _distinct_contexts(batch: Batch, every_row: bool):
     """(first, inverse) over the batch's distinct (context ids, mask) rows:
-    row b equals row first[inverse[b]]. None when every row is distinct."""
+    row b equals row first[inverse[b]]. The identity with `every_row` or
+    when no row repeats."""
     ids = np.asarray(batch.context_ids, dtype=np.int64)
-    mask_bits = np.asarray(batch.context_mask, dtype=np.float64).view(np.int64)
-    _, first, inverse = np.unique(np.concatenate([ids, mask_bits], axis=1),
-                                  axis=0, return_index=True, return_inverse=True)
-    if len(first) == len(ids):
-        return None
-    return first, inverse.reshape(-1)
+    if not every_row:
+        mask_bits = np.asarray(batch.context_mask, dtype=np.float64).view(np.int64)
+        _, first, inverse = np.unique(np.concatenate([ids, mask_bits], axis=1), axis=0,
+                                      return_index=True, return_inverse=True)
+        if len(first) < len(ids):
+            return first, inverse.reshape(-1)
+    return (np.arange(len(ids)),) * 2
 
 
 def forward(batch: Batch, params, table: EmbeddingTable, config: ModelConfig,
@@ -247,11 +249,12 @@ def forward(batch: Batch, params, table: EmbeddingTable, config: ModelConfig,
     in. `step` varies the dropout masks between training iterations while
     keeping them reproducible.
 
-    The context encoder does not see the question, so a pass without
-    dropout embeds and encodes each distinct (context ids, context mask) row
-    once and gathers the encoded rows back to the batch's packed rows with
-    `ad.take_rows` (SQuAD asks several questions per paragraph). With
-    dropout, each row draws its own masks and is encoded on its own.
+    The shared encoder sees each sequence on its own, so one `bilstm` pass
+    covers the distinct (context ids, context mask) rows stacked over all
+    the questions (SQuAD asks several per paragraph), and `ad.take_rows`
+    gathers each row's context and its question from that one encoding: 4
+    `ad.lstm` calls per forward. With dropout, every context row is
+    encoded, each under its own masks.
     """
     pt = {name: value if isinstance(value, Tensor) else Tensor(value)
           for name, value in params.items()}
@@ -260,26 +263,21 @@ def forward(batch: Batch, params, table: EmbeddingTable, config: ModelConfig,
     rate = config.dropout_rate if training else 0.0
     encoder = [_layer_group(pt, f"encoder.l{k}") for k in range(config.encoder_layers)]
 
-    def encode(ids, packing):
-        """Embed the live ids of `packing` and run the encoder: (N, 2h) rows."""
-        return bilstm([embed(np.asarray(ids)[packing.index], table, dtype)],
-                      encoder, packing, dropout_rate=rate, seeds=seeds)
-
-    contexts = ad.Packing(batch.context_mask)
-    shared = _distinct_contexts(batch) if rate == 0.0 else None
-    if shared is None:
-        context = encode(batch.context_ids, contexts)
-    else:
-        first, inverse = shared
-        distinct = ad.Packing(np.asarray(batch.context_mask)[first])
-        context = encode(np.asarray(batch.context_ids)[first], distinct)
-        # the packed row of each live batch position within its distinct context
-        where = np.zeros(distinct.shape, np.int64)
-        where[distinct.index] = np.arange(distinct.size)
-        rows, positions = contexts.index
-        context = ad.take_rows(context, where[inverse[rows], positions])
-    questions = ad.Packing(batch.question_mask)
-    question = encode(batch.question_ids, questions)
+    contexts, questions = ad.Packing(batch.context_mask), ad.Packing(batch.question_mask)
+    first, inverse = _distinct_contexts(batch, every_row=rate > 0.0)
+    # the distinct contexts over the questions, zero-padded to the wider
+    width = max(contexts.shape[1], questions.shape[1])
+    ids, mask = (np.concatenate([np.pad(x, ((0, 0), (0, width - x.shape[1]))) for x in rows])
+                 for rows in [(np.asarray(batch.context_ids)[first], batch.question_ids),
+                              (contexts.mask[first], questions.mask)])
+    joint = ad.Packing(mask)
+    encoded = bilstm([embed(ids[joint.index], table, dtype)], encoder, joint,
+                     dropout_rate=rate, seeds=seeds)
+    where = np.zeros(joint.shape, np.int64)     # the packed row of each stacked token
+    where[joint.index] = np.arange(joint.size)
+    context = ad.take_rows(encoded, where[inverse][contexts.index])
+    question = ad.take_rows(encoded, where[len(first):][questions.index])
+    del encoded
 
     attention_out = bidaf_attention(context, question, pt["attention.w_sim"],
                                     contexts, questions)

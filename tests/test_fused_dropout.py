@@ -107,8 +107,8 @@ def test_dropout_adds_only_its_masks_to_the_tape(monkeypatch):
     base, _, _ = taped_forward(0.0)
     monkeypatch.setattr(ad, "_dropout_mask", recording)
     dropped, _, _ = taped_forward(0.2)
-    # eleven bool masks; a dropped float32 copy of each block would be 4 times their size
-    assert len(masks) == 11
+    # nine bool masks; a dropped float32 copy of each block would be 4 times their size
+    assert len(masks) == 9
     assert dropped - base <= 1.1 * sum(masks)
 
 
@@ -137,8 +137,9 @@ def test_backward_frees_lstm_gate_buffers():
     # (a 0-d result of a binary op on 0-d operands is a numpy scalar, not an array)
     outputs = [weakref.ref(node.out) for node in graph._nodes
                if node.op != "leaf" and isinstance(node.out, np.ndarray)]
-    # the (N, 4h) gates of both directions of every layer
-    assert len(lstm_nodes) == 2 * config.encoder_layers + 2
+    # the (N, 4h) gates of both directions of every layer; one encoder pass
+    # covers the contexts and the questions
+    assert len(lstm_nodes) == config.encoder_layers + 2
     assert len(gates) == 2 * len(lstm_nodes)
     assert all(ref() is not None for ref in gates)
     grads = graph.backward(root)

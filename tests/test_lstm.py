@@ -343,10 +343,12 @@ def test_dropout_is_one_call_per_layer_input(monkeypatch):
     config, params, table, batch = make_tiny_problem(dropout=0.2)
     forward(batch, params, table, config, training=True)
     # each mask covers one input block of a layer or head over all its packed
-    # live rows, never one time step: two encoder layers for context and
-    # question, G into the start decoder, then [G | M] into the start head,
-    # the end decoder and the end head
-    assert len(calls) == 2 * config.encoder_layers + 1 + 3 * 2
+    # live rows, never one time step: two encoder layers over the contexts and
+    # questions together, G into the start decoder, then [G | M] into the
+    # start head, the end decoder and the end head
+    assert len(calls) == config.encoder_layers + 1 + 3 * 2
     live = int(batch.context_mask.sum())
-    assert [n for n, _ in calls[2 * config.encoder_layers:]] == [live] * 7
+    encoded = live + int(batch.question_mask.sum())
+    assert [n for n, _ in calls[:config.encoder_layers]] == [encoded] * 2
+    assert [n for n, _ in calls[config.encoder_layers:]] == [live] * 7
     assert all(len(shape) == 2 for shape in calls)

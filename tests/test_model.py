@@ -7,6 +7,7 @@ from bidaf_oracle import packed_attention
 from lstm_oracle import pack_rows
 
 from spanqa import autodiff as ad
+from spanqa import model as qa_model
 from spanqa.autodiff import ConfigError, Graph, Tensor
 from spanqa.data import Batch, EmbeddingTable
 from spanqa.diagnostics import end_to_end_gradcheck, make_tiny_problem
@@ -440,12 +441,13 @@ class TestEndToEndGradients:
         # resolve only to ~2e-3 relative, with or without the shared encoding
         results = end_to_end_gradcheck(seed=0, coords_per_tensor=4,
                                        shared_context=True)
-        assert counts[:2] == [1] * 2     # both rows' context encoded once
+        # both rows' context encoded once, beside the two questions
+        assert counts[:2] == [1 + 2] * 2
         worst = max(err for _, err in results)
         assert worst < 1e-3, results
 
 
-def _shared_context_batch(context_len=9, question_len=5):
+def _shared_context_batch(context_len=9, question_len=5, q_lengths=(5, 3, 4, 2, 5)):
     """5 rows over 2 distinct contexts (rows 0, 2, 3 and rows 1, 4), each
     row with its own question, plus the tiny model that reads it."""
     config, params, table, _ = make_tiny_problem(
@@ -456,7 +458,7 @@ def _shared_context_batch(context_len=9, question_len=5):
     contexts = rng.integers(2, table.vocab_size, size=(2, context_len))
     context_mask = (np.arange(context_len) < lengths[which, None]).astype(np.float64)
     context_ids = np.where(context_mask > 0, contexts[which], 0)
-    q_lengths = np.array([5, 3, 4, 2, 5])
+    q_lengths = np.array(q_lengths)
     question_mask = (np.arange(question_len) < q_lengths[:, None]).astype(np.float64)
     question_ids = np.where(question_mask > 0,
                             rng.integers(2, table.vocab_size, size=(5, question_len)), 0)
@@ -474,7 +476,8 @@ def _row(batch, r):
 
 
 def _lstm_row_counts(monkeypatch):
-    """Record the batch size of every ad.lstm call (one per BiLSTM layer)."""
+    """Record the batch size of every ad.lstm call (one per BiLSTM layer):
+    an encoder layer's rows are the contexts it encodes plus the questions."""
     counts = []
     original = ad.lstm
 
@@ -499,19 +502,19 @@ class TestSharedContextEncoding:
         config, params, table, batch = _shared_context_batch()
         counts = _lstm_row_counts(monkeypatch)
         forward(batch, params, table, config)
-        # 2 encoder layers over context, then over question, then the start
-        # and end decoders
-        assert counts == [2] * 2 + [5] * 2 + [5] * 2
+        # 2 encoder layers over the 2 distinct contexts and the 5 questions,
+        # then the start and end decoders
+        assert counts == [2 + 5] * 2 + [5] * 2
 
     def test_dropout_pass_encodes_every_row(self, monkeypatch):
         config, params, table, batch = _shared_context_batch()
         config.dropout_rate = 0.3
         counts = _lstm_row_counts(monkeypatch)
         forward(batch, params, table, config, training=True, step=1)
-        assert counts == [5] * 6
+        assert counts == [5 + 5] * 2 + [5] * 2
         counts.clear()
         forward(batch, params, table, config)   # inference ignores the rate
-        assert counts[:2] == [2] * 2
+        assert counts[:2] == [2 + 5] * 2
 
     def test_equal_ids_with_different_masks_not_merged(self, monkeypatch):
         config, params, table, batch = _shared_context_batch()
@@ -523,6 +526,46 @@ class TestSharedContextEncoding:
                        batch.gold_ends[rows], ["a", "b", "c"])
         counts = _lstm_row_counts(monkeypatch)
         out = forward(merged, params, table, config)
-        assert counts[:2] == [3] * 2
+        assert counts[:2] == [3 + 3] * 2
         alone = forward(_row(merged, 1), params, table, config)
         assert np.max(np.abs(out.p_start.data[1] - alone.p_start.data[0])) < 1e-12
+
+    @staticmethod
+    def _wide_question_batch():
+        """The shared-context batch with a 12-token question, longer than
+        both contexts (9 and 6 tokens), in float64."""
+        config, params, table, batch = _shared_context_batch(
+            question_len=12, q_lengths=(12, 3, 4, 2, 5))
+        assert batch.question_mask.sum(axis=1).max() > batch.context_mask.sum(axis=1).max()
+        return config, {name: value.astype(np.float64)
+                        for name, value in params.items()}, table, batch
+
+    def test_joint_padding_matches_separate_encodings(self, monkeypatch):
+        config, params, table, batch = self._wide_question_batch()
+        handed = []
+        original = qa_model.bidaf_attention
+
+        def recording(context, question, *args):
+            handed.append((context.data, question.data))
+            return original(context, question, *args)
+
+        monkeypatch.setattr(qa_model, "bidaf_attention", recording)
+        forward(batch, params, table, config)
+        encoder = [_group(params, f"encoder.l{k}") for k in range(config.encoder_layers)]
+        for (ids, mask), got in zip([(batch.context_ids, batch.context_mask),
+                                     (batch.question_ids, batch.question_mask)], handed[0]):
+            packing = ad.Packing(mask)
+            alone = bilstm([embed(ids[packing.index], table)], encoder, packing)
+            assert got.shape == alone.shape
+            assert np.max(np.abs(got - alone.data)) < 1e-12
+
+    def test_joint_padding_gradcheck(self):
+        config, params, table, batch = self._wide_question_batch()
+        results = []
+        for name in params:
+            def run(t, _name=name):
+                out = forward(batch, {**params, _name: t}, table, config)
+                return loss(out, batch.gold_starts, batch.gold_ends, batch.context_mask)
+
+            results.append((name, ad.grad_check(run, params[name], coords=4)))
+        assert max(err for _, err in results) < 1e-3, results
