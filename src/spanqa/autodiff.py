@@ -63,7 +63,6 @@ __all__ = [
     "grad_check",
 ]
 
-LOG_CLAMP = 1e-30
 GRADCHECK_STEP = 1e-5       # grad_check's central-difference step
 _DROPOUT_LEVELS = 1 << 16   # dropout draws uint16 bits
 
@@ -531,38 +530,39 @@ def masked_softmax(logits, mask) -> Tensor:
     return _apply("masked_softmax", (logits,), out, backward)
 
 
-def cross_entropy(probs, gold, mask) -> Tensor:
-    """Mean over rows of -ln(probs[b, gold_b]), clamping the probability at 1e-30.
-
-    probs (B, L) must hold per-row distributions; gold (B,) integer indices
-    must land on mask==1 positions.
+def cross_entropy(logits, gold, mask) -> Tensor:
+    """Mean over rows of -ln softmax(logits)[b, gold_b], the softmax over the
+    mask==1 positions: each row's max-shifted log-sum-exp minus its gold logit.
+    Backward is (softmax - onehot) * g / B, exactly 0 at masked positions.
+    logits (B, L); gold (B,) integer indices must land on mask==1 positions.
     """
-    probs = _lift(probs)
-    if probs.ndim != 2:
-        raise DimensionError(f"cross_entropy: expected 2-D probs, got {probs.shape}")
-    batch, length = probs.shape
+    logits = _lift(logits)
+    if logits.ndim != 2:
+        raise DimensionError(f"cross_entropy: expected 2-D logits, got {logits.shape}")
+    batch, length = logits.shape
     gold = np.asarray(gold, dtype=np.int64)
     if gold.shape != (batch,):
         raise LabelError(f"cross_entropy: gold shape {gold.shape} != ({batch},)")
     if (gold < 0).any() or (gold >= length).any():
         raise LabelError(f"cross_entropy: gold index out of range for L={length}")
-    m = _mask_array(mask, probs.shape)
+    m = _mask_array(mask, logits.shape)
     rows = np.arange(batch)
     if (m[rows, gold] <= 0).any():
         bad = int(rows[m[rows, gold] <= 0][0])
         raise LabelError(f"cross_entropy: gold index {int(gold[bad])} is masked in row {bad}")
-    p = probs.data[rows, gold]
-    clamped = np.maximum(p, LOG_CLAMP)
-    out = np.array(-np.log(clamped).mean())
-    live = p >= LOG_CLAMP
-    dtype = probs.data.dtype
+    neg = np.where(m > 0, logits.data, -np.inf)
+    shifted = neg - neg.max(axis=1, keepdims=True)
+    exps = np.exp(shifted)
+    sums = exps.sum(axis=1, keepdims=True)
+    out = np.array((np.log(sums[:, 0]) - shifted[rows, gold]).mean())
 
     def backward(g):
-        gp = np.zeros((batch, length), dtype)
-        gp[rows, gold] = -float(g) / (batch * clamped) * live
-        return (gp,)
+        scale = float(g) / batch
+        gz = exps * (scale / sums)
+        gz[rows, gold] -= scale
+        return (gz,)
 
-    return _apply("cross_entropy", (probs,), out, backward)
+    return _apply("cross_entropy", (logits,), out, backward)
 
 
 def _dropout_mask(data, rate: float, seed: int):

@@ -164,6 +164,12 @@ def save_checkpoint(path, params: dict[str, np.ndarray], config: ModelConfig,
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp_path, path)
+    # the rename is durable only once the directory entry is on disk too
+    directory = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def _field(path, metadata: dict, key, kinds):

@@ -2,7 +2,8 @@
 BiLSTM encoder run once over a batch's distinct contexts and its questions,
 bidirectional attention, a start decoder, an end decoder that consumes the
 start decoder's hidden states (so the end distribution is conditioned on
-start evidence), and per-position FC heads feeding masked softmaxes.
+start evidence), and per-position FC heads whose logits the loss reads in
+log space and decoding through masked softmaxes built on demand.
 
 Every layer runs on packed rows: ``forward`` packs each mask once into an
 ``autodiff.Packing`` (masks are prefixes, each row a run of 1s followed by
@@ -15,9 +16,9 @@ directions into one (N, 2h) result, and the attention is one
 Inputs like [G ; M] are never concatenated: the end decoder and the heads
 take them as blocks [G | M], each multiplied by its column slice of the
 weight, a chunk of rows at a time. Only the attention's similarity matrix
-and the final softmaxes see (B, L) tensors, so the cost follows the batch's
-token count, not B times the longest row, and a taped training forward plus
-loss records 47 nodes whatever the sequence length.
+and the logits see (B, L) tensors, so the cost follows the batch's token
+count, not B times the longest row, and a taped training forward plus loss
+records 45 nodes whatever the sequence length.
 
 Parameters live in a plain name -> ndarray dict. ``forward`` accepts either
 ndarrays (inference; no tape is recorded) or graph-leaf Tensors (training),
@@ -69,8 +70,20 @@ class ModelConfig:
 
 @dataclass
 class ForwardOutput:
-    p_start: Tensor    # (B, Lc) masked distribution per row
-    p_end: Tensor
+    """The heads' (B, Lc) logits, 0 at padding, and the context mask over
+    which `p_start` and `p_end`, the masked softmaxes of the logits, are
+    built on each read."""
+    start_logits: Tensor
+    end_logits: Tensor
+    mask: np.ndarray
+
+    @property
+    def p_start(self) -> Tensor:
+        return ad.masked_softmax(self.start_logits, self.mask)
+
+    @property
+    def p_end(self) -> Tensor:
+        return ad.masked_softmax(self.end_logits, self.mask)
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -226,23 +239,21 @@ def _head_group(params, prefix):
     return {k: params[f"{prefix}.{k}"] for k in ("W1", "b1", "W2", "b2")}
 
 
-def _distinct_contexts(batch: Batch, every_row: bool):
+def _distinct_contexts(batch: Batch):
     """(first, inverse) over the batch's distinct (context ids, mask) rows:
-    row b equals row first[inverse[b]]. The identity with `every_row` or
-    when no row repeats."""
+    row b equals row first[inverse[b]]. The identity when no row repeats."""
     ids = np.asarray(batch.context_ids, dtype=np.int64)
-    if not every_row:
-        mask_bits = np.asarray(batch.context_mask, dtype=np.float64).view(np.int64)
-        _, first, inverse = np.unique(np.concatenate([ids, mask_bits], axis=1), axis=0,
-                                      return_index=True, return_inverse=True)
-        if len(first) < len(ids):
-            return first, inverse.reshape(-1)
+    mask_bits = np.asarray(batch.context_mask, dtype=np.float64).view(np.int64)
+    _, first, inverse = np.unique(np.concatenate([ids, mask_bits], axis=1), axis=0,
+                                  return_index=True, return_inverse=True)
+    if len(first) < len(ids):
+        return first, inverse.reshape(-1)
     return (np.arange(len(ids)),) * 2
 
 
 def forward(batch: Batch, params, table: EmbeddingTable, config: ModelConfig,
             training: bool = False, step: int = 0) -> ForwardOutput:
-    """Embed -> encode -> attend -> decode start -> decode end -> softmax.
+    """Embed -> encode -> attend -> decode start -> decode end -> logits.
 
     params values may be ndarrays (detached run) or Tensors on one graph
     (differentiable run), all of one float dtype, which the whole pass runs
@@ -253,8 +264,7 @@ def forward(batch: Batch, params, table: EmbeddingTable, config: ModelConfig,
     covers the distinct (context ids, context mask) rows stacked over all
     the questions (SQuAD asks several per paragraph), and `ad.take_rows`
     gathers each row's context and its question from that one encoding: 4
-    `ad.lstm` calls per forward. With dropout, every context row is
-    encoded, each under its own masks.
+    `ad.lstm` calls per forward.
     """
     pt = {name: value if isinstance(value, Tensor) else Tensor(value)
           for name, value in params.items()}
@@ -264,7 +274,7 @@ def forward(batch: Batch, params, table: EmbeddingTable, config: ModelConfig,
     encoder = [_layer_group(pt, f"encoder.l{k}") for k in range(config.encoder_layers)]
 
     contexts, questions = ad.Packing(batch.context_mask), ad.Packing(batch.question_mask)
-    first, inverse = _distinct_contexts(batch, every_row=rate > 0.0)
+    first, inverse = _distinct_contexts(batch)
     # the distinct contexts over the questions, zero-padded to the wider
     width = max(contexts.shape[1], questions.shape[1])
     ids, mask = (np.concatenate([np.pad(x, ((0, 0), (0, width - x.shape[1]))) for x in rows])
@@ -289,11 +299,10 @@ def forward(batch: Batch, params, table: EmbeddingTable, config: ModelConfig,
         attention_out, m_start, _layer_group(pt, "end_decoder"),
         _head_group(pt, "end_head"), contexts, dropout_rate=rate, seeds=seeds)
 
-    return ForwardOutput(p_start=ad.masked_softmax(start_logits, contexts.mask),
-                         p_end=ad.masked_softmax(end_logits, contexts.mask))
+    return ForwardOutput(start_logits, end_logits, contexts.mask)
 
 
 def loss(out: ForwardOutput, gold_starts, gold_ends, mask) -> Tensor:
-    """Batch-mean start cross-entropy plus batch-mean end cross-entropy."""
-    return ad.add(ad.cross_entropy(out.p_start, gold_starts, mask),
-                  ad.cross_entropy(out.p_end, gold_ends, mask))
+    """Batch-mean start plus batch-mean end cross-entropy, read from the logits."""
+    return ad.add(ad.cross_entropy(out.start_logits, gold_starts, mask),
+                  ad.cross_entropy(out.end_logits, gold_ends, mask))

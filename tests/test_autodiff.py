@@ -204,40 +204,64 @@ class TestMaskedSoftmax:
 
 class TestCrossEntropy:
     def test_one_hot_is_zero(self):
-        probs = np.array([[0.0, 1.0, 0.0]])
-        out = ad.cross_entropy(probs, [1], np.ones((1, 3)))
+        # only the gold position kept: softmax puts all its mass there
+        out = ad.cross_entropy([[9.0, -4.0, 7.0]], [1], [[0.0, 1.0, 0.0]])
         assert out.item() == 0.0
 
     def test_uniform(self):
-        probs = np.full((2, 4), 0.25)
-        out = ad.cross_entropy(probs, [0, 3], np.ones((2, 4)))
+        out = ad.cross_entropy(np.full((2, 4), 3.5), [0, 3], np.ones((2, 4)))
         assert out.item() == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_point_one(self):
-        # -ln(0.1) computed independently
-        probs = np.array([[0.1, 0.9]])
-        out = ad.cross_entropy(probs, [0], np.ones((1, 2)))
+        # softmax([0, ln 9]) = [0.1, 0.9], so the loss is -ln(0.1)
+        out = ad.cross_entropy([[0.0, math.log(9.0)]], [0], np.ones((1, 2)))
         assert out.item() == pytest.approx(2.302585092994046, abs=1e-12)
 
     def test_masked_gold_rejected(self):
-        probs = np.full((1, 3), 1 / 3)
         with pytest.raises(ad.LabelError):
-            ad.cross_entropy(probs, [2], [[1, 1, 0]])
+            ad.cross_entropy(np.zeros((1, 3)), [2], [[1, 1, 0]])
 
     def test_out_of_range_gold_rejected(self):
         with pytest.raises(ad.LabelError):
-            ad.cross_entropy(np.full((1, 3), 1 / 3), [3], np.ones((1, 3)))
+            ad.cross_entropy(np.zeros((1, 3)), [3], np.ones((1, 3)))
 
     def test_nonnegative_and_zero_iff_certain(self):
+        # equals -ln of the masked softmax at gold; 0 exactly when only gold is kept
         rng = np.random.default_rng(3)
         for _ in range(50):
-            p = rng.random(5) + 1e-3
-            p /= p.sum()
+            logits = rng.normal(size=(1, 5)) * 3
+            mask = (rng.random((1, 5)) < 0.5).astype(float)
             gold = rng.integers(5)
-            loss = ad.cross_entropy(p[None, :], [gold], np.ones((1, 5))).item()
+            mask[0, gold] = 1.0
+            loss = ad.cross_entropy(logits, [gold], mask).item()
+            p = ad.masked_softmax(logits, mask).data[0, gold]
             assert loss >= 0.0
-            assert (loss == 0.0) == (p[gold] == 1.0)
+            assert loss == pytest.approx(-math.log(p), abs=1e-12)
+            assert (loss == 0.0) == (mask.sum() == 1.0)
 
+    def test_confidently_wrong_row_keeps_loss_and_gradient(self):
+        # float32 row 0 puts its gold logit 80 below its max: softmax gives
+        # the gold position 1.8e-35, under any clamp at 1e-30, yet the loss
+        # is lse - z_gold and the gradient (softmax - onehot) / B
+        logits = np.array([[80.0, 0.0, 1.0, 5.0], [0.5, 0.0, -1.0, 2.0]], np.float32)
+        gold, mask = np.array([1, 0]), np.array([[1, 1, 1, 1], [1, 1, 1, 0]])
+        wide = logits.astype(np.float64)
+        kept = np.where(mask > 0, wide, -np.inf)
+        top = kept.max(axis=1)
+        lse = top + np.log(np.exp(kept - top[:, None]).sum(axis=1))
+        graph = ad.Graph()
+        z = graph.leaf(logits)
+        out = ad.cross_entropy(z, gold, mask)
+        per_row = lse - wide[[0, 1], gold]
+        assert per_row[0] == pytest.approx(80.0, abs=1e-6)
+        assert out.data.dtype == np.float32
+        assert out.item() == pytest.approx(per_row.mean(), rel=1e-6)
+        grad = graph.backward(out)[z.node_id]
+        want = (ad.masked_softmax(wide, mask).data - np.eye(4)[gold]) / 2
+        assert grad.dtype == np.float32
+        assert np.allclose(grad, want, rtol=1e-6, atol=1e-7)
+        assert grad[0, 1] == pytest.approx(-0.5, rel=1e-6)
+        assert grad[1, 3] == 0.0
 
 class TestDropout:
     def test_zero_rate_identity(self):

@@ -273,9 +273,11 @@ class TestBidafAttention:
         ops = [node.op for node in graph._nodes]
         assert calls == []
         assert ops.count("bidaf") == 1
-        # 25 parameter leaves and 22 ops (73 nodes when the attention was 27)
+        # the loss reads the logits: no softmax is built in a train step
+        assert ops.count("masked_softmax") == 0
+        # 25 parameter leaves and 20 ops
         assert ops.count("leaf") == len(params) == 25
-        assert len(graph) == 47
+        assert len(graph) == 45
 
 
 def _decoder_fixture(seed=0):
@@ -346,9 +348,9 @@ def _named_grads(config, params, table, batch, which):
               for name, value in params.items()}
     out = forward(batch, leaves, table, config, training=False)
     if which == "start":
-        root = ad.cross_entropy(out.p_start, batch.gold_starts, batch.context_mask)
+        root = ad.cross_entropy(out.start_logits, batch.gold_starts, batch.context_mask)
     else:
-        root = ad.cross_entropy(out.p_end, batch.gold_ends, batch.context_mask)
+        root = ad.cross_entropy(out.end_logits, batch.gold_ends, batch.context_mask)
     grads = graph.backward(root)
     return {name: grads[leaf.node_id] for name, leaf in leaves.items()}
 
@@ -419,11 +421,13 @@ class TestLoss:
         assert value == pytest.approx(10.596634733096073, rel=1e-9)
 
     def test_one_hot_gold_loss_zero(self):
-        probs = np.zeros((2, 4))
-        probs[0, 1] = 1.0
-        probs[1, 2] = 1.0
+        # each gold logit so far above the rest that the softmax is one-hot
+        logits = np.zeros((2, 4))
+        logits[0, 1] = 1e4
+        logits[1, 2] = 1e4
         from spanqa.model import ForwardOutput
-        out = ForwardOutput(Tensor(probs), Tensor(probs.copy()))
+        out = ForwardOutput(Tensor(logits), Tensor(logits.copy()), np.ones((2, 4)))
+        assert np.array_equal(out.p_start.data, np.eye(4)[[1, 2]])
         value = loss(out, np.array([1, 2]), np.array([1, 2]), np.ones((2, 4)))
         assert value.item() == 0.0
 
@@ -506,12 +510,13 @@ class TestSharedContextEncoding:
         # then the start and end decoders
         assert counts == [2 + 5] * 2 + [5] * 2
 
-    def test_dropout_pass_encodes_every_row(self, monkeypatch):
+    def test_dropout_pass_encodes_distinct_contexts(self, monkeypatch):
+        # a training pass shares a repeated context as inference does
         config, params, table, batch = _shared_context_batch()
         config.dropout_rate = 0.3
         counts = _lstm_row_counts(monkeypatch)
         forward(batch, params, table, config, training=True, step=1)
-        assert counts == [5 + 5] * 2 + [5] * 2
+        assert counts == [2 + 5] * 2 + [5] * 2
         counts.clear()
         forward(batch, params, table, config)   # inference ignores the rate
         assert counts[:2] == [2 + 5] * 2

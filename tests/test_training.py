@@ -506,6 +506,7 @@ class TestCheckpoint:
         load_checkpoint(path)
 
     def test_save_syncs_temp_file_before_rename(self, tmp_path, monkeypatch):
+        # and the directory after it, so the rename survives a power loss
         config, params, _, _ = make_tiny_problem(seed=36)
         state = init_optimizer(params)
         path = tmp_path / "model.ckpt"
@@ -526,6 +527,7 @@ class TestCheckpoint:
         inode = path.stat().st_ino      # the temp file's, renamed into place
         replaced = calls.index(("replace", f"{path}.tmp", inode))
         assert ("fsync", inode) in calls[:replaced]
+        assert ("fsync", tmp_path.stat().st_ino) in calls[replaced:]
 
 
 class TestResume:
