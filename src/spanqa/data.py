@@ -34,7 +34,7 @@ UNK_ID = 1
 
 
 class ParseError(ValueError):
-    """Input file is not valid JSON."""
+    """Input file is not UTF-8 text or not valid JSON."""
 
 
 class SchemaError(ValueError):
@@ -46,7 +46,7 @@ class AlignmentError(ValueError):
 
 
 class GloveFormatError(ValueError):
-    """An embedding file line has the wrong number of fields or a non-number."""
+    """Not UTF-8 text, or a line with the wrong number of fields or a non-number."""
 
 
 class EmptyDatasetError(ValueError):
@@ -188,6 +188,8 @@ def load_squad(path) -> list[QAExample]:
             raw = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     examples: list[QAExample] = []
     unaligned = 0
     for article in _require(raw, "data", str(path)):
@@ -254,6 +256,8 @@ def load_glove(path, dim: int) -> EmbeddingTable:
                                 comments=None, usecols=range(1, dim + 1), ndmin=2)
         except GloveFormatError:
             raise
+        except UnicodeDecodeError as exc:   # decoded in blocks: no line to name
+            raise GloveFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
         except ValueError:
             raise GloveFormatError(
                 f"{path}:{lineno}: expected {dim} floats, got a non-number") from None

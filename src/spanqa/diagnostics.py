@@ -230,8 +230,7 @@ def end_to_end_gradcheck(seed: int = 0, coords_per_tensor: int | None = 4,
             mixed = dict(params)
             mixed[_name] = t
             out = qa_model.forward(batch, mixed, table, config, training=False)
-            return qa_model.loss(out, batch.gold_starts, batch.gold_ends,
-                                 batch.context_mask)
+            return qa_model.loss(out, batch.gold_starts, batch.gold_ends)
 
         err = ad.grad_check(run, params[name], coords=coords_per_tensor, seed=seed)
         results.append((name, err))

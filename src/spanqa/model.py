@@ -29,6 +29,7 @@ dtype, so float32 params give a float32 forward and backward.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -156,21 +157,13 @@ def embed(ids: np.ndarray, table: EmbeddingTable, dtype=np.float64) -> Tensor:
     return Tensor(table.matrix[ids].astype(dtype, copy=False))
 
 
-def _seed_stream(seed: int, step: int):
-    """Deterministic per-call dropout seeds derived from (seed, step, index)."""
-    for index in itertools.count():
-        ss = np.random.SeedSequence(seed, spawn_key=(step, index))
-        yield int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
 def _dropout(blocks, rate: float, seeds):
     """Each block marked for dropout under its own seed, which the consuming
     `ad.lstm` or `ad.linear` applies; the blocks as they are at rate 0."""
     return [ad.Dropped(x, rate, next(seeds)) if rate > 0.0 else x for x in blocks]
 
 
-def bilstm(blocks, layer_params, packing: ad.Packing, *, dropout_rate: float = 0.0,
-           seeds=None) -> Tensor:
+def bilstm(blocks, layer_params, packing: ad.Packing, *, drop=list) -> Tensor:
     """Stacked bidirectional LSTM over packed rows: blocks (N, n_i) -> (N, 2h).
 
     `blocks` is the first layer's input [x_1 | x_2 | ...] as row blocks in
@@ -178,13 +171,13 @@ def bilstm(blocks, layer_params, packing: ad.Packing, *, dropout_rate: float = 0
     dicts mapping "fwd"/"bwd" to (W, b). Each layer is one `ad.lstm` op that
     computes only live positions and writes both directions into one
     (N, 2h) result, which the next layer reads whole. The backward direction
-    starts from the zero state at each sequence's last token. With dropout,
-    each block of each layer's input draws its own mask.
+    starts from the zero state at each sequence's last token. `drop` takes
+    each layer's input blocks and returns them, marked `ad.Dropped` when
+    training with dropout (see `forward`); the default keeps them as they are.
     """
     out = list(blocks)
     for layer in layer_params:
-        out = [ad.lstm(_dropout(out, dropout_rate, seeds), packing,
-                       fwd=layer["fwd"], bwd=layer["bwd"])]
+        out = [ad.lstm(drop(out), packing, fwd=layer["fwd"], bwd=layer["bwd"])]
     return out[0]
 
 
@@ -203,31 +196,27 @@ def bidaf_attention(context: Tensor, question: Tensor, w_sim,
     return ad.bidaf(context, question, w_sim, context_packing, question_packing)
 
 
-def _decode(blocks, decoder_params, head, packing, dropout_rate, seeds):
+def _decode(blocks, decoder_params, head, packing, drop):
     """A 1-layer BiLSTM over the row blocks, then the per-position head
-    FC2(relu(FC1([G_i ; M_i]))) over the packed rows, with dropout on each
-    FC1 input block; returns M and the logits scattered to (B, L)."""
-    m = bilstm(blocks, [decoder_params], packing, dropout_rate=dropout_rate,
-               seeds=seeds)
-    hidden = ad.relu(ad.linear(_dropout([blocks[0], m], dropout_rate, seeds),
-                               head["W1"], head["b1"]))
+    FC2(relu(FC1([G_i ; M_i]))) over the packed rows, with `drop` on the
+    FC1 input blocks; returns M and the logits scattered to (B, L)."""
+    m = bilstm(blocks, [decoder_params], packing, drop=drop)
+    hidden = ad.relu(ad.linear(drop([blocks[0], m]), head["W1"], head["b1"]))
     logits = ad.linear([hidden], head["W2"], head["b2"])             # (N,1)
     return m, ad.unpack(ad.reshape(logits, (packing.size,)), packing)
 
 
 def start_decoder(attention_out: Tensor, decoder_params, head_params,
-                  packing: ad.Packing, *, dropout_rate: float = 0.0, seeds=None):
+                  packing: ad.Packing, *, drop=list):
     """1-layer BiLSTM over G plus the start head -> (M_start, start_logits)."""
-    return _decode([attention_out], decoder_params, head_params, packing,
-                   dropout_rate, seeds)
+    return _decode([attention_out], decoder_params, head_params, packing, drop)
 
 
 def end_decoder(attention_out: Tensor, m_start: Tensor, decoder_params,
-                head_params, packing: ad.Packing, *, dropout_rate: float = 0.0,
-                seeds=None):
+                head_params, packing: ad.Packing, *, drop=list):
     """Conditioning decoder: BiLSTM over [G | M_start] plus the end head."""
     return _decode([attention_out, m_start], decoder_params, head_params,
-                   packing, dropout_rate, seeds)
+                   packing, drop)
 
 
 def _layer_group(params, prefix):
@@ -258,7 +247,8 @@ def forward(batch: Batch, params, table: EmbeddingTable, config: ModelConfig,
     params values may be ndarrays (detached run) or Tensors on one graph
     (differentiable run), all of one float dtype, which the whole pass runs
     in. `step` varies the dropout masks between training iterations while
-    keeping them reproducible.
+    keeping them reproducible: the k-th block marked for dropout in a pass
+    draws its mask from seed (config.seed, step, k).
 
     The shared encoder sees each sequence on its own, so one `bilstm` pass
     covers the distinct (context ids, context mask) rows stacked over all
@@ -269,8 +259,10 @@ def forward(batch: Batch, params, table: EmbeddingTable, config: ModelConfig,
     pt = {name: value if isinstance(value, Tensor) else Tensor(value)
           for name, value in params.items()}
     dtype = pt["attention.w_sim"].data.dtype
-    seeds = _seed_stream(config.seed, step)
     rate = config.dropout_rate if training else 0.0
+    seeds = (int(np.random.SeedSequence(config.seed, spawn_key=(step, index))
+                 .generate_state(1, dtype=np.uint64)[0]) for index in itertools.count())
+    drop = functools.partial(_dropout, rate=rate, seeds=seeds)
     encoder = [_layer_group(pt, f"encoder.l{k}") for k in range(config.encoder_layers)]
 
     contexts, questions = ad.Packing(batch.context_mask), ad.Packing(batch.question_mask)
@@ -282,7 +274,7 @@ def forward(batch: Batch, params, table: EmbeddingTable, config: ModelConfig,
                               (contexts.mask[first], questions.mask)])
     joint = ad.Packing(mask)
     encoded = bilstm([embed(ids[joint.index], table, dtype)], encoder, joint,
-                     dropout_rate=rate, seeds=seeds)
+                     drop=drop)
     where = np.zeros(joint.shape, np.int64)     # the packed row of each stacked token
     where[joint.index] = np.arange(joint.size)
     context = ad.take_rows(encoded, where[inverse][contexts.index])
@@ -294,15 +286,15 @@ def forward(batch: Batch, params, table: EmbeddingTable, config: ModelConfig,
     del context, question           # G's first block holds c
     m_start, start_logits = start_decoder(
         attention_out, _layer_group(pt, "start_decoder"), _head_group(pt, "start_head"),
-        contexts, dropout_rate=rate, seeds=seeds)
+        contexts, drop=drop)
     _, end_logits = end_decoder(
         attention_out, m_start, _layer_group(pt, "end_decoder"),
-        _head_group(pt, "end_head"), contexts, dropout_rate=rate, seeds=seeds)
+        _head_group(pt, "end_head"), contexts, drop=drop)
 
     return ForwardOutput(start_logits, end_logits, contexts.mask)
 
 
-def loss(out: ForwardOutput, gold_starts, gold_ends, mask) -> Tensor:
-    """Batch-mean start plus batch-mean end cross-entropy, read from the logits."""
-    return ad.add(ad.cross_entropy(out.start_logits, gold_starts, mask),
-                  ad.cross_entropy(out.end_logits, gold_ends, mask))
+def loss(out: ForwardOutput, gold_starts, gold_ends) -> Tensor:
+    """Batch-mean start plus batch-mean end cross-entropy over `out.mask`."""
+    return ad.add(ad.cross_entropy(out.start_logits, gold_starts, out.mask),
+                  ad.cross_entropy(out.end_logits, gold_ends, out.mask))

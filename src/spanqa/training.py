@@ -4,6 +4,9 @@ deterministic train step, and the epoch/iteration driver used by the CLI.
 All randomness is derived from counters: batch order comes from a per-epoch
 seed sequence and dropout masks from (seed, iteration, call index), so a run
 can be resumed from a checkpoint and retrace the identical trajectory.
+Each step builds only its own batch, from its slice of the epoch's order,
+and prediction builds each batch just before it decodes it, so each loop
+holds one padded batch at a time.
 
 Params, Adam moments and checkpoints are float32, the dtype the model
 computes in: a train step uses the params themselves as its graph leaves and
@@ -96,8 +99,7 @@ def train_step(params: dict[str, np.ndarray], batch: Batch,
     leaves = {name: graph.leaf(value) for name, value in params.items()}
     out = qa_model.forward(batch, leaves, table, config, training=True,
                            step=state.step)
-    loss = qa_model.loss(out, batch.gold_starts, batch.gold_ends,
-                         batch.context_mask)
+    loss = qa_model.loss(out, batch.gold_starts, batch.gold_ends)
     loss_value = loss.item()
     if not np.isfinite(loss_value):
         culprit = graph.first_nonfinite()
@@ -148,15 +150,9 @@ def epoch_order(seed: int, epoch: int, count: int) -> np.ndarray:
     return rng.permutation(count)
 
 
-def _epoch_batches(usable, table, config, batch_size, epoch):
-    """One epoch's batches of examples that prepare_for_training already kept."""
-    order = epoch_order(config.seed, epoch, len(usable))
-    shuffled = [usable[i] for i in order]
-    return build_batches(shuffled, table, batch_size,
-                         context_cap=config.context_cap, training=False)
-
-
-def _check_max_answer_len(max_answer_len: int) -> None:
+def _check_sizes(batch_size: int, max_answer_len: int) -> None:
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if max_answer_len < 1:
         raise ConfigError(f"max_answer_len must be >= 1, got {max_answer_len}")
 
@@ -166,27 +162,27 @@ def predict_answers(examples, params, table, config: qa_model.ModelConfig,
     """Decode best spans for every example; returns {qid: answer text}.
 
     An example with an empty question or context has nothing to attend over
-    and gets the answer ""; the others are batched and decoded as usual.
+    and gets the answer ""; the others are decoded `batch_size` at a time,
+    each batch built just before it is decoded.
     """
-    _check_max_answer_len(max_answer_len)
+    _check_sizes(batch_size, max_answer_len)
     predictions = {ex.qid: "" for ex in examples
                    if not ex.question_tokens or not ex.context_tokens}
     if predictions:
         log.warning("predicting '' for %d examples with an empty question or "
                     "context", len(predictions))
     answerable = [ex for ex in examples if ex.qid not in predictions]
-    by_qid = {ex.qid: ex for ex in answerable}
-    batches = build_batches(answerable, table, batch_size,
-                            context_cap=config.context_cap, training=False)
-    for batch in batches:
+    for lo in range(0, len(answerable), batch_size):
+        chunk = answerable[lo:lo + batch_size]
+        (batch,) = build_batches(chunk, table, batch_size,
+                                 context_cap=config.context_cap, training=False)
         out = qa_model.forward(batch, params, table, config, training=False)
         p_start, p_end = out.p_start.data, out.p_end.data
-        for row, qid in enumerate(batch.qids):
-            ex = by_qid[qid]
+        for row, ex in enumerate(chunk):
             pred = best_span(p_start[row], p_end[row], batch.context_mask[row],
                              max_len=max_answer_len, tokens=ex.context_tokens,
                              text=ex.context_text)
-            predictions[qid] = pred.answer_text
+            predictions[ex.qid] = pred.answer_text
     return predictions
 
 
@@ -204,7 +200,9 @@ def train(train_examples, table: EmbeddingTable, config: qa_model.ModelConfig,
           params: dict[str, np.ndarray] | None = None,
           state: AdamState | None = None, best_dev_f1: float | None = None,
           log_handle=None, on_improve=None) -> TrainResult:
-    """Run `iters` optimizer steps over shuffled batches.
+    """Run `iters` optimizer steps over shuffled batches. Each step builds
+    only its own batch: step t of an epoch takes examples t*batch_size up to
+    (t+1)*batch_size of that epoch's `epoch_order`.
 
     Resumable: passing params/state from a checkpoint continues the exact
     trajectory because batch order and dropout depend only on (seed, step).
@@ -212,13 +210,11 @@ def train(train_examples, table: EmbeddingTable, config: qa_model.ModelConfig,
     best so far, from the checkpoint when resuming); dev decoding happens
     every `eval_every` iterations when dev_examples is given.
     """
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    _check_sizes(batch_size, max_answer_len)
     if eval_every < 1:
         raise ConfigError(f"eval_every must be >= 1, got {eval_every}")
     if not 0.0 < lr < float("inf"):
         raise ConfigError(f"lr must be finite and > 0, got {lr}")
-    _check_max_answer_len(max_answer_len)
     usable, dropped = prepare_for_training(train_examples, config.context_cap)
     if not usable:
         raise ValueError("no trainable examples after truncation filtering")
@@ -231,14 +227,15 @@ def train(train_examples, table: EmbeddingTable, config: qa_model.ModelConfig,
         state = init_optimizer(params)
     result = TrainResult(params=params, state=state, best_dev_f1=best_dev_f1)
 
-    batches: list[Batch] = []
-    per_epoch = max(1, (len(usable) + batch_size - 1) // batch_size)
+    per_epoch = (len(usable) + batch_size - 1) // batch_size
     while state.step < iters:
         epoch, offset = divmod(state.step, per_epoch)
-        if not batches or offset == 0:
-            batches = _epoch_batches(usable, table, config, batch_size, epoch)
+        lo = offset * batch_size
+        picked = epoch_order(config.seed, epoch, len(usable))[lo:lo + batch_size]
+        (batch,) = build_batches([usable[i] for i in picked], table, batch_size,
+                                 context_cap=config.context_cap, training=False)
         tick = time.perf_counter()
-        loss_value = train_step(params, batches[offset], table, state, config, lr)
+        loss_value = train_step(params, batch, table, state, config, lr)
         record = TrainLogRecord(iteration=state.step, train_loss=loss_value,
                                 seconds=time.perf_counter() - tick)
         if dev_examples is not None and state.step % eval_every == 0:

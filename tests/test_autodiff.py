@@ -387,7 +387,7 @@ class TestBackward:
         g = ad.Graph()
         leaves = {name: g.leaf(value) for name, value in params.items()}
         out = forward(batch, leaves, table, config, training=True, step=1)
-        loss(out, batch.gold_starts, batch.gold_ends, batch.context_mask)
+        loss(out, batch.gold_starts, batch.gold_ends)
         nodes = g._nodes
         assert [n.op for n in nodes].count("leaf") == len(params)
         assert all(n.backward is not None for n in nodes if n.op != "leaf")

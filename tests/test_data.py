@@ -136,6 +136,14 @@ class TestLoadSquad:
         with pytest.raises(ParseError, match="bad.json"):
             load_squad(path)
 
+    def test_non_utf8_file_named(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(
+            {"data": [{"paragraphs": [{"context": "caf@", "qas": []}]}]}
+        ).encode().replace(b"@", b"\xff"))
+        with pytest.raises(ParseError, match=r"latin1\.json: not UTF-8 text"):
+            load_squad(path)
+
     def test_missing_field_named(self, tmp_path):
         path = tmp_path / "schema.json"
         path.write_text(json.dumps(
@@ -174,6 +182,14 @@ class TestLoadGlove:
         path.write_text("cat 1.0 2.0 3.0\ndog 3.0 4.0\n")
         with pytest.raises(GloveFormatError, match=":2"):
             load_glove(path, dim=3)
+
+    def test_non_utf8_file_named_without_a_line(self, tmp_path):
+        # the bad byte is on line 2, but the reader decodes ahead in blocks
+        path = tmp_path / "vec.txt"
+        path.write_bytes(b"cat 1.0 2.0 3.0\ndog\xff 3.0 4.0 5.0\n")
+        with pytest.raises(GloveFormatError, match=r"vec\.txt: not UTF-8 text") as info:
+            load_glove(path, dim=3)
+        assert "non-number" not in str(info.value)
 
 
 def _toy_examples(n, table_words, context_len=12, answer_at=3, seed=0):

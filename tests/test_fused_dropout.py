@@ -129,7 +129,7 @@ def test_backward_frees_lstm_gate_buffers():
     leaves = {name: graph.leaf(value.astype(np.float32))
               for name, value in params.items()}
     out = forward(batch, leaves, table, config, training=True, step=2)
-    root = loss(out, batch.gold_starts, batch.gold_ends, batch.context_mask)
+    root = loss(out, batch.gold_starts, batch.gold_ends)
     width = 4 * config.hidden_size
     lstm_nodes = [node for node in graph._nodes if node.op == "lstm"]
     gates = [weakref.ref(a) for node in lstm_nodes

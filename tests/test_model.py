@@ -269,7 +269,7 @@ class TestBidafAttention:
         leaves = {name: graph.leaf(value)
                   for name, value in params.items()}
         out = forward(batch, leaves, table, config, training=True, step=1)
-        loss(out, batch.gold_starts, batch.gold_ends, batch.context_mask)
+        loss(out, batch.gold_starts, batch.gold_ends)
         ops = [node.op for node in graph._nodes]
         assert calls == []
         assert ops.count("bidaf") == 1
@@ -396,6 +396,21 @@ class TestForward:
         assert np.array_equal(a.p_start.data, b.p_start.data)
         assert not np.array_equal(a.p_start.data, c.p_start.data)
 
+    def test_kth_dropped_block_draws_the_kth_seed_of_its_step(self, monkeypatch):
+        config, params, table, batch = make_tiny_problem(seed=14, dropout=0.3)
+        drawn, original = [], qa_model._dropout
+
+        def recording(blocks, rate, seeds):
+            marked = original(blocks, rate, seeds)
+            drawn.extend(block.seed for block in marked)
+            return marked
+
+        monkeypatch.setattr(qa_model, "_dropout", recording)
+        forward(batch, params, table, config, training=True, step=5)
+        # one block into each encoder layer, then [G], [G | M_start] twice, [G | M_end]
+        assert drawn == [int(np.random.SeedSequence(config.seed, spawn_key=(5, k))
+                             .generate_state(1, dtype=np.uint64)[0]) for k in range(9)]
+
     def test_batch_permutation_permutes_outputs(self):
         config, params, table, batch = make_tiny_problem(seed=15, batch_size=3)
         out = forward(batch, params, table, config)
@@ -415,8 +430,7 @@ class TestLoss:
             seed=16, context_len=200, batch_size=1)
         zero = {name: np.zeros(value.shape) for name, value in params.items()}
         out = forward(batch, zero, table, config)
-        value = loss(out, batch.gold_starts, batch.gold_ends,
-                     batch.context_mask).item()
+        value = loss(out, batch.gold_starts, batch.gold_ends).item()
         assert value == pytest.approx(2 * math.log(200), rel=1e-9)
         assert value == pytest.approx(10.596634733096073, rel=1e-9)
 
@@ -428,7 +442,7 @@ class TestLoss:
         from spanqa.model import ForwardOutput
         out = ForwardOutput(Tensor(logits), Tensor(logits.copy()), np.ones((2, 4)))
         assert np.array_equal(out.p_start.data, np.eye(4)[[1, 2]])
-        value = loss(out, np.array([1, 2]), np.array([1, 2]), np.ones((2, 4)))
+        value = loss(out, np.array([1, 2]), np.array([1, 2]))
         assert value.item() == 0.0
 
 
@@ -570,7 +584,7 @@ class TestSharedContextEncoding:
         for name in params:
             def run(t, _name=name):
                 out = forward(batch, {**params, _name: t}, table, config)
-                return loss(out, batch.gold_starts, batch.gold_ends, batch.context_mask)
+                return loss(out, batch.gold_starts, batch.gold_ends)
 
             results.append((name, ad.grad_check(run, params[name], coords=4)))
         assert max(err for _, err in results) < 1e-3, results

@@ -25,7 +25,7 @@ def test_float32_taped_step_stays_float32():
     leaves = {name: graph.leaf(value.astype(np.float32))
               for name, value in params.items()}
     out = forward(batch, leaves, table, config, training=True, step=3)
-    root = loss(out, batch.gold_starts, batch.gold_ends, batch.context_mask)
+    root = loss(out, batch.gold_starts, batch.gold_ends)
     upcast = [(i, node.op, node.out.dtype) for i, node in enumerate(graph._nodes)
               if node.out.dtype != np.float32]
     assert upcast == []

@@ -12,6 +12,7 @@ from spanqa.checkpoint import (FORMAT_VERSION, CheckpointMagicError,
                                CheckpointTruncatedError, CheckpointVersionError,
                                load_checkpoint, save_checkpoint)
 from spanqa import data
+from spanqa.autodiff import ConfigError
 from spanqa.data import (build_batches, load_glove, load_squad,
                          prepare_for_training)
 from spanqa.diagnostics import make_tiny_problem
@@ -32,6 +33,20 @@ def tiny_dataset(fixtures_dir):
 def small_config(seed=0, dropout=0.0):
     return ModelConfig(hidden_size=8, dropout_rate=dropout, embedding_dim=32,
                        context_cap=300, seed=seed)
+
+
+@pytest.fixture
+def batch_sizes(monkeypatch):
+    """The number of examples each `build_batches` call of training.py gets."""
+    sizes = []
+
+    def spying(examples, *args, **kwargs):
+        examples = list(examples)
+        sizes.append(len(examples))
+        return build_batches(examples, *args, **kwargs)
+
+    monkeypatch.setattr(training, "build_batches", spying)
+    return sizes
 
 
 class TestTrainStep:
@@ -146,7 +161,7 @@ def reference_train_step(params, batch, table, state, config, lr=1e-3):
               for name, value in params.items()}
     out = model.forward(batch, leaves, table, config, training=True,
                         step=state.step)
-    loss = model.loss(out, batch.gold_starts, batch.gold_ends, batch.context_mask)
+    loss = model.loss(out, batch.gold_starts, batch.gold_ends)
     grad_map = graph.backward(loss)
     grads = {name: grad_map[leaf.node_id] for name, leaf in leaves.items()}
     scale, norm = reference_clip(grads)
@@ -385,6 +400,19 @@ class TestTrainLoop:
                 assert np.array_equal(getattr(got, field.name),
                                       getattr(want, field.name)), field.name
 
+    def test_each_step_builds_only_its_own_batch(self, tiny_dataset, batch_sizes):
+        # 32 examples / batch 8 = 4 steps per epoch: 10 steps cross the
+        # starts of epochs 1 and 2, and a resume from step 5 starts mid-epoch
+        examples, table = tiny_dataset
+        config = small_config(seed=6)
+        train(examples, table, config, iters=10, batch_size=8)
+        assert batch_sizes == [8] * 10
+        part1 = train(examples, table, config, iters=5, batch_size=8)
+        batch_sizes.clear()
+        train(examples, table, config, iters=10, batch_size=8,
+              params=part1.params, state=part1.state)
+        assert batch_sizes == [8] * 5
+
     def test_empty_question_is_dropped(self, tiny_dataset):
         # its answer still aligns, but its batch's attention would have a
         # row with nothing to attend over
@@ -415,6 +443,20 @@ class TestPredict:
         without = predict_answers(others, params, table, config, batch_size=8)
         assert {qid: predictions[qid] for qid in without} == without
         assert len(predictions) == len(examples)
+
+    @pytest.mark.parametrize("size", [{"batch_size": 0}, {"batch_size": -1},
+                                      {"max_answer_len": 0}])
+    def test_size_below_one_rejected(self, tiny_dataset, size):
+        examples, table = tiny_dataset
+        config = small_config()
+        with pytest.raises(ConfigError, match="must be >= 1"):
+            predict_answers(examples[:2], init_params(config), table, config, **size)
+
+    def test_builds_one_batch_at_a_time(self, tiny_dataset, batch_sizes):
+        examples, table = tiny_dataset
+        config = small_config(seed=13)
+        predict_answers(examples, init_params(config), table, config, batch_size=8)
+        assert batch_sizes == [8] * 4
 
     def test_runs_on_the_params_without_a_copy(self, tiny_dataset):
         # one short example's activations at h=64 take a small share of the
