@@ -6,12 +6,21 @@ punctuation peeled off as single-character tokens (so quotes survive as
 tokens) while interior punctuation stays put, keeping numerals like 11:28
 and scores like 10-7 intact. Every token remembers its character span in the
 original text, which is what answer alignment and answer reconstruction use.
+Token strings are interned, so a dataset holds each distinct word once.
+
+A GloVe text file of 1 MiB or more is parsed once: `load_glove` keeps the
+parsed table in `<file>.cache.npz` beside it and reads that while the text
+file's size and mtime and the requested dim are unchanged (see load_glove).
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
+import sys
+import tempfile
+import zipfile
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -31,6 +40,15 @@ log = logging.getLogger(__name__)
 
 PAD_ID = 0
 UNK_ID = 1
+
+# GloVe files smaller than this parse in a few milliseconds and get no copy
+CACHE_MIN_BYTES = 1 << 20
+_CACHE_FORMAT = 1          # stored in each copy: another format is stale
+# What reading a missing or damaged copy raises: zipfile reads a flipped
+# flag bit as encryption (RuntimeError), a flipped method as
+# NotImplementedError (a RuntimeError) and a short header as EOFError.
+_DAMAGED_COPY = (OSError, EOFError, RuntimeError, ValueError, KeyError,
+                 zipfile.BadZipFile)
 
 
 class ParseError(ValueError):
@@ -139,12 +157,13 @@ def _split_chunk(text: str, start: int, stop: int, out: list[Token]) -> None:
         left += 1
     while right > left and not text[right - 1].isalnum():
         right -= 1
+    # interned, so equal words share one string across the whole dataset
     for k in range(start, left):
-        out.append(Token(text[k].lower(), k, k + 1))
+        out.append(Token(sys.intern(text[k].lower()), k, k + 1))
     if left < right:
-        out.append(Token(text[left:right].lower(), left, right))
+        out.append(Token(sys.intern(text[left:right].lower()), left, right))
     for k in range(right, stop):
-        out.append(Token(text[k].lower(), k, k + 1))
+        out.append(Token(sys.intern(text[k].lower()), k, k + 1))
 
 
 def align_answer(context_tokens: list[Token], answer_text: str,
@@ -228,6 +247,33 @@ def load_glove(path, dim: int) -> EmbeddingTable:
     """Read `word f1 ... fdim` lines; prepend PAD (zeros) and UNK (mean).
     The table is float32, the dtype the model computes in.
 
+    A file of at least CACHE_MIN_BYTES keeps a binary copy of its table
+    beside it, `<path>.cache.npz`, written after the first successful parse
+    and read in its place while the text file keeps the size and mtime it
+    had when the copy was written (taken with `os.fstat` before parsing, so
+    a file rewritten mid-parse misses next time) and `dim` is the same. A
+    missing, stale or damaged copy is parsed over and rewritten; a copy
+    that cannot be written is logged and skipped. Both paths give the same
+    table, bit for bit.
+    """
+    cache = os.fspath(path) + ".cache.npz"
+    with open(path, encoding="utf-8") as handle:
+        stat = os.fstat(handle.fileno())
+        source = np.array([stat.st_size, stat.st_mtime_ns, dim, _CACHE_FORMAT],
+                          dtype=np.int64)
+        cached = stat.st_size >= CACHE_MIN_BYTES
+        if cached and (table := _read_glove_copy(cache, source, dim)) is not None:
+            return table
+        words, matrix = _parse_glove(path, handle, dim)
+    table = _glove_table(dim, words, matrix)
+    if cached:
+        _write_glove_copy(cache, source, words, matrix)
+    return table
+
+
+def _parse_glove(path, handle, dim: int) -> tuple[list[str], np.ndarray]:
+    """The words and float32 table of an open GloVe text file.
+
     One pass over the file: each line's field count is checked and its word
     kept as the line streams into a single `np.loadtxt` call, which parses
     the floats in C (no Python object per value) straight into the table,
@@ -239,7 +285,7 @@ def load_glove(path, dim: int) -> EmbeddingTable:
     words: list[str] = []
     lineno = 0
 
-    def lines(handle):
+    def lines():
         nonlocal lineno
         yield from ["_" + " 0" * dim] * 2     # the PAD and UNK rows
         for lineno, line in enumerate(handle, start=1):
@@ -250,22 +296,62 @@ def load_glove(path, dim: int) -> EmbeddingTable:
             words.append(line.partition(" ")[0])
             yield line
 
-    with open(path, encoding="utf-8") as handle:
-        try:
-            matrix = np.loadtxt(lines(handle), dtype=np.float64, delimiter=" ",
-                                comments=None, usecols=range(1, dim + 1), ndmin=2)
-        except GloveFormatError:
-            raise
-        except UnicodeDecodeError as exc:   # decoded in blocks: no line to name
-            raise GloveFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-        except ValueError:
-            raise GloveFormatError(
-                f"{path}:{lineno}: expected {dim} floats, got a non-number") from None
+    try:
+        matrix = np.loadtxt(lines(), dtype=np.float64, delimiter=" ",
+                            comments=None, usecols=range(1, dim + 1), ndmin=2)
+    except GloveFormatError:
+        raise
+    except UnicodeDecodeError as exc:   # decoded in blocks: no line to name
+        raise GloveFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except ValueError:
+        raise GloveFormatError(
+            f"{path}:{lineno}: expected {dim} floats, got a non-number") from None
     if words:
         matrix[UNK_ID] = matrix[2:].mean(axis=0)
-    word_to_id = {w: i + 2 for i, w in enumerate(words)}
-    return EmbeddingTable(dim=dim, word_to_id=word_to_id,
-                          matrix=matrix.astype(np.float32))
+    return words, matrix.astype(np.float32)
+
+
+def _glove_table(dim: int, words: list[str], matrix: np.ndarray) -> EmbeddingTable:
+    # a repeated word keeps its last row
+    return EmbeddingTable(dim=dim, word_to_id={w: i + 2 for i, w in enumerate(words)},
+                          matrix=matrix)
+
+
+def _read_glove_copy(cache: str, source: np.ndarray, dim: int) -> EmbeddingTable | None:
+    """The table in `cache` if it was written from `source`; None if it is
+    missing, stale or damaged. Reading a member to its end checks its
+    CRC-32. np.load leaks a file it opened itself when the zip directory is
+    damaged, so it gets a handle."""
+    try:
+        with open(cache, "rb") as handle, np.load(handle, allow_pickle=False) as copy:
+            if not np.array_equal(copy["source"], source):
+                return None
+            matrix = copy["matrix"]
+            text = copy["words"].tobytes().decode("utf-8")
+    except _DAMAGED_COPY:
+        return None
+    return _glove_table(dim, text.split("\n") if len(matrix) > 2 else [], matrix)
+
+
+def _write_glove_copy(cache: str, source: np.ndarray, words: list[str],
+                      matrix: np.ndarray) -> None:
+    """Write the copy to a temp file in its directory, then rename it into
+    place, so a concurrent reader never sees half a file. No fsync: a lost
+    copy is only parsed again."""
+    # no word holds a newline: the text reader ends a line at each one
+    text = np.frombuffer("\n".join(words).encode("utf-8"), dtype=np.uint8)
+    try:
+        fd, temp = tempfile.mkstemp(suffix=".tmp", prefix=os.path.basename(cache) + ".",
+                                    dir=os.path.dirname(cache) or ".")
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                np.savez(handle, source=source, matrix=matrix, words=text)
+            os.replace(temp, cache)
+        except BaseException:
+            os.unlink(temp)
+            raise
+    except OSError as exc:
+        log.warning("GloVe copy %s not written: %s", cache, exc)
 
 
 def prepare_for_training(examples, context_cap: int) -> tuple[list[QAExample], int]:

@@ -228,10 +228,13 @@ def train(train_examples, table: EmbeddingTable, config: qa_model.ModelConfig,
     result = TrainResult(params=params, state=state, best_dev_f1=best_dev_f1)
 
     per_epoch = (len(usable) + batch_size - 1) // batch_size
+    order_epoch, order = None, None
     while state.step < iters:
         epoch, offset = divmod(state.step, per_epoch)
+        if epoch != order_epoch:
+            order_epoch, order = epoch, epoch_order(config.seed, epoch, len(usable))
         lo = offset * batch_size
-        picked = epoch_order(config.seed, epoch, len(usable))[lo:lo + batch_size]
+        picked = order[lo:lo + batch_size]
         (batch,) = build_batches([usable[i] for i in picked], table, batch_size,
                                  context_cap=config.context_cap, training=False)
         tick = time.perf_counter()

@@ -54,6 +54,13 @@ class TestTokenize:
         text = "A 16-yard reception by Devin Funchess."
         assert tokenize(text) == tokenize(text)
 
+    def test_equal_words_share_one_string(self):
+        # words of two or more characters, and a peeled quote outside
+        # Latin-1: CPython already shares one-character Latin-1 strings
+        first, second = tokenize("Cat cat “"), tokenize("“CAT")
+        assert first[0].text is first[1].text is second[1].text == "cat"
+        assert first[2].text is second[0].text == "“"
+
 
 class TestAlignAnswer:
     CONTEXT = ("while Jonathan Stewart finished the drive with a 1-yard touchdown "

@@ -413,6 +413,24 @@ class TestTrainLoop:
               params=part1.params, state=part1.state)
         assert batch_sizes == [8] * 5
 
+    def test_computes_each_epoch_order_once(self, tiny_dataset, monkeypatch):
+        examples, table = tiny_dataset
+        config = small_config(seed=6)
+        epochs, original = [], training.epoch_order
+
+        def spying(seed, epoch, count):
+            epochs.append(epoch)
+            return original(seed, epoch, count)
+
+        part1 = train(examples, table, config, iters=5, batch_size=8)
+        monkeypatch.setattr(training, "epoch_order", spying)
+        train(examples, table, config, iters=10, batch_size=8)
+        assert epochs == [0, 1, 2]
+        epochs.clear()
+        train(examples, table, config, iters=10, batch_size=8,
+              params=part1.params, state=part1.state)
+        assert epochs == [1, 2]
+
     def test_empty_question_is_dropped(self, tiny_dataset):
         # its answer still aligns, but its batch's attention would have a
         # row with nothing to attend over
