@@ -4,9 +4,10 @@ and padded/masked batch construction.
 Tokenization is lowercased and whitespace-driven, with leading and trailing
 punctuation peeled off as single-character tokens (so quotes survive as
 tokens) while interior punctuation stays put, keeping numerals like 11:28
-and scores like 10-7 intact. Every token remembers its character span in the
-original text, which is what answer alignment and answer reconstruction use.
-Token strings are interned, so a dataset holds each distinct word once.
+and scores like 10-7 intact; one regular expression, _TOKEN, states it.
+Every token remembers its character span in the original text, which is what
+answer alignment and answer reconstruction use. Token strings are interned,
+so a dataset holds each distinct word once.
 
 A GloVe text file of 1 MiB or more is parsed once: `load_glove` keeps the
 parsed table in `<file>.cache.npz` beside it and reads that while the text
@@ -15,9 +16,11 @@ file's size and mtime and the requested dim are unchanged (see load_glove).
 
 from __future__ import annotations
 
+import bisect
 import json
 import logging
 import os
+import re
 import sys
 import tempfile
 import zipfile
@@ -40,6 +43,12 @@ log = logging.getLogger(__name__)
 
 PAD_ID = 0
 UNK_ID = 1
+
+# A token: an alphanumeric-led run of non-space characters ending on its last
+# alphanumeric character, or else one non-space character. [^\W_] is exactly
+# str.isalnum and \s exactly str.isspace, over every code point; the run must
+# come first, and its \S* backtracks to the chunk's last alphanumeric.
+_TOKEN = re.compile(r"[^\W_](?:\S*[^\W_])?|\S")
 
 # GloVe files smaller than this parse in a few milliseconds and get no copy
 CACHE_MIN_BYTES = 1 << 20
@@ -133,54 +142,28 @@ class DatasetStats:
 
 
 def tokenize(text: str) -> list[Token]:
-    """Lowercased tokens with original-string character spans."""
-    tokens: list[Token] = []
-    n = len(text)
-    i = 0
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        j = i
-        while j < n and not text[j].isspace():
-            j += 1
-        _split_chunk(text, i, j, tokens)
-        i = j
-    return tokens
-
-
-def _split_chunk(text: str, start: int, stop: int, out: list[Token]) -> None:
-    # peel leading/trailing non-alphanumerics one char at a time; interior
-    # punctuation (11:28, 10-7, don't) is left alone
-    left, right = start, stop
-    while left < right and not text[left].isalnum():
-        left += 1
-    while right > left and not text[right - 1].isalnum():
-        right -= 1
-    # interned, so equal words share one string across the whole dataset
-    for k in range(start, left):
-        out.append(Token(sys.intern(text[k].lower()), k, k + 1))
-    if left < right:
-        out.append(Token(sys.intern(text[left:right].lower()), left, right))
-    for k in range(right, stop):
-        out.append(Token(sys.intern(text[k].lower()), k, k + 1))
+    """Lowercased, interned tokens with original-string character spans, in
+    text order: each run of non-space characters from its first alphanumeric
+    character to its last, and each other non-space character (see _TOKEN)."""
+    return [Token(sys.intern(m.group().lower()), m.start(), m.end())
+            for m in _TOKEN.finditer(text)]
 
 
 def align_answer(context_tokens: list[Token], answer_text: str,
                  answer_start: int) -> tuple[int, int]:
-    """Smallest inclusive token range whose char span covers the answer."""
+    """Smallest inclusive token range whose char span covers the answer.
+
+    The tokens must be in text order, as `tokenize` returns them, so their
+    starts and ends both increase and each end of the range is a bisection.
+    """
     answer_end = answer_start + len(answer_text)
     if not context_tokens or answer_start < 0 or answer_end > context_tokens[-1].end:
         raise AlignmentError(
             f"answer offset [{answer_start}, {answer_end}) outside tokenized context")
-    start_tok = None
-    end_tok = None
-    for i, tok in enumerate(context_tokens):
-        if start_tok is None and tok.end > answer_start:
-            start_tok = i
-        if tok.start < answer_end:
-            end_tok = i
-    if (start_tok is None or end_tok is None or start_tok > end_tok
+    start_tok = bisect.bisect_right(context_tokens, answer_start, key=lambda t: t.end)
+    end_tok = bisect.bisect_left(context_tokens, answer_end, key=lambda t: t.start) - 1
+    # first, so a bisection that ran off either end never indexes the list
+    if (start_tok > end_tok
             or context_tokens[start_tok].start > answer_start
             or context_tokens[end_tok].end < answer_end):
         raise AlignmentError(
@@ -188,11 +171,16 @@ def align_answer(context_tokens: list[Token], answer_text: str,
     return start_tok, end_tok
 
 
-def _require(mapping, key, where):
+def _require(mapping, key, where, kind=None):
+    # an exact type: JSON makes no subclasses, and a bool is no int here
     try:
-        return mapping[key]
+        value = mapping[key]
     except (KeyError, TypeError):
         raise SchemaError(f"missing field {key!r} in {where}") from None
+    if kind is not None and type(value) is not kind:
+        raise SchemaError(f"field {key!r} in {where} must be {kind.__name__}, "
+                          f"got {type(value).__name__}")
+    return value
 
 
 def load_squad(path) -> list[QAExample]:
@@ -200,7 +188,8 @@ def load_squad(path) -> list[QAExample]:
 
     All listed answers are retained; the gold token span is aligned from the
     first answer. Examples whose first answer cannot be aligned keep
-    gold_span=None and are counted in a warning.
+    gold_span=None and are counted in a warning. A missing field, or one of
+    the wrong JSON type, raises SchemaError.
     """
     with open(path, encoding="utf-8") as handle:
         try:
@@ -211,22 +200,22 @@ def load_squad(path) -> list[QAExample]:
             raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     examples: list[QAExample] = []
     unaligned = 0
-    for article in _require(raw, "data", str(path)):
-        for paragraph in _require(article, "paragraphs", "article"):
-            context = _require(paragraph, "context", "paragraph")
+    for article in _require(raw, "data", str(path), list):
+        for paragraph in _require(article, "paragraphs", "article", list):
+            context = _require(paragraph, "context", "paragraph", str)
             context_tokens = tokenize(context)
-            for qa in _require(paragraph, "qas", "paragraph"):
+            for qa in _require(paragraph, "qas", "paragraph", list):
                 qid = _require(qa, "id", "qa entry")
-                question = _require(qa, "question", f"qa {qid}")
-                answers = _require(qa, "answers", f"qa {qid}")
-                texts = [_require(a, "text", f"answer of qa {qid}") for a in answers]
+                question = _require(qa, "question", f"qa {qid}", str)
+                answers = _require(qa, "answers", f"qa {qid}", list)
+                texts = [_require(a, "text", f"answer of qa {qid}", str)
+                         for a in answers]
                 gold = None
                 if answers:
-                    first = answers[0]
                     try:
-                        gold = align_answer(context_tokens, first["text"],
-                                            _require(first, "answer_start",
-                                                     f"answer of qa {qid}"))
+                        gold = align_answer(context_tokens, texts[0],
+                                            _require(answers[0], "answer_start",
+                                                     f"answer of qa {qid}", int))
                     except AlignmentError:
                         unaligned += 1
                 examples.append(QAExample(
@@ -424,6 +413,11 @@ def _answer_token_length(ex: QAExample) -> int:
     return max(len(tokenize(ex.answer_texts[0])), 1) if ex.answer_texts else 1
 
 
+def _histogram(lengths: np.ndarray, width: int) -> list[int]:
+    # 10 buckets of `width` tokens; the last holds all longer, the first 0
+    return np.bincount(np.clip((lengths - 1) // width, 0, 9), minlength=10).tolist()
+
+
 def dataset_stats(examples) -> DatasetStats:
     """Answer/context length fractions and 10-bucket histograms."""
     examples = list(examples)
@@ -431,16 +425,10 @@ def dataset_stats(examples) -> DatasetStats:
         raise EmptyDatasetError("dataset_stats needs at least one example")
     answer_lens = np.array([_answer_token_length(ex) for ex in examples])
     context_lens = np.array([len(ex.context_tokens) for ex in examples])
-    answer_hist = [0] * 10   # buckets of 2 tokens; last bucket is >= 19
-    context_hist = [0] * 10  # buckets of 50 tokens; last bucket is >= 451
-    for length in answer_lens:
-        answer_hist[min((length - 1) // 2, 9)] += 1
-    for length in context_lens:
-        context_hist[min((length - 1) // 50, 9)] += 1
     return DatasetStats(
         example_count=len(examples),
         answer_under_20_fraction=float((answer_lens < 20).mean()),
         context_under_300_fraction=float((context_lens < 300).mean()),
-        answer_length_hist=answer_hist,
-        context_length_hist=context_hist,
+        answer_length_hist=_histogram(answer_lens, 2),     # last bucket >= 19
+        context_length_hist=_histogram(context_lens, 50),  # last bucket >= 451
     )

@@ -51,6 +51,14 @@ class TestStats:
         assert "answers under 20 tokens:  100.00%" in out
         assert "contexts under 300 tokens: 50.00%" in out
 
+    def test_wrong_field_type_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        path = write_squad(tmp_path, [("ab cd", [("q1", "Q?", [("cd", "3")])])])
+        code = main(["stats", "--data", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "answer_start" in err
+        assert "Traceback" not in err
+
     def test_missing_file_exit_code(self, capsys):
         code = main(["stats", "--data", "/nonexistent/squad.json"])
         err = capsys.readouterr().err

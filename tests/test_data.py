@@ -158,6 +158,28 @@ class TestLoadSquad:
         with pytest.raises(SchemaError, match="question"):
             load_squad(path)
 
+    @pytest.mark.parametrize("field, value, where", [
+        ("context", None, "paragraph"),
+        ("question", 5, "qa q1"),
+        ("text", 3, "answer of qa q1"),
+        ("answer_start", "2", "answer of qa q1"),
+        ("answer_start", 2.0, "answer of qa q1"),
+        ("answer_start", True, "answer of qa q1"),
+        ("answers", 5, "qa q1"),
+        ("qas", {}, "paragraph"),
+    ])
+    def test_wrong_field_type_named(self, tmp_path, field, value, where):
+        path = write_squad(tmp_path, [("ab cd", [("q1", "Q?", [("cd", 3)])])])
+        raw = json.loads(path.read_text())
+        paragraph = raw["data"][0]["paragraphs"][0]
+        for mapping in (paragraph, paragraph["qas"][0],
+                        paragraph["qas"][0]["answers"][0]):
+            if field in mapping:
+                mapping[field] = value
+        path.write_text(json.dumps(raw))
+        with pytest.raises(SchemaError, match=f"field '{field}' in {where} must be"):
+            load_squad(path)
+
     def test_unalignable_answer_kept_without_gold(self, tmp_path):
         # answer offset points at whitespace, so no token range covers it
         context = "only four words here"
@@ -291,6 +313,22 @@ class TestDatasetStats:
         stats = dataset_stats(examples)
         assert sum(stats.answer_length_hist) == 12
         assert sum(stats.context_length_hist) == 12
+
+    def test_empty_context_counts_in_the_first_bucket(self, tmp_path):
+        path = write_squad(tmp_path, [(" \t ", [("q1", "What?", [])])])
+        (example,) = load_squad(path)
+        assert example.context_tokens == []
+        assert dataset_stats([example]).context_length_hist == [1] + [0] * 9
+
+    def test_bucket_edges(self):
+        examples = _toy_examples(4, WORDS, context_len=1, answer_at=0)
+        for ex, (length, span) in zip(examples, [(50, 2), (51, 3), (451, 19),
+                                                 (900, 40)]):
+            ex.context_tokens = tokenize(" ".join(["w"] * length))
+            ex.gold_span = (0, span - 1)
+        stats = dataset_stats(examples)
+        assert stats.context_length_hist == [1, 1, 0, 0, 0, 0, 0, 0, 0, 2]
+        assert stats.answer_length_hist == [1, 1, 0, 0, 0, 0, 0, 0, 0, 2]
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyDatasetError):
