@@ -5,8 +5,10 @@ Run from the repository root: python3 demos/04_data_pipeline.py
 
 from pathlib import Path
 
-from spanqa.data import (align_answer, build_batches, dataset_stats, load_glove,
-                         load_squad, tokenize)
+import numpy as np
+
+from spanqa.data import (PAD_ID, align_answer, build_batches, dataset_stats,
+                         load_glove, load_squad, tokenize)
 
 FIXTURES = Path(__file__).resolve().parents[1] / "tests" / "fixtures"
 
@@ -26,7 +28,8 @@ span = align_answer(tokens, "10-7", context.index("10-7"))
 print("aligned span:", span, "->", [t.text for t in tokens[span[0]:span[1] + 1]])
 
 # %%
-# Loading the bundled 32-example fixture and batching it.
+# Loading the bundled 32-example fixture and batching it. PAD_ID fills each
+# row after its tokens, so the ids alone give each row's length.
 
 examples = load_squad(FIXTURES / "tiny_squad.json")
 table = load_glove(FIXTURES / "tiny_glove.txt", dim=32)
@@ -38,4 +41,4 @@ print(f"{stats.example_count} examples; "
 batches = build_batches(examples, table, batch_size=8)
 first = batches[0]
 print(f"{len(batches)} batches; first has context ids {first.context_ids.shape}, "
-      f"mask row sums {first.context_mask.sum(axis=1).astype(int).tolist()}")
+      f"row lengths {np.count_nonzero(first.context_ids != PAD_ID, axis=1).tolist()}")

@@ -620,25 +620,26 @@ class Packing:
     """The packed-sequence layout of cuDNN RNNs for a (B, L) prefix mask,
     built once per mask and shared by every op over its rows.
 
-    Each mask row must be a run of 1s followed by 0s. Sorted by length,
-    longest first (stable), the sequences still running at step s are a
-    prefix [:k_s] of the rows, so the N = sum(lengths) live positions pack
-    step-major into one (N, .) block. `index` is the (row, position) of each
-    packed row and `flat` its row * L + position, so `take_rows` of a
-    (B*L, .) view packs a padded tensor; `counts` is the k_s of every step
-    with a live row, and `prev` the packed index of the same sequence's
-    previous step for each row after the first k_0. A reverse pass fills the
-    same (step, rank) slots from position l-1-s, the packed rows `reverse`,
-    and shares `counts` and `prev`.
+    Each mask row must be a run of 1s followed by 0s; `mask` keeps it as
+    bool. Sorted by length, longest first (stable), the sequences still
+    running at step s are a prefix [:k_s] of the rows, so the
+    N = sum(lengths) live positions pack step-major into one (N, .) block.
+    `index` is the (row, position) of each packed row and `flat` its
+    row * L + position, so `take_rows` of a (B*L, .) view packs a padded
+    tensor; `counts` is the k_s of every step with a live row, and `prev`
+    the packed index of the same sequence's previous step for each row after
+    the first k_0. A reverse pass fills the same (step, rank) slots from
+    position l-1-s, the packed rows `reverse`, and shares `counts` and `prev`.
     """
 
     def __init__(self, mask):
-        m = np.asarray(mask, dtype=np.float64)
-        if m.ndim != 2:
-            raise DimensionError(f"packing: mask must be (B, L), got shape {m.shape}")
-        length = m.shape[1]
-        lengths = np.count_nonzero(m, axis=1)
-        if not np.array_equal(m, np.arange(length) < lengths[:, None]):
+        given = np.asarray(mask)
+        if given.ndim != 2:
+            raise DimensionError(f"packing: mask must be (B, L), got shape {given.shape}")
+        length = given.shape[1]
+        lengths = np.count_nonzero(given, axis=1)
+        m = np.arange(length) < lengths[:, None]
+        if not np.array_equal(given, m):
             raise DimensionError(
                 "packing: every mask row must be a run of 1s followed by 0s")
         order = np.argsort(-lengths, kind="stable")
@@ -953,7 +954,7 @@ def bidaf(context, question, w_sim, context_packing: Packing,
             f"bidaf: context {c.shape}, question {q.shape} and w_sim {w.shape} do not "
             f"match {context_packing.size} and {question_packing.size} packed rows "
             f"of width 2h, and w_sim (3*2h,)")
-    c_live, q_live = context_packing.mask > 0, question_packing.mask[:, None, :] > 0
+    c_live, q_live = context_packing.mask, question_packing.mask[:, None, :]
     if not (c_live.any(axis=1).all() and q_live.any(axis=2).all()):
         raise DegenerateMaskError("bidaf: a context or question row is empty")
     cd, qd, wd = c.data, q.data, w.data

@@ -41,8 +41,8 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-PAD_ID = 0
-UNK_ID = 1
+PAD_ID = 0    # fills each batch row after its tokens; no word maps to it,
+UNK_ID = 1    # so the ids alone mark padding: every mask is ids != PAD_ID
 
 # A token: an alphanumeric-led run of non-space characters ending on its last
 # alphanumeric character, or else one non-space character. [^\W_] is exactly
@@ -118,11 +118,10 @@ class EmbeddingTable:
 
 @dataclass
 class Batch:
+    """Token ids padded with PAD_ID after each row's tokens, which is the
+    only record of padding: a row's live tokens are its ids != PAD_ID."""
     context_ids: np.ndarray     # (B, Lc) int64
-    context_mask: np.ndarray    # (B, Lc) float64, 1 for real tokens; ops cast
-                                # it to the dtype of the data it masks
     question_ids: np.ndarray    # (B, Lq)
-    question_mask: np.ndarray
     gold_starts: np.ndarray     # (B,) int64
     gold_ends: np.ndarray
     qids: list[str]
@@ -363,7 +362,7 @@ def prepare_for_training(examples, context_cap: int) -> tuple[list[QAExample], i
 
 def build_batches(examples, table: EmbeddingTable, batch_size: int,
                   context_cap: int = 300, training: bool = True) -> list[Batch]:
-    """Pad/mask examples into batches of consecutive examples, in order.
+    """Pad examples into batches of consecutive examples, in order.
 
     In training mode, examples without a usable gold span under the cap are
     dropped first (see prepare_for_training). Padding goes to each batch's
@@ -391,20 +390,16 @@ def _assemble(chunk, table, context_cap) -> Batch:
     max_q = max(max(len(t) for t in qtoks), 1)
     n = len(chunk)
     context_ids = np.full((n, max_c), PAD_ID, dtype=np.int64)
-    context_mask = np.zeros((n, max_c))
     question_ids = np.full((n, max_q), PAD_ID, dtype=np.int64)
-    question_mask = np.zeros((n, max_q))
     gold_starts = np.zeros(n, dtype=np.int64)
     gold_ends = np.zeros(n, dtype=np.int64)
     for b, ex in enumerate(chunk):
         context_ids[b, :len(ctoks[b])] = table.ids(ctoks[b])
-        context_mask[b, :len(ctoks[b])] = 1.0
         question_ids[b, :len(qtoks[b])] = table.ids(qtoks[b])
-        question_mask[b, :len(qtoks[b])] = 1.0
         if ex.gold_span is not None and ex.gold_span[1] < context_cap:
             gold_starts[b], gold_ends[b] = ex.gold_span
-    return Batch(context_ids, context_mask, question_ids, question_mask,
-                 gold_starts, gold_ends, [ex.qid for ex in chunk])
+    return Batch(context_ids, question_ids, gold_starts, gold_ends,
+                 [ex.qid for ex in chunk])
 
 
 def _answer_token_length(ex: QAExample) -> int:

@@ -7,7 +7,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as qa_model
-from .data import Batch, EmbeddingTable
+from .data import PAD_ID, Batch, EmbeddingTable
 
 __all__ = ["OP_THRESHOLD", "END_TO_END_THRESHOLD", "op_gradcheck_cases",
            "make_tiny_problem", "end_to_end_gradcheck", "run_gradcheck_suite"]
@@ -187,23 +187,19 @@ def make_tiny_problem(seed: int = 0, hidden: int = 4, embed_dim: int = 6,
         word_to_id={f"w{i}": i + 2 for i in range(vocab - 2)},
         matrix=matrix,
     )
-    context_mask = np.ones((batch_size, context_len))
-    question_mask = np.ones((batch_size, question_len))
-    for row in range(1, batch_size):
-        context_mask[row, context_len - row:] = 0.0
-        question_mask[row, question_len - row:] = 0.0
     context_ids = rng.integers(2, vocab, size=(batch_size, context_len))
     question_ids = rng.integers(2, vocab, size=(batch_size, question_len))
-    context_ids[context_mask == 0] = 0
-    question_ids[question_mask == 0] = 0
+    # row r ends r tokens early: PAD_ID fills its last r positions
+    rows = np.arange(batch_size)[:, None]
+    context_ids[np.arange(context_len) >= context_len - rows] = PAD_ID
+    question_ids[np.arange(question_len) >= question_len - rows] = PAD_ID
     if shared_context:
-        context_ids[-1], context_mask[-1] = context_ids[0], context_mask[0]
-    lengths = context_mask.sum(axis=1).astype(np.int64)
+        context_ids[-1] = context_ids[0]
+    lengths = np.count_nonzero(context_ids != PAD_ID, axis=1)
     gold_starts = rng.integers(0, lengths // 2 + 1)
     gold_ends = gold_starts + rng.integers(0, 2, size=batch_size)
     gold_ends = np.minimum(gold_ends, lengths - 1)
-    batch = Batch(context_ids.astype(np.int64), context_mask,
-                  question_ids.astype(np.int64), question_mask,
+    batch = Batch(context_ids.astype(np.int64), question_ids.astype(np.int64),
                   gold_starts.astype(np.int64), gold_ends.astype(np.int64),
                   [f"tiny{i}" for i in range(batch_size)])
     params = qa_model.init_params(config)

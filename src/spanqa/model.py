@@ -5,9 +5,10 @@ start decoder's hidden states (so the end distribution is conditioned on
 start evidence), and per-position FC heads whose logits the loss reads in
 log space and decoding through masked softmaxes built on demand.
 
-Every layer runs on packed rows: ``forward`` packs each mask once into an
-``autodiff.Packing`` (masks are prefixes, each row a run of 1s followed by
-0s, as ``data.build_batches`` makes them), embeds only the live tokens, and
+Every layer runs on packed rows: ``forward`` packs each id array's mask,
+ids != PAD_ID, once into an ``autodiff.Packing`` (masks are prefixes: each
+row's tokens come first and PAD_ID fills the rest, as
+``data.build_batches`` makes them), embeds only the live tokens, and
 carries the N live positions of the batch as (N, .) row blocks through the
 encoder, the attention output G, both decoders and both heads. Each BiLSTM
 layer is one ``autodiff.lstm`` tape node (4 per forward) that writes both
@@ -23,8 +24,8 @@ records 45 nodes whatever the sequence length.
 Parameters live in a plain name -> ndarray dict. ``forward`` accepts either
 ndarrays (inference; no tape is recorded) or graph-leaf Tensors (training),
 which is how the training loop gets named gradients back. It computes in the
-params' float dtype: the embeddings and masks it builds are made in that
-dtype, so float32 params give a float32 forward and backward.
+params' float dtype: the embeddings it builds are made in that dtype, so
+float32 params give a float32 forward and backward.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ConfigError, Tensor
-from .data import Batch, EmbeddingTable
+from .data import PAD_ID, Batch, EmbeddingTable
 
 __all__ = ["ModelConfig", "ForwardOutput", "init_params", "param_count",
            "param_shapes", "embed", "bilstm", "bidaf_attention",
@@ -228,16 +229,14 @@ def _head_group(params, prefix):
     return {k: params[f"{prefix}.{k}"] for k in ("W1", "b1", "W2", "b2")}
 
 
-def _distinct_contexts(batch: Batch):
-    """(first, inverse) over the batch's distinct (context ids, mask) rows:
-    row b equals row first[inverse[b]]. The identity when no row repeats."""
-    ids = np.asarray(batch.context_ids, dtype=np.int64)
-    mask_bits = np.asarray(batch.context_mask, dtype=np.float64).view(np.int64)
-    _, first, inverse = np.unique(np.concatenate([ids, mask_bits], axis=1), axis=0,
-                                  return_index=True, return_inverse=True)
-    if len(first) < len(ids):
+def _distinct_contexts(context_ids):
+    """(first, inverse) over the distinct context id rows: row b equals row
+    first[inverse[b]]. The identity when no row repeats."""
+    _, first, inverse = np.unique(context_ids, axis=0, return_index=True,
+                                  return_inverse=True)
+    if len(first) < len(context_ids):
         return first, inverse.reshape(-1)
-    return (np.arange(len(ids)),) * 2
+    return (np.arange(len(context_ids)),) * 2
 
 
 def forward(batch: Batch, params, table: EmbeddingTable, config: ModelConfig,
@@ -251,10 +250,10 @@ def forward(batch: Batch, params, table: EmbeddingTable, config: ModelConfig,
     draws its mask from seed (config.seed, step, k).
 
     The shared encoder sees each sequence on its own, so one `bilstm` pass
-    covers the distinct (context ids, context mask) rows stacked over all
-    the questions (SQuAD asks several per paragraph), and `ad.take_rows`
-    gathers each row's context and its question from that one encoding: 4
-    `ad.lstm` calls per forward.
+    covers the distinct context id rows stacked over all the questions
+    (SQuAD asks several per paragraph), and `ad.take_rows` gathers each
+    row's context and its question from that one encoding: 4 `ad.lstm`
+    calls per forward.
     """
     pt = {name: value if isinstance(value, Tensor) else Tensor(value)
           for name, value in params.items()}
@@ -265,14 +264,14 @@ def forward(batch: Batch, params, table: EmbeddingTable, config: ModelConfig,
     drop = functools.partial(_dropout, rate=rate, seeds=seeds)
     encoder = [_layer_group(pt, f"encoder.l{k}") for k in range(config.encoder_layers)]
 
-    contexts, questions = ad.Packing(batch.context_mask), ad.Packing(batch.question_mask)
-    first, inverse = _distinct_contexts(batch)
-    # the distinct contexts over the questions, zero-padded to the wider
-    width = max(contexts.shape[1], questions.shape[1])
-    ids, mask = (np.concatenate([np.pad(x, ((0, 0), (0, width - x.shape[1]))) for x in rows])
-                 for rows in [(np.asarray(batch.context_ids)[first], batch.question_ids),
-                              (contexts.mask[first], questions.mask)])
-    joint = ad.Packing(mask)
+    context_ids, question_ids = batch.context_ids, batch.question_ids
+    contexts, questions = ad.Packing(context_ids != PAD_ID), ad.Packing(question_ids != PAD_ID)
+    first, inverse = _distinct_contexts(context_ids)
+    # the distinct contexts over the questions, padded to the wider
+    width = max(context_ids.shape[1], question_ids.shape[1])
+    ids = np.concatenate([np.pad(x, ((0, 0), (0, width - x.shape[1])), constant_values=PAD_ID)
+                          for x in (context_ids[first], question_ids)])
+    joint = ad.Packing(ids != PAD_ID)
     encoded = bilstm([embed(ids[joint.index], table, dtype)], encoder, joint,
                      drop=drop)
     where = np.zeros(joint.shape, np.int64)     # the packed row of each stacked token

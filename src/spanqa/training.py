@@ -69,8 +69,9 @@ class TrainLogRecord:
 
 
 def init_optimizer(params: dict[str, np.ndarray]) -> AdamState:
-    return AdamState(m={k: np.zeros_like(v) for k, v in params.items()},
-                     v={k: np.zeros_like(v) for k, v in params.items()})
+    # np.zeros, not zeros_like: the pages start lazily zeroed, not written
+    return AdamState(m={k: np.zeros(v.shape, v.dtype) for k, v in params.items()},
+                     v={k: np.zeros(v.shape, v.dtype) for k, v in params.items()})
 
 
 def clip_global_norm(grads: dict[str, np.ndarray]) -> float:
@@ -179,7 +180,7 @@ def predict_answers(examples, params, table, config: qa_model.ModelConfig,
         out = qa_model.forward(batch, params, table, config, training=False)
         p_start, p_end = out.p_start.data, out.p_end.data
         for row, ex in enumerate(chunk):
-            pred = best_span(p_start[row], p_end[row], batch.context_mask[row],
+            pred = best_span(p_start[row], p_end[row], out.mask[row],
                              max_len=max_answer_len, tokens=ex.context_tokens,
                              text=ex.context_text)
             predictions[ex.qid] = pred.answer_text

@@ -13,6 +13,7 @@ import numpy as np
 
 from bidaf_oracle import bidaf_reference
 from lstm_oracle import unrolled_bilstm
+from spanqa.data import PAD_ID
 
 
 def _layer(params, prefix):
@@ -54,11 +55,11 @@ def oracle_example(context_ids, question_ids, params, table, config):
 
 def oracle_forward(batch, params, table, config):
     """(B, Lc) p_start and p_end, each row computed alone, zeros at padding."""
-    shape = np.shape(batch.context_mask)
+    shape = np.shape(batch.context_ids)
     p_start, p_end = np.zeros(shape), np.zeros(shape)
     for b in range(shape[0]):
-        lc = int(np.sum(batch.context_mask[b]))
-        lq = int(np.sum(batch.question_mask[b]))
+        lc = np.count_nonzero(batch.context_ids[b] != PAD_ID)
+        lq = np.count_nonzero(batch.question_ids[b] != PAD_ID)
         p_start[b, :lc], p_end[b, :lc] = oracle_example(
             batch.context_ids[b, :lc], batch.question_ids[b, :lq], params, table,
             config)

@@ -140,10 +140,9 @@ def test_criterion_6_conditioning_path():
         leaves = {k: graph.leaf(v) for k, v in params.items()}
         out = forward(batch, leaves, table, config)
         if which == "end":
-            root = ad.cross_entropy(out.end_logits, batch.gold_ends, batch.context_mask)
+            root = ad.cross_entropy(out.end_logits, batch.gold_ends, out.mask)
         else:
-            root = ad.cross_entropy(out.start_logits, batch.gold_starts,
-                                    batch.context_mask)
+            root = ad.cross_entropy(out.start_logits, batch.gold_starts, out.mask)
         grads = graph.backward(root)
         return {k: grads[leaf.node_id] for k, leaf in leaves.items()}
 

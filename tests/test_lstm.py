@@ -12,6 +12,7 @@ from lstm_oracle import pack_rows, packed_lstm, unrolled_bilstm, unrolled_lstm
 from memtrace import traced
 from spanqa import autodiff as ad
 from spanqa.autodiff import Graph
+from spanqa.data import PAD_ID
 from spanqa.diagnostics import (OP_THRESHOLD, make_tiny_problem,
                                 op_gradcheck_cases)
 from spanqa.model import bilstm, forward
@@ -114,6 +115,15 @@ def test_non_prefix_mask_rejected(mask):
     for reverse in (False, True):
         with pytest.raises(ad.DimensionError, match="run of 1s"):
             packed_lstm(x, weight, bias, mask, reverse=reverse)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, bool])
+def test_packing_keeps_its_mask_as_bool(dtype):
+    mask = prefix_mask([3, 1, 4], 4)
+    packing = ad.Packing(mask.astype(dtype))
+    assert packing.mask.dtype == bool
+    assert np.array_equal(packing.mask, mask)
+    assert np.array_equal(packing.flat, ad.Packing(mask).flat)
 
 
 def test_stacked_bilstm_matches_oracle():
@@ -347,8 +357,8 @@ def test_dropout_is_one_call_per_layer_input(monkeypatch):
     # questions together, G into the start decoder, then [G | M] into the
     # start head, the end decoder and the end head
     assert len(calls) == config.encoder_layers + 1 + 3 * 2
-    live = int(batch.context_mask.sum())
-    encoded = live + int(batch.question_mask.sum())
+    live = np.count_nonzero(batch.context_ids != PAD_ID)
+    encoded = live + np.count_nonzero(batch.question_ids != PAD_ID)
     assert [n for n, _ in calls[:config.encoder_layers]] == [encoded] * 2
     assert [n for n, _ in calls[config.encoder_layers:]] == [live] * 7
     assert all(len(shape) == 2 for shape in calls)

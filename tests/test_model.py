@@ -9,7 +9,7 @@ from lstm_oracle import pack_rows
 from spanqa import autodiff as ad
 from spanqa import model as qa_model
 from spanqa.autodiff import ConfigError, Graph, Tensor
-from spanqa.data import Batch, EmbeddingTable
+from spanqa.data import PAD_ID, Batch, EmbeddingTable
 from spanqa.diagnostics import end_to_end_gradcheck, make_tiny_problem
 from spanqa.model import (ModelConfig, bilstm, embed,
                           end_decoder, forward, init_params, loss, param_count,
@@ -271,20 +271,20 @@ class TestBidafAttention:
         out = forward(batch, leaves, table, config, training=True, step=1)
         loss(out, batch.gold_starts, batch.gold_ends)
         ops = [node.op for node in graph._nodes]
-        assert calls == []
-        assert ops.count("bidaf") == 1
+        assert calls == [], calls
+        assert ops.count("bidaf") == 1, ops
         # the loss reads the logits: no softmax is built in a train step
-        assert ops.count("masked_softmax") == 0
+        assert ops.count("masked_softmax") == 0, ops
         # 25 parameter leaves and 20 ops
-        assert ops.count("leaf") == len(params) == 25
-        assert len(graph) == 45
+        assert ops.count("leaf") == len(params) == 25, (len(params), ops)
+        assert len(graph) == 45, ops
 
 
 def _decoder_fixture(seed=0):
     """The tiny model and batch, the batch's context packing, and a G of
     random (N, 8h) rows for the decoders to read."""
     config, params, table, batch = make_tiny_problem(seed=seed)
-    packing = ad.Packing(batch.context_mask)
+    packing = ad.Packing(batch.context_ids != PAD_ID)
     attn = Tensor(np.random.default_rng(seed).normal(
         size=(packing.size, 8 * config.hidden_size)))
     return config, params, batch, packing, attn
@@ -305,20 +305,20 @@ class TestDecoders:
         m_start, logits = start_decoder(attn, _group(params, "start_decoder"),
                                         _head(params, "start_head"), packing)
         assert m_start.shape == (packing.size, 2 * config.hidden_size)
-        assert logits.shape == batch.context_mask.shape
-        assert np.all(logits.data[batch.context_mask == 0] == 0.0)
-        p = ad.masked_softmax(logits, batch.context_mask).data
-        assert np.all(p[batch.context_mask == 0] == 0.0)
+        assert logits.shape == packing.shape
+        assert np.all(logits.data[~packing.mask] == 0.0)
+        p = ad.masked_softmax(logits, packing.mask).data
+        assert np.all(p[~packing.mask] == 0.0)
 
     def test_zero_params_give_uniform(self):
         config, params, batch, packing, attn = _decoder_fixture()
         zero = {name: np.zeros_like(value) for name, value in params.items()}
         _, logits = start_decoder(attn, _group(zero, "start_decoder"),
                                   _head(zero, "start_head"), packing)
-        p = ad.masked_softmax(logits, batch.context_mask).data
-        lengths = batch.context_mask.sum(axis=1)
+        p = ad.masked_softmax(logits, packing.mask).data
+        lengths = packing.mask.sum(axis=1)
         for row in range(p.shape[0]):
-            live = batch.context_mask[row] == 1
+            live = packing.mask[row]
             assert np.allclose(p[row, live], 1.0 / lengths[row], atol=1e-12)
 
     def test_end_decoder_input_width(self):
@@ -333,7 +333,7 @@ class TestDecoders:
                                         _group(params, "end_decoder"),
                                         _head(params, "end_head"), packing)
         assert m_end.shape == m_start.shape
-        assert end_logits.shape == batch.context_mask.shape
+        assert end_logits.shape == packing.shape
 
     def test_heads_are_distinct_tensors(self):
         _, params, _, _, _ = _decoder_fixture()
@@ -348,9 +348,9 @@ def _named_grads(config, params, table, batch, which):
               for name, value in params.items()}
     out = forward(batch, leaves, table, config, training=False)
     if which == "start":
-        root = ad.cross_entropy(out.start_logits, batch.gold_starts, batch.context_mask)
+        root = ad.cross_entropy(out.start_logits, batch.gold_starts, out.mask)
     else:
-        root = ad.cross_entropy(out.end_logits, batch.gold_ends, batch.context_mask)
+        root = ad.cross_entropy(out.end_logits, batch.gold_ends, out.mask)
     grads = graph.backward(root)
     return {name: grads[leaf.node_id] for name, leaf in leaves.items()}
 
@@ -378,7 +378,7 @@ class TestForward:
         wide = {name: value.astype(np.float64) for name, value in params.items()}
         out = forward(batch, wide, table, config)
         for p in (out.p_start.data, out.p_end.data):
-            assert np.all(p[batch.context_mask == 0] == 0.0)
+            assert np.all(p[batch.context_ids == PAD_ID] == 0.0)
             assert np.all(np.abs(p.sum(axis=1) - 1.0) < 1e-9)
 
     def test_inference_deterministic(self):
@@ -387,6 +387,15 @@ class TestForward:
         b = forward(batch, params, table, config)
         assert np.array_equal(a.p_start.data, b.p_start.data)
         assert np.array_equal(a.p_end.data, b.p_end.data)
+
+    @pytest.mark.parametrize("field", ["context_ids", "question_ids"])
+    def test_padding_before_a_rows_last_token_is_rejected(self, field):
+        # the ids are the only record of padding, so a PAD_ID inside a row
+        # breaks its prefix instead of embedding a zero vector
+        config, params, table, batch = make_tiny_problem(seed=13)
+        getattr(batch, field)[0, 1] = PAD_ID
+        with pytest.raises(ad.DimensionError, match="run of 1s"):
+            forward(batch, params, table, config)
 
     def test_training_mode_is_seeded(self):
         config, params, table, batch = make_tiny_problem(seed=14, dropout=0.3)
@@ -415,8 +424,7 @@ class TestForward:
         config, params, table, batch = make_tiny_problem(seed=15, batch_size=3)
         out = forward(batch, params, table, config)
         perm = [2, 0, 1]
-        permuted = Batch(batch.context_ids[perm], batch.context_mask[perm],
-                         batch.question_ids[perm], batch.question_mask[perm],
+        permuted = Batch(batch.context_ids[perm], batch.question_ids[perm],
                          batch.gold_starts[perm], batch.gold_ends[perm],
                          [batch.qids[i] for i in perm])
         out_p = forward(permuted, params, table, config)
@@ -474,21 +482,18 @@ def _shared_context_batch(context_len=9, question_len=5, q_lengths=(5, 3, 4, 2, 
     which = np.array([0, 1, 0, 0, 1])
     lengths = np.array([context_len, context_len - 3])
     contexts = rng.integers(2, table.vocab_size, size=(2, context_len))
-    context_mask = (np.arange(context_len) < lengths[which, None]).astype(np.float64)
-    context_ids = np.where(context_mask > 0, contexts[which], 0)
+    context_ids = np.where(np.arange(context_len) < lengths[which, None],
+                           contexts[which], PAD_ID)
     q_lengths = np.array(q_lengths)
-    question_mask = (np.arange(question_len) < q_lengths[:, None]).astype(np.float64)
-    question_ids = np.where(question_mask > 0,
+    question_ids = np.where(np.arange(question_len) < q_lengths[:, None],
                             rng.integers(2, table.vocab_size, size=(5, question_len)), 0)
     zeros = np.zeros(5, dtype=np.int64)
-    batch = Batch(context_ids, context_mask, question_ids, question_mask, zeros,
-                  zeros, [f"q{i}" for i in range(5)])
+    batch = Batch(context_ids, question_ids, zeros, zeros, [f"q{i}" for i in range(5)])
     return config, params, table, batch
 
 
 def _row(batch, r):
-    return Batch(batch.context_ids[r:r + 1], batch.context_mask[r:r + 1],
-                 batch.question_ids[r:r + 1], batch.question_mask[r:r + 1],
+    return Batch(batch.context_ids[r:r + 1], batch.question_ids[r:r + 1],
                  batch.gold_starts[r:r + 1], batch.gold_ends[r:r + 1],
                  batch.qids[r:r + 1])
 
@@ -535,19 +540,19 @@ class TestSharedContextEncoding:
         forward(batch, params, table, config)   # inference ignores the rate
         assert counts[:2] == [2 + 5] * 2
 
-    def test_equal_ids_with_different_masks_not_merged(self, monkeypatch):
+    def test_context_truncated_by_padding_not_merged(self, monkeypatch):
         config, params, table, batch = _shared_context_batch()
         rows = [0, 0, 1]
-        mask = batch.context_mask[rows].copy()
-        mask[1, 6:] = 0.0    # row 1: row 0's ids under a shorter mask
-        merged = Batch(batch.context_ids[rows], mask, batch.question_ids[rows],
-                       batch.question_mask[rows], batch.gold_starts[rows],
-                       batch.gold_ends[rows], ["a", "b", "c"])
+        context_ids = batch.context_ids[rows].copy()
+        context_ids[1, 6:] = PAD_ID    # row 1: row 0's context cut after 6 tokens
+        truncated = Batch(context_ids, batch.question_ids[rows], batch.gold_starts[rows],
+                          batch.gold_ends[rows], ["a", "b", "c"])
         counts = _lstm_row_counts(monkeypatch)
-        out = forward(merged, params, table, config)
+        out = forward(truncated, params, table, config)
         assert counts[:2] == [3 + 3] * 2
-        alone = forward(_row(merged, 1), params, table, config)
+        alone = forward(_row(truncated, 1), params, table, config)
         assert np.max(np.abs(out.p_start.data[1] - alone.p_start.data[0])) < 1e-12
+        assert np.max(np.abs(out.p_end.data[1] - alone.p_end.data[0])) < 1e-12
 
     @staticmethod
     def _wide_question_batch():
@@ -555,7 +560,9 @@ class TestSharedContextEncoding:
         both contexts (9 and 6 tokens), in float64."""
         config, params, table, batch = _shared_context_batch(
             question_len=12, q_lengths=(12, 3, 4, 2, 5))
-        assert batch.question_mask.sum(axis=1).max() > batch.context_mask.sum(axis=1).max()
+        live = [np.count_nonzero(ids != PAD_ID, axis=1).max()
+                for ids in (batch.question_ids, batch.context_ids)]
+        assert live[0] > live[1]
         return config, {name: value.astype(np.float64)
                         for name, value in params.items()}, table, batch
 
@@ -571,9 +578,8 @@ class TestSharedContextEncoding:
         monkeypatch.setattr(qa_model, "bidaf_attention", recording)
         forward(batch, params, table, config)
         encoder = [_group(params, f"encoder.l{k}") for k in range(config.encoder_layers)]
-        for (ids, mask), got in zip([(batch.context_ids, batch.context_mask),
-                                     (batch.question_ids, batch.question_mask)], handed[0]):
-            packing = ad.Packing(mask)
+        for ids, got in zip([batch.context_ids, batch.question_ids], handed[0]):
+            packing = ad.Packing(ids != PAD_ID)
             alone = bilstm([embed(ids[packing.index], table)], encoder, packing)
             assert got.shape == alone.shape
             assert np.max(np.abs(got - alone.data)) < 1e-12

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from model_oracle import oracle_forward
-from spanqa.data import Batch, EmbeddingTable
+from spanqa.data import PAD_ID, Batch, EmbeddingTable
 from spanqa.model import ModelConfig, forward, init_params
 
 FLOAT64_TOL = 1e-10
@@ -40,13 +40,11 @@ def ragged_problem(hidden, shared, seed=0, embed_dim=6, vocab=30):
     if shared:
         c_lengths[[3, 5]] = c_lengths[[1, 2]]
         context_ids[[3, 5]] = context_ids[[1, 2]]
-    context_mask = (np.arange(lc) < c_lengths[:, None]).astype(np.float64)
-    question_mask = (np.arange(lq) < q_lengths[:, None]).astype(np.float64)
-    context_ids[context_mask == 0] = 0
-    question_ids[question_mask == 0] = 0
+    context_ids[np.arange(lc) >= c_lengths[:, None]] = PAD_ID
+    question_ids[np.arange(lq) >= q_lengths[:, None]] = PAD_ID
     zeros = np.zeros(len(c_lengths), dtype=np.int64)
-    batch = Batch(context_ids, context_mask, question_ids, question_mask, zeros,
-                  zeros, [f"q{i}" for i in range(len(c_lengths))])
+    batch = Batch(context_ids, question_ids, zeros, zeros,
+                  [f"q{i}" for i in range(len(c_lengths))])
     return config, params, table, batch
 
 
