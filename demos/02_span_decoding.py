@@ -38,15 +38,16 @@ for _ in range(200):
 print(f"oracle disagreements over 200 random draws: {disagreements}")
 
 # %%
-# With tokens and the original text, the prediction carries the answer string.
+# The prediction holds token positions; span_text reads the answer string
+# they cover out of the original text, in its original case.
 
 from spanqa.data import tokenize
+from spanqa.spans import span_text
 
 text = "The Late Show with Stephen Colbert aired after the game."
 tokens = tokenize(text)
 one_hot_s = np.zeros(len(tokens))
 one_hot_e = np.zeros(len(tokens))
 one_hot_s[0], one_hot_e[5] = 1.0, 1.0
-pred = best_span(one_hot_s, one_hot_e, np.ones(len(tokens)),
-                 tokens=tokens, text=text)
-print("reconstructed answer:", repr(pred.answer_text))
+pred = best_span(one_hot_s, one_hot_e, np.ones(len(tokens)))
+print("reconstructed answer:", repr(span_text(tokens, text, pred.start, pred.end)))

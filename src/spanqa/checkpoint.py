@@ -40,6 +40,7 @@ loaded to resume are freed once the first update replaces them.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -153,17 +154,23 @@ def save_checkpoint(path, params: dict[str, np.ndarray], config: ModelConfig,
     metadata[_CHECKSUM_KEY] = zlib.crc32(_encode(metadata))
     meta_bytes = _encode(metadata)
     tmp_path = f"{path}.tmp"
-    with open(tmp_path, "wb") as handle:
-        handle.write(MAGIC)
-        handle.write(len(meta_bytes).to_bytes(8, "little"))
-        handle.write(meta_bytes)
-        for entry in layout:
-            handle.write(np.ascontiguousarray(tensors[entry["name"]], dtype=dtype))
-        # on disk before the rename: a rename that lands first would let a
-        # power loss put a torn file in place of the old checkpoint
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp_path, path)
+    try:
+        with open(tmp_path, "wb") as handle:
+            handle.write(MAGIC)
+            handle.write(len(meta_bytes).to_bytes(8, "little"))
+            handle.write(meta_bytes)
+            for entry in layout:
+                handle.write(np.ascontiguousarray(tensors[entry["name"]], dtype=dtype))
+            # on disk before the rename: a rename that lands first would let a
+            # power loss put a torn file in place of the old checkpoint
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_path, path)
+    except BaseException:
+        # a failed write (a full disk, say) leaves no partial file behind
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp_path)
+        raise
     # the rename is durable only once the directory entry is on disk too
     directory = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
     try:

@@ -34,45 +34,40 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qa", description="extractive question answering toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags `train`, `eval` and `predict` share
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--data", required=True)
+    shared.add_argument("--glove", required=True)
+    shared.add_argument("--batch-size", type=int, default=40)
+    shared.add_argument("--max-answer-len", type=int, default=20)
 
     stats = sub.add_parser("stats", help="dataset statistics")
     stats.add_argument("--data", required=True, help="SQuAD v1.1 JSON file")
 
-    train = sub.add_parser("train", help="train a model")
-    train.add_argument("--data", required=True)
+    train = sub.add_parser("train", parents=[shared], help="train a model")
     train.add_argument("--dev", default=None)
-    train.add_argument("--glove", required=True)
     train.add_argument("--out", required=True,
                        help="checkpoint output path; with --dev, the best-dev "
                             "checkpoint, and the final one goes to <out>.last")
     train.add_argument("--log", default=None,
                        help="JSONL training log (default: <out>.log)")
     train.add_argument("--iters", type=int, default=50_000)
-    train.add_argument("--batch-size", type=int, default=40)
     for flag, field in CONFIG_FLAGS.items():
         default = getattr(ModelConfig, field)
         train.add_argument(flag, dest=field, type=type(default),
                            help=f"default {default}")
-    train.add_argument("--max-answer-len", type=int, default=20)
     train.add_argument("--eval-every", type=int, default=500)
     train.add_argument("--lr", type=float, default=1e-3)
     train.add_argument("--resume", default=None,
                        help="checkpoint to continue from")
 
-    evalp = sub.add_parser("eval", help="evaluate a checkpoint")
+    evalp = sub.add_parser("eval", parents=[shared], help="evaluate a checkpoint")
     evalp.add_argument("--ckpt", required=True)
-    evalp.add_argument("--data", required=True)
-    evalp.add_argument("--glove", required=True)
-    evalp.add_argument("--batch-size", type=int, default=40)
-    evalp.add_argument("--max-answer-len", type=int, default=20)
 
-    predict = sub.add_parser("predict", help="write a predictions JSON file")
+    predict = sub.add_parser("predict", parents=[shared],
+                             help="write a predictions JSON file")
     predict.add_argument("--ckpt", required=True)
-    predict.add_argument("--data", required=True)
-    predict.add_argument("--glove", required=True)
     predict.add_argument("--out", required=True)
-    predict.add_argument("--batch-size", type=int, default=40)
-    predict.add_argument("--max-answer-len", type=int, default=20)
 
     grad = sub.add_parser("gradcheck", help="gradient checks for every op")
     grad.add_argument("--seed", type=int, default=0)
@@ -120,6 +115,33 @@ def _check_resume_flags(args, config: ModelConfig) -> None:
                                       f"in the checkpoint {args.resume}")
 
 
+def _open_resumed_log(path, step: int):
+    """The JSONL log at `path`, opened to append after iteration `step`.
+
+    A run killed after its checkpoint at `step` may have logged later
+    iterations, which the resumed run logs again, so the file is cut after
+    its last record at or before `step`. A line that does not parse, such as
+    a torn last line, ends the part kept.
+    """
+    keep = offset = 0
+    try:
+        with open(path, "rb") as handle:
+            for line in handle:
+                offset += len(line)
+                if not line.endswith(b"\n"):   # torn: every record ends one
+                    break
+                try:
+                    iteration = json.loads(line)["iteration"]
+                    if iteration <= step:
+                        keep = offset
+                except (ValueError, KeyError, TypeError):
+                    break
+        os.truncate(path, keep)
+    except FileNotFoundError:
+        pass
+    return open(path, "a", encoding="utf-8")
+
+
 def cmd_train(args) -> int:
     out_dir = os.path.dirname(args.out) or "."
     if not os.path.isdir(out_dir):
@@ -142,7 +164,8 @@ def cmd_train(args) -> int:
         ckpt.save_checkpoint(args.out, result.params, config, result.state,
                              result.best_dev_f1)
 
-    with open(log_path, "a" if args.resume else "w", encoding="utf-8") as log_handle:
+    with (_open_resumed_log(log_path, state.step) if args.resume
+          else open(log_path, "w", encoding="utf-8")) as log_handle:
         result = training.train(
             examples, table, config, iters=args.iters, batch_size=args.batch_size,
             lr=args.lr, dev_examples=dev_examples, eval_every=args.eval_every,

@@ -4,6 +4,8 @@ The smart-span score divides the start*end probability product by a
 log-length penalty, so among spans with similar products the shorter one
 wins. ``best_span`` is the vectorized production path; ``oracle_best_span``
 is a deliberately plain O(L^2) scan kept independent for cross-checking.
+The decoders return token positions only; ``span_text`` reads the answer
+string those positions cover out of the original text.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ class SpanPrediction:
     start: int
     end: int  # inclusive
     score: float
-    answer_text: str = ""
 
 
 def smart_span_score(p_s: float, p_e: float, start: int, end: int) -> float:
@@ -54,12 +55,6 @@ def _prepare(p_start, p_end, mask):
     if not (m > 0).any():
         raise DegenerateMaskError("all positions are masked")
     return ps, pe, m > 0
-
-
-def _finish(pred: SpanPrediction, tokens, text):
-    if tokens is not None and text is not None:
-        pred.answer_text = span_text(tokens, text, pred.start, pred.end)
-    return pred
 
 
 def _argmax_pair(ps, pe, keep, max_len, penalty=None):
@@ -90,18 +85,15 @@ def _argmax_pair(ps, pe, keep, max_len, penalty=None):
     return start, start + offset
 
 
-def best_span(p_start, p_end, mask, max_len: int = 20,
-              tokens=None, text=None) -> SpanPrediction:
+def best_span(p_start, p_end, mask, max_len: int = 20) -> SpanPrediction:
     """Argmax of the smart-span score over unmasked pairs with
     start <= end < start + max_len; ties go to the smaller start, then end."""
     ps, pe, keep = _prepare(p_start, p_end, mask)
     s, e = _argmax_pair(ps, pe, keep, max_len, lambda n: np.log(n) + 1.0)
-    return _finish(SpanPrediction(s, e, smart_span_score(ps[s], pe[e], s, e)),
-                   tokens, text)
+    return SpanPrediction(s, e, smart_span_score(ps[s], pe[e], s, e))
 
 
-def oracle_best_span(p_start, p_end, mask,
-                     tokens=None, text=None) -> SpanPrediction:
+def oracle_best_span(p_start, p_end, mask) -> SpanPrediction:
     """Exhaustive scan over every ordered pair, no length cap; same tie-break."""
     ps, pe, keep = _prepare(p_start, p_end, mask)
     best = None
@@ -116,12 +108,11 @@ def oracle_best_span(p_start, p_end, mask,
                 best = SpanPrediction(s, e, score)
     if best is None:
         raise DegenerateMaskError("no unmasked start/end pair available")
-    return _finish(best, tokens, text)
+    return best
 
 
-def raw_product_span(p_start, p_end, mask, max_len: int = 20,
-                     tokens=None, text=None) -> SpanPrediction:
+def raw_product_span(p_start, p_end, mask, max_len: int = 20) -> SpanPrediction:
     """Argmax of the plain p_start * p_end product (the un-penalized baseline)."""
     ps, pe, keep = _prepare(p_start, p_end, mask)
     s, e = _argmax_pair(ps, pe, keep, max_len)
-    return _finish(SpanPrediction(s, e, float(ps[s] * pe[e])), tokens, text)
+    return SpanPrediction(s, e, float(ps[s] * pe[e]))

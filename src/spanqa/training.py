@@ -29,7 +29,7 @@ from . import model as qa_model
 from .autodiff import ConfigError, Graph
 from .data import Batch, EmbeddingTable, build_batches, prepare_for_training
 from .metrics import evaluate
-from .spans import best_span
+from .spans import best_span, span_text
 
 __all__ = ["AdamState", "TrainLogRecord", "TrainingDivergedError",
            "init_optimizer", "clip_global_norm", "adam_update", "train_step",
@@ -181,9 +181,9 @@ def predict_answers(examples, params, table, config: qa_model.ModelConfig,
         p_start, p_end = out.p_start.data, out.p_end.data
         for row, ex in enumerate(chunk):
             pred = best_span(p_start[row], p_end[row], out.mask[row],
-                             max_len=max_answer_len, tokens=ex.context_tokens,
-                             text=ex.context_text)
-            predictions[ex.qid] = pred.answer_text
+                             max_len=max_answer_len)
+            predictions[ex.qid] = span_text(ex.context_tokens, ex.context_text,
+                                            pred.start, pred.end)
     return predictions
 
 

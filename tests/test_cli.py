@@ -9,6 +9,7 @@ from conftest import split, write_squad, write_v2_checkpoint
 from spanqa import autodiff as ad
 from spanqa import diagnostics, training
 from spanqa.checkpoint import FORMAT_VERSION, load_checkpoint
+from spanqa import cli
 from spanqa.cli import main
 from spanqa.metrics import evaluate
 from spanqa.data import load_squad
@@ -242,6 +243,44 @@ class TestResumeFlags:
         records = [json.loads(line)
                    for line in (tmp_path / "resumed.ckpt.log").read_text().splitlines()]
         assert [r["iteration"] for r in records] == [13, 14]
+
+    def test_resumed_log_drops_the_abandoned_runs_records(self, fixtures_dir,
+                                                          tmp_path):
+        # train to 5, resume to 8, then resume from the step-5 copy to 10:
+        # the log must not hold iterations 6-8 twice
+        out, copy = tmp_path / "m.ckpt", tmp_path / "step5.ckpt"
+
+        def run(iters, *flags):
+            assert main(["train", "--data", str(fixtures_dir / "tiny_squad.json"),
+                         "--glove", str(fixtures_dir / "tiny_glove.txt"),
+                         "--out", str(out), "--iters", str(iters),
+                         "--batch-size", "8", "--hidden", "8", "--embed-dim", "32",
+                         *flags]) == 0
+
+        run(5)
+        copy.write_bytes(out.read_bytes())
+        run(8, "--resume", str(out))
+        run(10, "--resume", str(copy))
+        log = (tmp_path / "m.ckpt.log").read_text().splitlines()
+        records = [json.loads(line) for line in log]
+        assert [r["iteration"] for r in records] == list(range(1, 11))
+
+    @pytest.mark.parametrize("lines,kept", [
+        (['{"iteration": 1}\n', '{"iteration": 2}\n', '{"iteration": 3}\n'], 2),
+        (['{"iteration": 1}\n', '{"iteration": 2}\n', '{"iteration'], 2),
+        (['{"iteration": 1}\n', '{"iteration": 2}'], 1),
+        (['{"iteration": 1}\n', 'not json\n', '{"iteration": 2}\n'], 1),
+        (['{"iteration": 1}\n', '{"loss": 2}\n', '{"iteration": 2}\n'], 1),
+        (['{"iteration": 3}\n', '{"iteration": 1}\n', '{"iteration": 2}\n'], 3),
+    ])
+    def test_resumed_log_keeps_records_up_to_the_step(self, tmp_path, lines, kept):
+        # at step 2; a line that does not parse or has no newline ends the scan
+        path = tmp_path / "train.log"
+        path.write_text("".join(lines))
+        with cli._open_resumed_log(path, 2) as handle:
+            handle.write('{"iteration": 3}\n')
+        assert path.read_text() == "".join(
+            lines[:kept]) + '{"iteration": 3}\n'
 
     def test_resume_may_overwrite_its_own_checkpoint(self, trained_checkpoint,
                                                       fixtures_dir, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from spanqa.autodiff import DegenerateMaskError
 from spanqa.spans import (SpanOrderingError, best_span, oracle_best_span,
-                          raw_product_span, smart_span_score)
+                          raw_product_span, smart_span_score, span_text)
 
 # the worked pair used throughout: brute force over all 6 ordered pairs picks
 # (1,1) under smart-span but (0,1) under the raw product
@@ -158,9 +158,8 @@ def test_answer_text_reconstruction():
 
     text = "The Late Show with Stephen Colbert aired after the game."
     toks = tokenize(text)
-    pred = best_span(*_one_hot_pair(len(toks), 4, 5), np.ones(len(toks)),
-                     tokens=toks, text=text)
-    assert pred.answer_text == "Stephen Colbert"
+    pred = best_span(*_one_hot_pair(len(toks), 4, 5), np.ones(len(toks)))
+    assert span_text(toks, text, pred.start, pred.end) == "Stephen Colbert"
 
 
 def _one_hot_pair(length, s, e):

@@ -1,10 +1,11 @@
-"""The regex tokenizer and bisecting alignment against their oracles.
+"""The regex tokenizer, bisecting alignment and span extraction.
 
 `text_oracle` keeps the per-character tokenizer and the linear alignment
 scan the data layer ran before; hypothesis draws strings and token lists
 where the two could disagree: every kind of whitespace, punctuation at the
 edges and inside a chunk, non-ASCII letters and digits, a combining mark, a
-lone surrogate, empty answers and offsets outside the context.
+lone surrogate, empty answers and offsets outside the context. The answer
+string `span_text` cuts out of a text re-tokenizes to the tokens it covers.
 """
 
 import re
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spanqa.data import _TOKEN, AlignmentError, Token, align_answer, tokenize
+from spanqa.spans import span_text
 from text_oracle import oracle_align_answer, oracle_tokenize
 
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -29,6 +31,26 @@ ALPHABET = (string.ascii_letters + string.digits + "_" + string.punctuation
 @given(st.lists(st.sampled_from(ALPHABET), max_size=40).map("".join))
 def test_tokenize_matches_the_oracle(text):
     assert tokenize(text) == oracle_tokenize(text)
+
+
+@st.composite
+def text_and_span(draw):
+    """A text with at least one token, and token positions s <= e in it."""
+    text = draw(st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=40)
+                .map("".join).filter(tokenize))
+    count = len(tokenize(text))
+    start = draw(st.integers(0, count - 1))
+    return text, start, draw(st.integers(start, count - 1))
+
+
+@FUZZ
+@given(text_and_span())
+def test_span_text_retokenizes_to_the_tokens_it_covers(case):
+    text, s, e = case
+    tokens = tokenize(text)
+    base = tokens[s].start
+    assert tokenize(span_text(tokens, text, s, e)) == [
+        Token(tok.text, tok.start - base, tok.end - base) for tok in tokens[s:e + 1]]
 
 
 def test_regex_classes_are_isspace_and_isalnum_on_every_code_point():

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import gc
 import math
 import os
@@ -564,6 +565,23 @@ class TestCheckpoint:
         monkeypatch.undo()
         assert path.read_bytes() == original
         load_checkpoint(path)
+
+    def test_failed_save_removes_its_temp_file(self, tmp_path, monkeypatch):
+        config, params, _, _ = make_tiny_problem(seed=37)
+        state = init_optimizer(params)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, params, config, state)
+        original = path.read_bytes()
+
+        def disk_full(fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "fsync", disk_full)
+        with pytest.raises(OSError, match="No space left"):
+            save_checkpoint(path, params, config, state)
+        monkeypatch.undo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
+        assert path.read_bytes() == original
 
     def test_save_syncs_temp_file_before_rename(self, tmp_path, monkeypatch):
         # and the directory after it, so the rename survives a power loss
