@@ -5,8 +5,8 @@ metadata block, then the raw little-endian float32 tensors. The metadata
 holds exactly the format version, the model config, the Adam step, the best
 dev F1 so far (null before any dev evaluation), the tensor manifest of
 name/shape/byte-offset, and a CRC-32 of the rest of the metadata. Writes go
-to a temp file that is flushed to disk and then renamed into place, so an
-interrupted save or a power loss never corrupts an existing checkpoint.
+through ``data.replace_file``, which syncs a temp file and renames it into
+place, so a crash or a power loss never corrupts an existing checkpoint.
 
 The config fixes the tensor layout: its parameters and their Adam moments
 (under ``adam.m/`` and ``adam.v/`` names), sorted by name and laid end to
@@ -40,7 +40,6 @@ loaded to resume are freed once the first update replaces them.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import os
@@ -51,6 +50,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .data import replace_file
 from .model import ModelConfig, param_shapes
 from .training import AdamState
 
@@ -153,30 +153,15 @@ def save_checkpoint(path, params: dict[str, np.ndarray], config: ModelConfig,
     }
     metadata[_CHECKSUM_KEY] = zlib.crc32(_encode(metadata))
     meta_bytes = _encode(metadata)
-    tmp_path = f"{path}.tmp"
-    try:
-        with open(tmp_path, "wb") as handle:
-            handle.write(MAGIC)
-            handle.write(len(meta_bytes).to_bytes(8, "little"))
-            handle.write(meta_bytes)
-            for entry in layout:
-                handle.write(np.ascontiguousarray(tensors[entry["name"]], dtype=dtype))
-            # on disk before the rename: a rename that lands first would let a
-            # power loss put a torn file in place of the old checkpoint
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        # a failed write (a full disk, say) leaves no partial file behind
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp_path)
-        raise
-    # the rename is durable only once the directory entry is on disk too
-    directory = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
-    try:
-        os.fsync(directory)
-    finally:
-        os.close(directory)
+
+    def write(handle):
+        handle.write(MAGIC)
+        handle.write(len(meta_bytes).to_bytes(8, "little"))
+        handle.write(meta_bytes)
+        for entry in layout:
+            handle.write(np.ascontiguousarray(tensors[entry["name"]], dtype=dtype))
+
+    replace_file(path, write)
 
 
 def _field(path, metadata: dict, key, kinds):

@@ -214,6 +214,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    out_dir = os.path.dirname(args.out) or "."
+    if not os.path.isdir(out_dir):
+        # fail now, not after every question is decoded
+        print(f"cannot write predictions to {args.out}: no such directory "
+              f"{out_dir!r}", file=sys.stderr)
+        return EXIT_UNWRITABLE
     _, predictions = _load_and_predict(args)
     try:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -12,17 +12,19 @@ so a dataset holds each distinct word once.
 A GloVe text file of 1 MiB or more is parsed once: `load_glove` keeps the
 parsed table in `<file>.cache.npz` beside it and reads that while the text
 file's size and mtime and the requested dim are unchanged (see load_glove).
+`replace_file` writes the copy as it writes checkpoints: synced to disk,
+with the mode the umask gives any new file.
 """
 
 from __future__ import annotations
 
 import bisect
+import contextlib
 import json
 import logging
 import os
 import re
 import sys
-import tempfile
 import zipfile
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -35,7 +37,7 @@ __all__ = [
     "Token", "QAExample", "EmbeddingTable", "Batch", "DatasetStats",
     "ParseError", "SchemaError", "AlignmentError", "GloveFormatError",
     "EmptyDatasetError", "PAD_ID", "UNK_ID",
-    "tokenize", "load_squad", "align_answer", "load_glove",
+    "tokenize", "load_squad", "align_answer", "load_glove", "replace_file",
     "build_batches", "prepare_for_training", "dataset_stats",
 ]
 
@@ -170,13 +172,13 @@ def align_answer(context_tokens: list[Token], answer_text: str,
     return start_tok, end_tok
 
 
-def _require(mapping, key, where, kind=None):
+def _require(mapping, key, where, kind):
     # an exact type: JSON makes no subclasses, and a bool is no int here
     try:
         value = mapping[key]
     except (KeyError, TypeError):
         raise SchemaError(f"missing field {key!r} in {where}") from None
-    if kind is not None and type(value) is not kind:
+    if type(value) is not kind:
         raise SchemaError(f"field {key!r} in {where} must be {kind.__name__}, "
                           f"got {type(value).__name__}")
     return value
@@ -204,7 +206,7 @@ def load_squad(path) -> list[QAExample]:
             context = _require(paragraph, "context", "paragraph", str)
             context_tokens = tokenize(context)
             for qa in _require(paragraph, "qas", "paragraph", list):
-                qid = _require(qa, "id", "qa entry")
+                qid = _require(qa, "id", "qa entry", str)
                 question = _require(qa, "question", f"qa {qid}", str)
                 answers = _require(qa, "answers", f"qa {qid}", list)
                 texts = [_require(a, "text", f"answer of qa {qid}", str)
@@ -241,8 +243,9 @@ def load_glove(path, dim: int) -> EmbeddingTable:
     had when the copy was written (taken with `os.fstat` before parsing, so
     a file rewritten mid-parse misses next time) and `dim` is the same. A
     missing, stale or damaged copy is parsed over and rewritten; a copy
-    that cannot be written is logged and skipped. Both paths give the same
-    table, bit for bit.
+    that cannot be written is logged and skipped. `replace_file` syncs the
+    copy and gives it the umask's mode. Both paths give the same table, bit
+    for bit.
     """
     cache = os.fspath(path) + ".cache.npz"
     with open(path, encoding="utf-8") as handle:
@@ -255,7 +258,13 @@ def load_glove(path, dim: int) -> EmbeddingTable:
         words, matrix = _parse_glove(path, handle, dim)
     table = _glove_table(dim, words, matrix)
     if cached:
-        _write_glove_copy(cache, source, words, matrix)
+        # no word holds a newline: the text reader ends a line at each one
+        text = np.frombuffer("\n".join(words).encode("utf-8"), dtype=np.uint8)
+        try:
+            replace_file(cache, lambda handle: np.savez(
+                handle, source=source, matrix=matrix, words=text))
+        except OSError as exc:
+            log.warning("GloVe copy %s not written: %s", cache, exc)
     return table
 
 
@@ -321,25 +330,30 @@ def _read_glove_copy(cache: str, source: np.ndarray, dim: int) -> EmbeddingTable
     return _glove_table(dim, text.split("\n") if len(matrix) > 2 else [], matrix)
 
 
-def _write_glove_copy(cache: str, source: np.ndarray, words: list[str],
-                      matrix: np.ndarray) -> None:
-    """Write the copy to a temp file in its directory, then rename it into
-    place, so a concurrent reader never sees half a file. No fsync: a lost
-    copy is only parsed again."""
-    # no word holds a newline: the text reader ends a line at each one
-    text = np.frombuffer("\n".join(words).encode("utf-8"), dtype=np.uint8)
+def replace_file(path, write) -> None:
+    """Atomically and durably replace `path` with what `write(handle)` writes
+    to `<path>.tmp`, a file `open` creates with the umask's mode. On any
+    failure the temp file is removed, `path` is untouched and it re-raises."""
+    tmp_path = f"{os.fspath(path)}.tmp"
     try:
-        fd, temp = tempfile.mkstemp(suffix=".tmp", prefix=os.path.basename(cache) + ".",
-                                    dir=os.path.dirname(cache) or ".")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                np.savez(handle, source=source, matrix=matrix, words=text)
-            os.replace(temp, cache)
-        except BaseException:
-            os.unlink(temp)
-            raise
-    except OSError as exc:
-        log.warning("GloVe copy %s not written: %s", cache, exc)
+        with open(tmp_path, "wb") as handle:
+            write(handle)
+            # on disk before the rename: a rename that lands first would let a
+            # power loss put a torn file in place of the old one
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_path, path)
+    except BaseException:
+        # a failed write (a full disk, say) leaves no partial file behind
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp_path)
+        raise
+    # the rename is durable only once the directory entry is on disk too
+    directory = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def prepare_for_training(examples, context_cap: int) -> tuple[list[QAExample], int]:

@@ -10,7 +10,6 @@ string those positions cover out of the original text.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +32,16 @@ class SpanPrediction:
     score: float
 
 
+def _length_penalty(n):
+    """The smart-span divisor ln(n) + 1 of a span of n tokens (or an array of n)."""
+    return np.log(n) + 1.0
+
+
 def smart_span_score(p_s: float, p_e: float, start: int, end: int) -> float:
     """p_s * p_e / (ln(end - start + 1) + 1)."""
     if start > end:
         raise SpanOrderingError(f"span start {start} > end {end}")
-    return p_s * p_e / (math.log(end - start + 1) + 1.0)
+    return p_s * p_e / float(_length_penalty(end - start + 1))
 
 
 def span_text(tokens, text: str, start: int, end: int) -> str:
@@ -89,7 +93,7 @@ def best_span(p_start, p_end, mask, max_len: int = 20) -> SpanPrediction:
     """Argmax of the smart-span score over unmasked pairs with
     start <= end < start + max_len; ties go to the smaller start, then end."""
     ps, pe, keep = _prepare(p_start, p_end, mask)
-    s, e = _argmax_pair(ps, pe, keep, max_len, lambda n: np.log(n) + 1.0)
+    s, e = _argmax_pair(ps, pe, keep, max_len, _length_penalty)
     return SpanPrediction(s, e, smart_span_score(ps[s], pe[e], s, e))
 
 

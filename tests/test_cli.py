@@ -373,12 +373,32 @@ class TestPredictAndEval:
         assert code == 0
         assert json.loads(out.read_text()) == {}
 
-    def test_unwritable_out(self, trained_checkpoint, fixtures_dir, capsys):
+    def test_unwritable_out(self, trained_checkpoint, fixtures_dir, capsys,
+                            monkeypatch):
+        def decode(*args, **kwargs):
+            raise AssertionError("decoded before checking the output directory")
+
+        monkeypatch.setattr(training, "predict_answers", decode)
         code = main(["predict", "--ckpt", str(trained_checkpoint),
                      "--data", str(fixtures_dir / "tiny_squad.json"),
                      "--glove", str(fixtures_dir / "tiny_glove.txt"),
                      "--out", "/nonexistent-dir/preds.json"])
         assert code == 3
+        assert capsys.readouterr().err.startswith(
+            "cannot write predictions to /nonexistent-dir/preds.json: ")
+
+    def test_non_string_id_is_an_error_not_a_traceback(self, trained_checkpoint,
+                                                       fixtures_dir, tmp_path,
+                                                       capsys):
+        # an int id beside a string one made sorting the predictions raise
+        path = write_squad(tmp_path, [("ab cd", [(7, "Q?", [("cd", 3)]),
+                                                 ("b", "Q?", [("ab", 0)])])])
+        code = main(["eval", "--ckpt", str(trained_checkpoint), "--data", str(path),
+                     "--glove", str(fixtures_dir / "tiny_glove.txt")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "'id'" in err
+        assert "Traceback" not in err
 
     def test_perfect_predictions_fixture(self, fixtures_dir):
         # feeding gold answers straight through scores 100/100

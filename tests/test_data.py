@@ -167,6 +167,8 @@ class TestLoadSquad:
         ("answer_start", True, "answer of qa q1"),
         ("answers", 5, "qa q1"),
         ("qas", {}, "paragraph"),
+        ("id", 7, "qa entry"),
+        ("id", ["x"], "qa entry"),
     ])
     def test_wrong_field_type_named(self, tmp_path, field, value, where):
         path = write_squad(tmp_path, [("ab cd", [("q1", "Q?", [("cd", 3)])])])

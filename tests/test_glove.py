@@ -231,6 +231,22 @@ def test_unwritable_copy_still_gives_the_table(tmp_path, forbid_parse, monkeypat
     assert "Read-only file system" in caplog.text
 
 
+def test_copy_gets_the_mode_of_a_new_file(tmp_path, forbid_parse):
+    # a copy only its writer can read is parsed over by every other user;
+    # under umask 022 a new file is readable by all
+    path = tmp_path / "vec.txt"
+    path.write_text("a 1 2 3\n")
+    plain = tmp_path / "plain"
+    umask = os.umask(0o022)
+    try:
+        load_glove(path, 3)
+        with open(plain, "wb"):
+            pass
+    finally:
+        os.umask(umask)
+    assert copy_of(path).stat().st_mode == plain.stat().st_mode
+
+
 def test_wrong_dim_after_a_copy_raises_the_parse_error(tmp_path, forbid_parse):
     path = tmp_path / "vec.txt"
     path.write_text("a 1 2 3\n")

@@ -583,11 +583,20 @@ class TestCheckpoint:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
         assert path.read_bytes() == original
 
-    def test_save_syncs_temp_file_before_rename(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("writer", ["checkpoint", "glove_copy"])
+    def test_save_syncs_temp_file_before_rename(self, tmp_path, monkeypatch, writer):
         # and the directory after it, so the rename survives a power loss
-        config, params, _, _ = make_tiny_problem(seed=36)
-        state = init_optimizer(params)
-        path = tmp_path / "model.ckpt"
+        if writer == "checkpoint":
+            config, params, _, _ = make_tiny_problem(seed=36)
+            state = init_optimizer(params)
+            path = tmp_path / "model.ckpt"
+            save = lambda: save_checkpoint(path, params, config, state)
+        else:
+            monkeypatch.setattr(data, "CACHE_MIN_BYTES", 0)
+            glove = tmp_path / "vec.txt"
+            glove.write_text("a 1 2 3\nb 4 5 6\n")
+            path = tmp_path / "vec.txt.cache.npz"
+            save = lambda: load_glove(glove, 3)
         calls = []
         fsync, replace = os.fsync, os.replace
 
@@ -601,7 +610,7 @@ class TestCheckpoint:
 
         monkeypatch.setattr(os, "fsync", logged_fsync)
         monkeypatch.setattr(os, "replace", logged_replace)
-        save_checkpoint(path, params, config, state)
+        save()
         inode = path.stat().st_ino      # the temp file's, renamed into place
         replaced = calls.index(("replace", f"{path}.tmp", inode))
         assert ("fsync", inode) in calls[:replaced]
