@@ -15,17 +15,15 @@ keeps the manifest to document its payload, and loading requires it to be
 exactly that layout. A saved parameter costs 12 bytes: itself and its two
 moments, 4 bytes each.
 
-Format version 3 is the one written. A version 2 file, whose payload is the
-same layout in float64 (8 bytes per element), still loads: each tensor is
-read at its 8-byte offset and narrowed to float32, so resuming from it and
-saving writes version 3.
+Format version 3 is the only one written or read: version 1 and 2 files
+(version 2 held the same layout in float64) raise ``CheckpointVersionError``
+and are not converted.
 
 Loading raises a ``CheckpointError`` subclass for any file it cannot take at
-its word: wrong magic, a format version other than 3 or 2 (version 1 files
-are rejected, not converted), truncation, metadata that is not JSON, lacks or
-mistypes a key, or lacks or fails its checksum, and a manifest other than
-the config's layout. The payload carries no checksum, so a flipped payload
-bit loads as the value the file now holds.
+its word: wrong magic, a format version other than 3, truncation, metadata
+that is not JSON, lacks or mistypes a key, or lacks or fails its checksum,
+and a manifest other than the config's layout. The payload carries no
+checksum, so a flipped payload bit loads as the value the file now holds.
 
 Loading checks the file's size against the layout before it allocates any
 tensor, then reads only the parameters, each straight into its own array.
@@ -62,8 +60,8 @@ __all__ = ["MAGIC", "FORMAT_VERSION", "CheckpointError", "CheckpointMagicError",
 
 MAGIC = b"QACKPT1\n"
 FORMAT_VERSION = 3
-# payload dtype of each format version that loads; only FORMAT_VERSION is written
-_PAYLOAD_DTYPES = {3: np.dtype("<f4"), 2: np.dtype("<f8")}
+# the payload's dtype; loading converts it to native float32
+_DTYPE = np.dtype("<f4")
 _CHECKSUM_KEY = "metadata_crc32"
 
 
@@ -115,10 +113,9 @@ class CheckpointData:
         return self._read_state()
 
 
-def _layout(config: ModelConfig, itemsize: int) -> list[dict]:
+def _layout(config: ModelConfig) -> list[dict]:
     """The manifest of a config's checkpoint: each parameter and its two Adam
-    moments, sorted by name and laid end to end, `itemsize` bytes per
-    element."""
+    moments, sorted by name and laid end to end."""
     shapes = param_shapes(config)
     named = dict(shapes)
     for prefix in ("adam.m/", "adam.v/"):
@@ -126,7 +123,7 @@ def _layout(config: ModelConfig, itemsize: int) -> list[dict]:
     layout, offset = [], 0
     for name in sorted(named):
         layout.append({"name": name, "shape": list(named[name]), "offset": offset})
-        offset += itemsize * math.prod(named[name])
+        offset += _DTYPE.itemsize * math.prod(named[name])
     return layout
 
 
@@ -142,8 +139,7 @@ def save_checkpoint(path, params: dict[str, np.ndarray], config: ModelConfig,
     for name in params:
         tensors[f"adam.m/{name}"] = state.m[name]
         tensors[f"adam.v/{name}"] = state.v[name]
-    dtype = _PAYLOAD_DTYPES[FORMAT_VERSION]
-    layout = _layout(config, dtype.itemsize)
+    layout = _layout(config)
     metadata = {
         "version": FORMAT_VERSION,
         "config": asdict(config),
@@ -159,7 +155,7 @@ def save_checkpoint(path, params: dict[str, np.ndarray], config: ModelConfig,
         handle.write(len(meta_bytes).to_bytes(8, "little"))
         handle.write(meta_bytes)
         for entry in layout:
-            handle.write(np.ascontiguousarray(tensors[entry["name"]], dtype=dtype))
+            handle.write(np.ascontiguousarray(tensors[entry["name"]], dtype=_DTYPE))
 
     replace_file(path, write)
 
@@ -183,10 +179,9 @@ def _read_metadata(path, block: bytes) -> dict:
         raise CheckpointMetadataError(f"{path}: metadata is not a JSON object")
     # the version comes first: another version's checksum rules are unknown
     version = metadata.get("version")
-    if type(version) is not int or version not in _PAYLOAD_DTYPES:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise CheckpointVersionError(
-            f"{path}: format version {version!r}, expected {FORMAT_VERSION} "
-            f"(or 2, narrowed on load)")
+            f"{path}: format version {version!r}, expected {FORMAT_VERSION}")
     if metadata.pop(_CHECKSUM_KEY, None) != zlib.crc32(_encode(metadata)):
         raise CheckpointMetadataError(f"{path}: metadata lacks or fails its checksum")
     return metadata
@@ -221,14 +216,12 @@ def _identity(stat) -> tuple:
     return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
 
 
-def _read_tensors(path, handle, start: int, entries: list[dict],
-                  dtype: np.dtype) -> dict[str, np.ndarray]:
-    """Each manifest entry's float32 tensor, read from the payload of `dtype`
-    at byte `start` straight into its own new array; a float64 tensor is
-    read whole and narrowed into a new one."""
+def _read_tensors(path, handle, start: int, entries: list[dict]) -> dict[str, np.ndarray]:
+    """Each manifest entry's float32 tensor, read from the payload at byte
+    `start` straight into its own new array."""
     tensors = {}
     for entry in entries:
-        tensor = np.empty(entry["shape"], dtype=dtype)
+        tensor = np.empty(entry["shape"], dtype=_DTYPE)
         handle.seek(start + entry["offset"])
         if handle.readinto(tensor) != tensor.nbytes:
             raise CheckpointTruncatedError(f"{path}: payload ends inside "
@@ -260,17 +253,15 @@ def load_checkpoint(path) -> CheckpointData:
         config = _read_config(path, _field(path, metadata, "config", (dict,)))
         step = _field(path, metadata, "step", (int,))
         best_dev_f1 = _field(path, metadata, "best_dev_f1", (int, float, type(None)))
-        dtype = _PAYLOAD_DTYPES[metadata["version"]]
-        layout = _layout(config, dtype.itemsize)
+        layout = _layout(config)
         _check_manifest(path, _field(path, metadata, "tensors", (list,)), layout)
-        expected = sum(dtype.itemsize * math.prod(entry["shape"]) for entry in layout)
+        expected = sum(_DTYPE.itemsize * math.prod(entry["shape"]) for entry in layout)
         if size - cursor != expected:
             raise CheckpointTruncatedError(
                 f"{path}: payload is {size - cursor} bytes, manifest expects {expected}")
         shapes = param_shapes(config)
         tensors = _read_tensors(path, handle, cursor,
-                                [entry for entry in layout if entry["name"] in shapes],
-                                dtype)
+                                [entry for entry in layout if entry["name"] in shapes])
     params = {name: tensors[name] for name in shapes}
     moments = [entry for entry in layout if entry["name"] not in shapes]
     source = os.path.abspath(path)
@@ -286,7 +277,7 @@ def load_checkpoint(path) -> CheckpointData:
                 raise CheckpointChangedError(
                     f"{path}: changed after its parameters were loaded; its Adam "
                     f"moments would not match them")
-            tensors = _read_tensors(path, handle, cursor, moments, dtype)
+            tensors = _read_tensors(path, handle, cursor, moments)
         return AdamState(m={name: tensors[f"adam.m/{name}"] for name in params},
                          v={name: tensors[f"adam.v/{name}"] for name in params},
                          step=step)

@@ -142,11 +142,20 @@ def _open_resumed_log(path, step: int):
     return open(path, "a", encoding="utf-8")
 
 
-def cmd_train(args) -> int:
-    out_dir = os.path.dirname(args.out) or "."
+def _check_writable(path) -> None:
+    """Raise the OSError that writing a file at `path` would meet because its
+    directory is missing or `path` is a directory, before any work is done."""
+    out_dir = os.path.dirname(path) or "."
     if not os.path.isdir(out_dir):
-        # fail now, not after training when the first checkpoint is written
         raise FileNotFoundError(errno.ENOENT, "no such directory", out_dir)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, "is a directory", path)
+
+
+def cmd_train(args) -> int:
+    # fail now, not after training when a checkpoint is first written
+    for path in [args.out, f"{args.out}.last"] if args.dev else [args.out]:
+        _check_writable(path)
     if args.resume:
         loaded = ckpt.load_checkpoint(args.resume)
         _check_resume_flags(args, loaded.config)
@@ -214,11 +223,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    out_dir = os.path.dirname(args.out) or "."
-    if not os.path.isdir(out_dir):
+    try:
         # fail now, not after every question is decoded
-        print(f"cannot write predictions to {args.out}: no such directory "
-              f"{out_dir!r}", file=sys.stderr)
+        _check_writable(args.out)
+    except OSError as exc:
+        print(f"cannot write predictions to {args.out}: {exc}", file=sys.stderr)
         return EXIT_UNWRITABLE
     _, predictions = _load_and_predict(args)
     try:

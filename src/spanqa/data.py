@@ -67,7 +67,8 @@ class ParseError(ValueError):
 
 
 class SchemaError(ValueError):
-    """Input JSON is missing a required SQuAD field."""
+    """Input JSON lacks or mistypes a required SQuAD field, or repeats a
+    question id."""
 
 
 class AlignmentError(ValueError):
@@ -126,11 +127,6 @@ class Batch:
     question_ids: np.ndarray    # (B, Lq)
     gold_starts: np.ndarray     # (B,) int64
     gold_ends: np.ndarray
-    qids: list[str]
-
-    @property
-    def size(self) -> int:
-        return self.context_ids.shape[0]
 
 
 @dataclass
@@ -189,8 +185,8 @@ def load_squad(path) -> list[QAExample]:
 
     All listed answers are retained; the gold token span is aligned from the
     first answer. Examples whose first answer cannot be aligned keep
-    gold_span=None and are counted in a warning. A missing field, or one of
-    the wrong JSON type, raises SchemaError.
+    gold_span=None and are counted in a warning. A missing field, one of the
+    wrong JSON type, or a question id seen before raises SchemaError.
     """
     with open(path, encoding="utf-8") as handle:
         try:
@@ -200,6 +196,7 @@ def load_squad(path) -> list[QAExample]:
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     examples: list[QAExample] = []
+    seen: set[str] = set()
     unaligned = 0
     for article in _require(raw, "data", str(path), list):
         for paragraph in _require(article, "paragraphs", "article", list):
@@ -207,6 +204,10 @@ def load_squad(path) -> list[QAExample]:
             context_tokens = tokenize(context)
             for qa in _require(paragraph, "qas", "paragraph", list):
                 qid = _require(qa, "id", "qa entry", str)
+                if qid in seen:
+                    # predictions and scores are keyed by id
+                    raise SchemaError(f"{path}: question id {qid!r} is repeated")
+                seen.add(qid)
                 question = _require(qa, "question", f"qa {qid}", str)
                 answers = _require(qa, "answers", f"qa {qid}", list)
                 texts = [_require(a, "text", f"answer of qa {qid}", str)
@@ -412,8 +413,7 @@ def _assemble(chunk, table, context_cap) -> Batch:
         question_ids[b, :len(qtoks[b])] = table.ids(qtoks[b])
         if ex.gold_span is not None and ex.gold_span[1] < context_cap:
             gold_starts[b], gold_ends[b] = ex.gold_span
-    return Batch(context_ids, question_ids, gold_starts, gold_ends,
-                 [ex.qid for ex in chunk])
+    return Batch(context_ids, question_ids, gold_starts, gold_ends)
 
 
 def _answer_token_length(ex: QAExample) -> int:

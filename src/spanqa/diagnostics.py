@@ -200,8 +200,7 @@ def make_tiny_problem(seed: int = 0, hidden: int = 4, embed_dim: int = 6,
     gold_ends = gold_starts + rng.integers(0, 2, size=batch_size)
     gold_ends = np.minimum(gold_ends, lengths - 1)
     batch = Batch(context_ids.astype(np.int64), question_ids.astype(np.int64),
-                  gold_starts.astype(np.int64), gold_ends.astype(np.int64),
-                  [f"tiny{i}" for i in range(batch_size)])
+                  gold_starts.astype(np.int64), gold_ends.astype(np.int64))
     params = qa_model.init_params(config)
     return config, params, table, batch
 

@@ -1,10 +1,8 @@
-import dataclasses
 import json
 import os
 import zlib
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from spanqa.checkpoint import MAGIC
@@ -83,24 +81,3 @@ def join(metadata, payload):
     metadata["metadata_crc32"] = zlib.crc32(encode(metadata))
     block = encode(metadata)
     return MAGIC + len(block).to_bytes(8, "little") + block + payload
-
-
-def write_v2_checkpoint(path, params, config, state, best_dev_f1=None):
-    """A format version 2 checkpoint: the metadata of today's format, with
-    the tensors as a little-endian float64 payload at 8-byte offsets."""
-    tensors = dict(params)
-    for name in params:
-        tensors[f"adam.m/{name}"] = state.m[name]
-        tensors[f"adam.v/{name}"] = state.v[name]
-    names = sorted(tensors)
-    manifest, offset = [], 0
-    for name in names:
-        manifest.append({"name": name, "shape": list(tensors[name].shape),
-                         "offset": offset})
-        offset += 8 * tensors[name].size
-    metadata = {"version": 2, "config": dataclasses.asdict(config),
-                "step": state.step, "best_dev_f1": best_dev_f1,
-                "tensors": manifest}
-    payload = b"".join(np.ascontiguousarray(tensors[name], dtype="<f8").tobytes()
-                       for name in names)
-    path.write_bytes(join(metadata, payload))

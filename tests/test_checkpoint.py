@@ -8,18 +8,21 @@ from a file other than the one the parameters came from.
 
 import copy
 import dataclasses
+import hashlib
 import itertools
 import json
+import math
 import os
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import join, split, write_v2_checkpoint
+from conftest import join, split
 from memtrace import traced
-from spanqa.checkpoint import (MAGIC, FORMAT_VERSION, CheckpointChangedError,
+from spanqa.checkpoint import (MAGIC, CheckpointChangedError,
                                CheckpointError, CheckpointVersionError,
                                CheckpointManifestError, CheckpointMetadataError,
                                CheckpointMissingTensorError, CheckpointTruncatedError,
@@ -296,53 +299,44 @@ def test_payload_is_twelve_bytes_per_parameter(workdir, original):
     assert len(payload) == 12 * param_count(init_params(config))
 
 
-def float64_model(config, seed):
-    """Params and moments with bits a float32 cannot hold."""
-    rng = np.random.default_rng(seed)
+def counting(shapes, start):
+    """A tensor of each shape, in name order, counting up in eighths from
+    `start`; the count where the last one stops."""
+    tensors = {}
+    for name, shape in sorted(shapes.items()):
+        size = math.prod(shape)
+        tensors[name] = (np.arange(start, start + size, dtype=np.float32) / 8).reshape(shape)
+        start += size
+    return tensors, start
+
+
+# the sha256 of the file saved below in format 3; a change to key order,
+# separators, offsets or payload bytes moves it
+PINNED_SHA256 = "ff8d245de1a62c89684ee1afc1281497d33b52bb9ec085685ea3180184bd8577"
+
+
+def test_format_3_bytes_are_pinned(tmp_path):
+    # no random numbers, so only a change to the format can move the digest
+    config = ModelConfig(hidden_size=2, embedding_dim=3, encoder_layers=1, seed=4)
     shapes = param_shapes(config)
-    params, m, v = ({name: rng.normal(size=shape) * 0.1 for name, shape in shapes.items()}
-                    for _ in range(3))
-    return params, AdamState(m=m, v={name: np.abs(x) for name, x in v.items()}, step=5)
+    params, count = counting(shapes, 0)
+    m, count = counting(shapes, count)
+    v, _ = counting(shapes, count)
+    path = tmp_path / "pinned.ckpt"
+    save_checkpoint(path, params, config, AdamState(m=m, v=v, step=7), best_dev_f1=12.5)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SHA256
+    loaded = load_checkpoint(path)
+    assert (loaded.config, loaded.state.step, loaded.best_dev_f1) == (config, 7, 12.5)
+    for name in shapes:
+        assert np.array_equal(loaded.params[name], params[name]), name
+        assert np.array_equal(loaded.state.m[name], m[name]), name
+        assert np.array_equal(loaded.state.v[name], v[name]), name
 
 
-def test_version_2_file_loads_narrowed_and_saves_as_version_3(tmp_path):
-    config = ModelConfig(hidden_size=4, embedding_dim=6, seed=3)
-    params, state = float64_model(config, seed=8)
-    old = tmp_path / "v2.ckpt"
-    write_v2_checkpoint(old, params, config, state, best_dev_f1=12.5)
-    loaded = load_checkpoint(old)
-    assert (loaded.config, loaded.best_dev_f1) == (config, 12.5)
-    assert loaded.state.step == 5
-    for name in params:
-        for got, wrote in [(loaded.params[name], params[name]),
-                           (loaded.state.m[name], state.m[name]),
-                           (loaded.state.v[name], state.v[name])]:
-            assert got.dtype == np.float32, name
-            assert got.flags.owndata and got.flags.c_contiguous, name
-            assert np.array_equal(got, wrote.astype(np.float32)), name
-    new = tmp_path / "v3.ckpt"
-    save_checkpoint(new, loaded.params, loaded.config, loaded.state,
-                    best_dev_f1=loaded.best_dev_f1)
-    assert split(old.read_bytes())[0]["version"] == 2
-    assert split(new.read_bytes())[0]["version"] == FORMAT_VERSION == 3
-    again = load_checkpoint(new)
-    for name in params:
-        assert np.array_equal(again.params[name], loaded.params[name]), name
-        assert np.array_equal(again.state.v[name], loaded.state.v[name]), name
-
-
-def test_version_is_checked_against_the_payload_width(workdir, original):
-    # a version 3 payload declared as version 2 has 4-byte offsets where
-    # version 2 needs 8-byte ones
-    metadata, payload = split(original)
-    metadata["version"] = 2
-    with pytest.raises(CheckpointManifestError):
-        load_bytes(workdir, join(metadata, payload))
-
-
-@pytest.mark.parametrize("version", ["3", 3.0, True, None, [3]])
+@pytest.mark.parametrize("version", ["3", 3.0, True, None, [3], 1, 2])
 def test_other_versions_are_rejected(workdir, original, version):
     metadata, payload = split(original)
     metadata["version"] = version
-    with pytest.raises(CheckpointVersionError, match="format version"):
+    with pytest.raises(CheckpointVersionError,
+                       match=re.escape(f"format version {version!r}, expected 3")):
         load_bytes(workdir, join(metadata, payload))

@@ -1,11 +1,12 @@
 import dataclasses
+import errno
 import json
 import re
 
 import numpy as np
 import pytest
 
-from conftest import split, write_squad, write_v2_checkpoint
+from conftest import write_squad
 from spanqa import autodiff as ad
 from spanqa import diagnostics, training
 from spanqa.checkpoint import FORMAT_VERSION, load_checkpoint
@@ -198,15 +199,26 @@ class TestTrain:
     def test_missing_out_directory_fails_before_training(self, fixtures_dir,
                                                          tmp_path, capsys,
                                                          monkeypatch):
+        # a missing directory, an --out that is a directory, and with --dev a
+        # <out>.last that is one: each fails before anything is trained
         calls = []
         monkeypatch.setattr(training, "train", lambda *args, **kw: calls.append(args))
-        missing = tmp_path / "absent"
-        code = main(["train", "--data", str(fixtures_dir / "tiny_squad.json"),
-                     "--glove", str(fixtures_dir / "tiny_glove.txt"),
-                     "--out", str(missing / "m.ckpt"),
-                     "--log", str(tmp_path / "m.log"), "--iters", "2"])
-        assert code == 2
-        assert str(missing) in capsys.readouterr().err
+        data = str(fixtures_dir / "tiny_squad.json")
+        missing, directory = tmp_path / "absent", tmp_path / "dir.ckpt"
+        best = tmp_path / "best.ckpt"
+        directory.mkdir()
+        (tmp_path / "best.ckpt.last").mkdir()
+        cases = [(missing / "m.ckpt", [], 2, f"file not found: {missing}"),
+                 (directory, [], 1, f"error: [Errno {errno.EISDIR}] is a directory: "
+                                    f"'{directory}'"),
+                 (best, ["--dev", data], 1, f"error: [Errno {errno.EISDIR}] is a "
+                                            f"directory: '{best}.last'")]
+        for out, flags, want, message in cases:
+            code = main(["train", "--data", data,
+                         "--glove", str(fixtures_dir / "tiny_glove.txt"),
+                         "--out", str(out), "--log", str(tmp_path / "m.log"),
+                         "--iters", "2", *flags])
+            assert (code, capsys.readouterr().err) == (want, message + "\n")
         assert calls == []
 
 
@@ -294,21 +306,6 @@ class TestResumeFlags:
         assert load_checkpoint(same).state.step == 14
         assert same.read_bytes() == other.read_bytes()
 
-    def test_resume_from_version_2_saves_version_3(self, trained_checkpoint,
-                                                  fixtures_dir, tmp_path):
-        # a version 2 copy holds the same float32 values widened, so resuming
-        # from it retraces the run and writes the same version 3 file
-        loaded = load_checkpoint(trained_checkpoint)
-        old = tmp_path / "v2.ckpt"
-        write_v2_checkpoint(old, loaded.params, loaded.config, loaded.state,
-                            loaded.best_dev_f1)
-        from_old, from_new = tmp_path / "from_v2.ckpt", tmp_path / "from_v3.ckpt"
-        assert self._resume(old, fixtures_dir, from_old) == 0
-        assert self._resume(trained_checkpoint, fixtures_dir, from_new) == 0
-        assert split(from_old.read_bytes())[0]["version"] == FORMAT_VERSION == 3
-        assert load_checkpoint(from_old).state.step == 14
-        assert from_old.read_bytes() == from_new.read_bytes()
-
 
 class TestPredictAndEval:
     def test_predictions_file(self, trained_checkpoint, fixtures_dir, tmp_path,
@@ -373,19 +370,21 @@ class TestPredictAndEval:
         assert code == 0
         assert json.loads(out.read_text()) == {}
 
-    def test_unwritable_out(self, trained_checkpoint, fixtures_dir, capsys,
-                            monkeypatch):
+    def test_unwritable_out(self, trained_checkpoint, fixtures_dir, tmp_path,
+                            capsys, monkeypatch):
         def decode(*args, **kwargs):
             raise AssertionError("decoded before checking the output directory")
 
         monkeypatch.setattr(training, "predict_answers", decode)
-        code = main(["predict", "--ckpt", str(trained_checkpoint),
-                     "--data", str(fixtures_dir / "tiny_squad.json"),
-                     "--glove", str(fixtures_dir / "tiny_glove.txt"),
-                     "--out", "/nonexistent-dir/preds.json"])
-        assert code == 3
-        assert capsys.readouterr().err.startswith(
-            "cannot write predictions to /nonexistent-dir/preds.json: ")
+        # a missing directory, and an --out that is a directory
+        for out in ["/nonexistent-dir/preds.json", str(tmp_path)]:
+            code = main(["predict", "--ckpt", str(trained_checkpoint),
+                         "--data", str(fixtures_dir / "tiny_squad.json"),
+                         "--glove", str(fixtures_dir / "tiny_glove.txt"),
+                         "--out", out])
+            assert code == 3
+            assert capsys.readouterr().err.startswith(
+                f"cannot write predictions to {out}: ")
 
     def test_non_string_id_is_an_error_not_a_traceback(self, trained_checkpoint,
                                                        fixtures_dir, tmp_path,
@@ -399,6 +398,16 @@ class TestPredictAndEval:
         assert code == 1
         assert err.startswith("error: ") and "'id'" in err
         assert "Traceback" not in err
+
+    def test_repeated_id_is_an_error(self, trained_checkpoint, fixtures_dir,
+                                     tmp_path, capsys):
+        path = write_squad(tmp_path, [("ab cd", [("q1", "Q?", [("cd", 3)]),
+                                                 ("q1", "Q?", [("ab", 0)])])])
+        code = main(["eval", "--ckpt", str(trained_checkpoint), "--data", str(path),
+                     "--glove", str(fixtures_dir / "tiny_glove.txt")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "'q1' is repeated" in err
 
     def test_perfect_predictions_fixture(self, fixtures_dir):
         # feeding gold answers straight through scores 100/100

@@ -182,6 +182,17 @@ class TestLoadSquad:
         with pytest.raises(SchemaError, match=f"field '{field}' in {where} must be"):
             load_squad(path)
 
+    def test_repeated_id_named(self, tmp_path):
+        # predictions and scores are keyed by id, so a repeated id would score
+        # one question with the other's answer
+        context = "Paris is in France. Berlin is in Germany."
+        path = write_squad(tmp_path, [
+            (context, [("q1", "Where is Paris?", [("France", 12)]),
+                       ("q1", "Where is Berlin?", [("Germany", 33)])]),
+        ])
+        with pytest.raises(SchemaError, match="question id 'q1' is repeated"):
+            load_squad(path)
+
     def test_unalignable_answer_kept_without_gold(self, tmp_path):
         # answer offset points at whitespace, so no token range covers it
         context = "only four words here"
@@ -247,7 +258,7 @@ class TestBuildBatches:
         table = make_table(WORDS)
         examples = _toy_examples(100, WORDS)
         batches = build_batches(examples, table, batch_size=40)
-        assert [b.size for b in batches] == [40, 40, 20]
+        assert [len(b.context_ids) for b in batches] == [40, 40, 20]
 
     def test_gold_beyond_cap_dropped(self):
         table = make_table(WORDS)
@@ -258,7 +269,7 @@ class TestBuildBatches:
         kept, dropped = prepare_for_training(examples, context_cap=300)
         assert (len(kept), dropped) == (1, 1)
         batches = build_batches(examples, table, batch_size=8, context_cap=300)
-        assert sum(b.size for b in batches) == 1
+        assert sum(len(b.context_ids) for b in batches) == 1
         assert batches[0].context_ids.shape[1] == 300
 
     def test_rows_padded_after_their_tokens(self):
@@ -289,7 +300,7 @@ class TestBuildBatches:
                 live = batch.context_ids != PAD_ID
                 lengths = live.sum(axis=1)
                 assert np.array_equal(live, np.arange(live.shape[1]) < lengths[:, None])
-                rows = np.arange(batch.size)
+                rows = np.arange(len(batch.context_ids))
                 assert np.all(live[rows, batch.gold_starts])
                 assert np.all(live[rows, batch.gold_ends])
                 assert np.all(batch.gold_starts <= batch.gold_ends)

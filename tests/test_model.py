@@ -425,8 +425,7 @@ class TestForward:
         out = forward(batch, params, table, config)
         perm = [2, 0, 1]
         permuted = Batch(batch.context_ids[perm], batch.question_ids[perm],
-                         batch.gold_starts[perm], batch.gold_ends[perm],
-                         [batch.qids[i] for i in perm])
+                         batch.gold_starts[perm], batch.gold_ends[perm])
         out_p = forward(permuted, params, table, config)
         assert np.allclose(out_p.p_start.data, out.p_start.data[perm], atol=1e-12)
         assert np.allclose(out_p.p_end.data, out.p_end.data[perm], atol=1e-12)
@@ -488,14 +487,13 @@ def _shared_context_batch(context_len=9, question_len=5, q_lengths=(5, 3, 4, 2, 
     question_ids = np.where(np.arange(question_len) < q_lengths[:, None],
                             rng.integers(2, table.vocab_size, size=(5, question_len)), 0)
     zeros = np.zeros(5, dtype=np.int64)
-    batch = Batch(context_ids, question_ids, zeros, zeros, [f"q{i}" for i in range(5)])
+    batch = Batch(context_ids, question_ids, zeros, zeros)
     return config, params, table, batch
 
 
 def _row(batch, r):
     return Batch(batch.context_ids[r:r + 1], batch.question_ids[r:r + 1],
-                 batch.gold_starts[r:r + 1], batch.gold_ends[r:r + 1],
-                 batch.qids[r:r + 1])
+                 batch.gold_starts[r:r + 1], batch.gold_ends[r:r + 1])
 
 
 def _lstm_row_counts(monkeypatch):
@@ -546,7 +544,7 @@ class TestSharedContextEncoding:
         context_ids = batch.context_ids[rows].copy()
         context_ids[1, 6:] = PAD_ID    # row 1: row 0's context cut after 6 tokens
         truncated = Batch(context_ids, batch.question_ids[rows], batch.gold_starts[rows],
-                          batch.gold_ends[rows], ["a", "b", "c"])
+                          batch.gold_ends[rows])
         counts = _lstm_row_counts(monkeypatch)
         out = forward(truncated, params, table, config)
         assert counts[:2] == [3 + 3] * 2

@@ -43,8 +43,7 @@ def ragged_problem(hidden, shared, seed=0, embed_dim=6, vocab=30):
     context_ids[np.arange(lc) >= c_lengths[:, None]] = PAD_ID
     question_ids[np.arange(lq) >= q_lengths[:, None]] = PAD_ID
     zeros = np.zeros(len(c_lengths), dtype=np.int64)
-    batch = Batch(context_ids, question_ids, zeros, zeros,
-                  [f"q{i}" for i in range(len(c_lengths))])
+    batch = Batch(context_ids, question_ids, zeros, zeros)
     return config, params, table, batch
 
 
