@@ -44,9 +44,7 @@ __all__ = [
     "concat",
     "slice_axis",
     "reshape",
-    "transpose",
     "reduce_sum",
-    "reduce_max",
     "add_bias",
     "expand_batch",
     "repeat_axis",
@@ -309,8 +307,7 @@ def _elementwise(op, x, forward, local_grad) -> Tensor:
     return _apply(op, (x,), out, backward)
 
 
-# No model code calls tanh or sigmoid: tests/lstm_oracle.py builds on them,
-# and perfbench reports both by name.
+# No model code calls tanh or sigmoid; perfbench reports both by name.
 def tanh(x) -> Tensor:
     return _elementwise("tanh", x, np.tanh, lambda g, x, y: g * (1.0 - y * y))
 
@@ -380,19 +377,6 @@ def reshape(x, shape) -> Tensor:
     return _apply("reshape", (x,), out, backward)
 
 
-def transpose(x) -> Tensor:
-    """Swap the last two axes: (..., m, n) -> (..., n, m)."""
-    x = _lift(x)
-    if x.ndim < 2:
-        raise DimensionError(f"transpose: need >= 2 axes, got shape {x.shape}")
-    out = np.swapaxes(x.data, -1, -2).copy()
-
-    def backward(g):
-        return (np.swapaxes(g, -1, -2),)
-
-    return _apply("transpose", (x,), out, backward)
-
-
 def reduce_sum(x) -> Tensor:
     """Sum of all elements -> scalar."""
     x = _lift(x)
@@ -405,23 +389,8 @@ def reduce_sum(x) -> Tensor:
     return _apply("sum", (x,), out, backward)
 
 
-def reduce_max(x, axis: int) -> Tensor:
-    """Max along one axis; the subgradient routes to the first argmax."""
-    x = _lift(x)
-    out = x.data.max(axis=axis)
-    idx = np.expand_dims(x.data.argmax(axis=axis), axis)
-    shape, dtype = x.shape, x.data.dtype
-
-    def backward(g):
-        gx = np.zeros(shape, dtype)
-        np.put_along_axis(gx, idx, np.expand_dims(g, axis), axis)
-        return (gx,)
-
-    return _apply("max", (x,), out, backward)
-
-
 # No model code calls add_bias, expand_batch or repeat_axis; perfbench reports
-# all three by name, and tests/lstm_oracle.py builds on add_bias.
+# all three by name.
 def add_bias(x, b) -> Tensor:
     """x (..., n) + b (n,), broadcasting b over all leading axes."""
     x, b = _lift(x), _lift(b)

@@ -12,7 +12,7 @@ import sys
 from . import checkpoint as ckpt
 from . import diagnostics
 from . import training
-from .data import dataset_stats, load_glove, load_squad
+from .data import dataset_stats, load_glove, load_squad, replace_file
 from .metrics import CATEGORIES, evaluate
 from .model import ModelConfig
 
@@ -153,8 +153,9 @@ def _check_writable(path) -> None:
 
 
 def cmd_train(args) -> int:
-    # fail now, not after training when a checkpoint is first written
-    for path in [args.out, f"{args.out}.last"] if args.dev else [args.out]:
+    log_path = args.log or f"{args.out}.log"
+    # fail now, not after loading or training when the file is first written
+    for path in [args.out, log_path] + ([f"{args.out}.last"] if args.dev else []):
         _check_writable(path)
     if args.resume:
         loaded = ckpt.load_checkpoint(args.resume)
@@ -167,7 +168,6 @@ def cmd_train(args) -> int:
     examples = load_squad(args.data)
     dev_examples = load_squad(args.dev) if args.dev else None
     table = load_glove(args.glove, dim=config.embedding_dim)
-    log_path = args.log or f"{args.out}.log"
 
     def save_improved(result):
         ckpt.save_checkpoint(args.out, result.params, config, result.state,
@@ -230,11 +230,10 @@ def cmd_predict(args) -> int:
         print(f"cannot write predictions to {args.out}: {exc}", file=sys.stderr)
         return EXIT_UNWRITABLE
     _, predictions = _load_and_predict(args)
+    text = json.dumps(predictions, ensure_ascii=False, sort_keys=True, indent=1) + "\n"
     try:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(predictions, handle, ensure_ascii=False, sort_keys=True,
-                      indent=1)
-            handle.write("\n")
+        # a failed write leaves an existing predictions file as it was
+        replace_file(args.out, lambda handle: handle.write(text.encode("utf-8")))
     except OSError as exc:
         print(f"cannot write predictions to {args.out}: {exc}", file=sys.stderr)
         return EXIT_UNWRITABLE

@@ -3,7 +3,7 @@ literally, one example at a time, unpadded, in float64.
 
 Each example runs alone at its own lengths, so no mask, padding, packing or
 shared-context bookkeeping takes part. The encoder and decoders are the
-unrolled LSTM of lstm_oracle.py, the attention is the literal BiDAF of
+plain numpy LSTM of lstm_oracle.py, the attention is the literal BiDAF of
 bidaf_oracle.py, the end decoder reads [G ; M_start], each head is
 FC2(relu(FC1([G_i ; M_i]))) at every position, and the softmaxes run over
 the example's positions only.
@@ -12,7 +12,7 @@ the example's positions only.
 import numpy as np
 
 from bidaf_oracle import bidaf_reference
-from lstm_oracle import unrolled_bilstm
+from lstm_oracle import bilstm_reference
 from spanqa.data import PAD_ID
 
 
@@ -23,8 +23,7 @@ def _layer(params, prefix):
 
 def _bilstm(x, layers):
     """(L, n) -> (L, 2h): stacked bidirectional LSTM over one whole sequence."""
-    hidden = layers[0]["fwd"][0].shape[0] // 4
-    return unrolled_bilstm(x[None], layers, np.ones((1, len(x))), hidden).data[0]
+    return bilstm_reference(x[None], np.ones((1, len(x))), layers)[0]
 
 
 def _head(features, params, prefix):

@@ -1,17 +1,18 @@
-"""model.bidaf_attention, the fused `ad.bidaf` op, against the two
-references in bidaf_oracle.py: the plain float64 equations and the composite
-of generic tape ops it replaced.
+"""model.bidaf_attention, the fused `ad.bidaf` op, against the plain float64
+equations of `bidaf_reference` in bidaf_oracle.py, and its hand-written
+backward against central differences.
 
 The model attends over packed live rows; `packed_attention` packs the padded
-inputs by their masks and unpacks G, so all sides read and return the same
+inputs by their masks and unpacks G, so both sides read and return the same
 padded arrays."""
 
 import numpy as np
 import pytest
 
-from bidaf_oracle import bidaf_reference, composite_attention, packed_attention
+from bidaf_oracle import bidaf_reference, packed_attention
 from memtrace import traced
 from spanqa import autodiff as ad
+from spanqa.diagnostics import OP_THRESHOLD
 from spanqa.model import bidaf_attention
 
 
@@ -72,35 +73,32 @@ def test_gradients(probe):
     assert ad.grad_check(loss, values[probe]) < 1e-6
 
 
-def taped_attention(inputs, attend, weights):
-    """G of `attend` on graph leaves for context, question and w_sim, and
-    the leaves' gradients of sum(G * weights)."""
-    graph = ad.Graph()
-    leaves = [graph.leaf(x) for x in inputs[:3]]
-    out = packed_attention(*leaves, *inputs[3:], attend=attend)
-    grads = graph.backward(ad.reduce_sum(ad.mul(out, weights)))
-    return out.data, [grads[t.node_id] for t in leaves]
-
-
 @pytest.mark.parametrize("hidden", [3, 16])
 @pytest.mark.parametrize("seed", [10, 11, 12])
 def test_op_matches_both_references_taped_and_untaped(seed, hidden):
+    # the values against the plain equations, and the gradients of
+    # sum(G * weights) over the packed context, the packed question and
+    # w_sim against central differences, on 12 seeded coordinates of each
     inputs = ragged_inputs(seed, hidden, batch=6, lc=11, lq=7)
     live = inputs[3] > 0
     want = bidaf_reference(*inputs)
-    weights = np.random.default_rng(seed).normal(size=want.shape)
+    graph = ad.Graph()
     untaped = packed_attention(*inputs).data
-    composite = packed_attention(*inputs, attend=composite_attention).data
-    taped, grads = taped_attention(inputs, bidaf_attention, weights)
-    _, composite_grads = taped_attention(inputs, composite_attention, weights)
-    for got in (untaped, taped, composite):
-        assert np.abs(got[live] - want[live]).max() < 1e-12
-        assert np.all(got[~live] == 0.0)
-    assert np.abs(untaped - composite).max() < 1e-12
-    # the hand-written backward against the composite's chain of op backwards
-    for got, ref in zip(grads, composite_grads):
-        assert got.shape == ref.shape
-        assert np.abs(got - ref).max() < 1e-12 * max(1.0, np.abs(ref).max())
+    taped = packed_attention(*(graph.leaf(x) for x in inputs[:3]), *inputs[3:])
+    assert taped.graph is graph
+    assert np.array_equal(untaped, taped.data)
+    assert np.abs(untaped[live] - want[live]).max() < 1e-12
+    assert np.all(untaped[~live] == 0.0)
+    contexts, questions = ad.Packing(inputs[3]), ad.Packing(inputs[4])
+    values = [inputs[0][contexts.index], inputs[1][questions.index], inputs[2]]
+    weights = np.random.default_rng(seed).normal(size=(contexts.size, 8 * hidden))
+    for k, value in enumerate(values):
+        def loss(t, k=k):
+            args = values[:k] + [t] + values[k + 1:]
+            out = bidaf_attention(*args, contexts, questions)
+            return ad.reduce_sum(ad.mul(out, weights))
+
+        assert ad.grad_check(loss, value, coords=12, seed=seed) < OP_THRESHOLD, k
 
 
 def test_float32_stays_float32():

@@ -98,22 +98,6 @@ def _source(index, shape):
     return tuple(0 if n == 1 else i for i, n in zip(index, shape))
 
 
-class TestTranspose:
-    def test_matrix(self):
-        x = np.arange(6.0).reshape(2, 3)
-        assert np.array_equal(ad.transpose(x).data, x.T)
-
-    def test_swaps_last_two_axes(self):
-        x = np.arange(24.0).reshape(2, 3, 4)
-        out = ad.transpose(x)
-        assert np.array_equal(out.data, np.swapaxes(x, 1, 2))
-        assert out.data.flags.c_contiguous
-
-    def test_vector_rejected(self):
-        with pytest.raises(ad.DimensionError):
-            ad.transpose(np.zeros(3))
-
-
 class TestTakeRows:
     def test_forward_gathers_and_backward_sums_repeats(self):
         x = np.arange(12.0).reshape(3, 4)
@@ -460,6 +444,22 @@ class TestGradCheck:
                          ids=lambda c: c if isinstance(c, str) else "")
 def test_every_op_passes_gradcheck(name, f, x):
     assert ad.grad_check(f, x) < OP_THRESHOLD
+
+
+def test_every_op_has_a_gradcheck_case(monkeypatch):
+    # each op of ad.__all__ (its classes and grad_check aside) is called by
+    # some case, so no op ships unchecked and a case cannot outlive its op
+    ops = [name for name in ad.__all__ if name != "grad_check"
+           and not isinstance(getattr(ad, name), type)]
+    called = set()
+    for name in ops:
+        def spy(*args, _name=name, _op=getattr(ad, name), **kwargs):
+            called.add(_name)
+            return _op(*args, **kwargs)
+        monkeypatch.setattr(ad, name, spy)
+    for _, f, x in op_gradcheck_cases():
+        f(ad.Tensor(x))
+    assert sorted(set(ops) - called) == []
 
 
 def test_first_nonfinite_reports_op():

@@ -1,3 +1,4 @@
+import builtins
 import dataclasses
 import errno
 import json
@@ -222,6 +223,17 @@ class TestTrain:
         assert calls == []
 
 
+    def test_missing_log_directory_fails_before_loading(self, fixtures_dir, tmp_path,
+                                                         capsys, monkeypatch):
+        monkeypatch.setattr(cli, "load_squad",
+                            lambda *args: pytest.fail("the data were loaded"))
+        missing = tmp_path / "absent"
+        code = main(["train", "--data", str(fixtures_dir / "tiny_squad.json"),
+                     "--glove", str(fixtures_dir / "tiny_glove.txt"),
+                     "--out", str(tmp_path / "m.ckpt"), "--log", str(missing / "m.log")])
+        assert (code, capsys.readouterr().err) == (2, f"file not found: {missing}\n")
+
+
 class TestResumeFlags:
     def _resume(self, checkpoint, fixtures_dir, out, *flags):
         return main([
@@ -386,6 +398,44 @@ class TestPredictAndEval:
             assert capsys.readouterr().err.startswith(
                 f"cannot write predictions to {out}: ")
 
+    def test_failed_write_keeps_the_previous_file(self, trained_checkpoint,
+                                                  fixtures_dir, tmp_path, capsys,
+                                                  monkeypatch):
+        out = tmp_path / "preds.json"
+        out.write_bytes(b'{"q": "an earlier answer"}\n')
+        real_open = builtins.open
+
+        class DiskFull:
+            """A handle to `out` or its temp file: a write writes half its
+            data, then raises."""
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, data):
+                self.handle.write(data[:len(data) // 2])
+                self.handle.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            handle = real_open(file, mode, *args, **kwargs)
+            return DiskFull(handle) if str(file).startswith(str(out)) else handle
+
+        monkeypatch.setattr(builtins, "open", failing_open)
+        code = main(["predict", "--ckpt", str(trained_checkpoint),
+                     "--data", str(fixtures_dir / "tiny_squad.json"),
+                     "--glove", str(fixtures_dir / "tiny_glove.txt"), "--out", str(out)])
+        monkeypatch.undo()
+        assert code == 3
+        assert capsys.readouterr().err.startswith(f"cannot write predictions to {out}: ")
+        assert out.read_bytes() == b'{"q": "an earlier answer"}\n'
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["preds.json"]
+
     def test_non_string_id_is_an_error_not_a_traceback(self, trained_checkpoint,
                                                        fixtures_dir, tmp_path,
                                                        capsys):
@@ -465,12 +515,12 @@ class TestGradcheckCommand:
         assert "all passed" in out
 
     def test_corrupted_backward_rule_fails(self, monkeypatch, capsys):
-        # an op whose forward is sigmoid but whose gradient path doubles it:
+        # an op whose forward is relu but whose gradient path doubles it:
         # the analytic/numeric mismatch must be reported as a failure
         def forged(t):
             frozen = ad.Tensor(t.data.copy())  # same values, no grad path
-            doubled = ad.add(ad.sigmoid(t), ad.sigmoid(t))
-            return ad.reduce_sum(ad.add(doubled, ad.mul(ad.sigmoid(frozen), -1.0)))
+            doubled = ad.add(ad.relu(t), ad.relu(t))
+            return ad.reduce_sum(ad.add(doubled, ad.mul(ad.relu(frozen), -1.0)))
 
         real_cases = diagnostics.op_gradcheck_cases
         monkeypatch.setattr(

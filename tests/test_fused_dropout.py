@@ -1,7 +1,8 @@
 """Dropout applied inside `ad.lstm` and `ad.linear` (`ad.Dropped` blocks)
-against the composed reference `ad.dropout` -> op, and the training tape it
-leaves: the boolean masks instead of dropped float copies, and buffers that
-`Graph.backward` frees as it runs."""
+against the composed reference, x * keep * scale for the mask that
+`ad._dropout_mask` draws, as its own tape node before the op; and the
+training tape it leaves: the boolean masks instead of dropped float copies,
+and buffers that `Graph.backward` frees as it runs."""
 
 import weakref
 
@@ -23,13 +24,20 @@ def fused(x, seed):
     return ad.Dropped(x, RATE, seed)
 
 
+def reference_dropout(x, rate, seed):
+    """x * keep * scale: one `mul` node, or none for a constant x."""
+    keep, scale = ad._dropout_mask(x.data, rate, seed)
+    return ad.mul(x, keep * scale)
+
+
 def composed(x, seed):
-    return ad.dropout(x, RATE, seed)
+    return reference_dropout(x, RATE, seed)
 
 
 def composed_model_dropout(blocks, rate, seeds):
-    """`model._dropout` as a separate `ad.dropout` node per block."""
-    return [ad.dropout(x, rate, next(seeds)) if rate > 0.0 else x for x in blocks]
+    """`model._dropout` as a separate reference node per block."""
+    return [reference_dropout(x, rate, next(seeds)) if rate > 0.0 else x
+            for x in blocks]
 
 
 def run_graph(drop, dtype):
@@ -56,8 +64,10 @@ def run_graph(drop, dtype):
 def test_fused_graph_matches_composed_bit_for_bit(dtype):
     outs, grads, ops = run_graph(fused, dtype)
     ref_outs, ref_grads, ref_ops = run_graph(composed, dtype)
-    # the frozen input E is a constant: its reference dropout joins no tape
-    assert "dropout" not in ops and ref_ops.count("dropout") == 3
+    # one mul weighs y by the probe, and the reference adds one per dropped
+    # block on the tape: the frozen input E is a constant, so its reference
+    # dropout joins no tape
+    assert ops.count("mul") == 1 and ref_ops.count("mul") == 1 + 3
     assert len(grads) == len(ref_grads) == 7
     for got, want in zip(outs + grads, ref_outs + ref_grads):
         assert got.dtype == dtype

@@ -1,14 +1,14 @@
-"""The packed LSTM op against the unrolled oracle in lstm_oracle.py.
+"""The packed LSTM op against the plain numpy LSTM in lstm_oracle.py, and
+its gradients by central differences.
 
-Most checks run one direction through `packed_lstm`, which packs a padded
-batch, runs `ad.lstm` and unpacks that direction's half of the result, so
-the op and the oracle see and return the same padded arrays, gradients
-included."""
+Most checks go through `packed_bilstm`, which packs a padded batch, runs
+`ad.lstm` and unpacks the result, so the op and the reference see and
+return the same padded arrays."""
 
 import numpy as np
 import pytest
 
-from lstm_oracle import pack_rows, packed_lstm, unrolled_bilstm, unrolled_lstm
+from lstm_oracle import bilstm_reference, pack_rows, packed_bilstm
 from memtrace import traced
 from spanqa import autodiff as ad
 from spanqa.autodiff import Graph
@@ -18,7 +18,9 @@ from spanqa.diagnostics import (OP_THRESHOLD, make_tiny_problem,
 from spanqa.model import bilstm, forward
 
 FORWARD_TOL = 1e-12
-GRAD_TOL = 1e-10
+# an LSTM call is about 0.4 ms even at these shapes, so each gradient is
+# probed at a seeded sample of coordinates
+GRAD_COORDS = 8
 
 
 def ragged_mask(batch, length):
@@ -35,13 +37,27 @@ def direction_params(rng, in_dim, hidden):
             rng.normal(size=(4 * hidden,)) * 0.5)
 
 
-def run_direction(fn, x, weight, bias, mask, reverse, probe):
-    """Output and (dX, dW, db) of sum(fn(...) * probe)."""
-    graph = Graph()
-    leaves = [graph.leaf(v) for v in (x, weight, bias)]
-    out = fn(*leaves, mask, reverse)
-    grads = graph.backward(ad.reduce_sum(ad.mul(out, probe)))
-    return out.data, [grads[leaf.node_id] for leaf in leaves]
+def check_against_oracle(rng, x, mask, hidden, reverse):
+    """Random (W, b) per direction: the values of both directions against
+    the reference, zeros at padding, and by `ad.grad_check` the gradients of
+    sum(out * probe) over the packed x and the `reverse` direction's W and
+    b, on GRAD_COORDS seeded coordinates of each (all of a smaller one)."""
+    pairs = [direction_params(rng, x.shape[2], hidden) for _ in range(2)]
+    probe = rng.normal(size=mask.shape + (2 * hidden,))
+    out = packed_bilstm(x, mask, *pairs).data
+    want = bilstm_reference(x, mask, [{"fwd": pairs[0], "bwd": pairs[1]}])
+    assert np.abs(out - want).max() < FORWARD_TOL
+    assert np.all(out[mask == 0] == 0.0)
+    packing = ad.Packing(mask)
+    values, weights = [x[packing.index], *pairs[reverse]], probe[packing.index]
+    for k, value in enumerate(values):
+        def loss(t, k=k):
+            args = values[:k] + [t] + values[k + 1:]
+            both = list(pairs)
+            both[reverse] = tuple(args[1:])
+            return ad.reduce_sum(ad.mul(ad.lstm(args[:1], packing, *both), weights))
+
+        assert ad.grad_check(loss, value, GRAD_COORDS, seed=k) < OP_THRESHOLD, k
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -50,28 +66,18 @@ def run_direction(fn, x, weight, bias, mask, reverse, probe):
 def test_fused_direction_matches_oracle(reverse, batch, length, in_dim, hidden):
     rng = np.random.default_rng(batch * 100 + length)
     x = rng.normal(size=(batch, length, in_dim))
-    weight, bias = direction_params(rng, in_dim, hidden)
-    mask = ragged_mask(batch, length)
-    probe = rng.normal(size=(batch, length, hidden))
-    fused, fused_grads = run_direction(packed_lstm, x, weight, bias, mask, reverse, probe)
-    ref, ref_grads = run_direction(unrolled_lstm, x, weight, bias, mask, reverse,
-                                   probe)
-    assert np.abs(fused - ref).max() < FORWARD_TOL
-    for name, got, want in zip(("dX", "dW", "db"), fused_grads, ref_grads):
-        assert got.shape == want.shape, name
-        assert np.abs(got - want).max() < GRAD_TOL, name
+    check_against_oracle(rng, x, ragged_mask(batch, length), hidden, reverse)
 
 
 def test_masked_steps_get_no_gradient_and_emit_zeros():
     rng = np.random.default_rng(3)
-    x = rng.normal(size=(3, 5, 2))
-    weight, bias = direction_params(rng, 2, 3)
     mask = ragged_mask(3, 5)
-    for reverse in (False, True):
-        out, (dx, _, _) = run_direction(packed_lstm, x, weight, bias, mask, reverse,
-                                        np.ones((3, 5, 3)))
-        assert np.all(out[mask == 0] == 0.0)
-        assert np.all(dx[mask == 0] == 0.0)
+    graph = Graph()
+    x = graph.leaf(rng.normal(size=(3, 5, 2)))
+    out = packed_bilstm(x, mask, *(direction_params(rng, 2, 3) for _ in range(2)))
+    dx = graph.backward(ad.reduce_sum(out))[x.node_id]
+    assert np.all(out.data[mask == 0] == 0.0)
+    assert np.all(dx[mask == 0] == 0.0)
 
 
 def prefix_mask(lengths, length):
@@ -86,20 +92,8 @@ def prefix_mask(lengths, length):
                          ids=["unsorted", "tied", "zero_length_row", "all_zero"])
 def test_packed_direction_matches_oracle_in_any_row_order(reverse, lengths):
     rng = np.random.default_rng(len(lengths) * 10 + sum(lengths))
-    batch, length, in_dim, hidden = len(lengths), 7, 4, 3
-    x = rng.normal(size=(batch, length, in_dim))
-    weight, bias = direction_params(rng, in_dim, hidden)
-    mask = prefix_mask(lengths, length)
-    probe = rng.normal(size=(batch, length, hidden))
-    fused, fused_grads = run_direction(packed_lstm, x, weight, bias, mask, reverse, probe)
-    ref, ref_grads = run_direction(unrolled_lstm, x, weight, bias, mask, reverse,
-                                   probe)
-    assert np.abs(fused - ref).max() < FORWARD_TOL
-    assert np.all(fused[mask == 0] == 0.0)
-    for name, got, want in zip(("dX", "dW", "db"), fused_grads, ref_grads):
-        assert got.shape == want.shape, name
-        assert np.abs(got - want).max() < GRAD_TOL, name
-    assert np.all(fused_grads[0][mask == 0] == 0.0)
+    x = rng.normal(size=(len(lengths), 7, 4))
+    check_against_oracle(rng, x, prefix_mask(lengths, 7), 3, reverse)
 
 
 @pytest.mark.parametrize("mask", [[[1.0, 0.0, 1.0]], [[0.0, 1.0, 1.0]],
@@ -112,9 +106,8 @@ def test_non_prefix_mask_rejected(mask):
     x = rng.normal(size=mask.shape + (2,))
     with pytest.raises(ad.DimensionError, match="run of 1s"):
         ad.Packing(mask)
-    for reverse in (False, True):
-        with pytest.raises(ad.DimensionError, match="run of 1s"):
-            packed_lstm(x, weight, bias, mask, reverse=reverse)
+    with pytest.raises(ad.DimensionError, match="run of 1s"):
+        packed_bilstm(x, mask, (weight, bias), (weight, bias))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, bool])
@@ -135,37 +128,26 @@ def test_stacked_bilstm_matches_oracle():
     mask = ragged_mask(batch, length)
     probe = rng.normal(size=(batch, length, 2 * hidden))
 
-    def run(fn):
-        graph = Graph()
-        xt = graph.leaf(x)
-        taped = [{d: tuple(graph.leaf(v) for v in pair)
-                  for d, pair in layer.items()} for layer in layers]
-        out = fn(xt, taped, mask, hidden)
-        grads = graph.backward(ad.reduce_sum(ad.mul(out, probe)))
-        flat = [xt] + [t for layer in taped for pair in layer.values() for t in pair]
-        return out.data, [grads[t.node_id] for t in flat]
+    def padded(xt):
+        packing = ad.Packing(mask)
+        return ad.unpack(bilstm([pack_rows(xt, packing)], layers, packing), packing)
 
-    def packed(xt, p, m, h):
-        packing = ad.Packing(m)
-        return ad.unpack(bilstm([pack_rows(xt, packing)], p, packing), packing)
-
-    fused, fused_grads = run(packed)
-    ref, ref_grads = run(unrolled_bilstm)
-    assert np.abs(fused - ref).max() < FORWARD_TOL
-    for got, want in zip(fused_grads, ref_grads):
-        assert np.abs(got - want).max() < GRAD_TOL
+    want = bilstm_reference(x, mask, layers)
+    assert np.abs(padded(x).data - want).max() < FORWARD_TOL
+    assert ad.grad_check(lambda t: ad.reduce_sum(ad.mul(padded(t), probe)), x,
+                         GRAD_COORDS) < OP_THRESHOLD
 
 
 def test_untaped_call_matches_taped_and_stays_detached():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(2, 4, 3))
-    weight, bias = direction_params(rng, 3, 2)
+    pairs = [direction_params(rng, 3, 2) for _ in range(2)]
     mask = ragged_mask(2, 4)
-    detached = packed_lstm(x, weight, bias, mask, reverse=True)
-    taped, _ = run_direction(packed_lstm, x, weight, bias, mask, True,
-                             np.ones((2, 4, 2)))
-    assert detached.graph is None
-    assert np.array_equal(detached.data, taped)
+    detached = packed_bilstm(x, mask, *pairs)
+    graph = Graph()
+    taped = packed_bilstm(graph.leaf(x), mask, *pairs)
+    assert detached.graph is None and taped.graph is graph
+    assert np.array_equal(detached.data, taped.data)
 
 
 def retained_by_call(packing, inputs):

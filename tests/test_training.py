@@ -477,6 +477,15 @@ class TestPredict:
         predict_answers(examples, init_params(config), table, config, batch_size=8)
         assert batch_sizes == [8] * 4
 
+    def test_answers_do_not_depend_on_the_batch_size(self, tiny_dataset):
+        examples, table = tiny_dataset
+        config = small_config(seed=14)
+        params = init_params(config)
+        answers = [predict_answers(examples, params, table, config, batch_size=size)
+                   for size in (1, 7, 32)]
+        assert len(answers[0]) == len(examples)
+        assert answers[1] == answers[0] and answers[2] == answers[0]
+
     def test_runs_on_the_params_without_a_copy(self, tiny_dataset):
         # one short example's activations at h=64 take a small share of the
         # params' bytes; a copy of the params, even at half their width,
