@@ -10,9 +10,9 @@ from spanqa import autodiff as ad
 # %%
 # Tensors detached from any graph are plain values; ops on them just compute.
 
-a = ad.Tensor([[1.0, 2.0], [3.0, 4.0]])
-b = ad.Tensor([[5.0, 6.0], [7.0, 8.0]])
-print("matmul:\n", ad.matmul(a, b).data)
+x = ad.Tensor([[1.0, 2.0], [3.0, 4.0]])
+w = ad.Tensor([[5.0, 6.0], [7.0, 8.0]])
+print("linear x @ w^T + b:\n", ad.linear([x], w, [0.5, -0.5]).data)
 print("relu(-1, 0, 2):", ad.relu([-1.0, 0.0, 2.0]).data)
 
 # %%
@@ -38,6 +38,6 @@ print("masked softmax:", probs.data, "row sum:", probs.data.sum())
 # grad_check compares backprop against central finite differences at a
 # fixed step, re-probing ten times narrower where a kink lies within it.
 
-err = ad.grad_check(lambda t: ad.reduce_sum(ad.tanh(t)),
-                    np.random.default_rng(0).normal(size=(3, 3)))
-print(f"tanh gradcheck worst relative error: {err:.2e}")
+err = ad.grad_check(lambda t: ad.reduce_sum(ad.relu(ad.linear([t], w, [0.5, -0.5]))),
+                    np.random.default_rng(0).normal(size=(3, 2)))
+print(f"relu(linear) gradcheck worst relative error: {err:.2e}")

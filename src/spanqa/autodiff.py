@@ -458,13 +458,13 @@ def take_rows(x, index) -> Tensor:
 
 
 def _mask_array(mask, shape) -> np.ndarray:
-    """The mask as float64, broadcast to the data's shape as a read-only view."""
-    m = np.asarray(mask, dtype=np.float64)
+    """mask > 0 as bools, broadcast to the data's shape as a read-only view."""
+    keep = np.asarray(mask) > 0
     try:
-        return np.broadcast_to(m, shape)
+        return np.broadcast_to(keep, shape)
     except ValueError:
         raise DimensionError(
-            f"mask shape {m.shape} does not broadcast to data shape {shape}") from None
+            f"mask shape {keep.shape} does not broadcast to data shape {shape}") from None
 
 
 def _softmax(logits, keep):
@@ -488,7 +488,7 @@ def masked_softmax(logits, mask) -> Tensor:
     to 1. Stable via per-row max subtraction over the unmasked entries.
     """
     logits = _lift(logits)
-    keep = _mask_array(mask, logits.shape) > 0
+    keep = _mask_array(mask, logits.shape)
     if not keep.any(axis=-1).all():
         raise DegenerateMaskError("masked_softmax: a row is fully masked")
     out = _softmax(logits.data, keep)
@@ -514,12 +514,12 @@ def cross_entropy(logits, gold, mask) -> Tensor:
         raise LabelError(f"cross_entropy: gold shape {gold.shape} != ({batch},)")
     if (gold < 0).any() or (gold >= length).any():
         raise LabelError(f"cross_entropy: gold index out of range for L={length}")
-    m = _mask_array(mask, logits.shape)
+    keep = _mask_array(mask, logits.shape)
     rows = np.arange(batch)
-    if (m[rows, gold] <= 0).any():
-        bad = int(rows[m[rows, gold] <= 0][0])
+    if not keep[rows, gold].all():
+        bad = int(rows[~keep[rows, gold]][0])
         raise LabelError(f"cross_entropy: gold index {int(gold[bad])} is masked in row {bad}")
-    neg = np.where(m > 0, logits.data, -np.inf)
+    neg = np.where(keep, logits.data, -np.inf)
     shifted = neg - neg.max(axis=1, keepdims=True)
     exps = np.exp(shifted)
     sums = exps.sum(axis=1, keepdims=True)

@@ -1,28 +1,28 @@
-"""Self-describing binary checkpoints.
+"""Binary checkpoints.
 
 Layout: ASCII magic ``QACKPT1\\n``, an 8-byte little-endian length, a JSON
 metadata block, then the raw little-endian float32 tensors. The metadata
 holds exactly the format version, the model config, the Adam step, the best
-dev F1 so far (null before any dev evaluation), the tensor manifest of
-name/shape/byte-offset, and a CRC-32 of the rest of the metadata. Writes go
-through ``data.replace_file``, which syncs a temp file and renames it into
-place, so a crash or a power loss never corrupts an existing checkpoint.
+dev F1 so far (null before any dev evaluation), and a CRC-32 of the rest of
+the metadata. Writes go through ``data.replace_file``, which syncs a temp
+file and renames it into place, so a crash or a power loss never corrupts an
+existing checkpoint.
 
-The config fixes the tensor layout: its parameters and their Adam moments
-(under ``adam.m/`` and ``adam.v/`` names), sorted by name and laid end to
-end, so the payload is three contiguous blocks [m | v | params]. The file
-keeps the manifest to document its payload, and loading requires it to be
-exactly that layout. A saved parameter costs 12 bytes: itself and its two
-moments, 4 bytes each.
+The config fixes the tensor layout, so the file does not store it: the
+parameters and their Adam moments (under ``adam.m/`` and ``adam.v/`` names),
+sorted by name and laid end to end, so the payload is three contiguous
+blocks [m | v | params]. A saved parameter costs 12 bytes: itself and its
+two moments, 4 bytes each.
 
-Format version 3 is the only one written or read: version 1 and 2 files
-(version 2 held the same layout in float64) raise ``CheckpointVersionError``
-and are not converted.
+Format version 4 is the only one written or read: version 1 to 3 files raise
+``CheckpointVersionError`` and are not converted (version 2 held the same
+layout in float64; version 3 also stored that layout and the encoder's
+depth).
 
 Loading raises a ``CheckpointError`` subclass for any file it cannot take at
-its word: wrong magic, a format version other than 3, truncation, metadata
-that is not JSON, lacks or mistypes a key, or lacks or fails its checksum,
-and a manifest other than the config's layout. The payload carries no
+its word: wrong magic, a format version other than 4, truncation, a payload
+size other than the config's layout, and metadata that is not JSON, lacks
+or mistypes a key, or lacks or fails its checksum. The payload carries no
 checksum, so a flipped payload bit loads as the value the file now holds.
 
 Loading checks the file's size against the layout before it allocates any
@@ -54,12 +54,11 @@ from .training import AdamState
 
 __all__ = ["MAGIC", "FORMAT_VERSION", "CheckpointError", "CheckpointMagicError",
            "CheckpointVersionError", "CheckpointTruncatedError",
-           "CheckpointMetadataError", "CheckpointManifestError",
-           "CheckpointMissingTensorError", "CheckpointChangedError",
+           "CheckpointMetadataError", "CheckpointChangedError",
            "CheckpointData", "save_checkpoint", "load_checkpoint"]
 
 MAGIC = b"QACKPT1\n"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 # the payload's dtype; loading converts it to native float32
 _DTYPE = np.dtype("<f4")
 _CHECKSUM_KEY = "metadata_crc32"
@@ -78,20 +77,12 @@ class CheckpointVersionError(CheckpointError):
 
 
 class CheckpointTruncatedError(CheckpointError):
-    """The tensor payload is shorter or longer than the manifest promises."""
+    """The tensor payload is shorter or longer than the config's layout."""
 
 
 class CheckpointMetadataError(CheckpointError):
     """The metadata is not JSON, lacks or mistypes a key, or lacks or fails
     its checksum."""
-
-
-class CheckpointManifestError(CheckpointError):
-    """A manifest entry differs from the config's tensor layout."""
-
-
-class CheckpointMissingTensorError(CheckpointError):
-    """A parameter or one of its Adam moments has no tensor in the file."""
 
 
 class CheckpointChangedError(CheckpointError):
@@ -113,16 +104,17 @@ class CheckpointData:
         return self._read_state()
 
 
-def _layout(config: ModelConfig) -> list[dict]:
-    """The manifest of a config's checkpoint: each parameter and its two Adam
-    moments, sorted by name and laid end to end."""
+def _layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], int]]:
+    """(name, shape, payload byte offset) of each tensor of a config's
+    checkpoint: each parameter and its two Adam moments, sorted by name and
+    laid end to end."""
     shapes = param_shapes(config)
     named = dict(shapes)
     for prefix in ("adam.m/", "adam.v/"):
         named.update({prefix + name: shape for name, shape in shapes.items()})
     layout, offset = [], 0
     for name in sorted(named):
-        layout.append({"name": name, "shape": list(named[name]), "offset": offset})
+        layout.append((name, named[name], offset))
         offset += _DTYPE.itemsize * math.prod(named[name])
     return layout
 
@@ -145,7 +137,6 @@ def save_checkpoint(path, params: dict[str, np.ndarray], config: ModelConfig,
         "config": asdict(config),
         "step": state.step,
         "best_dev_f1": best_dev_f1,
-        "tensors": layout,
     }
     metadata[_CHECKSUM_KEY] = zlib.crc32(_encode(metadata))
     meta_bytes = _encode(metadata)
@@ -154,8 +145,8 @@ def save_checkpoint(path, params: dict[str, np.ndarray], config: ModelConfig,
         handle.write(MAGIC)
         handle.write(len(meta_bytes).to_bytes(8, "little"))
         handle.write(meta_bytes)
-        for entry in layout:
-            handle.write(np.ascontiguousarray(tensors[entry["name"]], dtype=_DTYPE))
+        for name, _, _ in layout:
+            handle.write(np.ascontiguousarray(tensors[name], dtype=_DTYPE))
 
     replace_file(path, write)
 
@@ -197,36 +188,20 @@ def _read_config(path, payload: dict) -> ModelConfig:
         raise CheckpointMetadataError(f"{path}: invalid model config: {exc}") from exc
 
 
-def _check_manifest(path, manifest: list, layout: list[dict]) -> None:
-    """Raise unless `manifest` is `layout`, entry by entry."""
-    present = [entry.get("name") for entry in manifest if isinstance(entry, dict)]
-    for wanted in layout:
-        if wanted["name"] not in present:
-            raise CheckpointMissingTensorError(f"{path}: no tensor {wanted['name']!r}")
-    # every name is present, so the manifest is no shorter than the layout
-    for index, entry in enumerate(manifest):
-        wanted = layout[index] if index < len(layout) else None
-        if entry != wanted:
-            raise CheckpointManifestError(
-                f"{path}: manifest entry {index} is {entry!r}, the config "
-                f"needs {wanted!r}")
-
-
 def _identity(stat) -> tuple:
     return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
 
 
-def _read_tensors(path, handle, start: int, entries: list[dict]) -> dict[str, np.ndarray]:
-    """Each manifest entry's float32 tensor, read from the payload at byte
+def _read_tensors(path, handle, start: int, entries: list) -> dict[str, np.ndarray]:
+    """Each layout entry's float32 tensor, read from the payload at byte
     `start` straight into its own new array."""
     tensors = {}
-    for entry in entries:
-        tensor = np.empty(entry["shape"], dtype=_DTYPE)
-        handle.seek(start + entry["offset"])
+    for name, shape, offset in entries:
+        tensor = np.empty(shape, dtype=_DTYPE)
+        handle.seek(start + offset)
         if handle.readinto(tensor) != tensor.nbytes:
-            raise CheckpointTruncatedError(f"{path}: payload ends inside "
-                                           f"{entry['name']!r}")
-        tensors[entry["name"]] = tensor.astype(np.float32, copy=False)
+            raise CheckpointTruncatedError(f"{path}: payload ends inside {name!r}")
+        tensors[name] = tensor.astype(np.float32, copy=False)
     return tensors
 
 
@@ -254,16 +229,15 @@ def load_checkpoint(path) -> CheckpointData:
         step = _field(path, metadata, "step", (int,))
         best_dev_f1 = _field(path, metadata, "best_dev_f1", (int, float, type(None)))
         layout = _layout(config)
-        _check_manifest(path, _field(path, metadata, "tensors", (list,)), layout)
-        expected = sum(_DTYPE.itemsize * math.prod(entry["shape"]) for entry in layout)
+        expected = sum(_DTYPE.itemsize * math.prod(shape) for _, shape, _ in layout)
         if size - cursor != expected:
             raise CheckpointTruncatedError(
-                f"{path}: payload is {size - cursor} bytes, manifest expects {expected}")
+                f"{path}: payload is {size - cursor} bytes, layout expects {expected}")
         shapes = param_shapes(config)
         tensors = _read_tensors(path, handle, cursor,
-                                [entry for entry in layout if entry["name"] in shapes])
+                                [entry for entry in layout if entry[0] in shapes])
     params = {name: tensors[name] for name in shapes}
-    moments = [entry for entry in layout if entry["name"] not in shapes]
+    moments = [entry for entry in layout if entry[0] not in shapes]
     source = os.path.abspath(path)
 
     def read_state() -> AdamState:

@@ -49,8 +49,8 @@ def op_gradcheck_cases(seed: int = 0):
     take_rng = np.random.default_rng(seed + 2)
     take_index = np.array([2, 0, 2, 1, 2])            # repeats and reorders rows
     take_weights = take_rng.normal(size=(5, 2, 3))
-    # the broadcast patterns of the attention and the heads: (B, Lc, 1),
-    # (B, 1, Lq) and (B, Lc, Lq) operands, and a bias over (B, L, n) rows
+    # add and mul broadcasting itself: (2, 4, 1), (2, 1, 3) and (2, 4, 3)
+    # operands against each other, and a (5,) bias over (3, 2, 5) rows
     bcast_rng = np.random.default_rng(seed + 3)
     column, row, full, full_weights, rows3 = (
         bcast_rng.normal(size=shape)

@@ -41,9 +41,11 @@ from . import autodiff as ad
 from .autodiff import ConfigError, Tensor
 from .data import PAD_ID, Batch, EmbeddingTable
 
-__all__ = ["ModelConfig", "ForwardOutput", "init_params", "param_count",
-           "param_shapes", "embed", "bilstm", "bidaf_attention",
+__all__ = ["ENCODER_LAYERS", "ModelConfig", "ForwardOutput", "init_params",
+           "param_count", "param_shapes", "embed", "bilstm", "bidaf_attention",
            "start_decoder", "end_decoder", "forward", "loss"]
+
+ENCODER_LAYERS = 2
 
 
 @dataclass
@@ -51,7 +53,6 @@ class ModelConfig:
     hidden_size: int = 150
     dropout_rate: float = 0.2
     embedding_dim: int = 100
-    encoder_layers: int = 2
     context_cap: int = 300
     seed: int = 0
 
@@ -62,8 +63,6 @@ class ModelConfig:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.embedding_dim < 1:
             raise ConfigError(f"embedding_dim must be >= 1, got {self.embedding_dim}")
-        if self.encoder_layers < 1:
-            raise ConfigError(f"encoder_layers must be >= 1, got {self.encoder_layers}")
         if self.context_cap < 1:
             raise ConfigError(f"context_cap must be >= 1, got {self.context_cap}")
         if self.seed < 0:
@@ -99,7 +98,7 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
             shapes[f"{prefix}.{direction}.b"] = (4 * h,)
 
     in_dim = d
-    for layer in range(config.encoder_layers):
+    for layer in range(ENCODER_LAYERS):
         lstm(f"encoder.l{layer}", in_dim)
         in_dim = 2 * h
     shapes["attention.w_sim"] = (6 * h,)
@@ -262,7 +261,7 @@ def forward(batch: Batch, params, table: EmbeddingTable, config: ModelConfig,
     seeds = (int(np.random.SeedSequence(config.seed, spawn_key=(step, index))
                  .generate_state(1, dtype=np.uint64)[0]) for index in itertools.count())
     drop = functools.partial(_dropout, rate=rate, seeds=seeds)
-    encoder = [_layer_group(pt, f"encoder.l{k}") for k in range(config.encoder_layers)]
+    encoder = [_layer_group(pt, f"encoder.l{k}") for k in range(ENCODER_LAYERS)]
 
     context_ids, question_ids = batch.context_ids, batch.question_ids
     contexts, questions = ad.Packing(context_ids != PAD_ID), ad.Packing(question_ids != PAD_ID)

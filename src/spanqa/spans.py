@@ -52,13 +52,13 @@ def span_text(tokens, text: str, start: int, end: int) -> str:
 def _prepare(p_start, p_end, mask):
     ps = np.asarray(p_start, dtype=np.float64)
     pe = np.asarray(p_end, dtype=np.float64)
-    m = np.asarray(mask, dtype=np.float64)
-    if not (ps.shape == pe.shape == m.shape) or ps.ndim != 1:
+    keep = np.asarray(mask) > 0
+    if not (ps.shape == pe.shape == keep.shape) or ps.ndim != 1:
         raise ValueError(
-            f"expected matching 1-D inputs, got {ps.shape}, {pe.shape}, {m.shape}")
-    if not (m > 0).any():
+            f"expected matching 1-D inputs, got {ps.shape}, {pe.shape}, {keep.shape}")
+    if not keep.any():
         raise DegenerateMaskError("all positions are masked")
-    return ps, pe, m > 0
+    return ps, pe, keep
 
 
 def _argmax_pair(ps, pe, keep, max_len, penalty=None):

@@ -14,6 +14,7 @@ import numpy as np
 from bidaf_oracle import bidaf_reference
 from lstm_oracle import bilstm_reference
 from spanqa.data import PAD_ID
+from spanqa.model import ENCODER_LAYERS
 
 
 def _layer(params, prefix):
@@ -37,9 +38,9 @@ def _softmax(x):
     return e / e.sum()
 
 
-def oracle_example(context_ids, question_ids, params, table, config):
+def oracle_example(context_ids, question_ids, params, table):
     """(p_start, p_end) over the positions of one unpadded example."""
-    encoder = [_layer(params, f"encoder.l{k}") for k in range(config.encoder_layers)]
+    encoder = [_layer(params, f"encoder.l{k}") for k in range(ENCODER_LAYERS)]
     matrix = np.asarray(table.matrix, dtype=np.float64)
     c = _bilstm(matrix[context_ids], encoder)
     q = _bilstm(matrix[question_ids], encoder)
@@ -52,7 +53,7 @@ def oracle_example(context_ids, question_ids, params, table, config):
     return p_start, p_end
 
 
-def oracle_forward(batch, params, table, config):
+def oracle_forward(batch, params, table):
     """(B, Lc) p_start and p_end, each row computed alone, zeros at padding."""
     shape = np.shape(batch.context_ids)
     p_start, p_end = np.zeros(shape), np.zeros(shape)
@@ -60,6 +61,5 @@ def oracle_forward(batch, params, table, config):
         lc = np.count_nonzero(batch.context_ids[b] != PAD_ID)
         lq = np.count_nonzero(batch.question_ids[b] != PAD_ID)
         p_start[b, :lc], p_end[b, :lc] = oracle_example(
-            batch.context_ids[b, :lc], batch.question_ids[b, :lq], params, table,
-            config)
+            batch.context_ids[b, :lc], batch.question_ids[b, :lq], params, table)
     return p_start, p_end

@@ -7,14 +7,15 @@ import re
 import numpy as np
 import pytest
 
-from conftest import write_squad
+from conftest import join, split, write_squad
 from spanqa import autodiff as ad
 from spanqa import diagnostics, training
-from spanqa.checkpoint import FORMAT_VERSION, load_checkpoint
+from spanqa.checkpoint import FORMAT_VERSION, _layout, load_checkpoint
 from spanqa import cli
 from spanqa.cli import main
 from spanqa.metrics import evaluate
 from spanqa.data import load_squad
+from spanqa.model import ModelConfig
 
 
 @pytest.fixture(scope="module")
@@ -503,6 +504,35 @@ class TestPredictAndEval:
                      "--glove", str(fixtures_dir / "tiny_glove.txt")])
         assert code == 1
         assert "version" in capsys.readouterr().err
+
+
+def format_3(raw):
+    """A saved checkpoint's bytes as format 3 wrote them: version 3, the
+    encoder's depth in the config, and a manifest of the tensor layout."""
+    metadata, payload = split(raw)
+    manifest = [{"name": name, "shape": list(shape), "offset": offset}
+                for name, shape, offset in _layout(ModelConfig(**metadata["config"]))]
+    metadata.update(version=3, tensors=manifest)
+    metadata["config"]["encoder_layers"] = 2
+    return join(metadata, payload)
+
+
+@pytest.mark.parametrize("command,flag", [("eval", "--ckpt"), ("train", "--resume")])
+def test_format_3_checkpoint_is_refused_by_name(trained_checkpoint, fixtures_dir,
+                                                tmp_path, capsys, monkeypatch,
+                                                command, flag):
+    old = tmp_path / "old.ckpt"
+    old.write_bytes(format_3(trained_checkpoint.read_bytes()))
+    monkeypatch.setattr(cli, "load_squad",
+                        lambda *args: pytest.fail("the data were loaded"))
+    out = tmp_path / "new.ckpt"
+    code = main([command, flag, str(old),
+                 "--data", str(fixtures_dir / "tiny_squad.json"),
+                 "--glove", str(fixtures_dir / "tiny_glove.txt")]
+                + (["--out", str(out)] if command == "train" else []))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {old}: format version 3, expected 4\n"
+    assert not out.exists()
 
 
 class TestGradcheckCommand:

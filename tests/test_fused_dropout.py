@@ -149,7 +149,7 @@ def test_backward_frees_lstm_gate_buffers():
                if node.op != "leaf" and isinstance(node.out, np.ndarray)]
     # the (N, 4h) gates of both directions of every layer; one encoder pass
     # covers the contexts and the questions
-    assert len(lstm_nodes) == config.encoder_layers + 2
+    assert len(lstm_nodes) == model.ENCODER_LAYERS + 2
     assert len(gates) == 2 * len(lstm_nodes)
     assert all(ref() is not None for ref in gates)
     grads = graph.backward(root)

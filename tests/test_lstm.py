@@ -15,7 +15,7 @@ from spanqa.autodiff import Graph
 from spanqa.data import PAD_ID
 from spanqa.diagnostics import (OP_THRESHOLD, make_tiny_problem,
                                 op_gradcheck_cases)
-from spanqa.model import bilstm, forward
+from spanqa.model import ENCODER_LAYERS, bilstm, forward
 
 FORWARD_TOL = 1e-12
 # an LSTM call is about 0.4 ms even at these shapes, so each gradient is
@@ -338,9 +338,9 @@ def test_dropout_is_one_call_per_layer_input(monkeypatch):
     # live rows, never one time step: two encoder layers over the contexts and
     # questions together, G into the start decoder, then [G | M] into the
     # start head, the end decoder and the end head
-    assert len(calls) == config.encoder_layers + 1 + 3 * 2
+    assert len(calls) == ENCODER_LAYERS + 1 + 3 * 2
     live = np.count_nonzero(batch.context_ids != PAD_ID)
     encoded = live + np.count_nonzero(batch.question_ids != PAD_ID)
-    assert [n for n, _ in calls[:config.encoder_layers]] == [encoded] * 2
-    assert [n for n, _ in calls[config.encoder_layers:]] == [live] * 7
+    assert [n for n, _ in calls[:ENCODER_LAYERS]] == [encoded] * 2
+    assert [n for n, _ in calls[ENCODER_LAYERS:]] == [live] * 7
     assert all(len(shape) == 2 for shape in calls)

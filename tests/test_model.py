@@ -27,7 +27,7 @@ class TestConfig:
         config = ModelConfig()
         assert (config.hidden_size, config.dropout_rate, config.embedding_dim) == (
             150, 0.2, 100)
-        assert config.encoder_layers == 2
+        assert qa_model.ENCODER_LAYERS == 2
         assert config.context_cap == 300
 
     def test_validation(self):
@@ -540,7 +540,7 @@ class TestSharedContextEncoding:
 
         monkeypatch.setattr(qa_model, "bidaf_attention", recording)
         forward(batch, params, table, config)
-        encoder = [_group(params, f"encoder.l{k}") for k in range(config.encoder_layers)]
+        encoder = [_group(params, f"encoder.l{k}") for k in range(qa_model.ENCODER_LAYERS)]
         for ids, got in zip([batch.context_ids, batch.question_ids], handed[0]):
             packing = ad.Packing(ids != PAD_ID)
             alone = bilstm([embed(ids[packing.index], table)], encoder, packing)

@@ -51,7 +51,7 @@ def ragged_problem(hidden, shared, seed=0, embed_dim=6, vocab=30):
 @pytest.mark.parametrize("hidden", [4, 32])
 def test_float64_forward_matches_oracle(hidden, shared):
     config, params, table, batch = ragged_problem(hidden, shared)
-    want_start, want_end = oracle_forward(batch, params, table, config)
+    want_start, want_end = oracle_forward(batch, params, table)
     out = forward(batch, params, table, config)
     for got, want in ((out.p_start.data, want_start), (out.p_end.data, want_end)):
         assert got.dtype == np.float64
@@ -63,7 +63,7 @@ def test_float64_forward_matches_oracle(hidden, shared):
 @pytest.mark.parametrize("hidden", [4, 32])
 def test_float32_forward_matches_oracle(hidden, shared):
     config, params, table, batch = ragged_problem(hidden, shared)
-    want_start, want_end = oracle_forward(batch, params, table, config)
+    want_start, want_end = oracle_forward(batch, params, table)
     single = {name: value.astype(np.float32) for name, value in params.items()}
     out = forward(batch, single, table, config)
     for got, want in ((out.p_start.data, want_start), (out.p_end.data, want_end)):
