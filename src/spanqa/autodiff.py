@@ -715,14 +715,15 @@ def linear(xs, W, b) -> Tensor:
     return _apply("linear", (*xs, W, b), out, backward)
 
 
-def _lstm_direction(datas, masks, spans, W, b, packing: Packing, reverse: bool,
+def _lstm_direction(datas, masks, spans, w, b, packing: Packing, reverse: bool,
                     out, taped: bool):
-    """One direction of `lstm` over the packed rows: writes its h into the
-    (N, h) view `out` (the forward direction step by step, in place) and
-    returns what backward needs besides that h, or None when untaped, so the
-    direction's gate and state buffers are freed before the next direction's."""
+    """One direction of `lstm` over the packed rows, with its (4h, n+h)
+    weight `w` and (4h,) bias `b`: writes its h into the (N, h) view `out`
+    (the forward direction step by step, in place) and returns what backward
+    needs besides that h, or None when untaped, so the direction's gate and
+    state buffers are freed before the next direction's."""
     rows, h = packing.size, out.shape[1]
-    n, dtype = W.shape[1] - h, out.dtype
+    n, dtype = w.shape[1] - h, out.dtype
     # sigmoid(z) = (1 + tanh(z / 2)) / 2, stable for any z. Halving the i|f|o
     # rows of the forward weights and bias is exact, so one tanh over a whole
     # block gives tanh(z / 2) for i, f, o and tanh(z) for g.
@@ -733,12 +734,12 @@ def _lstm_direction(datas, masks, spans, W, b, packing: Packing, reverse: bool,
     # contiguous block into its gate activations in place. The recurrent
     # weight is copied contiguous: strided operands make the small per-step
     # ops slower.
-    w_t = W.data[:, :n].T * half
+    w_t = w[:, :n].T * half
     gates = _rows_times(np.empty((rows, 4 * h), dtype), datas,
                         [w_t[lo:hi] for lo, hi in spans], masks,
                         packing.reverse if reverse else None)
-    gates += b.data * half
-    w_h_t = np.ascontiguousarray(W.data[:, n:].T * half)
+    gates += b * half
+    w_h_t = np.ascontiguousarray(w[:, n:].T * half)
     hs = np.empty((rows, h), dtype) if reverse else out
     cs = np.empty((rows, h), dtype)
     lo = before = 0
@@ -805,76 +806,75 @@ def _weight_grad(g_t, datas, masks, spans, dw):
     return dw
 
 
-def lstm(xs, packing: Packing, fwd, bwd) -> Tensor:
+def lstm(xs, packing: Packing, W, b) -> Tensor:
     """A bidirectional LSTM layer over packed rows: (N, n) -> (N, 2h).
 
     `xs` holds the input [x_1 | x_2 | ...] as row blocks in the layout of
     `packing`, any of them `Dropped`; each block meets its own column slice
-    of W, so no concatenation is built. `fwd` and `bwd` are (W (4h, n+h),
-    b (4h,)) pairs giving the gates in i|f|o|g order from [x_t ; h_prev] @
-    W^T + b. Columns [:h] of the result hold the forward direction's h and
-    [h:] the backward one's; a sequence runs from the zero state over its
-    own positions, or back from its last token. The input projection runs
-    up front into one (N, 4h) pre-activation buffer per direction, in that
+    of W, so no concatenation is built. W (8h, n+h) and b (8h,) stack the
+    forward direction's 4h rows over the backward one's: direction d's rows
+    W_d and b_d give its gates in i|f|o|g order from [x_t ; h_prev] @ W_d^T + b_d.
+    Columns [:h] of the result hold the forward direction's h and [h:] the
+    backward one's; a sequence runs from the zero state over its own
+    positions, or back from its last token. The input projection runs up
+    front into one (N, 4h) pre-activation buffer per direction, in that
     direction's step order, a chunk of rows at a time (`_rows_times`): each
     chunk of each block is dropped and multiplied on its own, and the
     backward direction scatters each chunk's sum to its step slots, so no
     whole product, no reordered copy and no dropped copy of a block is
-    built. Only
-    h_prev[:k_s] @ W_h^T runs in the time loop, tanh c is a per-step
-    temporary, and the layer is one tape node.
+    built. Only h_prev[:k_s] @ W_h^T runs in the time loop, tanh c is a
+    per-step temporary, and the layer is one tape node.
 
     When some input is on a graph, the tape keeps each direction's gates and
     c, five (N, h) blocks; otherwise they are freed before the next
     direction starts. Backward is one BPTT sweep per direction, computing
     only dz and dz @ W_h per step. A direction's gates and c are freed as
-    soon as its dz is done; db and dW_h follow (h_prev is read from the
-    result), and its dz moves into one (N, 8h) buffer [dz_fwd | dz_bwd] in
-    packing order.
-    Then dW of each input block is one GEMM over both directions, with the
-    block's dropout rebuilt for it alone, and dX = dz_fwd @ W_fwd^T +
-    dz_bwd @ W_bwd^T for each block on a graph, summed into dX by the same
-    chunked helper, so neither product exists whole beside dX.
+    soon as its dz is done; its rows of db and dW_h follow (h_prev is read
+    from the result), and its dz moves into one (N, 8h) buffer
+    [dz_fwd | dz_bwd] in packing order. Then dW of each input block is one
+    GEMM over both directions, with the block's dropout rebuilt for it
+    alone, and dX = dz_fwd @ W_fwd^T + dz_bwd @ W_bwd^T for each block on a
+    graph, summed into dX by the same chunked helper, so neither product
+    exists whole beside dX.
     """
-    runs = [(reverse, _lift(W), _lift(b)) for reverse, (W, b) in ((False, fwd), (True, bwd))]
-    h = runs[0][1].shape[0] // 4
-    n = runs[0][1].shape[-1] - h
+    W, b = _lift(W), _lift(b)
+    h = W.shape[0] // 8
+    n = W.shape[-1] - h
     xs, masks, spans = _row_blocks(xs, n, "lstm")
-    for _, W, b in runs:
-        if h < 1 or W.shape != (4 * h, n + h) or b.shape != (4 * h,):
-            raise DimensionError(
-                f"lstm: input width {n} needs W (4h, {n}+h) and b (4h,), "
-                f"got W {W.shape} and b {b.shape}")
+    if h < 1 or W.shape != (8 * h, n + h) or b.shape != (8 * h,):
+        raise DimensionError(
+            f"lstm: input width {n} needs W (8h, {n}+h) and b (8h,), "
+            f"got W {W.shape} and b {b.shape}")
     if xs[0].shape[0] != packing.size:
         raise DimensionError(f"lstm: {xs[0].shape[0]} rows for a {packing.size}-row packing")
-    inputs = (*xs, *(t for _, W, b in runs for t in (W, b)))
+    inputs = (*xs, W, b)
     taped = _common_graph(inputs) is not None
     rows, prev = packing.size, packing.prev
     first = rows - len(prev)
     datas, dtype = [x.data for x in xs], xs[0].data.dtype
+    # each direction's rows of W and b, as views
+    weights, biases = np.split(W.data, 2), np.split(b.data, 2)
     out = np.empty((rows, 2 * h), dtype)
-    saved = [_lstm_direction(datas, masks, spans, W, b, packing, reverse,
-                             out[:, col * h:(col + 1) * h], taped)
-             for col, (reverse, W, b) in enumerate(runs)]
+    saved = [_lstm_direction(datas, masks, spans, weights[d], biases[d], packing, d == 1,
+                             out[:, d * h:(d + 1) * h], taped)
+             for d in range(2)]
     if not taped:
         return Tensor(out)
     needs = [x.graph is not None for x in xs]
-    weights = [W.data for _, W, _ in runs]
 
     def backward(g):
-        dz_both = dw = None
-        dbs = []
-        for col, reverse in enumerate((False, True)):
-            dz = np.empty_like(saved[col][0])
-            _lstm_dz(dz, g[:, col * h:(col + 1) * h], weights[col][:, n:], *saved[col],
+        dz_both = dw = db = None
+        for d, reverse in enumerate((False, True)):
+            dz = np.empty_like(saved[d][0])
+            _lstm_dz(dz, g[:, d * h:(d + 1) * h], weights[d][:, n:], *saved[d],
                      packing, reverse)
-            saved[col] = None
+            saved[d] = None
             if dz_both is None:     # once the first direction's gates and c are gone
                 dz_both = np.empty((rows, 8 * h), dz.dtype)
-                dw = np.empty((8 * h, n + h), dz.dtype)
-            h_prev = out[packing.reverse[prev] if reverse else prev, col * h:(col + 1) * h]
-            dbs.append(dz.sum(axis=0))
-            block = slice(col * 4 * h, (col + 1) * 4 * h)
+                dw, db = np.empty((8 * h, n + h), dz.dtype), np.empty(8 * h, dz.dtype)
+            h_prev = out[packing.reverse[prev] if reverse else prev, d * h:(d + 1) * h]
+            block = slice(d * 4 * h, (d + 1) * 4 * h)
+            db[block] = dz.sum(axis=0)
             np.matmul(dz[first:].T, h_prev, out=dw[block, n:])
             dz_both[packing.reverse if reverse else slice(None), block] = dz
             del dz, h_prev
@@ -888,7 +888,7 @@ def lstm(xs, packing: Packing, fwd, bwd) -> Tensor:
                                  [w[:, lo:hi] for w in weights])
                 _drop(dx, m, in_place=True)
             dxs.append(dx)
-        return (*dxs, dw[:4 * h], dbs[0], dw[4 * h:], dbs[1])
+        return (*dxs, dw, db)
 
     return _apply("lstm", inputs, out, backward)
 

@@ -14,15 +14,15 @@ sorted by name and laid end to end, so the payload is three contiguous
 blocks [m | v | params]. A saved parameter costs 12 bytes: itself and its
 two moments, 4 bytes each.
 
-Format version 4 is the only one written or read: version 1 to 3 files raise
-``CheckpointVersionError`` and are not converted (version 2 held the same
-layout in float64; version 3 also stored that layout and the encoder's
-depth).
+Format version 5 is the only one written or read: version 1 to 4 files raise
+``CheckpointVersionError`` and are not converted (version 4 split each BiLSTM
+layer's W and b by direction; version 3 also stored the tensor layout and the
+encoder's depth, and version 2 held version 3's layout in float64).
 
 Loading raises a ``CheckpointError`` subclass for any file it cannot take at
-its word: wrong magic, a format version other than 4, truncation, a payload
-size other than the config's layout, and metadata that is not JSON, lacks
-or mistypes a key, or lacks or fails its checksum. The payload carries no
+its word: wrong magic, a format version other than 5, truncation, a payload
+size other than the config's layout, and metadata that is not JSON, lacks,
+mistypes or adds a key, or lacks or fails its checksum. The payload carries no
 checksum, so a flipped payload bit loads as the value the file now holds.
 
 Loading checks the file's size against the layout before it allocates any
@@ -58,10 +58,11 @@ __all__ = ["MAGIC", "FORMAT_VERSION", "CheckpointError", "CheckpointMagicError",
            "CheckpointData", "save_checkpoint", "load_checkpoint"]
 
 MAGIC = b"QACKPT1\n"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 # the payload's dtype; loading converts it to native float32
 _DTYPE = np.dtype("<f4")
 _CHECKSUM_KEY = "metadata_crc32"
+_KEYS = {"version", "config", "step", "best_dev_f1"}   # and the checksum
 
 
 class CheckpointError(ValueError):
@@ -81,8 +82,8 @@ class CheckpointTruncatedError(CheckpointError):
 
 
 class CheckpointMetadataError(CheckpointError):
-    """The metadata is not JSON, lacks or mistypes a key, or lacks or fails
-    its checksum."""
+    """The metadata is not JSON, lacks, mistypes or adds a key, or lacks or
+    fails its checksum."""
 
 
 class CheckpointChangedError(CheckpointError):
@@ -175,6 +176,9 @@ def _read_metadata(path, block: bytes) -> dict:
             f"{path}: format version {version!r}, expected {FORMAT_VERSION}")
     if metadata.pop(_CHECKSUM_KEY, None) != zlib.crc32(_encode(metadata)):
         raise CheckpointMetadataError(f"{path}: metadata lacks or fails its checksum")
+    unknown = sorted(metadata.keys() - _KEYS)
+    if unknown:
+        raise CheckpointMetadataError(f"{path}: unknown metadata keys {unknown}")
     return metadata
 
 

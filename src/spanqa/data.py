@@ -360,9 +360,10 @@ def replace_file(path, write) -> None:
 def prepare_for_training(examples, context_cap: int) -> tuple[list[QAExample], int]:
     """Keep examples with a question whose gold span survives truncation.
 
-    Returns (kept, dropped_count); dropped examples lack a gold span, have
-    one clipped away by the cap (a clamped label would be wrong), or have an
-    empty question, which leaves the attention nothing to attend over.
+    Returns (kept, dropped_count) and logs the count when it is not 0;
+    dropped examples lack a gold span, have one clipped away by the cap (a
+    clamped label would be wrong), or have an empty question, which leaves
+    the attention nothing to attend over.
     """
     kept = []
     dropped = 0
@@ -372,6 +373,9 @@ def prepare_for_training(examples, context_cap: int) -> tuple[list[QAExample], i
             dropped += 1
         else:
             kept.append(ex)
+    if dropped:
+        log.info("dropped %d examples with an empty question or no gold span "
+                 "under cap %d", dropped, context_cap)
     return kept, dropped
 
 
@@ -387,10 +391,7 @@ def build_batches(examples, table: EmbeddingTable, batch_size: int,
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     examples = list(examples)
     if training:
-        examples, dropped = prepare_for_training(examples, context_cap)
-        if dropped:
-            log.info("dropped %d examples with an empty question or no gold "
-                     "span under cap %d", dropped, context_cap)
+        examples, _ = prepare_for_training(examples, context_cap)
     batches = []
     for lo in range(0, len(examples), batch_size):
         chunk = examples[lo:lo + batch_size]

@@ -29,8 +29,8 @@ def op_gradcheck_cases(seed: int = 0):
     bias_weights = rng.normal(size=(3, 5))
     lstm_rng = np.random.default_rng(seed + 1)   # leaves the probes above as they were
     lstm_x = lstm_rng.normal(size=(3, 5, 3))
-    lstm_w = lstm_rng.normal(size=(8, 5)) * 0.5       # h = 2
-    lstm_b = lstm_rng.normal(size=(8,)) * 0.5
+    lstm_w = lstm_rng.normal(size=(16, 5)) * 0.5      # h = 2, both directions
+    lstm_b = lstm_rng.normal(size=(16,)) * 0.5
     lstm_mask = np.ones((3, 5))
     lstm_mask[1, 3:] = 0.0
     lstm_mask[2, 1:] = 0.0
@@ -40,8 +40,6 @@ def op_gradcheck_cases(seed: int = 0):
     unsorted_mask = (np.arange(5) < unsorted_lengths[:, None]).astype(np.float64)
     unsorted_x = lstm_rng.normal(size=(4, 5, 3))
     unsorted_weights = lstm_rng.normal(size=(4, 5, 4))
-    lstm_w_bwd = lstm_rng.normal(size=(8, 5)) * 0.5  # a backward direction of its own
-    lstm_b_bwd = lstm_rng.normal(size=(8,)) * 0.5
     packed, unsorted = ad.Packing(lstm_mask), ad.Packing(unsorted_mask)
     # the unsorted input as two row blocks [x_1 | x_2] of widths 2 and 1
     block_1, block_2 = (unsorted_x[unsorted.index][:, cols]
@@ -78,13 +76,10 @@ def op_gradcheck_cases(seed: int = 0):
     def total(x):
         return ad.reduce_sum(x)
 
-    def lstm_both(blocks, w, b, packing=packed, weights=lstm_weights,
-                  bwd=None):
+    def lstm_both(blocks, w, b, packing=packed, weights=lstm_weights):
         """Both directions over a ragged batch's packed rows, weighted so
-        every output counts; the backward direction reuses (w, b) unless
-        given its own."""
-        both = ad.lstm(blocks, packing, fwd=(w, b), bwd=bwd or (w, b))
-        return total(ad.mul(both, weights[packing.index]))
+        every output counts."""
+        return total(ad.mul(ad.lstm(blocks, packing, w, b), weights[packing.index]))
 
     return [
         ("matmul", lambda t: total(ad.matmul(t, right)), rng.normal(size=(3, 4))),
@@ -126,15 +121,11 @@ def op_gradcheck_cases(seed: int = 0):
          lambda t: lstm_both([t], lstm_w, lstm_b, unsorted, unsorted_weights),
          unsorted_x[unsorted.index]),
         ("lstm_blocks_x",
-         lambda t: lstm_both([block_1, t], lstm_w, lstm_b, unsorted, unsorted_weights,
-                             (lstm_w_bwd, lstm_b_bwd)), block_2),
-        ("lstm_blocks_W_bwd",
-         lambda t: lstm_both([block_1, block_2], lstm_w, lstm_b, unsorted,
-                             unsorted_weights, (t, lstm_b_bwd)), lstm_w_bwd),
+         lambda t: lstm_both([block_1, t], lstm_w, lstm_b, unsorted, unsorted_weights),
+         block_2),
         ("lstm_dropped_x",
          lambda t: lstm_both([dropped(block_1, 98), dropped(t, 99)], lstm_w, lstm_b,
-                             unsorted, unsorted_weights, (lstm_w_bwd, lstm_b_bwd)),
-         block_2),
+                             unsorted, unsorted_weights), block_2),
         ("lstm_dropped_W",
          lambda t: lstm_both([block_1, dropped(block_2, 99)], t, lstm_b, unsorted,
                              unsorted_weights), lstm_w),

@@ -11,15 +11,16 @@ row's tokens come first and PAD_ID fills the rest, as
 ``data.build_batches`` makes them), embeds only the live tokens, and
 carries the N live positions of the batch as (N, .) row blocks through the
 encoder, the attention output G, both decoders and both heads. Each BiLSTM
-layer is one ``autodiff.lstm`` tape node (4 per forward) that writes both
-directions into one (N, 2h) result, and the attention is one
-``autodiff.bidaf`` node that writes G straight into its (N, 8h) result.
+layer is one ``autodiff.lstm`` tape node (4 per forward) that reads one W
+and one b stacking both directions and writes both into one (N, 2h) result,
+and the attention is one ``autodiff.bidaf`` node that writes G straight into
+its (N, 8h) result.
 Inputs like [G ; M] are never concatenated: the end decoder and the heads
 take them as blocks [G | M], each multiplied by its column slice of the
 weight, a chunk of rows at a time. Only the attention's similarity matrix
 and the logits see (B, L) tensors, so the cost follows the batch's token
 count, not B times the longest row, and a taped training forward plus loss
-records 45 nodes whatever the sequence length.
+records 37 nodes (17 parameter leaves) whatever the sequence length.
 
 Parameters live in a plain name -> ndarray dict. ``forward`` accepts either
 ndarrays (inference; no tape is recorded) or graph-leaf Tensors (training),
@@ -93,9 +94,8 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     shapes: dict[str, tuple[int, ...]] = {}
 
     def lstm(prefix, in_dim):
-        for direction in ("fwd", "bwd"):
-            shapes[f"{prefix}.{direction}.W"] = (4 * h, in_dim + h)
-            shapes[f"{prefix}.{direction}.b"] = (4 * h,)
+        shapes[f"{prefix}.W"] = (8 * h, in_dim + h)
+        shapes[f"{prefix}.b"] = (8 * h,)
 
     in_dim = d
     for layer in range(ENCODER_LAYERS):
@@ -128,12 +128,13 @@ def init_params(config: ModelConfig) -> dict[str, np.ndarray]:
     h = config.hidden_size
     params: dict[str, np.ndarray] = {}
     for name, shape in param_shapes(config).items():
-        if name.endswith(".b") or name.endswith(".b1") or name.endswith(".b2"):
+        if name.endswith((".b", ".b1", ".b2")):
             value = np.zeros(shape, dtype=np.float32)
             if name.endswith(".b"):
-                value[h:2 * h] = 1.0  # forget gate, gate order i|f|o|g
+                value.reshape(2, 4, h)[:, 1] = 1.0  # forget gates, i|f|o|g per direction
         else:
-            limit = _xavier_limit(shape)
+            # an LSTM's W stacks two directions, each with fan-out 4h
+            limit = _xavier_limit((4 * h, shape[1]) if name.endswith(".W") else shape)
             value = rng.uniform(-limit, limit, size=shape).astype(np.float32)
         params[name] = value
     return params
@@ -168,16 +169,17 @@ def bilstm(blocks, layer_params, packing: ad.Packing, *, drop=list) -> Tensor:
 
     `blocks` is the first layer's input [x_1 | x_2 | ...] as row blocks in
     the layout of `packing`; layer_params is a list (one entry per layer) of
-    dicts mapping "fwd"/"bwd" to (W, b). Each layer is one `ad.lstm` op that
-    computes only live positions and writes both directions into one
-    (N, 2h) result, which the next layer reads whole. The backward direction
-    starts from the zero state at each sequence's last token. `drop` takes
-    each layer's input blocks and returns them, marked `ad.Dropped` when
-    training with dropout (see `forward`); the default keeps them as they are.
+    (W (8h, n+h), b (8h,)) pairs, the forward direction's rows first. Each
+    layer is one `ad.lstm` op that computes only live positions and writes
+    both directions into one (N, 2h) result, which the next layer reads
+    whole. The backward direction starts from the zero state at each
+    sequence's last token. `drop` takes each layer's input blocks and returns
+    them, marked `ad.Dropped` when training with dropout (see `forward`); the
+    default keeps them as they are.
     """
     out = list(blocks)
-    for layer in layer_params:
-        out = [ad.lstm(drop(out), packing, fwd=layer["fwd"], bwd=layer["bwd"])]
+    for W, b in layer_params:
+        out = [ad.lstm(drop(out), packing, W, b)]
     return out[0]
 
 
@@ -220,8 +222,7 @@ def end_decoder(attention_out: Tensor, m_start: Tensor, decoder_params,
 
 
 def _layer_group(params, prefix):
-    return {"fwd": (params[f"{prefix}.fwd.W"], params[f"{prefix}.fwd.b"]),
-            "bwd": (params[f"{prefix}.bwd.W"], params[f"{prefix}.bwd.b"])}
+    return params[f"{prefix}.W"], params[f"{prefix}.b"]
 
 
 def _head_group(params, prefix):

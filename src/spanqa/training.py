@@ -216,12 +216,9 @@ def train(train_examples, table: EmbeddingTable, config: qa_model.ModelConfig,
         raise ConfigError(f"eval_every must be >= 1, got {eval_every}")
     if not 0.0 < lr < float("inf"):
         raise ConfigError(f"lr must be finite and > 0, got {lr}")
-    usable, dropped = prepare_for_training(train_examples, config.context_cap)
+    usable, _ = prepare_for_training(train_examples, config.context_cap)
     if not usable:
         raise ValueError("no trainable examples after truncation filtering")
-    if dropped:
-        log.info("dropped %d examples with an empty question or no gold span "
-                 "under cap %d", dropped, config.context_cap)
     if params is None:
         params = qa_model.init_params(config)
     if state is None:

@@ -32,16 +32,19 @@ def _direction(x, weight, bias):
 
 
 def bilstm_reference(x, mask, layers):
-    """Stacked bidirectional layers, each {"fwd": (W, b), "bwd": (W, b)} as
+    """Stacked bidirectional layers, each a (W (8h, n+h), b (8h,)) pair as
     ``model.bilstm`` takes them, over a padded batch: (B, L, n) -> (B, L, 2h)
-    with zeros at padding. Row b runs over its first sum(mask[b]) positions;
-    the backward direction reads them last to first."""
+    with zeros at padding. The first 4h rows of W and b are the forward
+    direction's and the last 4h the backward one's. Row b runs over its
+    first sum(mask[b]) positions; the backward direction reads them last to
+    first."""
     x = np.asarray(x, dtype=np.float64)
     lengths = np.count_nonzero(mask, axis=1)
-    for layer in layers:
-        fwd, bwd = ([np.asarray(p, dtype=np.float64) for p in layer[d]]
-                    for d in ("fwd", "bwd"))
-        out = np.zeros(x.shape[:2] + (len(fwd[1]) // 2,))
+    for weight, bias in layers:
+        weight, bias = np.asarray(weight, np.float64), np.asarray(bias, np.float64)
+        half = len(bias) // 2
+        fwd, bwd = (weight[:half], bias[:half]), (weight[half:], bias[half:])
+        out = np.zeros(x.shape[:2] + (half // 2,))
         for row, length in enumerate(lengths):
             seq = x[row, :length]
             out[row, :length] = np.concatenate(
@@ -57,9 +60,9 @@ def pack_rows(x, packing) -> ad.Tensor:
     return ad.take_rows(ad.reshape(x, (batch * length, width)), packing.flat)
 
 
-def packed_bilstm(x, mask, fwd, bwd) -> ad.Tensor:
+def packed_bilstm(x, mask, weight, bias) -> ad.Tensor:
     """``ad.lstm`` under the reference's padded contract: x (B, L, n) is
     packed by its mask, and the (N, 2h) result unpacked to (B, L, 2h) with
     zeros at padding."""
     packing = ad.Packing(mask)
-    return ad.unpack(ad.lstm([pack_rows(x, packing)], packing, fwd, bwd), packing)
+    return ad.unpack(ad.lstm([pack_rows(x, packing)], packing, weight, bias), packing)

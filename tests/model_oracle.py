@@ -18,8 +18,7 @@ from spanqa.model import ENCODER_LAYERS
 
 
 def _layer(params, prefix):
-    return {d: tuple(np.asarray(params[f"{prefix}.{d}.{k}"], dtype=np.float64)
-                     for k in ("W", "b")) for d in ("fwd", "bwd")}
+    return tuple(np.asarray(params[f"{prefix}.{k}"], dtype=np.float64) for k in ("W", "b"))
 
 
 def _bilstm(x, layers):

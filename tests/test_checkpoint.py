@@ -131,6 +131,19 @@ def test_missing_checksum_is_rejected(workdir, original):
         load_bytes(workdir, MAGIC + len(block).to_bytes(8, "little") + block + payload)
 
 
+@pytest.mark.parametrize("extra", [{"tensors": [["encoder.l0.W", [8, 9], 0]]},
+                                   {"extra": None},
+                                   {"tensors": [], "extra": 1}],
+                         ids=["tensors", "extra", "both"])
+def test_unknown_metadata_key_is_named(workdir, original, extra):
+    # a leftover key of an older format, or any other, is refused by name
+    # even under a valid checksum
+    metadata, payload = split(original)
+    with pytest.raises(CheckpointMetadataError,
+                       match=re.escape(f"unknown metadata keys {sorted(extra)}")):
+        load_bytes(workdir, join({**metadata, **extra}, payload))
+
+
 @pytest.mark.parametrize("value", ["70", True])
 def test_mistyped_best_dev_f1_is_rejected(workdir, original, value):
     metadata, payload = split(original)
@@ -265,12 +278,12 @@ def counting(shapes, start):
     return tensors, start
 
 
-# the sha256 of the file saved below in format 4; a change to key order,
-# separators, tensor order or payload bytes moves it
-PINNED_SHA256 = "8f61eac074f350576854a23e6ea5c8a2b862699f604c940adc394c56d46bb4c6"
+# the sha256 of the file saved below in format 5; a change to key order,
+# separators, tensor names, tensor order or payload bytes moves it
+PINNED_SHA256 = "ce1e88fe336b6a274a3e05c910074f398aca9c9bd0d11e651168a2fedef70b3e"
 
 
-def test_format_4_bytes_are_pinned(tmp_path):
+def test_format_5_bytes_are_pinned(tmp_path):
     # no random numbers, so only a change to the format can move the digest
     config = ModelConfig(hidden_size=2, embedding_dim=3, seed=4)
     shapes = param_shapes(config)
@@ -288,10 +301,10 @@ def test_format_4_bytes_are_pinned(tmp_path):
         assert np.array_equal(loaded.state.v[name], v[name]), name
 
 
-@pytest.mark.parametrize("version", ["4", 4.0, True, None, [4], 1, 2, 3, 3.0])
+@pytest.mark.parametrize("version", ["5", 5.0, True, None, [5], 1, 2, 3, 3.0, 4, 4.0, [4]])
 def test_other_versions_are_rejected(workdir, original, version):
     metadata, payload = split(original)
     metadata["version"] = version
     with pytest.raises(CheckpointVersionError,
-                       match=re.escape(f"format version {version!r}, expected 4")):
+                       match=re.escape(f"format version {version!r}, expected 5")):
         load_bytes(workdir, join(metadata, payload))

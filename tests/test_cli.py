@@ -517,22 +517,34 @@ def format_3(raw):
     return join(metadata, payload)
 
 
+def format_4(raw):
+    """A saved checkpoint's bytes under format 4's version number. Format 4
+    held the same payload bytes, each LSTM direction's W and b as tensors of
+    their own; the version alone refuses the file."""
+    metadata, payload = split(raw)
+    metadata["version"] = 4
+    return join(metadata, payload)
+
+
 @pytest.mark.parametrize("command,flag", [("eval", "--ckpt"), ("train", "--resume")])
 def test_format_3_checkpoint_is_refused_by_name(trained_checkpoint, fixtures_dir,
                                                 tmp_path, capsys, monkeypatch,
                                                 command, flag):
-    old = tmp_path / "old.ckpt"
-    old.write_bytes(format_3(trained_checkpoint.read_bytes()))
+    # and a format-4 file the same way
     monkeypatch.setattr(cli, "load_squad",
                         lambda *args: pytest.fail("the data were loaded"))
     out = tmp_path / "new.ckpt"
-    code = main([command, flag, str(old),
-                 "--data", str(fixtures_dir / "tiny_squad.json"),
-                 "--glove", str(fixtures_dir / "tiny_glove.txt")]
-                + (["--out", str(out)] if command == "train" else []))
-    assert code == 1
-    assert capsys.readouterr().err == f"error: {old}: format version 3, expected 4\n"
-    assert not out.exists()
+    for version, convert in [(3, format_3), (4, format_4)]:
+        old = tmp_path / f"format{version}.ckpt"
+        old.write_bytes(convert(trained_checkpoint.read_bytes()))
+        code = main([command, flag, str(old),
+                     "--data", str(fixtures_dir / "tiny_squad.json"),
+                     "--glove", str(fixtures_dir / "tiny_glove.txt")]
+                    + (["--out", str(out)] if command == "train" else []))
+        assert code == 1
+        assert (capsys.readouterr().err
+                == f"error: {old}: format version {version}, expected 5\n")
+        assert not out.exists()
 
 
 class TestGradcheckCommand:
@@ -595,4 +607,4 @@ def test_info_log_lines_reach_stderr(fixtures_dir, tmp_path):
         "--out", str(tmp_path / "m.ckpt"), "--iters", "1", "--batch-size", "4",
         "--hidden", "4", "--embed-dim", "32", "--context-cap", "20")
     assert result.returncode == 0, result.stderr
-    assert "INFO spanqa.training: dropped" in result.stderr
+    assert "INFO spanqa.data: dropped" in result.stderr

@@ -32,30 +32,41 @@ def ragged_mask(batch, length):
     return mask
 
 
-def direction_params(rng, in_dim, hidden):
-    return (rng.normal(size=(4 * hidden, in_dim + hidden)) * 0.5,
-            rng.normal(size=(4 * hidden,)) * 0.5)
+def stacked_params(rng, in_dim, hidden):
+    """Random W (8h, n+h) and b (8h,) of a layer, both directions stacked."""
+    return (rng.normal(size=(8 * hidden, in_dim + hidden)) * 0.5,
+            rng.normal(size=(8 * hidden,)) * 0.5)
+
+
+def with_rows(t, full, rows):
+    """`full`, a stacked W or b, with its half `rows` read from the Tensor t
+    on t's graph, so a gradient check probes one direction's rows alone."""
+    keep = np.zeros(len(full))
+    keep[rows] = 1.0
+    keep = keep.reshape((-1,) + (1,) * (full.ndim - 1))
+    index = np.arange(len(full)) % (len(full) // 2)
+    return ad.add(full * (1.0 - keep), ad.mul(ad.take_rows(t, index), keep))
 
 
 def check_against_oracle(rng, x, mask, hidden, reverse):
-    """Random (W, b) per direction: the values of both directions against
-    the reference, zeros at padding, and by `ad.grad_check` the gradients of
-    sum(out * probe) over the packed x and the `reverse` direction's W and
-    b, on GRAD_COORDS seeded coordinates of each (all of a smaller one)."""
-    pairs = [direction_params(rng, x.shape[2], hidden) for _ in range(2)]
+    """A random stacked (W, b): the values of both directions against the
+    reference, zeros at padding, and by `ad.grad_check` the gradients of
+    sum(out * probe) over the packed x and the `reverse` direction's rows of
+    W and b, on GRAD_COORDS seeded coordinates of each (all of a smaller one)."""
+    weight, bias = stacked_params(rng, x.shape[2], hidden)
     probe = rng.normal(size=mask.shape + (2 * hidden,))
-    out = packed_bilstm(x, mask, *pairs).data
-    want = bilstm_reference(x, mask, [{"fwd": pairs[0], "bwd": pairs[1]}])
+    out = packed_bilstm(x, mask, weight, bias).data
+    want = bilstm_reference(x, mask, [(weight, bias)])
     assert np.abs(out - want).max() < FORWARD_TOL
     assert np.all(out[mask == 0] == 0.0)
     packing = ad.Packing(mask)
-    values, weights = [x[packing.index], *pairs[reverse]], probe[packing.index]
+    rows = slice(4 * hidden * reverse, 4 * hidden * (1 + reverse))
+    values, weights = [x[packing.index], weight[rows], bias[rows]], probe[packing.index]
     for k, value in enumerate(values):
         def loss(t, k=k):
-            args = values[:k] + [t] + values[k + 1:]
-            both = list(pairs)
-            both[reverse] = tuple(args[1:])
-            return ad.reduce_sum(ad.mul(ad.lstm(args[:1], packing, *both), weights))
+            args = [values[0], weight, bias]
+            args[k] = t if k == 0 else with_rows(t, args[k], rows)
+            return ad.reduce_sum(ad.mul(ad.lstm(args[:1], packing, *args[1:]), weights))
 
         assert ad.grad_check(loss, value, GRAD_COORDS, seed=k) < OP_THRESHOLD, k
 
@@ -74,7 +85,7 @@ def test_masked_steps_get_no_gradient_and_emit_zeros():
     mask = ragged_mask(3, 5)
     graph = Graph()
     x = graph.leaf(rng.normal(size=(3, 5, 2)))
-    out = packed_bilstm(x, mask, *(direction_params(rng, 2, 3) for _ in range(2)))
+    out = packed_bilstm(x, mask, *stacked_params(rng, 2, 3))
     dx = graph.backward(ad.reduce_sum(out))[x.node_id]
     assert np.all(out.data[mask == 0] == 0.0)
     assert np.all(dx[mask == 0] == 0.0)
@@ -102,12 +113,12 @@ def test_packed_direction_matches_oracle_in_any_row_order(reverse, lengths):
 def test_non_prefix_mask_rejected(mask):
     mask = np.array(mask)
     rng = np.random.default_rng(8)
-    weight, bias = direction_params(rng, 2, 2)
+    weight, bias = stacked_params(rng, 2, 2)
     x = rng.normal(size=mask.shape + (2,))
     with pytest.raises(ad.DimensionError, match="run of 1s"):
         ad.Packing(mask)
     with pytest.raises(ad.DimensionError, match="run of 1s"):
-        packed_bilstm(x, mask, (weight, bias), (weight, bias))
+        packed_bilstm(x, mask, weight, bias)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, bool])
@@ -122,8 +133,7 @@ def test_packing_keeps_its_mask_as_bool(dtype):
 def test_stacked_bilstm_matches_oracle():
     rng = np.random.default_rng(5)
     batch, length, in_dim, hidden = 3, 7, 4, 3
-    layers = [{d: direction_params(rng, width, hidden) for d in ("fwd", "bwd")}
-              for width in (in_dim, 2 * hidden)]
+    layers = [stacked_params(rng, width, hidden) for width in (in_dim, 2 * hidden)]
     x = rng.normal(size=(batch, length, in_dim))
     mask = ragged_mask(batch, length)
     probe = rng.normal(size=(batch, length, 2 * hidden))
@@ -141,19 +151,41 @@ def test_stacked_bilstm_matches_oracle():
 def test_untaped_call_matches_taped_and_stays_detached():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(2, 4, 3))
-    pairs = [direction_params(rng, 3, 2) for _ in range(2)]
+    params = stacked_params(rng, 3, 2)
     mask = ragged_mask(2, 4)
-    detached = packed_bilstm(x, mask, *pairs)
+    detached = packed_bilstm(x, mask, *params)
     graph = Graph()
-    taped = packed_bilstm(graph.leaf(x), mask, *pairs)
+    taped = packed_bilstm(graph.leaf(x), mask, *params)
     assert detached.graph is None and taped.graph is graph
     assert np.array_equal(detached.data, taped.data)
 
 
+@pytest.mark.parametrize("zeroed", [0, 1], ids=["forward_rows", "backward_rows"])
+def test_stacked_rows_are_forward_then_backward(zeroed):
+    # W and b stack the forward direction's 4h rows over the backward one's:
+    # zeroing one half sets every pre-activation of that direction to 0, so
+    # its c and h stay 0 and its columns of the result are 0, while the other
+    # direction's columns stay bit for bit as they were
+    rng = np.random.default_rng(23)
+    hidden = 3
+    mask = prefix_mask([5, 2, 4], 5)
+    x = rng.normal(size=(3, 5, 4))
+    weight, bias = stacked_params(rng, 4, hidden)
+    out = packed_bilstm(x, mask, weight, bias).data
+    rows = slice(4 * hidden * zeroed, 4 * hidden * (zeroed + 1))
+    weight[rows], bias[rows] = 0.0, 0.0
+    cut = packed_bilstm(x, mask, weight, bias).data
+    cols = [slice(hidden * zeroed, hidden * (zeroed + 1)),
+            slice(hidden * (1 - zeroed), hidden * (2 - zeroed))]
+    assert np.all(cut[..., cols[0]] == 0.0)
+    assert np.array_equal(cut[..., cols[1]], out[..., cols[1]])
+    assert np.abs(out[..., cols[0]]).max() > 0.0
+
+
 def retained_by_call(packing, inputs):
-    """Bytes one `ad.lstm` call leaves allocated, its result included; the
-    same (W, b) serves both directions."""
-    return traced(ad.lstm, [inputs[0]], packing, inputs[1:], inputs[1:])[1]
+    """Bytes one `ad.lstm` call on inputs (x, W, b) leaves allocated, its
+    result included."""
+    return traced(ad.lstm, [inputs[0]], packing, *inputs[1:])[1]
 
 
 def test_untaped_call_keeps_no_bptt_buffers():
@@ -165,7 +197,7 @@ def test_untaped_call_keeps_no_bptt_buffers():
     batch, length, in_dim, hidden = 8, 60, 16, 32
     packing = ad.Packing(np.ones((batch, length)))
     x = rng.normal(size=(packing.size, in_dim))
-    weight, bias = direction_params(rng, in_dim, hidden)
+    weight, bias = stacked_params(rng, in_dim, hidden)
     buffers = 2 * 5 * batch * length * hidden * 8
     untaped = retained_by_call(packing, (x, weight, bias))
     frozen = retained_by_call(packing, tuple(ad.Tensor(v) for v in (x, weight, bias)))
@@ -186,7 +218,7 @@ def test_taped_buffers_scale_with_live_positions():
     lengths = [60, 10, 35, 20, 50, 5, 30, 15]      # 225 of 480 positions
     packing = ad.Packing(prefix_mask(lengths, length))
     x = rng.normal(size=(packing.size, in_dim))
-    weight, bias = direction_params(rng, in_dim, hidden)
+    weight, bias = stacked_params(rng, in_dim, hidden)
     live_buffers = 2 * 5 * sum(lengths) * hidden * 8
     untaped = retained_by_call(packing, (x, weight, bias))
     trainable = Graph()
@@ -206,9 +238,9 @@ def test_untaped_peak_holds_one_direction_at_a_time():
     length, in_dim, hidden = 60, 16, 32
     packing = ad.Packing(prefix_mask([60, 10, 35, 20, 50, 5, 30, 15], length))
     x = rng.normal(size=(packing.size, in_dim))
-    fwd, bwd = (direction_params(rng, in_dim, hidden) for _ in range(2))
+    weight, bias = stacked_params(rng, in_dim, hidden)
     bound = packing.size * 8 * (2 * hidden + 2 * 4 * hidden + 3 * hidden)
-    _, _, peak = traced(ad.lstm, [x], packing, fwd, bwd)
+    _, _, peak = traced(ad.lstm, [x], packing, weight, bias)
     assert peak < bound
 
 
@@ -229,10 +261,10 @@ def test_untaped_peak_over_two_blocks_holds_gates_state_and_one_chunk():
     packing = long_packing(rng)
     rows = packing.size
     blocks = [rng.normal(size=(rows, w)) for w in widths]
-    fwd, bwd = (direction_params(rng, sum(widths), hidden) for _ in range(2))
+    weight, bias = stacked_params(rng, sum(widths), hidden)
     chunk = ad._CHUNK_ROWS * 8 * 2 * 4 * hidden
-    bound = rows * 8 * (2 * hidden + 4 * hidden + 2 * hidden) + chunk + fwd[0].nbytes
-    out, _, peak = traced(ad.lstm, blocks, packing, fwd, bwd)
+    bound = rows * 8 * (2 * hidden + 4 * hidden + 2 * hidden) + chunk + weight.nbytes // 2
+    out, _, peak = traced(ad.lstm, blocks, packing, weight, bias)
     assert out.shape == (rows, 2 * hidden)
     assert peak < bound
 
@@ -248,11 +280,10 @@ def test_taped_backward_dx_adds_both_directions_by_chunk():
     rows, n = packing.size, sum(widths)
     graph = Graph()
     blocks = [graph.leaf(rng.normal(size=(rows, w))) for w in widths]
-    params = [tuple(graph.leaf(v) for v in direction_params(rng, n, hidden))
-              for _ in range(2)]
+    params = [graph.leaf(v) for v in stacked_params(rng, n, hidden)]
     root = ad.reduce_sum(ad.lstm(blocks, packing, *params))
     grads, _, peak = traced(graph.backward, root)
-    dw = sum(grads[t.node_id].nbytes for pair in params for t in pair)
+    dw = sum(grads[t.node_id].nbytes for t in params)
     chunk = ad._CHUNK_ROWS * 8 * max(widths)
     bound = rows * 8 * (2 * hidden + 8 * hidden + n) + dw + chunk
     assert peak < bound
@@ -272,33 +303,33 @@ def test_taped_backward_peak_holds_one_dz_and_one_rebuilt_block():
     rows, n = packing.size, sum(widths)
     graph = Graph()
     blocks = [graph.leaf(rng.normal(size=(rows, w))) for w in widths]
-    params = [tuple(graph.leaf(v) for v in direction_params(rng, n, hidden))
-              for _ in range(2)]
+    params = [graph.leaf(v) for v in stacked_params(rng, n, hidden)]
     out = ad.lstm([ad.Dropped(x, 0.2, seed) for seed, x in enumerate(blocks)],
                   packing, *params)
     root = ad.reduce_sum(out)
     grads, _, peak = traced(graph.backward, root)
-    dw = sum(grads[t.node_id].nbytes for pair in params for t in pair)
+    dw = sum(grads[t.node_id].nbytes for t in params)
     bound = rows * 8 * (2 * hidden + 8 * hidden + n + max(widths)) + dw
     assert peak < bound
-    assert len(grads) == 6
+    assert len(grads) == 4
 
 
 def test_shape_errors():
     packing = ad.Packing(np.ones((2, 3)))
     x = np.zeros((6, 4))
-    good = (np.zeros((8, 6)), np.zeros(8))
-    for bad in [(np.zeros((8, 5)), np.zeros(8)),      # needs 4+2 columns
-                (np.zeros((8, 6)), np.zeros(4))]:
-        for fwd, bwd in [(bad, good), (good, bad)]:
-            with pytest.raises(ad.DimensionError):
-                ad.lstm([x], packing, fwd, bwd)
+    good = (np.zeros((16, 6)), np.zeros(16))
+    for bad in [(np.zeros((16, 5)), np.zeros(16)),    # needs 4+2 columns
+                (np.zeros((16, 6)), np.zeros(8)),
+                (np.zeros((8, 6)), np.zeros(8)),      # one direction's rows
+                (np.zeros((12, 5)), np.zeros(12))]:
+        with pytest.raises(ad.DimensionError):
+            ad.lstm([x], packing, *bad)
     with pytest.raises(ad.DimensionError):
-        ad.lstm([np.zeros((5, 4))], packing, good, good)
+        ad.lstm([np.zeros((5, 4))], packing, *good)
     with pytest.raises(ad.DimensionError):
-        ad.lstm([np.zeros((6, 2)), np.zeros((5, 2))], packing, good, good)
+        ad.lstm([np.zeros((6, 2)), np.zeros((5, 2))], packing, *good)
     with pytest.raises(ad.DimensionError):
-        ad.lstm([np.zeros((2, 3, 4))], packing, good, good)
+        ad.lstm([np.zeros((2, 3, 4))], packing, *good)
     with pytest.raises(ad.DimensionError):
         ad.Packing(np.ones(3))
 

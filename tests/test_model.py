@@ -52,10 +52,11 @@ class TestInitParams:
         params = init_params(config)
         h = 8
         assert params["start_head.W2"].shape == (1, h)
-        assert params["encoder.l0.fwd.W"].shape == (4 * h, 10 + h)
-        assert params["encoder.l1.fwd.W"].shape == (4 * h, 2 * h + h)
-        assert params["start_decoder.fwd.W"].shape == (4 * h, 8 * h + h)
-        assert params["end_decoder.fwd.W"].shape == (4 * h, 10 * h + h)
+        assert params["encoder.l0.W"].shape == (8 * h, 10 + h)
+        assert params["encoder.l1.W"].shape == (8 * h, 2 * h + h)
+        assert params["start_decoder.W"].shape == (8 * h, 8 * h + h)
+        assert params["end_decoder.W"].shape == (8 * h, 10 * h + h)
+        assert params["end_decoder.b"].shape == (8 * h,)
         assert params["attention.w_sim"].shape == (6 * h,)
 
     def test_xavier_bounds_and_biases(self):
@@ -64,12 +65,15 @@ class TestInitParams:
         for name, shape in param_shapes(config).items():
             value = params[name]
             if name.endswith(".b"):
-                assert np.array_equal(value[8:16], np.ones(8))  # forget gate
-                assert np.all(value[:8] == 0.0)
+                # each direction's forget gate, gate order i|f|o|g
+                gates = value.reshape(2, 4, 8)
+                assert np.array_equal(gates[:, 1], np.ones((2, 8)))
+                assert np.all(gates[:, [0, 2, 3]] == 0.0)
             elif name.endswith("1") or name.endswith("2") and value.ndim == 1:
                 pass
             if value.ndim == 2:
-                fan_out, fan_in = shape
+                # a stacked LSTM W has each direction's fan-out, 4h
+                fan_out, fan_in = (4 * 8, shape[1]) if name.endswith(".W") else shape
                 limit = math.sqrt(6.0 / (fan_in + fan_out))
                 assert np.all(np.abs(value) <= limit)
 
@@ -82,8 +86,8 @@ class TestParamCount:
         h, d = 5, 7
         config = ModelConfig(hidden_size=h, embedding_dim=d)
         params = init_params(config)
-        one_direction = params["encoder.l0.fwd.W"].size + params["encoder.l0.fwd.b"].size
-        assert one_direction == 4 * (h * (h + d) + h)
+        both_directions = params["encoder.l0.W"].size + params["encoder.l0.b"].size
+        assert both_directions == 2 * 4 * (h * (h + d) + h)
 
     def test_default_config_regression_constant(self):
         # element count of the shipped architecture at Table-3 defaults;
@@ -127,12 +131,8 @@ class TestEmbed:
 
 class TestBiLSTM:
     def _params(self, rng, hidden, in_dim):
-        return {
-            "fwd": (rng.normal(size=(4 * hidden, in_dim + hidden)) * 0.4,
-                    rng.normal(size=4 * hidden) * 0.1),
-            "bwd": (rng.normal(size=(4 * hidden, in_dim + hidden)) * 0.4,
-                    rng.normal(size=4 * hidden) * 0.1),
-        }
+        return (rng.normal(size=(8 * hidden, in_dim + hidden)) * 0.4,
+                rng.normal(size=8 * hidden) * 0.1)
 
     def test_output_shape(self):
         rng = np.random.default_rng(4)
@@ -142,8 +142,7 @@ class TestBiLSTM:
 
     def test_zero_weights_zero_inputs(self):
         hidden, in_dim = 3, 4
-        layer = {"fwd": (np.zeros((12, 7)), np.zeros(12)),
-                 "bwd": (np.zeros((12, 7)), np.zeros(12))}
+        layer = (np.zeros((24, 7)), np.zeros(24))
         out = padded_bilstm(Tensor(np.zeros((1, 5, in_dim))), [layer], np.ones((1, 5)))
         assert np.array_equal(out.data, np.zeros((1, 5, 6)))
 
@@ -240,9 +239,9 @@ class TestBidafAttention:
         assert ops.count("bidaf") == 1, ops
         # the loss reads the logits: no softmax is built in a train step
         assert ops.count("masked_softmax") == 0, ops
-        # 25 parameter leaves and 20 ops
-        assert ops.count("leaf") == len(params) == 25, (len(params), ops)
-        assert len(graph) == 45, ops
+        # 17 parameter leaves and 20 ops
+        assert ops.count("leaf") == len(params) == 17, (len(params), ops)
+        assert len(graph) == 37, ops
 
 
 def _decoder_fixture(seed=0):
@@ -256,8 +255,7 @@ def _decoder_fixture(seed=0):
 
 
 def _group(params, prefix):
-    return {"fwd": (params[f"{prefix}.fwd.W"], params[f"{prefix}.fwd.b"]),
-            "bwd": (params[f"{prefix}.bwd.W"], params[f"{prefix}.bwd.b"])}
+    return params[f"{prefix}.W"], params[f"{prefix}.b"]
 
 
 def _head(params, prefix):
@@ -290,7 +288,7 @@ class TestDecoders:
         config, params, batch, packing, attn = _decoder_fixture()
         h = config.hidden_size
         assert attn.shape[1] == 8 * h
-        assert params["end_decoder.fwd.W"].shape[1] == 10 * h + h
+        assert params["end_decoder.W"].shape[1] == 10 * h + h
         m_start, _ = start_decoder(attn, _group(params, "start_decoder"),
                                    _head(params, "start_head"), packing)
         assert attn.shape[1] + m_start.shape[1] == 10 * h
@@ -304,7 +302,7 @@ class TestDecoders:
         _, params, _, _, _ = _decoder_fixture()
         for key in ("W1", "b1", "W2", "b2"):
             assert params[f"start_head.{key}"] is not params[f"end_head.{key}"]
-        assert params["start_decoder.fwd.W"] is not params["end_decoder.fwd.W"]
+        assert params["start_decoder.W"] is not params["end_decoder.W"]
 
 
 def _named_grads(config, params, table, batch, which):
@@ -324,8 +322,9 @@ class TestConditioningPath:
     def test_end_loss_reaches_start_decoder(self):
         config, params, table, batch = make_tiny_problem(seed=11)
         grads = _named_grads(config, params, table, batch, "end")
-        assert np.abs(grads["start_decoder.fwd.W"]).max() > 0.0
-        assert np.abs(grads["start_decoder.bwd.W"]).max() > 0.0
+        # both directions' rows of the start decoder's W
+        for rows in np.split(grads["start_decoder.W"], 2):
+            assert np.abs(rows).max() > 0.0
 
     def test_start_loss_never_reaches_end_decoder(self):
         config, params, table, batch = make_tiny_problem(seed=11)

@@ -49,14 +49,16 @@ def test_float32_taped_step_stays_float32():
     assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
 
 
-def _taped(x, mask, pairs, probe):
+def _taped(x, mask, weight, bias, probe):
     """packed_bilstm's output and the gradients of sum(out * probe) over x
-    and each direction's W and b."""
+    and each direction's rows of the stacked W and b."""
     graph = Graph()
-    leaves = [graph.leaf(v) for v in (x, *pairs[0], *pairs[1])]
-    out = packed_bilstm(leaves[0], mask, leaves[1:3], leaves[3:])
+    leaves = [graph.leaf(v) for v in (x, weight, bias)]
+    out = packed_bilstm(*leaves[:1], mask, *leaves[1:])
     grads = graph.backward(ad.reduce_sum(ad.mul(out, probe)))
-    return [out.data] + [grads[leaf.node_id] for leaf in leaves]
+    dx, dw, db = (grads[leaf.node_id] for leaf in leaves)
+    half = len(db) // 2
+    return [out.data, dx, dw[:half], db[:half], dw[half:], db[half:]]
 
 
 def test_float32_lstm_matches_float64_oracle():
@@ -65,16 +67,16 @@ def test_float32_lstm_matches_float64_oracle():
     rng = np.random.default_rng(41)
     batch, length, in_dim, hidden = 5, 40, 24, 16
     x = rng.normal(size=(batch, length, in_dim))
-    pairs = [(rng.normal(size=(4 * hidden, in_dim + hidden)) * 0.3,
-              rng.normal(size=(4 * hidden,)) * 0.3) for _ in range(2)]
+    weight = rng.normal(size=(8 * hidden, in_dim + hidden)) * 0.3
+    bias = rng.normal(size=(8 * hidden,)) * 0.3
     mask = np.ones((batch, length))
     for row in range(1, batch):
         mask[row, length - 7 * row:] = 0.0
     probe = rng.normal(size=(batch, length, 2 * hidden))
-    ref = _taped(x, mask, pairs, probe)
-    ref[0] = bilstm_reference(x, mask, [{"fwd": pairs[0], "bwd": pairs[1]}])
-    narrow = [[v.astype(np.float32) for v in pair] for pair in pairs]
-    got = _taped(x.astype(np.float32), mask, narrow, probe.astype(np.float32))
+    ref = _taped(x, mask, weight, bias, probe)
+    ref[0] = bilstm_reference(x, mask, [(weight, bias)])
+    got = _taped(x.astype(np.float32), mask, weight.astype(np.float32),
+                 bias.astype(np.float32), probe.astype(np.float32))
     names = ("out", "dX", "dW_fwd", "db_fwd", "dW_bwd", "db_bwd")
     for name, g, r in zip(names, got, ref):
         assert g.dtype == np.float32, name

@@ -13,7 +13,7 @@ from spanqa.checkpoint import (FORMAT_VERSION, CheckpointMagicError,
                                CheckpointTruncatedError, CheckpointVersionError,
                                load_checkpoint, save_checkpoint)
 from spanqa import data
-from spanqa.autodiff import ConfigError
+from spanqa.autodiff import ConfigError, Graph
 from spanqa.data import (build_batches, load_glove, load_squad,
                          prepare_for_training)
 from spanqa.diagnostics import make_tiny_problem
@@ -57,6 +57,25 @@ class TestTrainStep:
         losses = [train_step(params, batch, table, state, config)
                   for _ in range(50)]
         assert losses[-1] < losses[0]
+
+    @pytest.mark.parametrize("context_len", [7, 60])
+    def test_step_records_37_tape_nodes(self, monkeypatch, context_len):
+        # 17 parameter leaves and 20 ops, one lstm node per BiLSTM layer with
+        # both directions' weight and bias as one leaf each: the tape follows
+        # the layers, not the sequence length
+        tapes = []
+        original = Graph.backward
+
+        def recording(graph, root):
+            tapes.append([node.op for node in graph._nodes])
+            return original(graph, root)
+
+        monkeypatch.setattr(Graph, "backward", recording)
+        config, params, table, batch = make_tiny_problem(
+            seed=5, context_len=context_len, batch_size=3, dropout=0.2)
+        train_step(params, batch, table, init_optimizer(params), config)
+        (ops,) = tapes
+        assert (len(ops), ops.count("leaf"), ops.count("lstm")) == (37, 17, 4), ops
 
     def test_zero_learning_rate_keeps_params(self):
         config, params, table, batch = make_tiny_problem(seed=22)
