@@ -9,26 +9,27 @@ file and renames it into place, so a crash or a power loss never corrupts an
 existing checkpoint.
 
 The config fixes the tensor layout, so the file does not store it: the
-parameters and their Adam moments (under ``adam.m/`` and ``adam.v/`` names),
-sorted by name and laid end to end, so the payload is three contiguous
-blocks [m | v | params]. A saved parameter costs 12 bytes: itself and its
-two moments, 4 bytes each.
+payload is three blocks [params | m | v], the parameters and then their two
+Adam moments, each block laid end to end in ``model.param_shapes`` order. A
+saved parameter costs 12 bytes: itself and its two moments, 4 bytes each.
 
-Format version 5 is the only one written or read: version 1 to 4 files raise
-``CheckpointVersionError`` and are not converted (version 4 split each BiLSTM
+Format version 6 is the only one written or read: version 1 to 5 files raise
+``CheckpointVersionError`` and are not converted (version 5 also held each
+span head's FC2 bias, and laid out every tensor sorted by a name, the moments'
+with an ``adam.m`` or ``adam.v`` prefix; version 4 split each BiLSTM
 layer's W and b by direction; version 3 also stored the tensor layout and the
 encoder's depth, and version 2 held version 3's layout in float64).
 
 Loading raises a ``CheckpointError`` subclass for any file it cannot take at
-its word: wrong magic, a format version other than 5, truncation, a payload
+its word: wrong magic, a format version other than 6, truncation, a payload
 size other than the config's layout, and metadata that is not JSON, lacks,
 mistypes or adds a key, or lacks or fails its checksum. The payload carries no
 checksum, so a flipped payload bit loads as the value the file now holds.
 
 Loading checks the file's size against the layout before it allocates any
-tensor, then reads only the parameters, each straight into its own array.
-The Adam moments are read the same way on the first access to
-``CheckpointData.state``, so prediction never holds them; a resumed run
+tensor, then reads only the parameter block, each tensor straight into its
+own array. The two moment blocks are read the same way on the first access
+to ``CheckpointData.state``, so prediction never holds them; a resumed run
 reads them before it saves. If the file was replaced or rewritten in between
 (a different device, inode, size or modification time), that access raises
 ``CheckpointChangedError`` rather than pair the loaded parameters with
@@ -58,7 +59,7 @@ __all__ = ["MAGIC", "FORMAT_VERSION", "CheckpointError", "CheckpointMagicError",
            "CheckpointData", "save_checkpoint", "load_checkpoint"]
 
 MAGIC = b"QACKPT1\n"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 # the payload's dtype; loading converts it to native float32
 _DTYPE = np.dtype("<f4")
 _CHECKSUM_KEY = "metadata_crc32"
@@ -105,21 +106,6 @@ class CheckpointData:
         return self._read_state()
 
 
-def _layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], int]]:
-    """(name, shape, payload byte offset) of each tensor of a config's
-    checkpoint: each parameter and its two Adam moments, sorted by name and
-    laid end to end."""
-    shapes = param_shapes(config)
-    named = dict(shapes)
-    for prefix in ("adam.m/", "adam.v/"):
-        named.update({prefix + name: shape for name, shape in shapes.items()})
-    layout, offset = [], 0
-    for name in sorted(named):
-        layout.append((name, named[name], offset))
-        offset += _DTYPE.itemsize * math.prod(named[name])
-    return layout
-
-
 def _encode(metadata: dict) -> bytes:
     return json.dumps(metadata, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
@@ -128,11 +114,7 @@ def save_checkpoint(path, params: dict[str, np.ndarray], config: ModelConfig,
                     state: AdamState, best_dev_f1: float | None = None) -> None:
     """Atomically and durably write params + optimizer state as float32, the
     current format version; bit-exact round trip for float32 tensors."""
-    tensors = dict(params)
-    for name in params:
-        tensors[f"adam.m/{name}"] = state.m[name]
-        tensors[f"adam.v/{name}"] = state.v[name]
-    layout = _layout(config)
+    names = list(param_shapes(config))
     metadata = {
         "version": FORMAT_VERSION,
         "config": asdict(config),
@@ -146,8 +128,9 @@ def save_checkpoint(path, params: dict[str, np.ndarray], config: ModelConfig,
         handle.write(MAGIC)
         handle.write(len(meta_bytes).to_bytes(8, "little"))
         handle.write(meta_bytes)
-        for name, _, _ in layout:
-            handle.write(np.ascontiguousarray(tensors[name], dtype=_DTYPE))
+        for tensors in (params, state.m, state.v):
+            for name in names:
+                handle.write(np.ascontiguousarray(tensors[name], dtype=_DTYPE))
 
     replace_file(path, write)
 
@@ -196,13 +179,13 @@ def _identity(stat) -> tuple:
     return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
 
 
-def _read_tensors(path, handle, start: int, entries: list) -> dict[str, np.ndarray]:
-    """Each layout entry's float32 tensor, read from the payload at byte
-    `start` straight into its own new array."""
+def _read_block(path, handle, start: int, shapes: dict) -> dict[str, np.ndarray]:
+    """The float32 tensor of each shape, read in order from the payload block
+    at byte `start`, each straight into its own new array."""
+    handle.seek(start)
     tensors = {}
-    for name, shape, offset in entries:
+    for name, shape in shapes.items():
         tensor = np.empty(shape, dtype=_DTYPE)
-        handle.seek(start + offset)
         if handle.readinto(tensor) != tensor.nbytes:
             raise CheckpointTruncatedError(f"{path}: payload ends inside {name!r}")
         tensors[name] = tensor.astype(np.float32, copy=False)
@@ -232,16 +215,12 @@ def load_checkpoint(path) -> CheckpointData:
         config = _read_config(path, _field(path, metadata, "config", (dict,)))
         step = _field(path, metadata, "step", (int,))
         best_dev_f1 = _field(path, metadata, "best_dev_f1", (int, float, type(None)))
-        layout = _layout(config)
-        expected = sum(_DTYPE.itemsize * math.prod(shape) for _, shape, _ in layout)
-        if size - cursor != expected:
-            raise CheckpointTruncatedError(
-                f"{path}: payload is {size - cursor} bytes, layout expects {expected}")
         shapes = param_shapes(config)
-        tensors = _read_tensors(path, handle, cursor,
-                                [entry for entry in layout if entry[0] in shapes])
-    params = {name: tensors[name] for name in shapes}
-    moments = [entry for entry in layout if entry[0] not in shapes]
+        block = sum(_DTYPE.itemsize * math.prod(shape) for shape in shapes.values())
+        if size - cursor != 3 * block:
+            raise CheckpointTruncatedError(
+                f"{path}: payload is {size - cursor} bytes, layout expects {3 * block}")
+        params = _read_block(path, handle, cursor, shapes)
     source = os.path.abspath(path)
 
     def read_state() -> AdamState:
@@ -255,10 +234,9 @@ def load_checkpoint(path) -> CheckpointData:
                 raise CheckpointChangedError(
                     f"{path}: changed after its parameters were loaded; its Adam "
                     f"moments would not match them")
-            tensors = _read_tensors(path, handle, cursor, moments)
-        return AdamState(m={name: tensors[f"adam.m/{name}"] for name in params},
-                         v={name: tensors[f"adam.v/{name}"] for name in params},
-                         step=step)
+            return AdamState(m=_read_block(path, handle, cursor + block, shapes),
+                             v=_read_block(path, handle, cursor + 2 * block, shapes),
+                             step=step)
 
     return CheckpointData(config=config, params=params, best_dev_f1=best_dev_f1,
                           _read_state=read_state)

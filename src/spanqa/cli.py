@@ -153,6 +153,8 @@ def _check_writable(path) -> None:
 
 
 def cmd_train(args) -> int:
+    training.check_settings(args.batch_size, args.max_answer_len, args.eval_every,
+                            args.lr)
     log_path = args.log or f"{args.out}.log"
     # fail now, not after loading or training when the file is first written
     for path in [args.out, log_path] + ([f"{args.out}.last"] if args.dev else []):
@@ -207,6 +209,7 @@ def _report_lines(report):
 
 def _load_and_predict(args):
     """Examples of --data and their predicted answers from --ckpt."""
+    training.check_settings(args.batch_size, args.max_answer_len)
     loaded = ckpt.load_checkpoint(args.ckpt)
     table = load_glove(args.glove, dim=loaded.config.embedding_dim)
     examples = load_squad(args.data)

@@ -20,7 +20,7 @@ take them as blocks [G | M], each multiplied by its column slice of the
 weight, a chunk of rows at a time. Only the attention's similarity matrix
 and the logits see (B, L) tensors, so the cost follows the batch's token
 count, not B times the longest row, and a taped training forward plus loss
-records 37 nodes (17 parameter leaves) whatever the sequence length.
+records 35 nodes (15 parameter leaves) whatever the sequence length.
 
 Parameters live in a plain name -> ndarray dict. ``forward`` accepts either
 ndarrays (inference; no tape is recorded) or graph-leaf Tensors (training),
@@ -108,7 +108,6 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         shapes[f"{head}.W1"] = (h, 10 * h)
         shapes[f"{head}.b1"] = (h,)
         shapes[f"{head}.W2"] = (1, h)
-        shapes[f"{head}.b2"] = (1,)
     return shapes
 
 
@@ -128,7 +127,7 @@ def init_params(config: ModelConfig) -> dict[str, np.ndarray]:
     h = config.hidden_size
     params: dict[str, np.ndarray] = {}
     for name, shape in param_shapes(config).items():
-        if name.endswith((".b", ".b1", ".b2")):
+        if name.endswith((".b", ".b1")):
             value = np.zeros(shape, dtype=np.float32)
             if name.endswith(".b"):
                 value.reshape(2, 4, h)[:, 1] = 1.0  # forget gates, i|f|o|g per direction
@@ -201,10 +200,15 @@ def bidaf_attention(context: Tensor, question: Tensor, w_sim,
 def _decode(blocks, decoder_params, head, packing, drop):
     """A 1-layer BiLSTM over the row blocks, then the per-position head
     FC2(relu(FC1([G_i ; M_i]))) over the packed rows, with `drop` on the
-    FC1 input blocks; returns M and the logits scattered to (B, L)."""
+    FC1 input blocks; returns M and the logits scattered to (B, L).
+
+    FC2 has no bias: a shift shared by all of a row's logits changes neither
+    its softmax nor its cross-entropy, so such a bias could not be learned
+    (BiDAF's output layer has none either). Its `ad.linear` takes a zero
+    constant as the bias, which joins no tape."""
     m = bilstm(blocks, [decoder_params], packing, drop=drop)
     hidden = ad.relu(ad.linear(drop([blocks[0], m]), head["W1"], head["b1"]))
-    logits = ad.linear([hidden], head["W2"], head["b2"])             # (N,1)
+    logits = ad.linear([hidden], head["W2"], np.zeros(1, hidden.data.dtype))  # (N,1)
     return m, ad.unpack(ad.reshape(logits, (packing.size,)), packing)
 
 
@@ -226,7 +230,7 @@ def _layer_group(params, prefix):
 
 
 def _head_group(params, prefix):
-    return {k: params[f"{prefix}.{k}"] for k in ("W1", "b1", "W2", "b2")}
+    return {k: params[f"{prefix}.{k}"] for k in ("W1", "b1", "W2")}
 
 
 def _distinct_contexts(context_ids):

@@ -33,8 +33,8 @@ from .spans import best_span, span_text
 
 __all__ = ["AdamState", "TrainLogRecord", "TrainingDivergedError",
            "init_optimizer", "clip_global_norm", "adam_update", "train_step",
-           "train", "predict_answers", "SHUFFLE_STREAM", "BETA1", "BETA2",
-           "ADAM_EPS"]
+           "train", "predict_answers", "check_settings", "SHUFFLE_STREAM",
+           "BETA1", "BETA2", "ADAM_EPS"]
 
 MAX_GRAD_NORM = 5.0
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8   # Adam's decay rates and epsilon
@@ -151,11 +151,19 @@ def epoch_order(seed: int, epoch: int, count: int) -> np.ndarray:
     return rng.permutation(count)
 
 
-def _check_sizes(batch_size: int, max_answer_len: int) -> None:
+def check_settings(batch_size: int, max_answer_len: int,
+                   eval_every: int = 500, lr: float = 1e-3) -> None:
+    """Raise ConfigError for a run setting out of range. `train` and
+    `predict_answers` check their own; `qa` checks its flags before it loads
+    or opens any file."""
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if max_answer_len < 1:
         raise ConfigError(f"max_answer_len must be >= 1, got {max_answer_len}")
+    if eval_every < 1:
+        raise ConfigError(f"eval_every must be >= 1, got {eval_every}")
+    if not 0.0 < lr < float("inf"):
+        raise ConfigError(f"lr must be finite and > 0, got {lr}")
 
 
 def predict_answers(examples, params, table, config: qa_model.ModelConfig,
@@ -166,7 +174,7 @@ def predict_answers(examples, params, table, config: qa_model.ModelConfig,
     and gets the answer ""; the others are decoded `batch_size` at a time,
     each batch built just before it is decoded.
     """
-    _check_sizes(batch_size, max_answer_len)
+    check_settings(batch_size, max_answer_len)
     predictions = {ex.qid: "" for ex in examples
                    if not ex.question_tokens or not ex.context_tokens}
     if predictions:
@@ -211,11 +219,7 @@ def train(train_examples, table: EmbeddingTable, config: qa_model.ModelConfig,
     best so far, from the checkpoint when resuming); dev decoding happens
     every `eval_every` iterations when dev_examples is given.
     """
-    _check_sizes(batch_size, max_answer_len)
-    if eval_every < 1:
-        raise ConfigError(f"eval_every must be >= 1, got {eval_every}")
-    if not 0.0 < lr < float("inf"):
-        raise ConfigError(f"lr must be finite and > 0, got {lr}")
+    check_settings(batch_size, max_answer_len, eval_every, lr)
     usable, _ = prepare_for_training(train_examples, config.context_cap)
     if not usable:
         raise ValueError("no trainable examples after truncation filtering")

@@ -27,9 +27,9 @@ def _bilstm(x, layers):
 
 
 def _head(features, params, prefix):
-    w1, b1, w2, b2 = (np.asarray(params[f"{prefix}.{k}"], dtype=np.float64)
-                      for k in ("W1", "b1", "W2", "b2"))
-    return (np.maximum(features @ w1.T + b1, 0.0) @ w2.T + b2)[:, 0]
+    w1, b1, w2 = (np.asarray(params[f"{prefix}.{k}"], dtype=np.float64)
+                  for k in ("W1", "b1", "W2"))
+    return (np.maximum(features @ w1.T + b1, 0.0) @ w2.T)[:, 0]
 
 
 def _softmax(x):

@@ -155,7 +155,7 @@ def test_criterion_6_conditioning_path():
         np.all(start_grads[k] == 0.0)
         for k in params if k.startswith(("end_decoder.", "end_head.")))
     distinct = all(params[f"start_head.{k}"] is not params[f"end_head.{k}"]
-                   for k in ("W1", "b1", "W2", "b2"))
+                   for k in ("W1", "b1", "W2"))
     verdict(6, cond_nonzero and start_blind and distinct,
             f"end-loss reaches start decoder: {cond_nonzero}; start-loss blind "
             f"to end decoder: {start_blind}; heads distinct: {distinct}")

@@ -268,22 +268,22 @@ def test_payload_is_twelve_bytes_per_parameter(workdir, original):
 
 
 def counting(shapes, start):
-    """A tensor of each shape, in name order, counting up in eighths from
-    `start`; the count where the last one stops."""
+    """A tensor of each shape, in parameter order, counting up in eighths
+    from `start`; the count where the last one stops."""
     tensors = {}
-    for name, shape in sorted(shapes.items()):
+    for name, shape in shapes.items():
         size = math.prod(shape)
         tensors[name] = (np.arange(start, start + size, dtype=np.float32) / 8).reshape(shape)
         start += size
     return tensors, start
 
 
-# the sha256 of the file saved below in format 5; a change to key order,
-# separators, tensor names, tensor order or payload bytes moves it
-PINNED_SHA256 = "ce1e88fe336b6a274a3e05c910074f398aca9c9bd0d11e651168a2fedef70b3e"
+# the sha256 of the file saved below in format 6; a change to key order,
+# separators, tensor shapes, tensor order or payload bytes moves it
+PINNED_SHA256 = "ed7af744b62a3ea0a613c93de072eba1bcaea3689e491f3eeb4431c67486551b"
 
 
-def test_format_5_bytes_are_pinned(tmp_path):
+def test_format_6_bytes_are_pinned(tmp_path):
     # no random numbers, so only a change to the format can move the digest
     config = ModelConfig(hidden_size=2, embedding_dim=3, seed=4)
     shapes = param_shapes(config)
@@ -301,10 +301,11 @@ def test_format_5_bytes_are_pinned(tmp_path):
         assert np.array_equal(loaded.state.v[name], v[name]), name
 
 
-@pytest.mark.parametrize("version", ["5", 5.0, True, None, [5], 1, 2, 3, 3.0, 4, 4.0, [4]])
+@pytest.mark.parametrize("version", ["6", 6.0, True, None, [6], 1, 2, 3, 3.0, 4, 4.0, [4],
+                                     5, 5.0])
 def test_other_versions_are_rejected(workdir, original, version):
     metadata, payload = split(original)
     metadata["version"] = version
     with pytest.raises(CheckpointVersionError,
-                       match=re.escape(f"format version {version!r}, expected 5")):
+                       match=re.escape(f"format version {version!r}, expected 6")):
         load_bytes(workdir, join(metadata, payload))

@@ -2,6 +2,7 @@ import builtins
 import dataclasses
 import errno
 import json
+import math
 import re
 
 import numpy as np
@@ -10,12 +11,12 @@ import pytest
 from conftest import join, split, write_squad
 from spanqa import autodiff as ad
 from spanqa import diagnostics, training
-from spanqa.checkpoint import FORMAT_VERSION, _layout, load_checkpoint
+from spanqa.checkpoint import FORMAT_VERSION, load_checkpoint
 from spanqa import cli
 from spanqa.cli import main
 from spanqa.metrics import evaluate
 from spanqa.data import load_squad
-from spanqa.model import ModelConfig
+from spanqa.model import ModelConfig, param_shapes
 
 
 @pytest.fixture(scope="module")
@@ -181,13 +182,16 @@ class TestTrain:
                                             ("--lr", "nan")])
     def test_nonpositive_count_is_an_error(self, fixtures_dir, tmp_path, capsys,
                                            monkeypatch, flag, value):
-        # rejected before the examples are filtered, let alone trained on
-        monkeypatch.setattr(training, "prepare_for_training",
-                            lambda *args: pytest.fail("examples were filtered"))
+        # rejected before any file is loaded or opened, so an earlier run's
+        # log keeps its bytes
+        monkeypatch.setattr(cli, "load_squad",
+                            lambda *args: pytest.fail("the data were loaded"))
         monkeypatch.setattr(training, "train_step",
                             lambda *args: pytest.fail("a train step ran"))
         fixture = str(fixtures_dir / "tiny_squad.json")
         out = tmp_path / "m.ckpt"
+        log = tmp_path / "m.ckpt.log"
+        log.write_text('{"iteration": 1}\n')
         code = main(["train", "--data", fixture, "--dev", fixture,
                      "--glove", str(fixtures_dir / "tiny_glove.txt"),
                      "--out", str(out), "--iters", "2", "--hidden", "4",
@@ -197,6 +201,7 @@ class TestTrain:
         assert err.startswith("error: ")
         assert flag[2:].replace("-", "_") in err
         assert not out.exists()
+        assert log.read_text() == '{"iteration": 1}\n'
 
     def test_missing_out_directory_fails_before_training(self, fixtures_dir,
                                                          tmp_path, capsys,
@@ -492,6 +497,25 @@ class TestPredictAndEval:
         assert err == "error: max_answer_len must be >= 1, got 0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--batch-size", "--max-answer-len"])
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_nonpositive_size_fails_before_loading(self, trained_checkpoint,
+                                                   fixtures_dir, tmp_path, capsys,
+                                                   monkeypatch, command, flag):
+        for module, name in [(cli, "load_squad"), (cli, "load_glove"),
+                             (cli.ckpt, "load_checkpoint")]:
+            monkeypatch.setattr(module, name, lambda *args, _name=name, **kw:
+                                pytest.fail(f"{_name} was called"))
+        out = tmp_path / "preds.json"
+        code = main([command, "--ckpt", str(trained_checkpoint),
+                     "--data", str(fixtures_dir / "tiny_squad.json"),
+                     "--glove", str(fixtures_dir / "tiny_glove.txt"), flag, "0"]
+                    + (["--out", str(out)] if command == "predict" else []))
+        field = flag[2:].replace("-", "_")
+        assert (code, capsys.readouterr().err) == (
+            1, f"error: {field} must be >= 1, got 0\n")
+        assert not out.exists()
+
     def test_corrupt_checkpoint_version(self, trained_checkpoint, tmp_path,
                                         fixtures_dir, capsys):
         mutated = tmp_path / "bad.ckpt"
@@ -506,35 +530,57 @@ class TestPredictAndEval:
         assert "version" in capsys.readouterr().err
 
 
+def format_5_tensors(raw):
+    """The metadata and payload tensors of a saved checkpoint as format 5 laid
+    them out: each head's FC2 bias b2 (zero, with zero moments) among the
+    parameters, and every parameter and its two Adam moments, the moments
+    named adam.m/<name> and adam.v/<name>, sorted by name."""
+    metadata, payload = split(raw)
+    shapes = param_shapes(ModelConfig(**metadata["config"]))
+    flat = np.frombuffer(payload, "<f4")
+    tensors, offset = {}, 0
+    for prefix in ("", "adam.m/", "adam.v/"):
+        for name, shape in shapes.items():
+            size = math.prod(shape)
+            tensors[prefix + name] = flat[offset:offset + size].reshape(shape)
+            offset += size
+        for head in ("start_head", "end_head"):
+            tensors[f"{prefix}{head}.b2"] = np.zeros(1, "<f4")
+    return metadata, dict(sorted(tensors.items()))
+
+
+def format_5(raw, version=5):
+    """A saved checkpoint's bytes as format 5 wrote them. Format 4 held the
+    same bytes under its own version number, each LSTM direction's W and b a
+    tensor of its own; the version alone refuses either file."""
+    metadata, tensors = format_5_tensors(raw)
+    metadata["version"] = version
+    return join(metadata, b"".join(t.tobytes() for t in tensors.values()))
+
+
 def format_3(raw):
     """A saved checkpoint's bytes as format 3 wrote them: version 3, the
     encoder's depth in the config, and a manifest of the tensor layout."""
-    metadata, payload = split(raw)
-    manifest = [{"name": name, "shape": list(shape), "offset": offset}
-                for name, shape, offset in _layout(ModelConfig(**metadata["config"]))]
+    metadata, tensors = format_5_tensors(raw)
+    manifest, offset = [], 0
+    for name, tensor in tensors.items():
+        manifest.append({"name": name, "shape": list(tensor.shape), "offset": offset})
+        offset += tensor.nbytes
     metadata.update(version=3, tensors=manifest)
     metadata["config"]["encoder_layers"] = 2
-    return join(metadata, payload)
-
-
-def format_4(raw):
-    """A saved checkpoint's bytes under format 4's version number. Format 4
-    held the same payload bytes, each LSTM direction's W and b as tensors of
-    their own; the version alone refuses the file."""
-    metadata, payload = split(raw)
-    metadata["version"] = 4
-    return join(metadata, payload)
+    return join(metadata, b"".join(t.tobytes() for t in tensors.values()))
 
 
 @pytest.mark.parametrize("command,flag", [("eval", "--ckpt"), ("train", "--resume")])
 def test_format_3_checkpoint_is_refused_by_name(trained_checkpoint, fixtures_dir,
                                                 tmp_path, capsys, monkeypatch,
                                                 command, flag):
-    # and a format-4 file the same way
+    # and format-4 and format-5 files the same way
     monkeypatch.setattr(cli, "load_squad",
                         lambda *args: pytest.fail("the data were loaded"))
     out = tmp_path / "new.ckpt"
-    for version, convert in [(3, format_3), (4, format_4)]:
+    for version, convert in [(3, format_3), (4, lambda raw: format_5(raw, 4)),
+                             (5, format_5)]:
         old = tmp_path / f"format{version}.ckpt"
         old.write_bytes(convert(trained_checkpoint.read_bytes()))
         code = main([command, flag, str(old),
@@ -543,7 +589,7 @@ def test_format_3_checkpoint_is_refused_by_name(trained_checkpoint, fixtures_dir
                     + (["--out", str(out)] if command == "train" else []))
         assert code == 1
         assert (capsys.readouterr().err
-                == f"error: {old}: format version {version}, expected 5\n")
+                == f"error: {old}: format version {version}, expected 6\n")
         assert not out.exists()
 
 

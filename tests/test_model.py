@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bidaf_oracle import packed_attention
 from lstm_oracle import bilstm_reference, pack_rows
@@ -14,6 +16,7 @@ from spanqa.diagnostics import end_to_end_gradcheck, make_tiny_problem
 from spanqa.model import (ModelConfig, bilstm, embed,
                           end_decoder, forward, init_params, loss, param_count,
                           param_shapes, start_decoder)
+from spanqa.spans import best_span
 
 
 def padded_bilstm(x, layers, mask):
@@ -69,8 +72,6 @@ class TestInitParams:
                 gates = value.reshape(2, 4, 8)
                 assert np.array_equal(gates[:, 1], np.ones((2, 8)))
                 assert np.all(gates[:, [0, 2, 3]] == 0.0)
-            elif name.endswith("1") or name.endswith("2") and value.ndim == 1:
-                pass
             if value.ndim == 2:
                 # a stacked LSTM W has each direction's fan-out, 4h
                 fan_out, fan_in = (4 * 8, shape[1]) if name.endswith(".W") else shape
@@ -92,7 +93,7 @@ class TestParamCount:
     def test_default_config_regression_constant(self):
         # element count of the shipped architecture at Table-3 defaults;
         # frozen so accidental layer/width changes are caught
-        assert param_count(init_params(ModelConfig())) == 4_896_302
+        assert param_count(init_params(ModelConfig())) == 4_896_300
 
 
 class TestEmbed:
@@ -239,9 +240,9 @@ class TestBidafAttention:
         assert ops.count("bidaf") == 1, ops
         # the loss reads the logits: no softmax is built in a train step
         assert ops.count("masked_softmax") == 0, ops
-        # 17 parameter leaves and 20 ops
-        assert ops.count("leaf") == len(params) == 17, (len(params), ops)
-        assert len(graph) == 37, ops
+        # 15 parameter leaves and 20 ops
+        assert ops.count("leaf") == len(params) == 15, (len(params), ops)
+        assert len(graph) == 35, ops
 
 
 def _decoder_fixture(seed=0):
@@ -259,7 +260,7 @@ def _group(params, prefix):
 
 
 def _head(params, prefix):
-    return {k: params[f"{prefix}.{k}"] for k in ("W1", "b1", "W2", "b2")}
+    return {k: params[f"{prefix}.{k}"] for k in ("W1", "b1", "W2")}
 
 
 class TestDecoders:
@@ -300,7 +301,7 @@ class TestDecoders:
 
     def test_heads_are_distinct_tensors(self):
         _, params, _, _, _ = _decoder_fixture()
-        for key in ("W1", "b1", "W2", "b2"):
+        for key in ("W1", "b1", "W2"):
             assert params[f"start_head.{key}"] is not params[f"end_head.{key}"]
         assert params["start_decoder.W"] is not params["end_decoder.W"]
 
@@ -415,6 +416,70 @@ class TestLoss:
         assert np.array_equal(out.p_start.data, np.eye(4)[[1, 2]])
         value = loss(out, np.array([1, 2]), np.array([1, 2]))
         assert value.item() == 0.0
+
+
+@st.composite
+def shifted_logits(draw, shifts):
+    """(logits, mask, gold, shifted) over 2B rows: a batch's start logits and
+    then its end logits, on a 1/16 grid, under a ragged prefix mask; gold
+    indices; and the logits with a constant from `shifts` added to each row's
+    live positions, as an FC2 bias would add it."""
+    batch, length = draw(st.integers(1, 4)), draw(st.integers(1, 9))
+    lengths = np.tile(draw(st.lists(st.integers(1, length), min_size=batch,
+                                    max_size=batch)), 2)
+    mask = np.arange(length) < lengths[:, None]
+    logits = np.array(draw(st.lists(st.integers(-160, 160), min_size=mask.size,
+                                    max_size=mask.size))).reshape(mask.shape) / 16
+    gold = np.array([draw(st.integers(0, n - 1)) for n in lengths])
+    shift = np.array(draw(st.lists(shifts, min_size=2 * batch, max_size=2 * batch)))
+    return logits, mask, gold, logits + shift[:, None] * mask
+
+
+def loss_and_grad(logits, gold, mask):
+    graph = Graph()
+    leaf = graph.leaf(logits)
+    value = ad.cross_entropy(leaf, gold, mask)
+    return value.item(), graph.backward(value)[leaf.node_id]
+
+
+def decoded(logits, mask):
+    """best_span of each example: row b's softmax as p_start, row B + b's as p_end."""
+    p = ad.masked_softmax(logits, mask).data
+    half = len(p) // 2
+    return [best_span(p[b], p[half + b], mask[b], max_len=3) for b in range(half)]
+
+
+class TestRowShift:
+    """Why the heads' FC2 has no bias: adding one constant to every live logit
+    of a row changes neither the loss, nor its gradient, nor the decoding."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(shifted_logits(st.floats(-1e3, 1e3)))
+    def test_loss_gradient_and_softmax_within_rounding(self, case):
+        logits, mask, gold, shifted = case
+        value, grad = loss_and_grad(logits, gold, mask)
+        shifted_value, shifted_grad = loss_and_grad(shifted, gold, mask)
+        # a shift of up to 1e3 costs a few ulps of 1e3 (1.1e-13 each)
+        assert shifted_value == pytest.approx(value, rel=0, abs=1e-11)
+        np.testing.assert_allclose(shifted_grad, grad, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(ad.masked_softmax(shifted, mask).data,
+                                   ad.masked_softmax(logits, mask).data,
+                                   rtol=0, atol=1e-11)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(shifted_logits(st.integers(-2 ** 14, 2 ** 14).map(lambda k: k / 16)))
+    def test_exact_shift_changes_no_bit_and_no_span(self, case):
+        # on the grid every sum is exact, and each row's max is subtracted
+        # before exp, so the shift is gone before any rounding: even ties
+        # between spans break the same way
+        logits, mask, gold, shifted = case
+        value, grad = loss_and_grad(logits, gold, mask)
+        shifted_value, shifted_grad = loss_and_grad(shifted, gold, mask)
+        assert shifted_value == value
+        assert np.array_equal(shifted_grad, grad)
+        assert np.array_equal(ad.masked_softmax(shifted, mask).data,
+                              ad.masked_softmax(logits, mask).data)
+        assert decoded(shifted, mask) == decoded(logits, mask)
 
 
 class TestEndToEndGradients:
