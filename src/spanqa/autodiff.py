@@ -133,6 +133,9 @@ class Graph:
         has run, its gradient, its backward closure (with the buffers it
         saved) and its output are dropped, so at most one frontier of
         gradients is alive at a time and the tape shrinks as backward runs.
+        An op's backward receives the only reference to its gradient, so it
+        may free it before it returns (from Python 3.11, whose calls take
+        over their arguments; before, the caller's frame holds them).
         Leaves keep their output, which shapes their zero gradients. A second
         call raises GraphSpentError.
         """
@@ -152,16 +155,18 @@ class Graph:
             if backward is None:
                 continue
             node.out = None
-            g = grads.pop(nid, None)
-            if g is None:
+            if nid not in grads:
                 continue
-            for pid, pg in zip(node.parents, backward(g)):
+            # no reference to the gradient is kept here (neither the argument
+            # nor the loop's last pg), so an op may free it early
+            for pid, pg in zip(node.parents, backward(grads.pop(nid))):
                 if pid is None:
                     continue
                 if pid in grads:
                     grads[pid] = grads[pid] + pg
                 else:
                     grads[pid] = pg
+            pg = None
         return {nid: grads[nid] if nid in grads else np.zeros_like(node.out)
                 for nid, node in enumerate(self._nodes)
                 if node.op == "leaf"}
@@ -579,7 +584,8 @@ def dropout(x, rate: float, seed: int) -> Tensor:
 
 class Dropped(NamedTuple):
     """A row block that enters `linear` or `lstm` as dropout(x, rate, seed)
-    would give it, bit for bit, with only the boolean mask on the tape."""
+    would give it, bit for bit. The op's tape node keeps only (rate, seed):
+    its backward draws the block's boolean mask again."""
     x: object
     rate: float
     seed: int
@@ -649,14 +655,13 @@ def _padded(x, packing: Packing):
 _CHUNK_ROWS = 512
 
 
-def _rows_times(out, xs, w_ts, masks=None, to=None):
+def _rows_times(out, xs, w_ts, masks, to=None):
     """out[to] = x_1 @ w_t_1 + x_2 @ w_t_2 + ..., summed in that order, and
     out returned; `to` permutes the rows (None keeps their order). It runs
     _CHUNK_ROWS rows at a time, so neither a concatenation, nor a dropped
     whole block, nor a whole product is built: each chunk of each x_i is
     dropped by its (keep, scale) mask when it has one, multiplied, and added
     into that chunk's rows of `out`."""
-    masks = masks or [None] * len(xs)
     for lo in range(0, len(out), _CHUNK_ROWS):
         take = slice(lo, lo + _CHUNK_ROWS)
         parts = (x[take] if m is None else _drop(x[take], (m[0][take], m[1]))
@@ -678,38 +683,53 @@ def _gather_rows(out, x, rows):
 
 
 def _row_blocks(xs, width: int, op: str):
-    """Row blocks (N, n_i) as Tensors, each block's dropout mask (None but
-    for a `Dropped` block), and its column span in a weight of `width` =
-    sum(n_i) columns."""
+    """Row blocks (N, n_i) as Tensors, each block's dropout (rate, seed)
+    (rate 0 but for a `Dropped` block), and its column span in a weight of
+    `width` = sum(n_i) columns."""
     blocks = [x if isinstance(x, Dropped) else Dropped(x, 0.0, 0) for x in xs]
     xs = [_lift(x) for x, _, _ in blocks]
     bounds = np.cumsum([0] + [x.shape[-1] for x in xs]).tolist()
     if not xs or bounds[-1] != width or {x.shape[:-1] for x in xs} != {xs[0].shape[:1]}:
         raise DimensionError(f"{op}: row blocks {[x.shape for x in xs]} do not "
                              f"make {width} input columns")
-    masks = [_dropout_mask(x.data, rate, seed) for x, (_, rate, seed) in zip(xs, blocks)]
-    return xs, masks, list(zip(bounds, bounds[1:]))
+    return xs, [(rate, seed) for _, rate, seed in blocks], list(zip(bounds, bounds[1:]))
+
+
+def _input_grads(g, datas, drops, spans, w, dw, needs):
+    """dW and dX of the row blocks x_i of `linear` or `lstm`, from the
+    gradient g (N, m) of their product with the weight w (m, sum(n_i)).
+    Block by block, the mask is drawn again from its (rate, seed), once for
+    both: the block's columns of dw get g^T @ dropped x_i, with the dropped
+    block built for that GEMM alone, and its dX is g @ w[:, lo:hi], dropped
+    in place (None where `needs` says no graph wants it)."""
+    dxs = []
+    for x, drop, (lo, hi), need in zip(datas, drops, spans, needs):
+        mask = _dropout_mask(x, *drop)
+        np.matmul(g.T, _drop(x, mask), out=dw[:, lo:hi])
+        dxs.append(_drop(g @ w[:, lo:hi], mask, in_place=True) if need else None)
+    return dxs
 
 
 def linear(xs, W, b) -> Tensor:
     """[x_1 | x_2 | ...] @ W^T + b over row blocks (N, n_i) whose widths sum
     to W's columns: each block meets its own column slice of W, a chunk of
     rows at a time. A block may come `Dropped`; only a chunk of it is ever
-    dropped at once."""
+    dropped at once, and the tape keeps its (rate, seed), not its mask:
+    backward redraws the mask (`_input_grads`)."""
     W, b = _lift(W), _lift(b)
     if W.ndim != 2 or b.shape != W.shape[:1]:
         raise DimensionError(f"linear: incompatible W {W.shape} and b {b.shape}")
-    xs, masks, spans = _row_blocks(xs, W.shape[1], "linear")
+    xs, drops, spans = _row_blocks(xs, W.shape[1], "linear")
     wd, datas = W.data, [x.data for x in xs]
     out = np.empty((len(datas[0]), wd.shape[0]), np.result_type(wd, *datas))
-    _rows_times(out, datas, [wd[:, lo:hi].T for lo, hi in spans], masks)
+    _rows_times(out, datas, [wd[:, lo:hi].T for lo, hi in spans],
+                [_dropout_mask(x, *drop) for x, drop in zip(datas, drops)])
     out += b.data
+    needs = [x.graph is not None for x in xs]
 
     def backward(g):
-        # dW first, so that no rebuilt dropped block is alive beside dX
-        dw = _weight_grad(g.T, datas, masks, spans, np.empty(wd.shape, g.dtype))
-        dxs = [_drop(g @ wd[:, lo:hi], m, in_place=True)
-               for (lo, hi), m in zip(spans, masks)]
+        dw = np.empty(wd.shape, g.dtype)
+        dxs = _input_grads(g, datas, drops, spans, wd, dw, needs)
         return (*dxs, dw, g.sum(axis=0))
 
     return _apply("linear", (*xs, W, b), out, backward)
@@ -798,14 +818,6 @@ def _lstm_dz(dz, g_h, w_h, gates, cs, packing: Packing, reverse: bool):
         hi = lo
 
 
-def _weight_grad(g_t, datas, masks, spans, dw):
-    """g_t @ [x_1 | x_2 | ...] written into the column blocks of dw, each
-    dropped block rebuilt only for its own GEMM."""
-    for x, m, (lo, hi) in zip(datas, masks, spans):
-        np.matmul(g_t, _drop(x, m), out=dw[:, lo:hi])
-    return dw
-
-
 def lstm(xs, packing: Packing, W, b) -> Tensor:
     """A bidirectional LSTM layer over packed rows: (N, n) -> (N, 2h).
 
@@ -826,21 +838,23 @@ def lstm(xs, packing: Packing, W, b) -> Tensor:
     per-step temporary, and the layer is one tape node.
 
     When some input is on a graph, the tape keeps each direction's gates and
-    c, five (N, h) blocks; otherwise they are freed before the next
-    direction starts. Backward is one BPTT sweep per direction, computing
-    only dz and dz @ W_h per step. A direction's gates and c are freed as
-    soon as its dz is done; its rows of db and dW_h follow (h_prev is read
-    from the result), and its dz moves into one (N, 8h) buffer
-    [dz_fwd | dz_bwd] in packing order. Then dW of each input block is one
-    GEMM over both directions, with the block's dropout rebuilt for it
-    alone, and dX = dz_fwd @ W_fwd^T + dz_bwd @ W_bwd^T for each block on a
-    graph, summed into dX by the same chunked helper, so neither product
-    exists whole beside dX.
+    c, five (N, h) blocks, and each block's dropout (rate, seed), no mask;
+    otherwise the gates and c are freed before the next direction starts.
+    Backward is one BPTT sweep per direction, computing only dz and
+    dz @ W_h per step. A direction's gates and c are freed as soon as its dz
+    is done; its rows of db and of the (8h, h) recurrent dW_h follow (h_prev
+    is read from the result), and its dz moves into one (N, 8h) buffer
+    dz = [dz_fwd | dz_bwd] in packing order. After both sweeps the result
+    and its gradient are let go, and only then is the (8h, n+h) dW
+    allocated. Then, block by block, the block's mask is drawn again
+    (`_input_grads`): its dW columns are one GEMM over both directions, with
+    the block dropped for it alone, and its dX, for a block on a graph, is
+    the one GEMM dz @ W[:, lo:hi] with K = 8h, dropped in place.
     """
     W, b = _lift(W), _lift(b)
     h = W.shape[0] // 8
     n = W.shape[-1] - h
-    xs, masks, spans = _row_blocks(xs, n, "lstm")
+    xs, drops, spans = _row_blocks(xs, n, "lstm")
     if h < 1 or W.shape != (8 * h, n + h) or b.shape != (8 * h,):
         raise DimensionError(
             f"lstm: input width {n} needs W (8h, {n}+h) and b (8h,), "
@@ -855,6 +869,7 @@ def lstm(xs, packing: Packing, W, b) -> Tensor:
     # each direction's rows of W and b, as views
     weights, biases = np.split(W.data, 2), np.split(b.data, 2)
     out = np.empty((rows, 2 * h), dtype)
+    masks = [_dropout_mask(x, *drop) for x, drop in zip(datas, drops)]
     saved = [_lstm_direction(datas, masks, spans, weights[d], biases[d], packing, d == 1,
                              out[:, d * h:(d + 1) * h], taped)
              for d in range(2)]
@@ -863,7 +878,8 @@ def lstm(xs, packing: Packing, W, b) -> Tensor:
     needs = [x.graph is not None for x in xs]
 
     def backward(g):
-        dz_both = dw = db = None
+        nonlocal out
+        dz_both = dw_h = db = None
         for d, reverse in enumerate((False, True)):
             dz = np.empty_like(saved[d][0])
             _lstm_dz(dz, g[:, d * h:(d + 1) * h], weights[d][:, n:], *saved[d],
@@ -871,23 +887,19 @@ def lstm(xs, packing: Packing, W, b) -> Tensor:
             saved[d] = None
             if dz_both is None:     # once the first direction's gates and c are gone
                 dz_both = np.empty((rows, 8 * h), dz.dtype)
-                dw, db = np.empty((8 * h, n + h), dz.dtype), np.empty(8 * h, dz.dtype)
+                dw_h, db = np.empty((8 * h, h), dz.dtype), np.empty(8 * h, dz.dtype)
             h_prev = out[packing.reverse[prev] if reverse else prev, d * h:(d + 1) * h]
             block = slice(d * 4 * h, (d + 1) * 4 * h)
             db[block] = dz.sum(axis=0)
-            np.matmul(dz[first:].T, h_prev, out=dw[block, n:])
+            np.matmul(dz[first:].T, h_prev, out=dw_h[block])
             dz_both[packing.reverse if reverse else slice(None), block] = dz
             del dz, h_prev
-        _weight_grad(dz_both.T, datas, masks, spans, dw)
-        dxs = []
-        for (lo, hi), m, need in zip(spans, masks, needs):
-            dx = None
-            if need:
-                dx = _rows_times(np.empty((rows, hi - lo), dz_both.dtype),
-                                 [dz_both[:, :4 * h], dz_both[:, 4 * h:]],
-                                 [w[:, lo:hi] for w in weights])
-                _drop(dx, m, in_place=True)
-            dxs.append(dx)
+        del g           # neither the result nor its gradient is read again
+        out = None
+        dw = np.empty((8 * h, n + h), dz_both.dtype)
+        dw[:, n:] = dw_h
+        del dw_h
+        dxs = _input_grads(dz_both, datas, drops, spans, W.data, dw, needs)
         return (*dxs, dw, db)
 
     return _apply("lstm", inputs, out, backward)

@@ -27,7 +27,9 @@ CONFIG_FLAGS = {"--hidden": "hidden_size", "--dropout": "dropout_rate",
 
 
 class ResumeConflictError(ValueError):
-    """A `qa train --resume` flag contradicts the checkpoint's model config."""
+    """A `qa train --resume` flag contradicts the checkpoint: a model flag
+    differs from its config, or `--dev` is missing although it records a
+    best dev F1."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,13 +108,20 @@ def _given_config(args) -> dict:
             if getattr(args, field) is not None}
 
 
-def _check_resume_flags(args, config: ModelConfig) -> None:
-    """Reject a model flag whose value differs from the resumed checkpoint's."""
+def _check_resume_flags(args, loaded: ckpt.CheckpointData) -> None:
+    """Reject a model flag whose value differs from the resumed checkpoint's,
+    and a resume without --dev of a checkpoint that records a best dev F1:
+    its final model would replace the best-dev one at --out under that
+    F1."""
     for flag, field in CONFIG_FLAGS.items():
-        value, saved = getattr(args, field), getattr(config, field)
+        value, saved = getattr(args, field), getattr(loaded.config, field)
         if value is not None and value != saved:
             raise ResumeConflictError(f"{flag} {value} conflicts with {field}={saved} "
                                       f"in the checkpoint {args.resume}")
+    if loaded.best_dev_f1 is not None and not args.dev:
+        raise ResumeConflictError(
+            f"the checkpoint {args.resume} records a best dev F1 of "
+            f"{loaded.best_dev_f1:.2f}; resume it with --dev")
 
 
 def _open_resumed_log(path, step: int):
@@ -161,7 +170,7 @@ def cmd_train(args) -> int:
         _check_writable(path)
     if args.resume:
         loaded = ckpt.load_checkpoint(args.resume)
-        _check_resume_flags(args, loaded.config)
+        _check_resume_flags(args, loaded)
         config, params, state = loaded.config, loaded.params, loaded.state
         best_dev_f1 = loaded.best_dev_f1
     else:

@@ -168,6 +168,30 @@ class TestTrain:
         assert (last.state.step, last.best_dev_f1) == (6, 70.0)
         assert f"best dev F1 70.00; checkpoint at {out}" in capsys.readouterr().out
 
+    def test_resume_without_dev_keeps_the_best_checkpoint(self, fixtures_dir,
+                                                           tmp_path, capsys,
+                                                           monkeypatch):
+        # the checkpoint records a best dev F1: resumed without --dev, the
+        # final model would replace the best-dev one at --out under that F1,
+        # so the run is refused before any data is loaded or file written
+        out = tmp_path / "m.ckpt"
+        files = ["--data", str(fixtures_dir / "tiny_squad.json"),
+                 "--glove", str(fixtures_dir / "tiny_glove.txt"),
+                 "--out", str(out), "--batch-size", "8"]
+        assert main(["train", *files, "--dev", str(fixtures_dir / "tiny_squad.json"),
+                     "--eval-every", "2", "--iters", "4", "--hidden", "8",
+                     "--embed-dim", "32"]) == 0
+        written = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        assert load_checkpoint(out).best_dev_f1 is not None
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "load_squad",
+                            lambda *args: pytest.fail("the data were loaded"))
+        code = main(["train", *files, "--resume", f"{out}.last", "--iters", "6"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "--dev" in err
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == written
+
     def test_run_without_dev_writes_only_out(self, trained_checkpoint):
         assert load_checkpoint(trained_checkpoint).state.step == 12
         assert not trained_checkpoint.with_suffix(".ckpt.last").exists()

@@ -5,6 +5,10 @@ Most checks go through `packed_bilstm`, which packs a padded batch, runs
 `ad.lstm` and unpacks the result, so the op and the reference see and
 return the same padded arrays."""
 
+import sys
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -269,11 +273,12 @@ def test_untaped_peak_over_two_blocks_holds_gates_state_and_one_chunk():
     assert peak < bound
 
 
-def test_taped_backward_dx_adds_both_directions_by_chunk():
+def test_taped_backward_dx_is_one_product_over_both_directions():
     # without dropout no input block is rebuilt, so above the (N, 2h)
     # gradient of the result, backward holds the (N, 8h) dz of both
-    # directions, the dX and dW it returns and one chunk's product: the
-    # second direction's dz_bwd @ W_bwd[:, block] is never a whole product
+    # directions and the dX and dW it returns: each block's dX is the one
+    # product dz @ W[:, block] with K = 8h, with no temporary beside it.
+    # `small` is for Python objects and the (8h,) db
     rng = np.random.default_rng(19)
     hidden, widths = 16, (8 * 16, 2 * 16)
     packing = long_packing(rng)
@@ -284,19 +289,23 @@ def test_taped_backward_dx_adds_both_directions_by_chunk():
     root = ad.reduce_sum(ad.lstm(blocks, packing, *params))
     grads, _, peak = traced(graph.backward, root)
     dw = sum(grads[t.node_id].nbytes for t in params)
-    chunk = ad._CHUNK_ROWS * 8 * max(widths)
-    bound = rows * 8 * (2 * hidden + 8 * hidden + n) + dw + chunk
+    small = 32 * 1024
+    bound = rows * 8 * (2 * hidden + 8 * hidden + n) + dw + small
     assert peak < bound
     assert all(grads[x.node_id].shape == x.shape for x in blocks)
 
 
-def test_taped_backward_peak_holds_one_dz_and_one_rebuilt_block():
+def test_taped_backward_peak_holds_one_dz_and_one_rebuilt_block(monkeypatch):
     # the end decoder's shape: a wide dropped block and a narrow one. Above
-    # the tape and the (N, 2h) gradient of the result, backward holds at
-    # most one (N, 8h) dz for both directions, the dX and dW it returns and
-    # one dropped input block rebuilt for its dW GEMM (or the second
-    # direction's product for dX of that width); a second dz, a dX temporary
-    # beside the sum, or every dropped block rebuilt at once each exceed that
+    # the tape and the (N, 2h) gradient g of the result, each BPTT sweep
+    # holds one (N, 8h) dz for both directions, its own (N, 4h) dz, db and
+    # the (8h, h) recurrent dW_h; the (8h, n+h) dW comes after both sweeps.
+    # Then, block by block, backward holds one redrawn mask and one dropped
+    # block rebuilt for its dW GEMM, no wider than the dX that follows it,
+    # so the peak is within g, the (N, 8h) dz, the dW and dX it returns, one
+    # mask and numpy's cast buffer for the float-by-bool product. A dX
+    # temporary beside the sum of both directions' products exceeds that,
+    # and a dW allocated before the sweeps exceeds their bound
     rng = np.random.default_rng(21)
     length, hidden, widths = 60, 16, (8 * 16, 2 * 16)
     packing = ad.Packing(prefix_mask([60, 10, 35, 20, 50, 5, 30, 15], length))
@@ -307,11 +316,57 @@ def test_taped_backward_peak_holds_one_dz_and_one_rebuilt_block():
     out = ad.lstm([ad.Dropped(x, 0.2, seed) for seed, x in enumerate(blocks)],
                   packing, *params)
     root = ad.reduce_sum(out)
+    at_sweeps = []
+    sweep = ad._lstm_dz
+
+    def recording(*args):
+        at_sweeps.append(tracemalloc.get_traced_memory()[0])
+        return sweep(*args)
+
+    monkeypatch.setattr(ad, "_lstm_dz", recording)
     grads, _, peak = traced(graph.backward, root)
     dw = sum(grads[t.node_id].nbytes for t in params)
-    bound = rows * 8 * (2 * hidden + 8 * hidden + n + max(widths)) + dw
+    small = 16 * 1024       # Python objects and the (8h,) db
+    sweep_bound = rows * 8 * (2 + 8 + 4) * hidden + 8 * 8 * hidden * hidden + small
+    assert len(at_sweeps) == 2 and at_sweeps[1] < sweep_bound
+    cast_buffer = 8 * np.getbufsize()
+    bound = rows * 8 * (2 * hidden + 8 * hidden + n) + rows * max(widths) + dw + cast_buffer
     assert peak < bound
     assert len(grads) == 4
+
+
+def test_backward_lets_go_of_the_result_and_its_gradient_after_the_sweeps(monkeypatch):
+    # neither the (N, 2h) result nor its gradient is read after the two BPTT
+    # sweeps, so both are freed before the input gradients start. Before
+    # Python 3.11 the caller's frame keeps a call's arguments alive until it
+    # returns, so the gradient is checked from 3.11 on
+    rng = np.random.default_rng(5)
+    packing = ad.Packing(prefix_mask([7, 3, 5], 7))
+    graph = Graph()
+    x = graph.leaf(rng.normal(size=(packing.size, 4)))
+    params = [graph.leaf(v) for v in stacked_params(rng, 4, 3)]
+    y = ad.lstm([ad.Dropped(x, 0.2, 1)], packing, *params)
+    result = weakref.ref(y.data)
+    root = ad.reduce_sum(y)
+    del y
+    gradients, alive = [], []
+    sweep, input_grads = ad._lstm_dz, ad._input_grads
+
+    def recording_sweep(dz, g_h, *args):
+        gradients.append(weakref.ref(g_h.base))
+        return sweep(dz, g_h, *args)
+
+    def recording_input_grads(*args):
+        alive.append([ref() is not None for ref in [result, *gradients]])
+        return input_grads(*args)
+
+    monkeypatch.setattr(ad, "_lstm_dz", recording_sweep)
+    monkeypatch.setattr(ad, "_input_grads", recording_input_grads)
+    graph.backward(root)
+    assert len(alive) == 1 and len(alive[0]) == 3
+    assert not alive[0][0]
+    if sys.version_info >= (3, 11):
+        assert alive[0] == [False, False, False]
 
 
 def test_shape_errors():
