@@ -695,16 +695,21 @@ def _row_blocks(xs, width: int, op: str):
     return xs, [(rate, seed) for _, rate, seed in blocks], list(zip(bounds, bounds[1:]))
 
 
-def _input_grads(g, datas, drops, spans, w, dw, needs):
+def _masks(datas, drops):
+    """Each row block's (keep, scale) dropout mask, or None, drawn from its
+    (rate, seed) only as the block comes up."""
+    return (_dropout_mask(x, *drop) for x, drop in zip(datas, drops))
+
+
+def _input_grads(g, datas, masks, spans, w, dw, needs):
     """dW and dX of the row blocks x_i of `linear` or `lstm`, from the
     gradient g (N, m) of their product with the weight w (m, sum(n_i)).
-    Block by block, the mask is drawn again from its (rate, seed), once for
-    both: the block's columns of dw get g^T @ dropped x_i, with the dropped
+    Block by block, its mask (from `masks`, in block order) serves both:
+    the block's columns of dw get g^T @ dropped x_i, with the dropped
     block built for that GEMM alone, and its dX is g @ w[:, lo:hi], dropped
     in place (None where `needs` says no graph wants it)."""
     dxs = []
-    for x, drop, (lo, hi), need in zip(datas, drops, spans, needs):
-        mask = _dropout_mask(x, *drop)
+    for x, mask, (lo, hi), need in zip(datas, masks, spans, needs):
         np.matmul(g.T, _drop(x, mask), out=dw[:, lo:hi])
         dxs.append(_drop(g @ w[:, lo:hi], mask, in_place=True) if need else None)
     return dxs
@@ -715,7 +720,7 @@ def linear(xs, W, b) -> Tensor:
     to W's columns: each block meets its own column slice of W, a chunk of
     rows at a time. A block may come `Dropped`; only a chunk of it is ever
     dropped at once, and the tape keeps its (rate, seed), not its mask:
-    backward redraws the mask (`_input_grads`)."""
+    backward redraws the mask for `_input_grads`."""
     W, b = _lift(W), _lift(b)
     if W.ndim != 2 or b.shape != W.shape[:1]:
         raise DimensionError(f"linear: incompatible W {W.shape} and b {b.shape}")
@@ -723,55 +728,70 @@ def linear(xs, W, b) -> Tensor:
     wd, datas = W.data, [x.data for x in xs]
     out = np.empty((len(datas[0]), wd.shape[0]), np.result_type(wd, *datas))
     _rows_times(out, datas, [wd[:, lo:hi].T for lo, hi in spans],
-                [_dropout_mask(x, *drop) for x, drop in zip(datas, drops)])
+                list(_masks(datas, drops)))
     out += b.data
     needs = [x.graph is not None for x in xs]
 
     def backward(g):
         dw = np.empty(wd.shape, g.dtype)
-        dxs = _input_grads(g, datas, drops, spans, wd, dw, needs)
+        dxs = _input_grads(g, datas, _masks(datas, drops), spans, wd, dw, needs)
         return (*dxs, dw, g.sum(axis=0))
 
     return _apply("linear", (*xs, W, b), out, backward)
 
 
-def _lstm_direction(datas, masks, spans, w, b, packing: Packing, reverse: bool,
-                    out, taped: bool):
-    """One direction of `lstm` over the packed rows, with its (4h, n+h)
-    weight `w` and (4h,) bias `b`: writes its h into the (N, h) view `out`
-    (the forward direction step by step, in place) and returns what backward
-    needs besides that h, or None when untaped, so the direction's gate and
-    state buffers are freed before the next direction's."""
-    rows, h = packing.size, out.shape[1]
-    n, dtype = w.shape[1] - h, out.dtype
-    # sigmoid(z) = (1 + tanh(z / 2)) / 2, stable for any z. Halving the i|f|o
-    # rows of the forward weights and bias is exact, so one tanh over a whole
-    # block gives tanh(z / 2) for i, f, o and tanh(z) for g.
+def _preactivations(datas, masks, spans, w, b, packing: Packing, reverse: bool,
+                    dtype):
+    """One direction of `lstm` with its (4h, n+h) weight `w` and (4h,) bias
+    `b`: its input pre-activations x_t @ W_x^T + b for every live row, one
+    (N, 4h) buffer in the direction's step order, and its recurrent weight
+    W_h^T (h, 4h), both with the i|f|o gates' rows halved (`_activate`).
+
+    The buffer is built a chunk of rows at a time (`_rows_times`); a reverse
+    direction scatters each chunk's rows by `packing.reverse`, its own
+    inverse. W_h^T is copied contiguous: strided operands make the small
+    per-step ops slower."""
+    h = w.shape[0] // 4
+    n = w.shape[1] - h
     half = np.where(np.arange(4 * h) < 3 * h, 0.5, 1.0).astype(dtype)
-    # Pre-activations of every live position, built chunk by chunk in the
-    # direction's step order (a reverse direction scatters each chunk's rows
-    # by `packing.reverse`, its own inverse); the loop turns each step's
-    # contiguous block into its gate activations in place. The recurrent
-    # weight is copied contiguous: strided operands make the small per-step
-    # ops slower.
     w_t = w[:, :n].T * half
-    gates = _rows_times(np.empty((rows, 4 * h), dtype), datas,
+    gates = _rows_times(np.empty((packing.size, 4 * h), dtype), datas,
                         [w_t[lo:hi] for lo, hi in spans], masks,
                         packing.reverse if reverse else None)
     gates += b * half
-    w_h_t = np.ascontiguousarray(w[:, n:].T * half)
-    hs = np.empty((rows, h), dtype) if reverse else out
-    cs = np.empty((rows, h), dtype)
+    return gates, np.ascontiguousarray(w[:, n:].T * half)
+
+
+def _activate(z, h: int):
+    """Halved pre-activations z (., 4h) to gate activations, in place.
+
+    sigmoid(z) = (1 + tanh(z / 2)) / 2, stable for any z. Halving the i|f|o
+    rows of the weights and bias is exact, so one tanh over the block gives
+    tanh(z / 2) for i, f, o and tanh(z) for g."""
+    np.tanh(z, out=z)
+    sig = z[:, :3 * h]
+    sig += 1.0
+    sig *= 0.5
+
+
+def _lstm_direction(datas, masks, spans, w, b, packing: Packing, reverse: bool, out):
+    """One direction of `lstm` over the packed rows: writes its h into the
+    (N, h) view `out` (the forward direction step by step, in place) and
+    returns its gate activations (N, 4h) and c (N, h), in its step order.
+    The loop turns each step's contiguous block of pre-activations into its
+    gate activations in place."""
+    rows, h = packing.size, out.shape[1]
+    gates, w_h_t = _preactivations(datas, masks, spans, w, b, packing, reverse,
+                                   out.dtype)
+    hs = np.empty((rows, h), out.dtype) if reverse else out
+    cs = np.empty((rows, h), out.dtype)
     lo = before = 0
     for k in packing.counts:
         hi = lo + k
         z = gates[lo:hi]
         if lo:
             z += hs[before:before + k] @ w_h_t
-        np.tanh(z, out=z)
-        sig = z[:, :3 * h]
-        sig += 1.0
-        sig *= 0.5
+        _activate(z, h)
         c = np.multiply(z[:, :h], z[:, 3 * h:], out=cs[lo:hi])
         if lo:
             c += z[:, h:2 * h] * cs[before:before + k]
@@ -779,7 +799,24 @@ def _lstm_direction(datas, masks, spans, w, b, packing: Packing, reverse: bool,
         before, lo = lo, hi
     if reverse:
         out[packing.reverse] = hs
-    return [gates, cs] if taped else None
+    return gates, cs
+
+
+def _rebuilt_gates(datas, masks, spans, w, b, packing: Packing, reverse: bool,
+                   h_out, h_prev_rows):
+    """The gate activations `_lstm_direction` returned, rebuilt with no time
+    loop: the same input pre-activations, plus h_prev @ W_h^T for the rows
+    after the first step, added a chunk of rows at a time. h_prev is read
+    from the direction's h, the (N, h) view `h_out` of the result, at
+    `h_prev_rows`."""
+    gates, w_h_t = _preactivations(datas, masks, spans, w, b, packing, reverse,
+                                   h_out.dtype)
+    first = packing.size - len(h_prev_rows)
+    for lo in range(0, len(h_prev_rows), _CHUNK_ROWS):
+        hi = lo + _CHUNK_ROWS
+        gates[first + lo:first + hi] += h_out[h_prev_rows[lo:hi]] @ w_h_t
+    _activate(gates, h_out.shape[1])
+    return gates
 
 
 def _lstm_dz(dz, g_h, w_h, gates, cs, packing: Packing, reverse: bool):
@@ -818,7 +855,7 @@ def _lstm_dz(dz, g_h, w_h, gates, cs, packing: Packing, reverse: bool):
         hi = lo
 
 
-def lstm(xs, packing: Packing, W, b) -> Tensor:
+def lstm(xs, packing: Packing, W, b, *, rebuild_gates: bool = False) -> Tensor:
     """A bidirectional LSTM layer over packed rows: (N, n) -> (N, 2h).
 
     `xs` holds the input [x_1 | x_2 | ...] as row blocks in the layout of
@@ -837,19 +874,28 @@ def lstm(xs, packing: Packing, W, b) -> Tensor:
     built. Only h_prev[:k_s] @ W_h^T runs in the time loop, tanh c is a
     per-step temporary, and the layer is one tape node.
 
-    When some input is on a graph, the tape keeps each direction's gates and
-    c, five (N, h) blocks, and each block's dropout (rate, seed), no mask;
-    otherwise the gates and c are freed before the next direction starts.
-    Backward is one BPTT sweep per direction, computing only dz and
-    dz @ W_h per step. A direction's gates and c are freed as soon as its dz
-    is done; its rows of db and of the (8h, h) recurrent dW_h follow (h_prev
-    is read from the result), and its dz moves into one (N, 8h) buffer
-    dz = [dz_fwd | dz_bwd] in packing order. After both sweeps the result
-    and its gradient are let go, and only then is the (8h, n+h) dW
-    allocated. Then, block by block, the block's mask is drawn again
-    (`_input_grads`): its dW columns are one GEMM over both directions, with
-    the block dropped for it alone, and its dX, for a block on a graph, is
-    the one GEMM dz @ W[:, lo:hi] with K = 8h, dropped in place.
+    When some input is on a graph, the tape keeps each block's dropout
+    (rate, seed), no mask, and each direction's gates and c, five (N, h)
+    blocks; with `rebuild_gates`, which suits narrow inputs, it keeps only
+    c, one (N, h) block per direction. An untaped call frees each
+    direction's gates and c before the next direction starts. Backward is
+    one BPTT sweep per direction, computing only dz and dz @ W_h per step.
+    With `rebuild_gates`, each block's mask is drawn again once for the
+    whole backward, and before its sweep a direction's gates are rebuilt
+    with no time loop (`_rebuilt_gates`): the input projection again, plus
+    one h_prev @ W_h^T over all rows after the first step, h_prev read from
+    the result. That product sums in another order than the time loop's,
+    so the rebuilt gates may differ from the forward's in the last bits.
+    A direction's gates and c are
+    freed as soon as its dz is done; its rows of db and of the (8h, h)
+    recurrent dW_h follow (h_prev is read from the result), and its dz
+    moves into one (N, 8h) buffer dz = [dz_fwd | dz_bwd] in packing order.
+    After both sweeps the result and its gradient are let go, and only then
+    is the (8h, n+h) dW allocated. Then, block by block, the block's mask
+    (drawn again here unless the rebuild drew it) serves `_input_grads`:
+    its dW columns are one GEMM over both directions, with the block dropped
+    for it alone, and its dX, for a block on a graph, is the one GEMM
+    dz @ W[:, lo:hi] with K = 8h, dropped in place.
     """
     W, b = _lift(W), _lift(b)
     h = W.shape[0] // 8
@@ -865,13 +911,16 @@ def lstm(xs, packing: Packing, W, b) -> Tensor:
     taped = _common_graph(inputs) is not None
     rows, prev = packing.size, packing.prev
     first = rows - len(prev)
-    datas, dtype = [x.data for x in xs], xs[0].data.dtype
+    datas, dtype, wd = [x.data for x in xs], xs[0].data.dtype, W.data
     # each direction's rows of W and b, as views
-    weights, biases = np.split(W.data, 2), np.split(b.data, 2)
+    weights, biases = np.split(wd, 2), np.split(b.data, 2)
     out = np.empty((rows, 2 * h), dtype)
-    masks = [_dropout_mask(x, *drop) for x, drop in zip(datas, drops)]
+    masks = list(_masks(datas, drops))
+    # what the tape keeps of each direction's (gates, c): both, c alone when
+    # backward rebuilds the gates, or neither when untaped
+    kept = slice(1 if rebuild_gates else 0, None if taped else 0)
     saved = [_lstm_direction(datas, masks, spans, weights[d], biases[d], packing, d == 1,
-                             out[:, d * h:(d + 1) * h], taped)
+                             out[:, d * h:(d + 1) * h])[kept]
              for d in range(2)]
     if not taped:
         return Tensor(out)
@@ -879,27 +928,33 @@ def lstm(xs, packing: Packing, W, b) -> Tensor:
 
     def backward(g):
         nonlocal out
+        masks = list(_masks(datas, drops)) if rebuild_gates else None
         dz_both = dw_h = db = None
         for d, reverse in enumerate((False, True)):
+            cols = slice(d * h, (d + 1) * h)
+            h_prev_rows = packing.reverse[prev] if reverse else prev
+            if rebuild_gates:
+                saved[d] = (_rebuilt_gates(datas, masks, spans, weights[d], biases[d],
+                                           packing, reverse, out[:, cols], h_prev_rows),
+                            *saved[d])
             dz = np.empty_like(saved[d][0])
-            _lstm_dz(dz, g[:, d * h:(d + 1) * h], weights[d][:, n:], *saved[d],
-                     packing, reverse)
+            _lstm_dz(dz, g[:, cols], weights[d][:, n:], *saved[d], packing, reverse)
             saved[d] = None
             if dz_both is None:     # once the first direction's gates and c are gone
                 dz_both = np.empty((rows, 8 * h), dz.dtype)
                 dw_h, db = np.empty((8 * h, h), dz.dtype), np.empty(8 * h, dz.dtype)
-            h_prev = out[packing.reverse[prev] if reverse else prev, d * h:(d + 1) * h]
             block = slice(d * 4 * h, (d + 1) * 4 * h)
             db[block] = dz.sum(axis=0)
-            np.matmul(dz[first:].T, h_prev, out=dw_h[block])
+            np.matmul(dz[first:].T, out[h_prev_rows, cols], out=dw_h[block])
             dz_both[packing.reverse if reverse else slice(None), block] = dz
-            del dz, h_prev
+            del dz
         del g           # neither the result nor its gradient is read again
         out = None
         dw = np.empty((8 * h, n + h), dz_both.dtype)
         dw[:, n:] = dw_h
         del dw_h
-        dxs = _input_grads(dz_both, datas, drops, spans, W.data, dw, needs)
+        dxs = _input_grads(dz_both, datas, masks or _masks(datas, drops), spans, wd,
+                           dw, needs)
         return (*dxs, dw, db)
 
     return _apply("lstm", inputs, out, backward)

@@ -76,10 +76,11 @@ def op_gradcheck_cases(seed: int = 0):
     def total(x):
         return ad.reduce_sum(x)
 
-    def lstm_both(blocks, w, b, packing=packed, weights=lstm_weights):
+    def lstm_both(blocks, w, b, packing=packed, weights=lstm_weights, rebuild_gates=False):
         """Both directions over a ragged batch's packed rows, weighted so
         every output counts."""
-        return total(ad.mul(ad.lstm(blocks, packing, w, b), weights[packing.index]))
+        return total(ad.mul(ad.lstm(blocks, packing, w, b, rebuild_gates=rebuild_gates),
+                            weights[packing.index]))
 
     return [
         ("matmul", lambda t: total(ad.matmul(t, right)), rng.normal(size=(3, 4))),
@@ -129,6 +130,13 @@ def op_gradcheck_cases(seed: int = 0):
         ("lstm_dropped_W",
          lambda t: lstm_both([block_1, dropped(block_2, 99)], t, lstm_b, unsorted,
                              unsorted_weights), lstm_w),
+        # the gates rebuilt in backward, not kept on the tape
+        ("lstm_rebuilt_x",
+         lambda t: lstm_both([dropped(block_1, 98), t], lstm_w, lstm_b, unsorted,
+                             unsorted_weights, rebuild_gates=True), block_2),
+        ("lstm_rebuilt_W",
+         lambda t: lstm_both([block_1, dropped(block_2, 99)], t, lstm_b, unsorted,
+                             unsorted_weights, rebuild_gates=True), lstm_w),
         ("linear_x", lambda t: total(ad.mul(ad.linear([lin_1, t], lin_w, lin_b),
                                             lin_weights)), rows_rng.normal(size=(4, 3))),
         ("linear_W", lambda t: total(ad.mul(ad.linear([lin_1, lin_1[:, :1] * 2.0, lin_1],

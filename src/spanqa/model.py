@@ -14,7 +14,10 @@ encoder, the attention output G, both decoders and both heads. Each BiLSTM
 layer is one ``autodiff.lstm`` tape node (4 per forward) that reads one W
 and one b stacking both directions and writes both into one (N, 2h) result,
 and the attention is one ``autodiff.bidaf`` node that writes G straight into
-its (N, 8h) result.
+its (N, 8h) result. On a training tape each decoder layer keeps its gates
+and c; the encoder's layers keep only c and rebuild their gates in
+backward, since their inputs (d and 2h wide, against the decoders' 8h and
+10h) are cheap to project again.
 Inputs like [G ; M] are never concatenated: the end decoder and the heads
 take them as blocks [G | M], each multiplied by its column slice of the
 weight, a chunk of rows at a time. Only the attention's similarity matrix
@@ -163,7 +166,8 @@ def _dropout(blocks, rate: float, seeds):
     return [ad.Dropped(x, rate, next(seeds)) if rate > 0.0 else x for x in blocks]
 
 
-def bilstm(blocks, layer_params, packing: ad.Packing, *, drop=list) -> Tensor:
+def bilstm(blocks, layer_params, packing: ad.Packing, *, drop=list,
+           rebuild_gates: bool = False) -> Tensor:
     """Stacked bidirectional LSTM over packed rows: blocks (N, n_i) -> (N, 2h).
 
     `blocks` is the first layer's input [x_1 | x_2 | ...] as row blocks in
@@ -174,11 +178,12 @@ def bilstm(blocks, layer_params, packing: ad.Packing, *, drop=list) -> Tensor:
     whole. The backward direction starts from the zero state at each
     sequence's last token. `drop` takes each layer's input blocks and returns
     them, marked `ad.Dropped` when training with dropout (see `forward`); the
-    default keeps them as they are.
+    default keeps them as they are. `rebuild_gates` goes to every layer's
+    `ad.lstm`: its tape keeps only c, and backward rebuilds the gates.
     """
     out = list(blocks)
     for W, b in layer_params:
-        out = [ad.lstm(drop(out), packing, W, b)]
+        out = [ad.lstm(drop(out), packing, W, b, rebuild_gates=rebuild_gates)]
     return out[0]
 
 
@@ -276,8 +281,10 @@ def forward(batch: Batch, params, table: EmbeddingTable, config: ModelConfig,
     ids = np.concatenate([np.pad(x, ((0, 0), (0, width - x.shape[1])), constant_values=PAD_ID)
                           for x in (context_ids[first], question_ids)])
     joint = ad.Packing(ids != PAD_ID)
+    # the encoder's inputs are narrow (d, then 2h), so its backward redoes
+    # their projections rather than the tape keeping its gates
     encoded = bilstm([embed(ids[joint.index], table, dtype)], encoder, joint,
-                     drop=drop)
+                     drop=drop, rebuild_gates=True)
     where = np.zeros(joint.shape, np.int64)     # the packed row of each stacked token
     where[joint.index] = np.arange(joint.size)
     context = ad.take_rows(encoded, where[inverse][contexts.index])

@@ -44,7 +44,8 @@ log = logging.getLogger(__name__)
 
 
 class TrainingDivergedError(RuntimeError):
-    """The loss went non-finite; the message names the first bad tensor."""
+    """The loss or the gradient norm went non-finite. For the loss, the
+    message names the first bad tensor."""
 
 
 @dataclass
@@ -76,14 +77,17 @@ def init_optimizer(params: dict[str, np.ndarray]) -> AdamState:
 
 def clip_global_norm(grads: dict[str, np.ndarray]) -> float:
     """The factor that brings the global L2 norm of `grads` down to
-    MAX_GRAD_NORM, or 1.0 when the norm is within it. The gradients are not
-    changed: adam_update applies the factor as it reads them.
+    MAX_GRAD_NORM, 1.0 when the norm is within it, or NaN when the norm is
+    not finite. The gradients are not changed: adam_update applies the
+    factor as it reads them.
 
     The norm is summed in float64 whatever the gradients' dtype, as if they
     were widened first, and bit for bit the same.
     """
     total = float(np.sqrt(sum(float(np.square(g, dtype=np.float64).sum())
                               for g in grads.values())))
+    if not np.isfinite(total):
+        return float("nan")
     return MAX_GRAD_NORM / total if total > MAX_GRAD_NORM else 1.0
 
 
@@ -94,7 +98,9 @@ def train_step(params: dict[str, np.ndarray], batch: Batch,
 
     The params are the graph's leaves, so forward and backward run in their
     dtype and share their memory; the update changes them in place once the
-    backward pass is done with them.
+    backward pass is done with them. A non-finite loss or gradient norm
+    raises TrainingDivergedError before the update, with the params and
+    `state` as they were.
     """
     graph = Graph()
     leaves = {name: graph.leaf(value) for name, value in params.items()}
@@ -111,7 +117,11 @@ def train_step(params: dict[str, np.ndarray], batch: Batch,
             f"non-finite loss at optimizer step {state.step}; first bad tensor: {where}")
     grad_map = graph.backward(loss)
     grads = {name: grad_map[leaf.node_id] for name, leaf in leaves.items()}
-    adam_update(params, grads, state, lr, scale=clip_global_norm(grads))
+    scale = clip_global_norm(grads)
+    if np.isnan(scale):
+        raise TrainingDivergedError(
+            f"non-finite gradient norm at optimizer step {state.step}")
+    adam_update(params, grads, state, lr, scale=scale)
     return loss_value
 
 

@@ -2,8 +2,8 @@
 against the composed reference, x * keep * scale for the mask that
 `ad._dropout_mask` draws, as its own tape node before the op; and the
 training tape it leaves: each block's (rate, seed) and no mask, since
-backward draws the mask again, and buffers that `Graph.backward` frees as
-it runs."""
+backward draws the mask again, the encoder's c without its gates, which
+backward rebuilds, and buffers that `Graph.backward` frees as it runs."""
 
 import weakref
 
@@ -141,35 +141,72 @@ def test_dropout_adds_nothing_to_the_tape(monkeypatch):
         assert not list(closure_arrays(node.backward, "b")), node.op
 
 
-def test_backward_frees_lstm_gate_buffers():
-    config, params, table, batch = make_tiny_problem(seed=7, dropout=0.2)
+def taped_training_forward(seed=7):
+    """A float32 taped training forward of the tiny model: (config, params,
+    batch, graph, leaves, forward output, the encoder's and the decoders'
+    `lstm` nodes)."""
+    config, params, table, batch = make_tiny_problem(seed=seed, dropout=0.2)
     graph = Graph()
     leaves = {name: graph.leaf(value.astype(np.float32))
               for name, value in params.items()}
     out = forward(batch, leaves, table, config, training=True, step=2)
+    lstm_nodes = [node for node in graph._nodes if node.op == "lstm"]
+    # one encoder pass covers the contexts and the questions
+    assert len(lstm_nodes) == model.ENCODER_LAYERS + 2
+    return (config, params, batch, graph, leaves, out,
+            lstm_nodes[:model.ENCODER_LAYERS], lstm_nodes[model.ENCODER_LAYERS:])
+
+
+def test_backward_frees_lstm_gate_buffers():
+    config, params, batch, graph, leaves, out, encoder, decoders = taped_training_forward()
     root = loss(out, batch.gold_starts, batch.gold_ends)
     width = 4 * config.hidden_size
-    lstm_nodes = [node for node in graph._nodes if node.op == "lstm"]
-    gates = [weakref.ref(a) for node in lstm_nodes
-             for a in closure_arrays(node.backward) if a.ndim == 2 and a.shape[1] == width]
+
+    def gate_buffers(node):
+        return [a for a in closure_arrays(node.backward) if a.ndim == 2 and a.shape[1] == width]
+
+    # the decoders keep the (N, 4h) gates of both directions; the encoder
+    # rebuilds its gates in backward and keeps none
+    gates = [weakref.ref(a) for node in decoders for a in gate_buffers(node)]
+    assert not any(gate_buffers(node) for node in encoder)
     # (a 0-d result of a binary op on 0-d operands is a numpy scalar, not an array)
     outputs = [weakref.ref(node.out) for node in graph._nodes
                if node.op != "leaf" and isinstance(node.out, np.ndarray)]
-    # the (N, 4h) gates of both directions of every layer; one encoder pass
-    # covers the contexts and the questions
-    assert len(lstm_nodes) == model.ENCODER_LAYERS + 2
-    assert len(gates) == 2 * len(lstm_nodes)
+    assert len(gates) == 2 * len(decoders)
     assert all(ref() is not None for ref in gates)
     grads = graph.backward(root)
     assert all(ref() is None for ref in gates)
     assert all(node.backward is None for node in graph._nodes)
     # once the caller lets go of the forward results, no op output is left
     del out, root
-    assert len(outputs) > len(lstm_nodes)
+    assert len(outputs) > len(encoder) + len(decoders)
     assert all(ref() is None for ref in outputs)
     assert sorted(grads) == sorted(leaf.node_id for leaf in leaves.values())
     for name, leaf in leaves.items():
         assert grads[leaf.node_id].shape == params[name].shape, name
+
+
+def test_encoder_tape_keeps_only_c(monkeypatch):
+    # besides its inputs, its result and views of its W and b, each encoder
+    # `lstm` closure holds exactly one (N, h) c per direction: 2 * N * h
+    # floats, where stored gates and c would be five times that
+    embedded = []
+    original = model.embed
+
+    def recording(*args, **kwargs):
+        embedded.append(original(*args, **kwargs))
+        return embedded[-1]
+
+    monkeypatch.setattr(model, "embed", recording)
+    config, _, _, graph, _, _, encoder, _ = taped_training_forward()
+    h = config.hidden_size
+    known = [t.data for t in embedded] + [node.out for node in graph._nodes]
+    for node in encoder:
+        rows = len(node.out)
+        held = [a for a in closure_arrays(node.backward)
+                if not any(np.may_share_memory(a, k) for k in known)]
+        assert [a.shape for a in held] == [(rows, h)] * 2
+        assert sum(a.nbytes for a in held) == 2 * rows * h * np.dtype(np.float32).itemsize
 
 
 def test_second_backward_raises():

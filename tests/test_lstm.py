@@ -233,6 +233,51 @@ def test_taped_buffers_scale_with_live_positions():
     assert 0.9 * live_buffers < taped - untaped < 1.1 * live_buffers
 
 
+def test_rebuilt_gates_call_keeps_only_c():
+    # with rebuild_gates the tape keeps one (N, h) c per direction: two
+    # blocks, not the five (gates and c) of a stored-gate call
+    rng = np.random.default_rng(9)
+    length, in_dim, hidden = 60, 16, 32
+    packing = ad.Packing(prefix_mask([60, 10, 35, 20, 50, 5, 30, 15], length))
+    x = rng.normal(size=(packing.size, in_dim))
+    weight, bias = stacked_params(rng, in_dim, hidden)
+    c_blocks = 2 * packing.size * hidden * 8
+    untaped = retained_by_call(packing, (x, weight, bias))
+    trainable = Graph()
+    inputs = [trainable.leaf(v) for v in (x, weight, bias)]
+    taped = traced(ad.lstm, inputs[:1], packing, *inputs[1:], rebuild_gates=True)[1]
+    assert 0.9 * c_blocks < taped - untaped < 1.1 * c_blocks
+
+
+@pytest.mark.parametrize("direction", [0, 1], ids=["forward", "backward"])
+def test_rebuilt_gates_give_the_stored_gates_gradients(direction):
+    # float64, a ragged packing out of length order and two row blocks, the
+    # second one Dropped: rebuilding the gates in backward gives the result
+    # and every gradient of the stored-gate call. The probe reads one
+    # direction's half of the result, so neither direction hides the other
+    rng = np.random.default_rng(29)
+    hidden, widths = 3, (4, 2)
+    packing = ad.Packing(prefix_mask([5, 9, 1, 7, 9, 3], 9))
+    values = ([rng.normal(size=(packing.size, w)) for w in widths]
+              + list(stacked_params(rng, sum(widths), hidden)))
+    probe = np.zeros((packing.size, 2 * hidden))
+    probe[:, direction * hidden:(direction + 1) * hidden] = rng.normal(
+        size=(packing.size, hidden))
+
+    def run(rebuild_gates):
+        graph = Graph()
+        x_1, x_2, weight, bias = leaves = [graph.leaf(v) for v in values]
+        out = ad.lstm([x_1, ad.Dropped(x_2, 0.3, 7)], packing, weight, bias,
+                      rebuild_gates=rebuild_gates)
+        grads = graph.backward(ad.reduce_sum(ad.mul(out, probe)))
+        return [out.data] + [grads[t.node_id] for t in leaves]
+
+    stored, rebuilt = run(False), run(True)
+    for got, want in zip(rebuilt, stored):
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want)
+
+
 def test_untaped_peak_holds_one_direction_at_a_time():
     # an untaped call frees each direction's buffers before the next one
     # allocates its own: at its peak it holds the (N, 2h) result, one

@@ -12,6 +12,7 @@ from memtrace import traced
 from spanqa.checkpoint import (FORMAT_VERSION, CheckpointMagicError,
                                CheckpointTruncatedError, CheckpointVersionError,
                                load_checkpoint, save_checkpoint)
+from spanqa import autodiff as ad
 from spanqa import data
 from spanqa.autodiff import ConfigError, Graph
 from spanqa.data import (build_batches, load_glove, load_squad,
@@ -117,6 +118,32 @@ class TestTrainStep:
             if enabled:
                 gc.enable()
 
+    def test_tape_of_a_diverged_step_freed_without_cyclic_gc(self, monkeypatch):
+        # a non-finite loss raises before backward, which would otherwise
+        # drop the closures: the tape must still die by reference counting,
+        # so no backward closure may hold a Tensor (it points at its graph)
+        graphs = []
+
+        class RecordedGraph(training.Graph):
+            def __init__(self):
+                super().__init__()
+                graphs.append(weakref.ref(self))
+
+        monkeypatch.setattr(training, "Graph", RecordedGraph)
+        config, params, table, batch = make_tiny_problem(seed=24, dropout=0.2)
+        params["start_head.W2"][:] = np.inf
+        state = init_optimizer(params)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError):
+                train_step(params, batch, table, state, config)
+            assert len(graphs) == 1
+            assert graphs[0]() is None
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_nonfinite_loss_aborts_with_diagnostic(self):
         config, params, table, batch = make_tiny_problem(seed=24)
         params["start_head.W2"][:] = np.inf
@@ -124,6 +151,38 @@ class TestTrainStep:
         with np.errstate(all="ignore"), pytest.raises(
                 TrainingDivergedError, match="first bad tensor: parameter 'start_head.W2'$"):
             train_step(params, batch, table, state, config)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_nonfinite_gradient_stops_the_step_before_adam(self, monkeypatch, bad):
+        # a spy `bidaf` whose backward returns a non-finite w_sim gradient,
+        # while the loss stays finite: the step raises before Adam, and the
+        # params, both moments and the step count are bit for bit as before
+        original = ad.bidaf
+
+        def spy(*args):
+            out = original(*args)
+            node = out.graph._nodes[out.node_id]
+            backward = node.backward
+
+            def poisoned(g):
+                dc, dq, dw = backward(g)
+                return dc, dq, np.full_like(dw, bad)
+
+            node.backward = poisoned
+            return out
+
+        config, params, table, batch = make_tiny_problem(seed=3, dropout=0.2)
+        state = init_optimizer(params)
+        train_step(params, batch, table, state, config)     # moments away from 0
+        before = [{k: v.copy() for k, v in d.items()} for d in (params, state.m, state.v)]
+        monkeypatch.setattr(ad, "bidaf", spy)
+        with np.errstate(all="ignore"), pytest.raises(
+                TrainingDivergedError, match="^non-finite gradient norm at optimizer step 1$"):
+            train_step(params, batch, table, state, config)
+        assert state.step == 1
+        for got, want in zip((params, state.m, state.v), before):
+            for name in want:
+                assert np.array_equal(got[name], want[name]), name
 
 
 def reference_adam_update(params, grads, state, lr, scale=1.0):
@@ -331,6 +390,12 @@ class TestGradientClipping:
         assert global_norm(grads) > 5.0
         assert global_norm(grads) * scale <= 5.0 + 1e-9
         assert all(np.array_equal(grads[k], before[k]) for k in grads)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_nonfinite_norm_gives_nan(self, bad):
+        # a NaN norm is not > MAX_GRAD_NORM, and an infinite one would give
+        # a factor of 0; train_step refuses either before Adam
+        assert math.isnan(clip_global_norm({"a": np.array([1.0, bad])}))
 
     def test_small_gradients_untouched(self):
         grads = {"a": np.full(4, 0.01)}
