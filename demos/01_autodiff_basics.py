@@ -27,12 +27,13 @@ grads = graph.backward(loss)
 print("d/dx sum(x^2) at [1,2,3]:", grads[x.node_id])  # 2x
 
 # %%
-# masked_softmax keeps padding at probability exactly zero.
+# masked_softmax returns a plain array, recorded on no tape, and keeps padding
+# at probability exactly zero.
 
 logits = np.array([[2.0, 1.0, -3.0, 0.0]])
 mask = np.array([[1.0, 1.0, 1.0, 0.0]])
 probs = ad.masked_softmax(logits, mask)
-print("masked softmax:", probs.data, "row sum:", probs.data.sum())
+print("masked softmax:", probs, "row sum:", probs.sum())
 
 # %%
 # grad_check compares backprop against central finite differences at a

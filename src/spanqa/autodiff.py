@@ -138,6 +138,14 @@ class Graph:
         over their arguments; before, the caller's frame holds them).
         Leaves keep their output, which shapes their zero gradients. A second
         call raises GraphSpentError.
+
+        A tensor's first gradient is kept as its op returned it, which may
+        be a view or an array shared with another parent (`add` gives both
+        the same one). The second is summed into a new array that the graph
+        owns, and every later one of the same shape and dtype is added into
+        that array in place, so no third array is built beside the two; a
+        later one of another shape or dtype is summed out of place. The
+        additions are the same, in the same order, either way.
         """
         if self._spent:
             raise GraphSpentError("backward already ran on this graph")
@@ -149,6 +157,7 @@ class Graph:
             )
         self._spent = True
         grads: dict[int, np.ndarray] = {root.node_id: np.ones((), root.data.dtype)}
+        owned = set()       # ids whose gradient is a sum made here
         for nid in range(root.node_id, -1, -1):
             node = self._nodes[nid]
             backward, node.backward = node.backward, None
@@ -162,10 +171,14 @@ class Graph:
             for pid, pg in zip(node.parents, backward(grads.pop(nid))):
                 if pid is None:
                     continue
-                if pid in grads:
-                    grads[pid] = grads[pid] + pg
-                else:
+                if pid not in grads:
                     grads[pid] = pg
+                elif (pid in owned and grads[pid].shape == pg.shape
+                      and grads[pid].dtype == pg.dtype):
+                    grads[pid] += pg
+                else:
+                    grads[pid] = grads[pid] + pg
+                    owned.add(pid)
             pg = None
         return {nid: grads[nid] if nid in grads else np.zeros_like(node.out)
                 for nid, node in enumerate(self._nodes)
@@ -485,23 +498,21 @@ def _softmax_grad(p, g):
     return p * (g - (g * p).sum(axis=-1, keepdims=True))
 
 
-def masked_softmax(logits, mask) -> Tensor:
-    """Row softmax over the last axis restricted to mask==1 positions.
+def masked_softmax(logits, mask) -> np.ndarray:
+    """Row softmax over the last axis restricted to mask==1 positions, as a
+    plain array: decoding reads it, and the loss takes its gradient from the
+    logits through `cross_entropy`, so no tape records it, even when the
+    logits are on a graph.
 
     The mask may have any shape that broadcasts to the logits'. Masked
     positions come out exactly 0; each row of unmasked probabilities sums
     to 1. Stable via per-row max subtraction over the unmasked entries.
     """
-    logits = _lift(logits)
+    logits = _lift(logits).data
     keep = _mask_array(mask, logits.shape)
     if not keep.any(axis=-1).all():
         raise DegenerateMaskError("masked_softmax: a row is fully masked")
-    out = _softmax(logits.data, keep)
-
-    def backward(g):
-        return (_softmax_grad(out, g),)
-
-    return _apply("masked_softmax", (logits,), out, backward)
+    return _softmax(logits, keep)
 
 
 def cross_entropy(logits, gold, mask) -> Tensor:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import contextlib
+import gc
 import json
 import logging
 import os
@@ -187,7 +188,24 @@ def load_squad(path) -> list[QAExample]:
     first answer. Examples whose first answer cannot be aligned keep
     gold_span=None and are counted in a warning. A missing field, one of the
     wrong JSON type, or a question id seen before raises SchemaError.
+
+    The cyclic garbage collector is paused while the file is parsed and
+    tokenized, for the whole process, and turned back on afterwards only if
+    it was on before. The millions of token tuples a SQuAD-train-sized file
+    makes hold no reference cycles, yet each collection walks all of them:
+    on a generated 30,000-question file the load took about half as long
+    with the collector off.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _read_squad(path)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _read_squad(path) -> list[QAExample]:
     with open(path, encoding="utf-8") as handle:
         try:
             raw = json.load(handle)

@@ -25,7 +25,6 @@ def op_gradcheck_cases(seed: int = 0):
     mask[0, 4:] = 0.0
     mask[2, 2:] = 0.0
     gold = np.array([1, 0, 1])
-    weights = np.arange(18.0).reshape(3, 6)
     bias_weights = rng.normal(size=(3, 5))
     lstm_rng = np.random.default_rng(seed + 1)   # leaves the probes above as they were
     lstm_x = lstm_rng.normal(size=(3, 5, 3))
@@ -109,8 +108,6 @@ def op_gradcheck_cases(seed: int = 0):
          rng.normal(size=(2, 4))),
         ("repeat_axis", lambda t: total(ad.mul(ad.repeat_axis(t, 1, 4), np.arange(24.0).reshape(2, 4, 3))),
          rng.normal(size=(2, 1, 3))),
-        ("masked_softmax", lambda t: total(ad.mul(ad.masked_softmax(t, mask), weights)),
-         rng.normal(size=(3, 6))),
         ("cross_entropy", lambda t: ad.cross_entropy(t, gold, mask),   # logits
          rng.random((3, 6)) * 6.0 - 3.0),
         ("dropout", lambda t: total(ad.dropout(t, 0.4, seed=99)),

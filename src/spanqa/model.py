@@ -3,7 +3,7 @@ BiLSTM encoder run once over a batch's distinct contexts and its questions,
 bidirectional attention, a start decoder, an end decoder that consumes the
 start decoder's hidden states (so the end distribution is conditioned on
 start evidence), and per-position FC heads whose logits the loss reads in
-log space and decoding through masked softmaxes built on demand.
+log space and decoding through untaped masked softmaxes built on demand.
 
 Every layer runs on packed rows: ``forward`` packs each id array's mask,
 ids != PAD_ID, once into an ``autodiff.Packing`` (masks are prefixes: each
@@ -14,10 +14,10 @@ encoder, the attention output G, both decoders and both heads. Each BiLSTM
 layer is one ``autodiff.lstm`` tape node (4 per forward) that reads one W
 and one b stacking both directions and writes both into one (N, 2h) result,
 and the attention is one ``autodiff.bidaf`` node that writes G straight into
-its (N, 8h) result. On a training tape each decoder layer keeps its gates
-and c; the encoder's layers keep only c and rebuild their gates in
-backward, since their inputs (d and 2h wide, against the decoders' 8h and
-10h) are cheap to project again.
+its (N, 8h) result. Each decoder calls ``autodiff.lstm`` once, and on a
+training tape keeps its gates and c; the encoder stack ``bilstm`` keeps
+only c and rebuilds its gates in backward, since its inputs (d and 2h
+wide, against the decoders' 8h and 10h) are cheap to project again.
 Inputs like [G ; M] are never concatenated: the end decoder and the heads
 take them as blocks [G | M], each multiplied by its column slice of the
 weight, a chunk of rows at a time. Only the attention's similarity matrix
@@ -77,17 +77,17 @@ class ModelConfig:
 class ForwardOutput:
     """The heads' (B, Lc) logits, 0 at padding, and the context mask over
     which `p_start` and `p_end`, the masked softmaxes of the logits, are
-    built on each read."""
+    built as plain arrays on each read."""
     start_logits: Tensor
     end_logits: Tensor
     mask: np.ndarray
 
     @property
-    def p_start(self) -> Tensor:
+    def p_start(self) -> np.ndarray:
         return ad.masked_softmax(self.start_logits, self.mask)
 
     @property
-    def p_end(self) -> Tensor:
+    def p_end(self) -> np.ndarray:
         return ad.masked_softmax(self.end_logits, self.mask)
 
 
@@ -166,9 +166,8 @@ def _dropout(blocks, rate: float, seeds):
     return [ad.Dropped(x, rate, next(seeds)) if rate > 0.0 else x for x in blocks]
 
 
-def bilstm(blocks, layer_params, packing: ad.Packing, *, drop=list,
-           rebuild_gates: bool = False) -> Tensor:
-    """Stacked bidirectional LSTM over packed rows: blocks (N, n_i) -> (N, 2h).
+def bilstm(blocks, layer_params, packing: ad.Packing, *, drop=list) -> Tensor:
+    """The stacked BiLSTM encoder over packed rows: blocks (N, n_i) -> (N, 2h).
 
     `blocks` is the first layer's input [x_1 | x_2 | ...] as row blocks in
     the layout of `packing`; layer_params is a list (one entry per layer) of
@@ -178,12 +177,13 @@ def bilstm(blocks, layer_params, packing: ad.Packing, *, drop=list,
     whole. The backward direction starts from the zero state at each
     sequence's last token. `drop` takes each layer's input blocks and returns
     them, marked `ad.Dropped` when training with dropout (see `forward`); the
-    default keeps them as they are. `rebuild_gates` goes to every layer's
-    `ad.lstm`: its tape keeps only c, and backward rebuilds the gates.
+    default keeps them as they are. The inputs are narrow (d, then 2h), so
+    every layer's tape keeps only c, and backward projects them again to
+    rebuild the gates.
     """
     out = list(blocks)
     for W, b in layer_params:
-        out = [ad.lstm(drop(out), packing, W, b, rebuild_gates=rebuild_gates)]
+        out = [ad.lstm(drop(out), packing, W, b, rebuild_gates=True)]
     return out[0]
 
 
@@ -203,7 +203,7 @@ def bidaf_attention(context: Tensor, question: Tensor, w_sim,
 
 
 def _decode(blocks, decoder_params, head, packing, drop):
-    """A 1-layer BiLSTM over the row blocks, then the per-position head
+    """A BiLSTM layer over the row blocks, then the per-position head
     FC2(relu(FC1([G_i ; M_i]))) over the packed rows, with `drop` on the
     FC1 input blocks; returns M and the logits scattered to (B, L).
 
@@ -211,7 +211,7 @@ def _decode(blocks, decoder_params, head, packing, drop):
     its softmax nor its cross-entropy, so such a bias could not be learned
     (BiDAF's output layer has none either). Its `ad.linear` takes a zero
     constant as the bias, which joins no tape."""
-    m = bilstm(blocks, [decoder_params], packing, drop=drop)
+    m = ad.lstm(drop(blocks), packing, *decoder_params)
     hidden = ad.relu(ad.linear(drop([blocks[0], m]), head["W1"], head["b1"]))
     logits = ad.linear([hidden], head["W2"], np.zeros(1, hidden.data.dtype))  # (N,1)
     return m, ad.unpack(ad.reshape(logits, (packing.size,)), packing)
@@ -281,10 +281,7 @@ def forward(batch: Batch, params, table: EmbeddingTable, config: ModelConfig,
     ids = np.concatenate([np.pad(x, ((0, 0), (0, width - x.shape[1])), constant_values=PAD_ID)
                           for x in (context_ids[first], question_ids)])
     joint = ad.Packing(ids != PAD_ID)
-    # the encoder's inputs are narrow (d, then 2h), so its backward redoes
-    # their projections rather than the tape keeping its gates
-    encoded = bilstm([embed(ids[joint.index], table, dtype)], encoder, joint,
-                     drop=drop, rebuild_gates=True)
+    encoded = bilstm([embed(ids[joint.index], table, dtype)], encoder, joint, drop=drop)
     where = np.zeros(joint.shape, np.int64)     # the packed row of each stacked token
     where[joint.index] = np.arange(joint.size)
     context = ad.take_rows(encoded, where[inverse][contexts.index])

@@ -196,7 +196,7 @@ def predict_answers(examples, params, table, config: qa_model.ModelConfig,
         (batch,) = build_batches(chunk, table, batch_size,
                                  context_cap=config.context_cap, training=False)
         out = qa_model.forward(batch, params, table, config, training=False)
-        p_start, p_end = out.p_start.data, out.p_end.data
+        p_start, p_end = out.p_start, out.p_end
         for row, ex in enumerate(chunk):
             pred = best_span(p_start[row], p_end[row], out.mask[row],
                              max_len=max_answer_len)

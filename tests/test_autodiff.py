@@ -1,5 +1,7 @@
+import functools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,23 +153,23 @@ class TestConcat:
 class TestMaskedSoftmax:
     def test_uniform(self):
         out = ad.masked_softmax([5.0, 5.0, 5.0], [1.0, 1.0, 1.0])
-        assert np.allclose(out.data, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
+        assert np.allclose(out, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
 
     def test_single_survivor(self):
         out = ad.masked_softmax([9.0, 2.0, 7.0], [0.0, 1.0, 0.0])
-        assert np.array_equal(out.data, [0.0, 1.0, 0.0])
+        assert np.array_equal(out, [0.0, 1.0, 0.0])
 
     def test_direct_evaluation(self):
         # exp(0) : exp(ln 3) = 1 : 3
         out = ad.masked_softmax([0.0, math.log(3.0)], [1.0, 1.0])
-        assert np.allclose(out.data, [0.25, 0.75], atol=1e-15)
+        assert np.allclose(out, [0.25, 0.75], atol=1e-15)
 
     def test_masked_exactly_zero_and_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
         logits = rng.normal(size=(6, 9)) * 10
         mask = (rng.random((6, 9)) > 0.4).astype(float)
         mask[:, 0] = 1.0
-        out = ad.masked_softmax(logits, mask).data
+        out = ad.masked_softmax(logits, mask)
         assert np.all(out[mask == 0] == 0.0)
         assert np.all(np.abs(out.sum(axis=-1) - 1.0) < 1e-12)
 
@@ -176,14 +178,26 @@ class TestMaskedSoftmax:
         logits = rng.normal(size=(4, 7))
         mask = np.ones((4, 7))
         mask[:, 5:] = 0.0
-        base = ad.masked_softmax(logits, mask).data
-        shifted = ad.masked_softmax(logits + 123.456, mask).data
+        base = ad.masked_softmax(logits, mask)
+        shifted = ad.masked_softmax(logits + 123.456, mask)
         assert np.all(np.abs(base - shifted) < 1e-12)
         assert np.array_equal(base.argmax(axis=-1), shifted.argmax(axis=-1))
 
     def test_fully_masked_row(self):
         with pytest.raises(ad.DegenerateMaskError):
             ad.masked_softmax(np.zeros((2, 3)), [[1, 1, 1], [0, 0, 0]])
+
+    def test_graph_input_gives_a_plain_array_off_the_tape(self):
+        graph = ad.Graph()
+        logits = graph.leaf(np.array([[1.0, 2.0, 3.0]], np.float32))
+        out = ad.masked_softmax(logits, [[1, 1, 0]])
+        assert type(out) is np.ndarray and out.dtype == np.float32
+        assert len(graph) == 1
+        assert np.allclose(out, [[1 / (1 + math.e), math.e / (1 + math.e), 0.0]])
+
+    def test_mask_must_broadcast(self):
+        with pytest.raises(ad.DimensionError):
+            ad.masked_softmax(np.zeros((2, 3)), np.ones((2, 2)))
 
 
 class TestCrossEntropy:
@@ -218,7 +232,7 @@ class TestCrossEntropy:
             gold = rng.integers(5)
             mask[0, gold] = 1.0
             loss = ad.cross_entropy(logits, [gold], mask).item()
-            p = ad.masked_softmax(logits, mask).data[0, gold]
+            p = ad.masked_softmax(logits, mask)[0, gold]
             assert loss >= 0.0
             assert loss == pytest.approx(-math.log(p), abs=1e-12)
             assert (loss == 0.0) == (mask.sum() == 1.0)
@@ -241,7 +255,7 @@ class TestCrossEntropy:
         assert out.data.dtype == np.float32
         assert out.item() == pytest.approx(per_row.mean(), rel=1e-6)
         grad = graph.backward(out)[z.node_id]
-        want = (ad.masked_softmax(wide, mask).data - np.eye(4)[gold]) / 2
+        want = (ad.masked_softmax(wide, mask) - np.eye(4)[gold]) / 2
         assert grad.dtype == np.float32
         assert np.allclose(grad, want, rtol=1e-6, atol=1e-7)
         assert grad[0, 1] == pytest.approx(-0.5, rel=1e-6)
@@ -326,6 +340,58 @@ class TestBackward:
         err = ad.grad_check(lambda t: ad.reduce_sum(ad.add(ad.mul(t, t), t)),
                             np.array([1.0, -2.0, 0.5]))
         assert err < 1e-8
+
+    @staticmethod
+    def _gives(x, make):
+        """A scalar op of x whose backward returns make() as x's gradient."""
+        return ad._apply("gives", (x,), np.zeros(()), lambda g: (make(),))
+
+    def test_later_gradients_add_in_place(self):
+        # x takes four gradients of n float64s (8 MiB). From the third on,
+        # each is added into the array the graph made for the second sum, so
+        # the last one, counted from the moment its op starts, costs only
+        # itself beside the kept sum, not also a third array
+        n = 1 << 20
+        g = ad.Graph()
+        x = g.leaf(np.zeros(n))
+
+        def last():
+            tracemalloc.reset_peak()
+            return np.full(n, 1.0)
+
+        # backward runs the last-made op first, so `last` runs last
+        ops = [self._gives(x, last)] + [self._gives(x, functools.partial(np.full, n, v))
+                                        for v in (2.0, 4.0, 8.0)]
+        tracemalloc.start()
+        try:
+            grads = g.backward(functools.reduce(ad.add, ops))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(grads[x.node_id], np.full(n, 15.0))
+        assert peak < 2.5 * 8 * n, peak
+
+    def test_a_later_gradient_of_another_dtype_is_summed_out_of_place(self):
+        # float32 sums, then a float64 gradient: the sum widens to float64
+        # as numpy's out-of-place sum does, rather than rounding into float32
+        g = ad.Graph()
+        x = g.leaf(np.zeros(2, np.float32))
+        grads = [np.array([1.0, 2.0 ** -30]), np.ones(2, np.float32), np.ones(2, np.float32)]
+        root = functools.reduce(ad.add, [self._gives(x, lambda v=v: v) for v in grads])
+        got = g.backward(root)[x.node_id]
+        assert got.dtype == np.float64
+        assert np.array_equal(got, [3.0, 2.0 + 2.0 ** -30])
+
+    def test_a_shared_first_gradient_is_never_summed_into(self):
+        # add gives a and b the same array; a's later gradients must not
+        # change b's
+        g = ad.Graph()
+        a, b = g.leaf([1.0, 2.0]), g.leaf([3.0, 4.0])
+        u, v = ad.mul(a, 2.0), ad.mul(a, 3.0)
+        root = ad.reduce_sum(ad.add(ad.add(a, b), ad.add(u, v)))
+        grads = g.backward(root)
+        assert np.array_equal(grads[a.node_id], [6.0, 6.0])
+        assert np.array_equal(grads[b.node_id], [1.0, 1.0])
 
     def test_returns_exactly_the_requires_grad_leaves(self):
         g = ad.Graph()
@@ -449,7 +515,8 @@ def test_every_op_passes_gradcheck(name, f, x):
 def test_every_op_has_a_gradcheck_case(monkeypatch):
     # each op of ad.__all__ (its classes and grad_check aside) is called by
     # some case, so no op ships unchecked and a case cannot outlive its op
-    ops = [name for name in ad.__all__ if name != "grad_check"
+    # masked_softmax returns a plain array and has no gradient to check
+    ops = [name for name in ad.__all__ if name not in ("grad_check", "masked_softmax")
            and not isinstance(getattr(ad, name), type)]
     called = set()
     for name in ops:

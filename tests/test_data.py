@@ -1,9 +1,11 @@
+import gc
 import json
 
 import numpy as np
 import pytest
 
 from conftest import write_squad
+from spanqa import data
 from spanqa.autodiff import ConfigError
 from spanqa.data import (AlignmentError, EmptyDatasetError, GloveFormatError,
                          PAD_ID, ParseError, SchemaError, UNK_ID, align_answer,
@@ -201,6 +203,41 @@ class TestLoadSquad:
         ])
         (ex,) = load_squad(path)
         assert ex.gold_span is None
+
+    @pytest.fixture
+    def collector_on(self):
+        """The cyclic collector switched on for the test, and its state
+        before the test put back after it."""
+        was = gc.isenabled()
+        gc.enable()
+        yield
+        (gc.enable if was else gc.disable)()
+
+    def test_collector_paused_while_tokenizing(self, tmp_path, monkeypatch, collector_on):
+        seen = []
+
+        def spy(text):
+            seen.append(gc.isenabled())
+            return tokenize(text)
+
+        monkeypatch.setattr(data, "tokenize", spy)
+        path = write_squad(tmp_path, [("ab cd", [("q1", "Q?", [("cd", 3)])])])
+        assert len(load_squad(path)) == 1
+        assert seen == [False, False]   # the context, then the question
+        assert gc.isenabled()
+
+    def test_collector_back_on_after_a_parse_error(self, tmp_path, collector_on):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        with pytest.raises(ParseError):
+            load_squad(path)
+        assert gc.isenabled()
+
+    def test_collector_the_caller_disabled_stays_disabled(self, tmp_path, collector_on):
+        path = write_squad(tmp_path, [("ab cd", [("q1", "Q?", [("cd", 3)])])])
+        gc.disable()
+        load_squad(path)
+        assert not gc.isenabled()
 
 
 class TestLoadGlove:

@@ -271,7 +271,7 @@ class TestDecoders:
         assert m_start.shape == (packing.size, 2 * config.hidden_size)
         assert logits.shape == packing.shape
         assert np.all(logits.data[~packing.mask] == 0.0)
-        p = ad.masked_softmax(logits, packing.mask).data
+        p = ad.masked_softmax(logits, packing.mask)
         assert np.all(p[~packing.mask] == 0.0)
 
     def test_zero_params_give_uniform(self):
@@ -279,7 +279,7 @@ class TestDecoders:
         zero = {name: np.zeros_like(value) for name, value in params.items()}
         _, logits = start_decoder(attn, _group(zero, "start_decoder"),
                                   _head(zero, "start_head"), packing)
-        p = ad.masked_softmax(logits, packing.mask).data
+        p = ad.masked_softmax(logits, packing.mask)
         lengths = packing.mask.sum(axis=1)
         for row in range(p.shape[0]):
             live = packing.mask[row]
@@ -342,7 +342,7 @@ class TestForward:
         config, params, table, batch = make_tiny_problem(seed=12)
         wide = {name: value.astype(np.float64) for name, value in params.items()}
         out = forward(batch, wide, table, config)
-        for p in (out.p_start.data, out.p_end.data):
+        for p in (out.p_start, out.p_end):
             assert np.all(p[batch.context_ids == PAD_ID] == 0.0)
             assert np.all(np.abs(p.sum(axis=1) - 1.0) < 1e-9)
 
@@ -350,8 +350,8 @@ class TestForward:
         config, params, table, batch = make_tiny_problem(seed=13)
         a = forward(batch, params, table, config)
         b = forward(batch, params, table, config)
-        assert np.array_equal(a.p_start.data, b.p_start.data)
-        assert np.array_equal(a.p_end.data, b.p_end.data)
+        assert np.array_equal(a.p_start, b.p_start)
+        assert np.array_equal(a.p_end, b.p_end)
 
     @pytest.mark.parametrize("field", ["context_ids", "question_ids"])
     def test_padding_before_a_rows_last_token_is_rejected(self, field):
@@ -367,8 +367,8 @@ class TestForward:
         a = forward(batch, params, table, config, training=True, step=5)
         b = forward(batch, params, table, config, training=True, step=5)
         c = forward(batch, params, table, config, training=True, step=6)
-        assert np.array_equal(a.p_start.data, b.p_start.data)
-        assert not np.array_equal(a.p_start.data, c.p_start.data)
+        assert np.array_equal(a.p_start, b.p_start)
+        assert not np.array_equal(a.p_start, c.p_start)
 
     def test_kth_dropped_block_draws_the_kth_seed_of_its_step(self, monkeypatch):
         config, params, table, batch = make_tiny_problem(seed=14, dropout=0.3)
@@ -392,8 +392,8 @@ class TestForward:
         permuted = Batch(batch.context_ids[perm], batch.question_ids[perm],
                          batch.gold_starts[perm], batch.gold_ends[perm])
         out_p = forward(permuted, params, table, config)
-        assert np.allclose(out_p.p_start.data, out.p_start.data[perm], atol=1e-12)
-        assert np.allclose(out_p.p_end.data, out.p_end.data[perm], atol=1e-12)
+        assert np.allclose(out_p.p_start, out.p_start[perm], atol=1e-12)
+        assert np.allclose(out_p.p_end, out.p_end[perm], atol=1e-12)
 
 
 class TestLoss:
@@ -413,7 +413,7 @@ class TestLoss:
         logits[1, 2] = 1e4
         from spanqa.model import ForwardOutput
         out = ForwardOutput(Tensor(logits), Tensor(logits.copy()), np.ones((2, 4)))
-        assert np.array_equal(out.p_start.data, np.eye(4)[[1, 2]])
+        assert np.array_equal(out.p_start, np.eye(4)[[1, 2]])
         value = loss(out, np.array([1, 2]), np.array([1, 2]))
         assert value.item() == 0.0
 
@@ -444,7 +444,7 @@ def loss_and_grad(logits, gold, mask):
 
 def decoded(logits, mask):
     """best_span of each example: row b's softmax as p_start, row B + b's as p_end."""
-    p = ad.masked_softmax(logits, mask).data
+    p = ad.masked_softmax(logits, mask)
     half = len(p) // 2
     return [best_span(p[b], p[half + b], mask[b], max_len=3) for b in range(half)]
 
@@ -462,8 +462,8 @@ class TestRowShift:
         # a shift of up to 1e3 costs a few ulps of 1e3 (1.1e-13 each)
         assert shifted_value == pytest.approx(value, rel=0, abs=1e-11)
         np.testing.assert_allclose(shifted_grad, grad, rtol=0, atol=1e-11)
-        np.testing.assert_allclose(ad.masked_softmax(shifted, mask).data,
-                                   ad.masked_softmax(logits, mask).data,
+        np.testing.assert_allclose(ad.masked_softmax(shifted, mask),
+                                   ad.masked_softmax(logits, mask),
                                    rtol=0, atol=1e-11)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -477,8 +477,8 @@ class TestRowShift:
         shifted_value, shifted_grad = loss_and_grad(shifted, gold, mask)
         assert shifted_value == value
         assert np.array_equal(shifted_grad, grad)
-        assert np.array_equal(ad.masked_softmax(shifted, mask).data,
-                              ad.masked_softmax(logits, mask).data)
+        assert np.array_equal(ad.masked_softmax(shifted, mask),
+                              ad.masked_softmax(logits, mask))
         assert decoded(shifted, mask) == decoded(logits, mask)
 
 
@@ -545,8 +545,8 @@ class TestSharedContextEncoding:
         out = forward(batch, params, table, config)
         for r in range(5):
             alone = forward(_row(batch, r), params, table, config)
-            assert np.max(np.abs(out.p_start.data[r] - alone.p_start.data[0])) < 1e-12
-            assert np.max(np.abs(out.p_end.data[r] - alone.p_end.data[0])) < 1e-12
+            assert np.max(np.abs(out.p_start[r] - alone.p_start[0])) < 1e-12
+            assert np.max(np.abs(out.p_end[r] - alone.p_end[0])) < 1e-12
 
     def test_encoder_sees_distinct_contexts_decoders_see_all_rows(self, monkeypatch):
         config, params, table, batch = _shared_context_batch()
@@ -578,8 +578,8 @@ class TestSharedContextEncoding:
         out = forward(truncated, params, table, config)
         assert counts[:2] == [3 + 3] * 2
         alone = forward(_row(truncated, 1), params, table, config)
-        assert np.max(np.abs(out.p_start.data[1] - alone.p_start.data[0])) < 1e-12
-        assert np.max(np.abs(out.p_end.data[1] - alone.p_end.data[0])) < 1e-12
+        assert np.max(np.abs(out.p_start[1] - alone.p_start[0])) < 1e-12
+        assert np.max(np.abs(out.p_end[1] - alone.p_end[0])) < 1e-12
 
     @staticmethod
     def _wide_question_batch():

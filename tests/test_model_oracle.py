@@ -53,7 +53,7 @@ def test_float64_forward_matches_oracle(hidden, shared):
     config, params, table, batch = ragged_problem(hidden, shared)
     want_start, want_end = oracle_forward(batch, params, table)
     out = forward(batch, params, table, config)
-    for got, want in ((out.p_start.data, want_start), (out.p_end.data, want_end)):
+    for got, want in ((out.p_start, want_start), (out.p_end, want_end)):
         assert got.dtype == np.float64
         for row in range(len(want)):
             assert np.abs(got[row] - want[row]).max() < FLOAT64_TOL, row
@@ -66,7 +66,7 @@ def test_float32_forward_matches_oracle(hidden, shared):
     want_start, want_end = oracle_forward(batch, params, table)
     single = {name: value.astype(np.float32) for name, value in params.items()}
     out = forward(batch, single, table, config)
-    for got, want in ((out.p_start.data, want_start), (out.p_end.data, want_end)):
+    for got, want in ((out.p_start, want_start), (out.p_end, want_end)):
         assert got.dtype == np.float32
         for row in range(len(want)):
             rel = np.abs(got[row] - want[row]).max() / np.abs(want[row]).max()
