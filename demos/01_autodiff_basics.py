@@ -27,13 +27,16 @@ grads = graph.backward(loss)
 print("d/dx sum(x^2) at [1,2,3]:", grads[x.node_id])  # 2x
 
 # %%
-# masked_softmax returns a plain array, recorded on no tape, and keeps padding
-# at probability exactly zero.
+# Sequences run packed: a Packing of a prefix mask lists the live positions
+# of every row, and ops read one row per live position. masked_softmax takes
+# such packed (N, 1) logits and returns each row's softmax as a plain padded
+# array, recorded on no tape, with padding at probability exactly zero.
 
-logits = np.array([[2.0, 1.0, -3.0, 0.0]])
-mask = np.array([[1.0, 1.0, 1.0, 0.0]])
-probs = ad.masked_softmax(logits, mask)
-print("masked softmax:", probs, "row sum:", probs.sum())
+packing = ad.Packing([[1, 1, 1, 0], [1, 1, 0, 0]])
+# packed position by position, longest row first: rows [2, 1, -3] and [0.5, -1]
+logits = np.array([[2.0], [0.5], [1.0], [-1.0], [-3.0]])
+probs = ad.masked_softmax(logits, packing)
+print("masked softmax:\n", probs, "\nrow sums:", probs.sum(axis=1))
 
 # %%
 # grad_check compares backprop against central finite differences at a

@@ -50,7 +50,6 @@ __all__ = [
     "repeat_axis",
     "take_rows",
     "Packing",
-    "unpack",
     "linear",
     "masked_softmax",
     "cross_entropy",
@@ -139,13 +138,15 @@ class Graph:
         Leaves keep their output, which shapes their zero gradients. A second
         call raises GraphSpentError.
 
+        A gradient of another shape than its parent's output, which a sum
+        would broadcast, raises DimensionError naming the op and the node.
         A tensor's first gradient is kept as its op returned it, which may
         be a view or an array shared with another parent (`add` gives both
         the same one). The second is summed into a new array that the graph
-        owns, and every later one of the same shape and dtype is added into
-        that array in place, so no third array is built beside the two; a
-        later one of another shape or dtype is summed out of place. The
-        additions are the same, in the same order, either way.
+        owns, and every later one of the same dtype is added into that
+        array in place, so no third array is built beside the two; a later
+        one of another dtype is summed out of place. The additions are the
+        same, in the same order, either way.
         """
         if self._spent:
             raise GraphSpentError("backward already ran on this graph")
@@ -171,10 +172,13 @@ class Graph:
             for pid, pg in zip(node.parents, backward(grads.pop(nid))):
                 if pid is None:
                     continue
+                if pg.shape != self._nodes[pid].out.shape:
+                    raise DimensionError(
+                        f"backward: {node.op} node {nid} gave a {pg.shape} gradient "
+                        f"for node {pid} of shape {self._nodes[pid].out.shape}")
                 if pid not in grads:
                     grads[pid] = pg
-                elif (pid in owned and grads[pid].shape == pg.shape
-                      and grads[pid].dtype == pg.dtype):
+                elif pid in owned and grads[pid].dtype == pg.dtype:
                     grads[pid] += pg
                 else:
                     grads[pid] = grads[pid] + pg
@@ -381,6 +385,7 @@ def slice_axis(x, axis: int, start: int, stop: int) -> Tensor:
     return _apply("slice", (x,), out, backward)
 
 
+# No model code calls reshape; perfbench reports it by name.
 def reshape(x, shape) -> Tensor:
     x = _lift(x)
     shape = tuple(shape)
@@ -475,16 +480,6 @@ def take_rows(x, index) -> Tensor:
     return _apply("take_rows", (x,), out, backward)
 
 
-def _mask_array(mask, shape) -> np.ndarray:
-    """mask > 0 as bools, broadcast to the data's shape as a read-only view."""
-    keep = np.asarray(mask) > 0
-    try:
-        return np.broadcast_to(keep, shape)
-    except ValueError:
-        raise DimensionError(
-            f"mask shape {keep.shape} does not broadcast to data shape {shape}") from None
-
-
 def _softmax(logits, keep):
     """Softmax over the last axis restricted to the `keep` positions, which
     come out exactly 0; stable via the row max over the kept entries."""
@@ -498,54 +493,56 @@ def _softmax_grad(p, g):
     return p * (g - (g * p).sum(axis=-1, keepdims=True))
 
 
-def masked_softmax(logits, mask) -> np.ndarray:
-    """Row softmax over the last axis restricted to mask==1 positions, as a
-    plain array: decoding reads it, and the loss takes its gradient from the
-    logits through `cross_entropy`, so no tape records it, even when the
-    logits are on a graph.
+def _padded_logits(op, logits, packing: Packing):
+    """Packed (N, 1) logits, one per live position of `packing`, as (B, L)."""
+    data = _lift(logits).data
+    if data.shape != (packing.size, 1):
+        raise DimensionError(f"{op}: logits {data.shape} do not match {packing.size} packed rows")
+    return _padded(data[:, 0], packing)
 
-    The mask may have any shape that broadcasts to the logits'. Masked
-    positions come out exactly 0; each row of unmasked probabilities sums
-    to 1. Stable via per-row max subtraction over the unmasked entries.
+
+def masked_softmax(logits, packing: Packing) -> np.ndarray:
+    """Each row's softmax over its live positions, from the heads' packed
+    (N, 1) logits, as a plain (B, L) array, exactly 0 at padding. Decoding
+    reads it, and the loss takes its gradient through `cross_entropy`, so
+    no tape records it. Stable via the row max over the live entries; a row
+    with no live position raises DegenerateMaskError.
     """
-    logits = _lift(logits).data
-    keep = _mask_array(mask, logits.shape)
-    if not keep.any(axis=-1).all():
+    padded = _padded_logits("masked_softmax", logits, packing)
+    if not packing.mask.any(axis=-1).all():
         raise DegenerateMaskError("masked_softmax: a row is fully masked")
-    return _softmax(logits, keep)
+    return _softmax(padded, packing.mask)
 
 
-def cross_entropy(logits, gold, mask) -> Tensor:
-    """Mean over rows of -ln softmax(logits)[b, gold_b], the softmax over the
-    mask==1 positions: each row's max-shifted log-sum-exp minus its gold logit.
-    Backward is (softmax - onehot) * g / B, exactly 0 at masked positions.
-    logits (B, L); gold (B,) integer indices must land on mask==1 positions.
+def cross_entropy(logits, gold, packing: Packing) -> Tensor:
+    """Mean over rows b of -ln softmax(logits)[b, gold_b], each softmax over
+    its row's live positions: the row's max-shifted log-sum-exp minus its
+    gold logit. The logits come packed (N, 1), as the heads give them, and
+    are laid out (B, L) inside; gold_b must lie within row b's length.
+    Backward is (softmax - onehot) * g / B, packed back to (N, 1).
     """
     logits = _lift(logits)
-    if logits.ndim != 2:
-        raise DimensionError(f"cross_entropy: expected 2-D logits, got {logits.shape}")
-    batch, length = logits.shape
+    padded = _padded_logits("cross_entropy", logits, packing)
+    keep, rows = packing.mask, np.arange(packing.shape[0])
     gold = np.asarray(gold, dtype=np.int64)
-    if gold.shape != (batch,):
-        raise LabelError(f"cross_entropy: gold shape {gold.shape} != ({batch},)")
-    if (gold < 0).any() or (gold >= length).any():
-        raise LabelError(f"cross_entropy: gold index out of range for L={length}")
-    keep = _mask_array(mask, logits.shape)
-    rows = np.arange(batch)
-    if not keep[rows, gold].all():
-        bad = int(rows[~keep[rows, gold]][0])
-        raise LabelError(f"cross_entropy: gold index {int(gold[bad])} is masked in row {bad}")
-    neg = np.where(keep, logits.data, -np.inf)
+    if gold.shape != rows.shape:
+        raise LabelError(f"cross_entropy: gold shape {gold.shape} != {rows.shape}")
+    lengths = np.count_nonzero(keep, axis=1)
+    bad = np.flatnonzero((gold < 0) | (gold >= lengths))
+    if bad.size:
+        raise LabelError(f"cross_entropy: gold index {gold[bad[0]]} is outside row "
+                         f"{bad[0]} of length {lengths[bad[0]]}")
+    neg = np.where(keep, padded, -np.inf)
     shifted = neg - neg.max(axis=1, keepdims=True)
     exps = np.exp(shifted)
     sums = exps.sum(axis=1, keepdims=True)
     out = np.array((np.log(sums[:, 0]) - shifted[rows, gold]).mean())
 
     def backward(g):
-        scale = float(g) / batch
+        scale = float(g) / len(rows)
         gz = exps * (scale / sums)
         gz[rows, gold] -= scale
-        return (gz,)
+        return (gz[packing.index][:, None],)
 
     return _apply("cross_entropy", (logits,), out, backward)
 
@@ -639,19 +636,6 @@ class Packing:
         self.counts = counts[counts > 0].tolist()
         self.prev = start[step[later] - 1] + rank[later]
         self.reverse = start[lengths[order][rank] - 1 - step] + rank
-
-
-def unpack(x, packing: Packing) -> Tensor:
-    """Packed rows (N, ...) back to (B, L, ...), with zeros at padding."""
-    x = _lift(x)
-    if x.ndim == 0 or x.shape[0] != packing.size:
-        raise DimensionError(f"unpack: shape {x.shape} does not match {packing.size} rows")
-    index = packing.index
-
-    def backward(g):
-        return (g[index],)
-
-    return _apply("unpack", (x,), _padded(x.data, packing), backward)
 
 
 def _padded(x, packing: Packing):

@@ -21,9 +21,8 @@ def op_gradcheck_cases(seed: int = 0):
     rng = np.random.default_rng(seed)
     right = rng.normal(size=(4, 5))
     batched = rng.normal(size=(2, 3, 4))
-    mask = np.ones((3, 6))
-    mask[0, 4:] = 0.0
-    mask[2, 2:] = 0.0
+    # the packed logits of rows of lengths 4, 6 and 2
+    logit_rows = ad.Packing(np.arange(6) < np.array([[4], [6], [2]]))
     gold = np.array([1, 0, 1])
     bias_weights = rng.normal(size=(3, 5))
     lstm_rng = np.random.default_rng(seed + 1)   # leaves the probes above as they were
@@ -53,9 +52,8 @@ def op_gradcheck_cases(seed: int = 0):
         bcast_rng.normal(size=shape)
         for shape in [(2, 4, 1), (2, 1, 3), (2, 4, 3), (2, 4, 3), (3, 2, 5)])
     rows_rng = np.random.default_rng(seed + 4)
-    lin_1, lin_w, lin_b, lin_weights, unpack_weights = (
-        rows_rng.normal(size=shape)
-        for shape in [(4, 2), (3, 5), (3,), (4, 3), (3, 5, 2)])
+    lin_1, lin_w, lin_b, lin_weights = (
+        rows_rng.normal(size=shape) for shape in [(4, 2), (3, 5), (3,), (4, 3)])
     # the attention over ragged contexts and questions, rows out of length
     # order: 2h = 4, context lengths 5, 2, 4 and question lengths 1, 3, 2
     att_rng = np.random.default_rng(seed + 5)
@@ -108,8 +106,8 @@ def op_gradcheck_cases(seed: int = 0):
          rng.normal(size=(2, 4))),
         ("repeat_axis", lambda t: total(ad.mul(ad.repeat_axis(t, 1, 4), np.arange(24.0).reshape(2, 4, 3))),
          rng.normal(size=(2, 1, 3))),
-        ("cross_entropy", lambda t: ad.cross_entropy(t, gold, mask),   # logits
-         rng.random((3, 6)) * 6.0 - 3.0),
+        ("cross_entropy", lambda t: ad.cross_entropy(t, gold, logit_rows),   # logits
+         (rng.random((3, 6)) * 6.0 - 3.0)[logit_rows.index][:, None]),
         ("dropout", lambda t: total(ad.dropout(t, 0.4, seed=99)),
          rng.normal(size=(5, 5))),
         ("lstm_x", lambda t: lstm_both([t], lstm_w, lstm_b), lstm_x[packed.index]),
@@ -147,8 +145,6 @@ def op_gradcheck_cases(seed: int = 0):
         ("linear_dropped_W", lambda t: total(ad.mul(
             ad.linear([dropped(lin_1, 98), lin_1[:, :1], dropped(lin_1, 99)], t, lin_b),
             lin_weights)), lin_w),
-        ("unpack", lambda t: total(ad.mul(ad.unpack(t, packed), unpack_weights)),
-         rows_rng.normal(size=(packed.size, 2))),
         ("take_rows", lambda t: total(ad.mul(ad.take_rows(t, take_index), take_weights)),
          take_rng.normal(size=(3, 2, 3))),
         ("bidaf_context", lambda t: attend(t, att_question, att_w), att_context),

@@ -2,28 +2,30 @@
 BiLSTM encoder run once over a batch's distinct contexts and its questions,
 bidirectional attention, a start decoder, an end decoder that consumes the
 start decoder's hidden states (so the end distribution is conditioned on
-start evidence), and per-position FC heads whose logits the loss reads in
-log space and decoding through untaped masked softmaxes built on demand.
+start evidence), and per-position FC heads whose packed logits the loss
+reads in log space and decoding through untaped softmaxes built on demand.
 
 Every layer runs on packed rows: ``forward`` packs each id array's mask,
 ids != PAD_ID, once into an ``autodiff.Packing`` (masks are prefixes: each
 row's tokens come first and PAD_ID fills the rest, as
 ``data.build_batches`` makes them), embeds only the live tokens, and
 carries the N live positions of the batch as (N, .) row blocks through the
-encoder, the attention output G, both decoders and both heads. Each BiLSTM
-layer is one ``autodiff.lstm`` tape node (4 per forward) that reads one W
-and one b stacking both directions and writes both into one (N, 2h) result,
-and the attention is one ``autodiff.bidaf`` node that writes G straight into
-its (N, 8h) result. Each decoder calls ``autodiff.lstm`` once, and on a
-training tape keeps its gates and c; the encoder stack ``bilstm`` keeps
-only c and rebuilds its gates in backward, since its inputs (d and 2h
-wide, against the decoders' 8h and 10h) are cheap to project again.
-Inputs like [G ; M] are never concatenated: the end decoder and the heads
-take them as blocks [G | M], each multiplied by its column slice of the
-weight, a chunk of rows at a time. Only the attention's similarity matrix
-and the logits see (B, L) tensors, so the cost follows the batch's token
-count, not B times the longest row, and a taped training forward plus loss
-records 35 nodes (15 parameter leaves) whatever the sequence length.
+encoder, the attention output G, both decoders and both heads, whose (N, 1)
+logits the loss and the softmaxes read with the context packing. Each
+BiLSTM layer is one ``autodiff.lstm`` tape node (4 per forward) that reads
+one W and one b stacking both directions and writes both into one (N, 2h)
+result, and the attention is one ``autodiff.bidaf`` node that writes G
+straight into its (N, 8h) result. Each decoder calls ``autodiff.lstm``
+once, and on a training tape keeps its gates and c; the encoder stack
+``bilstm`` keeps only c and rebuilds its gates in backward, since its
+inputs (d and 2h wide, against the decoders' 8h and 10h) are cheap to
+project again. Inputs like [G ; M] are never concatenated: the end decoder
+and the heads take them as blocks [G | M], each multiplied by its column
+slice of the weight, a chunk of rows at a time. Only the attention's
+similarity matrix and, inside the loss and the softmaxes, the logits are
+laid out (B, L), so the cost follows the batch's token count, not B times
+the longest row, and a taped training forward plus loss records 31 nodes
+(15 parameter leaves) whatever the sequence length.
 
 Parameters live in a plain name -> ndarray dict. ``forward`` accepts either
 ndarrays (inference; no tape is recorded) or graph-leaf Tensors (training),
@@ -75,20 +77,19 @@ class ModelConfig:
 
 @dataclass
 class ForwardOutput:
-    """The heads' (B, Lc) logits, 0 at padding, and the context mask over
-    which `p_start` and `p_end`, the masked softmaxes of the logits, are
-    built as plain arrays on each read."""
+    """The heads' packed (N, 1) logits and their context `Packing`; `p_start`
+    and `p_end`, each row's softmax, are built as (B, Lc) arrays on each read."""
     start_logits: Tensor
     end_logits: Tensor
-    mask: np.ndarray
+    packing: ad.Packing
 
     @property
     def p_start(self) -> np.ndarray:
-        return ad.masked_softmax(self.start_logits, self.mask)
+        return ad.masked_softmax(self.start_logits, self.packing)
 
     @property
     def p_end(self) -> np.ndarray:
-        return ad.masked_softmax(self.end_logits, self.mask)
+        return ad.masked_softmax(self.end_logits, self.packing)
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -205,7 +206,7 @@ def bidaf_attention(context: Tensor, question: Tensor, w_sim,
 def _decode(blocks, decoder_params, head, packing, drop):
     """A BiLSTM layer over the row blocks, then the per-position head
     FC2(relu(FC1([G_i ; M_i]))) over the packed rows, with `drop` on the
-    FC1 input blocks; returns M and the logits scattered to (B, L).
+    FC1 input blocks; returns M and the packed (N, 1) logits.
 
     FC2 has no bias: a shift shared by all of a row's logits changes neither
     its softmax nor its cross-entropy, so such a bias could not be learned
@@ -213,8 +214,7 @@ def _decode(blocks, decoder_params, head, packing, drop):
     constant as the bias, which joins no tape."""
     m = ad.lstm(drop(blocks), packing, *decoder_params)
     hidden = ad.relu(ad.linear(drop([blocks[0], m]), head["W1"], head["b1"]))
-    logits = ad.linear([hidden], head["W2"], np.zeros(1, hidden.data.dtype))  # (N,1)
-    return m, ad.unpack(ad.reshape(logits, (packing.size,)), packing)
+    return m, ad.linear([hidden], head["W2"], np.zeros(1, hidden.data.dtype))
 
 
 def start_decoder(attention_out: Tensor, decoder_params, head_params,
@@ -298,10 +298,10 @@ def forward(batch: Batch, params, table: EmbeddingTable, config: ModelConfig,
         attention_out, m_start, _layer_group(pt, "end_decoder"),
         _head_group(pt, "end_head"), contexts, drop=drop)
 
-    return ForwardOutput(start_logits, end_logits, contexts.mask)
+    return ForwardOutput(start_logits, end_logits, contexts)
 
 
 def loss(out: ForwardOutput, gold_starts, gold_ends) -> Tensor:
-    """Batch-mean start plus batch-mean end cross-entropy over `out.mask`."""
-    return ad.add(ad.cross_entropy(out.start_logits, gold_starts, out.mask),
-                  ad.cross_entropy(out.end_logits, gold_ends, out.mask))
+    """Batch-mean start plus batch-mean end cross-entropy over the packed rows."""
+    return ad.add(ad.cross_entropy(out.start_logits, gold_starts, out.packing),
+                  ad.cross_entropy(out.end_logits, gold_ends, out.packing))

@@ -198,7 +198,7 @@ def predict_answers(examples, params, table, config: qa_model.ModelConfig,
         out = qa_model.forward(batch, params, table, config, training=False)
         p_start, p_end = out.p_start, out.p_end
         for row, ex in enumerate(chunk):
-            pred = best_span(p_start[row], p_end[row], out.mask[row],
+            pred = best_span(p_start[row], p_end[row], out.packing.mask[row],
                              max_len=max_answer_len)
             predictions[ex.qid] = span_text(ex.context_tokens, ex.context_text,
                                             pred.start, pred.end)

@@ -48,10 +48,10 @@ def bidaf_reference(context, question, w_sim, context_mask, question_mask):
 
 
 def packed_attention(context, question, w_sim, context_mask, question_mask):
-    """``model.bidaf_attention`` under the reference's padded contract: the
-    encodings are packed by their masks, and G is unpacked to (B, Lc, 8h)
-    with zeros at the padded context positions."""
+    """``model.bidaf_attention`` on the reference's padded inputs: the
+    encodings are packed by their masks, and G stays packed, (N, 8h) in the
+    context packing's order; ``lstm_oracle.padded`` lays it out as the
+    reference does."""
     contexts, questions = ad.Packing(context_mask), ad.Packing(question_mask)
-    out = bidaf_attention(pack_rows(context, contexts), pack_rows(question, questions),
-                          w_sim, contexts, questions)
-    return ad.unpack(out, contexts)
+    return bidaf_attention(pack_rows(context, contexts), pack_rows(question, questions),
+                           w_sim, contexts, questions)

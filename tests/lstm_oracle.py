@@ -4,7 +4,8 @@
 Each sequence runs alone over its own positions, one step at a time, with
 the cell equations written out, so no mask, padding, packing or tape takes
 part. The fused op's gradients are checked by central differences
-(``ad.grad_check``) instead.
+(``ad.grad_check``) instead. The packing helpers below move a padded batch
+into and out of the packed rows that the ops read and write.
 """
 
 import numpy as np
@@ -60,9 +61,22 @@ def pack_rows(x, packing) -> ad.Tensor:
     return ad.take_rows(ad.reshape(x, (batch * length, width)), packing.flat)
 
 
-def packed_bilstm(x, mask, weight, bias) -> ad.Tensor:
-    """``ad.lstm`` under the reference's padded contract: x (B, L, n) is
-    packed by its mask, and the (N, 2h) result unpacked to (B, L, 2h) with
-    zeros at padding."""
+def packed_logits(logits, mask):
+    """Padded (B, L) logits as the packed (N, 1) rows the heads give, and
+    the `Packing` of their prefix mask."""
     packing = ad.Packing(mask)
-    return ad.unpack(ad.lstm([pack_rows(x, packing)], packing, weight, bias), packing)
+    return np.asarray(logits)[packing.index][:, None], packing
+
+
+def padded(x, mask) -> np.ndarray:
+    """Packed rows (N, ...), of a Tensor or an array, laid out (B, L, ...)
+    by their mask, with zeros at padding, as the reference returns them."""
+    return ad._padded(x.data if isinstance(x, ad.Tensor) else x, ad.Packing(mask))
+
+
+def packed_bilstm(x, mask, weight, bias) -> ad.Tensor:
+    """``ad.lstm`` on the reference's padded input: x (B, L, n) is packed by
+    its mask, and the result stays packed, (N, 2h) in the mask's packing
+    order; `padded` lays it out as the reference does."""
+    packing = ad.Packing(mask)
+    return ad.lstm([pack_rows(x, packing)], packing, weight, bias)

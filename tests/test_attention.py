@@ -3,13 +3,14 @@ equations of `bidaf_reference` in bidaf_oracle.py, and its hand-written
 backward against central differences.
 
 The model attends over packed live rows; `packed_attention` packs the padded
-inputs by their masks and unpacks G, so both sides read and return the same
-padded arrays."""
+inputs by their masks and `padded` lays G out again, so both sides are
+compared on the same padded arrays, and gradients weight the packed rows."""
 
 import numpy as np
 import pytest
 
 from bidaf_oracle import bidaf_reference, packed_attention
+from lstm_oracle import padded
 from memtrace import traced
 from spanqa import autodiff as ad
 from spanqa.diagnostics import OP_THRESHOLD
@@ -36,24 +37,23 @@ def test_matches_reference(seed, hidden):
     inputs = ragged_inputs(seed, hidden)
     got = packed_attention(*(ad.Tensor(x) for x in inputs[:2]), *inputs[2:])
     want = bidaf_reference(*inputs)
-    assert got.shape == want.shape == (5, 9, 8 * hidden)
     live = inputs[3] > 0
-    assert np.abs(got.data[live] - want[live]).max() < 1e-12
-    assert np.all(got.data[~live] == 0.0)
+    assert got.shape == (live.sum(), 8 * hidden) and want.shape == (5, 9, 8 * hidden)
+    assert np.abs(padded(got, live)[live] - want[live]).max() < 1e-12
 
 
 def test_live_rows_do_not_see_padding():
     """Each row's live positions equal that example attended on its own,
     unpadded, so nothing leaks in from the padding or from the other rows."""
     context, question, w_sim, context_mask, question_mask = ragged_inputs(3, 4)
-    batched = packed_attention(ad.Tensor(context), ad.Tensor(question), w_sim,
-                               context_mask, question_mask).data
+    batched = padded(packed_attention(ad.Tensor(context), ad.Tensor(question), w_sim,
+                                      context_mask, question_mask), context_mask)
     for b in range(len(context)):
         lc, lq = int(context_mask[b].sum()), int(question_mask[b].sum())
         alone = packed_attention(ad.Tensor(context[b:b + 1, :lc]),
                                  ad.Tensor(question[b:b + 1, :lq]), w_sim,
                                  np.ones((1, lc)), np.ones((1, lq))).data
-        assert np.abs(batched[b, :lc] - alone[0]).max() < 1e-12
+        assert np.abs(batched[b, :lc] - alone).max() < 1e-12
 
 
 @pytest.mark.parametrize("probe", ["context", "question", "w_sim"])
@@ -61,7 +61,8 @@ def test_gradients(probe):
     context, question, w_sim, context_mask, question_mask = ragged_inputs(
         4, 2, batch=3, lc=5, lq=4)
     values = {"context": context, "question": question, "w_sim": w_sim}
-    weights = np.random.default_rng(5).normal(size=(3, 5, 16))
+    weights = np.random.default_rng(5).normal(size=(3, 5, 16))[
+        ad.Packing(context_mask).index]
 
     def loss(t):
         args = {name: ad.Tensor(value) for name, value in values.items()}
@@ -87,8 +88,7 @@ def test_op_matches_both_references_taped_and_untaped(seed, hidden):
     taped = packed_attention(*(graph.leaf(x) for x in inputs[:3]), *inputs[3:])
     assert taped.graph is graph
     assert np.array_equal(untaped, taped.data)
-    assert np.abs(untaped[live] - want[live]).max() < 1e-12
-    assert np.all(untaped[~live] == 0.0)
+    assert np.abs(padded(untaped, live)[live] - want[live]).max() < 1e-12
     contexts, questions = ad.Packing(inputs[3]), ad.Packing(inputs[4])
     values = [inputs[0][contexts.index], inputs[1][questions.index], inputs[2]]
     weights = np.random.default_rng(seed).normal(size=(contexts.size, 8 * hidden))
@@ -108,7 +108,7 @@ def test_float32_stays_float32():
     want = bidaf_reference(*inputs)
     live = inputs[3] > 0
     assert got.data.dtype == np.float32
-    assert np.abs(got.data[live] - want[live]).max() < 1e-4
+    assert np.abs(padded(got, live)[live] - want[live]).max() < 1e-4
     graph = ad.Graph()
     leaves = [graph.leaf(x) for x in narrow]
     out = packed_attention(*leaves, *inputs[3:])

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lstm_oracle import packed_logits, padded
 from memtrace import traced
 from spanqa import autodiff as ad
 from spanqa.diagnostics import OP_THRESHOLD, make_tiny_problem, op_gradcheck_cases
@@ -150,92 +151,151 @@ class TestConcat:
         assert np.array_equal(ad.slice_axis(joined, 1, 3, 8).data, b)
 
 
+# rows out of length order, one of them empty: 7 packed rows
+UNSORTED = ad.Packing(np.arange(4) < np.array([[2], [0], [4], [1]]))
+
+
 class TestMaskedSoftmax:
     def test_uniform(self):
-        out = ad.masked_softmax([5.0, 5.0, 5.0], [1.0, 1.0, 1.0])
-        assert np.allclose(out, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
+        out = ad.masked_softmax(*packed_logits([[5.0, 5.0, 5.0]], [[1, 1, 1]]))
+        assert np.allclose(out, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-15)
 
     def test_single_survivor(self):
-        out = ad.masked_softmax([9.0, 2.0, 7.0], [0.0, 1.0, 0.0])
-        assert np.array_equal(out, [0.0, 1.0, 0.0])
+        # the one live position takes all the mass, exactly, and the padding
+        # none, however large its logits
+        out = ad.masked_softmax(*packed_logits([[2.0, 9.0, 7.0]], [[1, 0, 0]]))
+        assert np.array_equal(out, [[1.0, 0.0, 0.0]])
 
     def test_direct_evaluation(self):
         # exp(0) : exp(ln 3) = 1 : 3
-        out = ad.masked_softmax([0.0, math.log(3.0)], [1.0, 1.0])
-        assert np.allclose(out, [0.25, 0.75], atol=1e-15)
+        out = ad.masked_softmax(*packed_logits([[0.0, math.log(3.0)]], [[1, 1]]))
+        assert np.allclose(out, [[0.25, 0.75]], atol=1e-15)
 
     def test_masked_exactly_zero_and_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
         logits = rng.normal(size=(6, 9)) * 10
-        mask = (rng.random((6, 9)) > 0.4).astype(float)
-        mask[:, 0] = 1.0
-        out = ad.masked_softmax(logits, mask)
-        assert np.all(out[mask == 0] == 0.0)
+        mask = np.arange(9) < rng.integers(1, 10, size=6)[:, None]
+        out = ad.masked_softmax(*packed_logits(logits, mask))
+        assert np.all(out[~mask] == 0.0)
         assert np.all(np.abs(out.sum(axis=-1) - 1.0) < 1e-12)
+
+    def test_rows_out_of_length_order_match_each_row_alone(self):
+        lengths = [2, 3, 4, 1]
+        logits = np.random.default_rng(4).normal(size=(4, 4))
+        out = ad.masked_softmax(*packed_logits(logits, np.arange(4) < np.c_[lengths]))
+        for row, length in enumerate(lengths):
+            alone = np.exp(logits[row, :length]) / np.exp(logits[row, :length]).sum()
+            assert np.allclose(out[row, :length], alone, rtol=1e-14, atol=0)
+            assert np.all(out[row, length:] == 0.0)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(2)
         logits = rng.normal(size=(4, 7))
         mask = np.ones((4, 7))
         mask[:, 5:] = 0.0
-        base = ad.masked_softmax(logits, mask)
-        shifted = ad.masked_softmax(logits + 123.456, mask)
+        base = ad.masked_softmax(*packed_logits(logits, mask))
+        shifted = ad.masked_softmax(*packed_logits(logits + 123.456, mask))
         assert np.all(np.abs(base - shifted) < 1e-12)
         assert np.array_equal(base.argmax(axis=-1), shifted.argmax(axis=-1))
 
     def test_fully_masked_row(self):
         with pytest.raises(ad.DegenerateMaskError):
-            ad.masked_softmax(np.zeros((2, 3)), [[1, 1, 1], [0, 0, 0]])
+            ad.masked_softmax(*packed_logits(np.zeros((2, 3)), [[1, 1, 1], [0, 0, 0]]))
+        with pytest.raises(ad.DegenerateMaskError):
+            ad.masked_softmax(np.zeros((UNSORTED.size, 1)), UNSORTED)
+
+    @pytest.mark.parametrize("shape", [(6, 1), (8, 1), (7,), (7, 2)])
+    def test_logits_must_be_one_per_packed_row(self, shape):
+        with pytest.raises(ad.DimensionError, match=r"do not match 7 packed rows"):
+            ad.masked_softmax(np.zeros(shape), UNSORTED)
 
     def test_graph_input_gives_a_plain_array_off_the_tape(self):
         graph = ad.Graph()
-        logits = graph.leaf(np.array([[1.0, 2.0, 3.0]], np.float32))
-        out = ad.masked_softmax(logits, [[1, 1, 0]])
+        logits = graph.leaf(np.array([[1.0], [2.0]], np.float32))
+        out = ad.masked_softmax(logits, ad.Packing([[1, 1, 0]]))
         assert type(out) is np.ndarray and out.dtype == np.float32
         assert len(graph) == 1
         assert np.allclose(out, [[1 / (1 + math.e), math.e / (1 + math.e), 0.0]])
 
-    def test_mask_must_broadcast(self):
-        with pytest.raises(ad.DimensionError):
-            ad.masked_softmax(np.zeros((2, 3)), np.ones((2, 2)))
-
 
 class TestCrossEntropy:
     def test_one_hot_is_zero(self):
-        # only the gold position kept: softmax puts all its mass there
-        out = ad.cross_entropy([[9.0, -4.0, 7.0]], [1], [[0.0, 1.0, 0.0]])
+        # only the gold position live: softmax puts all its mass there
+        z, packing = packed_logits([[-4.0, 9.0, 7.0]], [[1, 0, 0]])
+        out = ad.cross_entropy(z, [0], packing)
         assert out.item() == 0.0
 
     def test_uniform(self):
-        out = ad.cross_entropy(np.full((2, 4), 3.5), [0, 3], np.ones((2, 4)))
+        z, packing = packed_logits(np.full((2, 4), 3.5), np.ones((2, 4)))
+        out = ad.cross_entropy(z, [0, 3], packing)
         assert out.item() == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_point_one(self):
         # softmax([0, ln 9]) = [0.1, 0.9], so the loss is -ln(0.1)
-        out = ad.cross_entropy([[0.0, math.log(9.0)]], [0], np.ones((1, 2)))
+        z, packing = packed_logits([[0.0, math.log(9.0)]], np.ones((1, 2)))
+        out = ad.cross_entropy(z, [0], packing)
         assert out.item() == pytest.approx(2.302585092994046, abs=1e-12)
 
     def test_masked_gold_rejected(self):
+        z, packing = packed_logits(np.zeros((1, 3)), [[1, 1, 0]])
         with pytest.raises(ad.LabelError):
-            ad.cross_entropy(np.zeros((1, 3)), [2], [[1, 1, 0]])
+            ad.cross_entropy(z, [2], packing)
 
     def test_out_of_range_gold_rejected(self):
+        z, packing = packed_logits(np.zeros((1, 3)), np.ones((1, 3)))
         with pytest.raises(ad.LabelError):
-            ad.cross_entropy(np.zeros((1, 3)), [3], np.ones((1, 3)))
+            ad.cross_entropy(z, [3], packing)
+
+    @pytest.mark.parametrize("lengths,gold,row", [
+        ([2, 0, 4, 1], [1, 0, 3, 0], 1),     # an empty row has no place for gold
+        ([2, 0, 4, 1], [2, 0, 3, 0], 0),
+        ([2, 3, 4, 1], [1, 2, 3, 1], 3),
+        ([2, 3, 4, 1], [1, 2, 4, 0], 2),     # at the padded width too
+        ([2, 3, 4, 1], [1, 5, 0, 0], 1),
+        ([2, 3, 4, 1], [1, -1, 0, 0], 1),
+    ], ids=["empty_row", "at_length", "at_length_last_row", "at_width",
+            "past_width", "negative"])
+    def test_gold_outside_its_row_rejected(self, lengths, gold, row):
+        packing = ad.Packing(np.arange(4) < np.array(lengths)[:, None])
+        with pytest.raises(ad.LabelError, match=f"row {row} of length {lengths[row]}$"):
+            ad.cross_entropy(np.zeros((packing.size, 1)), gold, packing)
+
+    @pytest.mark.parametrize("shape", [(6, 1), (8, 1), (7,), (7, 2)])
+    def test_logits_must_be_one_per_packed_row(self, shape):
+        with pytest.raises(ad.DimensionError, match=r"do not match 7 packed rows"):
+            ad.cross_entropy(np.zeros(shape), [0, 0, 0, 0], UNSORTED)
+
+    def test_rows_out_of_length_order_give_each_row_its_gradient(self):
+        # (softmax - onehot) / B of each row alone, at that row's packed rows
+        lengths, gold = [2, 3, 4, 1], [1, 0, 3, 0]
+        logits = np.random.default_rng(5).normal(size=(4, 4))
+        packed, packing = packed_logits(logits, np.arange(4) < np.c_[lengths])
+        graph = ad.Graph()
+        z = graph.leaf(packed)
+        out = ad.cross_entropy(z, gold, packing)
+        grad = graph.backward(out)[z.node_id]
+        want_loss, want_grad = 0.0, np.zeros_like(logits)
+        for row, (length, g) in enumerate(zip(lengths, gold)):
+            p = np.exp(logits[row, :length]) / np.exp(logits[row, :length]).sum()
+            want_loss -= math.log(p[g]) / 4
+            want_grad[row, :length] = (p - np.eye(length)[g]) / 4
+        assert out.item() == pytest.approx(want_loss, rel=1e-14)
+        assert grad.shape == (packing.size, 1)
+        assert np.allclose(grad[:, 0], want_grad[packing.index], rtol=1e-13, atol=1e-16)
 
     def test_nonnegative_and_zero_iff_certain(self):
-        # equals -ln of the masked softmax at gold; 0 exactly when only gold is kept
+        # equals -ln of the masked softmax at gold; 0 exactly when only gold is live
         rng = np.random.default_rng(3)
         for _ in range(50):
             logits = rng.normal(size=(1, 5)) * 3
-            mask = (rng.random((1, 5)) < 0.5).astype(float)
-            gold = rng.integers(5)
-            mask[0, gold] = 1.0
-            loss = ad.cross_entropy(logits, [gold], mask).item()
-            p = ad.masked_softmax(logits, mask)[0, gold]
+            length = rng.integers(1, 6)
+            gold = rng.integers(length)
+            z, packing = packed_logits(logits, [np.arange(5) < length])
+            loss = ad.cross_entropy(z, [gold], packing).item()
+            p = ad.masked_softmax(z, packing)[0, gold]
             assert loss >= 0.0
             assert loss == pytest.approx(-math.log(p), abs=1e-12)
-            assert (loss == 0.0) == (mask.sum() == 1.0)
+            assert (loss == 0.0) == (length == 1)
 
     def test_confidently_wrong_row_keeps_loss_and_gradient(self):
         # float32 row 0 puts its gold logit 80 below its max: softmax gives
@@ -248,18 +308,20 @@ class TestCrossEntropy:
         top = kept.max(axis=1)
         lse = top + np.log(np.exp(kept - top[:, None]).sum(axis=1))
         graph = ad.Graph()
-        z = graph.leaf(logits)
-        out = ad.cross_entropy(z, gold, mask)
+        packed, packing = packed_logits(logits, mask)
+        z = graph.leaf(packed)
+        out = ad.cross_entropy(z, gold, packing)
         per_row = lse - wide[[0, 1], gold]
         assert per_row[0] == pytest.approx(80.0, abs=1e-6)
         assert out.data.dtype == np.float32
         assert out.item() == pytest.approx(per_row.mean(), rel=1e-6)
         grad = graph.backward(out)[z.node_id]
-        want = (ad.masked_softmax(wide, mask) - np.eye(4)[gold]) / 2
-        assert grad.dtype == np.float32
+        want = (ad.masked_softmax(packed.astype(np.float64), packing)
+                - np.eye(4)[gold]) / 2
+        assert grad.dtype == np.float32 and grad.shape == (7, 1)
+        grad = padded(grad[:, 0], mask)
         assert np.allclose(grad, want, rtol=1e-6, atol=1e-7)
         assert grad[0, 1] == pytest.approx(-0.5, rel=1e-6)
-        assert grad[1, 3] == 0.0
 
 class TestDropout:
     def test_zero_rate_identity(self):
@@ -345,6 +407,16 @@ class TestBackward:
     def _gives(x, make):
         """A scalar op of x whose backward returns make() as x's gradient."""
         return ad._apply("gives", (x,), np.zeros(()), lambda g: (make(),))
+
+    def test_a_gradient_of_the_wrong_shape_fails_at_its_parent(self):
+        # summed with x's (3, 1) gradient, a (3,) one would broadcast to (3, 3)
+        g = ad.Graph()
+        x = g.leaf(np.zeros((3, 1)))
+        root = ad.add(self._gives(x, lambda: np.ones(3)),
+                      self._gives(x, lambda: np.ones((3, 1))))
+        with pytest.raises(ad.DimensionError, match=re.escape(
+                "gives node 1 gave a (3,) gradient for node 0 of shape (3, 1)")):
+            g.backward(root)
 
     def test_later_gradients_add_in_place(self):
         # x takes four gradients of n float64s (8 MiB). From the third on,

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bidaf_oracle import packed_attention
-from lstm_oracle import bilstm_reference, pack_rows
+from lstm_oracle import bilstm_reference, pack_rows, packed_logits, padded
 
 from spanqa import autodiff as ad
 from spanqa import model as qa_model
@@ -20,9 +20,9 @@ from spanqa.spans import best_span
 
 
 def padded_bilstm(x, layers, mask):
-    """model.bilstm on a padded batch: pack by the mask, run, unpack."""
+    """model.bilstm on a padded batch: pack by the mask, run, pad the result."""
     packing = ad.Packing(mask)
-    return ad.unpack(bilstm([pack_rows(x, packing)], layers, packing), packing)
+    return padded(bilstm([pack_rows(x, packing)], layers, packing), mask)
 
 
 class TestConfig:
@@ -145,14 +145,14 @@ class TestBiLSTM:
         hidden, in_dim = 3, 4
         layer = (np.zeros((24, 7)), np.zeros(24))
         out = padded_bilstm(Tensor(np.zeros((1, 5, in_dim))), [layer], np.ones((1, 5)))
-        assert np.array_equal(out.data, np.zeros((1, 5, 6)))
+        assert np.array_equal(out, np.zeros((1, 5, 6)))
 
     def _matches_reference(self, seed, length):
         rng = np.random.default_rng(seed)
         layer = self._params(rng, 2, 3)
         x, mask = rng.normal(size=(1, length, 3)), np.ones((1, length))
         out = padded_bilstm(Tensor(x), [layer], mask)
-        return np.allclose(out.data, bilstm_reference(x, mask, [layer]), atol=1e-12)
+        return np.allclose(out, bilstm_reference(x, mask, [layer]), atol=1e-12)
 
     def test_single_step_matches_cell_equations(self):
         assert self._matches_reference(5, 1)
@@ -167,9 +167,9 @@ class TestBiLSTM:
         x = rng.normal(size=(1, 5, in_dim))
         mask = np.array([[1.0, 1.0, 1.0, 0.0, 0.0]])
         out = padded_bilstm(Tensor(x), [layer], mask)
-        assert np.array_equal(out.data[0, 3:], np.zeros((2, 2 * hidden)))
+        assert np.array_equal(out[0, 3:], np.zeros((2, 2 * hidden)))
         short = padded_bilstm(Tensor(x[:, :3]), [layer], np.ones((1, 3)))
-        assert np.allclose(out.data[0, :3], short.data[0], atol=1e-12)
+        assert np.allclose(out[0, :3], short[0], atol=1e-12)
 
 
 class TestBidafAttention:
@@ -180,7 +180,7 @@ class TestBidafAttention:
                                Tensor(rng.normal(size=(2, 3, h2))),
                                rng.normal(size=3 * h2),
                                np.ones((2, 5)), np.ones((2, 3)))
-        assert out.shape == (2, 5, 4 * h2)
+        assert out.shape == (2 * 5, 4 * h2)
 
     def test_zero_similarity_weight_gives_mean_attention(self):
         rng = np.random.default_rng(9)
@@ -189,7 +189,7 @@ class TestBidafAttention:
         q_mask = np.array([[1.0, 1.0, 0.0]])
         out = packed_attention(Tensor(rng.normal(size=(1, 2, h2))), Tensor(question),
                                np.zeros(3 * h2), np.ones((1, 2)), q_mask)
-        u_tilde = out.data[:, :, h2:2 * h2]
+        u_tilde = padded(out, np.ones((1, 2)))[:, :, h2:2 * h2]
         mean_q = question[0, :2].mean(axis=0)
         assert np.allclose(u_tilde[0, 0], mean_q, atol=1e-12)
         assert np.allclose(u_tilde[0, 1], mean_q, atol=1e-12)
@@ -216,7 +216,7 @@ class TestBidafAttention:
             axis=1)
         out = packed_attention(Tensor(c), Tensor(q), w, np.ones((1, 2)),
                                np.ones((1, 2)))
-        assert np.allclose(out.data[0], expected, atol=1e-12)
+        assert np.allclose(padded(out, np.ones((1, 2)))[0], expected, atol=1e-12)
 
     def test_training_tape_holds_the_attention_as_one_node(self, monkeypatch):
         # a dropout training forward plus loss, the train step's graph: the
@@ -240,9 +240,11 @@ class TestBidafAttention:
         assert ops.count("bidaf") == 1, ops
         # the loss reads the logits: no softmax is built in a train step
         assert ops.count("masked_softmax") == 0, ops
-        # 15 parameter leaves and 20 ops
+        # the heads' logits stay packed into the loss: nothing lays them out
+        assert ops.count("reshape") == ops.count("unpack") == 0, ops
+        # 15 parameter leaves and 16 ops
         assert ops.count("leaf") == len(params) == 15, (len(params), ops)
-        assert len(graph) == 35, ops
+        assert len(graph) == 31, ops
 
 
 def _decoder_fixture(seed=0):
@@ -269,9 +271,8 @@ class TestDecoders:
         m_start, logits = start_decoder(attn, _group(params, "start_decoder"),
                                         _head(params, "start_head"), packing)
         assert m_start.shape == (packing.size, 2 * config.hidden_size)
-        assert logits.shape == packing.shape
-        assert np.all(logits.data[~packing.mask] == 0.0)
-        p = ad.masked_softmax(logits, packing.mask)
+        assert logits.shape == (packing.size, 1)
+        p = ad.masked_softmax(logits, packing)
         assert np.all(p[~packing.mask] == 0.0)
 
     def test_zero_params_give_uniform(self):
@@ -279,7 +280,7 @@ class TestDecoders:
         zero = {name: np.zeros_like(value) for name, value in params.items()}
         _, logits = start_decoder(attn, _group(zero, "start_decoder"),
                                   _head(zero, "start_head"), packing)
-        p = ad.masked_softmax(logits, packing.mask)
+        p = ad.masked_softmax(logits, packing)
         lengths = packing.mask.sum(axis=1)
         for row in range(p.shape[0]):
             live = packing.mask[row]
@@ -297,7 +298,7 @@ class TestDecoders:
                                         _group(params, "end_decoder"),
                                         _head(params, "end_head"), packing)
         assert m_end.shape == m_start.shape
-        assert end_logits.shape == packing.shape
+        assert end_logits.shape == (packing.size, 1)
 
     def test_heads_are_distinct_tensors(self):
         _, params, _, _, _ = _decoder_fixture()
@@ -312,9 +313,9 @@ def _named_grads(config, params, table, batch, which):
               for name, value in params.items()}
     out = forward(batch, leaves, table, config, training=False)
     if which == "start":
-        root = ad.cross_entropy(out.start_logits, batch.gold_starts, out.mask)
+        root = ad.cross_entropy(out.start_logits, batch.gold_starts, out.packing)
     else:
-        root = ad.cross_entropy(out.end_logits, batch.gold_ends, out.mask)
+        root = ad.cross_entropy(out.end_logits, batch.gold_ends, out.packing)
     grads = graph.backward(root)
     return {name: grads[leaf.node_id] for name, leaf in leaves.items()}
 
@@ -412,7 +413,8 @@ class TestLoss:
         logits[0, 1] = 1e4
         logits[1, 2] = 1e4
         from spanqa.model import ForwardOutput
-        out = ForwardOutput(Tensor(logits), Tensor(logits.copy()), np.ones((2, 4)))
+        z, packing = packed_logits(logits, np.ones((2, 4)))
+        out = ForwardOutput(Tensor(z), Tensor(z.copy()), packing)
         assert np.array_equal(out.p_start, np.eye(4)[[1, 2]])
         value = loss(out, np.array([1, 2]), np.array([1, 2]))
         assert value.item() == 0.0
@@ -436,15 +438,20 @@ def shifted_logits(draw, shifts):
 
 
 def loss_and_grad(logits, gold, mask):
+    z, packing = packed_logits(logits, mask)
     graph = Graph()
-    leaf = graph.leaf(logits)
-    value = ad.cross_entropy(leaf, gold, mask)
+    leaf = graph.leaf(z)
+    value = ad.cross_entropy(leaf, gold, packing)
     return value.item(), graph.backward(value)[leaf.node_id]
+
+
+def softmax(logits, mask):
+    return ad.masked_softmax(*packed_logits(logits, mask))
 
 
 def decoded(logits, mask):
     """best_span of each example: row b's softmax as p_start, row B + b's as p_end."""
-    p = ad.masked_softmax(logits, mask)
+    p = softmax(logits, mask)
     half = len(p) // 2
     return [best_span(p[b], p[half + b], mask[b], max_len=3) for b in range(half)]
 
@@ -462,8 +469,7 @@ class TestRowShift:
         # a shift of up to 1e3 costs a few ulps of 1e3 (1.1e-13 each)
         assert shifted_value == pytest.approx(value, rel=0, abs=1e-11)
         np.testing.assert_allclose(shifted_grad, grad, rtol=0, atol=1e-11)
-        np.testing.assert_allclose(ad.masked_softmax(shifted, mask),
-                                   ad.masked_softmax(logits, mask),
+        np.testing.assert_allclose(softmax(shifted, mask), softmax(logits, mask),
                                    rtol=0, atol=1e-11)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -477,8 +483,7 @@ class TestRowShift:
         shifted_value, shifted_grad = loss_and_grad(shifted, gold, mask)
         assert shifted_value == value
         assert np.array_equal(shifted_grad, grad)
-        assert np.array_equal(ad.masked_softmax(shifted, mask),
-                              ad.masked_softmax(logits, mask))
+        assert np.array_equal(softmax(shifted, mask), softmax(logits, mask))
         assert decoded(shifted, mask) == decoded(logits, mask)
 
 
