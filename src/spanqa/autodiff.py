@@ -480,11 +480,16 @@ def take_rows(x, index) -> Tensor:
     return _apply("take_rows", (x,), out, backward)
 
 
+def _shifted(logits, keep):
+    """The logits less their row max over `keep` on the last axis; -inf off `keep`."""
+    neg = np.where(keep, logits, -np.inf)
+    return neg - neg.max(axis=-1, keepdims=True)
+
+
 def _softmax(logits, keep):
     """Softmax over the last axis restricted to the `keep` positions, which
     come out exactly 0; stable via the row max over the kept entries."""
-    neg = np.where(keep, logits, -np.inf)
-    exps = np.exp(neg - neg.max(axis=-1, keepdims=True))
+    exps = np.exp(_shifted(logits, keep))
     return exps / exps.sum(axis=-1, keepdims=True)
 
 
@@ -532,8 +537,7 @@ def cross_entropy(logits, gold, packing: Packing) -> Tensor:
     if bad.size:
         raise LabelError(f"cross_entropy: gold index {gold[bad[0]]} is outside row "
                          f"{bad[0]} of length {lengths[bad[0]]}")
-    neg = np.where(keep, padded, -np.inf)
-    shifted = neg - neg.max(axis=1, keepdims=True)
+    shifted = _shifted(padded, keep)
     exps = np.exp(shifted)
     sums = exps.sum(axis=1, keepdims=True)
     out = np.array((np.log(sums[:, 0]) - shifted[rows, gold]).mean())
@@ -955,10 +959,9 @@ def lstm(xs, packing: Packing, W, b, *, rebuild_gates: bool = False) -> Tensor:
     return _apply("lstm", inputs, out, backward)
 
 
-def bidaf(context, question, w_sim, context_packing: Packing,
-          question_packing: Packing) -> Tensor:
+def bidaf(rows, w_sim, context_packing: Packing, question_packing: Packing) -> Tensor:
     """Bidirectional attention (Seo et al., arXiv 1611.01603) over packed
-    rows: context c (N, 2h) and question q (Nq, 2h) -> G (N, 8h).
+    rows [c ; q] (N + Nq, 2h), context c (N rows) over question q -> G (N, 8h).
 
     With w_sim = [w_c ; w_q ; w_m], the similarity of context position i and
     question position j is S[i, j] = w_c.c_i + w_q.q_j + c_i.(w_m*q_j), one
@@ -973,24 +976,22 @@ def bidaf(context, question, w_sim, context_packing: Packing,
     block is alive at a time (c, then u~ in the same buffer).
 
     The op is one tape node. It saves the two softmaxes and the row-max
-    argmax, and its hand-written backward reads c and q from its inputs.
-    An empty context or question row raises DegenerateMaskError.
+    argmax; its hand-written backward reads c and q, views of its input, and
+    returns one gradient of [c ; q]. An empty row raises DegenerateMaskError.
     """
-    c, q, w = _lift(context), _lift(question), _lift(w_sim)
-    d = c.shape[1] if c.ndim == 2 else -1
-    if (c.ndim != 2 or q.ndim != 2 or q.shape[1] != d or w.shape != (3 * d,)
-            or c.shape[0] != context_packing.size or q.shape[0] != question_packing.size
+    r, w = _lift(rows), _lift(w_sim)
+    n, d = context_packing.size, r.shape[1] if r.ndim == 2 else -1
+    if (r.ndim != 2 or r.shape[0] != n + question_packing.size or w.shape != (3 * d,)
             or context_packing.shape[0] != question_packing.shape[0]):
         raise DimensionError(
-            f"bidaf: context {c.shape}, question {q.shape} and w_sim {w.shape} do not "
-            f"match {context_packing.size} and {question_packing.size} packed rows "
-            f"of width 2h, and w_sim (3*2h,)")
+            f"bidaf: rows {r.shape} and w_sim {w.shape} do not match {n} context plus "
+            f"{question_packing.size} question packed rows of width 2h, and w_sim (3*2h,)")
     c_live, q_live = context_packing.mask, question_packing.mask[:, None, :]
     if not (c_live.any(axis=1).all() and q_live.any(axis=2).all()):
         raise DegenerateMaskError("bidaf: a context or question row is empty")
-    cd, qd, wd = c.data, q.data, w.data
+    (cd, qd), wd = np.split(r.data, [n]), w.data
     w_c, w_q, w_m = wd[:d], wd[d:2 * d], wd[2 * d:]
-    flat, rows = context_packing.flat, context_packing.index[0]
+    flat, batch_rows = context_packing.flat, context_packing.index[0]
     q_pad = _padded(qd, question_packing)                       # (B, Lq, 2h)
     c_pad = _padded(cd, context_packing)                        # (B, Lc, 2h)
     sim = c_pad @ np.swapaxes(q_pad * w_m, 1, 2)                # (B, Lc, Lq)
@@ -1003,12 +1004,12 @@ def bidaf(context, question, w_sim, context_packing: Packing,
     c2q = _softmax(sim, q_live)
     del sim
     u_pad = np.matmul(c2q, q_pad, out=c_pad)                    # c's buffer
-    out = np.empty((len(cd), 4 * d), np.result_type(cd, qd, wd))
+    out = np.empty((len(cd), 4 * d), np.result_type(cd, wd))
     out[:, :d] = cd
     _gather_rows(out[:, d:2 * d], u_pad.reshape(-1, d), flat)
     del u_pad, c_pad
     np.multiply(cd, out[:, d:2 * d], out=out[:, 2 * d:3 * d])
-    _gather_rows(out[:, 3 * d:], h_tilde, rows)
+    _gather_rows(out[:, 3 * d:], h_tilde, batch_rows)
     out[:, 3 * d:] *= cd
 
     def backward(g):
@@ -1017,7 +1018,7 @@ def bidaf(context, question, w_sim, context_packing: Packing,
         h_tilde = (q2c[:, None, :] @ c_pad)[:, 0]
         u = (c2q @ q_pad).reshape(-1, d)[flat]
         # the direct gradient of c, and those of u~ (padded) and h~
-        dc = g_c + g_cu * u + g_ch * h_tilde[rows]
+        dc = g_c + g_cu * u + g_ch * h_tilde[batch_rows]
         du = _padded(g_u + g_cu * cd, context_packing)
         dh = _padded(g_ch * cd, context_packing).sum(axis=1)
         # u~ = c2q @ q and h~ = q2c @ c, each through its softmax; the row
@@ -1027,7 +1028,7 @@ def bidaf(context, question, w_sim, context_packing: Packing,
         d_best = _softmax_grad(q2c, (c_pad @ dh[:, :, None])[:, :, 0])
         batch, lc = best.shape
         dsim[np.arange(batch)[:, None], np.arange(lc), best] += d_best
-        dc += q2c.reshape(-1)[flat, None] * dh[rows]
+        dc += q2c.reshape(-1)[flat, None] * dh[batch_rows]
         # S = w_c.c + w_q.q + c.(w_m*q)
         ds_c = dsim.sum(axis=2).reshape(-1)[flat]
         ds_q = dsim.sum(axis=1)[:, :, None]
@@ -1037,9 +1038,9 @@ def bidaf(context, question, w_sim, context_packing: Packing,
         dq += d_qw * w_m + ds_q * w_q
         dw = np.concatenate([ds_c @ cd, (ds_q * q_pad).sum(axis=(0, 1)),
                              (d_qw * q_pad).sum(axis=(0, 1))])
-        return dc, dq.reshape(-1, d)[question_packing.flat], dw
+        return np.concatenate([dc, dq.reshape(-1, d)[question_packing.flat]]), dw
 
-    return _apply("bidaf", (c, q, w), out, backward)
+    return _apply("bidaf", (r, w), out, backward)
 
 
 # ---------------------------------------------------------------------------

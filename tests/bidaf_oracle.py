@@ -11,7 +11,7 @@ It checks the op's values; its gradients are checked by central differences
 
 import numpy as np
 
-from lstm_oracle import pack_rows
+from lstm_oracle import flat_rows
 from spanqa import autodiff as ad
 from spanqa.model import bidaf_attention
 
@@ -47,11 +47,19 @@ def bidaf_reference(context, question, w_sim, context_mask, question_mask):
     return out
 
 
-def packed_attention(context, question, w_sim, context_mask, question_mask):
-    """``model.bidaf_attention`` on the reference's padded inputs: the
-    encodings are packed by their masks, and G stays packed, (N, 8h) in the
-    context packing's order; ``lstm_oracle.padded`` lays it out as the
-    reference does."""
+def stacked_rows(context, question) -> np.ndarray:
+    """The padded (B, Lc, 2h) context and (B, Lq, 2h) question as one block
+    of their rows, (B*Lc + B*Lq, 2h), the input `packed_attention` reads."""
+    return np.concatenate([flat_rows(context), flat_rows(question)])
+
+
+def packed_attention(rows, w_sim, context_mask, question_mask):
+    """``model.bidaf_attention`` on the reference's padded inputs, given as
+    their `stacked_rows` (an array, a Tensor or a leaf): one ``take_rows``
+    gathers the live context rows and then the live question rows, by their
+    masks, into [c ; q], as ``model.forward`` gathers them from the shared
+    encoding. G stays packed, (N, 8h) in the context packing's order;
+    ``lstm_oracle.padded`` lays it out as the reference does."""
     contexts, questions = ad.Packing(context_mask), ad.Packing(question_mask)
-    return bidaf_attention(pack_rows(context, contexts), pack_rows(question, questions),
-                           w_sim, contexts, questions)
+    index = np.concatenate([contexts.flat, contexts.mask.size + questions.flat])
+    return bidaf_attention(ad.take_rows(rows, index), w_sim, contexts, questions)

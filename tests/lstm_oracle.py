@@ -54,11 +54,26 @@ def bilstm_reference(x, mask, layers):
     return x
 
 
-def pack_rows(x, packing) -> ad.Tensor:
-    """The live rows of a padded (B, L, n) tensor in the packing's order: (N, n)."""
-    x = x if isinstance(x, ad.Tensor) else ad.Tensor(x)
-    batch, length, width = x.shape
-    return ad.take_rows(ad.reshape(x, (batch * length, width)), packing.flat)
+def flat_rows(x) -> np.ndarray:
+    """A padded (B, L, n) array as its (B*L, n) rows, the input `pack_rows` reads."""
+    return np.reshape(x, (-1, np.shape(x)[-1]))
+
+
+def pack_rows(rows, packing) -> ad.Tensor:
+    """The live rows of a padded batch, given as its (B*L, n) `flat_rows` (an
+    array, a Tensor or a leaf), in the packing's order: (N, n)."""
+    return ad.take_rows(rows, packing.flat)
+
+
+def with_block(t, full, block) -> ad.Tensor:
+    """`full` (a stacked W or b, or stacked rows) with its leading-axis rows
+    `block`, a slice, read from the Tensor t on t's graph, so a gradient
+    check probes that block alone: one direction's rows of W, say."""
+    keep = np.zeros(len(full))
+    keep[block] = 1.0
+    keep = keep.reshape((-1,) + (1,) * (full.ndim - 1))
+    index = np.clip(np.arange(len(full)) - block.start, 0, block.stop - block.start - 1)
+    return ad.add(full * (1.0 - keep), ad.mul(ad.take_rows(t, index), keep))
 
 
 def packed_logits(logits, mask):
@@ -75,8 +90,9 @@ def padded(x, mask) -> np.ndarray:
 
 
 def packed_bilstm(x, mask, weight, bias) -> ad.Tensor:
-    """``ad.lstm`` on the reference's padded input: x (B, L, n) is packed by
-    its mask, and the result stays packed, (N, 2h) in the mask's packing
-    order; `padded` lays it out as the reference does."""
+    """``ad.lstm`` on the reference's padded input, given as its (B*L, n)
+    `flat_rows` x: x is packed by its mask, and the result stays packed,
+    (N, 2h) in the mask's packing order; `padded` lays it out as the
+    reference does."""
     packing = ad.Packing(mask)
     return ad.lstm([pack_rows(x, packing)], packing, weight, bias)

@@ -2,15 +2,17 @@
 equations of `bidaf_reference` in bidaf_oracle.py, and its hand-written
 backward against central differences.
 
-The model attends over packed live rows; `packed_attention` packs the padded
-inputs by their masks and `padded` lays G out again, so both sides are
-compared on the same padded arrays, and gradients weight the packed rows."""
+The model attends over packed live rows, the context's over the question's
+in one block; `packed_attention` gathers them from the padded inputs'
+`stacked_rows` by their masks and `padded` lays G out again, so both sides
+are compared on the same padded arrays, and gradients weight the packed
+rows."""
 
 import numpy as np
 import pytest
 
-from bidaf_oracle import bidaf_reference, packed_attention
-from lstm_oracle import padded
+from bidaf_oracle import bidaf_reference, packed_attention, stacked_rows
+from lstm_oracle import padded, with_block
 from memtrace import traced
 from spanqa import autodiff as ad
 from spanqa.diagnostics import OP_THRESHOLD
@@ -35,7 +37,7 @@ def ragged_inputs(seed, hidden, batch=5, lc=9, lq=6):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_matches_reference(seed, hidden):
     inputs = ragged_inputs(seed, hidden)
-    got = packed_attention(*(ad.Tensor(x) for x in inputs[:2]), *inputs[2:])
+    got = packed_attention(stacked_rows(*inputs[:2]), *inputs[2:])
     want = bidaf_reference(*inputs)
     live = inputs[3] > 0
     assert got.shape == (live.sum(), 8 * hidden) and want.shape == (5, 9, 8 * hidden)
@@ -46,13 +48,12 @@ def test_live_rows_do_not_see_padding():
     """Each row's live positions equal that example attended on its own,
     unpadded, so nothing leaks in from the padding or from the other rows."""
     context, question, w_sim, context_mask, question_mask = ragged_inputs(3, 4)
-    batched = padded(packed_attention(ad.Tensor(context), ad.Tensor(question), w_sim,
+    batched = padded(packed_attention(stacked_rows(context, question), w_sim,
                                       context_mask, question_mask), context_mask)
     for b in range(len(context)):
         lc, lq = int(context_mask[b].sum()), int(question_mask[b].sum())
-        alone = packed_attention(ad.Tensor(context[b:b + 1, :lc]),
-                                 ad.Tensor(question[b:b + 1, :lq]), w_sim,
-                                 np.ones((1, lc)), np.ones((1, lq))).data
+        alone = packed_attention(stacked_rows(context[b:b + 1, :lc], question[b:b + 1, :lq]),
+                                 w_sim, np.ones((1, lc)), np.ones((1, lq))).data
         assert np.abs(batched[b, :lc] - alone).max() < 1e-12
 
 
@@ -60,14 +61,15 @@ def test_live_rows_do_not_see_padding():
 def test_gradients(probe):
     context, question, w_sim, context_mask, question_mask = ragged_inputs(
         4, 2, batch=3, lc=5, lq=4)
-    values = {"context": context, "question": question, "w_sim": w_sim}
+    rows, split = stacked_rows(context, question), context_mask.size
+    blocks = {"context": slice(0, split), "question": slice(split, len(rows))}
+    values = {"context": rows[:split], "question": rows[split:], "w_sim": w_sim}
     weights = np.random.default_rng(5).normal(size=(3, 5, 16))[
         ad.Packing(context_mask).index]
 
     def loss(t):
-        args = {name: ad.Tensor(value) for name, value in values.items()}
-        args[probe] = t
-        out = packed_attention(args["context"], args["question"], args["w_sim"],
+        stacked = with_block(t, rows, blocks[probe]) if probe in blocks else rows
+        out = packed_attention(stacked, t if probe == "w_sim" else w_sim,
                                context_mask, question_mask)
         return ad.reduce_sum(ad.mul(out, weights))
 
@@ -78,19 +80,21 @@ def test_gradients(probe):
 @pytest.mark.parametrize("seed", [10, 11, 12])
 def test_op_matches_both_references_taped_and_untaped(seed, hidden):
     # the values against the plain equations, and the gradients of
-    # sum(G * weights) over the packed context, the packed question and
-    # w_sim against central differences, on 12 seeded coordinates of each
+    # sum(G * weights) over the packed [c ; q] and w_sim against central
+    # differences, on 12 seeded coordinates of each
     inputs = ragged_inputs(seed, hidden, batch=6, lc=11, lq=7)
     live = inputs[3] > 0
     want = bidaf_reference(*inputs)
+    rows = stacked_rows(*inputs[:2])
     graph = ad.Graph()
-    untaped = packed_attention(*inputs).data
-    taped = packed_attention(*(graph.leaf(x) for x in inputs[:3]), *inputs[3:])
+    untaped = packed_attention(rows, *inputs[2:]).data
+    taped = packed_attention(graph.leaf(rows), graph.leaf(inputs[2]), *inputs[3:])
     assert taped.graph is graph
     assert np.array_equal(untaped, taped.data)
     assert np.abs(padded(untaped, live)[live] - want[live]).max() < 1e-12
     contexts, questions = ad.Packing(inputs[3]), ad.Packing(inputs[4])
-    values = [inputs[0][contexts.index], inputs[1][questions.index], inputs[2]]
+    values = [np.concatenate([inputs[0][contexts.index], inputs[1][questions.index]]),
+              inputs[2]]
     weights = np.random.default_rng(seed).normal(size=(contexts.size, 8 * hidden))
     for k, value in enumerate(values):
         def loss(t, k=k):
@@ -103,7 +107,7 @@ def test_op_matches_both_references_taped_and_untaped(seed, hidden):
 
 def test_float32_stays_float32():
     inputs = ragged_inputs(13, 4)
-    narrow = [x.astype(np.float32) for x in inputs[:3]]
+    narrow = [x.astype(np.float32) for x in (stacked_rows(*inputs[:2]), inputs[2])]
     got = packed_attention(*narrow, *inputs[3:])
     want = bidaf_reference(*inputs)
     live = inputs[3] > 0
@@ -118,18 +122,30 @@ def test_float32_stays_float32():
 
 def test_empty_row_and_shape_errors():
     context, question, w_sim, context_mask, question_mask = ragged_inputs(14, 2)
+    rows = stacked_rows(context, question)
     empty = question_mask.copy()
     empty[1] = 0.0
     with pytest.raises(ad.DegenerateMaskError):
-        packed_attention(context, question, w_sim, context_mask, empty)
+        packed_attention(rows, w_sim, context_mask, empty)
     with pytest.raises(ad.DimensionError):
-        packed_attention(context, question, w_sim[1:], context_mask, question_mask)
+        packed_attention(rows, w_sim[1:], context_mask, question_mask)
     with pytest.raises(ad.DimensionError):
-        packed_attention(context, question[:, :, 1:], w_sim, context_mask, question_mask)
+        packed_attention(rows[:, 1:], w_sim, context_mask, question_mask)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_rows_must_be_the_context_plus_the_question_rows(extra):
+    # a block one row short or one row long of N + Nq names both counts
+    context, question, w_sim, context_mask, question_mask = ragged_inputs(16, 2)
+    contexts, questions = ad.Packing(context_mask), ad.Packing(question_mask)
+    rows = np.zeros((contexts.size + questions.size + extra, 4))
+    with pytest.raises(ad.DimensionError, match=rf"\({len(rows)}, 4\).* {contexts.size} "
+                       rf"context plus {questions.size} question"):
+        bidaf_attention(rows, w_sim, contexts, questions)
 
 
 def memory_inputs():
-    """Long ragged contexts and short questions, packed: c (N, 2h), q (Nq, 2h),
+    """Long ragged contexts and short questions, packed: [c ; q] (N + Nq, 2h),
     w_sim and both packings, with N large beside the (B, Lc, Lq) terms."""
     rng = np.random.default_rng(15)
     batch, lc, lq, hidden = 8, 200, 6, 16
@@ -137,8 +153,7 @@ def memory_inputs():
     question_mask = (np.arange(lq) < rng.integers(1, lq + 1, size=batch)[:, None])
     context_mask[0] = question_mask[0] = True
     contexts, questions = ad.Packing(context_mask), ad.Packing(question_mask)
-    return (rng.normal(size=(contexts.size, 2 * hidden)),
-            rng.normal(size=(questions.size, 2 * hidden)),
+    return (rng.normal(size=(contexts.size + questions.size, 2 * hidden)),
             rng.normal(size=6 * hidden) / np.sqrt(hidden), contexts, questions)
 
 
@@ -146,13 +161,12 @@ def test_untaped_peak_holds_g_and_one_padded_block():
     # beside G (N, 8h), an untaped call holds one padded (B, Lc, 2h) block
     # (c, then u~ in its buffer) and a few (B, Lc, Lq) similarity terms: no
     # (N, 2h) copies of u~ or h~ and no second padded block
-    context, question, w_sim, contexts, questions = memory_inputs()
+    rows, w_sim, contexts, questions = memory_inputs()
     (batch, lc), lq = contexts.shape, questions.shape[1]
-    g_bytes = contexts.size * 4 * context.shape[1] * 8
-    padded = batch * lc * context.shape[1] * 8
+    g_bytes = contexts.size * 4 * rows.shape[1] * 8
+    padded = batch * lc * rows.shape[1] * 8
     sim_terms = 4 * batch * lc * lq * 8
-    out, _, peak = traced(bidaf_attention, ad.Tensor(context), ad.Tensor(question),
-                          w_sim, contexts, questions)
+    out, _, peak = traced(bidaf_attention, ad.Tensor(rows), w_sim, contexts, questions)
     assert out.data.nbytes == g_bytes
     assert peak < g_bytes + padded + sim_terms + 65536
 
@@ -160,13 +174,13 @@ def test_untaped_peak_holds_g_and_one_padded_block():
 def test_taped_call_retains_g_two_softmaxes_and_the_argmax():
     # what a taped call leaves alive for backward: G, the (B, Lc, Lq)
     # context-to-question softmax, the (B, Lc) question-to-context softmax
-    # and the (B, Lc) row-max argmax; c and q are read back from the inputs
-    context, question, w_sim, contexts, questions = memory_inputs()
+    # and the (B, Lc) row-max argmax; c and q are read back from the input
+    rows, w_sim, contexts, questions = memory_inputs()
     (batch, lc), lq = contexts.shape, questions.shape[1]
-    g_bytes = contexts.size * 4 * context.shape[1] * 8
+    g_bytes = contexts.size * 4 * rows.shape[1] * 8
     saved = batch * lc * lq * 8 + 2 * batch * lc * 8
     graph = ad.Graph()
-    leaves = [graph.leaf(x) for x in (context, question, w_sim)]
+    leaves = [graph.leaf(x) for x in (rows, w_sim)]
     out, retained, _ = traced(bidaf_attention, *leaves, contexts, questions)
     assert out.graph is graph
     assert retained < g_bytes + saved + 16384

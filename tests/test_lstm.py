@@ -1,10 +1,10 @@
 """The packed LSTM op against the plain numpy LSTM in lstm_oracle.py, and
 its gradients by central differences.
 
-Most checks go through `packed_bilstm`, which packs a padded batch and runs
-`ad.lstm`; `padded` lays the packed result out again, so the op and the
-reference are compared on the same padded arrays, and gradients weight the
-packed rows."""
+Most checks go through `packed_bilstm`, which packs a padded batch, given
+as its `flat_rows`, and runs `ad.lstm`; `padded` lays the packed result out
+again, so the op and the reference are compared on the same padded arrays,
+and gradients weight the packed rows."""
 
 import sys
 import tracemalloc
@@ -13,7 +13,8 @@ import weakref
 import numpy as np
 import pytest
 
-from lstm_oracle import bilstm_reference, pack_rows, packed_bilstm, padded
+from lstm_oracle import (bilstm_reference, flat_rows, pack_rows, packed_bilstm, padded,
+                         with_block)
 from memtrace import traced
 from spanqa import autodiff as ad
 from spanqa.autodiff import Graph
@@ -43,16 +44,6 @@ def stacked_params(rng, in_dim, hidden):
             rng.normal(size=(8 * hidden,)) * 0.5)
 
 
-def with_rows(t, full, rows):
-    """`full`, a stacked W or b, with its half `rows` read from the Tensor t
-    on t's graph, so a gradient check probes one direction's rows alone."""
-    keep = np.zeros(len(full))
-    keep[rows] = 1.0
-    keep = keep.reshape((-1,) + (1,) * (full.ndim - 1))
-    index = np.arange(len(full)) % (len(full) // 2)
-    return ad.add(full * (1.0 - keep), ad.mul(ad.take_rows(t, index), keep))
-
-
 def check_against_oracle(rng, x, mask, hidden, reverse):
     """A random stacked (W, b): the values of both directions against the
     reference, zeros at padding, and by `ad.grad_check` the gradients of
@@ -60,7 +51,7 @@ def check_against_oracle(rng, x, mask, hidden, reverse):
     W and b, on GRAD_COORDS seeded coordinates of each (all of a smaller one)."""
     weight, bias = stacked_params(rng, x.shape[2], hidden)
     probe = rng.normal(size=mask.shape + (2 * hidden,))
-    out = padded(packed_bilstm(x, mask, weight, bias), mask)
+    out = padded(packed_bilstm(flat_rows(x), mask, weight, bias), mask)
     want = bilstm_reference(x, mask, [(weight, bias)])
     assert np.abs(out - want).max() < FORWARD_TOL
     packing = ad.Packing(mask)
@@ -69,7 +60,7 @@ def check_against_oracle(rng, x, mask, hidden, reverse):
     for k, value in enumerate(values):
         def loss(t, k=k):
             args = [values[0], weight, bias]
-            args[k] = t if k == 0 else with_rows(t, args[k], rows)
+            args[k] = t if k == 0 else with_block(t, args[k], rows)
             return ad.reduce_sum(ad.mul(ad.lstm(args[:1], packing, *args[1:]), weights))
 
         assert ad.grad_check(loss, value, GRAD_COORDS, seed=k) < OP_THRESHOLD, k
@@ -88,11 +79,11 @@ def test_masked_steps_get_no_gradient_and_emit_zeros():
     rng = np.random.default_rng(3)
     mask = ragged_mask(3, 5)
     graph = Graph()
-    x = graph.leaf(rng.normal(size=(3, 5, 2)))
+    x = graph.leaf(flat_rows(rng.normal(size=(3, 5, 2))))
     out = packed_bilstm(x, mask, *stacked_params(rng, 2, 3))
     dx = graph.backward(ad.reduce_sum(out))[x.node_id]
     assert out.shape == (int(mask.sum()), 6)     # one row per live step, none for padding
-    assert np.all(dx[mask == 0] == 0.0)
+    assert np.all(dx[mask.reshape(-1) == 0] == 0.0)
 
 
 def prefix_mask(lengths, length):
@@ -122,7 +113,7 @@ def test_non_prefix_mask_rejected(mask):
     with pytest.raises(ad.DimensionError, match="run of 1s"):
         ad.Packing(mask)
     with pytest.raises(ad.DimensionError, match="run of 1s"):
-        packed_bilstm(x, mask, weight, bias)
+        packed_bilstm(flat_rows(x), mask, weight, bias)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, bool])
@@ -147,14 +138,14 @@ def test_stacked_bilstm_matches_oracle():
         return bilstm([pack_rows(xt, packing)], layers, packing)
 
     want = bilstm_reference(x, mask, layers)
-    assert np.abs(padded(run(x), mask) - want).max() < FORWARD_TOL
-    assert ad.grad_check(lambda t: ad.reduce_sum(ad.mul(run(t), probe)), x,
+    assert np.abs(padded(run(flat_rows(x)), mask) - want).max() < FORWARD_TOL
+    assert ad.grad_check(lambda t: ad.reduce_sum(ad.mul(run(t), probe)), flat_rows(x),
                          GRAD_COORDS) < OP_THRESHOLD
 
 
 def test_untaped_call_matches_taped_and_stays_detached():
     rng = np.random.default_rng(6)
-    x = rng.normal(size=(2, 4, 3))
+    x = flat_rows(rng.normal(size=(2, 4, 3)))
     params = stacked_params(rng, 3, 2)
     mask = ragged_mask(2, 4)
     detached = packed_bilstm(x, mask, *params)
@@ -175,10 +166,10 @@ def test_stacked_rows_are_forward_then_backward(zeroed):
     mask = prefix_mask([5, 2, 4], 5)
     x = rng.normal(size=(3, 5, 4))
     weight, bias = stacked_params(rng, 4, hidden)
-    out = packed_bilstm(x, mask, weight, bias).data
+    out = packed_bilstm(flat_rows(x), mask, weight, bias).data
     rows = slice(4 * hidden * zeroed, 4 * hidden * (zeroed + 1))
     weight[rows], bias[rows] = 0.0, 0.0
-    cut = packed_bilstm(x, mask, weight, bias).data
+    cut = packed_bilstm(flat_rows(x), mask, weight, bias).data
     cols = [slice(hidden * zeroed, hidden * (zeroed + 1)),
             slice(hidden * (1 - zeroed), hidden * (2 - zeroed))]
     assert np.all(cut[..., cols[0]] == 0.0)

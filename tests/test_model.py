@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bidaf_oracle import packed_attention
-from lstm_oracle import bilstm_reference, pack_rows, packed_logits, padded
+from bidaf_oracle import packed_attention, stacked_rows
+from lstm_oracle import bilstm_reference, flat_rows, pack_rows, packed_logits, padded
 
 from spanqa import autodiff as ad
 from spanqa import model as qa_model
@@ -20,9 +20,10 @@ from spanqa.spans import best_span
 
 
 def padded_bilstm(x, layers, mask):
-    """model.bilstm on a padded batch: pack by the mask, run, pad the result."""
+    """model.bilstm on a padded (B, L, n) batch: pack by the mask, run, pad
+    the result."""
     packing = ad.Packing(mask)
-    return padded(bilstm([pack_rows(x, packing)], layers, packing), mask)
+    return padded(bilstm([pack_rows(flat_rows(x), packing)], layers, packing), mask)
 
 
 class TestConfig:
@@ -122,9 +123,8 @@ class TestEmbed:
         table = self.make_table()
         g = Graph()
         weight = g.leaf(np.ones(3))
-        vectors = embed(np.array([[1, 2]]), table)
-        flat = ad.reshape(vectors, (2, 3))
-        root = ad.reduce_sum(ad.mul(flat, weight))
+        vectors = embed(np.array([1, 2]), table)
+        root = ad.reduce_sum(ad.mul(vectors, weight))
         grads = g.backward(root)
         assert set(grads) <= set(range(len(g)))
         assert vectors.graph is None
@@ -138,20 +138,20 @@ class TestBiLSTM:
     def test_output_shape(self):
         rng = np.random.default_rng(4)
         layers = [self._params(rng, 3, 5), self._params(rng, 3, 6)]
-        out = padded_bilstm(Tensor(rng.normal(size=(2, 7, 5))), layers, np.ones((2, 7)))
+        out = padded_bilstm(rng.normal(size=(2, 7, 5)), layers, np.ones((2, 7)))
         assert out.shape == (2, 7, 6)
 
     def test_zero_weights_zero_inputs(self):
         hidden, in_dim = 3, 4
         layer = (np.zeros((24, 7)), np.zeros(24))
-        out = padded_bilstm(Tensor(np.zeros((1, 5, in_dim))), [layer], np.ones((1, 5)))
+        out = padded_bilstm(np.zeros((1, 5, in_dim)), [layer], np.ones((1, 5)))
         assert np.array_equal(out, np.zeros((1, 5, 6)))
 
     def _matches_reference(self, seed, length):
         rng = np.random.default_rng(seed)
         layer = self._params(rng, 2, 3)
         x, mask = rng.normal(size=(1, length, 3)), np.ones((1, length))
-        out = padded_bilstm(Tensor(x), [layer], mask)
+        out = padded_bilstm(x, [layer], mask)
         return np.allclose(out, bilstm_reference(x, mask, [layer]), atol=1e-12)
 
     def test_single_step_matches_cell_equations(self):
@@ -166,9 +166,9 @@ class TestBiLSTM:
         layer = self._params(rng, hidden, in_dim)
         x = rng.normal(size=(1, 5, in_dim))
         mask = np.array([[1.0, 1.0, 1.0, 0.0, 0.0]])
-        out = padded_bilstm(Tensor(x), [layer], mask)
+        out = padded_bilstm(x, [layer], mask)
         assert np.array_equal(out[0, 3:], np.zeros((2, 2 * hidden)))
-        short = padded_bilstm(Tensor(x[:, :3]), [layer], np.ones((1, 3)))
+        short = padded_bilstm(x[:, :3], [layer], np.ones((1, 3)))
         assert np.allclose(out[0, :3], short[0], atol=1e-12)
 
 
@@ -176,8 +176,8 @@ class TestBidafAttention:
     def test_shape(self):
         rng = np.random.default_rng(8)
         h2 = 4
-        out = packed_attention(Tensor(rng.normal(size=(2, 5, h2))),
-                               Tensor(rng.normal(size=(2, 3, h2))),
+        out = packed_attention(stacked_rows(rng.normal(size=(2, 5, h2)),
+                                            rng.normal(size=(2, 3, h2))),
                                rng.normal(size=3 * h2),
                                np.ones((2, 5)), np.ones((2, 3)))
         assert out.shape == (2 * 5, 4 * h2)
@@ -187,7 +187,7 @@ class TestBidafAttention:
         h2, lq = 4, 3
         question = rng.normal(size=(1, lq, h2))
         q_mask = np.array([[1.0, 1.0, 0.0]])
-        out = packed_attention(Tensor(rng.normal(size=(1, 2, h2))), Tensor(question),
+        out = packed_attention(stacked_rows(rng.normal(size=(1, 2, h2)), question),
                                np.zeros(3 * h2), np.ones((1, 2)), q_mask)
         u_tilde = padded(out, np.ones((1, 2)))[:, :, h2:2 * h2]
         mean_q = question[0, :2].mean(axis=0)
@@ -214,8 +214,7 @@ class TestBidafAttention:
         expected = np.concatenate(
             [c[0], u_tilde, c[0] * u_tilde, c[0] * h_tilde[None, :].repeat(2, 0)],
             axis=1)
-        out = packed_attention(Tensor(c), Tensor(q), w, np.ones((1, 2)),
-                               np.ones((1, 2)))
+        out = packed_attention(stacked_rows(c, q), w, np.ones((1, 2)), np.ones((1, 2)))
         assert np.allclose(padded(out, np.ones((1, 2)))[0], expected, atol=1e-12)
 
     def test_training_tape_holds_the_attention_as_one_node(self, monkeypatch):
@@ -242,9 +241,9 @@ class TestBidafAttention:
         assert ops.count("masked_softmax") == 0, ops
         # the heads' logits stay packed into the loss: nothing lays them out
         assert ops.count("reshape") == ops.count("unpack") == 0, ops
-        # 15 parameter leaves and 16 ops
+        # 15 parameter leaves and 15 ops
         assert ops.count("leaf") == len(params) == 15, (len(params), ops)
-        assert len(graph) == 31, ops
+        assert len(graph) == 30, ops
 
 
 def _decoder_fixture(seed=0):
@@ -603,9 +602,9 @@ class TestSharedContextEncoding:
         handed = []
         original = qa_model.bidaf_attention
 
-        def recording(context, question, *args):
-            handed.append((context.data, question.data))
-            return original(context, question, *args)
+        def recording(rows, w_sim, contexts, questions):
+            handed.append((rows.data[:contexts.size], rows.data[contexts.size:]))
+            return original(rows, w_sim, contexts, questions)
 
         monkeypatch.setattr(qa_model, "bidaf_attention", recording)
         forward(batch, params, table, config)

@@ -3,7 +3,7 @@ oracle, float32 params used without copies, and float64 gradient checks."""
 
 import numpy as np
 
-from lstm_oracle import bilstm_reference, packed_bilstm, padded
+from lstm_oracle import bilstm_reference, flat_rows, packed_bilstm, padded
 from spanqa import autodiff as ad
 from spanqa import diagnostics
 from spanqa.autodiff import Graph
@@ -51,9 +51,9 @@ def test_float32_taped_step_stays_float32():
 
 def _taped(x, mask, weight, bias, probe):
     """packed_bilstm's output, padded, and the gradients of sum(out * probe)
-    over x and each direction's rows of the stacked W and b."""
+    over x's rows and each direction's rows of the stacked W and b."""
     graph = Graph()
-    leaves = [graph.leaf(v) for v in (x, weight, bias)]
+    leaves = [graph.leaf(v) for v in (flat_rows(x), weight, bias)]
     out = packed_bilstm(*leaves[:1], mask, *leaves[1:])
     grads = graph.backward(ad.reduce_sum(ad.mul(out, probe[ad.Packing(mask).index])))
     dx, dw, db = (grads[leaf.node_id] for leaf in leaves)

@@ -60,23 +60,45 @@ class TestTrainStep:
         assert losses[-1] < losses[0]
 
     @pytest.mark.parametrize("context_len", [7, 60])
-    def test_step_records_31_tape_nodes(self, monkeypatch, context_len):
-        # 15 parameter leaves and 16 ops, one lstm node per BiLSTM layer with
+    def test_step_records_30_tape_nodes(self, monkeypatch, context_len):
+        # 15 parameter leaves and 15 ops, one lstm node per BiLSTM layer with
         # both directions' weight and bias as one leaf each: the tape follows
         # the layers, not the sequence length
+        (nodes,) = self._recorded_tapes(monkeypatch, seed=5, context_len=context_len)
+        ops = [node.op for node in nodes]
+        assert (len(ops), ops.count("leaf"), ops.count("lstm")) == (30, 15, 4), ops
+
+    @pytest.mark.parametrize("shared_context", [False, True])
+    def test_one_gather_feeds_the_attention(self, monkeypatch, shared_context):
+        # the encoder's last lstm node has one consumer, the single take_rows,
+        # which gathers the context rows and then the question rows for the
+        # bidaf node: the encoding gets one gradient back, and no sum
+        (nodes,) = self._recorded_tapes(monkeypatch, seed=6, shared_context=shared_context)
+        ops = [node.op for node in nodes]
+        assert ops.count("take_rows") == 1, ops
+        gather = ops.index("take_rows")
+        encoded = max(i for i in range(gather) if ops[i] == "lstm")
+        assert ops[:gather].count("lstm") == ops[gather:].count("lstm") == 2, ops
+        assert [i for i, node in enumerate(nodes) if encoded in node.parents] == [gather]
+        (attention,) = [node for node in nodes if gather in node.parents]
+        assert attention.op == "bidaf"
+
+    @staticmethod
+    def _recorded_tapes(monkeypatch, **problem):
+        """The tape nodes of each graph a dropout `train_step` on
+        `make_tiny_problem(batch_size=3, **problem)` runs backward over."""
         tapes = []
         original = Graph.backward
 
         def recording(graph, root):
-            tapes.append([node.op for node in graph._nodes])
+            tapes.append(list(graph._nodes))
             return original(graph, root)
 
         monkeypatch.setattr(Graph, "backward", recording)
-        config, params, table, batch = make_tiny_problem(
-            seed=5, context_len=context_len, batch_size=3, dropout=0.2)
+        config, params, table, batch = make_tiny_problem(batch_size=3, dropout=0.2,
+                                                         **problem)
         train_step(params, batch, table, init_optimizer(params), config)
-        (ops,) = tapes
-        assert (len(ops), ops.count("leaf"), ops.count("lstm")) == (31, 15, 4), ops
+        return tapes
 
     def test_zero_learning_rate_keeps_params(self):
         config, params, table, batch = make_tiny_problem(seed=22)
@@ -165,8 +187,8 @@ class TestTrainStep:
             backward = node.backward
 
             def poisoned(g):
-                dc, dq, dw = backward(g)
-                return dc, dq, np.full_like(dw, bad)
+                d_rows, dw = backward(g)
+                return d_rows, np.full_like(dw, bad)
 
             node.backward = poisoned
             return out
