@@ -148,6 +148,11 @@ def op_gradcheck_cases(seed: int = 0):
         ("take_rows", lambda t: total(ad.mul(ad.take_rows(t, take_index), take_weights)),
          take_rng.normal(size=(3, 2, 3))),
         ("bidaf_rows", lambda t: attend(t, att_w), att_rows),
+        # the context rows and the question rows of the [c ; q] block, each alone
+        ("bidaf_context", lambda t: attend(ad.concat([t, att_rows[att_c.size:]], axis=0),
+                                           att_w), att_rows[:att_c.size]),
+        ("bidaf_question", lambda t: attend(ad.concat([att_rows[:att_c.size], t], axis=0),
+                                            att_w), att_rows[att_c.size:]),
         ("bidaf_w_sim", lambda t: attend(att_rows, t), att_w),
     ]
 
