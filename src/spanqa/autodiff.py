@@ -487,8 +487,7 @@ def _shifted(logits, keep):
 
 
 def _softmax(logits, keep):
-    """Softmax over the last axis restricted to the `keep` positions, which
-    come out exactly 0; stable via the row max over the kept entries."""
+    """Softmax over the last axis at the `keep` positions, exactly 0 off them."""
     exps = np.exp(_shifted(logits, keep))
     return exps / exps.sum(axis=-1, keepdims=True)
 

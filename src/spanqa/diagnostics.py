@@ -59,11 +59,14 @@ def op_gradcheck_cases(seed: int = 0):
     att_rng = np.random.default_rng(seed + 5)
     att_c = ad.Packing(np.arange(5) < np.array([[5], [2], [4]]))
     att_q = ad.Packing(np.arange(3) < np.array([[1], [3], [2]]))
-    att_rows, att_w, att_weights = (
+    att_context, att_question, att_w, att_weights = (
         att_rng.normal(size=shape)
-        for shape in [(att_c.size + att_q.size, 4), (12,), (att_c.size, 16)])
+        for shape in [(att_c.size, 4), (att_q.size, 4), (12,), (att_c.size, 16)])
 
-    def attend(rows, w_sim):
+    def attend(context, question, w_sim):
+        k, n = np.arange(att_c.size + att_q.size), att_c.size    # the rows of [c ; q]
+        rows = ad.add(ad.mul(ad.take_rows(context, np.minimum(k, n - 1)), (k < n)[:, None]),
+                      ad.mul(ad.take_rows(question, np.maximum(k - n, 0)), (k >= n)[:, None]))
         return total(ad.mul(ad.bidaf(rows, w_sim, att_c, att_q), att_weights))
 
     # dropout applied inside lstm and linear: some blocks dropped at 0.4
@@ -147,13 +150,9 @@ def op_gradcheck_cases(seed: int = 0):
             lin_weights)), lin_w),
         ("take_rows", lambda t: total(ad.mul(ad.take_rows(t, take_index), take_weights)),
          take_rng.normal(size=(3, 2, 3))),
-        ("bidaf_rows", lambda t: attend(t, att_w), att_rows),
-        # the context rows and the question rows of the [c ; q] block, each alone
-        ("bidaf_context", lambda t: attend(ad.concat([t, att_rows[att_c.size:]], axis=0),
-                                           att_w), att_rows[:att_c.size]),
-        ("bidaf_question", lambda t: attend(ad.concat([att_rows[:att_c.size], t], axis=0),
-                                            att_w), att_rows[att_c.size:]),
-        ("bidaf_w_sim", lambda t: attend(att_rows, t), att_w),
+        ("bidaf_context", lambda t: attend(t, att_question, att_w), att_context),
+        ("bidaf_question", lambda t: attend(att_context, t, att_w), att_question),
+        ("bidaf_w_sim", lambda t: attend(att_context, att_question, t), att_w),
     ]
 
 

@@ -192,7 +192,6 @@ def bidaf_attention(rows: Tensor, w_sim, context_packing: ad.Packing,
                     question_packing: ad.Packing) -> Tensor:
     """Bidirectional attention over packed rows: [c ; q] (N+Nq,2h) -> G (N,8h).
 
-    `rows` stacks the packed context rows c over the packed question rows q.
     Similarity S[b,i,j] = w_sim . [c_i ; q_j ; c_i*q_j]; context-to-question
     attention gives each live context position a summary u~_i of the
     question, and question-to-context attention one summary h~ of the

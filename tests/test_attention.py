@@ -80,8 +80,9 @@ def test_gradients(probe):
 @pytest.mark.parametrize("seed", [10, 11, 12])
 def test_op_matches_both_references_taped_and_untaped(seed, hidden):
     # the values against the plain equations, and the gradients of
-    # sum(G * weights) over the packed [c ; q] and w_sim against central
-    # differences, on 12 seeded coordinates of each
+    # sum(G * weights) over the packed c, the packed q (each alone, the other
+    # held fixed in [c ; q]) and w_sim against central differences, on 12
+    # seeded coordinates of each
     inputs = ragged_inputs(seed, hidden, batch=6, lc=11, lq=7)
     live = inputs[3] > 0
     want = bidaf_reference(*inputs)
@@ -93,15 +94,16 @@ def test_op_matches_both_references_taped_and_untaped(seed, hidden):
     assert np.array_equal(untaped, taped.data)
     assert np.abs(padded(untaped, live)[live] - want[live]).max() < 1e-12
     contexts, questions = ad.Packing(inputs[3]), ad.Packing(inputs[4])
-    values = [np.concatenate([inputs[0][contexts.index], inputs[1][questions.index]]),
-              inputs[2]]
+    packed = np.concatenate([inputs[0][contexts.index], inputs[1][questions.index]])
+    blocks = [slice(0, contexts.size), slice(contexts.size, len(packed)), None]
     weights = np.random.default_rng(seed).normal(size=(contexts.size, 8 * hidden))
-    for k, value in enumerate(values):
-        def loss(t, k=k):
-            args = values[:k] + [t] + values[k + 1:]
-            out = bidaf_attention(*args, contexts, questions)
+    for k, block in enumerate(blocks):
+        def loss(t, block=block):
+            rows = packed if block is None else with_block(t, packed, block)
+            out = bidaf_attention(rows, t if block is None else inputs[2], contexts, questions)
             return ad.reduce_sum(ad.mul(out, weights))
 
+        value = inputs[2] if block is None else packed[block]
         assert ad.grad_check(loss, value, coords=12, seed=seed) < OP_THRESHOLD, k
 
 
