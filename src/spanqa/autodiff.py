@@ -142,11 +142,8 @@ class Graph:
         would broadcast, raises DimensionError naming the op and the node.
         A tensor's first gradient is kept as its op returned it, which may
         be a view or an array shared with another parent (`add` gives both
-        the same one). The second is summed into a new array that the graph
-        owns, and every later one of the same dtype is added into that
-        array in place, so no third array is built beside the two; a later
-        one of another dtype is summed out of place. The additions are the
-        same, in the same order, either way.
+        the same one), and each later one is summed out of place, so the
+        graph never writes into a gradient.
         """
         if self._spent:
             raise GraphSpentError("backward already ran on this graph")
@@ -158,7 +155,6 @@ class Graph:
             )
         self._spent = True
         grads: dict[int, np.ndarray] = {root.node_id: np.ones((), root.data.dtype)}
-        owned = set()       # ids whose gradient is a sum made here
         for nid in range(root.node_id, -1, -1):
             node = self._nodes[nid]
             backward, node.backward = node.backward, None
@@ -176,13 +172,7 @@ class Graph:
                     raise DimensionError(
                         f"backward: {node.op} node {nid} gave a {pg.shape} gradient "
                         f"for node {pid} of shape {self._nodes[pid].out.shape}")
-                if pid not in grads:
-                    grads[pid] = pg
-                elif pid in owned and grads[pid].dtype == pg.dtype:
-                    grads[pid] += pg
-                else:
-                    grads[pid] = grads[pid] + pg
-                    owned.add(pid)
+                grads[pid] = grads[pid] + pg if pid in grads else pg
             pg = None
         return {nid: grads[nid] if nid in grads else np.zeros_like(node.out)
                 for nid, node in enumerate(self._nodes)

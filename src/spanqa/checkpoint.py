@@ -14,11 +14,7 @@ Adam moments, each block laid end to end in ``model.param_shapes`` order. A
 saved parameter costs 12 bytes: itself and its two moments, 4 bytes each.
 
 Format version 6 is the only one written or read: version 1 to 5 files raise
-``CheckpointVersionError`` and are not converted (version 5 also held each
-span head's FC2 bias, and laid out every tensor sorted by a name, the moments'
-with an ``adam.m`` or ``adam.v`` prefix; version 4 split each BiLSTM
-layer's W and b by direction; version 3 also stored the tensor layout and the
-encoder's depth, and version 2 held version 3's layout in float64).
+``CheckpointVersionError`` and are not converted.
 
 Loading raises a ``CheckpointError`` subclass for any file it cannot take at
 its word: wrong magic, a format version other than 6, truncation, a payload

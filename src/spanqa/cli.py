@@ -163,7 +163,7 @@ def _check_writable(path) -> None:
 
 def cmd_train(args) -> int:
     training.check_settings(args.batch_size, args.max_answer_len, args.eval_every,
-                            args.lr)
+                            args.lr, args.iters)
     log_path = args.log or f"{args.out}.log"
     # fail now, not after loading or training when the file is first written
     for path in [args.out, log_path] + ([f"{args.out}.last"] if args.dev else []):

@@ -162,7 +162,7 @@ def epoch_order(seed: int, epoch: int, count: int) -> np.ndarray:
 
 
 def check_settings(batch_size: int, max_answer_len: int,
-                   eval_every: int = 500, lr: float = 1e-3) -> None:
+                   eval_every: int = 500, lr: float = 1e-3, iters: int = 0) -> None:
     """Raise ConfigError for a run setting out of range. `train` and
     `predict_answers` check their own; `qa` checks its flags before it loads
     or opens any file."""
@@ -174,6 +174,8 @@ def check_settings(batch_size: int, max_answer_len: int,
         raise ConfigError(f"eval_every must be >= 1, got {eval_every}")
     if not 0.0 < lr < float("inf"):
         raise ConfigError(f"lr must be finite and > 0, got {lr}")
+    if iters < 0:
+        raise ConfigError(f"iters must be >= 0, got {iters}")
 
 
 def predict_answers(examples, params, table, config: qa_model.ModelConfig,
@@ -229,7 +231,7 @@ def train(train_examples, table: EmbeddingTable, config: qa_model.ModelConfig,
     best so far, from the checkpoint when resuming); dev decoding happens
     every `eval_every` iterations when dev_examples is given.
     """
-    check_settings(batch_size, max_answer_len, eval_every, lr)
+    check_settings(batch_size, max_answer_len, eval_every, lr, iters)
     usable, _ = prepare_for_training(train_examples, config.context_cap)
     if not usable:
         raise ValueError("no trainable examples after truncation filtering")

@@ -203,11 +203,12 @@ class TestTrain:
                                             ("--context-cap", "0"),
                                             ("--lr", "0"),
                                             ("--lr", "-0.001"),
-                                            ("--lr", "nan")])
+                                            ("--lr", "nan"),
+                                            ("--iters", "-1")])
     def test_nonpositive_count_is_an_error(self, fixtures_dir, tmp_path, capsys,
                                            monkeypatch, flag, value):
         # rejected before any file is loaded or opened, so an earlier run's
-        # log keeps its bytes
+        # checkpoint and log keep their bytes
         monkeypatch.setattr(cli, "load_squad",
                             lambda *args: pytest.fail("the data were loaded"))
         monkeypatch.setattr(training, "train_step",
@@ -215,6 +216,7 @@ class TestTrain:
         fixture = str(fixtures_dir / "tiny_squad.json")
         out = tmp_path / "m.ckpt"
         log = tmp_path / "m.ckpt.log"
+        out.write_bytes(b"an earlier checkpoint")
         log.write_text('{"iteration": 1}\n')
         code = main(["train", "--data", fixture, "--dev", fixture,
                      "--glove", str(fixtures_dir / "tiny_glove.txt"),
@@ -224,7 +226,7 @@ class TestTrain:
         assert code == 1
         assert err.startswith("error: ")
         assert flag[2:].replace("-", "_") in err
-        assert not out.exists()
+        assert out.read_bytes() == b"an earlier checkpoint"
         assert log.read_text() == '{"iteration": 1}\n'
 
     def test_missing_out_directory_fails_before_training(self, fixtures_dir,
