@@ -12,8 +12,9 @@ from spanqa import autodiff as ad
 
 x = ad.Tensor([[1.0, 2.0], [3.0, 4.0]])
 w = ad.Tensor([[5.0, 6.0], [7.0, 8.0]])
-print("linear x @ w^T + b:\n", ad.linear([x], w, [0.5, -0.5]).data)
-print("relu(-1, 0, 2):", ad.relu([-1.0, 0.0, 2.0]).data)
+# a span head, one logit per row: relu(x @ w^T + b1) @ w2^T; the relu
+# zeroes the second hidden unit of the first row (7 + 16 - 25 < 0)
+print("head relu(x @ w^T + b1) @ w2^T:\n", ad.head([x], w, [0.5, -25.0], [[1.0, -1.0]]).data)
 
 # %%
 # For gradients, register leaves on a Graph: every leaf is trainable, and a
@@ -42,6 +43,6 @@ print("masked softmax:\n", probs, "\nrow sums:", probs.sum(axis=1))
 # grad_check compares backprop against central finite differences at a
 # fixed step, re-probing ten times narrower where a kink lies within it.
 
-err = ad.grad_check(lambda t: ad.reduce_sum(ad.relu(ad.linear([t], w, [0.5, -0.5]))),
+err = ad.grad_check(lambda t: ad.reduce_sum(ad.head([t], w, [0.5, -0.5], [[1.0, -1.0]])),
                     np.random.default_rng(0).normal(size=(3, 2)))
-print(f"relu(linear) gradcheck worst relative error: {err:.2e}")
+print(f"head gradcheck worst relative error: {err:.2e}")

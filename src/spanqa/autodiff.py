@@ -40,7 +40,6 @@ __all__ = [
     "mul",
     "tanh",
     "sigmoid",
-    "relu",
     "concat",
     "slice_axis",
     "reshape",
@@ -50,7 +49,7 @@ __all__ = [
     "repeat_axis",
     "take_rows",
     "Packing",
-    "linear",
+    "head",
     "masked_softmax",
     "cross_entropy",
     "dropout",
@@ -333,12 +332,6 @@ def sigmoid(x) -> Tensor:
     return _elementwise("sigmoid", x, forward, lambda g, x, y: g * y * (1.0 - y))
 
 
-def relu(x) -> Tensor:
-    """max(x, 0); the subgradient at exactly 0 is 0."""
-    return _elementwise("relu", x, lambda x: np.maximum(x, 0.0),
-                        lambda g, x, y: g * (x > 0))
-
-
 def concat(tensors, axis: int) -> Tensor:
     """Concatenate along an axis; backward slices the gradient back apart."""
     tensors = [_lift(t) for t in tensors]
@@ -508,36 +501,38 @@ def masked_softmax(logits, packing: Packing) -> np.ndarray:
     return _softmax(padded, packing.mask)
 
 
-def cross_entropy(logits, gold, packing: Packing) -> Tensor:
-    """Mean over rows b of -ln softmax(logits)[b, gold_b], each softmax over
-    its row's live positions: the row's max-shifted log-sum-exp minus its
-    gold logit. The logits come packed (N, 1), as the heads give them, and
-    are laid out (B, L) inside; gold_b must lie within row b's length.
-    Backward is (softmax - onehot) * g / B, packed back to (N, 1).
+def cross_entropy(logits, golds, packing: Packing) -> Tensor:
+    """Sum over the heads of the mean over rows b of -ln softmax(z)[b, gold_b],
+    for each head's logits z and golds, each softmax over its row's live
+    positions: the row's max-shifted log-sum-exp minus its gold logit. Each z
+    comes packed (N, 1), as the heads give them, and is laid out (B, L)
+    inside; gold_b must lie within row b's length. One node, whose backward
+    gives each head (softmax - onehot) * g / B, packed back to (N, 1).
     """
-    logits = _lift(logits)
-    padded = _padded_logits("cross_entropy", logits, packing)
-    keep, rows = packing.mask, np.arange(packing.shape[0])
-    gold = np.asarray(gold, dtype=np.int64)
-    if gold.shape != rows.shape:
-        raise LabelError(f"cross_entropy: gold shape {gold.shape} != {rows.shape}")
+    logits = [_lift(z) for z in logits]
+    padded = np.stack([_padded_logits("cross_entropy", z, packing) for z in logits])
+    keep, heads, rows = packing.mask, np.arange(len(logits))[:, None], np.arange(packing.shape[0])
+    gold = np.asarray(golds, dtype=np.int64)
+    if gold.shape != (len(logits), len(rows)):
+        raise LabelError(f"cross_entropy: gold shape {gold.shape} != {(len(logits), len(rows))}")
     lengths = np.count_nonzero(keep, axis=1)
-    bad = np.flatnonzero((gold < 0) | (gold >= lengths))
+    bad = np.argwhere((gold < 0) | (gold >= lengths))
     if bad.size:
-        raise LabelError(f"cross_entropy: gold index {gold[bad[0]]} is outside row "
-                         f"{bad[0]} of length {lengths[bad[0]]}")
+        h, b = bad[0]
+        raise LabelError(f"cross_entropy: gold index {gold[h, b]} is outside row {b} "
+                         f"of length {lengths[b]}")
     shifted = _shifted(padded, keep)
     exps = np.exp(shifted)
-    sums = exps.sum(axis=1, keepdims=True)
-    out = np.array((np.log(sums[:, 0]) - shifted[rows, gold]).mean())
+    sums = exps.sum(axis=-1, keepdims=True)
+    out = np.array((np.log(sums[..., 0]) - shifted[heads, rows, gold]).mean(axis=1).sum())
 
     def backward(g):
         scale = float(g) / len(rows)
         gz = exps * (scale / sums)
-        gz[rows, gold] -= scale
-        return (gz[packing.index][:, None],)
+        gz[heads, rows, gold] -= scale
+        return [z[packing.index][:, None] for z in gz]
 
-    return _apply("cross_entropy", (logits,), out, backward)
+    return _apply("cross_entropy", logits, out, backward)
 
 
 def _dropout_mask(data, rate: float, seed: int):
@@ -584,7 +579,7 @@ def dropout(x, rate: float, seed: int) -> Tensor:
 
 
 class Dropped(NamedTuple):
-    """A row block that enters `linear` or `lstm` as dropout(x, rate, seed)
+    """A row block that enters `head` or `lstm` as dropout(x, rate, seed)
     would give it, bit for bit. The op's tape node keeps only (rate, seed):
     its backward draws the block's boolean mask again."""
     x: object
@@ -690,7 +685,7 @@ def _masks(datas, drops):
 
 
 def _input_grads(g, datas, masks, spans, w, dw, needs):
-    """dW and dX of the row blocks x_i of `linear` or `lstm`, from the
+    """dW and dX of the row blocks x_i of `head` or `lstm`, from the
     gradient g (N, m) of their product with the weight w (m, sum(n_i)).
     Block by block, its mask (from `masks`, in block order) serves both:
     the block's columns of dw get g^T @ dropped x_i, with the dropped
@@ -703,29 +698,37 @@ def _input_grads(g, datas, masks, spans, w, dw, needs):
     return dxs
 
 
-def linear(xs, W, b) -> Tensor:
-    """[x_1 | x_2 | ...] @ W^T + b over row blocks (N, n_i) whose widths sum
-    to W's columns: each block meets its own column slice of W, a chunk of
-    rows at a time. A block may come `Dropped`; only a chunk of it is ever
-    dropped at once, and the tape keeps its (rate, seed), not its mask:
-    backward redraws the mask for `_input_grads`."""
-    W, b = _lift(W), _lift(b)
-    if W.ndim != 2 or b.shape != W.shape[:1]:
-        raise DimensionError(f"linear: incompatible W {W.shape} and b {b.shape}")
-    xs, drops, spans = _row_blocks(xs, W.shape[1], "linear")
-    wd, datas = W.data, [x.data for x in xs]
-    out = np.empty((len(datas[0]), wd.shape[0]), np.result_type(wd, *datas))
-    _rows_times(out, datas, [wd[:, lo:hi].T for lo, hi in spans],
-                list(_masks(datas, drops)))
-    out += b.data
+def head(xs, W1, b1, W2) -> Tensor:
+    """A span head's packed (N, 1) logits relu([x_1 | x_2 | ...] @ W1^T + b1)
+    @ W2^T over row blocks (N, n_i) whose widths sum to W1's columns: each
+    block meets its own column slice of W1, a chunk of rows at a time. A
+    block may come `Dropped`: the tape keeps its (rate, seed), and backward
+    redraws its mask for `_input_grads`. The relu runs in place, and the tape
+    keeps only the hidden layer after it, whose mask hidden > 0 is the relu's.
+    FC2 has no bias: a shift shared by a row's logits changes neither its
+    softmax nor its loss, so none could be learned (BiDAF's has none either)."""
+    W1, b1, W2 = _lift(W1), _lift(b1), _lift(W2)
+    if W1.ndim != 2 or b1.shape != W1.shape[:1] or W2.shape != (1, W1.shape[0]):
+        raise DimensionError(f"head: incompatible W1 {W1.shape}, b1 {b1.shape} and W2 {W2.shape}")
+    xs, drops, spans = _row_blocks(xs, W1.shape[1], "head")
+    w1, w2, datas = W1.data, W2.data, [x.data for x in xs]
+    hidden = np.empty((len(datas[0]), w1.shape[0]), np.result_type(w1, *datas))
+    _rows_times(hidden, datas, [w1[:, lo:hi].T for lo, hi in spans], list(_masks(datas, drops)))
+    hidden += b1.data
+    np.maximum(hidden, 0.0, out=hidden)
+    out = _rows_times(np.empty((len(hidden), 1), np.result_type(w2, hidden)), [hidden], [w2.T],
+                      [None])
     needs = [x.graph is not None for x in xs]
 
     def backward(g):
-        dw = np.empty(wd.shape, g.dtype)
-        dxs = _input_grads(g, datas, _masks(datas, drops), spans, wd, dw, needs)
-        return (*dxs, dw, g.sum(axis=0))
+        dw2 = np.empty(w2.shape, g.dtype)
+        (dh,) = _input_grads(g, [hidden], [None], [(0, w2.shape[1])], w2, dw2, [True])
+        dh *= hidden > 0
+        dw1 = np.empty(w1.shape, dh.dtype)
+        dxs = _input_grads(dh, datas, _masks(datas, drops), spans, w1, dw1, needs)
+        return (*dxs, dw1, dh.sum(axis=0), dw2)
 
-    return _apply("linear", (*xs, W, b), out, backward)
+    return _apply("head", (*xs, W1, b1, W2), out, backward)
 
 
 def _preactivations(datas, masks, spans, w, b, packing: Packing, reverse: bool,
@@ -1050,8 +1053,8 @@ def grad_check(f, x, coords: int | None = None, seed: int = 0) -> float:
     step to round-off: 2e-11 for a unit loss, or 2e-3 of a 1e-8 gradient.
     Where max(|a|, |n|) is under 1e4 times that, a Richardson estimate from
     steps 100 and 200 times wider is tried too. Where the error still
-    exceeds 1e-6, a step ten times narrower is tried: a kink (relu, max)
-    within one step of the probe skews the first estimate.
+    exceeds 1e-6, a step ten times narrower is tried: a kink (a head's
+    relu) within one step of the probe skews the first estimate.
     """
     xd = _as_array(x).copy()
     graph = Graph()

@@ -257,7 +257,7 @@ def cmd_gradcheck(args) -> int:
     rows, all_ok = diagnostics.run_gradcheck_suite(seed=args.seed)
     for name, err, threshold in rows:
         verdict = "ok" if err < threshold else "FAIL"
-        print(f"{name:<16} worst rel err {err:.3e}  (< {threshold:.0e})  {verdict}")
+        print(f"{name:<19} worst rel err {err:.3e}  (< {threshold:.0e})  {verdict}")
     print("gradcheck: " + ("all passed" if all_ok else "FAILURES above"))
     return 0 if all_ok else 1
 

@@ -21,9 +21,9 @@ def op_gradcheck_cases(seed: int = 0):
     rng = np.random.default_rng(seed)
     right = rng.normal(size=(4, 5))
     batched = rng.normal(size=(2, 3, 4))
-    # the packed logits of rows of lengths 4, 6 and 2
+    # two heads' packed logits over rows of lengths 4, 6 and 2: one is probed, one a ramp
     logit_rows = ad.Packing(np.arange(6) < np.array([[4], [6], [2]]))
-    gold = np.array([1, 0, 1])
+    golds, ramp = (np.array([1, 0, 1]), np.array([3, 5, 1])), np.linspace(-2, 2, 12)[:, None]
     bias_weights = rng.normal(size=(3, 5))
     lstm_rng = np.random.default_rng(seed + 1)   # leaves the probes above as they were
     lstm_x = lstm_rng.normal(size=(3, 5, 3))
@@ -52,8 +52,8 @@ def op_gradcheck_cases(seed: int = 0):
         bcast_rng.normal(size=shape)
         for shape in [(2, 4, 1), (2, 1, 3), (2, 4, 3), (2, 4, 3), (3, 2, 5)])
     rows_rng = np.random.default_rng(seed + 4)
-    lin_1, lin_w, lin_b, lin_weights = (
-        rows_rng.normal(size=shape) for shape in [(4, 2), (3, 5), (3,), (4, 3)])
+    head_1, head_w1, head_b1, head_w2, head_weights = (
+        rows_rng.normal(size=shape) for shape in [(4, 2), (3, 5), (3,), (1, 3), (4, 1)])
     # the attention over ragged contexts and questions, rows out of length
     # order: 2h = 4, context lengths 5, 2, 4 and question lengths 1, 3, 2
     att_rng = np.random.default_rng(seed + 5)
@@ -69,12 +69,16 @@ def op_gradcheck_cases(seed: int = 0):
                       ad.mul(ad.take_rows(question, np.maximum(k - n, 0)), (k >= n)[:, None]))
         return total(ad.mul(ad.bidaf(rows, w_sim, att_c, att_q), att_weights))
 
-    # dropout applied inside lstm and linear: some blocks dropped at 0.4
+    # dropout applied inside lstm and head: some blocks dropped at 0.4
     def dropped(x, mask_seed):
         return ad.Dropped(x, 0.4, mask_seed)
 
     def total(x):
         return ad.reduce_sum(x)
+
+    def fc(blocks, w1=head_w1, b1=head_b1, w2=head_w2):
+        """A head's logits over 4 rows, weighted so every row counts."""
+        return total(ad.mul(ad.head(blocks, w1, b1, w2), head_weights))
 
     def lstm_both(blocks, w, b, packing=packed, weights=lstm_weights, rebuild_gates=False):
         """Both directions over a ragged batch's packed rows, weighted so
@@ -89,7 +93,6 @@ def op_gradcheck_cases(seed: int = 0):
         ("mul", lambda t: total(ad.mul(t, right)), rng.normal(size=(4, 5))),
         ("tanh", lambda t: total(ad.tanh(t)), rng.normal(size=(4, 4))),
         ("sigmoid", lambda t: total(ad.sigmoid(t)), rng.normal(size=(4, 4))),
-        ("relu", lambda t: total(ad.relu(t)), rng.normal(size=(4, 4))),
         ("concat", lambda t: total(ad.concat([t, ad.Tensor(right)], axis=0)),
          rng.normal(size=(2, 5))),
         ("slice", lambda t: total(ad.slice_axis(t, 1, 1, 3)), rng.normal(size=(3, 5))),
@@ -109,7 +112,9 @@ def op_gradcheck_cases(seed: int = 0):
          rng.normal(size=(2, 4))),
         ("repeat_axis", lambda t: total(ad.mul(ad.repeat_axis(t, 1, 4), np.arange(24.0).reshape(2, 4, 3))),
          rng.normal(size=(2, 1, 3))),
-        ("cross_entropy", lambda t: ad.cross_entropy(t, gold, logit_rows),   # logits
+        ("cross_entropy_start", lambda t: ad.cross_entropy((t, ramp), golds, logit_rows),
+         (rng.random((3, 6)) * 6.0 - 3.0)[logit_rows.index][:, None]),
+        ("cross_entropy_end", lambda t: ad.cross_entropy((ramp, t), golds, logit_rows),
          (rng.random((3, 6)) * 6.0 - 3.0)[logit_rows.index][:, None]),
         ("dropout", lambda t: total(ad.dropout(t, 0.4, seed=99)),
          rng.normal(size=(5, 5))),
@@ -135,19 +140,15 @@ def op_gradcheck_cases(seed: int = 0):
         ("lstm_rebuilt_W",
          lambda t: lstm_both([block_1, dropped(block_2, 99)], t, lstm_b, unsorted,
                              unsorted_weights, rebuild_gates=True), lstm_w),
-        ("linear_x", lambda t: total(ad.mul(ad.linear([lin_1, t], lin_w, lin_b),
-                                            lin_weights)), rows_rng.normal(size=(4, 3))),
-        ("linear_W", lambda t: total(ad.mul(ad.linear([lin_1, lin_1[:, :1] * 2.0, lin_1],
-                                                      t, lin_b), lin_weights)),
+        ("head_x", lambda t: fc([head_1, t]), rows_rng.normal(size=(4, 3))),
+        ("head_W1", lambda t: fc([head_1, head_1[:, :1] * 2.0, head_1], w1=t),
          rows_rng.normal(size=(3, 5))),
-        ("linear_b", lambda t: total(ad.mul(ad.linear([lin_1, lin_1, lin_1[:, :1]],
-                                                      lin_w, t), lin_weights)), lin_b),
-        ("linear_dropped_x", lambda t: total(ad.mul(
-            ad.linear([dropped(t, 98), dropped(lin_1, 99), lin_1[:, :1]], lin_w, lin_b),
-            lin_weights)), lin_1),
-        ("linear_dropped_W", lambda t: total(ad.mul(
-            ad.linear([dropped(lin_1, 98), lin_1[:, :1], dropped(lin_1, 99)], t, lin_b),
-            lin_weights)), lin_w),
+        ("head_b1", lambda t: fc([head_1, head_1, head_1[:, :1]], b1=t), head_b1),
+        ("head_W2", lambda t: fc([dropped(head_1, 98), head_1, head_1[:, :1]], w2=t), head_w2),
+        ("head_dropped_x", lambda t: fc([dropped(t, 98), dropped(head_1, 99), head_1[:, :1]]),
+         head_1),
+        ("head_dropped_W",
+         lambda t: fc([dropped(head_1, 98), head_1[:, :1], dropped(head_1, 99)], w1=t), head_w1),
         ("take_rows", lambda t: total(ad.mul(ad.take_rows(t, take_index), take_weights)),
          take_rng.normal(size=(3, 2, 3))),
         ("bidaf_context", lambda t: attend(t, att_question, att_w), att_context),

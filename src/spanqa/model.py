@@ -24,8 +24,8 @@ decoder and the heads take them as blocks [G | M], each multiplied by its
 column slice of the weight, a chunk of rows at a time. Only the attention's
 similarity matrix and, inside the loss and the softmaxes, the logits are
 laid out (B, L), so the cost follows the batch's token count, not B times
-the longest row, and a taped training forward plus loss records 30 nodes
-(15 leaves, 15 ops, one gather) whatever the sequence length.
+the longest row, and a taped training forward plus loss records 24 nodes
+(15 leaves; 9 ops: one gather, one per head, one loss) whatever the sequence length.
 
 Parameters live in a plain name -> ndarray dict. ``forward`` accepts either
 ndarrays (inference; no tape is recorded) or graph-leaf Tensors (training),
@@ -163,7 +163,7 @@ def embed(ids: np.ndarray, table: EmbeddingTable, dtype=np.float64) -> Tensor:
 
 def _dropout(blocks, rate: float, seeds):
     """Each block marked for dropout under its own seed, which the consuming
-    `ad.lstm` or `ad.linear` applies; the blocks as they are at rate 0."""
+    `ad.lstm` or `ad.head` applies; the blocks as they are at rate 0."""
     return [ad.Dropped(x, rate, next(seeds)) if rate > 0.0 else x for x in blocks]
 
 
@@ -205,16 +205,10 @@ def bidaf_attention(rows: Tensor, w_sim, context_packing: ad.Packing,
 
 def _decode(blocks, decoder_params, head, packing, drop):
     """A BiLSTM layer over the row blocks, then the per-position head
-    FC2(relu(FC1([G_i ; M_i]))) over the packed rows, with `drop` on the
-    FC1 input blocks; returns M and the packed (N, 1) logits.
-
-    FC2 has no bias: a shift shared by all of a row's logits changes neither
-    its softmax nor its cross-entropy, so such a bias could not be learned
-    (BiDAF's output layer has none either). Its `ad.linear` takes a zero
-    constant as the bias, which joins no tape."""
+    FC2(relu(FC1([G_i ; M_i]))) over the packed rows as one `ad.head`, with
+    `drop` on the FC1 input blocks; returns M and the packed (N, 1) logits."""
     m = ad.lstm(drop(blocks), packing, *decoder_params)
-    hidden = ad.relu(ad.linear(drop([blocks[0], m]), head["W1"], head["b1"]))
-    return m, ad.linear([hidden], head["W2"], np.zeros(1, hidden.data.dtype))
+    return m, ad.head(drop([blocks[0], m]), head["W1"], head["b1"], head["W2"])
 
 
 def start_decoder(attention_out: Tensor, decoder_params, head_params,
@@ -302,5 +296,5 @@ def forward(batch: Batch, params, table: EmbeddingTable, config: ModelConfig,
 
 def loss(out: ForwardOutput, gold_starts, gold_ends) -> Tensor:
     """Batch-mean start plus batch-mean end cross-entropy over the packed rows."""
-    return ad.add(ad.cross_entropy(out.start_logits, gold_starts, out.packing),
-                  ad.cross_entropy(out.end_logits, gold_ends, out.packing))
+    return ad.cross_entropy((out.start_logits, out.end_logits), (gold_starts, gold_ends),
+                            out.packing)

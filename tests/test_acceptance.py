@@ -140,9 +140,9 @@ def test_criterion_6_conditioning_path():
         leaves = {k: graph.leaf(v) for k, v in params.items()}
         out = forward(batch, leaves, table, config)
         if which == "end":
-            root = ad.cross_entropy(out.end_logits, batch.gold_ends, out.packing)
+            root = ad.cross_entropy((out.end_logits,), (batch.gold_ends,), out.packing)
         else:
-            root = ad.cross_entropy(out.start_logits, batch.gold_starts, out.packing)
+            root = ad.cross_entropy((out.start_logits,), (batch.gold_starts,), out.packing)
         grads = graph.backward(root)
         return {k: grads[leaf.node_id] for k, leaf in leaves.items()}
 

@@ -37,9 +37,6 @@ class TestMatmul:
 
 
 class TestElementwise:
-    def test_relu_signs(self):
-        assert np.array_equal(ad.relu([-1.0, 0.0, 2.0]).data, [0.0, 0.0, 2.0])
-
     def test_sigmoid_symmetry_point(self):
         assert ad.sigmoid([0.0]).data[0] == 0.5
         # s(x) + s(-x) = 1, in [0, 1], and no exp overflows
@@ -221,29 +218,29 @@ class TestCrossEntropy:
     def test_one_hot_is_zero(self):
         # only the gold position live: softmax puts all its mass there
         z, packing = packed_logits([[-4.0, 9.0, 7.0]], [[1, 0, 0]])
-        out = ad.cross_entropy(z, [0], packing)
+        out = ad.cross_entropy((z,), ([0],), packing)
         assert out.item() == 0.0
 
     def test_uniform(self):
         z, packing = packed_logits(np.full((2, 4), 3.5), np.ones((2, 4)))
-        out = ad.cross_entropy(z, [0, 3], packing)
+        out = ad.cross_entropy((z,), ([0, 3],), packing)
         assert out.item() == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_point_one(self):
         # softmax([0, ln 9]) = [0.1, 0.9], so the loss is -ln(0.1)
         z, packing = packed_logits([[0.0, math.log(9.0)]], np.ones((1, 2)))
-        out = ad.cross_entropy(z, [0], packing)
+        out = ad.cross_entropy((z,), ([0],), packing)
         assert out.item() == pytest.approx(2.302585092994046, abs=1e-12)
 
     def test_masked_gold_rejected(self):
         z, packing = packed_logits(np.zeros((1, 3)), [[1, 1, 0]])
         with pytest.raises(ad.LabelError):
-            ad.cross_entropy(z, [2], packing)
+            ad.cross_entropy((z,), ([2],), packing)
 
     def test_out_of_range_gold_rejected(self):
         z, packing = packed_logits(np.zeros((1, 3)), np.ones((1, 3)))
         with pytest.raises(ad.LabelError):
-            ad.cross_entropy(z, [3], packing)
+            ad.cross_entropy((z,), ([3],), packing)
 
     @pytest.mark.parametrize("lengths,gold,row", [
         ([2, 0, 4, 1], [1, 0, 3, 0], 1),     # an empty row has no place for gold
@@ -257,12 +254,12 @@ class TestCrossEntropy:
     def test_gold_outside_its_row_rejected(self, lengths, gold, row):
         packing = ad.Packing(np.arange(4) < np.array(lengths)[:, None])
         with pytest.raises(ad.LabelError, match=f"row {row} of length {lengths[row]}$"):
-            ad.cross_entropy(np.zeros((packing.size, 1)), gold, packing)
+            ad.cross_entropy((np.zeros((packing.size, 1)),), (gold,), packing)
 
     @pytest.mark.parametrize("shape", [(6, 1), (8, 1), (7,), (7, 2)])
     def test_logits_must_be_one_per_packed_row(self, shape):
         with pytest.raises(ad.DimensionError, match=r"do not match 7 packed rows"):
-            ad.cross_entropy(np.zeros(shape), [0, 0, 0, 0], UNSORTED)
+            ad.cross_entropy((np.zeros(shape),), ([0, 0, 0, 0],), UNSORTED)
 
     def test_rows_out_of_length_order_give_each_row_its_gradient(self):
         # (softmax - onehot) / B of each row alone, at that row's packed rows
@@ -271,7 +268,7 @@ class TestCrossEntropy:
         packed, packing = packed_logits(logits, np.arange(4) < np.c_[lengths])
         graph = ad.Graph()
         z = graph.leaf(packed)
-        out = ad.cross_entropy(z, gold, packing)
+        out = ad.cross_entropy((z,), (gold,), packing)
         grad = graph.backward(out)[z.node_id]
         want_loss, want_grad = 0.0, np.zeros_like(logits)
         for row, (length, g) in enumerate(zip(lengths, gold)):
@@ -290,7 +287,7 @@ class TestCrossEntropy:
             length = rng.integers(1, 6)
             gold = rng.integers(length)
             z, packing = packed_logits(logits, [np.arange(5) < length])
-            loss = ad.cross_entropy(z, [gold], packing).item()
+            loss = ad.cross_entropy((z,), ([gold],), packing).item()
             p = ad.masked_softmax(z, packing)[0, gold]
             assert loss >= 0.0
             assert loss == pytest.approx(-math.log(p), abs=1e-12)
@@ -309,7 +306,7 @@ class TestCrossEntropy:
         graph = ad.Graph()
         packed, packing = packed_logits(logits, mask)
         z = graph.leaf(packed)
-        out = ad.cross_entropy(z, gold, packing)
+        out = ad.cross_entropy((z,), (gold,), packing)
         per_row = lse - wide[[0, 1], gold]
         assert per_row[0] == pytest.approx(80.0, abs=1e-6)
         assert out.data.dtype == np.float32
@@ -321,6 +318,64 @@ class TestCrossEntropy:
         grad = padded(grad[:, 0], mask)
         assert np.allclose(grad, want, rtol=1e-6, atol=1e-7)
         assert grad[0, 1] == pytest.approx(-0.5, rel=1e-6)
+
+    def test_two_heads_are_one_node_summing_each_heads_loss(self):
+        # the start and end heads' losses in one node: their sum, and each
+        # head's logits get that head's own gradient
+        rng = np.random.default_rng(9)
+        mask = np.arange(5) < np.c_[[3, 5, 2]]
+        logits = [packed_logits(rng.normal(size=(3, 5)), mask)[0] for _ in range(2)]
+        packing, golds = ad.Packing(mask), ([2, 4, 0], [1, 3, 1])
+        graph = ad.Graph()
+        heads = [graph.leaf(z) for z in logits]
+        out = ad.cross_entropy(heads, golds, packing)
+        assert len(graph) == 3
+        grads = graph.backward(out)
+        alone = []
+        for z, gold in zip(logits, golds):
+            g = ad.Graph()
+            leaf = g.leaf(z)
+            one = ad.cross_entropy((leaf,), (gold,), packing)
+            alone.append((one.item(), g.backward(one)[leaf.node_id]))
+        assert out.item() == alone[0][0] + alone[1][0]
+        for leaf, (_, grad) in zip(heads, alone):
+            assert np.array_equal(grads[leaf.node_id], grad)
+
+    def test_each_head_needs_its_gold(self):
+        z, packing = packed_logits(np.zeros((1, 3)), np.ones((1, 3)))
+        with pytest.raises(ad.LabelError, match=re.escape("gold shape (1, 1) != (2, 1)")):
+            ad.cross_entropy((z, z), ([0],), packing)
+
+
+class TestHead:
+    # FC2(relu(FC1([x_1 | dropped x_2 | x_3]))) written out in float64 numpy
+    def test_matches_the_float64_reference(self):
+        rng = np.random.default_rng(8)
+        x1, x2, x3 = (rng.normal(size=(6, n)) * 2.0 for n in (3, 4, 2))
+        w1, w2 = rng.normal(size=(5, 9)), rng.normal(size=(1, 5))
+        b1 = -np.abs(rng.normal(size=5)) - 0.1
+        for x in (x1, x2, x3):
+            x[0] = 0.0          # row 0's pre-activations are b1, all negative
+        keep, scale = ad._dropout_mask(x2, 0.3, 7)
+        pre = np.hstack([x1, x2 * keep * scale, x3]) @ w1.T + b1
+        assert (pre[0] < 0).all() and 0 < np.count_nonzero(pre > 0) < pre.size
+        want = np.maximum(pre, 0.0) @ w2.T
+        graph = ad.Graph()
+        leaf = graph.leaf(x1)
+        out = ad.head([leaf, ad.Dropped(x2, 0.3, 7), x3], w1, b1, w2)
+        assert out.shape == (6, 1) and out.data.dtype == np.float64
+        assert np.allclose(out.data, want, rtol=1e-13, atol=1e-13)
+        assert out.data[0, 0] == 0.0
+        grad = graph.backward(ad.reduce_sum(out))[leaf.node_id]
+        assert np.allclose(grad, ((pre > 0) * w2) @ w1[:, :3], rtol=1e-13, atol=1e-13)
+        assert not grad[0].any()
+
+    @pytest.mark.parametrize("w2_shape", [(1, 4), (2, 5), (5,), (5, 1)])
+    def test_fc2_weight_must_be_one_row_per_hidden_unit(self, w2_shape):
+        with pytest.raises(ad.DimensionError,
+                           match=re.escape(f"W1 (5, 9), b1 (5,) and W2 {w2_shape}")):
+            ad.head([np.zeros((2, 9))], np.zeros((5, 9)), np.zeros(5), np.zeros(w2_shape))
+
 
 class TestDropout:
     def test_zero_rate_identity(self):
@@ -542,14 +597,17 @@ class TestGradCheck:
 
     @staticmethod
     def _relu_loss(doubled):
-        """sum(w * relu(x)); with `doubled`, the backward reports twice the
-        true gradient."""
+        """sum(w * relu(x)) as one `ad.head` with W1 = I, b1 = 0 and W2 = w;
+        with `doubled`, the backward reports twice the true gradient."""
         w = np.arange(1.0, 5.0)
 
+        def relu_sum(x):
+            return ad.reduce_sum(ad.head([x], np.eye(4), np.zeros(4), w[None]))
+
         def loss(t):
-            out = ad.reduce_sum(ad.mul(ad.relu(t), w))
+            out = relu_sum(t)
             if doubled:
-                frozen = ad.reduce_sum(ad.mul(ad.relu(ad.Tensor(t.data.copy())), w))
+                frozen = relu_sum(ad.Tensor(t.data.copy()))
                 out = ad.add(ad.add(out, out), ad.mul(frozen, -1.0))
             return out
 
@@ -557,7 +615,7 @@ class TestGradCheck:
 
     # two probes within one 1e-5 step of relu's kink at 0, one on each side:
     # the 1e-5 step crosses it and reads 0.75 and 0.35 of the slope there
-    KINK_PROBE = np.array([0.7, 5e-6, -0.4, -3e-6])
+    KINK_PROBE = np.array([[0.7, 5e-6, -0.4, -3e-6]])
 
     def test_probe_near_a_kink_is_resolved(self):
         assert ad.grad_check(self._relu_loss(False), self.KINK_PROBE) < 1e-8

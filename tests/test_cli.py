@@ -629,12 +629,16 @@ class TestGradcheckCommand:
         assert "all passed" in out
 
     def test_corrupted_backward_rule_fails(self, monkeypatch, capsys):
-        # an op whose forward is relu but whose gradient path doubles it:
-        # the analytic/numeric mismatch must be reported as a failure
+        # an op whose forward is a sum of relus, one `ad.head` with W1 = I,
+        # b1 = 0 and W2 = 1, but whose gradient path doubles it: the
+        # analytic/numeric mismatch must be reported as a failure
+        def relu_sum(x):
+            return ad.head([x], np.eye(3), np.zeros(3), np.ones((1, 3)))
+
         def forged(t):
             frozen = ad.Tensor(t.data.copy())  # same values, no grad path
-            doubled = ad.add(ad.relu(t), ad.relu(t))
-            return ad.reduce_sum(ad.add(doubled, ad.mul(ad.relu(frozen), -1.0)))
+            doubled = ad.add(relu_sum(t), relu_sum(t))
+            return ad.reduce_sum(ad.add(doubled, ad.mul(relu_sum(frozen), -1.0)))
 
         real_cases = diagnostics.op_gradcheck_cases
         monkeypatch.setattr(

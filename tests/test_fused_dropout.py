@@ -1,4 +1,4 @@
-"""Dropout applied inside `ad.lstm` and `ad.linear` (`ad.Dropped` blocks)
+"""Dropout applied inside `ad.lstm` and `ad.head` (`ad.Dropped` blocks)
 against the composed reference, x * keep * scale for the mask that
 `ad._dropout_mask` draws, as its own tape node before the op; and the
 training tape it leaves: each block's (rate, seed) and no mask, since
@@ -42,7 +42,7 @@ def composed_model_dropout(blocks, rate, seeds):
 
 
 def run_graph(drop, dtype):
-    """G -> lstm([drop(G), drop(E)]) = M -> linear([drop(G), drop(M), E]),
+    """G -> lstm([drop(G), drop(E)]) = M -> head([drop(G), drop(M), E]),
     the decoder pattern: G feeds both ops under different masks, and E is an
     input no gradient reaches. Returns both outputs, every trainable leaf's
     gradient and the tape's ops."""
@@ -51,12 +51,12 @@ def run_graph(drop, dtype):
     n, h = packing.size, 3
     values = [rng.normal(size=shape).astype(dtype) for shape in
               [(n, 5), (n, 2), (8 * h, 7 + h), (8 * h,),
-               (4, 5 + 2 * h + 2), (4,), (n, 4)]]
+               (4, 5 + 2 * h + 2), (4,), (1, 4), (n, 1)]]
     graph = Graph()
-    g, e, w_lstm, b_lstm, w, b, probe = (
-        ad.Tensor(v) if i in (1, 6) else graph.leaf(v) for i, v in enumerate(values))
+    g, e, w_lstm, b_lstm, w1, b1, w2, probe = (
+        ad.Tensor(v) if i in (1, 7) else graph.leaf(v) for i, v in enumerate(values))
     m = ad.lstm([drop(g, 11), drop(e, 12)], packing, w_lstm, b_lstm)
-    y = ad.linear([drop(g, 13), drop(m, 14), e], w, b)
+    y = ad.head([drop(g, 13), drop(m, 14), e], w1, b1, w2)
     grads = graph.backward(ad.reduce_sum(ad.mul(y, probe)))
     return [m.data, y.data], list(grads.values()), [node.op for node in graph._nodes]
 
@@ -69,7 +69,7 @@ def test_fused_graph_matches_composed_bit_for_bit(dtype):
     # block on the tape: the frozen input E is a constant, so its reference
     # dropout joins no tape
     assert ops.count("mul") == 1 and ref_ops.count("mul") == 1 + 3
-    assert len(grads) == len(ref_grads) == 5
+    assert len(grads) == len(ref_grads) == 6
     for got, want in zip(outs + grads, ref_outs + ref_grads):
         assert got.dtype == dtype
         assert np.array_equal(got, want)
@@ -135,8 +135,8 @@ def test_dropout_adds_nothing_to_the_tape(monkeypatch):
     # not a mask's bytes
     assert len(masks) == 9
     assert dropped - base < 0.02 * sum(masks)
-    ops = [node for node in graph._nodes if node.op in ("lstm", "linear")]
-    assert len(ops) == model.ENCODER_LAYERS + 2 + 4
+    ops = [node for node in graph._nodes if node.op in ("lstm", "head")]
+    assert len(ops) == model.ENCODER_LAYERS + 2 + 2
     for node in ops:
         assert not list(closure_arrays(node.backward, "b")), node.op
 
@@ -169,9 +169,7 @@ def test_backward_frees_lstm_gate_buffers():
     # rebuilds its gates in backward and keeps none
     gates = [weakref.ref(a) for node in decoders for a in gate_buffers(node)]
     assert not any(gate_buffers(node) for node in encoder)
-    # (a 0-d result of a binary op on 0-d operands is a numpy scalar, not an array)
-    outputs = [weakref.ref(node.out) for node in graph._nodes
-               if node.op != "leaf" and isinstance(node.out, np.ndarray)]
+    outputs = [weakref.ref(node.out) for node in graph._nodes if node.op != "leaf"]
     assert len(gates) == 2 * len(decoders)
     assert all(ref() is not None for ref in gates)
     grads = graph.backward(root)

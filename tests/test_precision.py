@@ -18,7 +18,7 @@ FLOAT32_REL_TOL = 1e-4
 
 
 def test_float32_taped_step_stays_float32():
-    # dropout on, so every lstm and linear input block comes Dropped and its
+    # dropout on, so every lstm and head input block comes Dropped and its
     # mask's scale meets the block in forward and its gradient in backward
     config, params, table, batch = make_tiny_problem(dropout=0.3)
     graph = Graph()
@@ -43,7 +43,7 @@ def test_float32_taped_step_stays_float32():
         if node.backward is not None:
             node.backward = recording(node.op, node.backward)
     grads = graph.backward(root)
-    assert {op for op, _ in passed} >= {"lstm", "linear"}
+    assert {op for op, _ in passed} >= {"lstm", "head"}
     assert {dtype for _, dtype in passed} == {np.dtype(np.float32)}
     assert len(grads) == len(params)
     assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}

@@ -60,13 +60,15 @@ class TestTrainStep:
         assert losses[-1] < losses[0]
 
     @pytest.mark.parametrize("context_len", [7, 60])
-    def test_step_records_30_tape_nodes(self, monkeypatch, context_len):
-        # 15 parameter leaves and 15 ops, one lstm node per BiLSTM layer with
-        # both directions' weight and bias as one leaf each: the tape follows
-        # the layers, not the sequence length
+    def test_step_records_24_tape_nodes(self, monkeypatch, context_len):
+        # 15 parameter leaves and 9 ops, one lstm node per BiLSTM layer with
+        # both directions' weight and bias as one leaf each, one head node
+        # per span head and one loss node: the tape follows the layers, not
+        # the sequence length
         (nodes,) = self._recorded_tapes(monkeypatch, seed=5, context_len=context_len)
         ops = [node.op for node in nodes]
-        assert (len(ops), ops.count("leaf"), ops.count("lstm")) == (30, 15, 4), ops
+        assert (len(ops), ops.count("leaf"), ops.count("lstm")) == (24, 15, 4), ops
+        assert (ops.count("head"), ops.count("cross_entropy")) == (2, 1), ops
 
     @pytest.mark.parametrize("shared_context", [False, True])
     def test_one_gather_feeds_the_attention(self, monkeypatch, shared_context):
