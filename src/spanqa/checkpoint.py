@@ -22,15 +22,13 @@ size other than the config's layout, and metadata that is not JSON, lacks,
 mistypes or adds a key, or lacks or fails its checksum. The payload carries no
 checksum, so a flipped payload bit loads as the value the file now holds.
 
-Loading checks the file's size against the layout before it allocates any
-tensor, then reads only the parameter block, each tensor straight into its
-own array. The two moment blocks are read the same way on the first access
-to ``CheckpointData.state``, so prediction never holds them; a resumed run
-reads them before it saves. If the file was replaced or rewritten in between
-(a different device, inode, size or modification time), that access raises
-``CheckpointChangedError`` rather than pair the loaded parameters with
-another file's moments. Each loaded tensor owns its memory, so moments
-loaded to resume are freed once the first update replaces them.
+Both loaders check the file's size against the layout before they allocate
+any tensor, then read each tensor straight into its own array in one pass
+over one open file. ``load_checkpoint`` reads only the parameter block, so
+prediction never holds the moments; ``load_for_resume`` reads all three
+blocks and returns the Adam state beside the parameters, before a resumed run
+writes any file. Each loaded tensor owns its memory, so moments loaded to
+resume are freed once the first update replaces them.
 """
 
 from __future__ import annotations
@@ -39,9 +37,7 @@ import json
 import math
 import os
 import zlib
-from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, fields
-from functools import cached_property
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -51,8 +47,8 @@ from .training import AdamState
 
 __all__ = ["MAGIC", "FORMAT_VERSION", "CheckpointError", "CheckpointMagicError",
            "CheckpointVersionError", "CheckpointTruncatedError",
-           "CheckpointMetadataError", "CheckpointChangedError",
-           "CheckpointData", "save_checkpoint", "load_checkpoint"]
+           "CheckpointMetadataError", "CheckpointData", "save_checkpoint",
+           "load_checkpoint", "load_for_resume"]
 
 MAGIC = b"QACKPT1\n"
 FORMAT_VERSION = 6
@@ -83,23 +79,11 @@ class CheckpointMetadataError(CheckpointError):
     fails its checksum."""
 
 
-class CheckpointChangedError(CheckpointError):
-    """The file changed between loading its parameters and reading its Adam
-    moments."""
-
-
 @dataclass
 class CheckpointData:
     config: ModelConfig
     params: dict[str, np.ndarray]
     best_dev_f1: float | None
-    _read_state: Callable[[], AdamState] = field(repr=False, compare=False)
-
-    @cached_property
-    def state(self) -> AdamState:
-        """The Adam state, read from the file on first access; raises
-        CheckpointChangedError if the file changed since loading."""
-        return self._read_state()
 
 
 def _encode(metadata: dict) -> bytes:
@@ -171,14 +155,32 @@ def _read_config(path, payload: dict) -> ModelConfig:
         raise CheckpointMetadataError(f"{path}: invalid model config: {exc}") from exc
 
 
-def _identity(stat) -> tuple:
-    return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
+def _read_header(path, handle) -> tuple[ModelConfig, int, float | None]:
+    """The config, Adam step and best dev F1 of the checkpoint open at
+    `handle`, left at the payload, whose size matches the config's layout."""
+    size = os.fstat(handle.fileno()).st_size
+    if handle.read(len(MAGIC)) != MAGIC:
+        raise CheckpointMagicError(f"{path}: bad magic, not a checkpoint file")
+    meta_len = int.from_bytes(handle.read(8), "little")
+    cursor = len(MAGIC) + 8 + meta_len
+    # the length field is bounded by the file before it sizes a read
+    if size < cursor:
+        raise CheckpointTruncatedError(f"{path}: metadata block truncated")
+    metadata = _read_metadata(path, handle.read(meta_len))
+    config = _read_config(path, _field(path, metadata, "config", (dict,)))
+    step = _field(path, metadata, "step", (int,))
+    best_dev_f1 = _field(path, metadata, "best_dev_f1", (int, float, type(None)))
+    block = sum(_DTYPE.itemsize * math.prod(shape)
+                for shape in param_shapes(config).values())
+    if size - cursor != 3 * block:
+        raise CheckpointTruncatedError(
+            f"{path}: payload is {size - cursor} bytes, layout expects {3 * block}")
+    return config, step, best_dev_f1
 
 
-def _read_block(path, handle, start: int, shapes: dict) -> dict[str, np.ndarray]:
-    """The float32 tensor of each shape, read in order from the payload block
-    at byte `start`, each straight into its own new array."""
-    handle.seek(start)
+def _read_block(path, handle, shapes: dict) -> dict[str, np.ndarray]:
+    """The float32 tensor of each shape, read in order from `handle`'s
+    position, each straight into its own new array."""
     tensors = {}
     for name, shape in shapes.items():
         tensor = np.empty(shape, dtype=_DTYPE)
@@ -189,50 +191,26 @@ def _read_block(path, handle, start: int, shapes: dict) -> dict[str, np.ndarray]
 
 
 def load_checkpoint(path) -> CheckpointData:
-    """Read a checkpoint; any damaged or inconsistent file raises CheckpointError.
+    """Read a checkpoint's config and parameters; any damaged or inconsistent
+    file raises CheckpointError.
 
-    Every check runs now, and nothing is allocated for the payload until the
-    file's size matches the layout; then only the parameters are read, each
-    straight into its own new float32 array. The Adam moments are read on the
-    first access to `.state`, which raises CheckpointChangedError if the
-    file's (device, inode, size, mtime) differs from what was loaded.
+    Every check runs before anything is allocated for the payload, then only
+    the parameter block is read, each tensor straight into its own new
+    float32 array. The Adam moments stay on disk: `load_for_resume` reads
+    them.
     """
     with open(path, "rb") as handle:
-        stat = os.fstat(handle.fileno())
-        size = stat.st_size
-        if handle.read(len(MAGIC)) != MAGIC:
-            raise CheckpointMagicError(f"{path}: bad magic, not a checkpoint file")
-        meta_len = int.from_bytes(handle.read(8), "little")
-        cursor = len(MAGIC) + 8 + meta_len
-        # the length field is bounded by the file before it sizes a read
-        if size < cursor:
-            raise CheckpointTruncatedError(f"{path}: metadata block truncated")
-        metadata = _read_metadata(path, handle.read(meta_len))
-        config = _read_config(path, _field(path, metadata, "config", (dict,)))
-        step = _field(path, metadata, "step", (int,))
-        best_dev_f1 = _field(path, metadata, "best_dev_f1", (int, float, type(None)))
+        config, _, best_dev_f1 = _read_header(path, handle)
+        params = _read_block(path, handle, param_shapes(config))
+    return CheckpointData(config=config, params=params, best_dev_f1=best_dev_f1)
+
+
+def load_for_resume(path) -> tuple[CheckpointData, AdamState]:
+    """Read a whole checkpoint, [params | m | v], with the checks of
+    `load_checkpoint`, through one open file: the model and its Adam state."""
+    with open(path, "rb") as handle:
+        config, step, best_dev_f1 = _read_header(path, handle)
         shapes = param_shapes(config)
-        block = sum(_DTYPE.itemsize * math.prod(shape) for shape in shapes.values())
-        if size - cursor != 3 * block:
-            raise CheckpointTruncatedError(
-                f"{path}: payload is {size - cursor} bytes, layout expects {3 * block}")
-        params = _read_block(path, handle, cursor, shapes)
-    source = os.path.abspath(path)
-
-    def read_state() -> AdamState:
-        try:
-            handle = open(source, "rb")
-        except FileNotFoundError as exc:
-            raise CheckpointChangedError(
-                f"{path}: removed before its Adam moments were read") from exc
-        with handle:
-            if _identity(os.fstat(handle.fileno())) != _identity(stat):
-                raise CheckpointChangedError(
-                    f"{path}: changed after its parameters were loaded; its Adam "
-                    f"moments would not match them")
-            return AdamState(m=_read_block(path, handle, cursor + block, shapes),
-                             v=_read_block(path, handle, cursor + 2 * block, shapes),
-                             step=step)
-
-    return CheckpointData(config=config, params=params, best_dev_f1=best_dev_f1,
-                          _read_state=read_state)
+        params, m, v = [_read_block(path, handle, shapes) for _ in range(3)]
+    return (CheckpointData(config=config, params=params, best_dev_f1=best_dev_f1),
+            AdamState(m=m, v=v, step=step))

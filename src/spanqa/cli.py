@@ -161,18 +161,47 @@ def _check_writable(path) -> None:
         raise IsADirectoryError(errno.EISDIR, "is a directory", path)
 
 
+def _same_file(a, b) -> bool:
+    """Whether paths `a` and `b` name one file: their real paths match, or
+    both exist and os.path.samefile says so (a hard link, say)."""
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    try:
+        return os.path.samefile(a, b)
+    except OSError:   # one of them does not exist yet
+        return False
+
+
+def _refuse_same_file(outputs: dict, others: dict) -> None:
+    """Raise ValueError, naming both flags, if a path in `outputs` names the
+    same file as one in `others`; a flag whose path is None is skipped."""
+    for out_flag, out in outputs.items():
+        for flag, path in others.items():
+            if path is not None and _same_file(out, path):
+                raise ValueError(f"{out_flag} {out} names the same file as "
+                                 f"{flag} {path}; writing it would destroy it")
+
+
 def cmd_train(args) -> int:
     training.check_settings(args.batch_size, args.max_answer_len, args.eval_every,
                             args.lr, args.iters)
     log_path = args.log or f"{args.out}.log"
+    log_flag = "--log" if args.log else "<out>.log"
+    checkpoints = {"--out": args.out, **({"<out>.last": f"{args.out}.last"}
+                                         if args.dev else {})}
+    outputs = {**checkpoints, log_flag: log_path}
+    # no output may replace an input. --out may name --resume, which is read
+    # whole before any checkpoint is written; the log may name neither.
+    _refuse_same_file(outputs, {"--data": args.data, "--dev": args.dev,
+                                "--glove": args.glove})
+    _refuse_same_file({log_flag: log_path}, {"--resume": args.resume, **checkpoints})
     # fail now, not after loading or training when the file is first written
-    for path in [args.out, log_path] + ([f"{args.out}.last"] if args.dev else []):
+    for path in outputs.values():
         _check_writable(path)
     if args.resume:
-        loaded = ckpt.load_checkpoint(args.resume)
+        loaded, state = ckpt.load_for_resume(args.resume)
         _check_resume_flags(args, loaded)
-        config, params, state = loaded.config, loaded.params, loaded.state
-        best_dev_f1 = loaded.best_dev_f1
+        config, params, best_dev_f1 = loaded.config, loaded.params, loaded.best_dev_f1
     else:
         config = ModelConfig(**_given_config(args))
         params = state = best_dev_f1 = None
@@ -235,6 +264,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _refuse_same_file({"--out": args.out}, {"--data": args.data,
+                                            "--glove": args.glove, "--ckpt": args.ckpt})
     try:
         # fail now, not after every question is decoded
         _check_writable(args.out)

@@ -38,7 +38,13 @@ __all__ = ["AdamState", "TrainLogRecord", "TrainingDivergedError",
 
 MAX_GRAD_NORM = 5.0
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8   # Adam's decay rates and epsilon
-SHUFFLE_STREAM = 1  # spawn-key namespace separating batch order from dropout
+# The first spawn-key word of epoch e's shuffle key, SeedSequence(seed,
+# spawn_key=(SHUFFLE_STREAM, e)). It does not keep that key apart from
+# dropout's: `model.forward` keys block k at step s as (s, k), so epoch e's
+# key is block e's at step 1. The draws still differ, since the shuffle runs
+# default_rng on the sequence and dropout seeds PCG64 with one word generated
+# from it. A new key would move every trajectory, so the key stays.
+SHUFFLE_STREAM = 1
 
 log = logging.getLogger(__name__)
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import require_official
-from spanqa.checkpoint import load_checkpoint, save_checkpoint
+from spanqa.checkpoint import load_for_resume, save_checkpoint
 from spanqa.data import dataset_stats, load_glove, load_squad
 from spanqa.diagnostics import (END_TO_END_THRESHOLD, OP_THRESHOLD,
                                 make_tiny_problem, run_gradcheck_suite)
@@ -193,13 +193,13 @@ def test_criterion_8_determinism_and_persistence(tiny_files, tmp_path):
     first_path = tmp_path / "a.ckpt"
     second_path = tmp_path / "b.ckpt"
     save_checkpoint(first_path, run.params, config, run.state)
-    loaded = load_checkpoint(first_path)
-    save_checkpoint(second_path, loaded.params, loaded.config, loaded.state,
+    loaded, state = load_for_resume(first_path)
+    save_checkpoint(second_path, loaded.params, loaded.config, state,
                     best_dev_f1=loaded.best_dev_f1)
     roundtrip_identical = first_path.read_bytes() == second_path.read_bytes()
 
     resumed = train(examples, table, loaded.config, iters=8, batch_size=8,
-                    params=loaded.params, state=loaded.state)
+                    params=loaded.params, state=state)
     resume_matches = ([r.train_loss for r in run.records]
                       + [r.train_loss for r in resumed.records]) == losses[0]
 

@@ -1,17 +1,16 @@
 """Damaged checkpoint files: each one loads bit-exactly or raises CheckpointError.
 
 Truncations and single-bit flips are drawn by hypothesis over one small
-trained checkpoint. No damage may surface as any other exception.
-The Adam moments are read only when `.state` is first accessed, and never
-from a file other than the one the parameters came from.
+trained checkpoint, read whole by `load_for_resume`. No damage may surface
+as any other exception. `load_checkpoint` runs the same checks and reads
+only the parameters; `load_for_resume` reads the parameters and the Adam
+moments in one pass.
 """
 
-import dataclasses
 import hashlib
 import itertools
 import json
 import math
-import os
 import re
 
 import numpy as np
@@ -21,10 +20,9 @@ from hypothesis import strategies as st
 
 from conftest import join, split
 from memtrace import traced
-from spanqa.checkpoint import (MAGIC, CheckpointChangedError,
-                               CheckpointError, CheckpointVersionError,
+from spanqa.checkpoint import (MAGIC, CheckpointError, CheckpointVersionError,
                                CheckpointMetadataError, CheckpointTruncatedError,
-                               load_checkpoint, save_checkpoint)
+                               load_checkpoint, load_for_resume, save_checkpoint)
 from spanqa.diagnostics import make_tiny_problem
 from spanqa.model import ModelConfig, init_params, param_count, param_shapes
 from spanqa.training import AdamState, init_optimizer, train_step
@@ -49,16 +47,18 @@ def original(workdir):
     return path.read_bytes()
 
 
-def load_bytes(workdir, raw):
+def load_bytes(workdir, raw, load=load_checkpoint):
     path = workdir / "damaged.ckpt"
     path.write_bytes(raw)
-    return load_checkpoint(path)
+    return load(path)
 
 
-def resaved(workdir, loaded):
-    """The bytes save_checkpoint writes for what was loaded."""
+def resaved(workdir, raw):
+    """The bytes save_checkpoint writes for what load_for_resume reads from
+    a file of bytes `raw`."""
+    loaded, state = load_bytes(workdir, raw, load_for_resume)
     path = workdir / "resaved.ckpt"
-    save_checkpoint(path, loaded.params, loaded.config, loaded.state,
+    save_checkpoint(path, loaded.params, loaded.config, state,
                     best_dev_f1=loaded.best_dev_f1)
     return path.read_bytes()
 
@@ -78,7 +78,7 @@ def test_join_reproduces_a_saved_file(original):
 def test_every_truncation_is_rejected(workdir, original, data):
     cut = data.draw(st.integers(0, len(original) - 1))
     with pytest.raises(CheckpointError):
-        load_bytes(workdir, original[:cut])
+        load_bytes(workdir, original[:cut], load_for_resume)
 
 
 @FUZZ
@@ -87,7 +87,7 @@ def test_bit_flip_before_payload_is_rejected(workdir, original, data):
     payload_start = len(original) - len(split(original)[1])
     damaged = flip(original, data.draw(st.integers(0, 8 * payload_start - 1)))
     with pytest.raises(CheckpointError):
-        load_bytes(workdir, damaged)
+        load_bytes(workdir, damaged, load_for_resume)
 
 
 @FUZZ
@@ -96,7 +96,7 @@ def test_bit_flip_in_payload_loads_the_flipped_value(workdir, original, data):
     payload_start = len(original) - len(split(original)[1])
     bit = data.draw(st.integers(8 * payload_start, 8 * len(original) - 1))
     damaged = flip(original, bit)
-    assert resaved(workdir, load_bytes(workdir, damaged)) == damaged
+    assert resaved(workdir, damaged) == damaged
 
 
 def test_metadata_has_exactly_five_keys(original):
@@ -197,9 +197,8 @@ def test_payload_one_byte_off_is_truncation(workdir, original, raw):
 
 
 def test_loaded_tensors_own_their_memory(workdir, original):
-    loaded = load_bytes(workdir, original)
-    tensors = [*loaded.params.values(), *loaded.state.m.values(),
-               *loaded.state.v.values()]
+    loaded, state = load_bytes(workdir, original, load_for_resume)
+    tensors = [*loaded.params.values(), *state.m.values(), *state.v.values()]
     for tensor in tensors:
         assert tensor.dtype == np.dtype("<f4")
         assert tensor.flags.c_contiguous and tensor.flags.writeable
@@ -208,9 +207,9 @@ def test_loaded_tensors_own_their_memory(workdir, original):
                    for a, b in itertools.combinations(tensors, 2))
 
 
-def test_moments_are_read_on_first_state_access(tmp_path):
-    # until .state is read, loading holds the parameters and a small fixed
-    # overhead (metadata, layout, dicts), not the moments' twice as many bytes
+def test_only_the_resume_loader_reads_the_moments(tmp_path):
+    # load_checkpoint holds the parameters and a small fixed overhead
+    # (metadata, layout, dicts), not the moments' twice as many bytes
     config = ModelConfig(hidden_size=32, embedding_dim=20)
     params = init_params(config)
     rng = np.random.default_rng(5)
@@ -220,44 +219,14 @@ def test_moments_are_read_on_first_state_access(tmp_path):
             moments[name] = rng.normal(size=params[name].shape).astype(np.float32)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, params, config, state)
-    loaded, _, peak = traced(load_checkpoint, path)
+    _, _, peak = traced(load_checkpoint, path)
     assert peak < sum(p.nbytes for p in params.values()) + 128 * 1024
-    first = loaded.state
-    assert loaded.state is first
+    loaded, read = load_for_resume(path)
+    assert read.step == state.step
     for name in params:
-        assert np.array_equal(first.m[name], state.m[name])
-        assert np.array_equal(first.v[name], state.v[name])
-
-
-def other_state(state):
-    """`state` with every moment changed."""
-    return dataclasses.replace(
-        state, m={name: m + 1.0 for name, m in state.m.items()},
-        v={name: v + 2.0 for name, v in state.v.items()})
-
-
-@pytest.mark.parametrize("change", ["replaced", "removed"])
-def test_changed_file_never_lends_its_moments(tmp_path, original, change):
-    path = tmp_path / "model.ckpt"
-    path.write_bytes(original)
-    loaded = load_checkpoint(path)
-    if change == "replaced":
-        # save_checkpoint renames a new file into place: same name and size
-        first = load_checkpoint(path)
-        save_checkpoint(path, first.params, first.config, other_state(first.state))
-    else:
-        os.remove(path)
-    with pytest.raises(CheckpointChangedError, match=str(path)):
-        loaded.state
-
-
-def test_state_read_before_a_change_is_kept(tmp_path, original):
-    path = tmp_path / "model.ckpt"
-    path.write_bytes(original)
-    loaded = load_checkpoint(path)
-    state = loaded.state
-    save_checkpoint(path, loaded.params, loaded.config, other_state(state))
-    assert loaded.state is state
+        assert np.array_equal(loaded.params[name], params[name])
+        assert np.array_equal(read.m[name], state.m[name])
+        assert np.array_equal(read.v[name], state.v[name])
 
 
 def test_payload_is_twelve_bytes_per_parameter(workdir, original):
@@ -293,12 +262,12 @@ def test_format_6_bytes_are_pinned(tmp_path):
     path = tmp_path / "pinned.ckpt"
     save_checkpoint(path, params, config, AdamState(m=m, v=v, step=7), best_dev_f1=12.5)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SHA256
-    loaded = load_checkpoint(path)
-    assert (loaded.config, loaded.state.step, loaded.best_dev_f1) == (config, 7, 12.5)
+    loaded, state = load_for_resume(path)
+    assert (loaded.config, state.step, loaded.best_dev_f1) == (config, 7, 12.5)
     for name in shapes:
         assert np.array_equal(loaded.params[name], params[name]), name
-        assert np.array_equal(loaded.state.m[name], m[name]), name
-        assert np.array_equal(loaded.state.v[name], v[name]), name
+        assert np.array_equal(state.m[name], m[name]), name
+        assert np.array_equal(state.v[name], v[name]), name
 
 
 @pytest.mark.parametrize("version", ["6", 6.0, True, None, [6], 1, 2, 3, 3.0, 4, 4.0, [4],

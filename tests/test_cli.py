@@ -11,7 +11,7 @@ import pytest
 from conftest import join, split, write_squad
 from spanqa import autodiff as ad
 from spanqa import diagnostics, training
-from spanqa.checkpoint import FORMAT_VERSION, load_checkpoint
+from spanqa.checkpoint import FORMAT_VERSION, load_checkpoint, load_for_resume
 from spanqa import cli
 from spanqa.cli import main
 from spanqa.metrics import evaluate
@@ -135,8 +135,8 @@ class TestTrain:
             "--eval-every", "2", "--seed", "2",
         ])
         assert code == 0
-        assert load_checkpoint(out).state.step == 4
-        assert load_checkpoint(f"{out}.last").state.step == 6
+        assert load_for_resume(out)[1].step == 4
+        assert load_for_resume(f"{out}.last")[1].step == 6
         printed = capsys.readouterr().out
         assert f"checkpoint at {out}.last" in printed
         assert f"best dev F1 70.00; checkpoint at {out}" in printed
@@ -163,9 +163,9 @@ class TestTrain:
         capsys.readouterr()
         assert main(["train", *common, "--iters", "6",
                      "--resume", f"{out}.last"]) == 0
-        assert load_checkpoint(out).state.step == 2
-        last = load_checkpoint(f"{out}.last")
-        assert (last.state.step, last.best_dev_f1) == (6, 70.0)
+        assert load_for_resume(out)[1].step == 2
+        last, state = load_for_resume(f"{out}.last")
+        assert (state.step, last.best_dev_f1) == (6, 70.0)
         assert f"best dev F1 70.00; checkpoint at {out}" in capsys.readouterr().out
 
     def test_resume_without_dev_keeps_the_best_checkpoint(self, fixtures_dir,
@@ -193,7 +193,7 @@ class TestTrain:
         assert {path: path.read_bytes() for path in tmp_path.iterdir()} == written
 
     def test_run_without_dev_writes_only_out(self, trained_checkpoint):
-        assert load_checkpoint(trained_checkpoint).state.step == 12
+        assert load_for_resume(trained_checkpoint)[1].step == 12
         assert not trained_checkpoint.with_suffix(".ckpt.last").exists()
 
     @pytest.mark.parametrize("flag,value", [("--batch-size", "0"),
@@ -347,7 +347,7 @@ class TestResumeFlags:
         same.write_bytes(trained_checkpoint.read_bytes())
         assert self._resume(trained_checkpoint, fixtures_dir, other) == 0
         assert self._resume(same, fixtures_dir, same) == 0
-        assert load_checkpoint(same).state.step == 14
+        assert load_for_resume(same)[1].step == 14
         assert same.read_bytes() == other.read_bytes()
 
 
@@ -617,6 +617,101 @@ def test_format_3_checkpoint_is_refused_by_name(trained_checkpoint, fixtures_dir
         assert (capsys.readouterr().err
                 == f"error: {old}: format version {version}, expected 6\n")
         assert not out.exists()
+
+
+def _name(flags: dict, flag: str, path) -> None:
+    """Point `flag` at `path`; "<out>.last" names it through --out."""
+    if flag == "<out>.last":
+        flags["--out"] = path.with_suffix("")   # shared.last -> shared
+    else:
+        flags[flag] = path
+
+
+def _refuse_reads(monkeypatch):
+    for module, attr in [(cli, "load_squad"), (cli, "load_glove"),
+                         (cli.ckpt, "load_checkpoint"), (cli.ckpt, "load_for_resume")]:
+        monkeypatch.setattr(module, attr,
+                            lambda *args, **kw: pytest.fail("an input was read"))
+
+
+class TestOutputNamesAnInput:
+    """An output path that names one of the run's inputs is refused, naming
+    both flags, before any file is read or written."""
+
+    @pytest.mark.parametrize("output,other", [
+        *((out, source) for out in ("--out", "<out>.last", "--log")
+          for source in ("--data", "--dev", "--glove")),
+        ("--log", "--resume"), ("--log", "--out"), ("--log", "<out>.last"),
+    ])
+    def test_train_refuses(self, trained_checkpoint, fixtures_dir, tmp_path,
+                           capsys, monkeypatch, output, other):
+        squad, glove = fixtures_dir / "tiny_squad.json", fixtures_dir / "tiny_glove.txt"
+        shared = tmp_path / "shared.last"
+        source = {"--data": squad, "--dev": squad, "--glove": glove}.get(
+            other, trained_checkpoint)
+        shared.write_bytes(source.read_bytes())
+        flags = {"--data": squad, "--dev": squad, "--glove": glove,
+                 "--out": tmp_path / "m.ckpt", "--log": tmp_path / "m.log"}
+        _name(flags, output, shared)
+        _name(flags, other, shared)
+        written = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        _refuse_reads(monkeypatch)
+        code = main(["train", *(str(part) for item in flags.items() for part in item),
+                     "--iters", "2"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and output in err and other in err
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == written
+
+    @pytest.mark.parametrize("other", ["--data", "--glove", "--ckpt"])
+    def test_predict_refuses(self, trained_checkpoint, fixtures_dir, tmp_path,
+                             capsys, monkeypatch, other):
+        flags = {"--data": fixtures_dir / "tiny_squad.json",
+                 "--glove": fixtures_dir / "tiny_glove.txt", "--ckpt": trained_checkpoint}
+        shared = tmp_path / "shared"
+        original = flags[other].read_bytes()
+        shared.write_bytes(original)
+        flags[other] = flags["--out"] = shared
+        _refuse_reads(monkeypatch)
+        code = main(["predict", *(str(part) for item in flags.items() for part in item)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "--out" in err and other in err
+        assert shared.read_bytes() == original
+
+    @pytest.mark.parametrize("link", ["symlink", "hardlink"])
+    def test_a_link_is_the_same_file(self, fixtures_dir, tmp_path, capsys,
+                                     monkeypatch, link):
+        data = tmp_path / "squad.json"
+        data.write_bytes((fixtures_dir / "tiny_squad.json").read_bytes())
+        alias = tmp_path / "alias.log"
+        (alias.symlink_to if link == "symlink" else alias.hardlink_to)(data)
+        _refuse_reads(monkeypatch)
+        code = main(["train", "--data", str(data),
+                     "--glove", str(fixtures_dir / "tiny_glove.txt"),
+                     "--out", str(tmp_path / "m.ckpt"), "--log", str(alias)])
+        assert code == 1
+        assert "--log" in capsys.readouterr().err
+        assert data.read_bytes() == (fixtures_dir / "tiny_squad.json").read_bytes()
+
+    def test_resume_may_continue_its_own_last_checkpoint(self, fixtures_dir,
+                                                          tmp_path):
+        # with --dev, <out>.last may name --resume: resumed in place, it ends
+        # byte for byte as an uninterrupted run's
+        def run(out, iters, *flags):
+            assert main(["train", "--data", str(fixtures_dir / "tiny_squad.json"),
+                         "--dev", str(fixtures_dir / "tiny_squad.json"),
+                         "--glove", str(fixtures_dir / "tiny_glove.txt"),
+                         "--out", str(out), "--iters", str(iters),
+                         "--batch-size", "8", "--eval-every", "2", *flags]) == 0
+
+        model = ["--hidden", "8", "--embed-dim", "32", "--seed", "5"]
+        straight, resumed = tmp_path / "straight.ckpt", tmp_path / "resumed.ckpt"
+        run(straight, 6, *model)
+        run(resumed, 4, *model)
+        run(resumed, 6, "--resume", f"{resumed}.last")
+        assert (tmp_path / "resumed.ckpt.last").read_bytes() == \
+            (tmp_path / "straight.ckpt.last").read_bytes()
 
 
 class TestGradcheckCommand:

@@ -11,7 +11,8 @@ import pytest
 from memtrace import traced
 from spanqa.checkpoint import (FORMAT_VERSION, CheckpointMagicError,
                                CheckpointTruncatedError, CheckpointVersionError,
-                               load_checkpoint, save_checkpoint)
+                               load_checkpoint, load_for_resume,
+                               save_checkpoint)
 from spanqa import autodiff as ad
 from spanqa import data
 from spanqa.autodiff import ConfigError, Graph
@@ -613,14 +614,14 @@ class TestCheckpoint:
         train_step(params, batch, table, state, config)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params, config, state)
-        loaded = load_checkpoint(path)
-        assert loaded.state.step == 1
+        loaded, read = load_for_resume(path)
+        assert read.step == 1
         assert loaded.config == config
         assert set(loaded.params) == set(params)
         for name in params:
             assert np.array_equal(loaded.params[name], params[name])
-            assert np.array_equal(loaded.state.m[name], state.m[name])
-            assert np.array_equal(loaded.state.v[name], state.v[name])
+            assert np.array_equal(read.m[name], state.m[name])
+            assert np.array_equal(read.v[name], state.v[name])
 
     def test_save_load_save_byte_identical(self, tmp_path):
         config, params, table, batch = make_tiny_problem(seed=32)
@@ -629,8 +630,8 @@ class TestCheckpoint:
         first = tmp_path / "a.ckpt"
         second = tmp_path / "b.ckpt"
         save_checkpoint(first, params, config, state)
-        loaded = load_checkpoint(first)
-        save_checkpoint(second, loaded.params, loaded.config, loaded.state,
+        loaded, read = load_for_resume(first)
+        save_checkpoint(second, loaded.params, loaded.config, read,
                         best_dev_f1=loaded.best_dev_f1)
         assert first.read_bytes() == second.read_bytes()
 
@@ -745,9 +746,9 @@ class TestResume:
         part1 = train(examples, table, config, iters=5, batch_size=8)
         path = tmp_path / "resume.ckpt"
         save_checkpoint(path, part1.params, config, part1.state)
-        loaded = load_checkpoint(path)
+        loaded, state = load_for_resume(path)
         part2 = train(examples, table, loaded.config, iters=10, batch_size=8,
-                      params=loaded.params, state=loaded.state)
+                      params=loaded.params, state=state)
         resumed_losses = ([r.train_loss for r in part1.records]
                           + [r.train_loss for r in part2.records])
         assert resumed_losses == straight_losses
