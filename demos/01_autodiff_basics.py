@@ -19,12 +19,13 @@ print("head relu(x @ w^T + b1) @ w2^T:\n", ad.head([x], w, [0.5, -25.0], [[1.0, 
 # %%
 # For gradients, register leaves on a Graph: every leaf is trainable, and a
 # constant stays a plain array or detached Tensor. The tape records every op
-# in topological order, so backward is a single reverse sweep.
+# in topological order, so backward is a single reverse sweep. It starts from
+# a scalar root, or from a root of any shape and a cotangent of that shape:
+# the gradient of sum(cotangent * root), here a sum of squares.
 
 graph = ad.Graph()
 x = graph.leaf([1.0, 2.0, 3.0])
-loss = ad.reduce_sum(ad.mul(x, x))          # sum of squares
-grads = graph.backward(loss)
+grads = graph.backward(ad.mul(x, x), np.ones(3))
 print("d/dx sum(x^2) at [1,2,3]:", grads[x.node_id])  # 2x
 
 # %%
@@ -41,8 +42,9 @@ print("masked softmax:\n", probs, "\nrow sums:", probs.sum(axis=1))
 
 # %%
 # grad_check compares backprop against central finite differences at a
-# fixed step, re-probing ten times narrower where a kink lies within it.
+# fixed step, re-probing ten times narrower where a kink lies within it; a
+# cotangent probes a non-scalar output along it, here the sum of the logits.
 
-err = ad.grad_check(lambda t: ad.reduce_sum(ad.head([t], w, [0.5, -0.5], [[1.0, -1.0]])),
-                    np.random.default_rng(0).normal(size=(3, 2)))
+err = ad.grad_check(lambda t: ad.head([t], w, [0.5, -0.5], [[1.0, -1.0]]),
+                    np.random.default_rng(0).normal(size=(3, 2)), cotangent=np.ones((3, 1)))
 print(f"head gradcheck worst relative error: {err:.2e}")

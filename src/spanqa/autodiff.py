@@ -43,7 +43,6 @@ __all__ = [
     "concat",
     "slice_axis",
     "reshape",
-    "reduce_sum",
     "add_bias",
     "expand_batch",
     "repeat_axis",
@@ -123,17 +122,21 @@ class Graph:
                 return i, node.op
         return None
 
-    def backward(self, root: "Tensor") -> dict[int, np.ndarray]:
-        """Reverse-accumulate gradients of a scalar root.
+    def backward(self, root: "Tensor", cotangent=None) -> dict[int, np.ndarray]:
+        """Reverse-accumulate gradients of a scalar root, or of sum(cotangent *
+        root) for a `cotangent` of the root's shape (DimensionError names both
+        shapes otherwise), taken in the root's dtype; the graph never writes
+        into it.
 
         Returns {node_id: gradient} holding every leaf, with zeros for a leaf
         that no path connects to the root. As soon as an op node's backward
         has run, its gradient, its backward closure (with the buffers it
         saved) and its output are dropped, so at most one frontier of
         gradients is alive at a time and the tape shrinks as backward runs.
-        An op's backward receives the only reference to its gradient, so it
-        may free it before it returns (from Python 3.11, whose calls take
-        over their arguments; before, the caller's frame holds them).
+        An op's backward receives the only reference to its gradient (the
+        caller keeps a cotangent), so it may free it before it returns (from
+        Python 3.11, whose calls take over their arguments; before, the
+        caller's frame holds them).
         Leaves keep their output, which shapes their zero gradients. A second
         call raises GraphSpentError.
 
@@ -148,12 +151,14 @@ class Graph:
             raise GraphSpentError("backward already ran on this graph")
         if root.graph is not self:
             raise ValueError("root tensor does not belong to this graph")
-        if root.data.shape != ():
-            raise DimensionError(
-                f"backward root must be scalar, got shape {root.data.shape}"
-            )
+        if cotangent is None and root.data.shape != ():
+            raise DimensionError(f"backward root must be scalar, got shape {root.data.shape}")
+        seed = np.asarray(1.0 if cotangent is None else cotangent, root.data.dtype)
+        if seed.shape != root.data.shape:
+            raise DimensionError(f"backward: cotangent of shape {seed.shape} "
+                                 f"for a root of shape {root.data.shape}")
         self._spent = True
-        grads: dict[int, np.ndarray] = {root.node_id: np.ones((), root.data.dtype)}
+        grads: dict[int, np.ndarray] = {root.node_id: seed}
         for nid in range(root.node_id, -1, -1):
             node = self._nodes[nid]
             backward, node.backward = node.backward, None
@@ -381,18 +386,6 @@ def reshape(x, shape) -> Tensor:
         return (g.reshape(old),)
 
     return _apply("reshape", (x,), out, backward)
-
-
-def reduce_sum(x) -> Tensor:
-    """Sum of all elements -> scalar."""
-    x = _lift(x)
-    out = np.array(x.data.sum())
-    shape, dtype = x.shape, x.data.dtype
-
-    def backward(g):
-        return (np.full(shape, g, dtype),)
-
-    return _apply("sum", (x,), out, backward)
 
 
 # No model code calls add_bias, expand_batch or repeat_axis; perfbench reports
@@ -1040,14 +1033,15 @@ def bidaf(rows, w_sim, context_packing: Packing, question_packing: Packing) -> T
 # ---------------------------------------------------------------------------
 
 
-def grad_check(f, x, coords: int | None = None, seed: int = 0) -> float:
+def grad_check(f, x, coords: int | None = None, seed: int = 0, cotangent=None) -> float:
     """Max relative error between backprop and central finite differences.
 
-    `f` maps a Tensor to a scalar Tensor using ops from this module. Every
-    coordinate of x is probed unless `coords` limits the check to a random
-    sample. Relative error per coordinate: |a - n| / max(|a|, |n|, 1e-8),
-    the smallest over the estimates n tried; a wrong backward disagrees
-    with every one.
+    `f` maps a Tensor to a scalar Tensor using ops from this module, or,
+    given a `cotangent` of its output's shape, probes sum(cotangent * f(x)),
+    summed in float64. Every coordinate of x is probed unless `coords`
+    limits the check to a random sample. Relative error per coordinate:
+    |a - n| / max(|a|, |n|, 1e-8), the smallest over the estimates n tried;
+    a wrong backward disagrees with every one.
 
     Central differences at step GRADCHECK_STEP lose about |f| * 2**-52 /
     step to round-off: 2e-11 for a unit loss, or 2e-3 of a 1e-8 gradient.
@@ -1056,12 +1050,17 @@ def grad_check(f, x, coords: int | None = None, seed: int = 0) -> float:
     exceeds 1e-6, a step ten times narrower is tried: a kink (a head's
     relu) within one step of the probe skews the first estimate.
     """
+    weights = np.asarray(1.0 if cotangent is None else cotangent, np.float64)
+
+    def probed(out):
+        return float(np.sum(weights * out.data))
+
     xd = _as_array(x).copy()
     graph = Graph()
     xt = graph.leaf(xd)
     out = f(xt)
-    analytic = graph.backward(out)[xt.node_id].ravel()
-    tiny = 1e4 * np.finfo(np.float64).eps * max(abs(out.item()), 1.0) / GRADCHECK_STEP
+    analytic = graph.backward(out, cotangent)[xt.node_id].ravel()
+    tiny = 1e4 * np.finfo(np.float64).eps * max(abs(probed(out)), 1.0) / GRADCHECK_STEP
 
     flat_ids = np.arange(xd.size)
     if coords is not None and coords < xd.size:
@@ -1072,9 +1071,9 @@ def grad_check(f, x, coords: int | None = None, seed: int = 0) -> float:
     def central(i, step):
         orig = flat[i]
         flat[i] = orig + step
-        hi = f(Tensor(xd.copy())).item()
+        hi = probed(f(Tensor(xd.copy())))
         flat[i] = orig - step
-        lo = f(Tensor(xd.copy())).item()
+        lo = probed(f(Tensor(xd.copy())))
         flat[i] = orig
         return (hi - lo) / (2.0 * step)
 

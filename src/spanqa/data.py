@@ -12,8 +12,9 @@ so a dataset holds each distinct word once.
 A GloVe text file of 1 MiB or more is parsed once: `load_glove` keeps the
 parsed table in `<file>.cache.npz` beside it and reads that while the text
 file's size and mtime and the requested dim are unchanged (see load_glove).
-`replace_file` writes the copy as it writes checkpoints: synced to disk,
-with the mode the umask gives any new file.
+`replace_file` writes the copy as it writes checkpoints: to a new temp
+file beside it, synced to disk and renamed into place, with the mode the
+umask gives any new file.
 """
 
 from __future__ import annotations
@@ -351,11 +352,16 @@ def _read_glove_copy(cache: str, source: np.ndarray, dim: int) -> EmbeddingTable
 
 def replace_file(path, write) -> None:
     """Atomically and durably replace `path` with what `write(handle)` writes
-    to `<path>.tmp`, a file `open` creates with the umask's mode. On any
-    failure the temp file is removed, `path` is untouched and it re-raises."""
-    tmp_path = f"{os.fspath(path)}.tmp"
+    to a temp file beside it, `<path>.<16 random hex digits>.tmp`. `open`
+    creates it exclusively (O_CREAT | O_EXCL, mode 0o666 less the umask),
+    so no existing file is ever opened for writing: an input that happens
+    to have that name stops the write with FileExistsError and is kept. On
+    any other failure the temp file is removed, `path` is untouched and it
+    re-raises."""
+    tmp_path = f"{os.fspath(path)}.{os.urandom(8).hex()}.tmp"
+    handle = open(tmp_path, "xb")
     try:
-        with open(tmp_path, "wb") as handle:
+        with handle:
             write(handle)
             # on disk before the rename: a rename that lands first would let a
             # power loss put a torn file in place of the old one

@@ -17,7 +17,9 @@ END_TO_END_THRESHOLD = 1e-3
 
 
 def op_gradcheck_cases(seed: int = 0):
-    """(name, scalar function, probe input) for every differentiable op."""
+    """(name, function, probe input, cotangent) for every differentiable op:
+    `ad.grad_check(function, probe, cotangent=cotangent)` checks it, along
+    the cotangent, which is None for a scalar function."""
     rng = np.random.default_rng(seed)
     right = rng.normal(size=(4, 5))
     batched = rng.normal(size=(2, 3, 4))
@@ -39,9 +41,11 @@ def op_gradcheck_cases(seed: int = 0):
     unsorted_x = lstm_rng.normal(size=(4, 5, 3))
     unsorted_weights = lstm_rng.normal(size=(4, 5, 4))
     packed, unsorted = ad.Packing(lstm_mask), ad.Packing(unsorted_mask)
+    # packed rows, and cotangents that weigh every output
+    lstm_rows, lstm_probe = lstm_x[packed.index], lstm_weights[packed.index]
+    unsorted_rows, unsorted_probe = unsorted_x[unsorted.index], unsorted_weights[unsorted.index]
     # the unsorted input as two row blocks [x_1 | x_2] of widths 2 and 1
-    block_1, block_2 = (unsorted_x[unsorted.index][:, cols]
-                        for cols in (slice(2), slice(2, 3)))
+    block_1, block_2 = (unsorted_rows[:, cols] for cols in (slice(2), slice(2, 3)))
     take_rng = np.random.default_rng(seed + 2)
     take_index = np.array([2, 0, 2, 1, 2])            # repeats and reorders rows
     take_weights = take_rng.normal(size=(5, 2, 3))
@@ -67,93 +71,80 @@ def op_gradcheck_cases(seed: int = 0):
         k, n = np.arange(att_c.size + att_q.size), att_c.size    # the rows of [c ; q]
         rows = ad.add(ad.mul(ad.take_rows(context, np.minimum(k, n - 1)), (k < n)[:, None]),
                       ad.mul(ad.take_rows(question, np.maximum(k - n, 0)), (k >= n)[:, None]))
-        return total(ad.mul(ad.bidaf(rows, w_sim, att_c, att_q), att_weights))
+        return ad.bidaf(rows, w_sim, att_c, att_q)
 
     # dropout applied inside lstm and head: some blocks dropped at 0.4
     def dropped(x, mask_seed):
         return ad.Dropped(x, 0.4, mask_seed)
 
-    def total(x):
-        return ad.reduce_sum(x)
-
     def fc(blocks, w1=head_w1, b1=head_b1, w2=head_w2):
-        """A head's logits over 4 rows, weighted so every row counts."""
-        return total(ad.mul(ad.head(blocks, w1, b1, w2), head_weights))
+        return ad.head(blocks, w1, b1, w2)
 
-    def lstm_both(blocks, w, b, packing=packed, weights=lstm_weights, rebuild_gates=False):
-        """Both directions over a ragged batch's packed rows, weighted so
-        every output counts."""
-        return total(ad.mul(ad.lstm(blocks, packing, w, b, rebuild_gates=rebuild_gates),
-                            weights[packing.index]))
-
-    return [
-        ("matmul", lambda t: total(ad.matmul(t, right)), rng.normal(size=(3, 4))),
-        ("bmm", lambda t: total(ad.bmm(t, batched)), rng.normal(size=(2, 4, 3))),
-        ("add", lambda t: total(ad.add(t, right)), rng.normal(size=(4, 5))),
-        ("mul", lambda t: total(ad.mul(t, right)), rng.normal(size=(4, 5))),
-        ("tanh", lambda t: total(ad.tanh(t)), rng.normal(size=(4, 4))),
-        ("sigmoid", lambda t: total(ad.sigmoid(t)), rng.normal(size=(4, 4))),
-        ("concat", lambda t: total(ad.concat([t, ad.Tensor(right)], axis=0)),
-         rng.normal(size=(2, 5))),
-        ("slice", lambda t: total(ad.slice_axis(t, 1, 1, 3)), rng.normal(size=(3, 5))),
-        ("reshape", lambda t: total(ad.mul(ad.reshape(t, (6, 2)), np.arange(12.0).reshape(6, 2))),
-         rng.normal(size=(3, 4))),
-        ("add_bias_bcast", lambda t: total(ad.mul(ad.add(rows3, t), rows3)),
-         bcast_rng.normal(size=(5,))),
-        ("add_outer", lambda t: total(ad.mul(ad.add(t, row), full_weights)), column),
-        ("mul_bcast_a", lambda t: total(ad.mul(ad.mul(t, full), full_weights)), row),
-        ("mul_bcast_b", lambda t: total(ad.mul(ad.mul(row, t), full_weights)), full),
-        ("sum", lambda t: ad.reduce_sum(t), rng.normal(size=(3, 3))),
-        ("add_bias", lambda t: total(ad.mul(ad.add_bias(t, np.arange(5.0)), bias_weights)),
-         rng.normal(size=(3, 5))),
-        ("add_bias_b", lambda t: total(ad.mul(ad.add_bias(rows3, t), rows3)),
-         rows_rng.normal(size=(5,))),
-        ("expand_batch", lambda t: total(ad.mul(ad.expand_batch(t, 3), np.arange(24.0).reshape(3, 2, 4))),
-         rng.normal(size=(2, 4))),
-        ("repeat_axis", lambda t: total(ad.mul(ad.repeat_axis(t, 1, 4), np.arange(24.0).reshape(2, 4, 3))),
-         rng.normal(size=(2, 1, 3))),
+    cases = [
+        ("matmul", lambda t: ad.matmul(t, right), rng.normal(size=(3, 4)), np.ones((3, 5))),
+        ("bmm", lambda t: ad.bmm(t, batched), rng.normal(size=(2, 4, 3)), np.ones((2, 4, 4))),
+        ("add", lambda t: ad.add(t, right), rng.normal(size=(4, 5)), np.ones((4, 5))),
+        ("mul", lambda t: ad.mul(t, right), rng.normal(size=(4, 5)), np.ones((4, 5))),
+        ("tanh", ad.tanh, rng.normal(size=(4, 4)), np.ones((4, 4))),
+        ("sigmoid", ad.sigmoid, rng.normal(size=(4, 4)), np.ones((4, 4))),
+        ("concat", lambda t: ad.concat([t, ad.Tensor(right)], axis=0),
+         rng.normal(size=(2, 5)), np.ones((6, 5))),
+        ("slice", lambda t: ad.slice_axis(t, 1, 1, 3), rng.normal(size=(3, 5)), np.ones((3, 2))),
+        ("reshape", lambda t: ad.reshape(t, (6, 2)), rng.normal(size=(3, 4)),
+         np.arange(12.0).reshape(6, 2)),
+        ("add_bias_bcast", lambda t: ad.add(rows3, t), bcast_rng.normal(size=(5,)), rows3),
+        ("add_outer", lambda t: ad.add(t, row), column, full_weights),
+        ("mul_bcast_a", lambda t: ad.mul(t, full), row, full_weights),
+        ("mul_bcast_b", lambda t: ad.mul(row, t), full, full_weights),
+    ]
+    rng.normal(size=(3, 3))     # unused: it keeps every seed's later probes as they were
+    return cases + [
+        ("add_bias", lambda t: ad.add_bias(t, np.arange(5.0)), rng.normal(size=(3, 5)),
+         bias_weights),
+        ("add_bias_b", lambda t: ad.add_bias(rows3, t), rows_rng.normal(size=(5,)), rows3),
+        ("expand_batch", lambda t: ad.expand_batch(t, 3), rng.normal(size=(2, 4)),
+         np.arange(24.0).reshape(3, 2, 4)),
+        ("repeat_axis", lambda t: ad.repeat_axis(t, 1, 4), rng.normal(size=(2, 1, 3)),
+         np.arange(24.0).reshape(2, 4, 3)),
         ("cross_entropy_start", lambda t: ad.cross_entropy((t, ramp), golds, logit_rows),
-         (rng.random((3, 6)) * 6.0 - 3.0)[logit_rows.index][:, None]),
+         (rng.random((3, 6)) * 6.0 - 3.0)[logit_rows.index][:, None], None),
         ("cross_entropy_end", lambda t: ad.cross_entropy((ramp, t), golds, logit_rows),
-         (rng.random((3, 6)) * 6.0 - 3.0)[logit_rows.index][:, None]),
-        ("dropout", lambda t: total(ad.dropout(t, 0.4, seed=99)),
-         rng.normal(size=(5, 5))),
-        ("lstm_x", lambda t: lstm_both([t], lstm_w, lstm_b), lstm_x[packed.index]),
-        ("lstm_W", lambda t: lstm_both([lstm_x[packed.index]], t, lstm_b), lstm_w),
-        ("lstm_b", lambda t: lstm_both([lstm_x[packed.index]], lstm_w, t), lstm_b),
-        ("lstm_unsorted_x",
-         lambda t: lstm_both([t], lstm_w, lstm_b, unsorted, unsorted_weights),
-         unsorted_x[unsorted.index]),
-        ("lstm_blocks_x",
-         lambda t: lstm_both([block_1, t], lstm_w, lstm_b, unsorted, unsorted_weights),
-         block_2),
+         (rng.random((3, 6)) * 6.0 - 3.0)[logit_rows.index][:, None], None),
+        ("dropout", lambda t: ad.dropout(t, 0.4, seed=99), rng.normal(size=(5, 5)),
+         np.ones((5, 5))),
+        ("lstm_x", lambda t: ad.lstm([t], packed, lstm_w, lstm_b), lstm_rows, lstm_probe),
+        ("lstm_W", lambda t: ad.lstm([lstm_rows], packed, t, lstm_b), lstm_w, lstm_probe),
+        ("lstm_b", lambda t: ad.lstm([lstm_rows], packed, lstm_w, t), lstm_b, lstm_probe),
+        ("lstm_unsorted_x", lambda t: ad.lstm([t], unsorted, lstm_w, lstm_b), unsorted_rows,
+         unsorted_probe),
+        ("lstm_blocks_x", lambda t: ad.lstm([block_1, t], unsorted, lstm_w, lstm_b), block_2,
+         unsorted_probe),
         ("lstm_dropped_x",
-         lambda t: lstm_both([dropped(block_1, 98), dropped(t, 99)], lstm_w, lstm_b,
-                             unsorted, unsorted_weights), block_2),
-        ("lstm_dropped_W",
-         lambda t: lstm_both([block_1, dropped(block_2, 99)], t, lstm_b, unsorted,
-                             unsorted_weights), lstm_w),
+         lambda t: ad.lstm([dropped(block_1, 98), dropped(t, 99)], unsorted, lstm_w, lstm_b),
+         block_2, unsorted_probe),
+        ("lstm_dropped_W", lambda t: ad.lstm([block_1, dropped(block_2, 99)], unsorted, t, lstm_b),
+         lstm_w, unsorted_probe),
         # the gates rebuilt in backward, not kept on the tape
-        ("lstm_rebuilt_x",
-         lambda t: lstm_both([dropped(block_1, 98), t], lstm_w, lstm_b, unsorted,
-                             unsorted_weights, rebuild_gates=True), block_2),
-        ("lstm_rebuilt_W",
-         lambda t: lstm_both([block_1, dropped(block_2, 99)], t, lstm_b, unsorted,
-                             unsorted_weights, rebuild_gates=True), lstm_w),
-        ("head_x", lambda t: fc([head_1, t]), rows_rng.normal(size=(4, 3))),
+        ("lstm_rebuilt_x", lambda t: ad.lstm([dropped(block_1, 98), t], unsorted, lstm_w, lstm_b,
+                                             rebuild_gates=True), block_2, unsorted_probe),
+        ("lstm_rebuilt_W", lambda t: ad.lstm([block_1, dropped(block_2, 99)], unsorted, t, lstm_b,
+                                             rebuild_gates=True), lstm_w, unsorted_probe),
+        ("head_x", lambda t: fc([head_1, t]), rows_rng.normal(size=(4, 3)), head_weights),
         ("head_W1", lambda t: fc([head_1, head_1[:, :1] * 2.0, head_1], w1=t),
-         rows_rng.normal(size=(3, 5))),
-        ("head_b1", lambda t: fc([head_1, head_1, head_1[:, :1]], b1=t), head_b1),
-        ("head_W2", lambda t: fc([dropped(head_1, 98), head_1, head_1[:, :1]], w2=t), head_w2),
+         rows_rng.normal(size=(3, 5)), head_weights),
+        ("head_b1", lambda t: fc([head_1, head_1, head_1[:, :1]], b1=t), head_b1, head_weights),
+        ("head_W2", lambda t: fc([dropped(head_1, 98), head_1, head_1[:, :1]], w2=t), head_w2,
+         head_weights),
         ("head_dropped_x", lambda t: fc([dropped(t, 98), dropped(head_1, 99), head_1[:, :1]]),
-         head_1),
+         head_1, head_weights),
         ("head_dropped_W",
-         lambda t: fc([dropped(head_1, 98), head_1[:, :1], dropped(head_1, 99)], w1=t), head_w1),
-        ("take_rows", lambda t: total(ad.mul(ad.take_rows(t, take_index), take_weights)),
-         take_rng.normal(size=(3, 2, 3))),
-        ("bidaf_context", lambda t: attend(t, att_question, att_w), att_context),
-        ("bidaf_question", lambda t: attend(att_context, t, att_w), att_question),
-        ("bidaf_w_sim", lambda t: attend(att_context, att_question, t), att_w),
+         lambda t: fc([dropped(head_1, 98), head_1[:, :1], dropped(head_1, 99)], w1=t), head_w1,
+         head_weights),
+        ("take_rows", lambda t: ad.take_rows(t, take_index), take_rng.normal(size=(3, 2, 3)),
+         take_weights),
+        ("bidaf_context", lambda t: attend(t, att_question, att_w), att_context, att_weights),
+        ("bidaf_question", lambda t: attend(att_context, t, att_w), att_question, att_weights),
+        ("bidaf_w_sim", lambda t: attend(att_context, att_question, t), att_w, att_weights),
     ]
 
 
@@ -230,8 +221,8 @@ def run_gradcheck_suite(seed: int):
     Returns (rows, all_ok) where each row is (name, worst_error, threshold).
     """
     rows = []
-    for name, func, probe in op_gradcheck_cases(seed):
-        rows.append((name, ad.grad_check(func, probe), OP_THRESHOLD))
+    for name, func, probe, cotangent in op_gradcheck_cases(seed):
+        rows.append((name, ad.grad_check(func, probe, cotangent=cotangent), OP_THRESHOLD))
     worst = max(err for shared in (False, True)
                 for _, err in end_to_end_gradcheck(seed, shared_context=shared))
     rows.append(("end_to_end", worst, END_TO_END_THRESHOLD))

@@ -12,11 +12,6 @@ from spanqa.diagnostics import OP_THRESHOLD, make_tiny_problem, op_gradcheck_cas
 from spanqa.model import forward, loss
 
 
-def scalar_loss(f):
-    """Wrap a tensor->tensor function into tensor->scalar via sum."""
-    return lambda t: ad.reduce_sum(f(t))
-
-
 class TestMatmul:
     def test_identity(self):
         a = ad.Tensor([[1.0, 2.0], [3.0, 4.0]])
@@ -80,7 +75,7 @@ class TestElementwise:
             out = op(ta, tb)
             assert out.shape == out_shape
             assert np.array_equal(out.data, forward)
-            grads = graph.backward(ad.reduce_sum(ad.mul(out, weights)))
+            grads = graph.backward(out, weights)
             # the gradient of a repeated operand is the sum over its copies
             for leaf, shape, local in [(ta, a_shape, da), (tb, b_shape, db)]:
                 expected = np.zeros(shape)
@@ -106,7 +101,7 @@ class TestTakeRows:
         out = ad.take_rows(leaf, index)
         assert np.array_equal(out.data, x[index])
         weights = np.arange(16.0).reshape(4, 4)
-        grads = graph.backward(ad.reduce_sum(ad.mul(out, weights)))
+        grads = graph.backward(out, weights)
         expected = np.zeros_like(x)
         for row, source in enumerate(index):
             expected[source] += weights[row]
@@ -366,7 +361,7 @@ class TestHead:
         assert out.shape == (6, 1) and out.data.dtype == np.float64
         assert np.allclose(out.data, want, rtol=1e-13, atol=1e-13)
         assert out.data[0, 0] == 0.0
-        grad = graph.backward(ad.reduce_sum(out))[leaf.node_id]
+        grad = graph.backward(out, np.ones((6, 1)))[leaf.node_id]
         assert np.allclose(grad, ((pre > 0) * w2) @ w1[:, :3], rtol=1e-13, atol=1e-13)
         assert not grad[0].any()
 
@@ -415,29 +410,59 @@ class TestDropout:
         leaf = graph.leaf(x)
         out, retained, _ = traced(ad.dropout, leaf, 0.2, seed=3)
         assert retained < 1.25 * x.nbytes
-        grad = graph.backward(ad.reduce_sum(out))[leaf.node_id]
+        grad = graph.backward(out, np.ones_like(out.data))[leaf.node_id]
         assert np.array_equal(grad != 0, out.data != 0)
+
+
+def _fused_op_call(op):
+    """(graph, leaves, out, w): a seeded float64 call of `op` ("lstm", "head"
+    or "bidaf") on a fresh graph, every input a leaf and a row block Dropped,
+    with random weights w of the output's shape."""
+    rng = np.random.default_rng(51)
+    c, q = (ad.Packing(np.arange(5) < np.array(n)[:, None]) for n in ([2, 5, 1, 4], [1, 3, 2, 3]))
+    shapes = {"lstm": [(c.size, 3), (c.size, 2), (16, 7), (16,)],
+              "head": [(c.size, 3), (c.size, 2), (4, 5), (4,), (1, 4)],
+              "bidaf": [(c.size + q.size, 4), (12,)]}[op]
+    graph = ad.Graph()
+    leaves = [graph.leaf(rng.normal(size=shape)) for shape in shapes]
+    blocks = [leaves[0], ad.Dropped(leaves[1], 0.3, 5)]
+    out = {"lstm": lambda: ad.lstm(blocks, c, *leaves[2:]),
+           "head": lambda: ad.head(blocks, *leaves[2:]),
+           "bidaf": lambda: ad.bidaf(*leaves, c, q)}[op]()
+    return graph, leaves, out, rng.normal(size=out.shape)
+
+
+# each leaf gradient summed with weights on a ramp from -1 to 2, as the scalar
+# root sum(out * w) built from ops gave them; on the machine that pinned them,
+# backward(out, w) gave those gradients bit for bit
+FUSED_GRADIENT_PROBES = {
+    "lstm": [-1.921830779638423, -0.7535319882668234, -2.0273997528689716, 1.28033394110281],
+    "head": [-9.941539091904927, 8.832435259781864, 2.380417445985266, 1.5176173528219616,
+             -15.454635158094542],
+    "bidaf": [15.457013181451822, -10.990296421250402],
+}
 
 
 class TestBackward:
     def test_sum_gives_ones(self):
+        # d/dx sum(x) from a cotangent of ones at the root x itself
         g = ad.Graph()
         x = g.leaf(np.arange(6.0).reshape(2, 3))
-        grads = g.backward(ad.reduce_sum(x))
+        grads = g.backward(x, np.ones((2, 3)))
         assert np.array_equal(grads[x.node_id], np.ones((2, 3)))
 
     def test_square_sum(self):
         # d/dx sum(x*x) = 2x
         g = ad.Graph()
         x = g.leaf([1.0, 2.0, 3.0])
-        grads = g.backward(ad.reduce_sum(ad.mul(x, x)))
+        grads = g.backward(ad.mul(x, x), np.ones(3))
         assert np.array_equal(grads[x.node_id], [2.0, 4.0, 6.0])
 
     def test_unused_parameter_gets_zeros(self):
         g = ad.Graph()
         x = g.leaf([1.0, 2.0])
         unused = g.leaf(np.ones((3, 3)))
-        grads = g.backward(ad.reduce_sum(x))
+        grads = g.backward(x, np.ones(2))
         assert np.array_equal(grads[unused.node_id], np.zeros((3, 3)))
 
     def test_non_scalar_root_rejected(self):
@@ -446,15 +471,33 @@ class TestBackward:
         with pytest.raises(ad.DimensionError):
             g.backward(ad.mul(x, x))
 
+    def test_cotangent_of_another_shape_names_both_shapes(self):
+        g = ad.Graph()
+        x = g.leaf(np.ones((2, 3)))
+        for bad in (np.ones(3), np.ones((3, 2)), 1.0):
+            with pytest.raises(ad.DimensionError, match=re.escape(
+                    f"cotangent of shape {np.shape(bad)} for a root of shape (2, 3)")):
+                g.backward(ad.mul(x, x), bad)
+
+    @pytest.mark.parametrize("op", sorted(FUSED_GRADIENT_PROBES))
+    def test_cotangent_gives_the_weighted_sum_gradients_and_stays_unchanged(self, op):
+        graph, leaves, out, w = _fused_op_call(op)
+        before = w.copy()
+        w.setflags(write=False)     # a write into it raises
+        grads = graph.backward(out, w)
+        probes = [np.sum(g * np.linspace(-1.0, 2.0, g.size).reshape(g.shape))
+                  for g in (grads[t.node_id] for t in leaves)]
+        assert np.allclose(probes, FUSED_GRADIENT_PROBES[op], rtol=1e-10, atol=0)
+        assert np.array_equal(w, before)
+
     def test_fanout_accumulates(self):
         # y = sum(x*x + x): node x feeds two consumers; dy/dx = 2x + 1
         g = ad.Graph()
         x = g.leaf([1.0, -2.0, 0.5])
-        root = ad.reduce_sum(ad.add(ad.mul(x, x), x))
-        grads = g.backward(root)
+        grads = g.backward(ad.add(ad.mul(x, x), x), np.ones(3))
         assert np.allclose(grads[x.node_id], [3.0, -3.0, 2.0], atol=1e-15)
-        err = ad.grad_check(lambda t: ad.reduce_sum(ad.add(ad.mul(t, t), t)),
-                            np.array([1.0, -2.0, 0.5]))
+        err = ad.grad_check(lambda t: ad.add(ad.mul(t, t), t), np.array([1.0, -2.0, 0.5]),
+                            cotangent=np.ones(3))
         assert err < 1e-8
 
     @staticmethod
@@ -503,8 +546,7 @@ class TestBackward:
         g = ad.Graph()
         a, b = g.leaf([1.0, 2.0]), g.leaf([3.0, 4.0])
         u, v = ad.mul(a, 2.0), ad.mul(a, 3.0)
-        root = ad.reduce_sum(ad.add(ad.add(a, b), ad.add(u, v)))
-        grads = g.backward(root)
+        grads = g.backward(ad.add(ad.add(a, b), ad.add(u, v)), np.ones(2))
         assert np.array_equal(grads[a.node_id], [6.0, 6.0])
         assert np.array_equal(grads[b.node_id], [1.0, 1.0])
 
@@ -514,8 +556,7 @@ class TestBackward:
         unused = g.leaf(np.ones(3))
         frozen = ad.Tensor([3.0, 4.0])
         hidden = ad.tanh(ad.mul(x, frozen))
-        root = ad.reduce_sum(ad.add(hidden, x))
-        grads = g.backward(root)
+        grads = g.backward(ad.add(hidden, x), np.ones(2))
         assert set(grads) == {x.node_id, unused.node_id}
 
     def test_detached_tensors_stay_detached(self):
@@ -527,16 +568,16 @@ class TestBackward:
         for weight in ([3.0, 4.0], [0.5, 0.25]):
             g = ad.Graph()
             w = g.leaf(weight)
-            grads = g.backward(ad.reduce_sum(ad.mul(w, c)))
+            grads = g.backward(ad.mul(w, c), np.ones(2))
             assert set(grads) == {w.node_id}
             assert np.array_equal(grads[w.node_id], c.data)
-            assert len(g) == 3      # leaf, mul, sum: the constant is no node
+            assert len(g) == 2      # leaf and mul: the constant is no node
 
     def test_constant_stays_detached_after_backward(self):
         c = ad.Tensor([0.5, 1.5])
         g = ad.Graph()
         w = g.leaf([1.0, 2.0])
-        g.backward(ad.reduce_sum(ad.mul(w, c)))
+        g.backward(ad.mul(w, c), np.ones(2))
         before = len(g)
         out = ad.tanh(c)
         assert len(g) == before
@@ -562,38 +603,41 @@ class TestBackward:
 class TestGradCheck:
     def test_tanh_sum(self):
         rng = np.random.default_rng(11)
-        err = ad.grad_check(scalar_loss(ad.tanh), rng.normal(size=(3, 3)))
+        err = ad.grad_check(ad.tanh, rng.normal(size=(3, 3)), cotangent=np.ones((3, 3)))
         assert err < 1e-6
 
     def test_linear(self):
         rng = np.random.default_rng(12)
-        err = ad.grad_check(ad.reduce_sum, rng.normal(size=(4,)))
+        x, w = rng.normal(size=(2, 4))
+        err = ad.grad_check(lambda t: t, x, cotangent=w)     # sum(w * x)
         assert err < 1e-10
 
     @staticmethod
     def _tiny_gradient_loss(doubled):
-        """4 + 1e-8 * sum(w * tanh(x)): gradients near 1e-8 on an O(1) loss,
-        where central differences at a 1e-5 step lose ~1e-3 to round-off.
-        With `doubled`, the backward reports twice the true gradient."""
+        """w * tanh(x), 4 added to its last element, probed by ones: 4 + 1e-8 *
+        sum(w' * tanh(x)), gradients near 1e-8 on an O(1) loss, where central
+        differences at a 1e-5 step lose ~1e-3 to round-off. With `doubled`,
+        the backward reports twice the true gradient."""
         w = np.random.default_rng(13).normal(size=(3, 4)) * 1e-8
+        offset = 4.0 * (np.arange(12) == 11).reshape(3, 4)
 
         def loss(t):
-            small = ad.reduce_sum(ad.mul(ad.tanh(t), w))
+            small = ad.mul(ad.tanh(t), w)
             if doubled:
-                frozen = ad.reduce_sum(ad.mul(ad.tanh(ad.Tensor(t.data.copy())), w))
+                frozen = ad.mul(ad.tanh(ad.Tensor(t.data.copy())), w)
                 small = ad.add(ad.add(small, small), ad.mul(frozen, -1.0))
-            return ad.add(small, 4.0)
+            return ad.add(small, offset)
 
         return loss
 
     def test_tiny_gradients_are_resolved(self):
         x = np.random.default_rng(14).normal(size=(3, 4))
         # within the per-op bound; central differences at the 1e-5 step alone give 2.5e-3
-        assert ad.grad_check(self._tiny_gradient_loss(False), x) < 1e-4
+        assert ad.grad_check(self._tiny_gradient_loss(False), x, cotangent=np.ones((3, 4))) < 1e-4
 
     def test_wrong_tiny_gradient_fails(self):
         x = np.random.default_rng(14).normal(size=(3, 4))
-        assert ad.grad_check(self._tiny_gradient_loss(True), x) > 0.4
+        assert ad.grad_check(self._tiny_gradient_loss(True), x, cotangent=np.ones((3, 4))) > 0.4
 
     @staticmethod
     def _relu_loss(doubled):
@@ -602,7 +646,7 @@ class TestGradCheck:
         w = np.arange(1.0, 5.0)
 
         def relu_sum(x):
-            return ad.reduce_sum(ad.head([x], np.eye(4), np.zeros(4), w[None]))
+            return ad.head([x], np.eye(4), np.zeros(4), w[None])
 
         def loss(t):
             out = relu_sum(t)
@@ -618,16 +662,17 @@ class TestGradCheck:
     KINK_PROBE = np.array([[0.7, 5e-6, -0.4, -3e-6]])
 
     def test_probe_near_a_kink_is_resolved(self):
-        assert ad.grad_check(self._relu_loss(False), self.KINK_PROBE) < 1e-8
+        assert ad.grad_check(self._relu_loss(False), self.KINK_PROBE, cotangent=[[1.0]]) < 1e-8
 
     def test_wrong_gradient_near_a_kink_fails(self):
-        assert ad.grad_check(self._relu_loss(True), self.KINK_PROBE) > 0.4
+        assert ad.grad_check(self._relu_loss(True), self.KINK_PROBE, cotangent=[[1.0]]) > 0.4
 
 
-@pytest.mark.parametrize("name,f,x", op_gradcheck_cases(),
-                         ids=lambda c: c if isinstance(c, str) else "")
-def test_every_op_passes_gradcheck(name, f, x):
-    assert ad.grad_check(f, x) < OP_THRESHOLD
+# ids of the form name--: one per case, whatever else a case holds
+@pytest.mark.parametrize("name,f,x,cotangent", op_gradcheck_cases(),
+                         ids=[f"{name}--" for name, *_ in op_gradcheck_cases()])
+def test_every_op_passes_gradcheck(name, f, x, cotangent):
+    assert ad.grad_check(f, x, cotangent=cotangent) < OP_THRESHOLD
 
 
 def test_every_op_has_a_gradcheck_case(monkeypatch):
@@ -642,7 +687,7 @@ def test_every_op_has_a_gradcheck_case(monkeypatch):
             called.add(_name)
             return _op(*args, **kwargs)
         monkeypatch.setattr(ad, name, spy)
-    for _, f, x in op_gradcheck_cases():
+    for _, f, x, _ in op_gradcheck_cases():
         f(ad.Tensor(x))
     assert sorted(set(ops) - called) == []
 

@@ -714,6 +714,23 @@ class TestOutputNamesAnInput:
             (tmp_path / "straight.ckpt.last").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_an_input_named_out_tmp_is_kept(trained_checkpoint, fixtures_dir, tmp_path, command):
+    # the data is named <out>.tmp, beside --out: writing --out leaves it as it was
+    out = tmp_path / {"train": "m.ckpt", "predict": "preds.json"}[command]
+    data = tmp_path / f"{out.name}.tmp"
+    original = (fixtures_dir / "tiny_squad.json").read_bytes()
+    data.write_bytes(original)
+    flags = {"train": ["--iters", "2", "--hidden", "8", "--embed-dim", "32",
+                       "--batch-size", "8"],
+             "predict": ["--ckpt", str(trained_checkpoint)]}[command]
+    code = main([command, "--data", str(data), "--glove", str(fixtures_dir / "tiny_glove.txt"),
+                 "--out", str(out), *flags])
+    assert code == 0
+    assert data.read_bytes() == original
+    assert out.stat().st_size > 0
+
+
 class TestGradcheckCommand:
     def test_passes_and_prints_per_op(self, capsys):
         code = main(["gradcheck", "--seed", "0"])
@@ -733,13 +750,14 @@ class TestGradcheckCommand:
         def forged(t):
             frozen = ad.Tensor(t.data.copy())  # same values, no grad path
             doubled = ad.add(relu_sum(t), relu_sum(t))
-            return ad.reduce_sum(ad.add(doubled, ad.mul(relu_sum(frozen), -1.0)))
+            return ad.add(doubled, ad.mul(relu_sum(frozen), -1.0))
 
         real_cases = diagnostics.op_gradcheck_cases
         monkeypatch.setattr(
             diagnostics, "op_gradcheck_cases",
             lambda seed: real_cases(seed) + [
-                ("forged", forged, np.random.default_rng(0).normal(size=(3, 3)))])
+                ("forged", forged, np.random.default_rng(0).normal(size=(3, 3)),
+                 np.ones((3, 1)))])
         code = main(["gradcheck"])
         out = capsys.readouterr().out
         assert code == 1

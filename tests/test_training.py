@@ -701,6 +701,26 @@ class TestCheckpoint:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
         assert path.read_bytes() == original
 
+    def test_a_file_named_path_tmp_survives_a_save(self, tmp_path):
+        path, neighbour = tmp_path / "m.ckpt", tmp_path / "m.ckpt.tmp"
+        neighbour.write_bytes(b"an input, not a checkpoint\n")
+        data.replace_file(path, lambda handle: handle.write(b"saved"))
+        assert neighbour.read_bytes() == b"an input, not a checkpoint\n"
+        assert path.read_bytes() == b"saved"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt", "m.ckpt.tmp"]
+
+    def test_a_file_with_the_drawn_temp_name_is_never_opened(self, tmp_path, monkeypatch):
+        # the temp file is created exclusively: an existing file of that name
+        # stops the write and is kept, and so is the file being replaced
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(b"old")
+        taken = tmp_path / "m.ckpt.0123456789abcdef.tmp"
+        taken.write_bytes(b"an input")
+        monkeypatch.setattr(data.os, "urandom", lambda n: bytes.fromhex("0123456789abcdef"))
+        with pytest.raises(FileExistsError):
+            data.replace_file(path, lambda handle: handle.write(b"new"))
+        assert taken.read_bytes() == b"an input" and path.read_bytes() == b"old"
+
     @pytest.mark.parametrize("writer", ["checkpoint", "glove_copy"])
     def test_save_syncs_temp_file_before_rename(self, tmp_path, monkeypatch, writer):
         # and the directory after it, so the rename survives a power loss
@@ -723,14 +743,14 @@ class TestCheckpoint:
             fsync(fd)
 
         def logged_replace(src, dst):
-            calls.append(("replace", str(src), os.stat(src).st_ino))
+            calls.append(("replace", str(dst), os.stat(src).st_ino))
             replace(src, dst)
 
         monkeypatch.setattr(os, "fsync", logged_fsync)
         monkeypatch.setattr(os, "replace", logged_replace)
         save()
         inode = path.stat().st_ino      # the temp file's, renamed into place
-        replaced = calls.index(("replace", f"{path}.tmp", inode))
+        replaced = calls.index(("replace", str(path), inode))
         assert ("fsync", inode) in calls[:replaced]
         assert ("fsync", tmp_path.stat().st_ino) in calls[replaced:]
 
