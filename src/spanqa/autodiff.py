@@ -714,8 +714,7 @@ def head(xs, W1, b1, W2) -> Tensor:
     needs = [x.graph is not None for x in xs]
 
     def backward(g):
-        dw2 = np.empty(w2.shape, g.dtype)
-        (dh,) = _input_grads(g, [hidden], [None], [(0, w2.shape[1])], w2, dw2, [True])
+        dh, dw2 = g @ w2, g.T @ hidden
         dh *= hidden > 0
         dw1 = np.empty(w1.shape, dh.dtype)
         dxs = _input_grads(dh, datas, _masks(datas, drops), spans, w1, dw1, needs)
@@ -962,7 +961,9 @@ def bidaf(rows, w_sim, context_packing: Packing, question_packing: Packing) -> T
 
     The op is one tape node. It saves the two softmaxes and the row-max
     argmax; its hand-written backward reads c and q, views of its input, and
-    returns one gradient of [c ; q]. An empty row raises DegenerateMaskError.
+    u~ back from G, which it holds as `lstm` holds its result, so no consumer
+    may write into G. It returns one gradient of [c ; q]. An empty row
+    raises DegenerateMaskError.
     """
     r, w = _lift(rows), _lift(w_sim)
     n, d = context_packing.size, r.shape[1] if r.ndim == 2 else -1
@@ -1001,9 +1002,8 @@ def bidaf(rows, w_sim, context_packing: Packing, question_packing: Packing) -> T
         g_c, g_u, g_cu, g_ch = (g[:, k * d:(k + 1) * d] for k in range(4))
         c_pad, q_pad = _padded(cd, context_packing), _padded(qd, question_packing)
         h_tilde = (q2c[:, None, :] @ c_pad)[:, 0]
-        u = (c2q @ q_pad).reshape(-1, d)[flat]
         # the direct gradient of c, and those of u~ (padded) and h~
-        dc = g_c + g_cu * u + g_ch * h_tilde[batch_rows]
+        dc = g_c + g_cu * out[:, d:2 * d] + g_ch * h_tilde[batch_rows]
         du = _padded(g_u + g_cu * cd, context_packing)
         dh = _padded(g_ch * cd, context_packing).sum(axis=1)
         # u~ = c2q @ q and h~ = q2c @ c, each through its softmax; the row

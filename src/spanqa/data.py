@@ -1,5 +1,5 @@
 """SQuAD-format ingestion, tokenization, answer alignment, GloVe loading,
-and padded/masked batch construction.
+and padded batches: `make_batch` builds one, `build_batches` one per chunk.
 
 Tokenization is lowercased and whitespace-driven, with leading and trailing
 punctuation peeled off as single-character tokens (so quotes survive as
@@ -40,7 +40,7 @@ __all__ = [
     "ParseError", "SchemaError", "AlignmentError", "GloveFormatError",
     "EmptyDatasetError", "PAD_ID", "UNK_ID",
     "tokenize", "load_squad", "align_answer", "load_glove", "replace_file",
-    "build_batches", "prepare_for_training", "dataset_stats",
+    "make_batch", "build_batches", "prepare_for_training", "dataset_stats",
 ]
 
 log = logging.getLogger(__name__)
@@ -405,35 +405,35 @@ def prepare_for_training(examples, context_cap: int) -> tuple[list[QAExample], i
 
 def build_batches(examples, table: EmbeddingTable, batch_size: int,
                   context_cap: int = 300, training: bool = True) -> list[Batch]:
-    """Pad examples into batches of consecutive examples, in order.
+    """`make_batch` over consecutive chunks of `batch_size` examples, in order.
 
     In training mode, examples without a usable gold span under the cap are
-    dropped first (see prepare_for_training). Padding goes to each batch's
-    own max context/question length. Training shuffles by `epoch_order`.
+    dropped first (see prepare_for_training). Training shuffles by `epoch_order`.
     """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     examples = list(examples)
     if training:
         examples, _ = prepare_for_training(examples, context_cap)
-    batches = []
-    for lo in range(0, len(examples), batch_size):
-        chunk = examples[lo:lo + batch_size]
-        batches.append(_assemble(chunk, table, context_cap))
-    return batches
+    return [make_batch(examples[lo:lo + batch_size], table, context_cap)
+            for lo in range(0, len(examples), batch_size)]
 
 
-def _assemble(chunk, table, context_cap) -> Batch:
-    ctoks = [ex.context_tokens[:context_cap] for ex in chunk]
-    qtoks = [ex.question_tokens for ex in chunk]
+def make_batch(examples, table: EmbeddingTable, context_cap: int) -> Batch:
+    """`examples` padded to their longest context (cut at `context_cap`) and
+    question, in order; a gold span missing or past the cap reads (0, 0)."""
+    if not examples:
+        raise EmptyDatasetError("make_batch needs at least one example")
+    ctoks = [ex.context_tokens[:context_cap] for ex in examples]
+    qtoks = [ex.question_tokens for ex in examples]
     max_c = max(len(t) for t in ctoks)
     max_q = max(max(len(t) for t in qtoks), 1)
-    n = len(chunk)
+    n = len(examples)
     context_ids = np.full((n, max_c), PAD_ID, dtype=np.int64)
     question_ids = np.full((n, max_q), PAD_ID, dtype=np.int64)
     gold_starts = np.zeros(n, dtype=np.int64)
     gold_ends = np.zeros(n, dtype=np.int64)
-    for b, ex in enumerate(chunk):
+    for b, ex in enumerate(examples):
         context_ids[b, :len(ctoks[b])] = table.ids(ctoks[b])
         question_ids[b, :len(qtoks[b])] = table.ids(qtoks[b])
         if ex.gold_span is not None and ex.gold_span[1] < context_cap:

@@ -8,7 +8,7 @@ reads in log space and decoding through untaped softmaxes built on demand.
 Every layer runs on packed rows: ``forward`` packs each id array's mask,
 ids != PAD_ID, once into an ``autodiff.Packing`` (masks are prefixes: each
 row's tokens come first and PAD_ID fills the rest, as
-``data.build_batches`` makes them), embeds only the live tokens, and
+``data.make_batch`` makes them), embeds only the live tokens, and
 carries the N live positions of the batch as (N, .) row blocks through the
 encoder, the attention output G, both decoders and both heads, whose (N, 1)
 logits the loss and the softmaxes read with the context packing. Each

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import model as qa_model
 from .autodiff import ConfigError, Graph
-from .data import Batch, EmbeddingTable, build_batches, prepare_for_training
+from .data import Batch, EmbeddingTable, make_batch, prepare_for_training
 from .metrics import evaluate
 from .spans import best_span, span_text
 
@@ -201,9 +201,8 @@ def predict_answers(examples, params, table, config: qa_model.ModelConfig,
     answerable = [ex for ex in examples if ex.qid not in predictions]
     for lo in range(0, len(answerable), batch_size):
         chunk = answerable[lo:lo + batch_size]
-        (batch,) = build_batches(chunk, table, batch_size,
-                                 context_cap=config.context_cap, training=False)
-        out = qa_model.forward(batch, params, table, config, training=False)
+        out = qa_model.forward(make_batch(chunk, table, config.context_cap), params,
+                               table, config, training=False)
         p_start, p_end = out.p_start, out.p_end
         for row, ex in enumerate(chunk):
             pred = best_span(p_start[row], p_end[row], out.packing.mask[row],
@@ -254,9 +253,8 @@ def train(train_examples, table: EmbeddingTable, config: qa_model.ModelConfig,
         if epoch != order_epoch:
             order_epoch, order = epoch, epoch_order(config.seed, epoch, len(usable))
         lo = offset * batch_size
-        picked = order[lo:lo + batch_size]
-        (batch,) = build_batches([usable[i] for i in picked], table, batch_size,
-                                 context_cap=config.context_cap, training=False)
+        batch = make_batch([usable[i] for i in order[lo:lo + batch_size]], table,
+                           config.context_cap)
         tick = time.perf_counter()
         loss_value = train_step(params, batch, table, state, config, lr)
         record = TrainLogRecord(iteration=state.step, train_loss=loss_value,

@@ -13,6 +13,11 @@ tensors laid end to end in `model.param_shapes` order; answers as JSON with
 sorted keys; `p_start` and `p_end` as the float32 rows of the first decode
 batch of 40. The inputs are the paper-shape examples and dev files of
 `perfbench/gen.py` and the bundled fixture.
+
+Two lines follow the hashes: the tracemalloc peaks, in MiB, of paper-shape
+train steps 2-4 at B=20 and at B=40, each counted from its step's start,
+after step 1 as a warm-up. They are measurements, not hashes, but they are
+as repeatable on one host as the hashes are.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import hashlib
 import json
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +58,8 @@ def answers(predictions: dict[str, str]) -> str:
 
 def paper_steps(batch_size: int, steps: int):
     """`steps` train_steps at the paper's shape (seed 1, dropout 0.2) on the
-    first batches of `gen.paper_examples(1)`: the losses, params and state."""
+    first batches of `gen.paper_examples(1)`: the losses, params and state,
+    and the tracemalloc peak in MiB of each step after the first."""
     examples, table = gen.paper_examples(1)
     config = model.ModelConfig(hidden_size=gen.HIDDEN, dropout_rate=0.2,
                                embedding_dim=gen.EMBED_DIM, context_cap=300, seed=1)
@@ -60,9 +67,15 @@ def paper_steps(batch_size: int, steps: int):
     state = training.init_optimizer(params)
     batches = data.build_batches(examples, table, batch_size,
                                  context_cap=config.context_cap, training=True)
-    values = [training.train_step(params, batch, table, state, config)
-              for batch in batches[:steps]]
-    return values, params, state
+    values, peaks = [], []
+    for batch in batches[:steps]:
+        if values:
+            tracemalloc.start()
+        values.append(training.train_step(params, batch, table, state, config))
+        if tracemalloc.is_tracing():
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+            tracemalloc.stop()
+    return values, params, state, peaks
 
 
 def fixture_run(workdir: Path):
@@ -89,20 +102,19 @@ def dev_outputs(seed: int, workdir: Path):
     loaded = checkpoint.load_checkpoint(paths["ckpt"])
     table = data.load_glove(paths["glove"], dim=loaded.config.embedding_dim)
     examples = data.load_squad(paths["squad"])
-    first = data.build_batches(examples, table, 40,
-                               context_cap=loaded.config.context_cap, training=False)[0]
+    first = data.make_batch(examples[:40], table, loaded.config.context_cap)
     out = model.forward(first, loaded.params, table, loaded.config)
     predictions = training.predict_answers(examples, loaded.params, table, loaded.config)
     return out.p_start, out.p_end, predictions
 
 
 def main() -> None:
-    values, params, state = paper_steps(20, 3)
+    values, params, state, _ = paper_steps(20, 3)
     print("paper B=20 x3 losses", losses(values))
     print("paper B=20 x3 params", tensors(params))
     print("paper B=20 x3 m     ", tensors(state.m))
     print("paper B=20 x3 v     ", tensors(state.v))
-    values, params, _ = paper_steps(40, 4)
+    values, params, _, peaks_40 = paper_steps(40, 4)
     print("paper B=40 x4 losses", losses(values))
     print("paper B=40 x4 params", tensors(params))
     with tempfile.TemporaryDirectory() as workdir:
@@ -119,6 +131,9 @@ def main() -> None:
         print(f"dev seed {seed} p_end    ", digest(p_end.tobytes()))
         print(f"dev seed {seed} answers  ", answers(predictions))
     print("fixture ckpt resaved", digest(resaved))
+    for batch_size, peaks in ((20, paper_steps(20, 4)[3]), (40, peaks_40)):
+        print(f"paper B={batch_size} steps 2-4 peak MiB",
+              " / ".join(f"{peak:.1f}" for peak in peaks))
 
 
 if __name__ == "__main__":

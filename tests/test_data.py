@@ -10,7 +10,7 @@ from spanqa.autodiff import ConfigError
 from spanqa.data import (AlignmentError, EmptyDatasetError, GloveFormatError,
                          PAD_ID, ParseError, SchemaError, UNK_ID, align_answer,
                          build_batches, dataset_stats, load_glove, load_squad,
-                         prepare_for_training, tokenize)
+                         make_batch, prepare_for_training, tokenize)
 from spanqa.metrics import normalize_answer
 
 
@@ -309,15 +309,18 @@ class TestBuildBatches:
         assert sum(len(b.context_ids) for b in batches) == 1
         assert batches[0].context_ids.shape[1] == 300
 
-    def test_rows_padded_after_their_tokens(self):
+    @pytest.mark.parametrize("build", [
+        lambda examples, table: build_batches(examples, table, batch_size=3)[0],
+        lambda examples, table: make_batch(examples, table, context_cap=300),
+    ], ids=["build_batches", "make_batch"])
+    def test_rows_padded_after_their_tokens(self, build):
         table = make_table(WORDS)
         examples = []
         for n, length in enumerate([5, 9, 3]):
             examples.extend(_toy_examples(1, WORDS, context_len=length, answer_at=1,
                                           seed=n))
             examples[-1].qid = f"e{n}"
-        batches = build_batches(examples, table, batch_size=3)
-        (batch,) = batches
+        batch = build(examples, table)
         assert batch.context_ids.shape == (3, 9)
         assert np.array_equal(batch.context_ids != PAD_ID,
                               np.arange(9) < np.array([[5], [9], [3]]))
@@ -325,6 +328,10 @@ class TestBuildBatches:
     def test_bad_batch_size(self):
         with pytest.raises(ConfigError):
             build_batches([], make_table(WORDS), batch_size=0)
+
+    def test_make_batch_needs_an_example(self):
+        with pytest.raises(EmptyDatasetError, match="make_batch"):
+            make_batch([], make_table(WORDS), context_cap=300)
 
     def test_invariants_on_random_subsets(self):
         table = make_table(WORDS)

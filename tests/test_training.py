@@ -40,15 +40,14 @@ def small_config(seed=0, dropout=0.0):
 
 @pytest.fixture
 def batch_sizes(monkeypatch):
-    """The number of examples each `build_batches` call of training.py gets."""
+    """The number of examples each `make_batch` call of training.py gets."""
     sizes = []
 
     def spying(examples, *args, **kwargs):
-        examples = list(examples)
         sizes.append(len(examples))
-        return build_batches(examples, *args, **kwargs)
+        return data.make_batch(examples, *args, **kwargs)
 
-    monkeypatch.setattr(training, "build_batches", spying)
+    monkeypatch.setattr(training, "make_batch", spying)
     return sizes
 
 
