@@ -68,11 +68,11 @@ def paper_steps(batch_size: int, steps: int):
     batches = data.build_batches(examples, table, batch_size,
                                  context_cap=config.context_cap, training=True)
     values, peaks = [], []
-    for batch in batches[:steps]:
-        if values:
+    for k, batch in enumerate(batches[:steps]):
+        if k:
             tracemalloc.start()
         values.append(training.train_step(params, batch, table, state, config))
-        if tracemalloc.is_tracing():
+        if k:
             peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
             tracemalloc.stop()
     return values, params, state, peaks
