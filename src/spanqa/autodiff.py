@@ -46,7 +46,6 @@ __all__ = [
     "add_bias",
     "expand_batch",
     "repeat_axis",
-    "take_rows",
     "Packing",
     "head",
     "masked_softmax",
@@ -426,36 +425,6 @@ def repeat_axis(x, axis: int, count: int) -> Tensor:
     return _broadcast_to("repeat_axis", x, tuple(shape))
 
 
-def take_rows(x, index) -> Tensor:
-    """Gather rows along the leading axis: x[index]; an index may repeat.
-
-    Backward sums the gradients of each row's copies into zeros of x's
-    shape: one stable sort by row, then one `np.add.reduceat` (`np.add.at`
-    is several times slower), so a row taken several times receives the
-    sum of its copies' gradients and an untaken row gets zeros.
-    """
-    x = _lift(x)
-    index = np.asarray(index)
-    if x.ndim == 0 or index.ndim != 1 or not np.issubdtype(index.dtype, np.integer):
-        raise DimensionError(
-            f"take_rows: need a 1-D integer index into rows of x, got "
-            f"{index.dtype} index of shape {index.shape} for x of shape {x.shape}")
-    if index.size and (index.min() < 0 or index.max() >= x.shape[0]):
-        raise DimensionError(
-            f"take_rows: index out of range [0, {x.shape[0]}) for shape {x.shape}")
-    out = x.data[index]
-    shape, dtype = x.shape, x.data.dtype
-
-    def backward(g):
-        gx = np.zeros(shape, dtype)
-        order = np.argsort(index, kind="stable")
-        taken, starts = np.unique(index[order], return_index=True)
-        gx[taken] = np.add.reduceat(g[order], starts, axis=0)
-        return (gx,)
-
-    return _apply("take_rows", (x,), out, backward)
-
-
 def _shifted(logits, keep):
     """The logits less their row max over `keep` on the last axis; -inf off `keep`."""
     neg = np.where(keep, logits, -np.inf)
@@ -589,8 +558,8 @@ class Packing:
     running at step s are a prefix [:k_s] of the rows, so the
     N = sum(lengths) live positions pack step-major into one (N, .) block.
     `index` is the (row, position) of each packed row and `flat` its
-    row * L + position, so `take_rows` of a (B*L, .) view packs a padded
-    tensor; `counts` is the k_s of every step with a live row, and `prev`
+    row * L + position, so a (B*L, .) view's rows `flat` are the packed
+    rows of a padded tensor; `counts` is the k_s of every step with a live row, and `prev`
     the packed index of the same sequence's previous step for each row after
     the first k_0. A reverse pass fills the same (step, rank) slots from
     position l-1-s, the packed rows `reverse`, and shares `counts` and `prev`.
@@ -943,9 +912,11 @@ def lstm(xs, packing: Packing, W, b, *, rebuild_gates: bool = False) -> Tensor:
     return _apply("lstm", inputs, out, backward)
 
 
-def bidaf(rows, w_sim, context_packing: Packing, question_packing: Packing) -> Tensor:
-    """Bidirectional attention (Seo et al., arXiv 1611.01603) over packed
-    rows [c ; q] (N + Nq, 2h), context c (N rows) over question q -> G (N, 8h).
+def bidaf(x, index, w_sim, context_packing: Packing, question_packing: Packing) -> Tensor:
+    """Bidirectional attention (Seo et al., arXiv 1611.01603) of context c
+    over question q, whose packed rows [c ; q] (N + Nq, 2h) are the rows
+    x[index] of an encoding x -> G (N, 8h). The index, 1-D and integer,
+    may repeat a row of x, and need not read every row.
 
     With w_sim = [w_c ; w_q ; w_m], the similarity of context position i and
     question position j is S[i, j] = w_c.c_i + w_q.q_j + c_i.(w_m*q_j), one
@@ -956,26 +927,38 @@ def bidaf(rows, w_sim, context_packing: Packing, question_packing: Packing) -> T
     softmaxed over the live context positions, weight one summary h~ of the
     context per example. Each row of G is [c_i ; u~_i ; c_i*u~_i ; c_i*h~]
     for the live context positions, in the context packing's row order,
-    written straight into G: beside it, at most one padded (B, Lc, 2h)
-    block is alive at a time (c, then u~ in the same buffer).
+    written straight into G: beside it and the gathered c and q, at most one
+    padded (B, Lc, 2h) block is alive at a time (c, then u~ in the same
+    buffer). The gathered c is dropped once G holds it.
 
-    The op is one tape node. It saves the two softmaxes and the row-max
-    argmax; its hand-written backward reads c and q, views of its input, and
-    u~ back from G, which it holds as `lstm` holds its result, so no consumer
-    may write into G. It returns one gradient of [c ; q]. An empty row
-    raises DegenerateMaskError.
+    The op is one tape node. It saves the gathered q, the two softmaxes and
+    the row-max argmax; its hand-written backward reads c and u~ back from
+    G, which it holds as `lstm` holds its result, so no consumer may write
+    into G. It sums the gradients of each row's copies into zeros of x's
+    shape: one stable sort by row, then one `np.add.reduceat` (`np.add.at`
+    is several times slower), so a row read twice receives the sum of both
+    gradients and an unread row gets zeros. An empty row raises
+    DegenerateMaskError.
     """
-    r, w = _lift(rows), _lift(w_sim)
-    n, d = context_packing.size, r.shape[1] if r.ndim == 2 else -1
-    if (r.ndim != 2 or r.shape[0] != n + question_packing.size or w.shape != (3 * d,)
+    x, w, index = _lift(x), _lift(w_sim), np.asarray(index)
+    if x.ndim == 0 or index.ndim != 1 or not np.issubdtype(index.dtype, np.integer):
+        raise DimensionError(
+            f"bidaf: need a 1-D integer index into rows of x, got "
+            f"{index.dtype} index of shape {index.shape} for x of shape {x.shape}")
+    if index.size and (index.min() < 0 or index.max() >= x.shape[0]):
+        raise DimensionError(
+            f"bidaf: index out of range [0, {x.shape[0]}) for shape {x.shape}")
+    n, d = context_packing.size, x.shape[1] if x.ndim == 2 else -1
+    if (x.ndim != 2 or len(index) != n + question_packing.size or w.shape != (3 * d,)
             or context_packing.shape[0] != question_packing.shape[0]):
         raise DimensionError(
-            f"bidaf: rows {r.shape} and w_sim {w.shape} do not match {n} context plus "
-            f"{question_packing.size} question packed rows of width 2h, and w_sim (3*2h,)")
+            f"bidaf: index {index.shape} into x {x.shape} and w_sim {w.shape} do not match "
+            f"{n} context plus {question_packing.size} question packed rows of width 2h, "
+            f"and w_sim (3*2h,)")
     c_live, q_live = context_packing.mask, question_packing.mask[:, None, :]
     if not (c_live.any(axis=1).all() and q_live.any(axis=2).all()):
         raise DegenerateMaskError("bidaf: a context or question row is empty")
-    (cd, qd), wd = np.split(r.data, [n]), w.data
+    cd, qd, wd = x.data[index[:n]], x.data[index[n:]], w.data
     w_c, w_q, w_m = wd[:d], wd[d:2 * d], wd[2 * d:]
     flat, batch_rows = context_packing.flat, context_packing.index[0]
     q_pad = _padded(qd, question_packing)                       # (B, Lq, 2h)
@@ -997,9 +980,11 @@ def bidaf(rows, w_sim, context_packing: Packing, question_packing: Packing) -> T
     np.multiply(cd, out[:, d:2 * d], out=out[:, 2 * d:3 * d])
     _gather_rows(out[:, 3 * d:], h_tilde, batch_rows)
     out[:, 3 * d:] *= cd
+    shape, dtype = x.shape, x.data.dtype
 
     def backward(g):
         g_c, g_u, g_cu, g_ch = (g[:, k * d:(k + 1) * d] for k in range(4))
+        cd = out[:, :d]
         c_pad, q_pad = _padded(cd, context_packing), _padded(qd, question_packing)
         h_tilde = (q2c[:, None, :] @ c_pad)[:, 0]
         # the direct gradient of c, and those of u~ (padded) and h~
@@ -1023,9 +1008,15 @@ def bidaf(rows, w_sim, context_packing: Packing, question_packing: Packing) -> T
         dq += d_qw * w_m + ds_q * w_q
         dw = np.concatenate([ds_c @ cd, (ds_q * q_pad).sum(axis=(0, 1)),
                              (d_qw * q_pad).sum(axis=(0, 1))])
-        return np.concatenate([dc, dq.reshape(-1, d)[question_packing.flat]]), dw
+        g_rows = np.concatenate([dc, dq.reshape(-1, d)[question_packing.flat]])
+        del dc, dq
+        gx = np.zeros(shape, dtype)
+        order = np.argsort(index, kind="stable")
+        taken, starts = np.unique(index[order], return_index=True)
+        gx[taken] = np.add.reduceat(g_rows[order], starts, axis=0)
+        return gx, dw
 
-    return _apply("bidaf", (r, w), out, backward)
+    return _apply("bidaf", (x, w), out, backward)
 
 
 # ---------------------------------------------------------------------------

@@ -46,9 +46,6 @@ def op_gradcheck_cases(seed: int = 0):
     unsorted_rows, unsorted_probe = unsorted_x[unsorted.index], unsorted_weights[unsorted.index]
     # the unsorted input as two row blocks [x_1 | x_2] of widths 2 and 1
     block_1, block_2 = (unsorted_rows[:, cols] for cols in (slice(2), slice(2, 3)))
-    take_rng = np.random.default_rng(seed + 2)
-    take_index = np.array([2, 0, 2, 1, 2])            # repeats and reorders rows
-    take_weights = take_rng.normal(size=(5, 2, 3))
     # add and mul broadcasting itself: (2, 4, 1), (2, 1, 3) and (2, 4, 3)
     # operands against each other, and a (5,) bias over (3, 2, 5) rows
     bcast_rng = np.random.default_rng(seed + 3)
@@ -66,12 +63,13 @@ def op_gradcheck_cases(seed: int = 0):
     att_context, att_question, att_w, att_weights = (
         att_rng.normal(size=shape)
         for shape in [(att_c.size, 4), (att_q.size, 4), (12,), (att_c.size, 16)])
-
-    def attend(context, question, w_sim):
-        k, n = np.arange(att_c.size + att_q.size), att_c.size    # the rows of [c ; q]
-        rows = ad.add(ad.mul(ad.take_rows(context, np.minimum(k, n - 1)), (k < n)[:, None]),
-                      ad.mul(ad.take_rows(question, np.maximum(k - n, 0)), (k >= n)[:, None]))
-        return ad.bidaf(rows, w_sim, att_c, att_q)
+    att_rows = np.concatenate([att_context, att_question])
+    att_identity = np.arange(len(att_rows))
+    # packed context rows 2 and 7 (example 1's first, example 2's third) read
+    # rows 0 and 3 (example 0's first two) instead: backward sums two copies
+    # of each of those, and rows 2 and 7 get zeros
+    att_index = att_identity.copy()
+    att_index[[2, 7]] = [0, 3]
 
     # dropout applied inside lstm and head: some blocks dropped at 0.4
     def dropped(x, mask_seed):
@@ -140,11 +138,10 @@ def op_gradcheck_cases(seed: int = 0):
         ("head_dropped_W",
          lambda t: fc([dropped(head_1, 98), head_1[:, :1], dropped(head_1, 99)], w1=t), head_w1,
          head_weights),
-        ("take_rows", lambda t: ad.take_rows(t, take_index), take_rng.normal(size=(3, 2, 3)),
-         take_weights),
-        ("bidaf_context", lambda t: attend(t, att_question, att_w), att_context, att_weights),
-        ("bidaf_question", lambda t: attend(att_context, t, att_w), att_question, att_weights),
-        ("bidaf_w_sim", lambda t: attend(att_context, att_question, t), att_w, att_weights),
+        ("bidaf_rows", lambda t: ad.bidaf(t, att_index, att_w, att_c, att_q), att_rows,
+         att_weights),
+        ("bidaf_w_sim", lambda t: ad.bidaf(att_rows, att_identity, t, att_c, att_q), att_w,
+         att_weights),
     ]
 
 
@@ -195,8 +192,8 @@ def end_to_end_gradcheck(seed: int = 0, coords_per_tensor: int | None = 4,
     `coords_per_tensor` limits the finite-difference probes per tensor
     (None checks every coordinate). Dropout stays off: the probe must be
     deterministic. `shared_context` asks both rows about one context, so
-    the pass encodes it once and the gradient flows back through
-    `take_rows`.
+    the pass encodes it once and `bidaf` sums the gradients of its two
+    copies.
     """
     config, params, table, batch = make_tiny_problem(
         seed=seed, shared_context=shared_context)

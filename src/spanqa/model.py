@@ -14,8 +14,9 @@ encoder, the attention output G, both decoders and both heads, whose (N, 1)
 logits the loss and the softmaxes read with the context packing. Each
 BiLSTM layer is one ``autodiff.lstm`` tape node (4 per forward) that reads
 one W and one b stacking both directions and writes both into one (N, 2h)
-result, and the attention is one ``autodiff.bidaf`` node that reads [c ; q]
-and writes G straight into its (N, 8h) result. Each decoder calls
+result, and the attention is one ``autodiff.bidaf`` node that gathers
+[c ; q] from the shared encoding and writes G straight into its (N, 8h)
+result, whose first block backward reads c back from. Each decoder calls
 ``autodiff.lstm`` once, and on a training tape keeps its gates and c; the
 encoder stack ``bilstm`` keeps only c and rebuilds its gates in backward,
 since its inputs (d and 2h wide, against the decoders' 8h and 10h) are
@@ -24,8 +25,9 @@ decoder and the heads take them as blocks [G | M], each multiplied by its
 column slice of the weight, a chunk of rows at a time. Only the attention's
 similarity matrix and, inside the loss and the softmaxes, the logits are
 laid out (B, L), so the cost follows the batch's token count, not B times
-the longest row, and a taped training forward plus loss records 24 nodes
-(15 leaves; 9 ops: one gather, one per head, one loss) whatever the sequence length.
+the longest row, and a taped training forward plus loss records 23 nodes
+(15 leaves; 8 ops, all fused: 4 `lstm`, one `bidaf`, one per head, one loss)
+whatever the sequence length.
 
 Parameters live in a plain name -> ndarray dict. ``forward`` accepts either
 ndarrays (inference; no tape is recorded) or graph-leaf Tensors (training),
@@ -188,19 +190,21 @@ def bilstm(blocks, layer_params, packing: ad.Packing, *, drop=list) -> Tensor:
     return out[0]
 
 
-def bidaf_attention(rows: Tensor, w_sim, context_packing: ad.Packing,
+def bidaf_attention(x: Tensor, index, w_sim, context_packing: ad.Packing,
                     question_packing: ad.Packing) -> Tensor:
-    """Bidirectional attention over packed rows: [c ; q] (N+Nq,2h) -> G (N,8h).
+    """Bidirectional attention over packed rows: [c ; q] = x[index]
+    (N+Nq,2h) -> G (N,8h).
 
     Similarity S[b,i,j] = w_sim . [c_i ; q_j ; c_i*q_j]; context-to-question
     attention gives each live context position a summary u~_i of the
     question, and question-to-context attention one summary h~ of the
     context per example. G holds [c ; u~ ; c*u~ ; c*h~] for the live context
     positions only, in the context packing's row order. The layer is the
-    single `ad.bidaf` op, one tape node with a hand-written backward; see
-    its docstring for how S and G are computed.
+    single `ad.bidaf` op, one tape node with a hand-written backward that
+    gathers [c ; q] from the encoding x itself; see its docstring for how S
+    and G are computed.
     """
-    return ad.bidaf(rows, w_sim, context_packing, question_packing)
+    return ad.bidaf(x, index, w_sim, context_packing, question_packing)
 
 
 def _decode(blocks, decoder_params, head, packing, drop):
@@ -254,9 +258,9 @@ def forward(batch: Batch, params, table: EmbeddingTable, config: ModelConfig,
 
     The shared encoder sees each sequence on its own, so one `bilstm` pass
     covers the distinct context id rows stacked over all the questions
-    (SQuAD asks several per paragraph), and one `ad.take_rows` gathers each
-    row's context, then each question, from it as the attention's [c ; q]:
-    4 `ad.lstm` calls and one gather per forward.
+    (SQuAD asks several per paragraph), and the one `ad.bidaf` call gathers
+    each row's context, then each question, from it as its [c ; q]: 4
+    `ad.lstm` calls and one `ad.bidaf` call per forward.
     """
     pt = {name: value if isinstance(value, Tensor) else Tensor(value)
           for name, value in params.items()}
@@ -278,12 +282,9 @@ def forward(batch: Batch, params, table: EmbeddingTable, config: ModelConfig,
     encoded = bilstm([embed(ids[joint.index], table, dtype)], encoder, joint, drop=drop)
     where = np.zeros(joint.shape, np.int64)     # the packed row of each stacked token
     where[joint.index] = np.arange(joint.size)
-    rows = ad.take_rows(encoded, np.concatenate([where[inverse][contexts.index],
-                                                 where[len(first):][questions.index]]))
-    del encoded
-
-    attention_out = bidaf_attention(rows, pt["attention.w_sim"], contexts, questions)
-    del rows                        # G's first block holds c
+    index = np.concatenate([where[inverse][contexts.index], where[len(first):][questions.index]])
+    attention_out = bidaf_attention(encoded, index, pt["attention.w_sim"], contexts, questions)
+    del encoded                     # G's first block holds c
     m_start, start_logits = start_decoder(
         attention_out, _layer_group(pt, "start_decoder"), _head_group(pt, "start_head"),
         contexts, drop=drop)

@@ -55,11 +55,11 @@ def stacked_rows(context, question) -> np.ndarray:
 
 def packed_attention(rows, w_sim, context_mask, question_mask):
     """``model.bidaf_attention`` on the reference's padded inputs, given as
-    their `stacked_rows` (an array, a Tensor or a leaf): one ``take_rows``
-    gathers the live context rows and then the live question rows, by their
-    masks, into [c ; q], as ``model.forward`` gathers them from the shared
-    encoding. G stays packed, (N, 8h) in the context packing's order;
+    their `stacked_rows` (an array, a Tensor or a leaf): its index reads the
+    live context rows and then the live question rows, by their masks, as
+    [c ; q], as ``model.forward`` reads them from the shared encoding. G
+    stays packed, (N, 8h) in the context packing's order;
     ``lstm_oracle.padded`` lays it out as the reference does."""
     contexts, questions = ad.Packing(context_mask), ad.Packing(question_mask)
     index = np.concatenate([contexts.flat, contexts.mask.size + questions.flat])
-    return bidaf_attention(ad.take_rows(rows, index), w_sim, contexts, questions)
+    return bidaf_attention(rows, index, w_sim, contexts, questions)

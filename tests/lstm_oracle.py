@@ -59,10 +59,25 @@ def flat_rows(x) -> np.ndarray:
     return np.reshape(x, (-1, np.shape(x)[-1]))
 
 
+def gather(x, index) -> ad.Tensor:
+    """x[index] along the leading axis (x an array, a Tensor or a leaf), as
+    a node on x's graph whose backward adds each copy's gradient into zeros
+    of x's shape with `np.add.at`."""
+    x = ad._lift(x)
+    shape, dtype = x.shape, x.data.dtype
+
+    def backward(g):
+        gx = np.zeros(shape, dtype)
+        np.add.at(gx, index, g)
+        return (gx,)
+
+    return ad._apply("gather", (x,), x.data[index], backward)
+
+
 def pack_rows(rows, packing) -> ad.Tensor:
     """The live rows of a padded batch, given as its (B*L, n) `flat_rows` (an
     array, a Tensor or a leaf), in the packing's order: (N, n)."""
-    return ad.take_rows(rows, packing.flat)
+    return gather(rows, packing.flat)
 
 
 def with_block(t, full, block) -> ad.Tensor:
@@ -73,7 +88,7 @@ def with_block(t, full, block) -> ad.Tensor:
     keep[block] = 1.0
     keep = keep.reshape((-1,) + (1,) * (full.ndim - 1))
     index = np.clip(np.arange(len(full)) - block.start, 0, block.stop - block.start - 1)
-    return ad.add(full * (1.0 - keep), ad.mul(ad.take_rows(t, index), keep))
+    return ad.add(full * (1.0 - keep), ad.mul(gather(t, index), keep))
 
 
 def packed_logits(logits, mask):

@@ -96,10 +96,12 @@ def test_op_matches_both_references_taped_and_untaped(seed, hidden):
     packed = np.concatenate([inputs[0][contexts.index], inputs[1][questions.index]])
     blocks = [slice(0, contexts.size), slice(contexts.size, len(packed)), None]
     weights = np.random.default_rng(seed).normal(size=(contexts.size, 8 * hidden))
+    identity = np.arange(len(packed))
     for k, block in enumerate(blocks):
         def loss(t, block=block):
             rows = packed if block is None else with_block(t, packed, block)
-            return bidaf_attention(rows, t if block is None else inputs[2], contexts, questions)
+            return bidaf_attention(rows, identity, t if block is None else inputs[2],
+                                   contexts, questions)
 
         value = inputs[2] if block is None else packed[block]
         assert ad.grad_check(loss, value, coords=12, seed=seed,
@@ -136,13 +138,67 @@ def test_empty_row_and_shape_errors():
 
 @pytest.mark.parametrize("extra", [-1, 1])
 def test_rows_must_be_the_context_plus_the_question_rows(extra):
-    # a block one row short or one row long of N + Nq names both counts
+    # an index one row short or one row long of N + Nq names both counts
     context, question, w_sim, context_mask, question_mask = ragged_inputs(16, 2)
     contexts, questions = ad.Packing(context_mask), ad.Packing(question_mask)
-    rows = np.zeros((contexts.size + questions.size + extra, 4))
-    with pytest.raises(ad.DimensionError, match=rf"\({len(rows)}, 4\).* {contexts.size} "
+    rows = np.zeros((contexts.size + questions.size + 1, 4))
+    index = np.arange(contexts.size + questions.size + extra)
+    with pytest.raises(ad.DimensionError, match=rf"index \({len(index)},\).* {contexts.size} "
                        rf"context plus {questions.size} question"):
-        bidaf_attention(rows, w_sim, contexts, questions)
+        bidaf_attention(rows, index, w_sim, contexts, questions)
+
+
+class TestGather:
+    """`ad.bidaf` reads [c ; q] as the rows x[index] of its input x."""
+
+    @staticmethod
+    def inputs():
+        """x, 12 packed rows [c ; q] of contexts of lengths 4 and 3 and
+        questions of lengths 2 and 3 (2h = 4); an index into x whose second
+        example reads the first's rows 0 and 2 at its positions 0 and 2 (packed
+        rows 1 and 5), so rows 1 and 5 go unread; and w_sim and the packings."""
+        rng = np.random.default_rng(17)
+        contexts = ad.Packing(np.arange(4) < np.array([[4], [3]]))
+        questions = ad.Packing(np.arange(3) < np.array([[2], [3]]))
+        x = rng.normal(size=(contexts.size + questions.size, 4))
+        index = np.arange(len(x))
+        index[[1, 5]] = [0, 2]
+        return x, index, rng.normal(size=12), contexts, questions
+
+    def test_repeated_rows_sum_their_gradients(self):
+        # against x[index] as a leaf of its own, its gradient added into x's
+        # shape by np.add.at
+        x, index, w_sim, contexts, questions = self.inputs()
+        weights = np.random.default_rng(18).normal(size=(contexts.size, 16))
+        outs, grads = [], []
+        for rows, rows_index in [(x, index), (x[index], np.arange(len(index)))]:
+            graph = ad.Graph()
+            leaf = graph.leaf(rows)
+            outs.append(ad.bidaf(leaf, rows_index, w_sim, contexts, questions))
+            grads.append(graph.backward(outs[-1], weights)[leaf.node_id])
+        assert np.array_equal(outs[0].data, outs[1].data)
+        expected = np.zeros_like(x)
+        np.add.at(expected, index, grads[1])
+        assert np.array_equal(grads[0], expected)
+        assert not grads[0][[1, 5]].any()       # unread rows: zeros
+
+    def test_keeps_float32(self):
+        x, index, w_sim, contexts, questions = self.inputs()
+        graph = ad.Graph()
+        leaf = graph.leaf(x.astype(np.float32))
+        out = ad.bidaf(leaf, index, w_sim.astype(np.float32), contexts, questions)
+        assert out.data.dtype == np.float32
+        grads = graph.backward(out, np.ones_like(out.data))
+        assert grads[leaf.node_id].dtype == np.float32
+
+    @pytest.mark.parametrize("bad", ["negative", "too_large", "float", "2-D"])
+    def test_bad_index(self, bad):
+        x, index, w_sim, contexts, questions = self.inputs()
+        index = {"negative": np.where(index == 3, -1, index),
+                 "too_large": np.where(index == 3, len(x), index),
+                 "float": index.astype(np.float64), "2-D": index[None]}[bad]
+        with pytest.raises(ad.DimensionError, match="^bidaf: "):
+            ad.bidaf(x, index, w_sim, contexts, questions)
 
 
 def memory_inputs():
@@ -159,29 +215,33 @@ def memory_inputs():
 
 
 def test_untaped_peak_holds_g_and_one_padded_block():
-    # beside G (N, 8h), an untaped call holds one padded (B, Lc, 2h) block
-    # (c, then u~ in its buffer) and a few (B, Lc, Lq) similarity terms: no
-    # (N, 2h) copies of u~ or h~ and no second padded block
+    # beside G (N, 8h) and the gathered [c ; q] (N + Nq, 2h), an untaped
+    # call holds one padded (B, Lc, 2h) block (c, then u~ in its buffer) and
+    # a few (B, Lc, Lq) similarity terms: no (N, 2h) copies of u~ or h~ and
+    # no second padded block
     rows, w_sim, contexts, questions = memory_inputs()
     (batch, lc), lq = contexts.shape, questions.shape[1]
     g_bytes = contexts.size * 4 * rows.shape[1] * 8
     padded = batch * lc * rows.shape[1] * 8
     sim_terms = 4 * batch * lc * lq * 8
-    out, _, peak = traced(bidaf_attention, ad.Tensor(rows), w_sim, contexts, questions)
+    index = np.arange(len(rows))
+    out, _, peak = traced(bidaf_attention, ad.Tensor(rows), index, w_sim, contexts, questions)
     assert out.data.nbytes == g_bytes
-    assert peak < g_bytes + padded + sim_terms + 65536
+    assert peak < g_bytes + rows.nbytes + padded + sim_terms + 65536
 
 
 def test_taped_call_retains_g_two_softmaxes_and_the_argmax():
     # what a taped call leaves alive for backward: G, the (B, Lc, Lq)
-    # context-to-question softmax, the (B, Lc) question-to-context softmax
-    # and the (B, Lc) row-max argmax; c and q are read back from the input
+    # context-to-question softmax, the (B, Lc) question-to-context softmax,
+    # the (B, Lc) row-max argmax and the gathered (Nq, 2h) question rows; no
+    # copy of c, which backward reads back from G
     rows, w_sim, contexts, questions = memory_inputs()
     (batch, lc), lq = contexts.shape, questions.shape[1]
     g_bytes = contexts.size * 4 * rows.shape[1] * 8
-    saved = batch * lc * lq * 8 + 2 * batch * lc * 8
+    saved = batch * lc * lq * 8 + 2 * batch * lc * 8 + questions.size * rows.shape[1] * 8
     graph = ad.Graph()
     leaves = [graph.leaf(x) for x in (rows, w_sim)]
-    out, retained, _ = traced(bidaf_attention, *leaves, contexts, questions)
+    index = np.arange(len(rows))
+    out, retained, _ = traced(bidaf_attention, leaves[0], index, leaves[1], contexts, questions)
     assert out.graph is graph
     assert retained < g_bytes + saved + 16384

@@ -92,32 +92,6 @@ def _source(index, shape):
     return tuple(0 if n == 1 else i for i, n in zip(index, shape))
 
 
-class TestTakeRows:
-    def test_forward_gathers_and_backward_sums_repeats(self):
-        x = np.arange(12.0).reshape(3, 4)
-        index = np.array([2, 0, 2, 2])
-        graph = ad.Graph()
-        leaf = graph.leaf(x)
-        out = ad.take_rows(leaf, index)
-        assert np.array_equal(out.data, x[index])
-        weights = np.arange(16.0).reshape(4, 4)
-        grads = graph.backward(out, weights)
-        expected = np.zeros_like(x)
-        for row, source in enumerate(index):
-            expected[source] += weights[row]
-        assert np.array_equal(grads[leaf.node_id], expected)   # row 1 untaken: zeros
-
-    def test_keeps_float32(self):
-        x = np.ones((2, 3), dtype=np.float32)
-        assert ad.take_rows(x, np.array([1, 1, 0])).data.dtype == np.float32
-
-    @pytest.mark.parametrize("index", [np.array([0, 3]), np.array([-1]),
-                                       np.array([0.0, 1.0]), np.array([[0, 1]])])
-    def test_bad_index(self, index):
-        with pytest.raises(ad.DimensionError):
-            ad.take_rows(np.ones((3, 2)), index)
-
-
 class TestConcat:
     def test_vectors(self):
         out = ad.concat([ad.Tensor([1.0, 2.0]), ad.Tensor([3.0])], axis=0)
@@ -428,7 +402,8 @@ def _fused_op_call(op):
     blocks = [leaves[0], ad.Dropped(leaves[1], 0.3, 5)]
     out = {"lstm": lambda: ad.lstm(blocks, c, *leaves[2:]),
            "head": lambda: ad.head(blocks, *leaves[2:]),
-           "bidaf": lambda: ad.bidaf(*leaves, c, q)}[op]()
+           "bidaf": lambda: ad.bidaf(leaves[0], np.arange(len(leaves[0].data)), leaves[1],
+                                     c, q)}[op]()
     return graph, leaves, out, rng.normal(size=out.shape)
 
 

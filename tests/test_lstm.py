@@ -13,7 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
-from lstm_oracle import (bilstm_reference, flat_rows, pack_rows, packed_bilstm, padded,
+from lstm_oracle import (bilstm_reference, flat_rows, gather, pack_rows, packed_bilstm, padded,
                          with_block)
 from memtrace import traced
 from spanqa import autodiff as ad
@@ -381,7 +381,7 @@ def test_backward_lets_go_of_the_result_and_its_gradient_after_the_sweeps(monkey
     params = [graph.leaf(v) for v in stacked_params(rng, 4, 3)]
     y = ad.lstm([ad.Dropped(x, 0.2, 1)], packing, *params)
     result = weakref.ref(y.data)
-    root = ad.take_rows(y, np.arange(packing.size))     # a copy: no reference to y here
+    root = gather(y, np.arange(packing.size))      # a copy: no reference to y here
     del y
     gradients, alive = [], []
     sweep, input_grads = ad._lstm_dz, ad._input_grads

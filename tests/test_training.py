@@ -60,30 +60,28 @@ class TestTrainStep:
         assert losses[-1] < losses[0]
 
     @pytest.mark.parametrize("context_len", [7, 60])
-    def test_step_records_24_tape_nodes(self, monkeypatch, context_len):
-        # 15 parameter leaves and 9 ops, one lstm node per BiLSTM layer with
-        # both directions' weight and bias as one leaf each, one head node
-        # per span head and one loss node: the tape follows the layers, not
-        # the sequence length
+    def test_step_records_23_tape_nodes(self, monkeypatch, context_len):
+        # 15 parameter leaves and 8 ops, one lstm node per BiLSTM layer with
+        # both directions' weight and bias as one leaf each, one bidaf node,
+        # one head node per span head and one loss node: the tape follows
+        # the layers, not the sequence length
         (nodes,) = self._recorded_tapes(monkeypatch, seed=5, context_len=context_len)
         ops = [node.op for node in nodes]
-        assert (len(ops), ops.count("leaf"), ops.count("lstm")) == (24, 15, 4), ops
-        assert (ops.count("head"), ops.count("cross_entropy")) == (2, 1), ops
+        assert (len(ops), ops.count("leaf"), ops.count("lstm")) == (23, 15, 4), ops
+        assert (ops.count("bidaf"), ops.count("head"), ops.count("cross_entropy")) == (1, 2, 1)
 
     @pytest.mark.parametrize("shared_context", [False, True])
     def test_one_gather_feeds_the_attention(self, monkeypatch, shared_context):
-        # the encoder's last lstm node has one consumer, the single take_rows,
-        # which gathers the context rows and then the question rows for the
-        # bidaf node: the encoding gets one gradient back, and no sum
+        # the encoder's last lstm node has one consumer, the bidaf node, which
+        # gathers the context rows and then the question rows from it: the
+        # encoding gets one gradient back, and no sum
         (nodes,) = self._recorded_tapes(monkeypatch, seed=6, shared_context=shared_context)
         ops = [node.op for node in nodes]
-        assert ops.count("take_rows") == 1, ops
-        gather = ops.index("take_rows")
-        encoded = max(i for i in range(gather) if ops[i] == "lstm")
-        assert ops[:gather].count("lstm") == ops[gather:].count("lstm") == 2, ops
-        assert [i for i, node in enumerate(nodes) if encoded in node.parents] == [gather]
-        (attention,) = [node for node in nodes if gather in node.parents]
-        assert attention.op == "bidaf"
+        assert ops.count("bidaf") == 1, ops
+        attention = ops.index("bidaf")
+        encoded = max(i for i in range(attention) if ops[i] == "lstm")
+        assert ops[:attention].count("lstm") == ops[attention:].count("lstm") == 2, ops
+        assert [i for i, node in enumerate(nodes) if encoded in node.parents] == [attention]
 
     @staticmethod
     def _recorded_tapes(monkeypatch, **problem):
