@@ -559,9 +559,9 @@ class Packing:
     N = sum(lengths) live positions pack step-major into one (N, .) block.
     `index` is the (row, position) of each packed row and `flat` its
     row * L + position, so a (B*L, .) view's rows `flat` are the packed
-    rows of a padded tensor; `counts` is the k_s of every step with a live row, and `prev`
-    the packed index of the same sequence's previous step for each row after
-    the first k_0. A reverse pass fills the same (step, rank) slots from
+    rows of a padded tensor; `counts` is the k_s of every step with a live
+    row, and `prev` the packed index of the same sequence's previous step
+    for each row after the first k_0. A reverse pass fills the same (step, rank) slots from
     position l-1-s, the packed rows `reverse`, and shares `counts` and `prev`.
     """
 
