@@ -68,8 +68,13 @@ def op_gradcheck_cases(seed: int = 0):
     # packed context rows 2 and 7 (example 1's first, example 2's third) read
     # rows 0 and 3 (example 0's first two) instead: backward sums two copies
     # of each of those, and rows 2 and 7 get zeros
-    att_index = att_identity.copy()
-    att_index[[2, 7]] = [0, 3]
+    context_index = att_identity.copy()
+    context_index[[2, 7]] = [0, 3]
+    # packed question rows 2 and 4 (example 0's only, example 2's second) read
+    # example 1's first two, rows 0 and 3: no example reads one row twice,
+    # which would tie the row max
+    question_index = att_identity.copy()
+    question_index[att_c.size + np.array([2, 4])] = att_c.size + np.array([0, 3])
 
     # dropout applied inside lstm and head: some blocks dropped at 0.4
     def dropped(x, mask_seed):
@@ -138,7 +143,9 @@ def op_gradcheck_cases(seed: int = 0):
         ("head_dropped_W",
          lambda t: fc([dropped(head_1, 98), head_1[:, :1], dropped(head_1, 99)], w1=t), head_w1,
          head_weights),
-        ("bidaf_rows", lambda t: ad.bidaf(t, att_index, att_w, att_c, att_q), att_rows,
+        ("bidaf_context", lambda t: ad.bidaf(t, context_index, att_w, att_c, att_q), att_rows,
+         att_weights),
+        ("bidaf_question", lambda t: ad.bidaf(t, question_index, att_w, att_c, att_q), att_rows,
          att_weights),
         ("bidaf_w_sim", lambda t: ad.bidaf(att_rows, att_identity, t, att_c, att_q), att_w,
          att_weights),
