@@ -8,7 +8,7 @@ Run from the repository root: python3 demos/02_span_decoding.py
 
 import numpy as np
 
-from spanqa.spans import best_span, oracle_best_span, raw_product_span
+from spanqa.spans import best_span, raw_product_span
 
 p_start = np.array([0.45, 0.35, 0.20])
 p_end = np.array([0.10, 0.55, 0.35])
@@ -22,20 +22,6 @@ raw = raw_product_span(p_start, p_end, mask, max_len=3)
 smart = best_span(p_start, p_end, mask, max_len=3)
 print(f"raw product picks ({raw.start},{raw.end}) with product {raw.score:.4f}")
 print(f"smart span picks  ({smart.start},{smart.end}) with score {smart.score:.4f}")
-
-# %%
-# The exhaustive oracle agrees with the vectorized decoder on random inputs.
-
-rng = np.random.default_rng(1)
-disagreements = 0
-for _ in range(200):
-    length = int(rng.integers(1, 40))
-    ps, pe = rng.random(length), rng.random(length)
-    ones = np.ones(length)
-    fast = best_span(ps, pe, ones, max_len=length)
-    slow = oracle_best_span(ps, pe, ones)
-    disagreements += (fast.start, fast.end) != (slow.start, slow.end)
-print(f"oracle disagreements over 200 random draws: {disagreements}")
 
 # %%
 # The prediction holds token positions; span_text reads the answer string

@@ -4,8 +4,7 @@ Run from the repository root: python3 demos/03_metrics.py
 """
 
 from spanqa.data import QAExample, tokenize
-from spanqa.metrics import (categorize_question, em_score, evaluate, f1_score,
-                            normalize_answer)
+from spanqa.metrics import categorize_question, evaluate, f1_score, normalize_answer
 
 # %%
 # Normalization lowercases, strips punctuation, and drops articles.
@@ -19,8 +18,8 @@ print(normalize_answer("the most giving Super Bowl ever"))
 stats = f1_score("giving super bowl ever", "the most giving Super Bowl ever")
 print(f"P={stats.precision:.3f} R={stats.recall:.3f} F1={stats.f1:.3f} "
       f"EM={stats.em}")
-print("em('the late show', 'The Late Show') =",
-      em_score("the late show", "The Late Show"))
+print("EM of 'the late show' against 'The Late Show' =",
+      f1_score("the late show", "The Late Show").em)
 
 # %%
 # Questions are binned by the first keyword in a fixed Who..How order.

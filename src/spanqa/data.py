@@ -330,8 +330,8 @@ def _parse_glove(path, handle, dim: int) -> tuple[list[str], np.ndarray]:
 
 def _glove_table(dim: int, words: list[str], matrix: np.ndarray) -> EmbeddingTable:
     # a repeated word keeps its last row
-    return EmbeddingTable(dim=dim, word_to_id={w: i + 2 for i, w in enumerate(words)},
-                          matrix=matrix)
+    return EmbeddingTable(dim=dim, matrix=matrix,
+                          word_to_id=dict(zip(words, range(2, len(words) + 2))))
 
 
 def _read_glove_copy(cache: str, source: np.ndarray, dim: int) -> EmbeddingTable | None:

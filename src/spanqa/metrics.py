@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 __all__ = ["MatchStats", "EvalReport", "CATEGORIES", "normalize_answer",
-           "f1_score", "em_score", "categorize_question", "evaluate"]
+           "f1_score", "categorize_question", "evaluate"]
 
 log = logging.getLogger(__name__)
 
@@ -65,10 +65,6 @@ def f1_score(prediction: str, truth: str) -> MatchStats:
     recall = overlap / len(truth_tokens)
     f1 = 2 * precision * recall / (precision + recall)
     return MatchStats(precision, recall, f1, em)
-
-
-def em_score(prediction: str, truth: str) -> int:
-    return int(normalize_answer(prediction) == normalize_answer(truth))
 
 
 def categorize_question(question: str) -> str:

@@ -50,8 +50,8 @@ from .autodiff import ConfigError, Tensor
 from .data import PAD_ID, Batch, EmbeddingTable
 
 __all__ = ["ENCODER_LAYERS", "ModelConfig", "ForwardOutput", "init_params",
-           "param_count", "param_shapes", "embed", "bilstm", "bidaf_attention",
-           "start_decoder", "end_decoder", "forward", "loss"]
+           "param_shapes", "embed", "bilstm", "bidaf_attention", "start_decoder",
+           "end_decoder", "forward", "loss"]
 
 ENCODER_LAYERS = 2
 
@@ -143,11 +143,6 @@ def init_params(config: ModelConfig) -> dict[str, np.ndarray]:
             value = rng.uniform(-limit, limit, size=shape).astype(np.float32)
         params[name] = value
     return params
-
-
-def param_count(params: dict[str, np.ndarray]) -> int:
-    """Total trainable elements (the frozen embedding table is not in params)."""
-    return sum(int(np.prod(v.shape)) for v in params.values())
 
 
 def embed(ids: np.ndarray, table: EmbeddingTable, dtype=np.float64) -> Tensor:

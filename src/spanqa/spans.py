@@ -2,8 +2,8 @@
 
 The smart-span score divides the start*end probability product by a
 log-length penalty, so among spans with similar products the shorter one
-wins. ``best_span`` is the vectorized production path; ``oracle_best_span``
-is a deliberately plain O(L^2) scan kept independent for cross-checking.
+wins. ``best_span`` decodes with it; ``raw_product_span`` is the paper's
+unpenalized baseline, the plain product over the same band of spans.
 The decoders return token positions only; ``span_text`` reads the answer
 string those positions cover out of the original text.
 """
@@ -18,7 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .autodiff import ConfigError, DegenerateMaskError
 
 __all__ = ["SpanPrediction", "SpanOrderingError", "smart_span_score",
-           "best_span", "oracle_best_span", "raw_product_span", "span_text"]
+           "best_span", "raw_product_span", "span_text"]
 
 
 class SpanOrderingError(ValueError):
@@ -95,24 +95,6 @@ def best_span(p_start, p_end, mask, max_len: int = 20) -> SpanPrediction:
     ps, pe, keep = _prepare(p_start, p_end, mask)
     s, e = _argmax_pair(ps, pe, keep, max_len, _length_penalty)
     return SpanPrediction(s, e, smart_span_score(ps[s], pe[e], s, e))
-
-
-def oracle_best_span(p_start, p_end, mask) -> SpanPrediction:
-    """Exhaustive scan over every ordered pair, no length cap; same tie-break."""
-    ps, pe, keep = _prepare(p_start, p_end, mask)
-    best = None
-    for s in range(len(ps)):
-        if not keep[s]:
-            continue
-        for e in range(s, len(ps)):
-            if not keep[e]:
-                continue
-            score = smart_span_score(ps[s], pe[e], s, e)
-            if best is None or score > best.score:
-                best = SpanPrediction(s, e, score)
-    if best is None:
-        raise DegenerateMaskError("no unmasked start/end pair available")
-    return best
 
 
 def raw_product_span(p_start, p_end, mask, max_len: int = 20) -> SpanPrediction:

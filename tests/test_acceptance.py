@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 from conftest import require_official
+from span_oracle import oracle_best_span
 from spanqa.checkpoint import load_for_resume, save_checkpoint
 from spanqa.data import dataset_stats, load_glove, load_squad
 from spanqa.diagnostics import (END_TO_END_THRESHOLD, OP_THRESHOLD,
                                 make_tiny_problem, run_gradcheck_suite)
 from spanqa.metrics import evaluate, f1_score
 from spanqa.model import ModelConfig, forward
-from spanqa.spans import best_span, oracle_best_span, raw_product_span
+from spanqa.spans import best_span, raw_product_span
 from spanqa.training import predict_answers, train
 from spanqa import autodiff as ad
 

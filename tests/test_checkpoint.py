@@ -24,7 +24,7 @@ from spanqa.checkpoint import (MAGIC, CheckpointError, CheckpointVersionError,
                                CheckpointMetadataError, CheckpointTruncatedError,
                                load_checkpoint, load_for_resume, save_checkpoint)
 from spanqa.diagnostics import make_tiny_problem
-from spanqa.model import ModelConfig, init_params, param_count, param_shapes
+from spanqa.model import ModelConfig, init_params, param_shapes
 from spanqa.training import AdamState, init_optimizer, train_step
 
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -233,7 +233,7 @@ def test_payload_is_twelve_bytes_per_parameter(workdir, original):
     # each parameter and its two Adam moments, float32 each
     config = load_bytes(workdir, original).config
     payload = split(original)[1]
-    assert len(payload) == 12 * param_count(init_params(config))
+    assert len(payload) == 12 * sum(map(math.prod, param_shapes(config).values()))
 
 
 def counting(shapes, start):

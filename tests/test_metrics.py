@@ -3,8 +3,8 @@ import random
 import pytest
 
 from spanqa.data import QAExample, tokenize
-from spanqa.metrics import (CATEGORIES, categorize_question, em_score, evaluate,
-                            f1_score, normalize_answer)
+from spanqa.metrics import (CATEGORIES, categorize_question, evaluate, f1_score,
+                            normalize_answer)
 
 
 def expected_f1(overlap, pred_len, truth_len):
@@ -50,7 +50,6 @@ class TestF1:
             assert stats.f1 == expected_f1(case["overlap"], case["pred_len"],
                                            case["truth_len"]), case
             assert stats.em == case["em"], case
-            assert em_score(case["prediction"], case["truth"]) == case["em"]
 
     def test_fixture_counts_are_honest(self, metric_cases):
         # the committed overlap/length counts match fresh normalization
@@ -70,22 +69,22 @@ class TestF1:
             b = " ".join(rng.choices(words, k=rng.randrange(0, 5)))
             ab, ba = f1_score(a, b), f1_score(b, a)
             assert ab.f1 == ba.f1
-            assert em_score(a, b) == em_score(b, a)
+            assert ab.em == ba.em
             assert 0.0 <= ab.f1 <= 1.0
             if ab.em == 1:
                 assert ab.f1 == 1.0
-            assert em_score(a, a) == 1
+            assert f1_score(a, a).em == 1
 
 
 class TestEM:
     def test_identical(self):
-        assert em_score("Denver Broncos", "Denver Broncos") == 1
+        assert f1_score("Denver Broncos", "Denver Broncos").em == 1
 
     def test_entity_detection_failure_scores_zero(self):
-        assert em_score("stephen colbert", "The Late Show with Stephen Colbert") == 0
+        assert f1_score("stephen colbert", "The Late Show with Stephen Colbert").em == 0
 
     def test_normalization_bridges_case_and_articles(self):
-        assert em_score("the late show", "The Late Show") == 1
+        assert f1_score("the late show", "The Late Show").em == 1
 
 
 class TestCategorize:

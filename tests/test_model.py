@@ -13,9 +13,8 @@ from spanqa import model as qa_model
 from spanqa.autodiff import ConfigError, Graph, Tensor
 from spanqa.data import PAD_ID, Batch, EmbeddingTable
 from spanqa.diagnostics import end_to_end_gradcheck, make_tiny_problem
-from spanqa.model import (ModelConfig, bilstm, embed,
-                          end_decoder, forward, init_params, loss, param_count,
-                          param_shapes, start_decoder)
+from spanqa.model import (ModelConfig, bilstm, embed, end_decoder, forward,
+                          init_params, loss, param_shapes, start_decoder)
 from spanqa.spans import best_span
 
 
@@ -82,7 +81,11 @@ class TestInitParams:
 
 class TestParamCount:
     def test_small_fc(self):
-        assert param_count({"W": np.zeros((3, 4)), "b": np.zeros(3)}) == 15
+        # a head: FC1 (h x 10h) with its bias, then FC2 (1 x h) with none
+        h = 3
+        shapes = param_shapes(ModelConfig(hidden_size=h, embedding_dim=4))
+        head = [shape for name, shape in shapes.items() if name.startswith("end_head.")]
+        assert sum(map(math.prod, head)) == h * 10 * h + h + h
 
     def test_lstm_direction_formula(self):
         h, d = 5, 7
@@ -94,7 +97,8 @@ class TestParamCount:
     def test_default_config_regression_constant(self):
         # element count of the shipped architecture at Table-3 defaults;
         # frozen so accidental layer/width changes are caught
-        assert param_count(init_params(ModelConfig())) == 4_896_300
+        shapes = param_shapes(ModelConfig()).values()
+        assert sum(map(math.prod, shapes)) == 4_896_300
 
 
 class TestEmbed:
