@@ -807,7 +807,12 @@ def _lstm_dz(dz, g_h, w_h, gates, cs, packing: Packing, reverse: bool):
         hi = lo
 
 
-def lstm(xs, packing: Packing, W, b, *, rebuild_gates: bool = False) -> Tensor:
+def _rebuilds_gates(n: int, h: int) -> bool:
+    """Whether `lstm` keeps c alone and rebuilds the gates in backward."""
+    return n <= 4 * h
+
+
+def lstm(xs, packing: Packing, W, b) -> Tensor:
     """A bidirectional LSTM layer over packed rows: (N, n) -> (N, 2h).
 
     `xs` holds the input [x_1 | x_2 | ...] as row blocks in the layout of
@@ -827,27 +832,23 @@ def lstm(xs, packing: Packing, W, b, *, rebuild_gates: bool = False) -> Tensor:
     per-step temporary, and the layer is one tape node.
 
     When some input is on a graph, the tape keeps each block's dropout
-    (rate, seed), no mask, and each direction's gates and c, five (N, h)
-    blocks; with `rebuild_gates`, which suits narrow inputs, it keeps only
-    c, one (N, h) block per direction. An untaped call frees each
-    direction's gates and c before the next direction starts. Backward is
-    one BPTT sweep per direction, computing only dz and dz @ W_h per step.
-    With `rebuild_gates`, each block's mask is drawn again once for the
-    whole backward, and before its sweep a direction's gates are rebuilt
-    with no time loop (`_rebuilt_gates`): the input projection again, plus
-    one h_prev @ W_h^T over all rows after the first step, h_prev read from
-    the result. That product sums in another order than the time loop's,
-    so the rebuilt gates may differ from the forward's in the last bits.
-    A direction's gates and c are
-    freed as soon as its dz is done; its rows of db and of the (8h, h)
-    recurrent dW_h follow (h_prev is read from the result), and its dz
-    moves into one (N, 8h) buffer dz = [dz_fwd | dz_bwd] in packing order.
-    After both sweeps the result and its gradient are let go, and only then
-    is the (8h, n+h) dW allocated. Then, block by block, the block's mask
-    (drawn again here unless the rebuild drew it) serves `_input_grads`:
-    its dW columns are one GEMM over both directions, with the block dropped
-    for it alone, and its dX, for a block on a graph, is the one GEMM
-    dz @ W[:, lo:hi] with K = 8h, dropped in place.
+    (rate, seed), no mask, and per direction its gates and c, five (N, h)
+    blocks, or c alone if the input is no wider than the gates, n <= 4h
+    (`_rebuilds_gates`). An untaped call frees each direction's gates and c
+    before the next starts. Backward is one BPTT sweep per direction,
+    computing only dz and dz @ W_h per step. Where only c was kept, each
+    block's mask is drawn again once for the whole backward, and a
+    direction's gates are rebuilt with no time loop before its sweep
+    (`_rebuilt_gates`), equal to the forward's up to the last bits. A
+    direction's gates and c are freed as soon as its dz is done; its rows of
+    db and of the (8h, h) recurrent dW_h follow (h_prev is read from the
+    result), and its dz moves into one (N, 8h) buffer dz = [dz_fwd | dz_bwd]
+    in packing order. After both sweeps the result and its gradient are let
+    go, and only then is the (8h, n+h) dW allocated. Then, block by block,
+    the block's mask (drawn again unless the rebuild drew it) serves
+    `_input_grads`: its dW columns are one GEMM over both directions, with
+    the block dropped for it alone, and its dX, for a block on a graph, is
+    the one GEMM dz @ W[:, lo:hi] with K = 8h, dropped in place.
     """
     W, b = _lift(W), _lift(b)
     h = W.shape[0] // 8
@@ -868,9 +869,8 @@ def lstm(xs, packing: Packing, W, b, *, rebuild_gates: bool = False) -> Tensor:
     weights, biases = np.split(wd, 2), np.split(b.data, 2)
     out = np.empty((rows, 2 * h), dtype)
     masks = list(_masks(datas, drops))
-    # what the tape keeps of each direction's (gates, c): both, c alone when
-    # backward rebuilds the gates, or neither when untaped
-    kept = slice(1 if rebuild_gates else 0, None if taped else 0)
+    rebuild = _rebuilds_gates(n, h)
+    kept = slice(1 if rebuild else 0, None if taped else 0)    # what the tape keeps of (gates, c)
     saved = [_lstm_direction(datas, masks, spans, weights[d], biases[d], packing, d == 1,
                              out[:, d * h:(d + 1) * h])[kept]
              for d in range(2)]
@@ -880,12 +880,12 @@ def lstm(xs, packing: Packing, W, b, *, rebuild_gates: bool = False) -> Tensor:
 
     def backward(g):
         nonlocal out
-        masks = list(_masks(datas, drops)) if rebuild_gates else None
+        masks = list(_masks(datas, drops)) if rebuild else None
         dz_both = dw_h = db = None
         for d, reverse in enumerate((False, True)):
             cols = slice(d * h, (d + 1) * h)
             h_prev_rows = packing.reverse[prev] if reverse else prev
-            if rebuild_gates:
+            if rebuild:
                 saved[d] = (_rebuilt_gates(datas, masks, spans, weights[d], biases[d],
                                            packing, reverse, out[:, cols], h_prev_rows),
                             *saved[d])

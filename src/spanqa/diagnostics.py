@@ -46,6 +46,9 @@ def op_gradcheck_cases(seed: int = 0):
     unsorted_rows, unsorted_probe = unsorted_x[unsorted.index], unsorted_weights[unsorted.index]
     # the unsorted input as two row blocks [x_1 | x_2] of widths 2 and 1
     block_1, block_2 = (unsorted_rows[:, cols] for cols in (slice(2), slice(2, 3)))
+    # a 6 + 4 wide input, wider than the 4h = 8 gates, whose tape keeps them
+    wide_1, wide_2 = (lstm_rng.normal(size=(unsorted.size, w)) for w in (6, 4))
+    wide_w = lstm_rng.normal(size=(16, 12)) * 0.5
     # add and mul broadcasting itself: (2, 4, 1), (2, 1, 3) and (2, 4, 3)
     # operands against each other, and a (5,) bias over (3, 2, 5) rows
     bcast_rng = np.random.default_rng(seed + 3)
@@ -127,11 +130,10 @@ def op_gradcheck_cases(seed: int = 0):
          block_2, unsorted_probe),
         ("lstm_dropped_W", lambda t: ad.lstm([block_1, dropped(block_2, 99)], unsorted, t, lstm_b),
          lstm_w, unsorted_probe),
-        # the gates rebuilt in backward, not kept on the tape
-        ("lstm_rebuilt_x", lambda t: ad.lstm([dropped(block_1, 98), t], unsorted, lstm_w, lstm_b,
-                                             rebuild_gates=True), block_2, unsorted_probe),
-        ("lstm_rebuilt_W", lambda t: ad.lstm([block_1, dropped(block_2, 99)], unsorted, t, lstm_b,
-                                             rebuild_gates=True), lstm_w, unsorted_probe),
+        ("lstm_wide_x", lambda t: ad.lstm([dropped(wide_1, 98), t], unsorted, wide_w, lstm_b),
+         wide_2, unsorted_probe),
+        ("lstm_wide_W", lambda t: ad.lstm([wide_1, dropped(wide_2, 99)], unsorted, t, lstm_b),
+         wide_w, unsorted_probe),
         ("head_x", lambda t: fc([head_1, t]), rows_rng.normal(size=(4, 3)), head_weights),
         ("head_W1", lambda t: fc([head_1, head_1[:, :1] * 2.0, head_1], w1=t),
          rows_rng.normal(size=(3, 5)), head_weights),

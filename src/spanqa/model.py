@@ -17,17 +17,17 @@ one W and one b stacking both directions and writes both into one (N, 2h)
 result, and the attention is one ``autodiff.bidaf`` node that gathers
 [c ; q] from the shared encoding and writes G straight into its (N, 8h)
 result, whose first block backward reads c back from. Each decoder calls
-``autodiff.lstm`` once, and on a training tape keeps its gates and c; the
-encoder stack ``bilstm`` keeps only c and rebuilds its gates in backward,
-since its inputs (d and 2h wide, against the decoders' 8h and 10h) are
-cheap to project again. Inputs like [G ; M] are never concatenated: the end
-decoder and the heads take them as blocks [G | M], each multiplied by its
-column slice of the weight, a chunk of rows at a time. Only the attention's
-similarity matrix and, inside the loss and the softmaxes, the logits are
-laid out (B, L), so the cost follows the batch's token count, not B times
-the longest row, and a taped training forward plus loss records 23 nodes
-(15 leaves; 8 ops, all fused: 4 `lstm`, one `bidaf`, one per head, one loss)
-whatever the sequence length.
+``autodiff.lstm`` once. On a training tape an ``lstm`` whose input is no
+wider than its gates (n <= 4h) keeps c alone and rebuilds the gates in
+backward: the encoder's second layer (2h wide) does, its first (d wide)
+unless d > 4h, and the decoders (8h and 10h wide) never. Inputs like [G ; M]
+are never concatenated: the end decoder and the heads take them as blocks
+[G | M], each multiplied by its column slice of the weight, a chunk of rows
+at a time. Only the attention's similarity matrix and, inside the loss and
+the softmaxes, the logits are laid out (B, L), so the cost follows the
+batch's token count, not B times the longest row, and a taped training
+forward plus loss records 23 nodes (15 leaves; 8 ops, all fused: 4 `lstm`,
+one `bidaf`, one per head, one loss) whatever the sequence length.
 
 Parameters live in a plain name -> ndarray dict. ``forward`` accepts either
 ndarrays (inference; no tape is recorded) or graph-leaf Tensors (training),
@@ -175,13 +175,11 @@ def bilstm(blocks, layer_params, packing: ad.Packing, *, drop=list) -> Tensor:
     whole. The backward direction starts from the zero state at each
     sequence's last token. `drop` takes each layer's input blocks and returns
     them, marked `ad.Dropped` when training with dropout (see `forward`); the
-    default keeps them as they are. The inputs are narrow (d, then 2h), so
-    every layer's tape keeps only c, and backward projects them again to
-    rebuild the gates.
+    default keeps them as they are. Each layer keeps c alone if n <= 4h.
     """
     out = list(blocks)
     for W, b in layer_params:
-        out = [ad.lstm(drop(out), packing, W, b, rebuild_gates=True)]
+        out = [ad.lstm(drop(out), packing, W, b)]
     return out[0]
 
 

@@ -44,14 +44,15 @@ def composed_model_dropout(blocks, rate, seeds):
 def run_graph(drop, dtype):
     """G -> lstm([drop(G), drop(E)]) = M -> head([drop(G), drop(M), E]),
     the decoder pattern: G feeds both ops under different masks, and E is an
-    input no gradient reaches. Returns both outputs, every trainable leaf's
-    gradient and the tape's ops."""
+    input no gradient reaches. G is 8h wide, so the lstm keeps its gates as
+    a decoder's does. Returns both outputs, every trainable leaf's gradient
+    and the tape's ops."""
     rng = np.random.default_rng(17)
     packing = ad.Packing(np.arange(9) < np.array([9, 4, 7, 1])[:, None])
     n, h = packing.size, 3
     values = [rng.normal(size=shape).astype(dtype) for shape in
-              [(n, 5), (n, 2), (8 * h, 7 + h), (8 * h,),
-               (4, 5 + 2 * h + 2), (4,), (1, 4), (n, 1)]]
+              [(n, 8 * h), (n, 2), (8 * h, 8 * h + 2 + h), (8 * h,),
+               (4, 8 * h + 2 * h + 2), (4,), (1, 4), (n, 1)]]
     graph = Graph()
     g, e, w_lstm, b_lstm, w1, b1, w2, probe = (
         ad.Tensor(v) if i in (1, 7) else graph.leaf(v) for i, v in enumerate(values))
@@ -165,7 +166,8 @@ def test_backward_frees_lstm_gate_buffers():
         return [a for a in closure_arrays(node.backward) if a.ndim == 2 and a.shape[1] == width]
 
     # the decoders keep the (N, 4h) gates of both directions; the encoder
-    # rebuilds its gates in backward and keeps none
+    # (d and 2h wide, no wider than the 4h gates) rebuilds its gates in
+    # backward and keeps none
     gates = [weakref.ref(a) for node in decoders for a in gate_buffers(node)]
     assert not any(gate_buffers(node) for node in encoder)
     outputs = [weakref.ref(node.out) for node in graph._nodes if node.op != "leaf"]

@@ -183,12 +183,12 @@ def retained_by_call(packing, inputs):
 
 
 def test_untaped_call_keeps_no_bptt_buffers():
-    # backward needs, per direction, the (N, 4h) gates and the (N, h) c, N
-    # the live positions (all B*L here), recomputes tanh c and reads h back
-    # from the result; a call that no gradient will reach must keep none of
-    # them alive
+    # backward on an input wider than 4h needs, per direction, the (N, 4h)
+    # gates and the (N, h) c, N the live positions (all B*L here),
+    # recomputes tanh c and reads h back from the result; a call that no
+    # gradient will reach must keep none of them alive
     rng = np.random.default_rng(7)
-    batch, length, in_dim, hidden = 8, 60, 16, 32
+    batch, length, in_dim, hidden = 8, 60, 160, 32
     packing = ad.Packing(np.ones((batch, length)))
     x = rng.normal(size=(packing.size, in_dim))
     weight, bias = stacked_params(rng, in_dim, hidden)
@@ -203,48 +203,36 @@ def test_untaped_call_keeps_no_bptt_buffers():
     assert frozen - untaped < 0.1 * buffers
 
 
-def test_taped_buffers_scale_with_live_positions():
-    # a ragged batch keeps buffers for its live positions only: the same
-    # five (., h) blocks per direction as a full batch, but over
-    # sum(lengths) rows, not B*L
+@pytest.mark.parametrize("in_dim,blocks", [(16, 1), (128, 1), (129, 5), (320, 5)],
+                         ids=["narrow", "4h", "4h+1", "wide"])
+def test_taped_buffers_scale_with_live_positions(in_dim, blocks):
+    # a ragged batch keeps buffers for its live positions only, over
+    # sum(lengths) rows, not B*L: per direction, an input no wider than the
+    # 4h = 128 gates keeps one (N, h) c, and a wider one five (N, h) blocks,
+    # the gates and c
     rng = np.random.default_rng(9)
-    batch, length, in_dim, hidden = 8, 60, 16, 32
+    length, hidden = 60, 32
     lengths = [60, 10, 35, 20, 50, 5, 30, 15]      # 225 of 480 positions
     packing = ad.Packing(prefix_mask(lengths, length))
     x = rng.normal(size=(packing.size, in_dim))
     weight, bias = stacked_params(rng, in_dim, hidden)
-    live_buffers = 2 * 5 * sum(lengths) * hidden * 8
+    live_buffers = 2 * blocks * sum(lengths) * hidden * 8
     untaped = retained_by_call(packing, (x, weight, bias))
     trainable = Graph()
     taped = retained_by_call(packing, tuple(trainable.leaf(v)
                                             for v in (x, weight, bias)))
     # buffers over all B*L positions would be 480 / 225 = 2.1 times as large,
-    # and a sixth block per direction 6 / 5 times
+    # a sixth block per direction 6 / 5 times, and the gates beside c 5 times
     assert 0.9 * live_buffers < taped - untaped < 1.1 * live_buffers
 
 
-def test_rebuilt_gates_call_keeps_only_c():
-    # with rebuild_gates the tape keeps one (N, h) c per direction: two
-    # blocks, not the five (gates and c) of a stored-gate call
-    rng = np.random.default_rng(9)
-    length, in_dim, hidden = 60, 16, 32
-    packing = ad.Packing(prefix_mask([60, 10, 35, 20, 50, 5, 30, 15], length))
-    x = rng.normal(size=(packing.size, in_dim))
-    weight, bias = stacked_params(rng, in_dim, hidden)
-    c_blocks = 2 * packing.size * hidden * 8
-    untaped = retained_by_call(packing, (x, weight, bias))
-    trainable = Graph()
-    inputs = [trainable.leaf(v) for v in (x, weight, bias)]
-    taped = traced(ad.lstm, inputs[:1], packing, *inputs[1:], rebuild_gates=True)[1]
-    assert 0.9 * c_blocks < taped - untaped < 1.1 * c_blocks
-
-
 @pytest.mark.parametrize("direction", [0, 1], ids=["forward", "backward"])
-def test_rebuilt_gates_give_the_stored_gates_gradients(direction):
+def test_rebuilt_gates_give_the_stored_gates_gradients(direction, monkeypatch):
     # float64, a ragged packing out of length order and two row blocks, the
     # second one Dropped: rebuilding the gates in backward gives the result
-    # and every gradient of the stored-gate call. The probe reads one
-    # direction's half of the result, so neither direction hides the other
+    # and every gradient of the stored-gate call, each path forced on the
+    # same input. The probe reads one direction's half of the result, so
+    # neither direction hides the other
     rng = np.random.default_rng(29)
     hidden, widths = 3, (4, 2)
     packing = ad.Packing(prefix_mask([5, 9, 1, 7, 9, 3], 9))
@@ -254,15 +242,27 @@ def test_rebuilt_gates_give_the_stored_gates_gradients(direction):
     probe[:, direction * hidden:(direction + 1) * hidden] = rng.normal(
         size=(packing.size, hidden))
 
-    def run(rebuild_gates):
+    # each direction whose gates were rebuilt, so neither run passes unforced
+    rebuilt_directions, rebuilt_gates = [], ad._rebuilt_gates
+
+    def recording(*args):
+        rebuilt_directions.append(args[6])      # reverse
+        return rebuilt_gates(*args)
+
+    monkeypatch.setattr(ad, "_rebuilt_gates", recording)
+
+    def run(rebuild):
+        monkeypatch.setattr(ad, "_rebuilds_gates", lambda n, h: rebuild)
         graph = Graph()
         x_1, x_2, weight, bias = leaves = [graph.leaf(v) for v in values]
-        out = ad.lstm([x_1, ad.Dropped(x_2, 0.3, 7)], packing, weight, bias,
-                      rebuild_gates=rebuild_gates)
+        out = ad.lstm([x_1, ad.Dropped(x_2, 0.3, 7)], packing, weight, bias)
         grads = graph.backward(out, probe)
         return [out.data] + [grads[t.node_id] for t in leaves]
 
-    stored, rebuilt = run(False), run(True)
+    stored = run(False)
+    assert rebuilt_directions == []
+    rebuilt = run(True)
+    assert rebuilt_directions == [False, True]
     for got, want in zip(rebuilt, stored):
         assert got.dtype == np.float64
         assert np.array_equal(got, want)
